@@ -151,10 +151,15 @@ class DmlExecutor:
 
     def _execute_insert_values(self, operation):
         schema = self.database.schema(operation.table)
+        evaluate = self._evaluator.evaluate
+        scope = Scope()  # binds no row, so one serves every value
         handles = []
         for row_exprs in operation.rows:
+            # a bulk load is all literals: read them without the dispatch
             values = [
-                self._evaluator.evaluate(expr, Scope()) for expr in row_exprs
+                expr.value if type(expr) is ast.Literal
+                else evaluate(expr, scope)
+                for expr in row_exprs
             ]
             full_row = self._arrange_columns(schema, operation.columns, values)
             handles.append(self.database.insert_row(operation.table, full_row))

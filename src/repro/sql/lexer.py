@@ -1,35 +1,64 @@
-"""Hand-written tokenizer for the paper's SQL dialect.
+"""Tokenizer for the paper's SQL dialect: one master regular expression.
 
-Supports:
+The lexical grammar (``docs/sql-reference.md``, "Lexical grammar") is the
+alternation in :data:`_MASTER`, tried at each position in this order:
 
-* identifiers (``[A-Za-z_][A-Za-z0-9_]*``), case-insensitive keywords;
-* integer and floating-point literals (``42``, ``0.95``, ``1e6``, ``.5``);
-* single-quoted string literals with ``''`` escaping;
-* SQL comments: ``-- line`` and ``/* block */``;
+* skipped text: runs of ``[ \\t\\r\\n]``, ``-- line`` comments and
+  ``/* block */`` comments, matched as a prefix of the token after them;
+* words: a letter or ``_`` followed by Unicode alphanumerics or ``_``;
+  case-insensitive keywords, identifiers folded to lower case;
+* numbers: ASCII digits only — ``42``, ``0.95``, ``1.``, ``.5``,
+  ``1e6``, ``2.5e-3`` (an exponent needs its digits, and ``1..2`` is
+  ``1`` ``.`` ``.2``);
+* single-quoted strings with ``''`` escaping, newlines allowed;
 * the operators and punctuation listed in :mod:`repro.sql.tokens`.
 
-The lexer is a straightforward single-pass scanner; it tracks line and
-column for error reporting.
+Line and column come from a running line-start offset, which moves only
+when skipped text or a string literal contains a newline.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
 from .tokens import KEYWORDS, Token, TokenKind
 
-_SINGLE_CHAR = {
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMICOLON,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    ".": TokenKind.DOT,
-    "*": TokenKind.STAR,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "=": TokenKind.EQ,
+_MASTER = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | --[^\n]* | /\*.*?\*/ )*
+    (?: (?P<op>     [-,;()*+%=] | <> | != | <= | >= | [<>] | \|\| | /(?!\*) | \.(?![0-9]) )
+      | (?P<float>  (?: [0-9]+\.(?!\.)[0-9]* | \.[0-9]+ ) (?: [eE][+-]?[0-9]+ )?
+                  | [0-9]+[eE][+-]?[0-9]+ )
+      | (?P<int>    [0-9]+ )
+      | (?P<word>   [^\W\d]\w* )
+      | (?P<string> '[^']*(?:''[^']*)*'(?!') )
+      | (?P<eof>    \Z )
+      | (?P<bad>    . )
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_OP, _FLOAT, _INT, _WORD, _STRING, _EOF = (
+    _MASTER.groupindex[name]
+    for name in ("op", "float", "int", "word", "string", "eof")
+)
+
+#: operator text -> (kind, normalized value)
+_OPERATORS: dict[str, tuple[TokenKind, str]] = {
+    ",": (TokenKind.COMMA, ","), ";": (TokenKind.SEMICOLON, ";"),
+    "(": (TokenKind.LPAREN, "("), ")": (TokenKind.RPAREN, ")"),
+    ".": (TokenKind.DOT, "."), "*": (TokenKind.STAR, "*"),
+    "+": (TokenKind.PLUS, "+"), "-": (TokenKind.MINUS, "-"),
+    "/": (TokenKind.SLASH, "/"), "%": (TokenKind.PERCENT, "%"),
+    "||": (TokenKind.CONCAT, "||"), "=": (TokenKind.EQ, "="),
+    "<>": (TokenKind.NEQ, "<>"), "!=": (TokenKind.NEQ, "<>"),
+    "<": (TokenKind.LT, "<"), "<=": (TokenKind.LTE, "<="),
+    ">": (TokenKind.GT, ">"), ">=": (TokenKind.GTE, ">="),
 }
+
+#: upper-cased word -> the one keyword string every such token shares
+_KEYWORD_OF = {keyword: keyword for keyword in KEYWORDS}
 
 
 class Lexer:
@@ -42,167 +71,85 @@ class Lexer:
 
     def __init__(self, source: str) -> None:
         self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
     def tokenize(self) -> list[Token]:
         """Return the full token list, ending with an EOF token."""
+        source = self._source
+        match = _MASTER.match
+        new = tuple.__new__
+        operators = _OPERATORS
         tokens: list[Token] = []
+        append = tokens.append
+        pos = 0
+        line = 1
+        line_start = 0
         while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
+            found = match(source, pos)
+            # the eof and bad alternatives make some group match anywhere
+            assert found is not None and found.lastindex is not None
+            group = found.lastindex
+            start, end = found.span(group)
+            if start != pos:
+                newline = source.rfind("\n", pos, start)
+                if newline >= 0:
+                    line += source.count("\n", pos, start)
+                    line_start = newline + 1
+            text = source[start:end]
+            column = start - line_start + 1
+            if group == _OP:
+                kind, value = operators[text]
+                append(new(Token, (kind, value, text, start, line, column)))
+            elif group == _INT:
+                append(new(Token, (TokenKind.INTEGER, int(text), text,
+                                   start, line, column)))
+            elif group == _FLOAT:
+                append(new(Token, (TokenKind.FLOAT, float(text), text,
+                                   start, line, column)))
+            elif group == _WORD:
+                keyword = _KEYWORD_OF.get(text.upper())
+                if keyword is not None:
+                    append(new(Token, (TokenKind.KEYWORD, keyword, text,
+                                       start, line, column)))
+                elif text[0].isalpha() or text[0] == "_":
+                    append(new(Token, (TokenKind.IDENTIFIER, text.lower(),
+                                       text, start, line, column)))
+                else:  # a numeric character that is not an ASCII digit
+                    raise self._error(start, line, column)
+            elif group == _STRING:
+                append(new(Token, (TokenKind.STRING,
+                                   text[1:-1].replace("''", "'"), text,
+                                   start, line, column)))
+                newline = text.rfind("\n")
+                if newline >= 0:
+                    line += text.count("\n")
+                    line_start = start + newline + 1
+            elif group == _EOF:
+                append(new(Token, (TokenKind.EOF, None, "",
+                                   start, line, column)))
                 return tokens
-
-    # ------------------------------------------------------------------
-    # scanning machinery
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos < len(self._source):
-                if self._source[self._pos] == "\n":
-                    self._line += 1
-                    self._column = 1
-                else:
-                    self._column += 1
-                self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError(
-                        "unterminated block comment",
-                        self._pos, self._line, self._column,
-                    )
             else:
-                return
+                raise self._error(start, line, column)
+            pos = end
 
-    def _make(self, kind: TokenKind, value: object, text: str,
-              position: int, line: int, column: int) -> Token:
-        return Token(kind, value, text, position, line, column)
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        position, line, column = self._pos, self._line, self._column
-        if self._pos >= len(self._source):
-            return self._make(TokenKind.EOF, None, "", position, line, column)
-
-        char = self._peek()
-
-        if char.isalpha() or char == "_":
-            return self._lex_word(position, line, column)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._lex_number(position, line, column)
+    def _error(self, position: int, line: int, column: int) -> LexError:
+        """The error for the character at ``position``, where no token
+        starts."""
+        source = self._source
+        char = source[position]
         if char == "'":
-            return self._lex_string(position, line, column)
-
-        # multi-character operators
-        two = char + self._peek(1)
-        if two == "<>" or two == "!=":
-            self._advance(2)
-            return self._make(TokenKind.NEQ, "<>", two, position, line, column)
-        if two == "<=":
-            self._advance(2)
-            return self._make(TokenKind.LTE, "<=", two, position, line, column)
-        if two == ">=":
-            self._advance(2)
-            return self._make(TokenKind.GTE, ">=", two, position, line, column)
-        if two == "||":
-            self._advance(2)
-            return self._make(TokenKind.CONCAT, "||", two, position, line, column)
-        if char == "<":
-            self._advance()
-            return self._make(TokenKind.LT, "<", char, position, line, column)
-        if char == ">":
-            self._advance()
-            return self._make(TokenKind.GT, ">", char, position, line, column)
-
-        kind = _SINGLE_CHAR.get(char)
-        if kind is not None:
-            self._advance()
-            return self._make(kind, char, char, position, line, column)
-
-        raise LexError(f"unexpected character {char!r}", position, line, column)
-
-    def _lex_word(self, position: int, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[start:self._pos]
-        upper = text.upper()
-        if upper in KEYWORDS:
-            return self._make(TokenKind.KEYWORD, upper, text, position, line, column)
-        return self._make(
-            TokenKind.IDENTIFIER, text.lower(), text, position, line, column
-        )
-
-    def _lex_number(self, position: int, line: int, column: int) -> Token:
-        start = self._pos
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1) != ".":
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start:self._pos]
-        if is_float:
-            return self._make(
-                TokenKind.FLOAT, float(text), text, position, line, column
-            )
-        return self._make(TokenKind.INTEGER, int(text), text, position, line, column)
-
-    def _lex_string(self, position: int, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        pieces: list[str] = []
-        while True:
-            if self._pos >= len(self._source):
-                raise LexError("unterminated string literal", position, line, column)
-            char = self._peek()
-            if char == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    pieces.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
+            return LexError("unterminated string literal",
+                            position, line, column)
+        if source.startswith("/*", position):
+            # reported where the scan for ``*/`` gave up: end of input
+            end = len(source)
+            last_newline = source.rfind("\n", position)
+            if last_newline >= 0:
+                line += source.count("\n", position)
+                column = end - last_newline
             else:
-                pieces.append(char)
-                self._advance()
-        value = "".join(pieces)
-        text = self._source[position:self._pos]
-        return self._make(TokenKind.STRING, value, text, position, line, column)
+                column += end - position
+            return LexError("unterminated block comment", end, line, column)
+        return LexError(f"unexpected character {char!r}", position, line, column)
 
 
 def tokenize(source: str) -> list[Token]:

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the paper's SQL dialect and rule language.
+"""Parser for the paper's SQL dialect and rule language: recursive
+descent for statements, one precedence-climbing loop for expressions.
 
 The grammar follows Sections 2.1 (operation blocks), 3 (rule definition),
 4.4 (priority pairings) and 5 (extensions) of the paper, plus the schema
@@ -32,14 +33,34 @@ _N = TypeVar("_N")
 
 _TYPE_KEYWORDS = {"INTEGER", "INT", "FLOAT", "REAL", "VARCHAR", "CHAR", "BOOLEAN"}
 
-_COMPARISON_TOKENS = {
-    TokenKind.EQ: "=",
-    TokenKind.NEQ: "<>",
-    TokenKind.LT: "<",
-    TokenKind.LTE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GTE: ">=",
+#: binding powers, loosest first; a prefix ``not`` sits between AND and
+#: the comparisons, a prefix sign binds tighter than any infix operator
+_OR, _AND, _NOT, _COMPARISON, _ADDITIVE, _MULTIPLICATIVE, _UNARY = range(1, 8)
+
+#: infix operators: token kind, or keyword, -> (binding power, operator)
+_INFIX: dict[object, tuple[int, str]] = {
+    "OR": (_OR, "or"),
+    "AND": (_AND, "and"),
+    "NOT": (_COMPARISON, "not"),  # only as NOT IN / NOT BETWEEN / NOT LIKE
+    "IS": (_COMPARISON, "is"),
+    "IN": (_COMPARISON, "in"),
+    "BETWEEN": (_COMPARISON, "between"),
+    "LIKE": (_COMPARISON, "like"),
+    TokenKind.EQ: (_COMPARISON, "="),
+    TokenKind.NEQ: (_COMPARISON, "<>"),
+    TokenKind.LT: (_COMPARISON, "<"),
+    TokenKind.LTE: (_COMPARISON, "<="),
+    TokenKind.GT: (_COMPARISON, ">"),
+    TokenKind.GTE: (_COMPARISON, ">="),
+    TokenKind.PLUS: (_ADDITIVE, "+"),
+    TokenKind.MINUS: (_ADDITIVE, "-"),
+    TokenKind.CONCAT: (_ADDITIVE, "||"),
+    TokenKind.STAR: (_MULTIPLICATIVE, "*"),
+    TokenKind.SLASH: (_MULTIPLICATIVE, "/"),
+    TokenKind.PERCENT: (_MULTIPLICATIVE, "%"),
 }
+
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 _AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
 
@@ -60,9 +81,12 @@ class Parser:
     # ------------------------------------------------------------------
     # token helpers
 
+    # The token list ends in an EOF sentinel that is never consumed, so
+    # ``tokens[index]`` is always valid, and ``tokens[index + k]`` is too
+    # once the k tokens before it are known not to be EOF.
+
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._index + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._index]
@@ -71,47 +95,49 @@ class Parser:
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._index].kind is kind
 
     def _check_keyword(self, *names: str) -> bool:
-        return self._peek().is_keyword(*names)
+        token = self._tokens[self._index]
+        return token.kind is TokenKind.KEYWORD and token.value in names
 
     def _match(self, kind: TokenKind) -> Optional[Token]:
-        if self._check(kind):
-            return self._advance()
+        token = self._tokens[self._index]
+        if token.kind is kind:
+            self._index += 1
+            return token
         return None
 
     def _match_keyword(self, *names: str) -> Optional[Token]:
-        if self._check_keyword(*names):
-            return self._advance()
+        token = self._tokens[self._index]
+        if token.kind is TokenKind.KEYWORD and token.value in names:
+            self._index += 1
+            return token
         return None
 
     def _expect(self, kind: TokenKind, what: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._index]
         if token.kind is not kind:
             raise ParseError(f"expected {what}, found {token.text or 'end of input'}",
                              token)
-        return self._advance()
+        self._index += 1
+        return token
 
     def _expect_keyword(self, name: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(name):
+        token = self._tokens[self._index]
+        if token.kind is not TokenKind.KEYWORD or token.value != name:
             raise ParseError(
                 f"expected {name}, found {token.text or 'end of input'}", token
             )
-        return self._advance()
+        self._index += 1
+        return token
 
     def _expect_identifier(self, what: str = "identifier") -> str:
-        token = self._peek()
-        if token.kind is TokenKind.IDENTIFIER:
-            return self._advance().value
-        # Permit non-reserved-sounding keywords as identifiers where safe?
-        # We keep it strict: keywords are reserved.
-        raise ParseError(f"expected {what}, found {token.text or 'end of input'}",
-                         token)
+        # keywords are reserved: none is accepted as an identifier
+        return self._expect(TokenKind.IDENTIFIER, what).value
 
     def _at_end(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
+        return self._tokens[self._index].kind is TokenKind.EOF
 
     # ------------------------------------------------------------------
     # source spans
@@ -553,91 +579,79 @@ class Parser:
     # ------------------------------------------------------------------
     # expressions (precedence climbing)
 
-    def parse_expression_inner(self) -> ast.Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expression:
-        start = self._peek()
-        left = self._parse_and()
-        while self._match_keyword("OR"):
-            right = self._parse_and()
-            left = self._spanned(ast.BinaryOp("or", left, right), start)
-        return left
-
-    def _parse_and(self) -> ast.Expression:
-        start = self._peek()
-        left = self._parse_not()
-        while self._match_keyword("AND"):
-            right = self._parse_not()
-            left = self._spanned(ast.BinaryOp("and", left, right), start)
-        return left
-
-    def _parse_not(self) -> ast.Expression:
-        start = self._peek()
-        if self._match_keyword("NOT"):
-            return self._spanned(
-                ast.UnaryOp("not", self._parse_not()), start
+    def parse_expression_inner(self, min_power: int = _OR) -> ast.Expression:
+        """Parse an expression whose infix operators all bind at least
+        as tightly as ``min_power``."""
+        tokens = self._tokens
+        start = tokens[self._index]
+        #: the tightest operator that may still take ``left`` as its left
+        #: operand: once an operator has applied, a tighter one cannot
+        #: (``a is null + 1`` is not ``(a is null) + 1``)
+        limit = _UNARY
+        if start.kind is TokenKind.MINUS or start.kind is TokenKind.PLUS:
+            self._index += 1
+            left: ast.Expression = self._spanned(
+                ast.UnaryOp(start.value, self.parse_expression_inner(_UNARY)),
+                start,
             )
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expression:
-        start = self._peek()
-        left = self._parse_additive()
+        elif (min_power <= _NOT and start.kind is TokenKind.KEYWORD
+              and start.value == "NOT"):
+            self._index += 1
+            left = self._spanned(
+                ast.UnaryOp("not", self.parse_expression_inner(_NOT)), start
+            )
+            limit = _NOT
+        else:
+            left = self._parse_primary()
         while True:
-            token = self._peek()
+            token = tokens[self._index]
+            entry = _INFIX.get(
+                token.value if token.kind is TokenKind.KEYWORD else token.kind
+            )
+            if entry is None:
+                return left
+            power, op = entry
+            if not min_power <= power <= limit:
+                return left
             negated = False
-            if token.is_keyword("NOT") and self._peek(1).is_keyword(
-                "IN", "BETWEEN", "LIKE"
-            ):
-                self._advance()
+            if op == "not":
+                token = tokens[self._index + 1]
+                if not token.is_keyword("IN", "BETWEEN", "LIKE"):
+                    return left
+                self._index += 1
                 negated = True
-                token = self._peek()
-            if token.is_keyword("IS"):
-                self._advance()
+                op = _INFIX[token.value][1]
+            self._index += 1
+            node: ast.Expression
+            if op == "is":
                 is_negated = bool(self._match_keyword("NOT"))
                 self._expect_keyword("NULL")
-                left = self._spanned(ast.IsNull(left, is_negated), start)
-                continue
-            if token.is_keyword("IN"):
-                self._advance()
-                left = self._spanned(self._parse_in_rhs(left, negated), start)
-                continue
-            if token.is_keyword("BETWEEN"):
-                self._advance()
-                low = self._parse_additive()
+                node = ast.IsNull(left, is_negated)
+            elif op == "in":
+                node = self._parse_in_rhs(left, negated)
+            elif op == "between":
+                low = self.parse_expression_inner(_ADDITIVE)
                 self._expect_keyword("AND")
-                high = self._parse_additive()
-                left = self._spanned(
-                    ast.Between(left, low, high, negated), start
+                high = self.parse_expression_inner(_ADDITIVE)
+                node = ast.Between(left, low, high, negated)
+            elif op == "like":
+                pattern = self.parse_expression_inner(_ADDITIVE)
+                node = ast.Like(left, pattern, negated)
+            elif power == _COMPARISON and self._check_keyword(
+                    "ANY", "SOME", "ALL", "EVERY"):
+                quantifier = (
+                    "any" if self._advance().value in ("ANY", "SOME") else "all"
                 )
-                continue
-            if token.is_keyword("LIKE"):
-                self._advance()
-                pattern = self._parse_additive()
-                left = self._spanned(ast.Like(left, pattern, negated), start)
-                continue
-            if negated:
-                raise ParseError("expected IN, BETWEEN or LIKE after NOT", token)
-            if token.kind in _COMPARISON_TOKENS:
-                op = _COMPARISON_TOKENS[token.kind]
-                self._advance()
-                if self._check_keyword("ANY", "SOME", "ALL", "EVERY"):
-                    quantifier_token = self._advance()
-                    quantifier = (
-                        "any" if quantifier_token.value in ("ANY", "SOME") else "all"
-                    )
-                    self._expect(TokenKind.LPAREN, "'('")
-                    select = self._parse_select()
-                    self._expect(TokenKind.RPAREN, "')'")
-                    left = self._spanned(
-                        ast.QuantifiedComparison(left, op, quantifier, select),
-                        start,
-                    )
-                else:
-                    right = self._parse_additive()
-                    left = self._spanned(ast.BinaryOp(op, left, right), start)
-                continue
-            return left
+                self._expect(TokenKind.LPAREN, "'('")
+                select = self._parse_select()
+                self._expect(TokenKind.RPAREN, "')'")
+                node = ast.QuantifiedComparison(left, op, quantifier, select)
+            else:  # left-associative: the right operand binds tighter
+                node = ast.BinaryOp(
+                    op, left, self.parse_expression_inner(power + 1)
+                )
+            left = self._spanned(node, start)
+            limit = power
 
     def _parse_in_rhs(self, operand: ast.Expression,
                       negated: bool) -> ast.Expression:
@@ -652,73 +666,17 @@ class Parser:
         self._expect(TokenKind.RPAREN, "')'")
         return ast.InList(operand, tuple(items), negated)
 
-    def _parse_additive(self) -> ast.Expression:
-        start = self._peek()
-        left = self._parse_multiplicative()
-        while True:
-            if self._match(TokenKind.PLUS):
-                left = ast.BinaryOp("+", left, self._parse_multiplicative())
-            elif self._match(TokenKind.MINUS):
-                left = ast.BinaryOp("-", left, self._parse_multiplicative())
-            elif self._match(TokenKind.CONCAT):
-                left = ast.BinaryOp("||", left, self._parse_multiplicative())
-            else:
-                return left
-            self._spanned(left, start)
-
-    def _parse_multiplicative(self) -> ast.Expression:
-        start = self._peek()
-        left = self._parse_unary()
-        while True:
-            if self._match(TokenKind.STAR):
-                left = ast.BinaryOp("*", left, self._parse_unary())
-            elif self._match(TokenKind.SLASH):
-                left = ast.BinaryOp("/", left, self._parse_unary())
-            elif self._match(TokenKind.PERCENT):
-                left = ast.BinaryOp("%", left, self._parse_unary())
-            else:
-                return left
-            self._spanned(left, start)
-
-    def _parse_unary(self) -> ast.Expression:
-        start = self._peek()
-        if self._match(TokenKind.MINUS):
-            return self._spanned(ast.UnaryOp("-", self._parse_unary()), start)
-        if self._match(TokenKind.PLUS):
-            return self._spanned(ast.UnaryOp("+", self._parse_unary()), start)
-        return self._parse_primary()
-
     def _parse_primary(self) -> ast.Expression:
-        token = self._peek()
-
-        if token.kind is TokenKind.INTEGER or token.kind is TokenKind.FLOAT:
-            self._advance()
+        token = self._tokens[self._index]
+        kind = token.kind
+        if (kind is TokenKind.INTEGER or kind is TokenKind.FLOAT
+                or kind is TokenKind.STRING):
+            self._index += 1
             return self._spanned(ast.Literal(token.value), token)
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return self._spanned(ast.Literal(token.value), token)
-        if token.is_keyword("NULL"):
-            self._advance()
-            return self._spanned(ast.Literal(None), token)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return self._spanned(ast.Literal(True), token)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return self._spanned(ast.Literal(False), token)
-
-        if token.is_keyword("EXISTS"):
-            self._advance()
-            self._expect(TokenKind.LPAREN, "'('")
-            select = self._parse_select()
-            self._expect(TokenKind.RPAREN, "')'")
-            return self._spanned(ast.Exists(select), token)
-
-        if token.is_keyword("CASE"):
-            return self._parse_case()
-
-        if token.kind is TokenKind.LPAREN:
-            self._advance()
+        if kind is TokenKind.IDENTIFIER:
+            return self._parse_identifier_expression()
+        if kind is TokenKind.LPAREN:
+            self._index += 1
             if self._check_keyword("SELECT"):
                 select = self._parse_select()
                 self._expect(TokenKind.RPAREN, "')'")
@@ -727,10 +685,20 @@ class Parser:
             self._expect(TokenKind.RPAREN, "')'")
             # widen the span to include the parentheses
             return self._spanned(expression, token)
-
-        if token.kind is TokenKind.IDENTIFIER:
-            return self._parse_identifier_expression()
-
+        if kind is TokenKind.KEYWORD:
+            if token.value in _KEYWORD_LITERALS:
+                self._index += 1
+                return self._spanned(
+                    ast.Literal(_KEYWORD_LITERALS[token.value]), token
+                )
+            if token.value == "EXISTS":
+                self._index += 1
+                self._expect(TokenKind.LPAREN, "'('")
+                select = self._parse_select()
+                self._expect(TokenKind.RPAREN, "')'")
+                return self._spanned(ast.Exists(select), token)
+            if token.value == "CASE":
+                return self._parse_case()
         raise ParseError(
             f"expected expression, found {token.text or 'end of input'}", token
         )
@@ -753,11 +721,11 @@ class Parser:
         return self._spanned(ast.CaseExpression(tuple(branches), default), start)
 
     def _parse_identifier_expression(self) -> ast.Expression:
-        start = self._peek()
-        name = self._advance().value
+        start = self._advance()
+        name = start.value
 
         if self._check(TokenKind.LPAREN):
-            return self._spanned(self._parse_function_call(name), start)
+            return self._spanned(self._parse_function_call(start), start)
 
         if self._check(TokenKind.DOT):
             # qualified column: t.c  (t.* is handled at select-item level)
@@ -767,7 +735,8 @@ class Parser:
 
         return self._spanned(ast.ColumnRef(name), start)
 
-    def _parse_function_call(self, name: str) -> ast.FunctionCall:
+    def _parse_function_call(self, name_token: Token) -> ast.FunctionCall:
+        name = name_token.value
         self._expect(TokenKind.LPAREN, "'('")
         distinct = False
         args: list[ast.Expression] = []
@@ -783,10 +752,10 @@ class Parser:
                 args.append(self.parse_expression_inner())
         self._expect(TokenKind.RPAREN, "')'")
         if name not in _AGGREGATE_NAMES and name not in _SCALAR_FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}", self._peek())
+            raise ParseError(f"unknown function {name!r}", name_token)
         if distinct and name not in _AGGREGATE_NAMES:
             raise ParseError(f"DISTINCT is only valid in aggregates, not {name!r}",
-                             self._peek())
+                             name_token)
         return ast.FunctionCall(name, tuple(args), distinct)
 
 

@@ -66,28 +66,22 @@ class Span:
 def token_end(token: Any) -> tuple[int, int, int]:
     """The (line, column, offset) just past a token's raw text.
 
-    String literals may contain newlines, so the end line/column are
-    computed by scanning the token text rather than assuming one line.
+    Only a string literal can contain newlines; for one that does, the
+    end line/column are found by scanning its text.
     """
     text = token.text or ""
-    newlines = text.count("\n")
-    if newlines:
+    if "\n" in text:
         tail = len(text) - text.rfind("\n") - 1
-        return token.line + newlines, tail + 1, token.position + len(text)
+        return (token.line + text.count("\n"), tail + 1,
+                token.position + len(text))
     return token.line, token.column + len(text), token.position + len(text)
 
 
 def span_between(start_token: Any, end_token: Any) -> Span:
     """The span from the start of one token to the end of another."""
     end_line, end_column, end_offset = token_end(end_token)
-    return Span(
-        line=start_token.line,
-        column=start_token.column,
-        end_line=end_line,
-        end_column=end_column,
-        offset=start_token.position,
-        end_offset=end_offset,
-    )
+    return Span(start_token.line, start_token.column, end_line, end_column,
+                start_token.position, end_offset)
 
 
 def set_span(node: Any, span: Optional[Span]) -> Any:

@@ -8,9 +8,8 @@ predicates, rule triggering points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TokenKind(Enum):
@@ -72,9 +71,9 @@ KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (immutable; tuple-backed so the lexer can
+    build one without a per-field ``__setattr__``).
 
     Attributes:
         kind: the :class:`TokenKind` category.

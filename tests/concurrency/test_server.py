@@ -117,6 +117,22 @@ class TestProtocol:
         # decode also accepts str lines (not just bytes)
         assert decode_response('{"ok":true}') == {"ok": True}
 
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digit_is_a_parse_error_not_an_internal_one(
+            self, digit):
+        """The seed's scanner let ``int()`` see anything ``str.isdigit``
+        accepts, so ``²`` escaped as a raw ValueError (code ``internal``)."""
+        from repro.errors import LexError
+        from repro.server.protocol import error_response
+        from repro.sql import parse_statement
+
+        with pytest.raises(LexError) as excinfo:
+            parse_statement(f"select {digit} from t")
+        assert error_response(excinfo.value) == {
+            "ok": False, "code": "parse",
+            "error": f"unexpected character {digit!r} (line 1, column 8)",
+        }
+
 
 class TestServerBasics:
     def test_ddl_dml_query_round_trip(self, served):
@@ -134,6 +150,8 @@ class TestServerBasics:
         with served.client() as client:
             with pytest.raises(ParseError):
                 client.execute("insert !!! nonsense")
+            with pytest.raises(ParseError, match="unexpected character '²'"):
+                client.execute("select ² from t")
             with pytest.raises(TransactionError):
                 client.commit()  # no transaction open
 

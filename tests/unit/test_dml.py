@@ -88,6 +88,44 @@ class TestInsert:
         )
         assert database.row("emp", effect.handles[0]) == ("a", 2, 6.0, 4)
 
+    def test_mixed_literal_and_computed_values(self, database, executor):
+        """Literals are read directly, everything else is evaluated, row
+        by row: the second row's subquery sees the first row inserted."""
+        [effect] = execute(
+            executor,
+            "insert into emp values "
+            "(upper('a'), 1 + 1, (select max(salary) from emp), null), "
+            "('b', -3, (select max(salary) from emp) + 1, 4), "
+            "('c', 5, 7.5, (select count(*) from emp))",
+        )
+        assert [database.row("emp", h) for h in effect.handles] == [
+            ("A", 2, None, None), ("b", -3, None, 4), ("c", 5, 7.5, 2),
+        ]
+        [effect] = execute(
+            executor, "insert into emp values "
+                      "('d', 6, (select max(salary) from emp) + 1, 1)"
+        )
+        assert database.row("emp", effect.handles[0]) == ("d", 6, 8.5, 1)
+
+    def test_arity_errors_are_worded_as_before(self, database, executor):
+        with pytest.raises(ExecutionError) as excinfo:
+            execute(executor, "insert into emp values ('a', 1, 2.0, 3), (1, 2)")
+        assert str(excinfo.value) == (
+            "insert into 'emp' expects 4 values, got 2"
+        )
+        assert database.row_count("emp") == 1  # the first row went in
+        with pytest.raises(ExecutionError) as excinfo:
+            execute(executor, "insert into emp (name) values ('a', 1 + 1)")
+        assert str(excinfo.value) == (
+            "insert into 'emp' names 1 columns but provides 2 values"
+        )
+
+    def test_a_value_that_raises_wins_over_the_arity_error(self, executor):
+        """All of a row's values are evaluated before its shape is
+        checked, literal or not."""
+        with pytest.raises(ExecutionError, match="unknown column"):
+            execute(executor, "insert into emp values (1, nosuch)")
+
 
 class TestDelete:
     def test_affected_set_has_old_rows(self, executor):

@@ -86,6 +86,30 @@ class TestNumbers:
         ]
 
 
+class TestDigitSet:
+    """A digit is ASCII ``0``-``9``; no other numeric character starts
+    or continues a number (docs/sql-reference.md, "Lexical grammar")."""
+
+    @pytest.mark.parametrize("char", ["²", "٣", "½", "Ⅷ"])
+    def test_other_numeric_characters_start_no_token(self, char):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(f"select {char} from t")
+        error = excinfo.value
+        assert str(error) == f"unexpected character {char!r} (line 1, column 8)"
+        assert (error.position, error.line, error.column) == (7, 1, 8)
+
+    @pytest.mark.parametrize("char", ["²", "٣"])
+    def test_they_end_a_number(self, char):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(f"select\n  1{char}")
+        error = excinfo.value
+        assert str(error) == f"unexpected character {char!r} (line 2, column 4)"
+        assert error.position == 10
+
+    def test_they_may_continue_an_identifier(self):
+        assert values("x² y٣") == ["x²", "y٣"]
+
+
 class TestStrings:
     def test_simple_string(self):
         token = tokenize("'hello'")[0]

@@ -146,6 +146,33 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expression("frobnicate(x)")
 
+    @pytest.mark.parametrize("source,message,line,column", [
+        ("select foo(x) from t", "unknown function 'foo'", 1, 8),
+        ("select upper(distinct x) from t",
+         "DISTINCT is only valid in aggregates, not 'upper'", 1, 8),
+        ("select a,\n       foo(x,\n           y)\nfrom t",
+         "unknown function 'foo'", 2, 8),
+        ("delete from t\nwhere a = 1\n  and lower(distinct\n b) = 'x'",
+         "DISTINCT is only valid in aggregates, not 'lower'", 3, 7),
+        ("select sum(foo(x)) from t", "unknown function 'foo'", 1, 12),
+    ])
+    def test_function_errors_point_at_the_function_name(
+            self, source, message, line, column):
+        """Not at whatever follows the closing parenthesis."""
+        with pytest.raises(ParseError) as excinfo:
+            parse_statement(source)
+        error = excinfo.value
+        assert str(error) == f"{message} (line {line}, column {column})"
+        assert (error.token.line, error.token.column) == (line, column)
+        assert error.token.value == message.rsplit("'", 2)[1]
+
+    def test_an_error_inside_the_arguments_still_comes_first(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression("foo(1 +)")
+        assert str(excinfo.value) == (
+            "expected expression, found ) (line 1, column 8)"
+        )
+
     def test_case_expression(self):
         node = parse_expression(
             "case when x > 0 then 'pos' when x < 0 then 'neg' else 'zero' end"
@@ -165,6 +192,71 @@ class TestExpressions:
     def test_trailing_garbage_raises(self):
         with pytest.raises(ParseError):
             parse_expression("1 + 2 extra")
+
+
+class TestPrecedence:
+    """The grammar's binding order, pinned where it is easy to get wrong
+    in a precedence-climbing loop: an operator that has applied closes
+    the levels tighter than itself."""
+
+    @pytest.mark.parametrize("source,grouped", [
+        ("1 - 2 - 3", "((1 - 2) - 3)"),
+        ("a or b and not c = d", "(a or (b and (not (c = d))))"),
+        ("not a = b and c", "((not (a = b)) and c)"),
+        ("a = b = c", "((a = b) = c)"),
+        ("- a * b", "((- a) * b)"),
+        ("- - a", "(- (- a))"),
+        ("a + b * - c", "(a + (b * (- c)))"),
+        ("a || b + c", "((a || b) + c)"),
+        ("a between 1 and 2 and c", "((a between 1 and 2) and c)"),
+        ("a + b not like c || d", "((a + b) not like (c || d))"),
+        ("a is not null is null", "((a is not null) is null)"),
+        ("a not in (1, 2) = b", "((a not in (1, 2)) = b)"),
+    ])
+    def test_grouping(self, source, grouped):
+        def render(node):
+            if isinstance(node, ast.BinaryOp):
+                return f"({render(node.left)} {node.op} {render(node.right)})"
+            if isinstance(node, ast.UnaryOp):
+                return f"({node.op} {render(node.operand)})"
+            if isinstance(node, ast.Between):
+                return (f"({render(node.operand)} between {render(node.low)}"
+                        f" and {render(node.high)})")
+            if isinstance(node, ast.Like):
+                word = "not like" if node.negated else "like"
+                return f"({render(node.operand)} {word} {render(node.pattern)})"
+            if isinstance(node, ast.IsNull):
+                word = "is not null" if node.negated else "is null"
+                return f"({render(node.operand)} {word})"
+            if isinstance(node, ast.InList):
+                word = "not in" if node.negated else "in"
+                items = ", ".join(render(item) for item in node.items)
+                return f"({render(node.operand)} {word} ({items}))"
+            return str(getattr(node, "column", getattr(node, "value", node)))
+
+        assert render(parse_expression(source)) == grouped
+
+    @pytest.mark.parametrize("source,message", [
+        # a prefix NOT is not an operand of a comparison or of arithmetic
+        ("a = not b", "expected expression, found not (line 1, column 5)"),
+        ("- not a", "expected expression, found not (line 1, column 3)"),
+        # nothing tighter than a comparison applies to a finished one
+        ("a is null + 1",
+         "unexpected trailing input starting at '+' (line 1, column 11)"),
+        ("a in (1) * 2",
+         "unexpected trailing input starting at '*' (line 1, column 10)"),
+        ("a < any (select x from t) + 1",
+         "unexpected trailing input starting at '+' (line 1, column 27)"),
+        # NOT is infix only before IN / BETWEEN / LIKE
+        ("a not b",
+         "unexpected trailing input starting at 'not' (line 1, column 3)"),
+        ("a not is null",
+         "unexpected trailing input starting at 'not' (line 1, column 3)"),
+    ])
+    def test_rejected(self, source, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression(source)
+        assert str(excinfo.value) == message
 
 
 class TestSelect:
