@@ -5,15 +5,16 @@ package supplies it, together with the fault-injection harness that
 makes the guarantee testable:
 
 * :mod:`~repro.durability.wal` — append-only, checksummed JSONL log of
-  committed transactions' net effects; the fsync'd append is the commit
-  point;
+  committed transactions' net effects, one columnar record per
+  transaction; the fsync'd append is the commit point;
 * :mod:`~repro.durability.checkpoint` — atomic full snapshots with a WAL
   high-water mark;
 * :mod:`~repro.durability.recovery` — :func:`recover`: load the last
-  checkpoint, truncate torn WAL tails, replay the suffix, rebuild
-  indexes, verify row counts;
+  checkpoint, truncate torn WAL tails, replay the suffix as whole
+  column vectors, verify row counts, rebuild indexes and statistics;
 * :mod:`~repro.durability.faults` — :class:`FaultInjector`, seeded
-  crash schedules at named points of the commit/checkpoint path;
+  crash schedules at named points of the commit/checkpoint path, plus a
+  disk-full append that is not a crash;
 * :mod:`~repro.durability.manager` — :class:`DurabilityManager`, the
   object an :class:`~repro.ActiveDatabase` is constructed with::
 

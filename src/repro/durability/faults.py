@@ -15,6 +15,14 @@ the record (then fsync, then crash), modelling a torn page / partial
 sector write. Recovery must detect the torn tail via the record
 checksum and truncate it.
 
+One armable point is *not* a crash: ``enospc_wal_append`` writes the
+same strict prefix and then fails the append with
+``OSError(ENOSPC)`` — the disk filled up, the process lives on. The
+writer must cut the prefix off again so the next commit does not land
+behind a torn record (see :meth:`repro.durability.wal.WalWriter.append`).
+It is kept out of :data:`CRASH_POINTS`, so seeded crash schedules never
+draw it.
+
 Injectors are deterministic: :meth:`FaultInjector.from_seed` derives the
 crash point, occurrence and torn-write fraction from a seed, so a
 failing schedule is reproducible from its seed alone.
@@ -22,6 +30,8 @@ failing schedule is reproducible from its seed alone.
 
 from __future__ import annotations
 
+import errno
+import os
 import random
 
 #: The named crash points, in commit-path order. ``mid_block`` and
@@ -39,6 +49,13 @@ CRASH_POINTS = (
     "post_wal_append",
     "mid_checkpoint_rename",
 )
+
+#: Armable points that fail an operation with an ``OSError`` and leave
+#: the process running.
+IO_ERROR_POINTS = ("enospc_wal_append",)
+
+#: The points that cut a WAL append short.
+_PARTIAL_APPEND_POINTS = ("torn_wal_append", "enospc_wal_append")
 
 #: Crash points at (or after) which the transaction's WAL record is
 #: fully durable — recovery must include the transaction.
@@ -65,20 +82,21 @@ class FaultInjector:
     """Crashes the process (by exception) at one named point.
 
     Args:
-        point: one of :data:`CRASH_POINTS`, or None for a disarmed
-            injector (all hooks are no-ops).
+        point: one of :data:`CRASH_POINTS` or :data:`IO_ERROR_POINTS`,
+            or None for a disarmed injector (all hooks are no-ops).
         occurrence: crash at the n-th time the point is reached
             (1-based). A point never reached that often simply never
             crashes — a legal schedule, the run completes cleanly.
-        torn_fraction: for ``torn_wal_append``, the fraction of the
-            record's bytes that reach the disk before the crash.
+        torn_fraction: for ``torn_wal_append`` and
+            ``enospc_wal_append``, the fraction of the record's bytes
+            that reach the disk before the failure.
     """
 
     def __init__(self, point=None, occurrence=1, torn_fraction=0.5):
-        if point is not None and point not in CRASH_POINTS:
+        if point is not None and point not in CRASH_POINTS + IO_ERROR_POINTS:
             raise ValueError(
                 f"unknown crash point {point!r}; expected one of "
-                f"{CRASH_POINTS}"
+                f"{CRASH_POINTS + IO_ERROR_POINTS}"
             )
         if occurrence < 1:
             raise ValueError("occurrence is 1-based and must be >= 1")
@@ -107,7 +125,7 @@ class FaultInjector:
             f"{self.point} @ occurrence {self.occurrence}"
             + (
                 f" (fraction {self.torn_fraction:.2f})"
-                if self.point == "torn_wal_append"
+                if self.point in _PARTIAL_APPEND_POINTS
                 else ""
             )
         )
@@ -124,21 +142,25 @@ class FaultInjector:
             raise SimulatedCrash(point, count)
 
     def torn_write(self, nbytes):
-        """WAL-writer hook for ``torn_wal_append``.
+        """WAL-writer hook for ``torn_wal_append`` / ``enospc_wal_append``.
 
-        Returns None when no torn write is due, otherwise the number of
-        bytes of the record to actually write — always a strict prefix
+        Returns None when no partial write is due, otherwise the number
+        of bytes of the record to actually write — always a strict prefix
         that cuts into the payload, so the tail is detectably torn.
         """
-        point = "torn_wal_append"
-        count = self.counts.get(point, 0) + 1
-        self.counts[point] = count
-        if point == self.point and count == self.occurrence:
+        if self.point not in _PARTIAL_APPEND_POINTS:
+            return None
+        count = self.counts.get(self.point, 0) + 1
+        self.counts[self.point] = count
+        if count == self.occurrence:
             keep = int(nbytes * self.torn_fraction)
             return max(1, min(nbytes - 2, keep))
         return None
 
-    def torn_crash(self):
-        """Raise the crash that follows a torn write."""
-        self.fired = "torn_wal_append"
-        raise SimulatedCrash("torn_wal_append", self.counts["torn_wal_append"])
+    def torn_failure(self):
+        """Raise what follows the partial write: the crash, or the IO
+        error that fails the append and leaves the process running."""
+        self.fired = self.point
+        if self.point in IO_ERROR_POINTS:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        raise SimulatedCrash(self.point, self.counts[self.point])

@@ -127,7 +127,6 @@ class DurabilityManager:
             "lsn": record["lsn"],
             "bytes": self.wal.bytes_written - bytes_before,
             "duration": elapsed,
-            "record": record,
         }
 
     def log_ddl(self, op, **fields):

@@ -8,13 +8,18 @@ durability directory:
    high-water mark;
 2. scan the WAL, truncating a torn tail (a partially-written final
    record, detected by checksum) — everything before the tear is the
-   committed history, everything after it never happened;
+   committed history, everything after it never happened (checksummed
+   records behind the tear are counted, then cut with it: recovery is
+   point-in-time, see :func:`~repro.durability.wal.scan_wal`); refuse a
+   log written in another format version;
 3. replay the WAL suffix (records past the checkpoint's LSN): DDL
    records re-execute catalog changes, commit records re-apply net
-   effects — no rule ever re-fires, because each commit record already
-   *is* the composed net effect of its transaction's rule processing;
-4. rebuild hash indexes from storage and verify the per-table row
-   counts each commit record captured.
+   effects as whole column vectors — no rule ever re-fires, because
+   each commit record already *is* the composed net effect of its
+   transaction's rule processing — verifying the per-table row counts
+   each commit record captured;
+4. rebuild hash indexes and table statistics from storage, once: bulk
+   replay maintains neither.
 
 The recovered database starts a fresh system lifetime in the paper's
 sense — no open transaction, empty per-rule transition information —
@@ -30,7 +35,13 @@ from time import perf_counter
 
 from .checkpoint import CheckpointError, read_checkpoint
 from .manager import DurabilityManager
-from .wal import WalWriter, replay_commit_record, scan_wal
+from .wal import (
+    WAL_VERSION,
+    WalError,
+    WalWriter,
+    replay_commit_record,
+    scan_wal,
+)
 
 
 def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
@@ -55,6 +66,13 @@ def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
     )
     document = read_checkpoint(directory)
     scan = scan_wal(manager.wal_path)
+    for record in scan.records:
+        if record.get("v") != WAL_VERSION:
+            raise WalError(
+                f"WAL record lsn {record.get('lsn')} has format version "
+                f"{record.get('v')!r}; this build reads version "
+                f"{WAL_VERSION} only"
+            )
     if scan.torn_bytes:
         WalWriter(manager.wal_path, fsync=fsync).truncate_to(scan.valid_bytes)
 
@@ -68,20 +86,20 @@ def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
     for record in scan.records:
         if record["lsn"] <= checkpoint_lsn:
             continue  # already folded into the checkpoint
-        if record["kind"] == "ddl":
-            _apply_ddl(db, record)
-            ddl += 1
-        elif record["kind"] == "commit":
+        if "commit" in record:
             replay_commit_record(record, db.database)
             db.engine._txn_id = record["txn"]
             commits += 1
+        elif record.get("kind") == "ddl":
+            _apply_ddl(db, record)
+            ddl += 1
         else:
-            raise CheckpointError(
-                f"unknown WAL record kind {record['kind']!r} "
+            raise WalError(
+                f"unknown WAL record kind {record.get('kind')!r} "
                 f"(lsn {record['lsn']})"
             )
 
-    _rebuild_indexes(db.database)
+    _rebuild_derived_state(db.database)
 
     manager.wal.next_lsn = max(scan.last_lsn, checkpoint_lsn) + 1
     manager.last_txn = db.engine._txn_id
@@ -92,6 +110,7 @@ def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
         "commits_replayed": commits,
         "ddl_replayed": ddl,
         "torn_bytes_truncated": scan.torn_bytes,
+        "records_discarded_after_tear": scan.discarded_records,
         "last_txn": manager.last_txn,
         "duration": perf_counter() - start,
     }
@@ -116,8 +135,16 @@ def _restore_checkpoint(db, document):
                 f"checkpoint table {name!r}: {len(table['rows'])} rows but "
                 f"{len(table_handles)} handles"
             )
-        for handle, row in zip(table_handles, table["rows"]):
-            db.database.restore_row(name, handle, row)
+        arity = len(table["columns"])
+        if any(len(row) != arity for row in table["rows"]):
+            raise CheckpointError(
+                f"checkpoint table {name!r}: a row does not have "
+                f"{arity} values"
+            )
+        if table_handles:
+            db.database.restore_rows(
+                name, table_handles, list(zip(*table["rows"]))
+            )
     for index in inner.get("indexes", ()):
         db.database.create_index(
             index["name"], index["table"], index["column"]
@@ -163,15 +190,17 @@ def _apply_ddl(db, record):
     elif op == "set_rule_active":
         db.catalog.rule(record["rule"]).active = record["active"]
     else:
-        raise CheckpointError(
+        raise WalError(
             f"unknown DDL op {op!r} in WAL record lsn {record['lsn']}"
         )
 
 
-def _rebuild_indexes(database):
-    """Rebuild every hash index from table storage (belt and braces —
-    replay maintains them incrementally, but recovery re-derives them
-    from the ground truth rather than trusting the increments)."""
+def _rebuild_derived_state(database):
+    """Rebuild every hash index and every table's statistics from table
+    storage: bulk replay writes storage only, so both are derived from
+    the ground truth once instead of folded per replayed row."""
     for name in database.indexes.names():
         index = database.indexes.get(name)
         index.build(database.table(index.table_name).items())
+    for name in database.table_names():
+        database.table(name).rebuild_stats()

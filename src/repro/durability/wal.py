@@ -6,21 +6,27 @@ detected by either a JSON parse failure or a checksum mismatch, and
 :func:`scan_wal` reports how many bytes of the file are valid so
 recovery can truncate the rest.
 
-Two record kinds exist:
+Every body opens with the format version and the LSN, ``{"v":2,"lsn":L,
+...``; recovery refuses any other version. Two records exist:
 
-* ``commit`` — the *net effect* of one committed transaction, in the
-  paper's ``[I, D, U]`` shape (Section 2.2) but carrying redo values:
-  inserted rows with their handles, deleted handles, updated handles
-  with the new column values. Because the record is the composed net
-  effect of the whole transaction (external block plus every rule-
-  generated transition, Definition 2.1), replaying it reproduces the
-  committed state without re-running any rules.
-* ``ddl`` — a schema/rule-catalog change (tables, indexes, rules,
-  priorities), which executes outside transactions and is logged so the
-  catalog survives between checkpoints.
+* the commit record ``{"v":2,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+  the *net effect* of one committed transaction, in the paper's
+  ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
+  set-oriented: grouped per table, handle sets as ascending runs, values
+  as one vector per column (see :func:`build_commit_record`). Because
+  the record is the composed net effect of the whole transaction
+  (external block plus every rule-generated transition, Definition
+  2.1), replaying it reproduces the committed state without re-running
+  any rules.
+* ``"kind":"ddl"`` — a schema/rule-catalog change (tables, indexes,
+  rules, priorities), which executes outside transactions and is logged
+  so the catalog survives between checkpoints.
 
-The append of a ``commit`` record (plus fsync) *is* the commit point:
-a transaction whose record is fully durable is committed; one whose
+Key order is the order of construction (a function of the logged effect
+alone), so equal histories write equal bytes.
+
+The append of a commit record (plus fsync) *is* the commit point: a
+transaction whose record is fully durable is committed; one whose
 record is missing or torn never happened.
 """
 
@@ -30,20 +36,26 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
 
 from ..errors import ReproError
 
 WAL_FILENAME = "wal.jsonl"
+WAL_VERSION = 2
 
 
 class WalError(ReproError):
     """Raised for WAL misuse or an unrecoverably corrupt WAL."""
 
 
+#: one encoder for every record: ``json.dumps`` with non-default
+#: separators builds a fresh ``JSONEncoder`` per call
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_record(body):
     """Render a record body as one checksummed WAL line (bytes)."""
-    payload = json.dumps(body, separators=(",", ":"), sort_keys=True)
-    data = payload.encode("utf-8")
+    data = _encode_json(body).encode("utf-8")
     return b"%08x %s\n" % (zlib.crc32(data), data)
 
 
@@ -81,11 +93,14 @@ class WalScan:
             this offset belong to a torn or corrupt tail.
         torn_bytes: how many trailing bytes were invalid (0 for a clean
             log).
+        discarded_records: how many checksummed records sit *behind* the
+            first bad one, inside the tail recovery cuts off.
     """
 
     records: list
     valid_bytes: int
     torn_bytes: int
+    discarded_records: int = 0
 
     @property
     def last_lsn(self):
@@ -95,23 +110,32 @@ class WalScan:
 def scan_wal(path):
     """Read a WAL file, stopping at the first torn/corrupt record.
 
-    Everything from the first invalid record onward is treated as a torn
-    tail (an fsync'd log can only be damaged at the end; anything after
-    a damaged record is unreachable garbage).
+    Recovery is point-in-time: everything from the first invalid record
+    onward is cut, intact records behind it included. With group commit
+    several un-fsync'd records can be in flight and a filesystem may
+    persist their pages out of order, so an ordinary crash can leave a
+    valid record after a bad one; none of them was acknowledged, and
+    refusing to start would turn a recoverable crash into an outage. The
+    scan reads on past the tear only to count what is being discarded.
     """
     if not os.path.exists(path):
         return WalScan([], 0, 0)
     records = []
     valid = 0
+    discarded = 0
+    torn = False
     total = os.path.getsize(path)
     with open(path, "rb") as handle:
         for line in handle:
             body = decode_line(line)
-            if body is None:
-                break
-            records.append(body)
-            valid += len(line)
-    return WalScan(records, valid, total - valid)
+            if torn:
+                discarded += body is not None
+            elif body is None:
+                torn = True
+            else:
+                records.append(body)
+                valid += len(line)
+    return WalScan(records, valid, total - valid, discarded)
 
 
 class WalWriter:
@@ -123,7 +147,8 @@ class WalWriter:
             guarantee; disable only for benchmarking the syscall cost).
         injector: optional :class:`~repro.durability.faults.FaultInjector`
             whose ``pre_wal_append`` / ``torn_wal_append`` /
-            ``post_wal_append`` points instrument the append path.
+            ``enospc_wal_append`` / ``post_wal_append`` points instrument
+            the append path.
     """
 
     def __init__(self, path, fsync=True, injector=None, next_lsn=1):
@@ -138,6 +163,9 @@ class WalWriter:
         self.syncs = 0
         #: bytes flushed to the OS but not yet fsync'd (group commit)
         self._pending_sync = False
+        #: why the writer refuses further appends (None while healthy):
+        #: set when bytes of unknown state may sit in the log
+        self._failure = None
 
     def _open(self):
         if self._file is None or self._file.closed:
@@ -149,7 +177,10 @@ class WalWriter:
 
         The record only counts as written once the bytes are flushed
         (and fsync'd when enabled) — a crash before that leaves the log
-        exactly as it was, or with a detectable torn tail.
+        exactly as it was, or with a detectable torn tail. An ``OSError``
+        from the write (disk full, IO error) leaves it exactly as it was
+        too: whatever part of the line reached the file is cut off again,
+        so a later append never lands behind a torn record.
 
         Args:
             sync: override the per-append fsync. ``None`` follows the
@@ -158,27 +189,38 @@ class WalWriter:
                 commit: the record is *not* durable (and the commit it
                 carries must not be acknowledged) until that sync
                 returns.
+
+        Raises:
+            OSError: the write failed; the log is unchanged and the LSN
+                was not consumed.
+            WalError: an earlier failure left bytes of unknown state in
+                the log (the cut itself failed, or an fsync raised).
         """
+        if self._failure is not None:
+            raise WalError(self._failure)
         if self.injector is not None:
             self.injector.fire("pre_wal_append")
-        body = dict(body)
-        body["lsn"] = self.next_lsn
+        body = {"v": WAL_VERSION, "lsn": self.next_lsn, **body}
         line = encode_record(body)
         handle = self._open()
-        if self.injector is not None:
-            keep = self.injector.torn_write(len(line))
-            if keep is not None:
-                handle.write(line[:keep])
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-                self.injector.torn_crash()
-        handle.write(line)
-        handle.flush()
+        offset = handle.tell()
+        try:
+            if self.injector is not None:
+                keep = self.injector.torn_write(len(line))
+                if keep is not None:
+                    handle.write(line[:keep])
+                    handle.flush()
+                    if self.fsync:
+                        os.fsync(handle.fileno())
+                    self.injector.torn_failure()
+            handle.write(line)
+            handle.flush()
+        except OSError:
+            self._discard_partial_append(offset)
+            raise
         do_sync = self.fsync if sync is None else (sync and self.fsync)
         if do_sync:
-            os.fsync(handle.fileno())
-            self.syncs += 1
+            self._fsync(handle)
             self._pending_sync = False
         else:
             self._pending_sync = True
@@ -188,6 +230,42 @@ class WalWriter:
         if self.injector is not None:
             self.injector.fire("post_wal_append")
         return body
+
+    def _discard_partial_append(self, offset):
+        """Cut the log back to ``offset`` after a failed write.
+
+        The buffered writer is closed first and opened afresh by the
+        next append: it still holds the unwritten remainder of the line
+        and would re-emit it on its next flush.
+        """
+        try:
+            try:
+                self._file.close()
+            except OSError:
+                pass  # the same failure again, flushing the remainder
+            self._cut_to(offset)
+        except OSError as error:
+            self._failure = (
+                f"WAL {self.path!r} may hold a partial record at offset "
+                f"{offset}: the append failed and the log could not be "
+                f"cut back ({error}); run recovery"
+            )
+
+    def _fsync(self, handle):
+        try:
+            os.fsync(handle.fileno())
+        except OSError as error:
+            # after a failed fsync the kernel may have dropped the dirty
+            # pages: what the file holds past the last good sync is
+            # unknowable from here
+            self._failure = (
+                f"WAL {self.path!r}: fsync failed at offset "
+                f"{handle.tell()} ({error}); which bytes since the last "
+                f"successful fsync reached the disk is unknown; run "
+                f"recovery"
+            )
+            raise
+        self.syncs += 1
 
     def sync(self):
         """fsync any appends deferred with ``append(..., sync=False)``.
@@ -199,8 +277,7 @@ class WalWriter:
             return False
         self._pending_sync = False
         if self.fsync and self._file is not None and not self._file.closed:
-            os.fsync(self._file.fileno())
-            self.syncs += 1
+            self._fsync(self._file)
             return True
         return False
 
@@ -214,14 +291,51 @@ class WalWriter:
         """Cut a torn tail off the file (used by recovery)."""
         self.close()
         if os.path.exists(self.path):
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._cut_to(valid_bytes)
+
+    def _cut_to(self, size):
+        with open(self.path, "r+b") as handle:
+            handle.truncate(size)
+            handle.flush()
+            os.fsync(handle.fileno())
 
 
 # ---------------------------------------------------------------------------
 # commit-record construction and replay
+
+
+def encode_runs(handles):
+    """Ascending distinct handles as flat ``[start, count, ...]`` runs."""
+    runs = []
+    expected = None
+    for handle in handles:
+        if handle == expected:
+            runs[-1] += 1
+        else:
+            runs += (handle, 1)
+        expected = handle + 1
+    return runs
+
+
+def decode_runs(runs):
+    """The ascending handle list a ``[start, count, ...]`` vector names.
+
+    Raises:
+        WalError: unless the vector is pairs of integers with positive
+            counts and strictly ascending, non-overlapping runs — so the
+            result is always a list of distinct handles.
+    """
+    handles = []
+    floor = 1
+    if not isinstance(runs, list) or len(runs) % 2:
+        raise WalError(f"malformed handle runs {runs!r}")
+    for start, count in zip(runs[::2], runs[1::2]):
+        if type(start) is not int or type(count) is not int \
+                or start < floor or count < 1:
+            raise WalError(f"malformed handle runs {runs!r}")
+        floor = start + count
+        handles.extend(range(start, floor))
+    return handles
 
 
 def build_commit_record(txn_id, effect, database):
@@ -235,62 +349,86 @@ def build_commit_record(txn_id, effect, database):
     its final value. The §5.1 ``S`` component is read-only and is not
     logged.
 
-    The record also carries the handle high-water mark (handles are
-    non-reusable across crashes too) and per-table row counts for the
-    touched tables, which recovery verifies after replay.
+    The effect is a set, and the record keeps it one: per touched table
+    (in name order) the deleted handles ``d``, the inserted handles with
+    one value vector per schema column ``i``, the updates ``u`` grouped
+    by updated-column set (column names and groups in name order) with
+    one value vector per updated column, and the row count ``n`` that
+    recovery verifies after replay. Handle sets are ascending ``[start, count, ...]`` runs and
+    each section's vectors are gathered from columnar storage through
+    one slot selection (:meth:`Table.column_vectors`). The record also carries the handle high-water
+    mark ``hwm`` (handles are non-reusable across crashes too).
     """
-    inserts = []
-    for handle in sorted(effect.inserted):
-        table = database.table_of_handle(handle)
-        inserts.append([table, handle, list(database.row(table, handle))])
-    deletes = []
-    for handle in sorted(effect.deleted):
-        deletes.append([database.table_of_handle(handle), handle])
-    updates = {}
-    for handle, column in sorted(effect.updated):
-        table = database.table_of_handle(handle)
-        updates.setdefault(handle, [table, handle, {}])
-        row = database.row(table, handle)
-        position = database.schema(table).column_position(column)
-        updates[handle][2][column] = row[position]
-    touched = {entry[0] for entry in inserts}
-    touched.update(entry[0] for entry in deletes)
-    touched.update(entry[0] for entry in updates.values())
+    table_of = database.handles.table_of
+    sections = {}
+    for key, handles in (("d", effect.deleted), ("i", effect.inserted)):
+        if handles:
+            for name, run in groupby(sorted(handles), table_of):
+                sections.setdefault(name, {}).setdefault(key, []).extend(run)
+    if effect.updated:
+        columns_of = {}
+        for handle, column in effect.updated:
+            columns_of.setdefault(handle, []).append(column)
+        for name, run in groupby(sorted(columns_of), table_of):
+            groups = sections.setdefault(name, {}).setdefault("u", {})
+            for handle in run:
+                columns = columns_of[handle]
+                if len(columns) > 1:
+                    columns.sort()
+                groups.setdefault(tuple(columns), []).append(handle)
+
+    commit = {}
+    for name in sorted(sections):
+        section = sections[name]
+        table = database.table(name)
+        entry = commit[name] = {}
+        if "d" in section:
+            entry["d"] = encode_runs(section["d"])
+        if "i" in section:
+            handles = section["i"]
+            entry["i"] = [encode_runs(handles), *table.column_vectors(handles)]
+        if "u" in section:
+            groups = section["u"]
+            entry["u"] = [
+                [names, encode_runs(groups[names]),
+                 *table.column_vectors(groups[names], names)]
+                for names in sorted(groups)
+            ]
+        entry["n"] = len(table)
     return {
-        "kind": "commit",
         "txn": txn_id,
-        "insert": inserts,
-        "delete": deletes,
-        "update": [updates[handle] for handle in sorted(updates)],
-        "handle_hwm": database.handles.issued_count,
-        "counts": {table: database.row_count(table) for table in sorted(touched)},
+        "hwm": database.handles.issued_count,
+        "commit": commit,
     }
 
 
 def replay_commit_record(record, database):
     """Apply one commit record's net effect to a recovering database.
 
-    Deletes first, then inserts (ascending handle order — allocation
-    order), then updates: inserted handles are always fresher than
-    anything live, so this reproduces the original storage order
-    byte-for-byte.
+    Per table: deletes, then inserts (ascending handle order —
+    allocation order), then updates, each as whole vectors through the
+    database's bulk recovery mutators. Inserted handles are always
+    fresher than anything live and tables do not share storage, so this
+    reproduces the original storage order exactly.
 
     Raises:
-        WalError: when the post-replay row counts disagree with the
-            counts recorded at commit time.
+        WalError: when a handle-run vector is malformed, or the
+            post-replay row count disagrees with the count recorded at
+            commit time.
     """
-    for table, handle in record["delete"]:
-        database.delete_row(table, handle)
-    for table, handle, values in record["insert"]:
-        database.restore_row(table, handle, values)
-    for table, handle, values in record["update"]:
-        database.update_row(table, handle, values)
-    database.handles.advance_past(record["handle_hwm"])
-    for table, expected in record["counts"].items():
-        actual = database.row_count(table)
-        if actual != expected:
+    for name, entry in record["commit"].items():
+        if "d" in entry:
+            database.delete_rows(name, decode_runs(entry["d"]))
+        if "i" in entry:
+            runs, *columns = entry["i"]
+            database.restore_rows(name, decode_runs(runs), columns)
+        for names, runs, *vectors in entry.get("u", ()):
+            database.assign_columns(name, decode_runs(runs), names, vectors)
+        actual = database.row_count(name)
+        if actual != entry["n"]:
             raise WalError(
-                f"recovery verification failed: table {table!r} has "
+                f"recovery verification failed: table {name!r} has "
                 f"{actual} rows after replaying txn {record['txn']} "
-                f"(lsn {record['lsn']}), commit recorded {expected}"
+                f"(lsn {record['lsn']}), commit recorded {entry['n']}"
             )
+    database.handles.advance_past(record["hwm"])

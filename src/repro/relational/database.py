@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 
-from ..errors import CatalogError
+from ..errors import CatalogError, TransactionError
 from .handles import HandleAllocator
 from .schema import Catalog, Column, TableSchema
 from .table import Table
 from .transactions import TransactionManager
-from .types import SqlType
+from .types import SqlType, coerce_value
 
 
 class Database:
@@ -266,23 +266,80 @@ class Database:
         self.version += 1
         return old_row, new_row
 
-    def restore_row(self, table_name, handle, values):
-        """Re-insert a row under its original handle (crash recovery).
+    # ------------------------------------------------------------------
+    # bulk mutation primitives (crash recovery only)
+    #
+    # Replay applies a commit record's column vectors whole. Every value
+    # is still type-checked against its column and every handle checked
+    # live / not live, but nothing is undo-logged (recovery runs outside
+    # any transaction) and table statistics and indexes are left for
+    # recover() to rebuild once at the end (see Table's bulk mutators).
 
-        Identical to :meth:`insert_row` except the handle comes from
-        durable state instead of the allocator — tuple handles are
-        non-reusable values identifying tuples, so recovery must
-        preserve them for transition effects to stay meaningful.
-        """
+    def _recovery_table(self, table_name):
+        if self.transactions.active:
+            raise TransactionError(
+                "bulk recovery mutators are not undo-logged and cannot "
+                "run inside a transaction"
+            )
         if self.on_table_write is not None:
             self.on_table_write(table_name)
-        table = self.table(table_name)
-        row = table.schema.coerce_row(values)
-        self.handles.restore(handle, table_name)
-        table.insert(handle, row)
-        self.transactions.log_insert(table_name, handle)
         self.version += 1
-        return handle
+        return self.table(table_name)
+
+    @staticmethod
+    def _coerce_vector(table_name, column, values, expected):
+        if len(values) != expected:
+            raise CatalogError(
+                f"column {table_name}.{column.name}: {len(values)} values "
+                f"for {expected} handles"
+            )
+        sql_type = column.sql_type
+        context = f"column {table_name}.{column.name}"
+        return [coerce_value(value, sql_type, context) for value in values]
+
+    def delete_rows(self, table_name, handles):
+        """Delete the live tuples under ``handles`` (distinct)."""
+        self._recovery_table(table_name).delete_many(handles)
+
+    def restore_rows(self, table_name, handles, columns):
+        """Re-insert rows under their original handles, given one value
+        vector per schema column aligned with ``handles`` (distinct).
+
+        The handles come from durable state instead of the allocator —
+        tuple handles are non-reusable values identifying tuples, so
+        recovery must preserve them for transition effects to stay
+        meaningful.
+        """
+        table = self._recovery_table(table_name)
+        schema = table.schema
+        if len(columns) != schema.arity:
+            raise CatalogError(
+                f"table {table_name!r} expects {schema.arity} columns, "
+                f"got {len(columns)}"
+            )
+        table.insert_columns(handles, [
+            self._coerce_vector(table_name, column, values, len(handles))
+            for column, values in zip(schema.columns, columns)
+        ])
+        self.handles.restore(handles, table_name)
+
+    def assign_columns(self, table_name, handles, column_names, vectors):
+        """Assign ``vectors`` (one per name in ``column_names``, aligned
+        with ``handles``) to live tuples."""
+        table = self._recovery_table(table_name)
+        schema = table.schema
+        if len(vectors) != len(column_names):
+            raise CatalogError(
+                f"table {table_name!r}: {len(vectors)} value vectors for "
+                f"{len(column_names)} updated columns"
+            )
+        positions = [schema.column_position(name) for name in column_names]
+        table.assign_columns(handles, positions, [
+            self._coerce_vector(
+                table_name, schema.columns[position], values, len(handles)
+            )
+            for position, values in zip(positions, vectors)
+        ])
 
     # ------------------------------------------------------------------
     # convenience readers

@@ -35,15 +35,14 @@ class HandleAllocator:
         self._tables[handle] = table_name
         return handle
 
-    def restore(self, handle, table_name):
-        """Re-register a handle from durable state (crash recovery).
+    def restore(self, handles, table_name):
+        """Re-register handles from durable state (crash recovery).
 
-        The allocator resumes past it, so handles stay non-reusable
+        The allocator resumes past them, so handles stay non-reusable
         across system lifetimes, not just within one.
         """
-        self._tables[handle] = table_name
-        if handle >= self._next:
-            self._next = handle + 1
+        self._tables.update(dict.fromkeys(handles, table_name))
+        self.advance_past(max(handles, default=0))
 
     def advance_past(self, handle):
         """Ensure future allocations exceed ``handle`` (recovery uses

@@ -139,21 +139,35 @@ class Table:
             ordered=True,
         )
 
-    def batch_for_handles(self, handles):
-        """A :class:`Batch` selecting exactly ``handles`` (which must be
-        live), in the given order."""
+    def _slots(self, handles):
         live = self._live
         try:
-            sel = [live[handle] for handle in handles]
+            return [live[handle] for handle in handles]
         except KeyError as error:
             raise ExecutionError(
                 f"handle {error.args[0]} is not live in table "
                 f"{self.schema.name!r}"
             ) from None
+
+    def batch_for_handles(self, handles):
+        """A :class:`Batch` selecting exactly ``handles`` (which must be
+        live), in the given order."""
         return Batch(
-            self._cols, sel, self._handles, self._tuples, self.schema.name,
-            zones=self.stats.zones,
+            self._cols, self._slots(handles), self._handles, self._tuples,
+            self.schema.name, zones=self.stats.zones,
         )
+
+    def column_vectors(self, handles, names=None):
+        """The values under ``handles`` (which must be live) column-wise:
+        one list per schema column — or per column named in ``names`` —
+        aligned with ``handles``. The inverse of :meth:`insert_columns` /
+        :meth:`assign_columns`; the WAL logs these vectors."""
+        sel = self._slots(handles)
+        cols = self._cols
+        if names is not None:
+            position_of = self.schema.column_position
+            cols = [cols[position_of(name)] for name in names]
+        return [list(map(column.__getitem__, sel)) for column in cols]
 
     # -- mutators ----------------------------------------------------------
 
@@ -226,6 +240,69 @@ class Table:
         if self.stats.should_rebuild():
             self.rebuild_stats()
         return old
+
+    # -- bulk mutators (crash recovery) -------------------------------------
+    #
+    # Recovery replays whole column vectors (see repro.durability.wal).
+    # The three mutators below write storage directly and fold neither
+    # statistics nor indexes per row: recover() rebuilds both from
+    # storage once replay is over, and nothing reads them in between.
+    # They take distinct handles and either apply completely or raise
+    # before touching storage.
+
+    def delete_many(self, handles):
+        """Tombstone every handle of ``handles`` (all must be live)."""
+        valid = self._valid
+        for slot in self._slots(handles):
+            valid[slot] = False
+        live = self._live
+        for handle in handles:
+            del live[handle]
+        self.mutations += 1
+        self._dead += len(handles)
+        if (
+            self._dead >= _COMPACT_MIN_DEAD
+            and self._dead * 2 >= len(self._handles)
+        ):
+            self.compact()
+
+    def insert_columns(self, handles, columns):
+        """Append ``len(handles)`` rows given as one schema-coerced value
+        list per column, in handle order (none may be live)."""
+        first = len(self._handles)
+        fresh = dict(zip(handles, range(first, first + len(handles))))
+        live = self._live
+        if len(fresh) != len(handles) or not live.keys().isdisjoint(fresh):
+            seen = set(live)
+            for handle in handles:
+                if handle in seen:
+                    raise ExecutionError(
+                        f"handle {handle} already live in table "
+                        f"{self.schema.name!r}"
+                    )
+                seen.add(handle)
+        self.mutations += 1
+        self._handles.extend(handles)
+        self._tuples.extend(zip(*columns))
+        self._valid.extend([True] * len(handles))
+        for column, values in zip(self._cols, columns):
+            column.extend(values)
+        live.update(fresh)
+
+    def assign_columns(self, handles, positions, vectors):
+        """Overwrite the columns at ``positions`` of the live rows under
+        ``handles`` with the aligned, schema-coerced ``vectors``."""
+        slots = self._slots(handles)
+        self.mutations += 1
+        cols = self._cols
+        for position, values in zip(positions, vectors):
+            column = cols[position]
+            for slot, value in zip(slots, values):
+                column[slot] = value
+        tuples = self._tuples
+        rows = zip(*[[column[slot] for slot in slots] for column in cols])
+        for slot, row in zip(slots, rows):
+            tuples[slot] = row
 
     # -- compaction --------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Recovery scenarios: checkpoint restore, WAL replay, torn tails,
 handle identity, and post-recovery behaviour."""
 
+import os
 
 import pytest
 
@@ -182,6 +183,39 @@ class TestTornTailTruncation:
         assert (7,) in again.rows("select dno from dept")
 
 
+    def test_intact_records_behind_a_tear_are_discarded_and_counted(
+        self, tmp_path
+    ):
+        """Point-in-time recovery: a checksummed record behind the first
+        bad one is cut with it — it was never acknowledged — but the
+        recovery summary, the event and stats() all say so."""
+        directory = str(tmp_path / "d")
+        original = make_db(directory)
+        expected = snapshot(original)
+        original.durability.close()
+        wal_path = original.durability.wal_path
+        lsn = scan_wal(wal_path).last_lsn
+        with open(wal_path, "ab") as handle:
+            handle.write(b"00000000 {torn\n")
+            for late in (1, 2):
+                handle.write(encode_record(
+                    {"v": 2, "lsn": lsn + late, "kind": "ddl",
+                     "op": "drop_table", "name": "emp"}
+                ))
+
+        sink = RingBufferSink()
+        recovered = recover(directory, sink=sink)
+        assert snapshot(recovered) == expected
+        info = recovered.durability.recovery
+        assert info["records_discarded_after_tear"] == 2
+        assert info["torn_bytes_truncated"] > 0
+        (event,) = sink.of_kind("recovery")
+        assert event.data["records_discarded_after_tear"] == 2
+        stats = recovered.stats()["durability"]["recovery"]
+        assert stats["records_discarded_after_tear"] == 2
+        assert scan_wal(wal_path).last_lsn == lsn
+
+
 class TestReplayVerification:
     def test_row_count_mismatch_raises_wal_error(self, tmp_path):
         directory = str(tmp_path / "d")
@@ -193,8 +227,8 @@ class TestReplayVerification:
         # the checksum valid (simulates a replay/logging logic bug, the
         # thing the counts exist to catch)
         last = records[-1]
-        assert last["kind"] == "commit"
-        last["counts"] = {table: n + 1 for table, n in last["counts"].items()}
+        for entry in last["commit"].values():
+            entry["n"] += 1
         with open(wal_path, "wb") as handle:
             for record in records:
                 handle.write(encode_record(record))
@@ -207,11 +241,43 @@ class TestReplayVerification:
         original = make_db(directory)
         original.durability.close()
         with open(original.durability.wal_path, "ab") as handle:
-            handle.write(encode_record({"kind": "mystery", "lsn": 999}))
-        from repro.durability.checkpoint import CheckpointError
-
-        with pytest.raises(CheckpointError, match="mystery"):
+            handle.write(
+                encode_record({"v": 2, "lsn": 999, "kind": "mystery"})
+            )
+        with pytest.raises(WalError, match="mystery.*lsn 999"):
             recover(directory)
+
+    def test_unknown_ddl_op_rejected(self, tmp_path):
+        directory = str(tmp_path / "d")
+        original = make_db(directory)
+        original.durability.close()
+        with open(original.durability.wal_path, "ab") as handle:
+            handle.write(encode_record(
+                {"v": 2, "lsn": 999, "kind": "ddl", "op": "defrag"}
+            ))
+        with pytest.raises(WalError, match="defrag.*lsn 999"):
+            recover(directory)
+
+    @pytest.mark.parametrize("body, found", [
+        # a version-1 log: no "v", "kind":"commit"
+        ({"kind": "commit", "lsn": 7, "txn": 4, "insert": [], "delete": [],
+          "update": [], "handle_hwm": 9, "counts": {}}, "None"),
+        ({"v": 3, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "3"),
+    ])
+    def test_other_format_version_is_refused_not_truncated(
+        self, tmp_path, body, found
+    ):
+        directory = str(tmp_path / "d")
+        original = make_db(directory)
+        original.durability.close()
+        wal_path = original.durability.wal_path
+        with open(wal_path, "ab") as handle:
+            handle.write(encode_record(body))
+            handle.write(b"torn")  # refusal comes before any truncation
+        size = os.path.getsize(wal_path)
+        with pytest.raises(WalError, match=f"lsn 7 .*version {found}"):
+            recover(directory)
+        assert os.path.getsize(wal_path) == size
 
 
 class TestRecoveredLifecycle:

@@ -1,12 +1,19 @@
 """Unit tests for the WAL format, checkpoint atomicity, and the
 durability manager's bookkeeping."""
 
+import errno
 import json
 import os
 
 import pytest
 
-from repro import ActiveDatabase, DurabilityError, DurabilityManager
+from repro import (
+    ActiveDatabase,
+    DurabilityError,
+    DurabilityManager,
+    RingBufferSink,
+    recover,
+)
 from repro.durability.checkpoint import (
     CheckpointError,
     build_checkpoint_document,
@@ -15,6 +22,7 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.faults import FaultInjector, SimulatedCrash
 from repro.durability.wal import (
+    WalError,
     WalWriter,
     decode_line,
     encode_record,
@@ -88,6 +96,8 @@ class TestWriterAndScan:
             handle.write(encode_record({"kind": "ddl", "op": "late"}))
         scan = scan_wal(path)
         assert [record["op"] for record in scan.records] == ["a"]
+        # the intact record behind the tear is cut with it, but counted
+        assert scan.discarded_records == 1
 
     def test_truncate_to_cuts_the_tail(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -109,6 +119,53 @@ class TestWriterAndScan:
         writer.close()
         assert writer.records_written == 2
         assert writer.bytes_written == os.path.getsize(path)
+
+
+#: a script whose effects put strings into sets — (handle, column) pairs,
+#: several tables, several updated-column sets — so set iteration order,
+#: and with it any accidental dependence of the record on it, follows
+#: PYTHONHASHSEED
+_SCRIPTED_TRANSACTIONS = """
+import sys
+from repro import ActiveDatabase
+db = ActiveDatabase(durability=sys.argv[1])
+db.execute("create table emp (name varchar, salary float, dno integer, "
+           "boss varchar, grade integer)")
+db.execute("create table dept (dno integer, title varchar)")
+db.execute("create table audit (who varchar, what varchar)")
+db.execute("create rule journal when updated emp.salary then insert into "
+           "audit (select name, 'raise' from new updated emp.salary)")
+db.execute("insert into dept values (1, 'one'), (2, 'two'), (3, 'three')")
+db.execute("insert into emp values " + ", ".join(
+    f"('e{i}', {i}.5, {i % 3 + 1}, 'b{i % 4}', {i % 5})" for i in range(40)))
+db.execute("update emp set salary = salary * 2, grade = grade + 1 "
+           "where dno = 1; update emp set boss = 'x', name = name "
+           "where grade > 2; update dept set title = 't', dno = dno "
+           "where dno < 3; delete from emp where dno = 3")
+db.execute("insert into emp values ('z', 1.0, 2, null, null); "
+           "update emp set dno = 2, boss = 'y', grade = 0 where dno = 1; "
+           "delete from audit where who = 'e3'")
+db.durability.close()
+"""
+
+
+class TestDeterministicBytes:
+    def test_wal_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        import subprocess
+        import sys
+
+        logs = []
+        for seed in ("0", "1", "4711"):
+            directory = tmp_path / f"seed{seed}"
+            subprocess.run(
+                [sys.executable, "-c", _SCRIPTED_TRANSACTIONS, str(directory)],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
+                check=True, timeout=120,
+            )
+            logs.append((directory / "wal.jsonl").read_bytes())
+        assert len(logs[0]) > 2000
+        assert logs[0] == logs[1] == logs[2]
 
 
 class TestTornWriteInjection:
@@ -145,6 +202,172 @@ class TestTornWriteInjection:
         assert [record["op"] for record in scan_wal(path).records] == ["a"]
 
 
+class TestFailedAppend:
+    """An append that fails with an ``OSError`` (disk full, IO error) is
+    not a crash: the process lives on, so the partial record must leave
+    the log before the next commit is written behind it."""
+
+    def test_partial_write_is_cut_and_lsn_not_consumed(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        injector = FaultInjector(
+            point="enospc_wal_append", occurrence=2, torn_fraction=0.5
+        )
+        writer = WalWriter(path, injector=injector)
+        writer.append({"kind": "ddl", "op": "a"})
+        intact = os.path.getsize(path)
+        with pytest.raises(OSError) as excinfo:
+            writer.append({"kind": "ddl", "op": "b"})
+        assert excinfo.value.errno == errno.ENOSPC
+        assert injector.fired == "enospc_wal_append"
+        assert os.path.getsize(path) == intact
+        assert (writer.next_lsn, writer.records_written) == (2, 1)
+        assert writer.bytes_written == intact
+
+        third = writer.append({"kind": "ddl", "op": "c"})
+        writer.close()
+        assert third["lsn"] == 2
+        scan = scan_wal(path)
+        assert [record["op"] for record in scan.records] == ["a", "c"]
+        assert scan.torn_bytes == 0
+        assert writer.bytes_written == os.path.getsize(path)
+
+    def test_remainder_in_the_file_buffer_is_not_re_emitted(self, tmp_path):
+        """A buffered writer keeps what it could not write and emits it
+        on its next flush or close; the cut must come after that."""
+        path = str(tmp_path / "wal.jsonl")
+        writer = WalWriter(path)
+        writer.append({"kind": "ddl", "op": "a"})
+        intact = os.path.getsize(path)
+
+        class DiskFullOnce:
+            """Writes half of what it is given, fails the flush, and
+            writes the other half when closed."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.remainder = b""
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.remainder = data[len(data) // 2:]
+
+            def flush(self):
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def close(self):
+                self.handle.write(self.remainder)
+                self.handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        writer._file = DiskFullOnce(writer._file)
+        with pytest.raises(OSError):
+            writer.append({"kind": "ddl", "op": "b"})
+        assert os.path.getsize(path) == intact
+        writer.append({"kind": "ddl", "op": "c"})
+        writer.close()
+        assert [r["op"] for r in scan_wal(path).records] == ["a", "c"]
+
+    def test_simulated_crash_still_leaves_its_torn_prefix(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        injector = FaultInjector(point="torn_wal_append", occurrence=1)
+        writer = WalWriter(path, injector=injector)
+        with pytest.raises(SimulatedCrash):
+            writer.append({"kind": "ddl", "op": "a"})
+        assert os.path.getsize(path) > 0  # process death cleans nothing up
+
+    def test_writer_refuses_appends_when_the_cut_fails(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "wal.jsonl")
+        injector = FaultInjector(point="enospc_wal_append", occurrence=2)
+        writer = WalWriter(path, injector=injector)
+        writer.append({"kind": "ddl", "op": "a"})
+        intact = os.path.getsize(path)
+
+        def cannot_cut(size):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(writer, "_cut_to", cannot_cut)
+        with pytest.raises(OSError) as excinfo:
+            writer.append({"kind": "ddl", "op": "b"})
+        assert excinfo.value.errno == errno.ENOSPC  # the original failure
+        monkeypatch.undo()
+        with pytest.raises(WalError, match=f"offset {intact}"):
+            writer.append({"kind": "ddl", "op": "c"})
+        # nothing was written behind the bytes of unknown state
+        assert [r["op"] for r in scan_wal(path).records] == ["a"]
+
+    def test_writer_refuses_appends_after_a_failed_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "wal.jsonl")
+        writer = WalWriter(path)
+        writer.append({"kind": "ddl", "op": "a"})
+        intact = os.path.getsize(path)
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            writer.append({"kind": "ddl", "op": "b"})
+        monkeypatch.undo()
+        assert (writer.next_lsn, writer.syncs) == (2, 1)
+        size = os.path.getsize(path)
+        assert size > intact  # the record is left for recovery to judge
+        with pytest.raises(WalError, match=f"fsync failed at offset {size}"):
+            writer.append({"kind": "ddl", "op": "c"})
+        assert os.path.getsize(path) == size
+
+    def test_failed_group_commit_fsync_poisons_the_writer_too(
+        self, tmp_path, monkeypatch
+    ):
+        writer = WalWriter(str(tmp_path / "wal.jsonl"))
+        writer.append({"kind": "ddl", "op": "a"}, sync=False)
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            writer.sync()
+        monkeypatch.undo()
+        with pytest.raises(WalError, match="fsync failed at offset"):
+            writer.append({"kind": "ddl", "op": "b"})
+
+    def test_next_commit_after_a_failed_one_survives_recovery(self, tmp_path):
+        """The regression: insert 1; failed insert 2; insert 3 is
+        acknowledged — and must still be there after recovery."""
+        directory = str(tmp_path / "d")
+        sink = RingBufferSink()
+        db = ActiveDatabase(durability=directory, sink=sink)
+        db.execute("create table t (x integer)")
+        db.execute("insert into t values (1)")
+        injector = FaultInjector(point="enospc_wal_append", occurrence=1)
+        db.durability.wal.injector = injector
+        lsn = db.durability.wal.next_lsn
+
+        with pytest.raises(OSError):
+            db.execute("insert into t values (2)")
+        (abort,) = sink.of_kind("txn_abort")
+        assert abort.data["reason"] == "wal_error"
+        assert db.durability.wal.next_lsn == lsn
+        assert db.rows("select x from t") == [(1,)]  # engine still usable
+
+        result = db.execute("insert into t values (3)")
+        assert result.committed
+        db.durability.close()
+
+        recovered = recover(directory)
+        assert recovered.rows("select x from t") == [(1,), (3,)]
+        info = recovered.durability.recovery
+        assert info["torn_bytes_truncated"] == 0
+        assert info["records_discarded_after_tear"] == 0
+
+
 class TestFaultInjector:
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +392,15 @@ class TestFaultInjector:
         first, second = FaultInjector.from_seed(7), FaultInjector.from_seed(7)
         assert (first.point, first.occurrence, first.torn_fraction) == (
             second.point, second.occurrence, second.torn_fraction
+        )
+
+    def test_seeded_schedules_never_draw_the_io_error_point(self):
+        from repro.durability.faults import CRASH_POINTS, IO_ERROR_POINTS
+
+        assert not set(IO_ERROR_POINTS) & set(CRASH_POINTS)
+        assert all(
+            FaultInjector.from_seed(seed).point in CRASH_POINTS
+            for seed in range(200)
         )
 
 
@@ -211,6 +443,63 @@ class TestCheckpointFile:
         with pytest.raises(SimulatedCrash):
             write_checkpoint(str(tmp_path), new, injector=injector)
         assert read_checkpoint(str(tmp_path))["wal_lsn"] == 1
+
+    def test_disk_full_during_checkpoint_keeps_old_checkpoint_and_wal(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import checkpoint as checkpoint_module
+
+        directory = str(tmp_path / "d")
+        db = build_db(directory)
+        db.checkpoint()
+        db.execute("insert into t values (3, 'c')")
+        wal_size = os.path.getsize(db.durability.wal_path)
+        expected = db.rows("select x, y from t")
+
+        class DiskFull:
+            """A file that takes half of each write, then ENOSPC."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(
+            checkpoint_module, "open",
+            lambda path, mode: DiskFull(open(path, mode)), raising=False,
+        )
+        with pytest.raises(OSError):
+            db.checkpoint()
+        monkeypatch.undo()
+        tmp_file = db.durability.checkpoint_path + ".tmp"
+        assert os.path.getsize(tmp_file) > 0  # the stale partial temp file
+        assert read_checkpoint(directory)["wal_lsn"] == 2
+        assert os.path.getsize(db.durability.wal_path) == wal_size
+
+        # the state on disk still recovers to everything committed ...
+        image = str(tmp_path / "image")
+        import shutil
+
+        shutil.copytree(directory, image)
+        recovered = recover(image)
+        assert recovered.rows("select x, y from t") == expected
+        recovered.durability.close()
+
+        # ... and the next checkpoint succeeds over the stale temp file
+        info = db.checkpoint()
+        assert info["wal_lsn"] == 3
+        assert not os.path.exists(tmp_file)
+        assert read_checkpoint(directory)["wal_lsn"] == 3
+        assert os.path.getsize(db.durability.wal_path) == 0
 
 
 class TestManager:

@@ -199,3 +199,90 @@ class TestDatabaseMutators:
         database.create_table("u", [("x", SqlType.BOOLEAN)])
         handle = database.insert_row("u", [True])
         assert database.row("u", handle) == (True,)
+
+
+class TestBulkRecoveryMutators:
+    """The column-vector mutators crash recovery replays through."""
+
+    def make(self, rows=0):
+        database = Database()
+        database.create_table("t", [("x", "integer"), ("y", "varchar")])
+        for key in range(rows):
+            database.insert_row("t", [key, f"r{key}"])
+        return database
+
+    def test_restore_rows_keeps_handles_order_and_allocator(self):
+        database = self.make()
+        database.restore_rows("t", [3, 4, 9], [[1, 2.0, None], ["a", None, "c"]])
+        table = database.table("t")
+        assert table.items() == [
+            (3, (1, "a")), (4, (2, None)), (9, (None, "c")),
+        ]
+        assert [table._cols[0][s] for s in table._live.values()] == [1, 2, None]
+        assert database.table_of_handle(9) == "t"
+        assert database.insert_row("t", [5, "e"]) == 10
+
+    def test_restore_rows_rejects_live_and_repeated_handles(self):
+        database = self.make(rows=2)
+        for handles in ([2, 3], [5, 5]):
+            before = database.snapshot()
+            with pytest.raises(ExecutionError, match="already live"):
+                database.restore_rows("t", handles, [[7, 8], ["a", "b"]])
+            assert database.snapshot() == before
+
+    def test_vectors_are_type_and_length_checked(self):
+        database = self.make(rows=2)
+        with pytest.raises(TypeError_, match="column t.x"):
+            database.restore_rows("t", [7], [["seven"], ["a"]])
+        with pytest.raises(CatalogError, match="column t.y: 1 values for 2"):
+            database.restore_rows("t", [7, 8], [[7, 8], ["a"]])
+        with pytest.raises(CatalogError, match="expects 2 columns, got 1"):
+            database.restore_rows("t", [7], [[7]])
+        with pytest.raises(TypeError_, match="column t.y"):
+            database.assign_columns("t", [1], ["y"], [[5]])
+        with pytest.raises(CatalogError, match="2 value vectors for 1"):
+            database.assign_columns("t", [1], ["y"], [["a"], ["b"]])
+        assert database.table("t").items() == [(1, (0, "r0")), (2, (1, "r1"))]
+
+    def test_delete_rows_is_all_or_nothing(self):
+        database = self.make(rows=3)
+        with pytest.raises(ExecutionError, match="handle 8 is not live in table 't'"):
+            database.delete_rows("t", [1, 8])
+        assert database.row_count("t") == 3
+        database.delete_rows("t", [1, 3])
+        assert database.table("t").handles() == [2]
+        assert database.table("t").tombstones == 2
+
+    def test_delete_rows_checks_compaction_once_per_call(self):
+        database = self.make(rows=100)
+        table = database.table("t")
+        database.delete_rows("t", list(range(1, 81)))
+        assert table.tombstones == 0  # compacted: 80 dead of 100 slots
+        assert table.handles() == list(range(81, 101))
+        assert len(table._handles) == 20
+
+    def test_assign_columns_overwrites_in_place(self):
+        database = self.make(rows=3)
+        database.assign_columns("t", [1, 3], ["y", "x"], [["p", "q"], [7.0, None]])
+        table = database.table("t")
+        assert table.items() == [
+            (1, (7, "p")), (2, (1, "r1")), (3, (None, "q")),
+        ]
+        assert table.batch().rows() == table.rows()
+        with pytest.raises(ExecutionError, match="handle 9 is not live in table 't'"):
+            database.assign_columns("t", [9], ["x"], [[1]])
+
+    def test_bulk_mutators_bump_versions(self):
+        database = self.make(rows=1)
+        table = database.table("t")
+        stamps = (database.version, table.mutations)
+        database.assign_columns("t", [1], ["x"], [[5]])
+        assert database.version > stamps[0] and table.mutations > stamps[1]
+
+    def test_bulk_mutators_refuse_to_run_inside_a_transaction(self):
+        from repro.errors import TransactionError
+
+        database = self.make(rows=1)
+        database.transactions.begin()
+        with pytest.raises(TransactionError, match="not undo-logged"):
+            database.delete_rows("t", [1])

@@ -1,0 +1,113 @@
+#!/usr/bin/env python
+"""Generate the golden WAL snapshot ``tests/golden/wal_golden.json``.
+
+The log is a durable contract: a database written by one build is
+recovered by the next. The snapshot pins the exact bytes of every WAL
+line (DDL and commit records, checksum included) that the transactions
+of paper Examples 3.1, 3.2 and 4.1 write — the rules and data of
+``tests/integration/test_paper_examples.py`` — plus one transaction with
+several updated-column sets, NULLs and non-ASCII text. A change that
+moves a byte of the format must bump ``WAL_VERSION`` and regenerate on
+purpose (``tests/integration/test_wal_golden.py`` fails otherwise)::
+
+    PYTHONPATH=src python tools/gen_wal_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "wal_golden.json"
+
+
+def scenarios() -> list[dict[str, Any]]:
+    """``{label, statements}``: what each golden log is the log of."""
+    sys.path.insert(0, str(ROOT))
+    try:
+        from tests.integration import test_paper_examples as paper
+    finally:
+        sys.path.remove(str(ROOT))
+
+    org = _Statements()
+    paper.build_example_43_org(org)
+    return [
+        {"label": "example_3.1", "statements": [
+            paper.EMP, paper.DEPT, paper.RULE_31,
+            "insert into dept values (1, 100), (2, 200), (3, 300)",
+            "insert into emp values ('A', 1, 10.0, 1), ('B', 2, 10.0, 2), "
+            "('C', 3, 10.0, 3)",
+            "delete from dept where dept_no in (1, 2)",
+        ]},
+        {"label": "example_3.2", "statements": [
+            paper.EMP, paper.DEPT, paper.RULE_32,
+            "insert into emp values ('W', 1, 100.0, 1), ('X', 2, 100.0, 2), "
+            "('Y', 3, 100.0, 3), ('Z', 4, 100.0, 4)",
+            "update emp set salary = 200.0 where name = 'W'",
+        ]},
+        {"label": "example_4.1", "statements": [
+            paper.EMP, paper.DEPT, paper.RULE_41, *org,
+            "delete from emp where name = 'Jane'",
+        ]},
+        {"label": "multi_column_null_non_ascii", "statements": [
+            "create table people (name varchar, age integer, score float, "
+            "active boolean)",
+            "create table notes (body varchar)",
+            "insert into people values ('Zoë', 30, 1.5, true), "
+            "(null, null, null, null), ('O''Brien \"Ob\"', 41, 0.1, false), "
+            "('line\nbreak', 30, -2.25, null), ('雪だるま ☃', 7, 1e-07, true)",
+            "insert into notes values ('keep'), ('drop')",
+            "update people set score = score * 2 where age = 30; "
+            "update people set name = 'Łukasz', active = null "
+            "where age > 40; update people set age = null, score = null, "
+            "name = null where age = 7; delete from notes where body = 'drop'; "
+            "insert into notes values ('añadido'), (null)",
+        ]},
+    ]
+
+
+class _Statements(list):
+    """Collects what a population helper would execute."""
+
+    def execute(self, statement: str) -> None:
+        self.append(statement)
+
+
+def wal_lines(statements: list[str]) -> list[str]:
+    """The WAL lines a fresh durable database writes for ``statements``
+    (one transaction or DDL change each)."""
+    from repro import ActiveDatabase, DurabilityManager
+    from repro.durability.wal import WAL_FILENAME
+
+    with tempfile.TemporaryDirectory() as directory:
+        db = ActiveDatabase(durability=DurabilityManager(directory, fsync=False))
+        for statement in statements:
+            db.execute(statement)
+        db.durability.close()
+        text = (Path(directory) / WAL_FILENAME).read_bytes().decode("ascii")
+    return text.splitlines()
+
+
+def build() -> list[dict[str, Any]]:
+    return [
+        {"label": entry["label"], "lines": wal_lines(entry["statements"])}
+        for entry in scenarios()
+    ]
+
+
+def main() -> int:
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    entries = build()
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"{GOLDEN.relative_to(ROOT)}: "
+          f"{sum(len(entry['lines']) for entry in entries)} WAL lines in "
+          f"{len(entries)} logs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
