@@ -7,7 +7,9 @@ claims are measured:
 
 * **hash join vs Cartesian product** — a two-table rule-condition join
   visits O(matches) combinations instead of O(n·m): ``rows_visited``
-  drops accordingly and wall time follows;
+  drops accordingly and wall time follows (the product series times
+  ``tests/reference/naive_select.py``, the test suite's reference
+  FROM/WHERE — ``src/`` has one select path);
 * **plan caching** — rule processing re-evaluates the same condition
   every consideration round, so after the first transaction virtually
   every evaluation is a plan-cache hit (hit rate > 0 is asserted; in
@@ -23,6 +25,7 @@ import time
 import pytest
 
 from repro import ActiveDatabase
+from tests.reference import naive_select
 
 from .conftest import FAST_MODE, print_series, record_stats
 
@@ -80,10 +83,10 @@ def test_join_query_planned(benchmark, size):
 @pytest.mark.parametrize("size", SIZES)
 def test_join_query_naive(benchmark, size):
     db = build(size)
-    db.database.enable_planner = False
-    benchmark.pedantic(
-        lambda: db.rows(JOIN_SQL), rounds=3, iterations=1
-    )
+    with naive_select.installed():
+        benchmark.pedantic(
+            lambda: db.rows(JOIN_SQL), rounds=3, iterations=1
+        )
 
 
 def test_shape_hash_join_beats_product(benchmark):
@@ -99,8 +102,7 @@ def _shape_hash_join_beats_product():
         db = build(size)
         stats = db.database.planner_stats
 
-        def timed(planner_on):
-            db.database.enable_planner = planner_on
+        def timed():
             stats.reset()
             start = time.perf_counter()
             result = db.rows(JOIN_SQL)
@@ -108,9 +110,9 @@ def _shape_hash_join_beats_product():
             assert len(result) == size
             return elapsed, stats.rows_visited
 
-        time_on, visited_on = timed(True)
-        time_off, visited_off = timed(False)
-        db.database.enable_planner = True
+        time_on, visited_on = timed()
+        with naive_select.installed():
+            time_off, visited_off = timed()
         visited[size] = {"planned": visited_on, "naive": visited_off}
         times[size] = {"planned": time_on, "naive": time_off}
         rows.append(

@@ -19,6 +19,7 @@ from repro import (
     PriorityOrder,
     TotalOrder,
 )
+from tests.reference import full_reeval
 
 from .conftest import FAST_MODE, print_series, record_stats
 
@@ -120,10 +121,10 @@ def build_predicate_heavy(rules, compiled):
     (repro.relational.compiled) targets."""
     db = ActiveDatabase(record_seen=False)
     db.database.enable_compiled_eval = compiled
-    # these conditions are counter-maintainable; pin the incremental
-    # layer off so the bench measures per-row expression evaluation
-    # rather than a maintained-view lookup
-    db.database.enable_incremental_eval = False
+    # these conditions are counter-maintainable; run them through the
+    # test suite's full re-evaluation reference so the bench measures
+    # per-row expression evaluation rather than a maintained-view lookup
+    full_reeval.install(db)
     db.execute("create table t (a integer, b integer, c float)")
     db.execute("create table trig (x integer)")
     rows = ", ".join(f"({i}, {i % 7}, {i * 1.5})" for i in range(DATA_ROWS))

@@ -20,6 +20,7 @@ The recorded ``stats`` entries carry the ``vectorized`` section
 validates in ``BENCH_vectorized.json``.
 """
 
+import gc
 import time
 
 import pytest
@@ -130,78 +131,6 @@ def _shape_predicate_heavy_scan():
 
 
 # ---------------------------------------------------------------------------
-# typed vs generic batch kernels (docs §16)
-
-#: asserted typed-over-generic speedup at the largest full-mode size —
-#: monomorphic kernels only shave per-value dispatch, so the bar is
-#: lower than the vectorized-over-row criterion
-REQUIRED_TYPED_SPEEDUP = 1.05
-
-
-def timed_typed(db, sql, typed, repetitions=5):
-    db.database.enable_typed_kernels = typed
-    best = None
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        result = db.rows(sql)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, len(result)
-
-
-def test_shape_typed_kernels(benchmark):
-    benchmark.pedantic(_shape_typed_kernels, rounds=1, iterations=1)
-
-
-def _shape_typed_kernels():
-    """The predicate-heavy scan again, but vectorized in both series:
-    type-specialized kernels (catalog-kind monomorphic comparisons and
-    arithmetic) vs the generic per-value-dispatch kernels."""
-    rows = []
-    times = {}
-    speedups = {}
-    for size in SIZES:
-        db = build_scan_db(size)
-        sql = scan_sql(size)
-        db.reset_stats()
-        db.rows(sql)  # cold typed compile: count specialized kernels
-        section = db.stats()["vectorized"]
-        assert section["typed_kernels"] > 0
-        record_stats(f"typed_{size}", db)
-        db.database.enable_typed_kernels = False
-        db.rows(sql)  # warm the generic program's own cache entry
-        typed_time, typed_count = timed_typed(db, sql, typed=True)
-        generic_time, generic_count = timed_typed(db, sql, typed=False)
-        assert typed_count == generic_count
-        speedup = generic_time / typed_time
-        times[size] = {"typed": typed_time, "generic": generic_time}
-        speedups[size] = speedup
-        rows.append(
-            (
-                size,
-                typed_count,
-                section["typed_kernels"],
-                section["generic_kernels"],
-                f"{typed_time * 1e3:.1f}ms",
-                f"{generic_time * 1e3:.1f}ms",
-                f"{speedup:.2f}x",
-            )
-        )
-    print_series(
-        "typed vs generic batch kernels, predicate-heavy scan",
-        ("rows", "selected", "typed kernels", "generic kernels",
-         "typed", "generic", "speedup"),
-        rows,
-        values={"seconds": times, "speedup": speedups},
-    )
-    if not FAST_MODE:
-        assert speedups[SIZES[-1]] >= REQUIRED_TYPED_SPEEDUP, (
-            f"typed kernel speedup {speedups[SIZES[-1]]:.2f}x below "
-            f"the required {REQUIRED_TYPED_SPEEDUP}x"
-        )
-
-
-# ---------------------------------------------------------------------------
 # wide-table rule cascade
 
 WIDE_COLUMNS = 12
@@ -254,6 +183,10 @@ def _shape_wide_cascade():
         for vectorized in (True, False):
             db = build_cascade_db(size)
             db.database.enable_vectorized_eval = vectorized
+            # one cascade is timed once, so a full collection triggered
+            # by what the *build* allocated must not land inside it (it
+            # triples the 500-row reading when it does)
+            gc.collect()
             start = time.perf_counter()
             result = run_cascade(db)
             elapsed = time.perf_counter() - start

@@ -26,8 +26,7 @@ through the manual transaction API: :meth:`begin` /
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from ..errors import (
@@ -72,8 +71,7 @@ class _SuspendedTransaction:
     txn_effect: object
     recorder: object
     txn_id: int
-    incremental_active: bool
-    incremental_state: object = field(default=None)
+    incremental_state: object
 
 
 class RuleEngine:
@@ -141,11 +139,10 @@ class RuleEngine:
         #: node identity) hitting across considerations; the key makes
         #: the order follow statistics drift and DDL.
         self._ordered_conditions = {}
-        #: delta-driven condition evaluation (docs/semantics.md §12);
-        #: always constructed, only consulted while a transaction that
-        #: began with database.enable_incremental_eval on is active
+        #: delta-driven condition evaluation (docs/semantics.md §12):
+        #: maintainable conditions are answered from maintained views,
+        #: everything else falls back to _check_condition
         self.incremental = IncrementalManager(self.database, self.catalog)
-        self._incremental_active = False
 
         #: concurrency-layer hooks (see repro.concurrency). pause_hook
         #: (``callable(point)``) is invoked at the named interleaving
@@ -180,30 +177,17 @@ class RuleEngine:
         :class:`~repro.obs.metrics.MetricsCollector` for the fields.
         Counters accumulate across transactions until :meth:`reset_stats`.
         """
-        planner = getattr(self.database, "planner_stats", None)
-        compiler = getattr(self.database, "compiler_stats", None)
-        vectorized = getattr(self.database, "vectorized_stats", None)
-        optimizer = getattr(self.database, "optimizer_stats", None)
         from ..relational.compiled import vectorized_enabled
 
+        database = self.database
         return self._metrics.snapshot(
             strategy=getattr(self.strategy, "name", None),
-            planner=planner.snapshot() if planner is not None else None,
-            compiler=compiler.snapshot() if compiler is not None else None,
-            vectorized=(
-                vectorized.snapshot(enabled=vectorized_enabled(self.database))
-                if vectorized is not None
-                else None
+            planner=database.planner_stats.snapshot(),
+            compiler=database.compiler_stats.snapshot(),
+            vectorized=database.vectorized_stats.snapshot(
+                enabled=vectorized_enabled(database)
             ),
-            optimizer=(
-                optimizer.snapshot(
-                    enabled=getattr(
-                        self.database, "enable_cost_planner", False
-                    )
-                )
-                if optimizer is not None
-                else None
-            ),
+            optimizer=database.optimizer_stats.snapshot(),
             durability=(
                 self.durability.stats_snapshot()
                 if self.durability is not None
@@ -252,18 +236,10 @@ class RuleEngine:
     def reset_stats(self):
         """Zero all counters (a fresh measurement window)."""
         self._metrics.reset()
-        planner = getattr(self.database, "planner_stats", None)
-        if planner is not None:
-            planner.reset()
-        compiler = getattr(self.database, "compiler_stats", None)
-        if compiler is not None:
-            compiler.reset()
-        vectorized = getattr(self.database, "vectorized_stats", None)
-        if vectorized is not None:
-            vectorized.reset()
-        optimizer = getattr(self.database, "optimizer_stats", None)
-        if optimizer is not None:
-            optimizer.reset()
+        self.database.planner_stats.reset()
+        self.database.compiler_stats.reset()
+        self.database.vectorized_stats.reset()
+        self.database.optimizer_stats.reset()
         self.incremental.stats.reset()
 
     def _emit(self, kind, **data):
@@ -350,20 +326,20 @@ class RuleEngine:
                 EventKind.TRANS_INFO_RESET, rule=rule.name, cause="registered"
             )
         # (Re)definition invalidates the incremental layer's per-rule
-        # plan and the refined triggering graph, active or not.
+        # plan and the refined triggering graph.
         self.incremental.on_rule_defined(rule)
         self._lint_new_rule(rule)
 
     def _lint_new_rule(self, rule):
-        """Definition-time warnings: run the rule-scoped lint passes on
+        """Definition-time analysis: run the rule-scoped lint passes on
         the new rule and emit each finding as a ``lint_diagnostic``
-        event. Purely advisory — rule definition never fails because of
-        lint, and analyzer bugs must not break the engine, so the whole
-        thing is wrapped. Set ``REPRO_DEFINE_LINT=0`` to disable."""
-        if os.environ.get("REPRO_DEFINE_LINT", "1").lower() in (
-            "0", "off", "false"
-        ):
-            return
+        event. The diagnostics are advisory — rule definition never
+        fails because of lint, and analyzer bugs must not break the
+        engine, so the whole thing is wrapped. The type witnesses the
+        ``types`` pass attaches to the rule's AST are load-bearing:
+        :mod:`repro.relational.compiled` specializes batch kernels on
+        them, so a rule that skipped this pass would run generic
+        kernels where typed ones are provable."""
         try:
             from ..analysis.lint import lint_rule
 
@@ -401,11 +377,7 @@ class RuleEngine:
         # increment could reuse an id.
         self._txn_seq = max(self._txn_seq, self._txn_id) + 1
         self._txn_id = self._txn_seq
-        self._incremental_active = getattr(
-            self.database, "enable_incremental_eval", False
-        )
-        if self._incremental_active:
-            self.incremental.on_begin()
+        self.incremental.on_begin()
         self._recorder = self._bus.attach(TraceRecorder(self._result))
         self._emit(EventKind.TXN_BEGIN)
 
@@ -462,8 +434,7 @@ class RuleEngine:
                 duration=info["duration"],
             )
         self.database.transactions.commit()
-        if self._incremental_active:
-            self.incremental.on_commit()
+        self.incremental.on_commit()
         self._emit(
             EventKind.TXN_COMMIT,
             transitions=len(result.transitions),
@@ -520,8 +491,7 @@ class RuleEngine:
         executor = DmlExecutor(
             self.database, self._base_resolver, self.track_selects
         )
-        if self._incremental_active:
-            self.incremental.before_transition()
+        self.incremental.before_transition()
         savepoint = self.database.transactions.savepoint()
         try:
             effects = []
@@ -578,8 +548,7 @@ class RuleEngine:
     def _abort(self, reason="error", rule=None):
         if self.database.transactions.active:
             self.database.transactions.rollback()
-        if self._incremental_active:
-            self.incremental.on_abort()
+        self.incremental.on_abort()
         data = {"reason": reason}
         if rule is not None:
             data["rule"] = rule
@@ -593,7 +562,6 @@ class RuleEngine:
         self._info = {}
         self._result = None
         self._txn_effect = None
-        self._incremental_active = False
 
     # ------------------------------------------------------------------
     # context switching (concurrency layer, PR 8)
@@ -625,12 +593,7 @@ class RuleEngine:
             txn_effect=self._txn_effect,
             recorder=self._recorder,
             txn_id=self._txn_id,
-            incremental_active=self._incremental_active,
-            incremental_state=(
-                self.incremental.suspend()
-                if self._incremental_active
-                else None
-            ),
+            incremental_state=self.incremental.suspend(),
         )
         self._recorder = None
         self._info = {}
@@ -639,7 +602,6 @@ class RuleEngine:
         self._transition_index = 0
         self._result = None
         self._txn_effect = None
-        self._incremental_active = False
         return context
 
     def resume_transaction(self, context):
@@ -660,9 +622,7 @@ class RuleEngine:
         self._result = context.result
         self._txn_effect = context.txn_effect
         self._txn_id = context.txn_id
-        self._incremental_active = context.incremental_active
-        if context.incremental_active:
-            self.incremental.resume(context.incremental_state)
+        self.incremental.resume(context.incremental_state)
         self._recorder = context.recorder
         if self._recorder is not None:
             self._bus.attach(self._recorder)
@@ -671,8 +631,7 @@ class RuleEngine:
         """Abort a transaction while it is suspended: its writes are
         already detached, so nothing physical needs undoing — drop the
         logs, invalidate the views it touched, account the abort."""
-        if context.incremental_active:
-            self.incremental.discard_suspended(context.incremental_state)
+        self.incremental.discard_suspended(context.incremental_state)
         if context.result is not None:
             context.result.committed = False
         self._bus.emit(
@@ -711,6 +670,10 @@ class RuleEngine:
         updated per-rule transition information.
         """
         result = self._result
+        planner = self.database.planner_stats
+        compiler = self.database.compiler_stats
+        vectorized = self.database.vectorized_stats
+        optimizer = self.database.optimizer_stats
         rule_transitions = 0
         rounds = 0
         selection_time = 0.0
@@ -735,22 +698,10 @@ class RuleEngine:
                     self.pause_hook("rule_consideration")
                 self._clock += 1
                 self._considered_at[rule.name] = self._clock
-                planner = getattr(self.database, "planner_stats", None)
-                planner_before = (
-                    planner.counters() if planner is not None else None
-                )
-                compiler = getattr(self.database, "compiler_stats", None)
-                compiler_before = (
-                    compiler.counters() if compiler is not None else None
-                )
-                vectorized = getattr(self.database, "vectorized_stats", None)
-                vectorized_before = (
-                    vectorized.counters() if vectorized is not None else None
-                )
-                optimizer = getattr(self.database, "optimizer_stats", None)
-                optimizer_before = (
-                    optimizer.counters() if optimizer is not None else None
-                )
+                planner_before = planner.counters()
+                compiler_before = compiler.counters()
+                vectorized_before = vectorized.counters()
+                optimizer_before = optimizer.counters()
                 condition_start = perf_counter()
                 condition_value, incremental_delta = (
                     self._evaluate_condition(rule)
@@ -767,26 +718,10 @@ class RuleEngine:
                     after_transition=self._transition_index,
                     duration=condition_elapsed,
                     trans_info_size=self._info[rule.name].size(),
-                    planner=(
-                        planner.delta_since(planner_before)
-                        if planner is not None
-                        else None
-                    ),
-                    compiler=(
-                        compiler.delta_since(compiler_before)
-                        if compiler is not None
-                        else None
-                    ),
-                    vectorized=(
-                        vectorized.delta_since(vectorized_before)
-                        if vectorized is not None
-                        else None
-                    ),
-                    optimizer=(
-                        optimizer.delta_since(optimizer_before)
-                        if optimizer is not None
-                        else None
-                    ),
+                    planner=planner.delta_since(planner_before),
+                    compiler=compiler.delta_since(compiler_before),
+                    vectorized=vectorized.delta_since(vectorized_before),
+                    optimizer=optimizer.delta_since(optimizer_before),
                     incremental=incremental_delta,
                 )
                 if condition_value is True:
@@ -804,8 +739,7 @@ class RuleEngine:
                         rule=rule.name,
                         cause="consideration",
                     )
-                    if self._incremental_active:
-                        self.incremental.reset_provenance(rule.name)
+                    self.incremental.reset_provenance(rule.name)
             if fired is None:
                 self._emit(
                     EventKind.QUIESCENT,
@@ -829,22 +763,11 @@ class RuleEngine:
                 raise RuleLoopError(self.max_rule_transitions, trace=result)
 
             seen = self._snapshot_seen(fired) if self.record_seen else {}
-            planner = getattr(self.database, "planner_stats", None)
-            planner_before = planner.counters() if planner is not None else None
-            compiler = getattr(self.database, "compiler_stats", None)
-            compiler_before = (
-                compiler.counters() if compiler is not None else None
-            )
-            vectorized = getattr(self.database, "vectorized_stats", None)
-            vectorized_before = (
-                vectorized.counters() if vectorized is not None else None
-            )
-            optimizer = getattr(self.database, "optimizer_stats", None)
-            optimizer_before = (
-                optimizer.counters() if optimizer is not None else None
-            )
-            if self._incremental_active:
-                self.incremental.before_transition()
+            planner_before = planner.counters()
+            compiler_before = compiler.counters()
+            vectorized_before = vectorized.counters()
+            optimizer_before = optimizer.counters()
+            self.incremental.before_transition()
             action_start = perf_counter()
             effects = self._execute_rule_action(fired)
             action_elapsed = perf_counter() - action_start
@@ -858,10 +781,9 @@ class RuleEngine:
                 effects, exclude=fired.name, source=fired.name
             )
             self._info[fired.name] = new_info
-            if self._incremental_active:
-                # The fired rule's trans-info restarted from its own
-                # transition, so its provenance is exactly itself.
-                self.incremental.set_sole_provenance(fired.name, fired.name)
+            # The fired rule's trans-info restarted from its own
+            # transition, so its provenance is exactly itself.
+            self.incremental.set_sole_provenance(fired.name, fired.name)
             self._emit(
                 EventKind.RULE_FIRED,
                 rule=fired.name,
@@ -871,26 +793,10 @@ class RuleEngine:
                 condition=True if fired.condition is not None else None,
                 duration=action_elapsed,
                 trans_info_size=new_info.size(),
-                planner=(
-                    planner.delta_since(planner_before)
-                    if planner is not None
-                    else None
-                ),
-                compiler=(
-                    compiler.delta_since(compiler_before)
-                    if compiler is not None
-                    else None
-                ),
-                vectorized=(
-                    vectorized.delta_since(vectorized_before)
-                    if vectorized is not None
-                    else None
-                ),
-                optimizer=(
-                    optimizer.delta_since(optimizer_before)
-                    if optimizer is not None
-                    else None
-                ),
+                planner=planner.delta_since(planner_before),
+                compiler=compiler.delta_since(compiler_before),
+                vectorized=vectorized.delta_since(vectorized_before),
+                optimizer=optimizer.delta_since(optimizer_before),
             )
             self._emit(
                 EventKind.TRANS_INFO_RESET,
@@ -955,8 +861,7 @@ class RuleEngine:
         maintained condition views, and ``source`` (the fired rule's name,
         or "external") feeds the per-rule provenance that the refined
         triggering graph's skip check consults."""
-        if self._incremental_active:
-            self.incremental.apply_transition(effects)
+        self.incremental.apply_transition(effects)
         for name, info in self._info.items():
             if name == exclude:
                 continue
@@ -970,29 +875,25 @@ class RuleEngine:
                 self._emit(
                     EventKind.TRANS_INFO_RESET, rule=name, cause="triggering"
                 )
-                if self._incremental_active:
-                    self.incremental.reset_provenance(name)
+                self.incremental.reset_provenance(name)
             info.apply_all(effects)
-            if self._incremental_active:
-                self.incremental.note_fold(name, source)
+            self.incremental.note_fold(name, source)
 
     def _evaluate_condition(self, rule):
         """Condition value plus the incremental layer's per-consideration
-        outcome (``None`` when the layer is inactive or the condition is
-        trivial). The incremental path answers from maintained views and
+        outcome (``None`` when the condition is trivial). The
+        incremental path answers from maintained views and
         transition-table deltas when it can; any rule it cannot serve —
         unclassifiable condition, broken view, maintenance error — falls
-        back to :meth:`_check_condition`, the full-evaluation oracle."""
+        back to :meth:`_check_condition`, the full evaluation."""
         if rule.condition is None:
             return True, None
-        if self._incremental_active:
-            outcome, value = self.incremental.evaluate(
-                rule, self._info[rule.name]
-            )
-            if outcome != "fallback":
-                return value, {"outcome": outcome}
-            return self._check_condition(rule), {"outcome": "fallback"}
-        return self._check_condition(rule), None
+        outcome, value = self.incremental.evaluate(
+            rule, self._info[rule.name]
+        )
+        if outcome == "fallback":
+            value = self._check_condition(rule)
+        return value, {"outcome": outcome}
 
     def _check_condition(self, rule):
         """Evaluate the rule's condition against the current state and its
@@ -1030,17 +931,15 @@ class RuleEngine:
         Reordering is gated on every conjunct being *total* — unable to
         raise on any row — so short-circuit evaluation observes the same
         errors in any order; ``order_condition`` returns the original
-        object when reordering is off, unsafe, or a no-op, which keeps
-        the compiled-program cache (keyed on AST identity) warm.
+        object when reordering is unsafe or a no-op, which keeps the
+        compiled-program cache (keyed on AST identity) warm.
         """
         condition = rule.condition
-        if condition is None or not getattr(
-            self.database, "enable_cost_planner", False
-        ):
+        if condition is None:
             return condition
         key = (
             self.database.schema_version,
-            getattr(self.database, "stats_epoch", 0),
+            self.database.stats_epoch,
             id(condition),
         )
         cached = self._ordered_conditions.get(rule.name)

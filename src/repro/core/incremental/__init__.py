@@ -3,9 +3,9 @@
 Maintainable conditions become persisted support counters updated from
 each transition's net ``[I, D, U]`` effects instead of being re-run from
 scratch every consideration; the refined triggering graph additionally
-skips conditions a transition provably cannot affect. Gated by
-``database.enable_incremental_eval`` / ``REPRO_INCREMENTAL_EVAL``; full
-re-evaluation remains the differential oracle.
+skips conditions a transition provably cannot affect. Full
+re-evaluation remains the fallback for every unmaintainable condition
+and the differential oracle (``tests/reference/full_reeval.py``).
 """
 
 from .classify import (

@@ -21,11 +21,13 @@ module implements that framing for the maintainable fragment:
   provably false and is not evaluated at all (``graph_skip``) — the
   same single-action semantics PR 5's differential gate validates.
 
-Everything is behind ``database.enable_incremental_eval``
-(``REPRO_INCREMENTAL_EVAL=0`` forces it off); full re-evaluation remains
-the semantic oracle, and any classification gap, maintenance error or
-invalidation simply falls back to it. The invariance guarantee — same
-fired-rule sequences, same final state, same trace either way — is
+Full re-evaluation (the engine's ``_check_condition``) remains the
+semantic oracle: any classification gap, maintenance error or
+invalidation simply falls back to it, and
+``tests/reference/full_reeval.py`` — this manager's hook surface with an
+``evaluate`` that always answers ``"fallback"`` — runs whole programs
+through nothing else. The invariance guarantee — same fired-rule
+sequences, same final state, same trace either way — is
 docs/semantics.md §12, enforced by the incremental differential suite.
 """
 
@@ -91,9 +93,7 @@ class IncrementalManager:
     The engine calls the ``on_*``/``before_transition``/
     ``apply_transition`` hooks at its transaction and fold points and
     :meth:`evaluate` from the consideration loop; everything else is
-    internal. The manager itself is always constructed — with the layer
-    disabled the engine simply never calls in, so the off-mode engine is
-    behaviour- and cost-identical to one without the subsystem.
+    internal.
     """
 
     def __init__(self, database, catalog):
@@ -416,9 +416,6 @@ class IncrementalManager:
     def stats_snapshot(self):
         stats = self.stats
         return {
-            "enabled": bool(
-                getattr(self.database, "enable_incremental_eval", False)
-            ),
             "views": len(self._views),
             "classifications": stats.classifications,
             "rules_classified": stats.rules_classified,

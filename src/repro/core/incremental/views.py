@@ -51,7 +51,7 @@ def _batch_counter(database, table, binding, where):
     from ...relational.select import BaseTableResolver
 
     evaluator = Evaluator(database, BaseTableResolver(database))
-    stats = getattr(database, "vectorized_stats", None)
+    stats = database.vectorized_stats
 
     def count(batch):
         row_of = batch.row

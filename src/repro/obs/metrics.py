@@ -331,7 +331,7 @@ class MetricsCollector(EventSink):
         :meth:`~repro.relational.stats.OptimizerStats.snapshot` dict
         (cost-planned plans, join/conjunct/condition reorders, zone-map
         prune counters, stats-epoch replans and rebuilds), covering all
-        query evaluation under the cost planner. ``durability``
+        query evaluation. ``durability``
         is the attached manager's
         :meth:`~repro.durability.manager.DurabilityManager.stats_snapshot`
         (WAL bytes/records/latency, checkpoints, recovery), present only

@@ -17,7 +17,7 @@ from .dml import (
 from .expressions import Evaluator, Scope
 from .handles import HandleAllocator
 from .index import HashIndex, IndexRegistry
-from .planner import index_candidates
+from .plan.pushdown import index_candidates
 from .schema import Catalog, Column, TableSchema
 from .select import BaseTableResolver, SelectResult, evaluate_select
 from .table import Table

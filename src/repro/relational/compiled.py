@@ -169,20 +169,14 @@ class CompiledCache:
         predicate coercion at the root; ``batch=True`` compiles a
         vectorized :class:`BatchProgram` instead of a row closure;
         ``table`` (batch only) names the base table the layout's columns
-        come from, enabling catalog-kind specialization — the typed and
-        generic variants cache under distinct keys, so toggling
-        ``enable_typed_kernels`` never serves a stale specialization."""
+        come from, whose catalog kinds the kernels specialize on."""
         if self._schema_version != database.schema_version:
             if self._programs:
                 if stats is not None:
                     stats.invalidations += 1
                 self._programs.clear()
             self._schema_version = database.schema_version
-        spec = None
-        if batch:
-            typed = typed_kernels_enabled(database)
-            spec = (typed, table if typed else None)
-        key = (id(node), layout, predicate, batch, spec)
+        key = (id(node), layout, predicate, batch)
         entry = self._programs.get(key)
         if entry is not None:
             if stats is not None:
@@ -192,24 +186,20 @@ class CompiledCache:
             stats.cache_misses += 1
             stats.compiles += 1
         if batch:
-            kinds = None
-            typed_database = None
-            if spec is not None and spec[0]:
-                typed_database = database
-                if table is not None:
-                    kinds = _table_kinds(database, table)
+            kinds = (
+                _table_kinds(database, table) if table is not None else None
+            )
             if predicate:
                 program = compile_batch_predicate(
-                    node, layout, kinds, typed_database
+                    node, layout, kinds, database
                 )
             else:
                 program = compile_batch_expression(
-                    node, layout, kinds, typed_database
+                    node, layout, kinds, database
                 )
-            vstats = getattr(database, "vectorized_stats", None)
-            if vstats is not None:
-                vstats.typed_kernels += program.kernels_typed
-                vstats.generic_kernels += program.kernels_generic
+            vstats = database.vectorized_stats
+            vstats.typed_kernels += program.kernels_typed
+            vstats.generic_kernels += program.kernels_generic
         elif predicate:
             program = compile_predicate(node, layout)
         else:
@@ -242,20 +232,6 @@ def batch_program_for(database, node, layout, predicate=False, table=None):
     return database.compiled_cache.program_for(
         node, layout, database, predicate, database.compiler_stats,
         batch=True, table=table,
-    )
-
-
-def typed_kernels_enabled(database):
-    """Whether batch compilation may specialize kernels on static types.
-
-    Typed kernels sit on top of the vectorized layer: they need batch
-    kernels to exist at all, and ``REPRO_TYPED_KERNELS=0``
-    (``database.enable_typed_kernels``) turns only the specialization
-    off, leaving generic kernels as the differential baseline.
-    """
-    return bool(
-        getattr(database, "enable_typed_kernels", False)
-        and vectorized_enabled(database)
     )
 
 
@@ -1104,10 +1080,9 @@ def prune_selection(batch, specs, optimizer_stats):
         result = [slot for slot in sel if not prunable(slot >> ZONE_SHIFT)]
         if len(result) == len(sel):
             result = sel
-    if optimizer_stats is not None:
-        optimizer_stats.zones_considered += len(verdicts)
-        optimizer_stats.zones_pruned += sum(verdicts.values())
-        optimizer_stats.rows_zone_pruned += len(sel) - len(result)
+    optimizer_stats.zones_considered += len(verdicts)
+    optimizer_stats.zones_pruned += sum(verdicts.values())
+    optimizer_stats.rows_zone_pruned += len(sel) - len(result)
     return result
 
 
@@ -1126,8 +1101,11 @@ class _BatchCompiler:
     analysis over ``kinds`` — compile to *monomorphic* kernels with no
     per-value type dispatch and no try/except (a total subtree cannot
     raise, so error parity is trivially preserved). Everything else
-    keeps the generic kernels, and the row-compiled closures remain the
-    differential oracle for both.
+    keeps the generic kernels — the dynamic fallback, and with neither
+    argument supplied the whole tree, which is how
+    ``tests/property/test_inference_soundness.py`` obtains its
+    typed-versus-generic oracle — and the row-compiled closures remain
+    the differential oracle for both.
     """
 
     def __init__(self, layout, kinds=None, database=None):

@@ -43,10 +43,6 @@ class Database:
         #: plan cache is invalidated when it moves (plans depend on the
         #: catalog, not on table contents)
         self.schema_version = 0
-        #: execute selects through compiled logical plans (see
-        #: repro.relational.plan); False selects the naive
-        #: iterate-and-filter path — same results, different cost
-        self.enable_planner = True
         #: compiled plans per select AST (see repro.relational.plan.cache)
         self.plan_cache = PlanCache()
         #: planner/evaluator counters (rows scanned, cache hits, ...)
@@ -54,16 +50,6 @@ class Database:
 
         from .stats import OptimizerStats
 
-        #: cost plans with live table statistics (see
-        #: repro.relational.plan.cost): greedy join ordering, selectivity-
-        #: sorted conjuncts, selective index-key choice, zone-map batch
-        #: pruning, cost-ordered rule conditions. False keeps the PR 2
-        #: syntactic planner — same results, errors and fired-rule
-        #: sequences, different cost (the differential oracle).
-        #: REPRO_COST_PLANNER=0 forces the layer off (CI runs both ways).
-        self.enable_cost_planner = os.environ.get(
-            "REPRO_COST_PLANNER", "1"
-        ).lower() not in ("0", "off", "false")
         #: statistics epoch: bumped whenever any table's statistics are
         #: rebuilt (drift threshold, compaction, checkpoint) and by index
         #: DDL — the plan cache keys on it alongside schema_version, so
@@ -105,30 +91,6 @@ class Database:
         #: batch-kernel counters (batches scanned, selection-vector
         #: sizes, per-row fallbacks)
         self.vectorized_stats = VectorizedStats()
-
-        #: specialize batch kernels on statically-proven operand types
-        #: (catalog column kinds + definition-time type witnesses; see
-        #: the typed-kernel section of repro.relational.compiled) —
-        #: monomorphic comparison/arithmetic kernels with no per-value
-        #: dispatch. Layers on top of vectorized evaluation, so turning
-        #: that off disables this too; False keeps the generic
-        #: dispatching kernels — same values, errors and fired-rule
-        #: sequences, different cost. REPRO_TYPED_KERNELS=0 forces the
-        #: layer off (CI runs both ways).
-        self.enable_typed_kernels = os.environ.get(
-            "REPRO_TYPED_KERNELS", "1"
-        ).lower() not in ("0", "off", "false")
-
-        #: evaluate maintainable rule conditions from persisted support
-        #: counters updated by each transition's net deltas (see
-        #: repro.core.incremental); False re-runs every condition query
-        #: from scratch per consideration — same decisions, different
-        #: cost. REPRO_INCREMENTAL_EVAL=0 forces the layer off (CI runs
-        #: both ways). Read at transaction begin: toggling mid-
-        #: transaction takes effect at the next one.
-        self.enable_incremental_eval = os.environ.get(
-            "REPRO_INCREMENTAL_EVAL", "1"
-        ).lower() not in ("0", "off", "false")
 
         #: concurrency-control observers (see repro.concurrency). When
         #: set, ``on_table_read(name)`` is called from every read funnel

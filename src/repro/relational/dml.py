@@ -267,7 +267,7 @@ class DmlExecutor:
         indexed-equality conjunct (``col = literal``) narrows the scan to
         the index's candidates; the full predicate still decides.
         """
-        from .planner import index_candidates
+        from .plan.pushdown import index_candidates
 
         if self.database.on_table_read is not None:
             self.database.on_table_read(table_name)
@@ -297,7 +297,7 @@ class DmlExecutor:
                 batch.cols,
                 scope_for,
                 self._evaluator,
-                getattr(self.database, "vectorized_stats", None),
+                self.database.vectorized_stats,
             )
             sel = run_batch_filter(
                 self.database,

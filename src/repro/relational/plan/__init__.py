@@ -12,8 +12,8 @@ the same result. This package supplies that freedom in layers:
 * :mod:`~repro.relational.plan.cost` — statistics-driven estimation:
   expression totality, cardinality/selectivity, conjunct ordering, index
   key selection and zone-prune specs for the cost-based builder path;
-* :mod:`~repro.relational.plan.builder` — ``build_plan()``: AST → plan
-  (syntactic, or cost-ordered under ``database.enable_cost_planner``);
+* :mod:`~repro.relational.plan.builder` — ``build_plan()``: AST → plan,
+  every decision statistics can inform made by the cost model;
 * :mod:`~repro.relational.plan.executor` — runs a plan's source pipeline,
   producing the scopes the (shared) projection machinery consumes;
 * :mod:`~repro.relational.plan.cache` — the per-database plan cache
@@ -23,13 +23,14 @@ the same result. This package supplies that freedom in layers:
 
 **Plan-invariance guarantee:** plans never change §4 semantics, only
 cost. Every plan produces exactly the rows, columns and touched handles
-the naive iterate-and-filter evaluator in
-:mod:`repro.relational.select` produces (property-tested differentially
-in ``tests/property/test_planner_differential.py``); the naive path
-stays available behind ``database.enable_planner = False``. The
-cost-based path adds only a reordering layer on top — gated so result
-rows, errors and row order are all preserved (docs/semantics.md §15) —
-and can be disabled independently via ``enable_cost_planner``.
+of the FROM product with the whole WHERE evaluated per combination —
+``tests/reference/naive_select.py``, the auditable reference the
+differential suite ``tests/property/test_planner_differential.py``
+compares against (docs/semantics.md §8 states what holds for errors).
+What statistics decide — join order, conjunct order, index keys, zone
+pruning — is gated so result rows, errors and row order match the
+FROM-order plan ``tests/reference/syntactic_planner.py`` builds
+(docs/semantics.md §15).
 """
 
 from typing import Any

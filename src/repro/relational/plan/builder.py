@@ -6,41 +6,33 @@ Planning decisions, in order:
    residual — see :mod:`~repro.relational.plan.pushdown`);
 2. give every FROM item a leaf: an :class:`~repro.relational.plan.nodes
    .IndexLookup` when a pushed ``col = literal`` conjunct hits an
-   existing hash index (base tables only), else a full
-   :class:`~repro.relational.plan.nodes.Scan`; pushed conjuncts become a
-   per-leaf :class:`~repro.relational.plan.nodes.Filter` (they *always*
-   re-run, even when an index served candidates, so index contents can
-   never change results);
-3. join the leaves left-to-right in FROM order: a
+   existing hash index (base tables only; keys chosen by estimated
+   bucket size), else a full :class:`~repro.relational.plan.nodes.Scan`;
+   pushed conjuncts become a per-leaf
+   :class:`~repro.relational.plan.nodes.Filter` (they *always* re-run,
+   even when an index served candidates, so index contents can never
+   change results), sorted cheapest-and-most-selective first when every
+   moved conjunct is provably total, with zone-map prune specs attached
+   over base tables;
+3. join the leaves greedily by estimated output size: a
    :class:`~repro.relational.plan.nodes.HashJoin` when an unused
    equi-conjunct connects the tables joined so far to the next one, else
-   a :class:`~repro.relational.plan.nodes.Product`;
-4. wrap the residual conjuncts (if any) in a top-level Filter, then add
-   the result chain (Project/Aggregate, Distinct, Sort, Limit) mirroring
-   the select's clauses.
+   a :class:`~repro.relational.plan.nodes.Product`; a
+   :class:`~repro.relational.plan.nodes.RestoreOrder` node restores the
+   FROM enumeration order whenever the join order left it;
+4. wrap the residual conjuncts (if any, ordered like pushed ones) in a
+   top-level Filter, then add the result chain (Project/Aggregate,
+   Distinct, Sort, Limit) mirroring the select's clauses.
 
-That is the *syntactic* path, which reads only the catalog (schemas and
-indexes). With ``database.enable_cost_planner`` on (the default), the
-*cost* path layers statistics-driven decisions on top — see
-:mod:`~repro.relational.plan.cost`:
-
-* pushed conjuncts and the residual are sorted cheapest-and-most-
-  selective first (only when every moved conjunct is provably total);
-* index keys are chosen by estimated bucket size instead of "all of
-  them";
-* zone-map prune specs are attached to pushed filters over base tables;
-* leaves are joined greedily by estimated output size instead of FROM
-  order, with a :class:`~repro.relational.plan.nodes.RestoreOrder` node
-  restoring the FROM enumeration order whenever the order changed (so
-  results stay order-identical to the syntactic plan's);
-* every source node carries ``est_rows`` for EXPLAIN.
-
-All tie-breaking is strict-improvement-only over FROM-position
-iteration order, so on absent statistics (empty tables) the cost path
-builds the *identical* tree the syntactic path builds. Cost plans
-additionally depend on table statistics, which is why the plan cache
-keys on ``database.stats_epoch`` (see
-:mod:`~repro.relational.plan.cache`).
+Estimates come from :mod:`~repro.relational.plan.cost`, and every source
+node carries ``est_rows`` for EXPLAIN. All tie-breaking is
+strict-improvement-only over FROM-position iteration order, so on absent
+statistics (empty tables) the tree is the *syntactic* one: FROM order,
+written conjunct order, every index key. ``tests/reference/
+syntactic_planner.py`` builds that tree unconditionally and is the
+differential oracle for everything statistics decide. Plans depend on
+table statistics, which is why the plan cache keys on
+``database.stats_epoch`` (see :mod:`~repro.relational.plan.cache`).
 """
 
 from __future__ import annotations
@@ -84,69 +76,9 @@ def build_plan(database: Any, select: ast.Select) -> Plan:
         )
 
     classified = classify_where(select.where, binding_columns)
-
-    if getattr(database, "enable_cost_planner", False):
-        source = _build_cost_source(
-            database, select, binding_columns, classified
-        )
-    else:
-        source = _build_syntactic_source(
-            database, select, binding_columns, classified
-        )
-
+    source = _build_source(database, select, binding_columns, classified)
     root = _build_result_chain(select, source)
     return Plan(select, source, root, binding_columns)
-
-
-# ---------------------------------------------------------------------------
-# the syntactic path (PR 2) — also the cost path's differential oracle
-
-
-def _build_syntactic_source(database: Any, select: Any,
-                            binding_columns: Any, classified: Any) -> Any:
-    source = None if select.tables else SingleRow()
-    used_joins = [False] * len(classified.joins)
-    joined: set[str] = set()
-    for table_ref in select.tables:
-        binding = table_ref.binding_name
-        leaf = _build_leaf(
-            database, table_ref, binding, binding_columns[binding],
-            classified.pushed.get(binding, ()),
-        )
-        if source is None:
-            source = leaf
-        else:
-            left_keys, right_keys = _connecting_keys(
-                classified.joins, used_joins, joined, binding
-            )
-            if left_keys:
-                source = HashJoin(source, leaf, tuple(left_keys),
-                                  tuple(right_keys))
-            else:
-                source = Product(source, leaf)
-        joined.add(binding)
-
-    return _with_residual(source, classified, used_joins)
-
-
-def _build_leaf(database: Any, table_ref: Any, binding: str,
-                columns: tuple[str, ...], pushed: Any) -> Any:
-    pushed = tuple(pushed)
-    leaf: Any = None
-    if isinstance(table_ref, ast.BaseTableRef):
-        keys = [
-            (index.name, column, value)
-            for index, column, value in _index_candidates(
-                database, table_ref, binding, pushed
-            )
-        ]
-        if keys:
-            leaf = IndexLookup(table_ref, binding, columns, tuple(keys))
-    if leaf is None:
-        leaf = Scan(table_ref, binding, columns)
-    if pushed:
-        leaf = Filter(leaf, pushed)
-    return leaf
 
 
 def _index_candidates(database: Any, table_ref: Any, binding: str,
@@ -206,12 +138,8 @@ def _with_residual(source: Any, classified: Any, used_joins: Any,
     return Filter(source, tuple(residual), residual=True)
 
 
-# ---------------------------------------------------------------------------
-# the cost path (PR 9)
-
-
-def _build_cost_source(database: Any, select: Any,
-                       binding_columns: Any, classified: Any) -> Any:
+def _build_source(database: Any, select: Any,
+                  binding_columns: Any, classified: Any) -> Any:
     optimizer = database.optimizer_stats
     optimizer.plans_costed += 1
     layers = cost.kind_layers(database, select.tables)
@@ -434,7 +362,7 @@ def _greedy_join_order(database: Any, select: Any, joins: Any,
 
 
 # ---------------------------------------------------------------------------
-# the result chain (shared by both paths)
+# the result chain
 
 
 def _build_result_chain(select: Any, source: Any) -> Any:

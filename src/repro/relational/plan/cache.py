@@ -2,19 +2,19 @@
 
 Rule processing (paper §4, Figure 1) re-evaluates every triggered rule's
 condition at the end of each transition, so the same condition/action
-selects run over and over within — and across — transactions. Plans
-depend only on the catalog (schemas, indexes), never on table contents,
-so one compiled plan serves every one of those evaluations: the cache is
-keyed by the select AST node itself (frozen dataclasses hash and compare
-structurally, so re-parsed ad-hoc text deduplicates too) and invalidated
-wholesale whenever ``database.schema_version`` moves — i.e. on any
-schema or index DDL.
+selects run over and over within — and across — transactions. A plan's
+*correctness* depends only on the catalog (schemas, indexes), never on
+table contents, so one compiled plan serves every one of those
+evaluations: the cache is keyed by the select AST node itself (frozen
+dataclasses hash and compare structurally, so re-parsed ad-hoc text
+deduplicates too) and invalidated wholesale whenever
+``database.schema_version`` moves — i.e. on any schema or index DDL.
 
-With the cost planner (PR 9) plans additionally depend on table
-*statistics*, so the cache also tracks ``database.stats_epoch``: when
-any table's stats are rebuilt past its drift threshold (or index DDL
-changes the NDV sources), cached plans are dropped and re-costed. Those
-invalidations are counted as ``optimizer.replans``.
+A plan's *cost* depends on table statistics, so the cache also tracks
+``database.stats_epoch``: when any table's stats are rebuilt past its
+drift threshold (or index DDL changes the NDV sources), cached plans
+are dropped and re-costed. Those invalidations are counted as
+``optimizer.replans``.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ DELTA_FIELDS = (
 class PlannerStats:
     """Monotone counters for plan-cache and data-flow behaviour.
 
-    Maintained by the plan cache and both execution paths (the planner
-    *and* the naive evaluator count ``rows_scanned``/``rows_visited``,
-    so planner-on/off comparisons read the same gauges). The engine
-    snapshots deltas around condition/action evaluation and emits them
-    on the observability bus.
+    Maintained by the plan cache and the plan executor (the naive
+    reference under ``tests/reference/`` counts ``rows_scanned`` /
+    ``rows_visited`` into the same gauges, so planned-versus-naive
+    comparisons read like for like). The engine snapshots deltas around
+    condition/action evaluation and emits them on the observability bus.
     """
 
     __slots__ = (
@@ -109,38 +109,33 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def plan_for(self, select: Any, database: Any, stats: Any = None) -> Any:
-        """The cached plan for ``select``, building (and caching) on miss."""
+    def plan_for(self, select: Any, database: Any, stats: Any) -> Any:
+        """The cached plan for ``select``, building (and caching) on
+        miss; ``stats`` is the :class:`PlannerStats` to count into."""
         from .builder import build_plan
 
         if self._schema_version != database.schema_version:
             if self._plans:
-                if stats is not None:
-                    stats.plan_cache_invalidations += 1
+                stats.plan_cache_invalidations += 1
                 self._plans.clear()
             self._schema_version = database.schema_version
-            self._stats_epoch = getattr(database, "stats_epoch", None)
-        elif self._stats_epoch != getattr(database, "stats_epoch", None):
+            self._stats_epoch = database.stats_epoch
+        elif self._stats_epoch != database.stats_epoch:
             # statistics drifted past a table's rebuild threshold (or an
             # index came/went): cached plans were costed against stale
             # estimates — re-plan (a "replan", distinct from the schema
             # invalidation above, which would re-plan regardless of cost)
             if self._plans:
-                if stats is not None:
-                    stats.plan_cache_invalidations += 1
-                optimizer = getattr(database, "optimizer_stats", None)
-                if optimizer is not None:
-                    optimizer.replans += 1
+                stats.plan_cache_invalidations += 1
+                database.optimizer_stats.replans += 1
                 self._plans.clear()
-            self._stats_epoch = getattr(database, "stats_epoch", None)
+            self._stats_epoch = database.stats_epoch
         plan = self._plans.get(select)
         if plan is not None:
-            if stats is not None:
-                stats.plan_cache_hits += 1
+            stats.plan_cache_hits += 1
             return plan
-        if stats is not None:
-            stats.plan_cache_misses += 1
-            stats.plans_built += 1
+        stats.plan_cache_misses += 1
+        stats.plans_built += 1
         plan = build_plan(database, select)
         if len(self._plans) >= self.max_entries:
             self._plans.clear()

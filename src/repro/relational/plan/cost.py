@@ -1,10 +1,10 @@
 """The cost model: cardinality, selectivity, totality, and ordering.
 
 The paper's thesis (§1) is that set-oriented rule processing lets the
-rule system inherit ordinary relational optimization. PR 2 delivered the
-*syntactic* half (pushdown, hash joins, index lookups); this module adds
-the *statistics-driven* half on top of the live per-table statistics of
-:mod:`repro.relational.stats`:
+rule system inherit ordinary relational optimization. Pushdown, hash
+joins and index lookups are *syntactic* (:mod:`.pushdown`,
+:mod:`.builder`); this module is the *statistics-driven* half on top of
+the live per-table statistics of :mod:`repro.relational.stats`:
 
 * **cardinality** estimates for leaves (row counts, index bucket
   probes) and joins (the classic ``|L|*|R| / max(ndv_l, ndv_r)``);
@@ -21,8 +21,9 @@ Why totality gates reordering
 -----------------------------
 
 The optimizer invariance guarantee (docs/semantics.md §15) promises that
-the cost planner changes *cost only*: values, errors, and fired-rule
-sequences are identical to the syntactic planner's. Values are safe
+statistics change *cost only*: values, errors, and fired-rule sequences
+are identical to those of the FROM-order, written-conjunct-order plan
+(``tests/reference/syntactic_planner.py``). Values are safe
 because 3VL ``AND`` is commutative and join output is re-sorted into
 FROM enumeration order (see ``RestoreOrder``); errors are the hazard.
 Reordering two conjuncts where one can raise (``x / 0``, a cross-kind
@@ -31,7 +32,7 @@ first, or whether it surfaces at all. So every reorder is gated on a
 conservative proof that each moved expression is *total*: it evaluates
 to a value (possibly NULL/Unknown) on every row without raising. When
 the proof fails, the syntactic order is kept — the optimizer degrades
-to the PR 2 behaviour, never to different semantics.
+to the written order, never to different semantics.
 
 Why there is no index-lookup → scan demotion
 --------------------------------------------
@@ -41,8 +42,8 @@ in sorted-handle order; a :class:`~repro.relational.plan.nodes.Scan`
 emits live-insertion order. The two orders coincide on fresh tables but
 diverge after transaction undo (an undone delete re-inserts the old
 handle at the *end* of the live order). Demoting a useless index lookup
-to a scan would therefore change result order relative to the cost-off
-plan. Instead the cost model performs *selective key choice*: among the
+to a scan would therefore change result order relative to the
+syntactic plan. Instead the cost model performs *selective key choice*: among the
 indexable equality conjuncts it keeps only the keys whose estimated
 buckets are worth intersecting (always at least the best one). Any
 subset of keys yields a candidate *superset*, still sorted by handle
@@ -548,10 +549,6 @@ def order_condition(database: Any, condition: Any) -> Any:
     environment is empty — every column reference must come from a
     subquery's own bindings to prove total.
     """
-    if condition is None or not getattr(
-        database, "enable_cost_planner", False
-    ):
-        return condition
     parts = list(conjuncts(condition))
     ranked = order_conjuncts(database, parts, (), None)
     if ranked is None or ranked == parts:

@@ -4,8 +4,8 @@
 tree and returns one :class:`~repro.relational.expressions.Scope` per
 surviving combination — the same objects (same binding layout, same
 ``touched_pairs`` attribute) the naive product enumerator in
-:mod:`repro.relational.select` produces, so the shared projection
-machinery is oblivious to which path ran.
+``tests/reference/naive_select.py`` produces, so the shared projection
+machinery is oblivious to which of the two ran.
 
 Combination order is the nested-loop order: for every pipeline node the
 left/outer input's order is preserved and the right input's rows keep
@@ -213,8 +213,7 @@ class _SourceRunner:
                 # zone maps: skip whole storage zones that cannot satisfy
                 # a total col-op-literal conjunct, before any kernel runs
                 sel = prune_selection(
-                    batch, node.prune_specs,
-                    getattr(self.database, "optimizer_stats", None),
+                    batch, node.prune_specs, self.database.optimizer_stats
                 )
                 if sel is not batch.sel:
                     batch = batch.with_sel(sel)
@@ -246,9 +245,7 @@ class _SourceRunner:
             else None
         )
         if resolved is None:
-            vstats = getattr(self.database, "vectorized_stats", None)
-            if vstats is not None:
-                vstats.row_fallbacks += 1
+            self.database.vectorized_stats.row_fallbacks += 1
             return None
         columns, batch = resolved
         if self.stats is not None:
@@ -290,7 +287,7 @@ class _SourceRunner:
 
         return BatchContext(
             batch.cols, scope_for, self.evaluator,
-            getattr(self.database, "vectorized_stats", None),
+            self.database.vectorized_stats,
         )
 
     def _combos_from_batch(self, batch: Any) -> list[Any]:
@@ -498,9 +495,7 @@ class _SourceRunner:
             batch_program_for(self.database, expr, layout)
             for expr in key_exprs
         ]
-        vstats = getattr(self.database, "vectorized_stats", None)
-        if vstats is not None:
-            vstats.batches_scanned += 1
+        self.database.vectorized_stats.batches_scanned += 1
         value_lists, err = run_batch_programs(
             programs, self._batch_context(bindings, batch), batch.sel
         )

@@ -42,7 +42,7 @@ class Scan:
     """Full scan of one FROM item (base *or* transition table).
 
     ``est_rows`` (here and on every source node) is the cost model's
-    plan-time cardinality estimate — None on syntactic plans;
+    plan-time cardinality estimate (None on a node built without one);
     ``actual_rows`` is the node's output size from its most recent
     execution, written by the executor so EXPLAIN can show estimated
     vs. actual rows per node.
@@ -297,14 +297,11 @@ def _describe(node: Any) -> str:
 
 
 def _annotation(node: Any) -> str:
-    """The ``  (est=..., act=...)`` suffix for nodes carrying cost-model
-    estimates and/or executor actuals; empty for syntactic plans (whose
-    explain output is unchanged from PR 2)."""
+    """The ``  (est=..., act=...)`` suffix for nodes carrying a
+    cost-model estimate; empty for those that have none (the result
+    chain, the residual filter, ``SingleRow``)."""
     est = getattr(node, "est_rows", None)
     if est is None:
-        # only the cost planner sets estimates; the executor tracks
-        # actuals on every plan, but showing them alone would change
-        # the syntactic renderer's pinned output
         return ""
     act = getattr(node, "actual_rows", None)
     act_text = "?" if act is None else str(act)

@@ -21,8 +21,7 @@ keeps exactly the combinations the full WHERE keeps. Anything not
 analysis for correctness.
 
 The module also hosts the indexed-equality candidate computation the
-single-table fast path and the DML executor share (formerly
-``repro.relational.planner``).
+DML executor narrows its identification scan with.
 """
 
 from __future__ import annotations

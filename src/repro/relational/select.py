@@ -1,19 +1,18 @@
-"""Select evaluation: planned or naive FROM/WHERE, shared projection.
+"""Select evaluation: a planned FROM/WHERE under a shared projection.
 
-The paper's semantics are defined over query *results*, not plans (§4),
-so two execution paths coexist over one projection/aggregation back end:
+The paper's semantics are defined over query *results*, not plans (§4).
+Each select arm compiles to a logical plan
+(:mod:`repro.relational.plan`) — per-table conjunct pushdown, index
+lookups, hash equi-joins — cached per AST on the database and reused
+across rule consideration rounds; :meth:`_SelectExecutor._planned_scopes`
+is the one seam between FROM/WHERE and the projection/aggregation back
+end below it.
 
-* the **planned** path (default): each select arm compiles to a logical
-  plan (:mod:`repro.relational.plan`) — per-table conjunct pushdown,
-  index lookups, hash equi-joins — cached per AST on the database and
-  reused across rule consideration rounds;
-* the **naive** path (``database.enable_planner = False``): the original
-  iterate-and-filter Cartesian product, kept as the auditable reference
-  implementation and the differential-testing oracle.
-
-Both paths produce identical rows, columns, ordering and touched
-handles; only the cost differs (the plan-invariance guarantee, see
-``docs/semantics.md``).
+The auditable reference — the FROM product with the whole WHERE
+evaluated per combination — lives in ``tests/reference/naive_select.py``
+and plugs in at that seam; the planned path must return the same
+columns, rows, order and touched handles (the plan-invariance guarantee,
+``docs/semantics.md`` §8).
 
 Table resolution is pluggable: :class:`BaseTableResolver` serves ordinary
 tables; the rule engine supplies a resolver that additionally serves the
@@ -178,14 +177,8 @@ class _SelectExecutor:
     # ------------------------------------------------------------------
 
     def _run_single(self, select, outer):
-        stats = getattr(self.database, "planner_stats", None)
-        batch = None
-        if getattr(self.database, "enable_planner", False):
-            bindings, scopes, batch = self._planned_scopes(
-                select, outer, stats
-            )
-        else:
-            bindings, scopes = self._naive_scopes(select, outer, stats)
+        stats = self.database.planner_stats
+        bindings, scopes, batch = self._planned_scopes(select, outer, stats)
 
         if self.collect_handles:
             seen = set(self.touched)
@@ -237,23 +230,23 @@ class _SelectExecutor:
         rows = [row for row, _ in projected]
         if select.limit is not None:
             rows = rows[: select.limit]
-        if stats is not None:
-            stats.rows_returned += len(rows)
+        stats.rows_returned += len(rows)
         return SelectResult(columns, rows)
 
     # ------------------------------------------------------------------
-    # FROM/WHERE handling — planned path
+    # FROM/WHERE handling
 
     def _planned_scopes(self, select, outer, stats):
         """Compile (or fetch) the arm's plan and run its source pipeline;
-        the surviving scopes are exactly the naive path's post-WHERE
-        scopes (plan-invariance guarantee). Under vectorized evaluation
-        a single-binding pipeline comes back as a still-columnar batch
+        returns ``(bindings, scopes, batch)``. The surviving scopes are
+        exactly the post-WHERE combinations of the FROM product
+        (plan-invariance guarantee). Under vectorized evaluation a
+        single-binding pipeline comes back as a still-columnar batch
         (scopes None) for the projection paths to consume directly."""
         from .plan.executor import execute_source_batched
 
         plan = self.database.plan_cache.plan_for(select, self.database, stats)
-        bindings, scopes, batch = execute_source_batched(
+        return execute_source_batched(
             plan,
             self.database,
             self.resolver,
@@ -262,111 +255,6 @@ class _SelectExecutor:
             collect_handles=self.collect_handles,
             stats=stats,
         )
-        return bindings, scopes, batch
-
-    # ------------------------------------------------------------------
-    # FROM/WHERE handling — naive path
-
-    def _naive_scopes(self, select, outer, stats):
-        resolved = self._resolve_tables(select)
-        scopes = self._product_scopes(resolved, outer)
-        if stats is not None:
-            stats.rows_scanned += sum(len(rows) for _, _, rows, _ in resolved)
-            stats.rows_visited += len(scopes)
-        if select.where is not None:
-            scopes = [
-                scope
-                for scope in scopes
-                if self.evaluator.evaluate_predicate(select.where, scope) is True
-            ]
-        bindings = [(name, columns) for name, columns, _, _ in resolved]
-        return bindings, scopes
-
-    def _resolve_tables(self, select):
-        """Resolve FROM items to (binding_name, columns, rows, pairs) tuples.
-
-        ``pairs`` is a per-row list of ``(table, handle)`` when handle
-        tracking is on and the reference is a base table, else ``None``.
-        """
-        bindings = []
-        seen = set()
-        single_table = len(select.tables) == 1
-        for table_ref in select.tables:
-            name = table_ref.binding_name
-            if name in seen:
-                raise ExecutionError(
-                    f"duplicate table name or alias {name!r} in FROM clause; "
-                    "use aliases to distinguish"
-                )
-            seen.add(name)
-            restricted = None
-            if (
-                single_table
-                and select.where is not None
-                and isinstance(table_ref, ast.BaseTableRef)
-            ):
-                # indexed-equality pushdown for single-table scans; the
-                # full WHERE still filters the candidates afterwards
-                from .plan.pushdown import index_candidates
-
-                table = self.database.table(table_ref.table)
-                restricted = index_candidates(
-                    select.where, table, {name, table_ref.table}
-                )
-            if restricted is not None:
-                table = self.database.table(table_ref.table)
-                columns = table.schema.column_names
-                handles = sorted(restricted)
-                rows = [table.get(handle) for handle in handles]
-                pairs = None
-                if self.collect_handles:
-                    pairs = [(table_ref.table, handle) for handle in handles]
-            else:
-                columns, rows = self.resolver.resolve(table_ref)
-                pairs = None
-                if self.collect_handles and isinstance(
-                    table_ref, ast.BaseTableRef
-                ):
-                    table = self.database.table(table_ref.table)
-                    pairs = [
-                        (table_ref.table, handle)
-                        for handle in table.iter_handles()
-                    ]
-            bindings.append((name, columns, rows, pairs))
-        return bindings
-
-    @staticmethod
-    def _product_scopes(bindings, outer):
-        """One :class:`Scope` per combination of the FROM tables' rows."""
-        if not bindings:
-            scope = Scope(parent=outer)
-            scope.rows = ()
-            return [scope]
-        scopes = []
-        combination = [None] * len(bindings)
-        touched = [None] * len(bindings)
-
-        def recurse(depth):
-            if depth == len(bindings):
-                scope = Scope(parent=outer)
-                for (name, columns, _, _), row in zip(bindings, combination):
-                    scope.bind(name, columns, row)
-                # aligned row tuples for the compiled projection path
-                # (same contract as the plan executor's scopes)
-                scope.rows = tuple(combination)
-                pairs = [pair for pair in touched if pair is not None]
-                if pairs:
-                    scope.touched_pairs = pairs
-                scopes.append(scope)
-                return
-            _, _, rows, row_pairs = bindings[depth]
-            for index, row in enumerate(rows):
-                combination[depth] = row
-                touched[depth] = row_pairs[index] if row_pairs else None
-                recurse(depth + 1)
-
-        recurse(0)
-        return scopes
 
     # ------------------------------------------------------------------
     # projection
@@ -483,7 +371,7 @@ class _SelectExecutor:
 
         return BatchContext(
             batch.cols, scope_for, self.evaluator,
-            getattr(self.database, "vectorized_stats", None),
+            self.database.vectorized_stats,
         )
 
     def _project_plain_batch(self, select, batch, bindings, outer):

@@ -271,9 +271,9 @@ class OptimizerStats:
         self.replans = 0
         self.stats_rebuilds = 0
 
-    def snapshot(self, enabled=None):
+    def snapshot(self):
         considered = self.zones_considered
-        result = {
+        return {
             "plans_costed": self.plans_costed,
             "joins_reordered": self.joins_reordered,
             "conjuncts_reordered": self.conjuncts_reordered,
@@ -287,9 +287,6 @@ class OptimizerStats:
             "replans": self.replans,
             "stats_rebuilds": self.stats_rebuilds,
         }
-        if enabled is not None:
-            result["enabled"] = enabled
-        return result
 
     def counters(self):
         """The :data:`OPTIMIZER_DELTA_FIELDS` values as a tuple."""

@@ -189,9 +189,9 @@ class ActiveDatabase:
         """The logical plan for a select (text or AST) as rendered text.
 
         Also reachable as the ``explain <select>`` statement. The plan is
-        the one the planner would (and will — EXPLAIN warms the plan
-        cache) run; with ``database.enable_planner`` off the plan is still
-        shown, but execution takes the naive path.
+        the one execution will run — EXPLAIN warms the plan cache — and
+        its source nodes carry ``(est=, act=)``: the cost model's
+        estimate and the node's output size at its last execution.
         """
         from .relational.plan import explain_select
 

@@ -303,7 +303,6 @@ class TestMaintainedViewTripwire:
         """End to end: a counter-maintained condition evaluated by one
         session must not reuse a view synchronized against another
         session's (since-detached) writes."""
-        db.database.enable_incremental_eval = True
         db.execute("create table audit (name varchar)")
         db.execute(
             "create rule watch when inserted into t "

@@ -9,8 +9,9 @@ order, so the oracle replays exactly the committed transactions, in
 commit order, on a fresh database and demands bit-identical table
 contents.
 
-The matrix runs every seed with the incremental layer and the
-vectorized layer each on and off (4 configurations), because the
+The matrix runs every seed with maintained condition views or
+``tests/reference/full_reeval.py`` in their place, and with the
+vectorized layer on and off (4 configurations), because the
 concurrency machinery context-switches *around* both: suspended
 transactions must not leave stale support counters or batch caches
 behind. 50 seeds × 4 configs = 200 generated schedules, comfortably
@@ -27,6 +28,7 @@ import pytest
 from repro import ActiveDatabase
 from repro.concurrency import TransactionCoordinator
 from repro.errors import ConflictError
+from tests.reference import full_reeval
 
 SCHEMA = [
     "create table acct (name varchar, bal float)",
@@ -52,7 +54,8 @@ SEED_NAMES = ("a0", "a1", "a2")
 
 def build(incremental, vectorized):
     db = ActiveDatabase()
-    db.database.enable_incremental_eval = incremental
+    if not incremental:
+        full_reeval.install(db)
     db.database.enable_vectorized_eval = vectorized
     for statement in SCHEMA:
         db.execute(statement)

@@ -90,7 +90,6 @@ class TestExecution:
     def test_estimate_annotation_format(self, db):
         """Format-pinning for the est/act annotations: two spaces, then
         ``(est=<int>, act=<int|?>)`` — ``?`` until the node has run."""
-        db.database.enable_cost_planner = True
         sql = "select name from emp where salary > 50000"
         text = db.explain(sql)
         assert "Scan emp  (est=2, act=?)" in text
@@ -100,14 +99,6 @@ class TestExecution:
         # 2 rows, salary spans 40000..90000: > 50000 interpolates to
         # est 1.6, rendered rounded; only Jane actually qualifies
         assert "Filter: salary > 50000  (est=2, act=1)" in text
-
-    def test_syntactic_plans_are_not_annotated(self):
-        adb = ActiveDatabase()
-        adb.database.enable_cost_planner = False
-        adb.execute("create table t (a integer)")
-        adb.execute("insert into t values (1)")
-        adb.query("select a from t where a > 0")
-        assert "(est=" not in adb.explain("select a from t where a > 0")
 
     def test_paper_section3_rule_condition_plan(self, db):
         """The README example: the condition of a §3-style rule joining a

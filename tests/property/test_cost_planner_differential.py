@@ -1,4 +1,4 @@
-"""Differential property test: cost planner on ≡ cost planner off.
+"""Differential property test: the planner ≡ the syntactic reference.
 
 The optimizer invariance guarantee (docs/semantics.md §15): statistics-
 driven planning — greedy join ordering, selectivity-sorted conjuncts,
@@ -6,8 +6,10 @@ selective index-key choice, zone-map pruning, cost-ordered rule
 conditions — may change the *cost* of evaluation, never its observable
 behaviour. These tests generate randomized data, indexes, multi-table
 queries (with error-raising conjuncts: division by zero, cross-kind
-comparisons), and rule programs, run them with ``enable_cost_planner``
-on and off, and require identical values, row order, touched handles,
+comparisons), and rule programs, run them through the production
+planner and through ``tests/reference/syntactic_planner.py`` (FROM
+order, written conjunct order, every index key — each on a database of
+its own), and require identical values, row order, touched handles,
 error types *and messages*, fired-rule sequences, and final state.
 """
 
@@ -17,6 +19,7 @@ from repro import ActiveDatabase
 from repro.relational.database import Database
 from repro.relational.select import evaluate_select
 from repro.sql.parser import parse_select
+from tests.reference import syntactic_planner
 
 T1_COLUMNS = ("a", "b", "c")
 T2_COLUMNS = ("b", "d")
@@ -73,9 +76,8 @@ def queries(draw):
     return f"select {items} from {tables}{where}{order}"
 
 
-def build_database(enabled, rows1, rows2, rows3, indexes):
+def build_database(rows1, rows2, rows3, indexes):
     db = Database()
-    db.enable_cost_planner = enabled
     db.create_table("t1", [(c, "integer") for c in T1_COLUMNS])
     db.create_table("t2", [(c, "integer") for c in T2_COLUMNS])
     db.create_table("t3", [(c, "integer") for c in T3_COLUMNS])
@@ -96,15 +98,21 @@ def outcome(db, select):
     return ("ok", result.columns, result.rows, result.touched)
 
 
+def syntactic_outcome(db, select):
+    with syntactic_planner.installed():
+        return outcome(db, select)
+
+
 class TestQueryEquivalence:
     @given(t1_rows, t2_rows, t3_rows, index_choice, queries())
     @settings(max_examples=150, deadline=None)
     def test_costed_equals_syntactic(self, rows1, rows2, rows3, indexes,
                                      sql):
         select = parse_select(sql)
-        costed = build_database(True, rows1, rows2, rows3, indexes)
-        syntactic = build_database(False, rows1, rows2, rows3, indexes)
-        assert outcome(costed, select) == outcome(syntactic, select), sql
+        costed = build_database(rows1, rows2, rows3, indexes)
+        syntactic = build_database(rows1, rows2, rows3, indexes)
+        assert outcome(costed, select) == \
+            syntactic_outcome(syntactic, select), sql
 
     @given(t1_rows, t2_rows, t3_rows, queries())
     @settings(max_examples=40, deadline=None)
@@ -113,13 +121,15 @@ class TestQueryEquivalence:
         """Replanning after a stats rebuild must stay equivalent (the
         re-costed plan may differ in shape, never in output)."""
         select = parse_select(sql)
-        costed = build_database(True, rows1, rows2, rows3, set())
-        syntactic = build_database(False, rows1, rows2, rows3, set())
-        assert outcome(costed, select) == outcome(syntactic, select), sql
+        costed = build_database(rows1, rows2, rows3, set())
+        syntactic = build_database(rows1, rows2, rows3, set())
+        assert outcome(costed, select) == \
+            syntactic_outcome(syntactic, select), sql
         for db in (costed, syntactic):
             db.insert_row("t1", (2, 2, 2))
             db.table("t1").rebuild_stats()
-        assert outcome(costed, select) == outcome(syntactic, select), sql
+        assert outcome(costed, select) == \
+            syntactic_outcome(syntactic, select), sql
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +170,8 @@ def rule_workloads(draw):
     return blocks
 
 
-def build_engine(enabled, thresholds):
+def build_engine(thresholds):
     db = ActiveDatabase(record_seen=False)
-    db.database.enable_cost_planner = enabled
     db.execute("create table t1 (a integer, b integer, c integer)")
     db.execute("create table t2 (b integer, d integer)")
     db.execute("create table t3 (d integer, e integer)")
@@ -193,10 +202,16 @@ class TestRuleEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_fired_sequences_and_state_match(self, thresholds, blocks):
-        on = build_engine(True, thresholds)
-        off = build_engine(False, thresholds)
+        costed = build_engine(thresholds)
+        with syntactic_planner.installed():
+            syntactic = build_engine(thresholds)
         for block in blocks:
-            assert observable(on, block) == observable(off, block), block
-        assert on.database.snapshot() == off.database.snapshot()
-        assert on.stats()["optimizer"]["enabled"] is True
-        assert off.stats()["optimizer"]["enabled"] is False
+            expected = observable(costed, block)
+            with syntactic_planner.installed():
+                assert observable(syntactic, block) == expected, block
+        assert costed.database.snapshot() == syntactic.database.snapshot()
+        # each engine planned with its own planner, and only with it
+        stats = costed.stats()
+        assert stats["optimizer"]["plans_costed"] == \
+            stats["planner"]["plans_built"]
+        assert syntactic.stats()["optimizer"]["plans_costed"] == 0

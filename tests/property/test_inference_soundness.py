@@ -17,8 +17,9 @@ soundness must hold on ill-typed programs too (their witnesses just
 must not claim totality). A second group checks the consumer end to
 end: typed batch kernels agree with generic kernels and the row
 interpreter on values *and* errors, and whole rule transactions fire
-the same rule sequences under every vectorized / incremental / typed
-on-off configuration.
+the same rule sequences whether kernels are typed or generic (the batch
+compilers called without ``kinds``), batches or rows, maintained views
+or ``tests/reference/full_reeval.py``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from repro.analysis.lint.context import LintContext
 from repro.analysis.types.infer import TypeInference, _TypeScope
 from repro.analysis.types.witness import witness_of
 from repro.errors import ReproError
+from repro.relational import compiled
 from repro.relational.compiled import (
     BatchContext,
     compile_batch_expression,
@@ -39,6 +41,7 @@ from repro.relational.expressions import Evaluator, Scope
 from repro.relational.select import BaseTableResolver
 from repro.relational.types import SqlType
 from repro.sql import ast
+from tests.reference import full_reeval
 
 COLUMNS = ("a", "b", "s", "flag")
 LAYOUT = (("t", COLUMNS),)
@@ -291,11 +294,22 @@ CONFIGS = [
 ]
 
 
-def run_scenario(config):
+def run_scenario(config, monkeypatch):
     adb = ActiveDatabase()
-    adb.database.enable_typed_kernels = config["typed"]
+    if not config["typed"]:
+        # generic kernels everywhere: the batch compilers called the way
+        # the typed-versus-generic property above calls them, without
+        # kinds and without a database to read witnesses against
+        for compile_fn in (compile_batch_expression,
+                           compile_batch_predicate):
+            monkeypatch.setattr(
+                compiled, compile_fn.__name__,
+                lambda node, layout, kinds, database, fn=compile_fn:
+                fn(node, layout),
+            )
     adb.database.enable_vectorized_eval = config["vectorized"]
-    adb.database.enable_incremental_eval = config["incremental"]
+    if not config["incremental"]:
+        full_reeval.install(adb)
     for statement in SCENARIO:
         adb.execute(statement)
     fired = []
@@ -316,18 +330,17 @@ class TestConfigurationDifferential:
         "config", CONFIGS[1:],
         ids=["generic", "row-path", "non-incremental", "interpreter"],
     )
-    def test_fired_sequences_and_results_match(self, config):
-        baseline = run_scenario(CONFIGS[0])
-        assert run_scenario(config) == baseline
+    def test_fired_sequences_and_results_match(self, config, monkeypatch):
+        baseline = run_scenario(CONFIGS[0], monkeypatch)
+        assert run_scenario(config, monkeypatch) == baseline
 
     def test_typed_kernels_actually_engaged(self):
         adb = ActiveDatabase()
         # typed kernels ride on the compiled + vectorized layers; force
-        # all three on so this check holds under the CI env matrix that
-        # disables the lower layers (REPRO_COMPILED_EVAL=0 etc.)
+        # both on so this check holds under the CI env matrix that
+        # disables them (REPRO_COMPILED_EVAL=0 etc.)
         adb.database.enable_compiled_eval = True
         adb.database.enable_vectorized_eval = True
-        adb.database.enable_typed_kernels = True
         for statement in SCENARIO:
             adb.execute(statement)
         for statement in WORKLOAD:

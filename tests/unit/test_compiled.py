@@ -21,6 +21,7 @@ from repro.relational.database import Database
 from repro.relational.expressions import Evaluator, Scope, _like_to_regex
 from repro.relational.select import BaseTableResolver
 from repro.sql.parser import parse_expression
+from tests.reference import full_reeval
 
 LAYOUT = (("emp", ("name", "salary", "dept_no")),)
 
@@ -281,10 +282,10 @@ class TestEngineIntegration:
 
         db = ActiveDatabase(record_seen=False)
         db.database.enable_compiled_eval = True
-        # pin the full condition path: with incremental evaluation on,
-        # this condition is answered from a maintained counter and never
-        # re-enters the compiled program per consideration
-        db.database.enable_incremental_eval = False
+        # pin the full condition path: as shipped this condition is
+        # answered from a maintained counter and never re-enters the
+        # compiled program per consideration
+        full_reeval.install(db)
         db.execute("create table t (x integer)")
         db.execute(
             "create rule watch when inserted into t "

@@ -23,7 +23,6 @@ from repro.sql.parser import parse_expression, parse_select
 @pytest.fixture
 def database():
     db = Database()
-    db.enable_cost_planner = True
     db.create_table("emp", [("name", "varchar"), ("salary", "float"),
                             ("dept_no", "integer")])
     db.create_table("dept", [("dept_no", "integer"), ("mgr_no", "integer")])
@@ -187,13 +186,6 @@ class TestOrderCondition:
 
     def test_unchanged_order_returns_same_object(self, database):
         condition = parse_expression("1 = 2 and 3 = 4")
-        assert order_condition(database, condition) is condition
-
-    def test_disabled_returns_same_object(self, database):
-        database.enable_cost_planner = False
-        condition = parse_expression(
-            "exists (select name from emp x) and 1 = 2"
-        )
         assert order_condition(database, condition) is condition
 
     def test_non_total_condition_kept(self, database):

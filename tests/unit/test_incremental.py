@@ -13,14 +13,12 @@ from repro.core.incremental import (
 from repro.obs import EventKind, RingBufferSink
 from repro.relational.database import Database
 from repro.sql.parser import parse_expression
+from tests.reference import full_reeval
 
 
 @pytest.fixture
 def db():
     db = ActiveDatabase()
-    # forced on explicitly so these hold even when the suite runs under
-    # REPRO_INCREMENTAL_EVAL=0 (the CI oracle run)
-    db.database.enable_incremental_eval = True
     db.execute("create table t (x integer)")
     db.execute("create table log (x integer)")
     return db
@@ -164,7 +162,6 @@ class TestCounterMaintenance:
         db.execute("insert into t values (2)")
         db.execute("insert into t values (3)")
         incremental = db.stats()["incremental"]
-        assert incremental["enabled"] is True
         assert incremental["view_refreshes"] == 1
         assert incremental["hits"] >= 2
         assert incremental["deltas_applied"] >= 2
@@ -283,9 +280,10 @@ class TestErrorParity:
         """A condition whose predicate errors must raise the same way
         whether the view path or the full path evaluates it (the view
         breaks, the rule falls back, the full path raises)."""
-        def run(enabled):
+        def run(incremental):
             db = ActiveDatabase()
-            db.database.enable_incremental_eval = enabled
+            if not incremental:
+                full_reeval.install(db)
             db.execute("create table t (x integer)")
             db.execute("create table log (x integer)")
             db.execute(
@@ -357,45 +355,13 @@ class TestGraphSkip:
 
 
 class TestModeGating:
-    def test_env_flag_disables_the_layer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_EVAL", "0")
-        db = ActiveDatabase()
-        db.execute("create table t (x integer)")
-        db.execute("create table log (x integer)")
-        db.execute(
-            "create rule r when inserted into t "
-            "if exists (select * from t where x > 10) "
-            "then insert into log values (1)"
-        )
-        assert db.execute("insert into t values (50)").rule_firings == 1
-        incremental = db.stats()["incremental"]
-        assert incremental["enabled"] is False
-        assert incremental["hits"] == 0
-        assert incremental["fallbacks"] == 0
-        assert incremental["views"] == 0
-
-    def test_flag_is_latched_at_begin(self, db):
-        db.execute(
-            "create rule r when inserted into t "
-            "if exists (select * from t where x > 10) "
-            "then insert into log values (1)"
-        )
-        db.begin()
-        db.database.enable_incremental_eval = False  # too late for this txn
-        db.execute("insert into t values (50)")
-        db.commit()
-        assert db.stats()["incremental"]["refreshes"] >= 1
-        before = db.stats()["incremental"]
-        # next transaction honours the toggle
-        db.execute("insert into t values (60)")
-        after = db.stats()["incremental"]
-        assert after["hits"] == before["hits"]
-        assert after["refreshes"] == before["refreshes"]
+    # the layer has no mode any more; the class keeps its name so the
+    # surviving test keeps its id
 
     def test_stats_surface_is_complete(self, db):
         incremental = db.stats()["incremental"]
         for key in (
-            "enabled", "views", "classifications", "rules_classified",
+            "views", "classifications", "rules_classified",
             "rules_unclassifiable", "view_refreshes", "deltas_applied",
             "delta_rows", "hits", "refreshes", "fallbacks", "graph_skips",
             "invalidations", "errors",

@@ -5,7 +5,7 @@ import pytest
 from repro import ActiveDatabase
 from repro.errors import CatalogError
 from repro.relational.database import Database
-from repro.relational.planner import conjuncts, index_candidates
+from repro.relational.plan.pushdown import conjuncts, index_candidates
 from repro.sql.parser import parse_expression
 
 

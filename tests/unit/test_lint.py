@@ -432,18 +432,6 @@ class TestDefinitionTimeEvents:
         )
         assert sink.of_kind(EventKind.LINT_DIAGNOSTIC) == []
 
-    def test_env_gate_disables_definition_lint(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFINE_LINT", "0")
-        sink = RingBufferSink()
-        db = ActiveDatabase(sink=sink)
-        db.execute("create table emp (name varchar, salary integer)")
-        db.execute(
-            "create rule watcher when inserted into emp "
-            "if exists (select * from inserted emp where salry > 0) "
-            "then delete from emp where salary < 0"
-        )
-        assert sink.of_kind(EventKind.LINT_DIAGNOSTIC) == []
-
 
 class TestScriptEntryPoint:
     def test_spans_point_into_the_script(self):

@@ -27,6 +27,7 @@ from repro.relational.plan import (
 from repro.relational.plan.pushdown import classify_where, referenced_bindings
 from repro.relational.select import evaluate_select
 from repro.sql.parser import parse_expression, parse_select
+from tests.reference import naive_select
 
 
 @pytest.fixture
@@ -240,7 +241,6 @@ class TestPlanCache:
         """Regression: CREATE/DROP INDEX must invalidate cached plans
         through the stats-epoch cache key, re-planning access paths and
         counting an optimizer replan."""
-        database.enable_cost_planner = True
         stats = database.planner_stats
         select = parse_select("select name from emp where dept_no = 1")
         before = database.plan_cache.plan_for(select, database, stats)
@@ -262,7 +262,6 @@ class TestPlanCache:
         """A statistics rebuild (drift threshold / compaction) moves the
         stats epoch without touching the schema version, so the next
         lookup re-costs the plan and counts an optimizer replan."""
-        database.enable_cost_planner = True
         stats = database.planner_stats
         select = parse_select("select name from emp")
         before = database.plan_cache.plan_for(select, database, stats)
@@ -304,15 +303,15 @@ class TestPlannedExecutionAgreesWithNaive:
 
     def both_paths(self, db, sql):
         select = parse_select(sql)
-        db.database.enable_planner = True
         planned = evaluate_select(db.database, select, collect_handles=True)
         planned.touched = []
         planned_full = evaluate_select(
             db.database, select, collect_handles=True
         )
-        db.database.enable_planner = False
-        naive = evaluate_select(db.database, select, collect_handles=True)
-        db.database.enable_planner = True
+        with naive_select.installed():
+            naive = evaluate_select(
+                db.database, select, collect_handles=True
+            )
         assert planned.columns == naive.columns
         assert planned.rows == naive.rows
         assert planned_full.touched == naive.touched
@@ -357,14 +356,12 @@ class TestPlannedExecutionAgreesWithNaive:
         db.execute("create table nums (n integer)")
         db.execute("insert into flags values (true), (false)")
         db.execute("insert into nums values (1), (0)")
-        db.database.enable_planner = True
         select = parse_select(
             "select f, n from flags, nums where f = n"
         )
         with pytest.raises(TypeError_):
             evaluate_select(db.database, select)
-        db.database.enable_planner = False
-        with pytest.raises(TypeError_):
+        with naive_select.installed(), pytest.raises(TypeError_):
             evaluate_select(db.database, select)
 
     def test_product_matches_naive(self):
@@ -404,14 +401,12 @@ class TestPlannedExecutionAgreesWithNaive:
             "select e.name from emp e, dept d where e.dept_no = d.dept_no"
         )
         stats.reset()
-        db.database.enable_planner = True
         evaluate_select(db.database, select)
         planned_visited = stats.rows_visited
         stats.reset()
-        db.database.enable_planner = False
-        evaluate_select(db.database, select)
+        with naive_select.installed():
+            evaluate_select(db.database, select)
         naive_visited = stats.rows_visited
-        db.database.enable_planner = True
         assert planned_visited == 4      # only matching combinations
         assert naive_visited == 15       # full 5 x 3 product
 

@@ -166,9 +166,8 @@ class TestOptimizerStats:
         stats.zones_considered = 4
         stats.zones_pruned = 2
         stats.rows_zone_pruned = 17
-        snap = stats.snapshot(enabled=True)
+        snap = stats.snapshot()
         assert snap["zone_prune_rate"] == 0.5
-        assert snap["enabled"] is True
         before = stats.counters()
         stats.replans += 3
         assert stats.delta_since(before) == {
