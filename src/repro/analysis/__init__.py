@@ -19,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from .confluence import (
     ProbeResult,
@@ -53,10 +54,10 @@ class AnalysisReport:
     conflicts: list = field(default_factory=list)
 
     @property
-    def warning_count(self):
+    def warning_count(self) -> int:
         return len(self.loops) + len(self.conflicts)
 
-    def describe(self):
+    def describe(self) -> str:
         lines = []
         for warning in self.loops:
             lines.append("LOOP: " + warning.describe())
@@ -67,7 +68,7 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def analyze(catalog):
+def analyze(catalog: Any) -> AnalysisReport:
     """Run all static checks over a rule catalog."""
     return AnalysisReport(
         graph=TriggeringGraph.from_catalog(catalog),

@@ -35,7 +35,7 @@ from ..graph import may_trigger
 from ..lint.base import register_pass
 from ..lint.context import LintContext, LintRule
 from ..lint.diagnostics import Diagnostic, make
-from .sets import ANY_COLUMN, RuleEffects, program_effects
+from .sets import ANY_COLUMN, RuleEffects, SchemaLookup, program_effects
 from ..conflicts import predicates_overlap
 
 _PASS = "effects"
@@ -161,7 +161,8 @@ def run(context: LintContext) -> Iterable[Diagnostic]:
 # ---------------------------------------------------------------------------
 # the OCC advisory
 
-def conflict_advisory(rules: Iterable[object], schema_lookup) -> dict:
+def conflict_advisory(rules: Iterable[object],
+                      schema_lookup: SchemaLookup) -> dict:
     """Table-level conflict forecast for ``stats()["analysis"]``.
 
     A table is *contended* when two different rules' effect sets

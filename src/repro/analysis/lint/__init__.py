@@ -17,7 +17,7 @@ import; see :mod:`repro.analysis.lint.base`.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ...relational.database import Database
 from ...sql import ast
@@ -63,7 +63,8 @@ def _run_passes(context: LintContext, scope: Optional[str] = None,
     return report
 
 
-def lint_catalog(catalog, database, *, closed_world: bool = False,
+def lint_catalog(catalog: Any, database: Any, *,
+                 closed_world: bool = False,
                  workload_writes: Iterable = ()) -> LintReport:
     """Analyze a live rule catalog against ``database``'s schemas.
 
@@ -82,7 +83,7 @@ def lint_catalog(catalog, database, *, closed_world: bool = False,
     return _run_passes(context)
 
 
-def lint_rule(catalog, database, rule_name: str) -> LintReport:
+def lint_rule(catalog: Any, database: Any, rule_name: str) -> LintReport:
     """Rule-scoped passes for one rule of a live catalog (the cheap
     subset run at definition time)."""
     context = LintContext(
@@ -94,7 +95,8 @@ def lint_rule(catalog, database, rule_name: str) -> LintReport:
     return _run_passes(context, scope="rule")
 
 
-def lint_statement(statement, database, catalog=None) -> LintReport:
+def lint_statement(statement: Any, database: Any,
+                   catalog: Any = None) -> LintReport:
     """Analyze one parsed statement against a live database.
 
     ``create rule`` statements get the rule-scoped passes (with spans

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ...sql.spans import Span
 
@@ -197,7 +197,7 @@ class LintReport:
         """Actionable diagnostics: errors and warnings (notes excluded)."""
         return [d for d in self.diagnostics if d.severity is not Severity.INFO]
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 
     def __len__(self) -> int:

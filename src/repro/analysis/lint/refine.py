@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from ...sql import ast
-from ..effects.sets import rule_effects, writes_can_populate
+from ..effects.sets import SchemaLookup, rule_effects, writes_can_populate
 from ..graph import may_trigger
 from .context import LintRule
 
@@ -140,7 +140,9 @@ def constant_fold(expr: object,
     return UNKNOWN
 
 
-def _fold_binary(expr: ast.BinaryOp, resolve) -> object:
+def _fold_binary(expr: ast.BinaryOp,
+                 resolve: Optional[Callable[[ast.ColumnRef], object]],
+                 ) -> object:
     op = expr.op
     if op == "and":
         left = constant_fold(expr.left, resolve)
@@ -345,7 +347,7 @@ def _conjunct_refuted(select: ast.Select, table_ref: ast.TransitionTableRef,
 
 def _predicate_discharged(provider: LintRule, consumer: LintRule,
                           predicate: ast.BasicTransitionPredicate,
-                          schema_lookup) -> bool:
+                          schema_lookup: SchemaLookup) -> bool:
     """Can we prove that triggering ``consumer`` via ``predicate`` from
     ``provider``'s action always leaves the condition false?"""
     condition = consumer.condition
@@ -400,7 +402,7 @@ def _describe_transition_ref(table_ref: ast.TransitionTableRef) -> str:
 
 
 def _effects_discharged(provider: LintRule, consumer: LintRule,
-                        schema_lookup) -> Optional[str]:
+                        schema_lookup: SchemaLookup) -> Optional[str]:
     """Effect-based discharge: a required exists-conjunct of the
     consumer selects from a transition view the provider's write set
     provably cannot populate (see module docstring). Returns the proof
@@ -426,7 +428,7 @@ def _effects_discharged(provider: LintRule, consumer: LintRule,
 
 
 def edge_realizable(provider: LintRule, consumer: LintRule,
-                    schema_lookup=lambda table: None,
+                    schema_lookup: SchemaLookup = lambda table: None,
                     ) -> tuple[bool, Optional[str]]:
     """Can ``provider``'s action actually trigger ``consumer``?
 
@@ -498,7 +500,7 @@ class RefinedTriggeringGraph:
     """
 
     def __init__(self, rules: list[LintRule],
-                 schema_lookup=lambda table: None) -> None:
+                 schema_lookup: SchemaLookup = lambda table: None) -> None:
         self.rules = list(rules)
         by_name = {rule.name: rule for rule in self.rules}
         self.base_successors: dict[str, list[str]] = {}

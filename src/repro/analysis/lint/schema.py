@@ -25,7 +25,7 @@ from ...relational.types import SqlType
 from ...sql import ast
 from ...sql.spans import span_of
 from .base import register_pass
-from .context import LintContext, LintRule
+from .context import LintContext
 from .diagnostics import Diagnostic, make
 
 _PASS = "schema"

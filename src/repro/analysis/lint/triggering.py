@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from ...sql.spans import Span
 from ..conflicts import actions_interfere, predicates_overlap
 from ..graph import strongly_connected_components
 from .base import register_pass
@@ -46,7 +47,7 @@ def _chain(loop: tuple[str, ...]) -> str:
     return " -> ".join(loop) + f" -> {loop[0]}"
 
 
-def _anchor(context: LintContext, loop: tuple[str, ...]):
+def _anchor(context: LintContext, loop: tuple[str, ...]) -> Optional[Span]:
     """Span to attach a loop finding to: the first member with one."""
     for name in loop:
         rule = context.rule_named(name)

@@ -18,8 +18,10 @@ durability directory:
    each commit record already *is* the composed net effect of its
    transaction's rule processing — verifying the per-table row counts
    each commit record captured;
-4. rebuild hash indexes and table statistics from storage, once: bulk
-   replay maintains neither.
+4. recompute table statistics exactly from storage (replay goes
+   through the same set mutators as any other write, so indexes and
+   statistics were maintained all along; this only resets the
+   widen-only bounds and the drift).
 
 The recovered database starts a fresh system lifetime in the paper's
 sense — no open transaction, empty per-rule transition information —
@@ -99,7 +101,7 @@ def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
                 f"(lsn {record['lsn']})"
             )
 
-    _rebuild_derived_state(db.database)
+    _rebuild_statistics(db.database)
 
     manager.wal.next_lsn = max(scan.last_lsn, checkpoint_lsn) + 1
     manager.last_txn = db.engine._txn_id
@@ -142,8 +144,8 @@ def _restore_checkpoint(db, document):
                 f"{arity} values"
             )
         if table_handles:
-            db.database.restore_rows(
-                name, table_handles, list(zip(*table["rows"]))
+            db.database.insert_rows(
+                name, list(zip(*table["rows"])), table_handles
             )
     for index in inner.get("indexes", ()):
         db.database.create_index(
@@ -195,12 +197,11 @@ def _apply_ddl(db, record):
         )
 
 
-def _rebuild_derived_state(database):
-    """Rebuild every hash index and every table's statistics from table
-    storage: bulk replay writes storage only, so both are derived from
-    the ground truth once instead of folded per replayed row."""
-    for name in database.indexes.names():
-        index = database.indexes.get(name)
-        index.build(database.table(index.table_name).items())
+def _rebuild_statistics(database):
+    """Recompute every table's statistics exactly from storage. Replay
+    folded them as it went, widen-only like any other writer; a
+    recovered database starts with exact bounds and no drift instead,
+    as after a checkpoint's compaction. (Indexes need nothing: the set
+    mutators replay went through maintained them.)"""
     for name in database.table_names():
         database.table(name).rebuild_stats()

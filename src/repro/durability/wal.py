@@ -338,6 +338,21 @@ def decode_runs(runs):
     return handles
 
 
+def _split_by_table(handles, table_of):
+    """``{table: ascending handles}`` for a non-empty handle collection."""
+    if len(handles) == 1:
+        [handle] = handles
+        return {table_of(handle): [handle]}
+    handles = sorted(handles)
+    names = set(map(table_of, handles))
+    if len(names) == 1:  # nothing to group: the shape of most commits
+        return {names.pop(): handles}
+    split = {}
+    for name, run in groupby(handles, table_of):
+        split.setdefault(name, []).extend(run)
+    return split
+
+
 def build_commit_record(txn_id, effect, database):
     """Render a transaction's composed net effect as a commit record.
 
@@ -360,41 +375,48 @@ def build_commit_record(txn_id, effect, database):
     mark ``hwm`` (handles are non-reusable across crashes too).
     """
     table_of = database.handles.table_of
-    sections = {}
-    for key, handles in (("d", effect.deleted), ("i", effect.inserted)):
-        if handles:
-            for name, run in groupby(sorted(handles), table_of):
-                sections.setdefault(name, {}).setdefault(key, []).extend(run)
-    if effect.updated:
-        columns_of = {}
-        for handle, column in effect.updated:
-            columns_of.setdefault(handle, []).append(column)
-        for name, run in groupby(sorted(columns_of), table_of):
-            groups = sections.setdefault(name, {}).setdefault("u", {})
-            for handle in run:
-                columns = columns_of[handle]
-                if len(columns) > 1:
-                    columns.sort()
-                groups.setdefault(tuple(columns), []).append(handle)
-
+    table = database.table
     commit = {}
-    for name in sorted(sections):
-        section = sections[name]
-        table = database.table(name)
-        entry = commit[name] = {}
-        if "d" in section:
-            entry["d"] = encode_runs(section["d"])
-        if "i" in section:
-            handles = section["i"]
-            entry["i"] = [encode_runs(handles), *table.column_vectors(handles)]
-        if "u" in section:
-            groups = section["u"]
-            entry["u"] = [
-                [names, encode_runs(groups[names]),
-                 *table.column_vectors(groups[names], names)]
-                for names in sorted(groups)
+    if effect.deleted:
+        for name, run in _split_by_table(effect.deleted, table_of).items():
+            commit[name] = {"d": encode_runs(run)}
+    if effect.inserted:
+        for name, run in _split_by_table(effect.inserted, table_of).items():
+            commit.setdefault(name, {})["i"] = [
+                encode_runs(run), *table(name).column_vectors(run)
             ]
-        entry["n"] = len(table)
+    if effect.updated:
+        columns = {column for _, column in effect.updated}
+        if len(columns) == 1:
+            # one column updated throughout (the shape of most commits):
+            # one group per touched table
+            names = tuple(columns)
+            for name, run in _split_by_table(
+                [handle for handle, _ in effect.updated], table_of
+            ).items():
+                commit.setdefault(name, {})["u"] = [[
+                    names, encode_runs(run),
+                    *table(name).column_vectors(run, names),
+                ]]
+        else:
+            columns_of = {}
+            for handle, column in effect.updated:
+                columns_of.setdefault(handle, []).append(column)
+            for name, run in _split_by_table(columns_of, table_of).items():
+                groups = {}
+                for handle in run:
+                    groups.setdefault(
+                        tuple(sorted(columns_of[handle])), []
+                    ).append(handle)
+                commit.setdefault(name, {})["u"] = [
+                    [names, encode_runs(groups[names]),
+                     *table(name).column_vectors(groups[names], names)]
+                    for names in sorted(groups)
+                ]
+    for name, entry in commit.items():
+        entry["n"] = len(table(name))
+    if len(commit) > 1:
+        commit = {name: commit[name] for name in sorted(commit)}
     return {
         "txn": txn_id,
         "hwm": database.handles.issued_count,
@@ -407,7 +429,7 @@ def replay_commit_record(record, database):
 
     Per table: deletes, then inserts (ascending handle order —
     allocation order), then updates, each as whole vectors through the
-    database's bulk recovery mutators. Inserted handles are always
+    database's set mutators. Inserted handles are always
     fresher than anything live and tables do not share storage, so this
     reproduces the original storage order exactly.
 
@@ -421,7 +443,7 @@ def replay_commit_record(record, database):
             database.delete_rows(name, decode_runs(entry["d"]))
         if "i" in entry:
             runs, *columns = entry["i"]
-            database.restore_rows(name, decode_runs(runs), columns)
+            database.insert_rows(name, columns, decode_runs(runs))
         for names, runs, *vectors in entry.get("u", ()):
             database.assign_columns(name, decode_runs(runs), names, vectors)
         actual = database.row_count(name)

@@ -125,8 +125,8 @@ def from_document(document, **db_kwargs):
             table["name"],
             [(name, type_name) for name, type_name in table["columns"]],
         )
-        for row in table["rows"]:
-            db.database.insert_row(table["name"], row)
+        if table["rows"]:
+            db.database.insert_rows(table["name"], list(zip(*table["rows"])))
     for index in document.get("indexes", ()):
         db.database.create_index(
             index["name"], index["table"], index["column"]

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 
-from ..errors import CatalogError, TransactionError
+from ..errors import CatalogError, TypeError_
 from .handles import HandleAllocator
 from .schema import Catalog, Column, TableSchema
 from .table import Table
 from .transactions import TransactionManager
-from .types import SqlType, coerce_value
+from .types import SqlType
 
 
 class Database:
@@ -96,11 +96,11 @@ class Database:
         #: set, ``on_table_read(name)`` is called from every read funnel
         #: (scan resolvers, DML identification, index lookups, the
         #: incremental layer's semantic answers) and
-        #: ``on_table_write(name)`` from the three mutation primitives.
-        #: None (the default) costs a single attribute check per call
-        #: site. Transaction undo and context-switch replay bypass the
-        #: primitives on purpose — they restore state, they are not new
-        #: reads or writes of the running transaction.
+        #: ``on_table_write(name)`` from the three set mutators. None
+        #: (the default) costs a single attribute check per call site.
+        #: Transaction undo and context-switch replay bypass the
+        #: Database mutators on purpose — they restore state, they are
+        #: not new reads or writes of the running transaction.
         self.on_table_read = None
         self.on_table_write = None
 
@@ -179,116 +179,100 @@ class Database:
         return self.catalog.table_names()
 
     # ------------------------------------------------------------------
-    # physical mutation primitives (undo-logged)
-
-    def insert_row(self, table_name, values):
-        """Insert one coerced row; returns the new tuple handle."""
-        if self.on_table_write is not None:
-            self.on_table_write(table_name)
-        table = self.table(table_name)
-        row = table.schema.coerce_row(values)
-        handle = self.handles.allocate(table_name)
-        table.insert(handle, row)
-        self.transactions.log_insert(table_name, handle)
-        self.version += 1
-        return handle
-
-    def delete_row(self, table_name, handle):
-        """Delete the tuple under ``handle``; returns its final row value."""
-        if self.on_table_write is not None:
-            self.on_table_write(table_name)
-        table = self.table(table_name)
-        row = table.delete(handle)
-        self.transactions.log_delete(table_name, handle, row)
-        self.version += 1
-        return row
-
-    def update_row(self, table_name, handle, new_values_by_column):
-        """Assign new values to some columns of a live tuple.
-
-        Returns ``(old_row, new_row)``. Values are type-checked against
-        the schema. Note that assigning a column its current value is a
-        legitimate update — the paper's U component records the tuple and
-        column "regardless of whether a value is actually changed".
-        """
-        if self.on_table_write is not None:
-            self.on_table_write(table_name)
-        table = self.table(table_name)
-        schema = table.schema
-        old_row = table.get(handle)
-        new_row = list(old_row)
-        for column_name, value in new_values_by_column.items():
-            position = schema.column_position(column_name)
-            new_row[position] = schema.columns[position].coerce(
-                value, schema.name
-            )
-        new_row = tuple(new_row)
-        table.replace(handle, new_row)
-        self.transactions.log_update(table_name, handle, old_row)
-        self.version += 1
-        return old_row, new_row
-
-    # ------------------------------------------------------------------
-    # bulk mutation primitives (crash recovery only)
+    # physical set mutators (undo-logged)
     #
-    # Replay applies a commit record's column vectors whole. Every value
-    # is still type-checked against its column and every handle checked
-    # live / not live, but nothing is undo-logged (recovery runs outside
-    # any transaction) and table statistics and indexes are left for
-    # recover() to rebuild once at the end (see Table's bulk mutators).
-
-    def _recovery_table(self, table_name):
-        if self.transactions.active:
-            raise TransactionError(
-                "bulk recovery mutators are not undo-logged and cannot "
-                "run inside a transaction"
-            )
-        if self.on_table_write is not None:
-            self.on_table_write(table_name)
-        self.version += 1
-        return self.table(table_name)
+    # The unit of change is the set of tuples one operation affects
+    # (paper §2.1): DML, transaction undo, crash recovery and checkpoint
+    # restore all write through the three methods below, or — undo and
+    # context-switch replay, which restore state and are not new writes
+    # — through the table-level mutators beneath them. Each takes
+    # distinct handles and one value vector per column, type-checks
+    # every value and every handle before storage is touched (the first
+    # bad value in row-major order is the one reported, and nothing is
+    # written or allocated), notifies ``on_table_write`` and bumps
+    # ``version`` once, and is undo-logged as one record while a
+    # transaction is active. An empty set is not a write.
 
     @staticmethod
-    def _coerce_vector(table_name, column, values, expected):
-        if len(values) != expected:
-            raise CatalogError(
-                f"column {table_name}.{column.name}: {len(values)} values "
-                f"for {expected} handles"
-            )
-        sql_type = column.sql_type
-        context = f"column {table_name}.{column.name}"
-        return [coerce_value(value, sql_type, context) for value in values]
+    def _coerce_vectors(schema, positions, vectors, expected):
+        columns = schema.columns
+        if set(map(len, vectors)) != {expected}:
+            for position, values in zip(positions, vectors):
+                if len(values) != expected:
+                    raise CatalogError(
+                        f"column {schema.name}.{columns[position].name}: "
+                        f"{len(values)} values for {expected} handles"
+                    )
+        try:
+            return [
+                columns[position].coerce_vector(values, schema.name)
+                for position, values in zip(positions, vectors)
+            ]
+        except TypeError_:
+            # some vector holds a bad value: report the first one a
+            # tuple-at-a-time loop would have reached
+            for row in zip(*vectors):
+                for position, value in zip(positions, row):
+                    columns[position].coerce(value, schema.name)
+            raise
 
-    def delete_rows(self, table_name, handles):
-        """Delete the live tuples under ``handles`` (distinct)."""
-        self._recovery_table(table_name).delete_many(handles)
+    def _written(self, table_name):
+        if self.on_table_write is not None:
+            self.on_table_write(table_name)
+        self.version += 1
 
-    def restore_rows(self, table_name, handles, columns):
-        """Re-insert rows under their original handles, given one value
-        vector per schema column aligned with ``handles`` (distinct).
+    def insert_rows(self, table_name, columns, handles=None):
+        """Insert rows given as one value vector per schema column;
+        returns their handles, in row order.
 
-        The handles come from durable state instead of the allocator —
+        The handles are freshly allocated unless ``handles`` supplies
+        them from durable state (crash recovery, checkpoint restore) —
         tuple handles are non-reusable values identifying tuples, so
         recovery must preserve them for transition effects to stay
-        meaningful.
+        meaningful; the allocator resumes past them.
         """
-        table = self._recovery_table(table_name)
+        table = self.table(table_name)
         schema = table.schema
         if len(columns) != schema.arity:
             raise CatalogError(
                 f"table {table_name!r} expects {schema.arity} columns, "
                 f"got {len(columns)}"
             )
-        table.insert_columns(handles, [
-            self._coerce_vector(table_name, column, values, len(handles))
-            for column, values in zip(schema.columns, columns)
-        ])
-        self.handles.restore(handles, table_name)
+        count = len(columns[0]) if handles is None else len(handles)
+        if not count:
+            return ()
+        self._written(table_name)
+        columns = self._coerce_vectors(
+            schema, range(schema.arity), columns, count
+        )
+        if handles is None:
+            handles = self.handles.allocate_many(table_name, count)
+            table.insert_columns(handles, columns)
+        else:
+            table.insert_columns(handles, columns)
+            self.handles.restore(handles, table_name)
+        self.transactions.log("insert", table_name, handles)
+        return handles
+
+    def delete_rows(self, table_name, handles):
+        """Delete the live tuples under ``handles``; returns their final
+        row values."""
+        if not handles:
+            return []
+        self._written(table_name)
+        rows = self.table(table_name).delete_many(handles)
+        self.transactions.log("delete", table_name, handles, rows)
+        return rows
 
     def assign_columns(self, table_name, handles, column_names, vectors):
         """Assign ``vectors`` (one per name in ``column_names``, aligned
-        with ``handles``) to live tuples."""
-        table = self._recovery_table(table_name)
+        with ``handles``) to live tuples; returns the rows as they were.
+
+        Assigning a column its current value is a legitimate update —
+        the paper's U component records the tuple and column "regardless
+        of whether a value is actually changed".
+        """
+        table = self.table(table_name)
         schema = table.schema
         if len(vectors) != len(column_names):
             raise CatalogError(
@@ -296,12 +280,32 @@ class Database:
                 f"{len(column_names)} updated columns"
             )
         positions = [schema.column_position(name) for name in column_names]
-        table.assign_columns(handles, positions, [
-            self._coerce_vector(
-                table_name, schema.columns[position], values, len(handles)
-            )
-            for position, values in zip(positions, vectors)
-        ])
+        if not handles:
+            return []
+        self._written(table_name)
+        vectors = self._coerce_vectors(
+            schema, positions, vectors, len(handles)
+        )
+        old_rows = table.assign_columns(handles, positions, vectors)
+        self.transactions.log("update", table_name, handles, old_rows)
+        return old_rows
+
+    def insert_row(self, table_name, values):
+        """:meth:`insert_rows` of one row; returns the new handle."""
+        return self.insert_rows(table_name, [(value,) for value in values])[0]
+
+    def delete_row(self, table_name, handle):
+        """:meth:`delete_rows` of one tuple; returns its final row."""
+        return self.delete_rows(table_name, (handle,))[0]
+
+    def update_row(self, table_name, handle, new_values_by_column):
+        """:meth:`assign_columns` on one tuple; returns
+        ``(old_row, new_row)``."""
+        [old_row] = self.assign_columns(
+            table_name, (handle,), list(new_values_by_column),
+            [(value,) for value in new_values_by_column.values()],
+        )
+        return old_row, self.row(table_name, handle)
 
     # ------------------------------------------------------------------
     # convenience readers

@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 from ..errors import ExecutionError
 from ..sql import ast
-from .expressions import Scope
+from .compiled import (
+    BatchContext,
+    batch_program_for,
+    program_for,
+    run_batch_filter,
+    run_batch_programs,
+    vectorized_enabled,
+)
+from .expressions import Evaluator, Scope
+from .plan.pushdown import index_candidates
 from .select import BaseTableResolver, evaluate_select
 
 
@@ -116,7 +125,6 @@ class DmlExecutor:
         self.database = database
         self.resolver = resolver or BaseTableResolver(database)
         self.track_selects = track_selects
-        from .expressions import Evaluator  # local to avoid cycle at import
         self._evaluator = Evaluator(database, self.resolver)
 
     # -- public API -------------------------------------------------------
@@ -150,91 +158,137 @@ class DmlExecutor:
     # -- inserts ------------------------------------------------------------
 
     def _execute_insert_values(self, operation):
-        schema = self.database.schema(operation.table)
+        rows = operation.rows
+        if type(rows) is ast.LiteralRows:
+            # all literals: the parsed value matrix goes in as one set
+            return self._insert(operation, rows.values)
+        # Rows holding expressions are evaluated and inserted in order:
+        # a subquery in a later row sees the earlier rows.
         evaluate = self._evaluator.evaluate
         scope = Scope()  # binds no row, so one serves every value
         handles = []
-        for row_exprs in operation.rows:
-            # a bulk load is all literals: read them without the dispatch
-            values = [
+        for row_exprs in rows:
+            values = tuple(
                 expr.value if type(expr) is ast.Literal
                 else evaluate(expr, scope)
                 for expr in row_exprs
-            ]
-            full_row = self._arrange_columns(schema, operation.columns, values)
-            handles.append(self.database.insert_row(operation.table, full_row))
+            )
+            handles += self._insert(operation, (values,)).handles
         return InsertEffect(operation.table, tuple(handles))
 
     def _execute_insert_select(self, operation):
-        schema = self.database.schema(operation.table)
-        result = evaluate_select(self.database, operation.select, self.resolver)
         # Materialize fully before inserting: the paper's insert-with-select
-        # first evaluates the embedded select, then inserts each tuple.
-        handles = []
-        for row in result.rows:
-            full_row = self._arrange_columns(schema, operation.columns, row)
-            handles.append(self.database.insert_row(operation.table, full_row))
-        return InsertEffect(operation.table, tuple(handles))
+        # first evaluates the embedded select, then inserts its tuples.
+        result = evaluate_select(self.database, operation.select, self.resolver)
+        return self._insert(operation, result.rows)
 
-    @staticmethod
-    def _arrange_columns(schema, columns, values):
-        if not columns:
-            if len(values) != schema.arity:
+    def _insert(self, operation, rows):
+        """Insert ``rows`` (value sequences in the operation's column
+        order) as one set; returns the :class:`InsertEffect`."""
+        table = operation.table
+        schema = self.database.schema(table)
+        names = operation.columns
+        expected = len(names) if names else schema.arity
+        malformed = None
+        for position, row in enumerate(rows):
+            if len(row) != expected:
+                # the rows before it go in first, so that a bad value
+                # among them is what gets reported
+                malformed, rows = row, rows[:position]
+                break
+        handles = ()
+        if rows:
+            columns = list(zip(*rows))
+            if names:
+                nulls = (None,) * len(rows)
+                named, columns = columns, [nulls] * schema.arity
+                for name, values in zip(names, named):
+                    columns[schema.column_position(name)] = values
+            handles = tuple(self.database.insert_rows(table, columns))
+        if malformed is not None:
+            if names:
                 raise ExecutionError(
-                    f"insert into {schema.name!r} expects {schema.arity} "
-                    f"values, got {len(values)}"
+                    f"insert into {table!r} names {len(names)} columns "
+                    f"but provides {len(malformed)} values"
                 )
-            return tuple(values)
-        if len(columns) != len(values):
             raise ExecutionError(
-                f"insert into {schema.name!r} names {len(columns)} columns "
-                f"but provides {len(values)} values"
+                f"insert into {table!r} expects {schema.arity} "
+                f"values, got {len(malformed)}"
             )
-        full_row = [None] * schema.arity
-        for column, value in zip(columns, values):
-            full_row[schema.column_position(column)] = value
-        return tuple(full_row)
+        return InsertEffect(table, handles)
 
     # -- delete ---------------------------------------------------------------
 
     def _execute_delete(self, operation):
-        matched = self._matching_tuples(operation.table, operation.where)
-        entries = []
-        for handle, row in matched:
-            self.database.delete_row(operation.table, handle)
-            entries.append((handle, row))
-        return DeleteEffect(operation.table, tuple(entries))
+        handles, rows = self._matching_tuples(operation.table, operation.where)
+        self.database.delete_rows(operation.table, handles)
+        return DeleteEffect(operation.table, tuple(zip(handles, rows)))
 
     # -- update ---------------------------------------------------------------
 
     def _execute_update(self, operation):
-        schema = self.database.schema(operation.table)
-        columns = tuple(
-            assignment.column for assignment in operation.assignments
-        )
+        table_name = operation.table
+        schema = self.database.schema(table_name)
+        assignments = operation.assignments
+        columns = tuple(assignment.column for assignment in assignments)
         for column in columns:
             schema.column_position(column)  # raises early on unknown column
-        matched = self._matching_tuples(operation.table, operation.where)
+        handles, rows = self._matching_tuples(table_name, operation.where)
 
         # Evaluate every assignment against the pre-update state first,
         # then apply — expressions must not see sibling tuples' new values.
-        planned = []
-        for handle, row in matched:
-            scope = Scope()
-            scope.bind(operation.table, schema.column_names, row)
-            new_values = {
-                assignment.column: self._evaluator.evaluate(
-                    assignment.expression, scope
-                )
-                for assignment in operation.assignments
-            }
-            planned.append((handle, row, new_values))
+        expressions = [assignment.expression for assignment in assignments]
+        if not handles:
+            vectors = ()
+        elif vectorized_enabled(self.database):
+            vectors = self._assignment_vectors(schema, rows, expressions)
+        else:
+            names = schema.column_names
+            evaluate = self._evaluator.evaluate
+            planned = []
+            for row in rows:
+                scope = Scope()
+                scope.bind(table_name, names, row)
+                planned.append([
+                    evaluate(expression, scope) for expression in expressions
+                ])
+            vectors = zip(*planned)
+        # a column assigned twice takes its last value
+        assigned = dict(zip(columns, vectors))
+        self.database.assign_columns(
+            table_name, handles, list(assigned), list(assigned.values())
+        )
+        return UpdateEffect(table_name, columns, tuple(zip(handles, rows)))
 
-        entries = []
-        for handle, old_row, new_values in planned:
-            self.database.update_row(operation.table, handle, new_values)
-            entries.append((handle, old_row))
-        return UpdateEffect(operation.table, columns, tuple(entries))
+    def _assignment_vectors(self, schema, rows, expressions):
+        """One value vector per expression over ``rows`` (tuples of the
+        table ``schema`` describes), through batch kernels; the error
+        raised is the one evaluating tuple by tuple, expression by
+        expression, meets first."""
+        database = self.database
+        table_name = schema.name
+        names = schema.column_names
+
+        def scope_for(position):
+            scope = Scope()
+            scope.bind(table_name, names, rows[position])
+            return scope
+
+        # the matched tuples are the batch: one vector per column,
+        # every position selected
+        ctx = BatchContext(
+            list(zip(*rows)), scope_for, self._evaluator,
+            database.vectorized_stats,
+        )
+        layout = ((table_name, names),)
+        programs = [
+            batch_program_for(database, expression, layout, table=table_name)
+            for expression in expressions
+        ]
+        vectors, error = run_batch_programs(programs, ctx, range(len(rows)))
+        if error is not None:
+            raise error
+        return vectors
 
     # -- select (§5.1 extension) ----------------------------------------------
 
@@ -261,27 +315,21 @@ class DmlExecutor:
     # -- shared ---------------------------------------------------------------
 
     def _matching_tuples(self, table_name, where):
-        """Identify qualifying (handle, row) pairs against the current state.
+        """Identify the qualifying tuples against the current state:
+        ``(handles, rows)``, two aligned lists in scan order.
 
         Identification happens *before* any mutation, per §2.1. An
         indexed-equality conjunct (``col = literal``) narrows the scan to
         the index's candidates; the full predicate still decides.
         """
-        from .plan.pushdown import index_candidates
-
         if self.database.on_table_read is not None:
             self.database.on_table_read(table_name)
         table = self.database.table(table_name)
-        schema = table.schema
         if where is None:
-            return table.items()
+            return table.handles(), table.rows()
         candidates = index_candidates(where, table, {table_name})
-        columns = schema.column_names
-        from .compiled import vectorized_enabled
-
+        columns = table.schema.column_names
         if vectorized_enabled(self.database):
-            from .compiled import BatchContext, run_batch_filter
-
             if candidates is None:
                 batch = table.batch()
             else:
@@ -307,22 +355,21 @@ class DmlExecutor:
                 batch.sel,
                 table=table_name,
             )
-            handles_col = batch.handles
-            tuples = batch.tuples
-            return [(handles_col[slot], tuples[slot]) for slot in sel]
+            return (
+                list(map(batch.handles.__getitem__, sel)),
+                list(map(batch.tuples.__getitem__, sel)),
+            )
         if candidates is None:
             pairs = table.items()
         else:
             pairs = [(handle, table.get(handle)) for handle in sorted(candidates)]
-        matched = []
         if getattr(self.database, "enable_compiled_eval", False):
-            from .compiled import program_for
-
             program = program_for(
                 self.database, where, ((table_name, columns),), predicate=True
             )
             needs_scope = program.needs_scope
             evaluator = self._evaluator
+            matched = []
             for handle, row in pairs:
                 scope = None
                 if needs_scope:
@@ -330,13 +377,17 @@ class DmlExecutor:
                     scope.bind(table_name, columns, row)
                 if program.fn((row,), scope, evaluator) is True:
                     matched.append((handle, row))
-            return matched
-        for handle, row in pairs:
-            scope = Scope()
-            scope.bind(table_name, columns, row)
-            if self._evaluator.evaluate_predicate(where, scope) is True:
-                matched.append((handle, row))
-        return matched
+        else:
+            matched = []
+            for handle, row in pairs:
+                scope = Scope()
+                scope.bind(table_name, columns, row)
+                if self._evaluator.evaluate_predicate(where, scope) is True:
+                    matched.append((handle, row))
+        if not matched:
+            return [], []
+        handles, rows = zip(*matched)
+        return list(handles), list(rows)
 
 
 def _referenced_columns(select, database):

@@ -10,6 +10,8 @@ handle identity is the backbone of the whole rule semantics.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 
 class HandleAllocator:
     """Allocates distinct, non-reusable tuple handles.
@@ -30,10 +32,16 @@ class HandleAllocator:
 
     def allocate(self, table_name):
         """Return a fresh handle associated with ``table_name``."""
-        handle = self._next
-        self._next += 1
-        self._tables[handle] = table_name
-        return handle
+        return self.allocate_many(table_name, 1)[0]
+
+    def allocate_many(self, table_name, count):
+        """Issue ``count`` fresh handles associated with ``table_name``;
+        returns them as an ascending list (whose integers every index
+        of the handles then shares)."""
+        handles = list(range(self._next, self._next + count))
+        self._next += count
+        self._tables.update(zip(handles, repeat(table_name)))
+        return handles
 
     def restore(self, handles, table_name):
         """Re-register handles from durable state (crash recovery).
@@ -41,7 +49,7 @@ class HandleAllocator:
         The allocator resumes past them, so handles stay non-reusable
         across system lifetimes, not just within one.
         """
-        self._tables.update(dict.fromkeys(handles, table_name))
+        self._tables.update(zip(handles, repeat(table_name)))
         self.advance_past(max(handles, default=0))
 
     def advance_past(self, handle):

@@ -8,7 +8,7 @@ actions go through the same access paths as user queries).
 
 An index maps a column value to the set of live handles holding it.
 NULLs are not indexed (SQL equality never matches NULL). Maintenance is
-wired into :class:`repro.relational.table.Table`'s three mutators, so
+wired into :class:`repro.relational.table.Table`'s three set mutators, so
 transaction undo (which replays through the same mutators) keeps indexes
 consistent automatically.
 """
@@ -28,31 +28,39 @@ class HashIndex:
         self.position = position
         self._entries = {}
 
-    # -- maintenance (called by Table) -----------------------------------
+    # -- maintenance (called by the Table set mutators) -------------------
+    #
+    # Each call takes distinct handles and the aligned values of the
+    # indexed column.
 
-    def on_insert(self, handle, row):
-        value = row[self.position]
-        if value is None:
-            return
-        self._entries.setdefault(value, set()).add(handle)
+    def insert_many(self, handles, values):
+        entries = self._entries
+        for handle, value in zip(handles, values):
+            if value is not None:
+                bucket = entries.get(value)
+                if bucket is None:
+                    entries[value] = {handle}
+                else:
+                    bucket.add(handle)
 
-    def on_delete(self, handle, row):
-        value = row[self.position]
-        if value is None:
-            return
-        bucket = self._entries.get(value)
-        if bucket is not None:
-            bucket.discard(handle)
-            if not bucket:
-                del self._entries[value]
+    def delete_many(self, handles, values):
+        entries = self._entries
+        for handle, value in zip(handles, values):
+            bucket = entries.get(value) if value is not None else None
+            if bucket is not None:
+                bucket.discard(handle)
+                if not bucket:
+                    del entries[value]
 
-    def on_replace(self, handle, old_row, new_row):
-        old_value = old_row[self.position]
-        new_value = new_row[self.position]
-        if old_value == new_value:
-            return
-        self.on_delete(handle, old_row)
-        self.on_insert(handle, new_row)
+    def assign_many(self, handles, old_values, new_values):
+        moved = [
+            triple for triple in zip(handles, old_values, new_values)
+            if triple[1] != triple[2]
+        ]
+        if moved:
+            handles, old_values, new_values = zip(*moved)
+            self.delete_many(handles, old_values)
+            self.insert_many(handles, new_values)
 
     # -- lookup -----------------------------------------------------------
 
@@ -69,11 +77,11 @@ class HashIndex:
             return 0
         return len(self._entries.get(value, ()))
 
-    def build(self, items):
-        """(Re)build from an iterable of (handle, row) pairs."""
+    def build(self, handles, values):
+        """(Re)build from a table's live handles and the aligned values
+        of the indexed column."""
         self._entries = {}
-        for handle, row in items:
-            self.on_insert(handle, row)
+        self.insert_many(handles, values)
 
     @property
     def key_count(self):

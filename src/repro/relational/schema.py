@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CatalogError
-from .types import SqlType, coerce_value
+from .types import STORED_UNCHANGED, SqlType, coerce_value
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,15 @@ class Column:
             f"column {self.name}"
         )
         return coerce_value(value, self.sql_type, context)
+
+    def coerce_vector(self, values, table_name=""):
+        """:meth:`coerce` over a whole vector of values. A vector whose
+        value classes the type stores unchanged is returned as it is;
+        anything else is coerced value by value, so the first bad value
+        of the vector raises what :meth:`coerce` raises for it."""
+        if STORED_UNCHANGED[self.sql_type].issuperset(map(type, values)):
+            return values
+        return [self.coerce(value, table_name) for value in values]
 
 
 class TableSchema:
@@ -47,15 +56,9 @@ class TableSchema:
             seen.add(column.name)
         self.name = name
         self.columns = tuple(columns)
+        self.column_names = tuple(column.name for column in self.columns)
+        self.arity = len(self.columns)
         self._index = {column.name: i for i, column in enumerate(self.columns)}
-
-    @property
-    def column_names(self):
-        return tuple(column.name for column in self.columns)
-
-    @property
-    def arity(self):
-        return len(self.columns)
 
     def has_column(self, name):
         return name in self._index

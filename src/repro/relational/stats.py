@@ -1,9 +1,9 @@
 """Live table statistics and zone maps for the cost-based optimizer.
 
 Every table carries a :class:`TableStats` maintained *inline* by the
-three storage mutators (``insert``/``delete``/``replace`` in
-:mod:`repro.relational.table`). Folding at the mutator level — rather
-than from the engine's ``[I, D, U]`` net-effect points — means the
+three storage set mutators (``insert_columns``/``delete_many``/
+``assign_columns`` in :mod:`repro.relational.table`). Folding at the
+mutator level — rather than from the engine's ``[I, D, U]`` net-effect points — means the
 statistics stay exact across transaction undo and context-switch
 replay, which restore state through the very same mutators, and across
 direct DML that never reaches the rule engine.
@@ -51,6 +51,40 @@ ZONE_SIZE = 1 << ZONE_SHIFT
 REBUILD_MIN_DRIFT = 64
 
 
+def _pad(mins, maxs, zone):
+    """Extend one column's zone lists to cover ``zone``."""
+    missing = zone + 1 - len(mins)
+    if missing > 0:
+        mins.extend([None] * missing)
+        maxs.extend([None] * missing)
+
+
+def _widen_zone(mins, maxs, zone, low, high):
+    """Widen one zone's range to cover ``low`` .. ``high``."""
+    if mins[zone] is None:
+        mins[zone] = low
+        maxs[zone] = high
+    else:
+        if low < mins[zone]:
+            mins[zone] = low
+        if high > maxs[zone]:
+            maxs[zone] = high
+
+
+def _widen_slots(mins, maxs, slots, values):
+    """Widen the zones of ``slots`` to cover the aligned ``values``."""
+    for slot, value in zip(slots, values):
+        if value is not None:
+            zone = slot >> ZONE_SHIFT
+            low = mins[zone]
+            if low is None:
+                mins[zone] = maxs[zone] = value
+            elif value < low:
+                mins[zone] = value
+            elif value > maxs[zone]:
+                maxs[zone] = value
+
+
 class ColumnStats:
     """Widen-only summary of one column's live values."""
 
@@ -63,27 +97,40 @@ class ColumnStats:
         self.distinct = set()
         self.saturated = False
 
-    def observe(self, value):
-        if value is None:
-            self.nulls += 1
-            return
+    def observe(self, values):
+        """Fold a vector of values that entered the column; returns
+        their ``(lowest, highest)``, or None when all of them are NULL."""
+        nulls = values.count(None)
+        if nulls:
+            self.nulls += nulls
+            if nulls == len(values):
+                return None
+            values = [value for value in values if value is not None]
+        low = min(values)
+        high = max(values)
         if self.minimum is None:
-            self.minimum = value
-            self.maximum = value
+            self.minimum = low
+            self.maximum = high
         else:
-            if value < self.minimum:
-                self.minimum = value
-            elif value > self.maximum:
-                self.maximum = value
+            if low < self.minimum:
+                self.minimum = low
+            if high > self.maximum:
+                self.maximum = high
         if not self.saturated:
-            self.distinct.add(value)
-            if len(self.distinct) >= DISTINCT_CAP:
-                self.saturated = True
+            distinct = self.distinct
+            if len(distinct) + len(values) < DISTINCT_CAP:
+                distinct.update(values)
+            else:
+                for value in values:
+                    distinct.add(value)
+                    if len(distinct) >= DISTINCT_CAP:
+                        self.saturated = True
+                        break
+        return low, high
 
-    def forget(self, value):
-        """A deletion: only the exact counters can shrink."""
-        if value is None:
-            self.nulls -= 1
+    def forget(self, values):
+        """Values that left the column: only the exact counter shrinks."""
+        self.nulls -= values.count(None)
 
     def ndv(self, non_null_rows):
         """Estimated number of distinct non-NULL values.
@@ -126,50 +173,75 @@ class TableStats:
         self.drift = 0
         self.rows_at_rebuild = 0
 
-    # -- incremental folding (called by the Table mutators) ---------------
+    # -- incremental folding (called by the Table set mutators) -----------
+    #
+    # Each fold takes whole value vectors, one pass per column. Folding
+    # a set of tuples in one call, or split into several, gives what
+    # folding its tuples one at a time gives.
 
-    def on_insert(self, slot, row):
-        self.row_count += 1
-        zone = slot >> ZONE_SHIFT
-        for stats, (mins, maxs), value in zip(self.columns, self.zones, row):
-            if zone >= len(mins):
+    def on_insert(self, first_slot, columns):
+        """Rows appended at consecutive slots from ``first_slot``, given
+        as one value vector per schema column."""
+        count = len(columns[0])
+        self.row_count += count
+        zone = first_slot >> ZONE_SHIFT
+        last_zone = (first_slot + count - 1) >> ZONE_SHIFT
+        # where the vectors cross into the next zone, and the next, ...
+        cuts = [0, *range(((zone + 1) << ZONE_SHIFT) - first_slot, count,
+                          ZONE_SIZE), count]
+        for stats, (mins, maxs), values in zip(
+            self.columns, self.zones, columns
+        ):
+            if last_zone >= len(mins):
                 # pad: rebuilds truncate to the last *live* zone, but new
                 # slots append past any trailing tombstoned region
-                pad = zone + 1 - len(mins)
-                mins.extend([None] * pad)
-                maxs.extend([None] * pad)
-            if value is not None:
-                low = mins[zone]
-                if low is None or value < low:
-                    mins[zone] = value
-                if low is None or value > maxs[zone]:
-                    maxs[zone] = value
-            stats.observe(value)
+                _pad(mins, maxs, last_zone)
+            bounds = stats.observe(values)
+            if bounds is None:
+                continue
+            if zone == last_zone:
+                _widen_zone(mins, maxs, zone, *bounds)
+                continue
+            for number, start in enumerate(cuts[:-1]):
+                part = [value for value in values[start:cuts[number + 1]]
+                        if value is not None]
+                if part:
+                    _widen_zone(mins, maxs, zone + number,
+                                min(part), max(part))
 
-    def on_delete(self, row):
-        self.row_count -= 1
-        self.drift += 1
-        for stats, value in zip(self.columns, row):
-            stats.forget(value)
+    def on_delete(self, rows):
+        """The deleted ``rows`` (value tuples) left the table."""
+        self.row_count -= len(rows)
+        self.drift += len(rows)
+        for stats, values in zip(self.columns, zip(*rows)):
+            stats.forget(values)
 
-    def on_replace(self, slot, old_row, new_row):
-        self.drift += 1
-        zone = slot >> ZONE_SHIFT
-        for stats, (mins, maxs), old, new in zip(
-            self.columns, self.zones, old_row, new_row
-        ):
+    def on_assign(self, slots, assigned):
+        """The rows at ``slots`` were overwritten in some columns:
+        ``assigned`` holds ``(position, old values, new values)`` per
+        assigned column, aligned with ``slots``. A column that was not
+        assigned keeps values this summary already covers."""
+        self.drift += len(slots)
+        zone = min(slots) >> ZONE_SHIFT
+        last_zone = max(slots) >> ZONE_SHIFT
+        for position, old, new in assigned:
+            stats = self.columns[position]
+            mins, maxs = self.zones[position]
+            if last_zone >= len(mins):
+                _pad(mins, maxs, last_zone)
             stats.forget(old)
-            if new is not None:
-                if zone >= len(mins):
-                    pad = zone + 1 - len(mins)
-                    mins.extend([None] * pad)
-                    maxs.extend([None] * pad)
-                low = mins[zone]
-                if low is None or new < low:
-                    mins[zone] = new
-                if low is None or new > maxs[zone]:
-                    maxs[zone] = new
-            stats.observe(new)
+            bounds = stats.observe(new)
+            if bounds is None:
+                continue
+            if zone == last_zone:
+                _widen_zone(mins, maxs, zone, *bounds)
+            else:
+                _widen_slots(mins, maxs, slots, new)
+
+    def until_rebuild(self):
+        """How many more deleted or overwritten tuples until
+        :meth:`should_rebuild` turns true (not positive: it already is)."""
+        return max(REBUILD_MIN_DRIFT, self.rows_at_rebuild) - self.drift
 
     def should_rebuild(self):
         return self.drift >= max(REBUILD_MIN_DRIFT, self.rows_at_rebuild)
@@ -186,25 +258,15 @@ class TableStats:
         self.row_count = len(live_slots)
         self.columns = tuple(ColumnStats() for _ in cols)
         self.zones = tuple(([], []) for _ in cols)
-        n_zones = (
-            ((max(live_slots) >> ZONE_SHIFT) + 1) if live_slots else 0
-        )
-        for stats, (mins, maxs), column in zip(
-            self.columns, self.zones, cols
-        ):
-            mins.extend([None] * n_zones)
-            maxs.extend([None] * n_zones)
-            for slot in live_slots:
-                value = column[slot]
-                stats.observe(value)
-                if value is None:
-                    continue
-                zone = slot >> ZONE_SHIFT
-                low = mins[zone]
-                if low is None or value < low:
-                    mins[zone] = value
-                if low is None or value > maxs[zone]:
-                    maxs[zone] = value
+        if live_slots:
+            top_zone = max(live_slots) >> ZONE_SHIFT
+            for stats, (mins, maxs), column in zip(
+                self.columns, self.zones, cols
+            ):
+                _pad(mins, maxs, top_zone)
+                values = [column[slot] for slot in live_slots]
+                stats.observe(values)
+                _widen_slots(mins, maxs, live_slots, values)
         self.drift = 0
         self.rows_at_rebuild = self.row_count
 

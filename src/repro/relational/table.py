@@ -38,11 +38,12 @@ _COMPACT_MIN_DEAD = 64
 class Table:
     """One table's tuples: columnar slots addressed by handle.
 
-    The mutator API (:meth:`insert` / :meth:`delete` / :meth:`replace`)
-    is unchanged from the dict-backed storage it replaced; hash indexes
-    attached via :meth:`attach_index` are maintained by the three
-    mutators — including during transaction undo, which replays through
-    the same mutators.
+    All mutation goes through the three set mutators
+    (:meth:`insert_columns` / :meth:`delete_many` /
+    :meth:`assign_columns`); hash indexes attached via
+    :meth:`attach_index` are maintained by them — including during
+    transaction undo, context-switch replay and crash recovery, which
+    replay through the same mutators.
     """
 
     def __init__(self, schema):
@@ -54,15 +55,15 @@ class Table:
         self._live = {}
         self._dead = 0
         self.indexes = []
-        #: monotone mutation counter, bumped by every insert/delete/
-        #: replace — including transaction undo and context-switch
-        #: replay, which go through the same mutators. MaintainedView
+        #: monotone mutation counter, bumped by every set mutator call
+        #: — including transaction undo and context-switch replay,
+        #: which go through the same mutators. MaintainedView
         #: uses it as a concurrent-writer tripwire (PR 8): a fold by one
         #: session cannot leave another session's counters silently
         #: claiming to be in sync.
         self.mutations = 0
         #: live statistics + zone maps (see repro.relational.stats),
-        #: folded by the three mutators — exactly like the indexes, so
+        #: folded by the three set mutators — exactly like the indexes, so
         #: undo and replay keep them consistent. Widen-only fields are
         #: recomputed by :meth:`rebuild_stats` at compaction or once
         #: delete/replace drift passes the table's size.
@@ -169,140 +170,147 @@ class Table:
             cols = [cols[position_of(name)] for name in names]
         return [list(map(column.__getitem__, sel)) for column in cols]
 
-    # -- mutators ----------------------------------------------------------
-
-    def insert(self, handle, row):
-        """Store ``row`` under ``handle``.
-
-        ``row`` must already be schema-coerced; callers go through
-        :meth:`repro.relational.database.Database` for validation.
-        """
-        if handle in self._live:
-            raise ExecutionError(
-                f"handle {handle} already live in table {self.schema.name!r}"
-            )
-        self.mutations += 1
-        slot = len(self._handles)
-        self._handles.append(handle)
-        self._tuples.append(row)
-        self._valid.append(True)
-        for column, value in zip(self._cols, row):
-            column.append(value)
-        self._live[handle] = slot
-        self.stats.on_insert(slot, row)
-        for index in self.indexes:
-            index.on_insert(handle, row)
-
-    def delete(self, handle):
-        """Remove and return the row stored under ``handle``.
-
-        The slot is tombstoned, not shifted; storage is reclaimed by
-        :meth:`compact`.
-        """
-        slot = self._live.pop(handle, None)
-        if slot is None:
-            raise ExecutionError(
-                f"cannot delete handle {handle}: not live in table "
-                f"{self.schema.name!r}"
-            )
-        self.mutations += 1
-        row = self._tuples[slot]
-        self._valid[slot] = False
-        self._dead += 1
-        self.stats.on_delete(row)
-        for index in self.indexes:
-            index.on_delete(handle, row)
-        if (
-            self._dead >= _COMPACT_MIN_DEAD
-            and self._dead * 2 >= len(self._handles)
-        ):
-            self.compact()
-        elif self.stats.should_rebuild():
-            self.rebuild_stats()
-        return row
-
-    def replace(self, handle, row):
-        """Overwrite the row under a live ``handle``; returns the old row."""
-        slot = self._live.get(handle)
-        if slot is None:
-            raise ExecutionError(
-                f"cannot update handle {handle}: not live in table "
-                f"{self.schema.name!r}"
-            )
-        self.mutations += 1
-        old = self._tuples[slot]
-        self._tuples[slot] = row
-        for column, value in zip(self._cols, row):
-            column[slot] = value
-        self.stats.on_replace(slot, old, row)
-        for index in self.indexes:
-            index.on_replace(handle, old, row)
-        if self.stats.should_rebuild():
-            self.rebuild_stats()
-        return old
-
-    # -- bulk mutators (crash recovery) -------------------------------------
+    # -- set mutators ------------------------------------------------------
     #
-    # Recovery replays whole column vectors (see repro.durability.wal).
-    # The three mutators below write storage directly and fold neither
-    # statistics nor indexes per row: recover() rebuilds both from
-    # storage once replay is over, and nothing reads them in between.
-    # They take distinct handles and either apply completely or raise
-    # before touching storage.
-
-    def delete_many(self, handles):
-        """Tombstone every handle of ``handles`` (all must be live)."""
-        valid = self._valid
-        for slot in self._slots(handles):
-            valid[slot] = False
-        live = self._live
-        for handle in handles:
-            del live[handle]
-        self.mutations += 1
-        self._dead += len(handles)
-        if (
-            self._dead >= _COMPACT_MIN_DEAD
-            and self._dead * 2 >= len(self._handles)
-        ):
-            self.compact()
+    # Every physical change is one of three set operations over distinct
+    # handles. Each validates first — it applies completely or raises
+    # before touching storage — then writes storage and folds the
+    # statistics and every attached index once per value vector. The
+    # per-tuple tests that bound dead slots and statistics drift are
+    # applied where a tuple-at-a-time loop would have applied them, so a
+    # set leaves exactly the storage, statistics and indexes that its
+    # tuples, written one after another, would leave.
 
     def insert_columns(self, handles, columns):
         """Append ``len(handles)`` rows given as one schema-coerced value
-        list per column, in handle order (none may be live)."""
+        vector per column, in handle order (none may be live)."""
         first = len(self._handles)
-        fresh = dict(zip(handles, range(first, first + len(handles))))
         live = self._live
-        if len(fresh) != len(handles) or not live.keys().isdisjoint(fresh):
-            seen = set(live)
-            for handle in handles:
-                if handle in seen:
-                    raise ExecutionError(
-                        f"handle {handle} already live in table "
-                        f"{self.schema.name!r}"
-                    )
-                seen.add(handle)
+        if not live.keys().isdisjoint(handles):
+            raise self._already_live(
+                next(handle for handle in handles if handle in live))
+        # straight into the handle map (no scratch copy of a large set);
+        # a handle named twice shows as a shortfall, and is taken back
+        size = len(live) + len(handles)
+        live.update(zip(handles, range(first, first + len(handles))))
+        if len(live) != size:
+            seen = set()
+            twice = [handle for handle in handles
+                     if handle in seen or seen.add(handle)][0]
+            for handle in seen:  # every distinct handle went in
+                del live[handle]
+            raise self._already_live(twice)
         self.mutations += 1
         self._handles.extend(handles)
         self._tuples.extend(zip(*columns))
         self._valid.extend([True] * len(handles))
         for column, values in zip(self._cols, columns):
             column.extend(values)
-        live.update(fresh)
+        self.stats.on_insert(first, columns)
+        for index in self.indexes:
+            index.insert_many(handles, columns[index.position])
+
+    def _already_live(self, handle):
+        return ExecutionError(
+            f"handle {handle} already live in table {self.schema.name!r}"
+        )
+
+    def delete_many(self, handles):
+        """Tombstone every handle of ``handles`` (all must be live);
+        returns their final rows. Slots are not shifted; storage is
+        reclaimed by :meth:`compact`."""
+        tuples = self._tuples
+        rows = [tuples[slot] for slot in self._slots(handles)]
+        self.mutations += 1
+        stats = self.stats
+        total = len(handles)
+        done = 0
+        while done < total:
+            # as many tuples as leave the compaction and drift tests,
+            # applied after each tuple, false until the last of them
+            until_compact = max(
+                _COMPACT_MIN_DEAD, (len(self._handles) + 1) // 2
+            ) - self._dead
+            stop = done + max(1, min(until_compact, stats.until_rebuild()))
+            part, part_rows = handles[done:stop], rows[done:stop]
+            live = self._live
+            valid = self._valid
+            for handle in part:
+                valid[live.pop(handle)] = False
+            self._dead += len(part)
+            stats.on_delete(part_rows)
+            for index in self.indexes:
+                position = index.position
+                index.delete_many(part, [row[position] for row in part_rows])
+            done = stop
+            if (
+                self._dead >= _COMPACT_MIN_DEAD
+                and self._dead * 2 >= len(self._handles)
+            ):
+                self.compact()
+            elif stats.should_rebuild():
+                self.rebuild_stats()
+        return rows
 
     def assign_columns(self, handles, positions, vectors):
         """Overwrite the columns at ``positions`` of the live rows under
-        ``handles`` with the aligned, schema-coerced ``vectors``."""
+        ``handles`` with the aligned, schema-coerced ``vectors``; returns
+        the rows as they were."""
         slots = self._slots(handles)
+        tuples = self._tuples
+        old_rows = [tuples[slot] for slot in slots]
         self.mutations += 1
         cols = self._cols
-        for position, values in zip(positions, vectors):
-            column = cols[position]
-            for slot, value in zip(slots, values):
-                column[slot] = value
-        tuples = self._tuples
-        rows = zip(*[[column[slot] for slot in slots] for column in cols])
-        for slot, row in zip(slots, rows):
-            tuples[slot] = row
+        stats = self.stats
+        total = len(slots)
+        done = 0
+        while done < total:
+            # as many tuples as leave the drift test false until the last
+            stop = done + max(1, stats.until_rebuild())
+            part = slots[done:stop]
+            assigned = []
+            for position, values in zip(positions, vectors):
+                column = cols[position]
+                new = values[done:stop]
+                old = [column[slot] for slot in part]
+                assigned.append((position, old, new))
+                for slot, value in zip(part, new):
+                    column[slot] = value
+                for index in self.indexes:
+                    if index.position == position:
+                        index.assign_many(handles[done:stop], old, new)
+            for slot, row in zip(part, zip(*[
+                [column[slot] for slot in part] for column in cols
+            ])):
+                tuples[slot] = row
+            stats.on_assign(part, assigned)
+            done = stop
+            if stats.should_rebuild():
+                self.rebuild_stats()
+        return old_rows
+
+    def insert_rows(self, handles, rows):
+        """:meth:`insert_columns` of whole rows (non-empty, aligned)."""
+        self.insert_columns(handles, list(zip(*rows)))
+
+    def replace_rows(self, handles, rows):
+        """:meth:`assign_columns` of every column from whole rows
+        (non-empty, aligned); returns the rows as they were."""
+        return self.assign_columns(
+            handles, range(self.schema.arity), list(zip(*rows))
+        )
+
+    def insert(self, handle, row):
+        """:meth:`insert_rows` for one row."""
+        self.insert_rows((handle,), (row,))
+
+    def delete(self, handle):
+        """:meth:`delete_many` for one handle; returns its row."""
+        return self.delete_many((handle,))[0]
+
+    def replace(self, handle, row):
+        """:meth:`replace_rows` for one row; returns the old row."""
+        return self.replace_rows((handle,), (row,))[0]
 
     # -- compaction --------------------------------------------------------
 
@@ -364,7 +372,11 @@ class Table:
 
     def attach_index(self, index):
         """Attach a hash index; builds it from the current contents."""
-        index.build(self.items())
+        index.build(
+            list(self._live),
+            list(map(self._cols[index.position].__getitem__,
+                     self._live.values())),
+        )
         self.indexes.append(index)
 
     def detach_index(self, index):

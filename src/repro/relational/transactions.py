@@ -8,6 +8,13 @@ an undo record; rollback replays the log in reverse. Savepoints are just
 log positions, used for statement-level atomicity (a failing operation
 block undoes only its own work).
 
+The unit of the log is the unit of change: one record per set mutation
+— ``(kind, table, handles, rows)`` with ``kind`` one of ``"insert"``
+(``rows`` is None), ``"delete"`` (the deleted rows) or ``"update"`` (the
+rows as they were), ``handles`` and ``rows`` aligned. A record is
+reverted newest tuple first through the table's own set mutators, so
+statistics and indexes follow.
+
 Tuple handles are *not* reclaimed on rollback — the paper requires
 handles to be non-reusable, and a rolled-back insert's handle must never
 reappear.
@@ -18,26 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import TransactionError
-
-
-@dataclass(frozen=True)
-class _UndoInsert:
-    table: str
-    handle: int
-
-
-@dataclass(frozen=True)
-class _UndoDelete:
-    table: str
-    handle: int
-    row: tuple
-
-
-@dataclass(frozen=True)
-class _UndoUpdate:
-    table: str
-    handle: int
-    old_row: tuple
 
 
 @dataclass
@@ -52,10 +39,8 @@ class _DetachedTransaction:
 class TransactionManager:
     """Tracks one (non-nested) active transaction over a database.
 
-    The database routes every physical mutation through
-    :meth:`log_insert` / :meth:`log_delete` / :meth:`log_update` while a
-    transaction is active. Outside a transaction, mutations auto-commit
-    (nothing is logged).
+    The database routes every physical mutation through :meth:`log`.
+    Outside a transaction, mutations auto-commit (nothing is logged).
     """
 
     def __init__(self, database):
@@ -100,19 +85,13 @@ class TransactionManager:
         self._undo_to(savepoint)
 
     # ------------------------------------------------------------------
-    # logging (called by Database mutators)
+    # logging (called by the Database set mutators)
 
-    def log_insert(self, table, handle):
+    def log(self, kind, table, handles, rows=None):
+        """Record one applied set mutation (see the module docstring);
+        ``handles`` and ``rows`` must not be mutated afterwards."""
         if self._log is not None:
-            self._log.append(_UndoInsert(table, handle))
-
-    def log_delete(self, table, handle, row):
-        if self._log is not None:
-            self._log.append(_UndoDelete(table, handle, row))
-
-    def log_update(self, table, handle, old_row):
-        if self._log is not None:
-            self._log.append(_UndoUpdate(table, handle, old_row))
+            self._log.append((kind, table, handles, rows))
 
     # ------------------------------------------------------------------
     # context switching (concurrency layer, PR 8)
@@ -122,8 +101,8 @@ class TransactionManager:
     # multiplexes sessions by detaching the mounted transaction's
     # writes (reverse undo replay, capturing a redo list) and
     # re-attaching them later (forward redo replay). Replay goes
-    # through table-level mutators, NOT Database primitives — it must
-    # not re-log undo records, bump database.version per op, or fire
+    # through the table-level set mutators, NOT the Database ones — it
+    # must not re-log undo records, bump database.version, or fire
     # read/write observers: switching restores state, it does not
     # perform new work on behalf of the transaction.
 
@@ -138,18 +117,7 @@ class TransactionManager:
         """
         if self._log is None:
             raise TransactionError("detach with no active transaction")
-        redo = []
-        for record in reversed(self._log):
-            table = self._database.table(record.table)
-            if isinstance(record, _UndoInsert):
-                row = table.delete(record.handle)
-                redo.append(("insert", record.table, record.handle, row))
-            elif isinstance(record, _UndoDelete):
-                table.insert(record.handle, record.row)
-                redo.append(("delete", record.table, record.handle, None))
-            else:
-                current = table.replace(record.handle, record.old_row)
-                redo.append(("replace", record.table, record.handle, current))
+        redo = [self._revert(record) for record in reversed(self._log)]
         log = self._log
         self._log = None
         return _DetachedTransaction(log, redo)
@@ -164,31 +132,38 @@ class TransactionManager:
         """
         if self._log is not None:
             raise TransactionError("attach while a transaction is mounted")
-        for op, table_name, handle, row in reversed(detached.redo):
+        for kind, table_name, handles, rows in reversed(detached.redo):
             table = self._database.table(table_name)
-            if op == "insert":
-                table.insert(handle, row)
-            elif op == "delete":
-                table.delete(handle)
+            if kind == "insert":
+                table.insert_rows(handles, rows)
+            elif kind == "delete":
+                table.delete_many(handles)
             else:
-                table.replace(handle, row)
+                table.replace_rows(handles, rows)
         self._log = detached.log
 
     def touched_tables(self):
         """Names of tables this transaction has written so far."""
         if self._log is None:
             return set()
-        return {record.table for record in self._log}
+        return {record[1] for record in self._log}
 
     # ------------------------------------------------------------------
 
     def _undo_to(self, position):
         while len(self._log) > position:
-            record = self._log.pop()
-            table = self._database.table(record.table)
-            if isinstance(record, _UndoInsert):
-                table.delete(record.handle)
-            elif isinstance(record, _UndoDelete):
-                table.insert(record.handle, record.row)
-            else:
-                table.replace(record.handle, record.old_row)
+            self._revert(self._log.pop())
+
+    def _revert(self, record):
+        """Physically undo one logged set mutation, newest tuple first;
+        returns the record of the mutation that re-applies it."""
+        kind, table_name, handles, rows = record
+        table = self._database.table(table_name)
+        backwards = handles[::-1]
+        if kind == "insert":
+            return kind, table_name, handles, table.delete_many(backwards)[::-1]
+        if kind == "delete":
+            table.insert_rows(backwards, rows[::-1])
+            return kind, table_name, handles, None
+        current = table.replace_rows(backwards, rows[::-1])
+        return kind, table_name, handles, current[::-1]

@@ -81,6 +81,16 @@ def coerce_value(value, sql_type, context=""):
     raise TypeError_(f"unsupported type {sql_type!r}")
 
 
+#: per column type, the value classes :func:`coerce_value` returns
+#: unchanged (``bool`` is its own class, so ``int`` does not admit it)
+STORED_UNCHANGED = {
+    SqlType.INTEGER: frozenset({int, type(None)}),
+    SqlType.FLOAT: frozenset({float, type(None)}),
+    SqlType.VARCHAR: frozenset({str, type(None)}),
+    SqlType.BOOLEAN: frozenset({bool, type(None)}),
+}
+
+
 def values_comparable(left, right):
     """Return True if two non-null values may be compared with ``<``/``=``.
 

@@ -18,9 +18,10 @@ tests. Every node renders back to SQL via :mod:`repro.sql.formatter`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +279,68 @@ class Operation:
     __slots__ = ()
 
 
+class LiteralRows(Sequence):
+    """The rows of an all-literal VALUES list: a value matrix that turns
+    into expression nodes only when something looks at them.
+
+    ``values`` is the matrix — a tuple of rows, each a tuple of Python
+    values, a signed number already negated — which is all execution
+    needs. Iterating, indexing, comparing or hashing the sequence calls
+    ``materialize`` once for the tuple of rows of :class:`Literal` /
+    :class:`UnaryOp` nodes (spans attached) the parser builds for the
+    same text; in every other respect it behaves as that tuple.
+    """
+
+    __slots__ = ("values", "_materialize", "_nodes")
+
+    def __init__(self, values: tuple,
+                 materialize: Callable[[], tuple]) -> None:
+        self.values = values
+        self._materialize = materialize
+        self._nodes: Optional[tuple] = None
+
+    def nodes(self) -> tuple:
+        """The rows as a tuple of tuples of expression nodes."""
+        if self._nodes is None:
+            self._nodes = self._materialize()
+        return self._nodes
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.nodes()[index]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.nodes())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LiteralRows):
+            other = other.nodes()
+        return self.nodes() == other
+
+    def __hash__(self) -> int:
+        return hash(self.nodes())
+
+    def __repr__(self) -> str:
+        return repr(self.nodes())
+
+
 @dataclass(frozen=True)
 class InsertValues(Operation):
     """``insert into t values (v1, ..., vn) [, (...) ...]``.
 
-    The paper's form has a single row; multi-row VALUES is a convenience
-    that desugars to consecutive single-row inserts with one affected set.
+    The paper's form has a single row; multi-row VALUES is one operation
+    with one affected set. ``rows`` is a sequence of rows of expressions:
+    a tuple of tuples, or — when every value is a literal — a
+    :class:`LiteralRows`, whose value matrix is inserted as one set.
+    Rows holding expressions are evaluated and inserted in order, so a
+    subquery in a later row sees the earlier rows.
     ``columns`` optionally names a column subset (unnamed columns get NULL).
     """
 
     table: str
-    rows: tuple              # of tuple of Expression
+    rows: Sequence           # of tuple of Expression
     columns: tuple = ()      # optional column-name list
 
 

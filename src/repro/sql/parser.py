@@ -21,13 +21,14 @@ Entry points:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Optional, TypeVar
 
 from ..errors import ParseError
 from . import ast
-from .lexer import tokenize
+from .lexer import expand_literal_rows, tokenize
 from .spans import set_span, span_between
-from .tokens import Token, TokenKind
+from .tokens import KEYWORD_LITERALS, Token, TokenKind
 
 _N = TypeVar("_N")
 
@@ -60,8 +61,6 @@ _INFIX: dict[object, tuple[int, str]] = {
     TokenKind.PERCENT: (_MULTIPLICATIVE, "%"),
 }
 
-_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
-
 _AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
 
 _SCALAR_FUNCTIONS = frozenset({
@@ -73,9 +72,10 @@ _SCALAR_FUNCTIONS = frozenset({
 class Parser:
     """Token-stream parser. One instance parses one source string."""
 
-    def __init__(self, source: str) -> None:
+    def __init__(self, source: str,
+                 tokens: Optional[list[Token]] = None) -> None:
         self._source = source
-        self._tokens = tokenize(source)
+        self._tokens = tokenize(source) if tokens is None else tokens
         self._index = 0
 
     # ------------------------------------------------------------------
@@ -375,10 +375,15 @@ class Parser:
             self._expect(TokenKind.RPAREN, "')'")
             columns = tuple(names)
         if self._match_keyword("VALUES"):
-            rows = [self._parse_value_row()]
-            while self._match(TokenKind.COMMA):
-                rows.append(self._parse_value_row())
-            return ast.InsertValues(table, tuple(rows), columns)
+            token = self._match(TokenKind.LITERAL_ROWS)
+            if token is not None:
+                return ast.InsertValues(
+                    table,
+                    ast.LiteralRows(token.value,
+                                    partial(_parse_literal_rows, token)),
+                    columns,
+                )
+            return ast.InsertValues(table, self._parse_value_rows(), columns)
         if self._check(TokenKind.LPAREN):
             self._advance()
             select = self._parse_select()
@@ -391,6 +396,12 @@ class Parser:
 
     def _lparen_starts_select(self) -> bool:
         return self._check(TokenKind.LPAREN) and self._peek(1).is_keyword("SELECT")
+
+    def _parse_value_rows(self) -> tuple[tuple[ast.Expression, ...], ...]:
+        rows = [self._parse_value_row()]
+        while self._match(TokenKind.COMMA):
+            rows.append(self._parse_value_row())
+        return tuple(rows)
 
     def _parse_value_row(self) -> tuple[ast.Expression, ...]:
         self._expect(TokenKind.LPAREN, "'('")
@@ -686,10 +697,10 @@ class Parser:
             # widen the span to include the parentheses
             return self._spanned(expression, token)
         if kind is TokenKind.KEYWORD:
-            if token.value in _KEYWORD_LITERALS:
+            if token.value in KEYWORD_LITERALS:
                 self._index += 1
                 return self._spanned(
-                    ast.Literal(_KEYWORD_LITERALS[token.value]), token
+                    ast.Literal(KEYWORD_LITERALS[token.value]), token
                 )
             if token.value == "EXISTS":
                 self._index += 1
@@ -757,6 +768,13 @@ class Parser:
             raise ParseError(f"DISTINCT is only valid in aggregates, not {name!r}",
                              name_token)
         return ast.FunctionCall(name, tuple(args), distinct)
+
+
+def _parse_literal_rows(token: Token) -> tuple[tuple[ast.Expression, ...], ...]:
+    """The expression nodes of a ``LITERAL_ROWS`` token: its text parsed
+    as any other row list is, in place, so nodes and spans are the ones
+    token-by-token lexing would have led to."""
+    return Parser(token.text, expand_literal_rows(token))._parse_value_rows()
 
 
 # ---------------------------------------------------------------------------

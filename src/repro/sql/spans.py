@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
+from .ast import LiteralRows
+
 _SPAN_ATTR = "_source_span"
 
 
@@ -119,7 +121,7 @@ def walk(node: Any) -> Iterator[Any]:
         current = stack.pop()
         if current is None:
             continue
-        if isinstance(current, (tuple, list)):
+        if isinstance(current, (tuple, list, LiteralRows)):
             stack.extend(current)
             continue
         if dataclasses.is_dataclass(current) and not isinstance(current, type):

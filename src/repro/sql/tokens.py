@@ -20,6 +20,8 @@ class TokenKind(Enum):
     INTEGER = auto()
     FLOAT = auto()
     STRING = auto()
+    #: the whole row list after VALUES, when every value is a literal
+    LITERAL_ROWS = auto()
 
     COMMA = auto()
     SEMICOLON = auto()
@@ -71,6 +73,10 @@ KEYWORDS = frozenset({
 })
 
 
+#: the keywords that are literals, and their values
+KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
+
+
 class Token(NamedTuple):
     """A single lexical token (immutable; tuple-backed so the lexer can
     build one without a per-field ``__setattr__``).
@@ -79,7 +85,8 @@ class Token(NamedTuple):
         kind: the :class:`TokenKind` category.
         value: normalized text — keywords upper-cased, identifiers
             lower-cased, string literals unquoted, numbers as Python
-            ``int``/``float``.
+            ``int``/``float``; for ``LITERAL_ROWS`` the value matrix, a
+            tuple of rows, each a tuple of Python values.
         text: the raw source text of the token.
         position: zero-based character offset in the source.
         line: one-based source line.

@@ -133,9 +133,10 @@ def build_orgchart(depth=3, branching=2, seed=0, base_salary=40000,
 def load_orgchart(db, chart, batch_size=500):
     """Insert a chart's rows into an already-created emp/dept schema.
 
-    Inserts run in multi-row batches so loading does not dominate
-    benchmark setup time. Rule processing applies per batch (loading
-    should normally happen before rules are defined).
+    Rows go in as multi-row ``insert ... values`` statements of
+    ``batch_size`` literal rows: each is read as one value matrix and
+    written as one set, and rule processing applies once per statement
+    (loading should normally happen before rules are defined).
     """
     for start in range(0, len(chart.departments), batch_size):
         batch = chart.departments[start:start + batch_size]

@@ -217,3 +217,63 @@ def test_every_crash_point_is_exercised():
         "post_wal_append", "mid_checkpoint_rename",
     }
     assert len(CRASH_POINTS) * len(SEEDS) >= 50
+
+
+BULK_ROWS = 300
+
+
+def bulk_insert(first_id, rows=BULK_ROWS):
+    """One all-literal multi-row insert: parsed as one value matrix,
+    written as one set, journaled by one set-valued rule action."""
+    return "insert into acct values " + ", ".join(
+        f"({first_id + n}, {n}.25)" for n in range(rows)
+    )
+
+
+@pytest.mark.parametrize("torn_fraction", [0.02, 0.5, 0.98])
+@pytest.mark.parametrize("point", [
+    "mid_block", "mid_quiesce", "pre_wal_append", "torn_wal_append",
+    "post_wal_append",
+])
+def test_a_crash_inside_a_bulk_inserts_commit_keeps_all_rows_or_none(
+    tmp_path, point, torn_fraction
+):
+    """The 2 x 300 tuples of a bulk insert and of the journal rule it
+    fires are one commit record: a crash anywhere on its way to the log
+    leaves every one of them or none, never a prefix of the set."""
+    statements = [bulk_insert(1000), "delete from acct where id >= 1100",
+                  bulk_insert(2000)]
+    snapshots = run_oracle(statements)
+
+    directory = str(tmp_path / "d")
+    db = ActiveDatabase(durability=directory)
+    for statement in SETUP + statements[:2]:
+        db.execute(statement)
+    injector = FaultInjector(point=point, torn_fraction=torn_fraction)
+    db.durability.injector = injector
+    db.durability.wal.injector = injector
+    with pytest.raises(SimulatedCrash):
+        db.execute(statements[2])
+
+    recovered = recover(directory)
+    committed = recovered.durability.recovery["last_txn"]
+    survived = point in POINTS_AFTER_COMMIT_POINT
+    assert committed == SETUP_TXNS + 2 + survived
+    assert full_state(recovered) == snapshots[committed]
+    acct = recovered.database.table("acct")
+    assert len(acct) == 103 + BULK_ROWS * survived
+    assert acct.stats.row_count == len(acct)
+    assert acct.stats.drift == 0
+
+    # the set path keeps working on the recovered storage, on handles
+    # past everything the crashed lifetime durably issued
+    before = max(
+        handle for name in recovered.database.table_names()
+        for handle in recovered.database.table(name).handles()
+    )
+    result = recovered.execute(bulk_insert(5000, rows=260))
+    inserted = result.transitions[0].effect.inserted
+    assert len(inserted) == 260 and min(inserted) > before
+    expected = full_state(recovered)
+    recovered.durability.close()
+    assert full_state(recover(directory)) == expected

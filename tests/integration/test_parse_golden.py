@@ -5,7 +5,10 @@ The snapshot in ``tests/golden/parse_golden.json`` was generated with
 the character-at-a-time lexer and the recursive-descent expression
 tower, on the commit before the regex lexer and the precedence-climbing
 loop replaced them. Formatter output, the span of every ``walk()`` node
-and every error must stay what they were.
+and every error must stay what they were. The ``bulk#N`` entries (an
+org-chart load and the row lists of the tool's ``BULK_VALUES``) were
+generated the same way on the commit before the lexer learned to read
+an all-literal row list as one ``LITERAL_ROWS`` token.
 """
 
 import importlib.util

@@ -8,6 +8,13 @@ operators next to their one-character prefixes, characters that start
 no token — glued with and without whitespace. Both scanners must return
 identical ``(kind, value, text, position, line, column)`` lists, or
 raise ``LexError`` with the same message and position.
+
+Production folds an all-literal row list after ``VALUES`` into one
+``LITERAL_ROWS`` token; it is compared after expansion
+(:func:`expand_literal_rows`), so the reference's token list is also the
+specification of which texts may be folded and of every position inside
+them. The token's value matrix must hold what the interpreter computes
+from the nodes parsed out of the expansion, to the bit (``-0.0``).
 """
 
 import pytest
@@ -15,10 +22,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LexError
-from repro.sql.lexer import tokenize
-from repro.sql.tokens import KEYWORDS
+from repro.relational.database import Database
+from repro.relational.expressions import Evaluator, Scope
+from repro.sql import parse_statement
+from repro.sql.lexer import expand_literal_rows
+from repro.sql.lexer import tokenize as fold_tokenize
+from repro.sql.tokens import KEYWORDS, TokenKind
 
 from ..reference.char_lexer import tokenize as reference_tokenize
+
+
+def tokenize(source):
+    """Production's token list, ``LITERAL_ROWS`` tokens expanded."""
+    tokens = []
+    for token in fold_tokenize(source):
+        if token.kind is TokenKind.LITERAL_ROWS:
+            assert exact(token.value) == matrix_of_nodes(token)
+            tokens.extend(expand_literal_rows(token)[:-1])
+        else:
+            tokens.append(token)
+    return tokens
+
+
+def exact(matrix):
+    """Values with class and sign bit: 1 != 1.0 != True, 0.0 != -0.0."""
+    return [[repr(value) for value in row] for row in matrix]
+
+
+def matrix_of_nodes(token):
+    """What evaluating the nodes behind a ``LITERAL_ROWS`` token gives."""
+    [operation] = parse_statement(
+        "insert into t values " + token.text).operations
+    evaluate = Evaluator(Database(), None).evaluate
+    return exact([[evaluate(node, Scope()) for node in row]
+                  for row in operation.rows.nodes()])
+
+
+def folded(source):
+    """How many ``LITERAL_ROWS`` tokens production makes of ``source``
+    (none of a text it refuses)."""
+    try:
+        tokens = fold_tokenize(source)
+    except LexError:
+        return 0
+    return [token.kind for token in tokens].count(TokenKind.LITERAL_ROWS)
 
 
 def outcome(scan, source):
@@ -79,6 +126,51 @@ soups = st.lists(st.tuples(fragment, glue), max_size=12).map(
     lambda pairs: "".join(piece + gap for piece, gap in pairs)
 )
 
+# row lists after VALUES: mostly literal, now and then one of the near
+# misses that must leave the whole list to the token-by-token path
+signs = st.sampled_from(["", "", "", "-", "+", "- ", "-\n"])
+good_values = st.one_of(
+    st.tuples(signs, st.sampled_from(
+        ["0", "7", "007", "1.", ".5", "1.5", "1e5", "1.e5", "2.5e-3", "1E+3",
+         "0.0"])).map("".join),
+    st.sampled_from(["''", "''''", "'it''s'", "'a\nb'", "'--'", "'/*'",
+                     "'(1, 2)'", "'\n\n'", "',)'"]),
+    st.sampled_from(["null", "NULL", "NuLl", "true", "FALSE", "falſe"]),
+)
+near_values = st.one_of(
+    st.tuples(st.sampled_from(["--", "- -", "+-", "-"]), numbers).map("".join),
+    numbers, strings,
+    st.sampled_from(["nullx", "unknown", "x", "1+1", "(1)", "-null", "",
+                     "1 2", "/* c */ 1"]),
+)
+row_values = st.one_of(*[good_values] * 15, near_values)
+good_commas = st.sampled_from([",", ", ", " , ", ",\n", "\n,\t"])
+commas = st.one_of(*[good_commas] * 15, st.sampled_from(
+    [" ", "", ",,", "/* c */,", ", -- c\n", ";"]))
+closers = st.sampled_from([")"] * 14 + [" )", "\n)", ",)", ""])
+
+
+def joined(parts, gaps):
+    return "".join(part + gap for part, gap in zip(parts, [*gaps, ""]))
+
+
+def separated(parts):
+    """``parts`` joined by drawn commas."""
+    return st.lists(
+        commas, min_size=max(len(parts) - 1, 0), max_size=max(len(parts) - 1, 0)
+    ).map(lambda gaps: joined(parts, gaps))
+
+
+value_rows = st.tuples(
+    st.lists(row_values, min_size=1, max_size=4).flatmap(separated), closers,
+).map(lambda row: "(" + row[0] + row[1])
+row_lists = st.tuples(
+    st.sampled_from(["values", "values ", "VALUES\n", "Values  ",
+                     "values/**/", "value "]),
+    st.lists(value_rows, min_size=1, max_size=4).flatmap(separated),
+    st.one_of(st.just(""), st.just(" x\n'y\nz' w"), commas, soups),
+).map("".join)
+
 
 class TestLexerAgainstReference:
     @settings(max_examples=1500, deadline=None)
@@ -98,4 +190,43 @@ class TestLexerAgainstReference:
         "insert into t values (1, 'a''b', .5, -2e3)", "a--b\n+c", "a/b/*c*/d",
     ])
     def test_pinned_inputs(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @settings(max_examples=1500, deadline=None)
+    @given(row_lists)
+    def test_row_lists_after_values(self, source):
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("source, folds", [
+        ("values (1, 'a''b', .5, -2e3)", 1),
+        ("values (1., .5, 1e5, 1.e5, 007, -0.0, - 5, +5, -1e3)", 1),
+        ("values ('it''s', '', '--', '/*', ',)', '(1, 2), (3')", 1),
+        ("values (null, NuLl, TRUE, false), (1, 2, 3, 4)", 1),
+        ("values (1, 2) , ( 3 , 4 )\n,\n(5,6)", 1),
+        ("values (1, 2) (3, 4)", 1),        # the parser's error, not ours
+        ("values (1), (2); select 'x' from t where a = 'values (3)'", 1),
+        ("values (1, 2), (3, 4); insert into u values ('a'), ('b')", 2),
+        ("values ('a\nb', 1),\n('\n\n', 2)\n  , ('c', 3) x\n'y\nz' w", 1),
+        ("values (1..2)", 0), ("values (12abc)", 0), ("values (1e)", 0),
+        ("values (nullx)", 0), ("values (-null)", 0), ("values (x)", 0),
+        ("values (unknown)", 0), ("values (- -5)", 0), ("values (--5)", 0),
+        ("values (1 2)", 0), ("values (1,)", 0), ("values ()", 0),
+        ("values (1, 2),", 0), ("values (1, 2), (3, 4),", 0),
+        ("values (1, 2), (3, 1 + 1)", 0), ("values (1, 2), (3, (select 1))", 0),
+        ("values (1, 2) -- c\n, (3, 4)", 0), ("values (1, 2), /* c */ (3, 4)", 0),
+        ("values (1, /* c */ 2)", 0), ("values (1, 2", 0), ("values ('oops)", 0),
+        ("values (\u00b2)", 0), ("values (1\xa0)", 0), ("value (1, 2)", 0),
+    ])
+    def test_row_list_edges(self, source, folds):
+        assert folded(source) == folds
+        assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("rows", [1, 2, 2000])
+    def test_one_row_to_two_thousand(self, rows):
+        source = "insert into t values " + ",\n".join(
+            f"({n}, 'r''{n}\n', {n}.5, -{n}e-2, null)" for n in range(rows)
+        ) + ";\nselect *\n  from t"
+        tokens = fold_tokenize(source)
+        assert folded(source) == 1 and len(tokens) == 11
+        assert len(tokens[4].value) == rows
         assert outcome(tokenize, source) == outcome(reference_tokenize, source)

@@ -7,33 +7,16 @@ production build → encode → decode → bulk replay to this module's
 build → row-at-a-time replay: same rows, same storage order, same
 handles, indexes and rebuilt statistics. :func:`build_commit_record` and
 :func:`replay_commit_record` are the seed's functions verbatim, except
-that replay calls :func:`restore_row` — the seed's
-``Database.restore_row``, which left ``src/`` with them — as a function
-over the database's public pieces.
+that replay writes through ``tests/reference/row_mutators.py`` — the
+seed's ``Database.restore_row`` / ``delete_row`` / ``update_row``, which
+left ``src/`` after them.
 """
 
 from __future__ import annotations
 
 from repro.durability.wal import WalError
 
-
-def restore_row(database, table_name, handle, values):
-    """Re-insert a row under its original handle (crash recovery).
-
-    Identical to ``Database.insert_row`` except the handle comes from
-    durable state instead of the allocator — tuple handles are
-    non-reusable values identifying tuples, so recovery must preserve
-    them for transition effects to stay meaningful.
-    """
-    if database.on_table_write is not None:
-        database.on_table_write(table_name)
-    table = database.table(table_name)
-    row = table.schema.coerce_row(values)
-    database.handles.restore([handle], table_name)
-    table.insert(handle, row)
-    database.transactions.log_insert(table_name, handle)
-    database.version += 1
-    return handle
+from .row_mutators import RowMutators
 
 
 def build_commit_record(txn_id, effect, database):
@@ -91,12 +74,13 @@ def replay_commit_record(record, database):
         WalError: when the post-replay row counts disagree with the
             counts recorded at commit time.
     """
+    rows = RowMutators(database)
     for table, handle in record["delete"]:
-        database.delete_row(table, handle)
+        rows.delete_row(table, handle)
     for table, handle, values in record["insert"]:
-        restore_row(database, table, handle, values)
+        rows.restore_row(table, handle, values)
     for table, handle, values in record["update"]:
-        database.update_row(table, handle, values)
+        rows.update_row(table, handle, values)
     database.handles.advance_past(record["handle_hwm"])
     for table, expected in record["counts"].items():
         actual = database.row_count(table)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeError_
 from repro.relational.database import Database
 from repro.relational.dml import (
     DeleteEffect,
@@ -125,6 +125,86 @@ class TestInsert:
         checked, literal or not."""
         with pytest.raises(ExecutionError, match="unknown column"):
             execute(executor, "insert into emp values (1, nosuch)")
+
+
+class TestSetWrites:
+    """Every write is one set mutator call over its whole affected set."""
+
+    def test_a_literal_row_list_executes_without_building_nodes(
+            self, database, executor):
+        block = parse_statement(
+            "insert into emp values ('a', 1, -2.5, null), ('b', - 2, +3, 4)")
+        [operation] = block.operations
+        [effect] = executor.execute_block(block)
+        assert operation.rows._nodes is None  # the value matrix sufficed
+        assert [database.row("emp", h) for h in effect.handles] == [
+            ("a", 1, -2.5, None), ("b", -2, 3.0, 4),
+        ]
+        assert repr(database.row("emp", effect.handles[1])[2]) == "3.0"
+
+    def test_each_write_is_one_undo_record_and_one_write_notice(
+            self, database, executor):
+        written = []
+        database.on_table_write = written.append
+        database.transactions.begin()
+        execute(executor, "insert into emp values "
+                          "('a', 1, 10.0, 1), ('b', 2, 20.0, 1), ('c', 3, 30.0, 2)")
+        execute(executor, "insert into emp (select * from emp)")
+        execute(executor, "update emp set salary = salary * 2, dept_no = 9 "
+                          "where dept_no = 1")
+        execute(executor, "delete from emp where dept_no = 9")
+        execute(executor, "delete from emp where dept_no = 9")  # no tuples
+        execute(executor, "update emp set salary = 0 where false")
+        assert written == ["emp"] * 4
+        assert database.transactions.savepoint() == 4
+        assert database.table("emp").rows() == [
+            ("c", 3, 30.0, 2), ("c", 3, 30.0, 2)]
+        database.transactions.rollback()
+        assert database.row_count("emp") == 0
+
+    def test_a_bad_row_in_a_bulk_insert_is_reported_and_nothing_happens(
+            self, database, executor):
+        execute(executor, "insert into emp values ('z', 0, 0.0, 0)")
+        issued = database.handles.issued_count
+        with pytest.raises(TypeError_) as bulk:
+            execute(executor, "insert into emp values ('a', 1, 1.0, 1), "
+                              "('b', 2, 'two', 2.5), (3, 3, 3.0, 3)")
+        with pytest.raises(TypeError_) as single:
+            execute(executor, "insert into emp values ('b', 2, 'two', 2.5)")
+        assert str(bulk.value) == str(single.value)
+        assert "column emp.salary" in str(bulk.value)
+        assert database.row_count("emp") == 1
+        assert database.handles.issued_count == issued
+
+    def test_update_errors_are_the_first_in_row_then_assignment_order(
+            self, database, executor):
+        execute(executor, "insert into emp values "
+                          "('a', 1, 10.0, 1), ('b', 0, 20.0, 0), ('c', 3, 30.0, 3)")
+        before = database.snapshot()
+        # row 'b' fails in the first assignment, row 'a' in the second
+        with pytest.raises(ExecutionError, match="division by zero"):
+            execute(executor, "update emp set salary = salary / emp_no, "
+                              "dept_no = 7 / (dept_no - 1)")
+        with pytest.raises(TypeError_, match="column emp.emp_no"):
+            execute(executor, "update emp set emp_no = salary / 4")
+        assert database.snapshot() == before
+
+    def test_update_assigning_a_column_twice_keeps_the_last_value(
+            self, database, executor):
+        execute(executor, "insert into emp values ('a', 1, 10.0, 1)")
+        [effect] = execute(
+            executor, "update emp set salary = 'x', salary = salary + 1")
+        assert effect.columns == ("salary", "salary")
+        assert database.table("emp").rows() == [("a", 1, 11.0, 1)]
+
+    def test_update_with_a_subquery_assignment_sees_the_old_state(
+            self, database, executor):
+        execute(executor, "insert into emp values "
+                          "('a', 1, 10.0, 1), ('b', 2, 20.0, 1)")
+        execute(executor, "update emp set salary = "
+                          "(select max(salary) from emp) + emp_no")
+        assert database.table("emp").rows() == [
+            ("a", 1, 21.0, 1), ("b", 2, 22.0, 1)]
 
 
 class TestDelete:

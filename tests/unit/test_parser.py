@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.sql import ast
+from repro.sql import ast, format_node, span_of, walk
 from repro.sql.parser import (
     parse_block,
     parse_expression,
@@ -378,6 +378,39 @@ class TestDml:
     def test_insert_with_columns(self):
         block = parse_statement("insert into t (a, b) values (1, 2)")
         assert block.operations[0].columns == ("a", "b")
+
+    def test_literal_rows_are_the_tuple_of_nodes_they_stand_for(self):
+        literal = ast.Literal
+        expected = (
+            (literal(1), ast.UnaryOp("-", literal(2.5)), literal("it's")),
+            (ast.UnaryOp("+", literal(5)), literal(None), literal(True)),
+        )
+        insert = parse_statement(
+            "insert into t values (1, -2.5, 'it''s'), (+5, NULL, true)"
+        ).operations[0]
+        rows = insert.rows
+        assert type(rows) is ast.LiteralRows
+        assert rows.values == ((1, -2.5, "it's"), (5, None, True))
+        assert len(rows) == 2 and rows._nodes is None
+        assert rows == expected and expected == tuple(rows)
+        assert rows[0] == expected[0] and rows[-1][0].operand == literal(5)
+        assert hash(rows) == hash(expected) and repr(rows) == repr(expected)
+        assert insert == ast.InsertValues("t", expected)
+        assert hash(insert) == hash(ast.InsertValues("t", expected))
+        assert rows != expected[:1]
+        again = parse_statement(format_node(insert)).operations[0]
+        assert again == insert and again.rows.values == rows.values
+        assert span_of(rows[1][0]).location == "1:43"
+        assert [type(node).__name__ for node in walk(insert)] == [
+            "InsertValues", "Literal", "Literal", "UnaryOp", "Literal",
+            "Literal", "UnaryOp", "Literal", "Literal",
+        ]
+
+    def test_rows_holding_an_expression_stay_a_plain_tuple(self):
+        insert = parse_statement(
+            "insert into t values (1, 2), (3, 1 + 1)").operations[0]
+        assert type(insert.rows) is tuple
+        assert insert.rows[0] == (ast.Literal(1), ast.Literal(2))
 
     def test_insert_select(self):
         block = parse_statement("insert into t (select x from s)")

@@ -30,30 +30,30 @@ def fill(db, n, start=0):
 class TestColumnStats:
     def test_observe_tracks_min_max_nulls(self):
         stats = ColumnStats()
-        for value in (5, 1, None, 9, None):
-            stats.observe(value)
+        stats.observe([5, 1, None])
+        stats.observe([9, None])
         assert stats.minimum == 1
         assert stats.maximum == 9
         assert stats.nulls == 2
 
     def test_forget_only_shrinks_exact_counters(self):
         stats = ColumnStats()
-        stats.observe(1)
-        stats.observe(None)
-        stats.forget(None)
-        stats.forget(1)
+        stats.observe([1, None])
+        stats.forget([None, 1])
         assert stats.nulls == 0
         # widen-only: min/max still bracket the (now empty) column
         assert stats.minimum == 1
 
     def test_ndv_exact_until_saturation(self):
         stats = ColumnStats()
-        for i in range(10):
-            stats.observe(i % 3)
+        stats.observe([i % 3 for i in range(10)])
         assert stats.ndv(non_null_rows=10) == 3
-        for i in range(DISTINCT_CAP + 5):
-            stats.observe(i)
+        stats.observe(list(range(DISTINCT_CAP - 1)))
+        assert not stats.saturated
+        stats.observe(list(range(DISTINCT_CAP + 5)))
         assert stats.saturated
+        # the set stops growing at the cap, as when fed value by value
+        assert stats.distinct == set(range(DISTINCT_CAP))
         # saturated: assume near-unique (>= cap)
         assert stats.ndv(non_null_rows=5000) == 5000
 
@@ -133,13 +133,13 @@ class TestZoneMaps:
         stats.rebuild(([10],), [0])
         assert len(stats.zones[0][0]) == 1
         far_slot = 5 * ZONE_SIZE
-        stats.on_insert(far_slot, (7,))
+        stats.on_insert(far_slot, [[7]])
         mins, maxs = stats.zones[0]
         assert len(mins) == 6
         assert (mins[5], maxs[5]) == (7, 7)
         stats2 = TableStats(1)
         stats2.rebuild(([10],), [0])
-        stats2.on_replace(3 * ZONE_SIZE, (None,), (4,))
+        stats2.on_assign([3 * ZONE_SIZE], [(0, [None], [4])])
         assert stats2.zones[0][0][3] == 4
 
 

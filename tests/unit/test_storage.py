@@ -202,7 +202,8 @@ class TestDatabaseMutators:
 
 
 class TestBulkRecoveryMutators:
-    """The column-vector mutators crash recovery replays through."""
+    """The column-vector set mutators every write goes through, as crash
+    recovery uses them: handles given, no transaction."""
 
     def make(self, rows=0):
         database = Database()
@@ -213,7 +214,7 @@ class TestBulkRecoveryMutators:
 
     def test_restore_rows_keeps_handles_order_and_allocator(self):
         database = self.make()
-        database.restore_rows("t", [3, 4, 9], [[1, 2.0, None], ["a", None, "c"]])
+        database.insert_rows("t", [[1, 2.0, None], ["a", None, "c"]], [3, 4, 9])
         table = database.table("t")
         assert table.items() == [
             (3, (1, "a")), (4, (2, None)), (9, (None, "c")),
@@ -227,17 +228,17 @@ class TestBulkRecoveryMutators:
         for handles in ([2, 3], [5, 5]):
             before = database.snapshot()
             with pytest.raises(ExecutionError, match="already live"):
-                database.restore_rows("t", handles, [[7, 8], ["a", "b"]])
+                database.insert_rows("t", [[7, 8], ["a", "b"]], handles)
             assert database.snapshot() == before
 
     def test_vectors_are_type_and_length_checked(self):
         database = self.make(rows=2)
         with pytest.raises(TypeError_, match="column t.x"):
-            database.restore_rows("t", [7], [["seven"], ["a"]])
+            database.insert_rows("t", [["seven"], ["a"]], [7])
         with pytest.raises(CatalogError, match="column t.y: 1 values for 2"):
-            database.restore_rows("t", [7, 8], [[7, 8], ["a"]])
+            database.insert_rows("t", [[7, 8], ["a"]], [7, 8])
         with pytest.raises(CatalogError, match="expects 2 columns, got 1"):
-            database.restore_rows("t", [7], [[7]])
+            database.insert_rows("t", [[7]], [7])
         with pytest.raises(TypeError_, match="column t.y"):
             database.assign_columns("t", [1], ["y"], [[5]])
         with pytest.raises(CatalogError, match="2 value vectors for 1"):
@@ -253,13 +254,16 @@ class TestBulkRecoveryMutators:
         assert database.table("t").handles() == [2]
         assert database.table("t").tombstones == 2
 
-    def test_delete_rows_checks_compaction_once_per_call(self):
+    def test_delete_rows_compacts_like_a_tuple_loop(self):
         database = self.make(rows=100)
         table = database.table("t")
         database.delete_rows("t", list(range(1, 81)))
-        assert table.tombstones == 0  # compacted: 80 dead of 100 slots
+        # the 64th delete makes 64 dead of 100 slots: compacted there,
+        # and the 16 deletes after it are tombstones again
+        assert table.tombstones == 16
         assert table.handles() == list(range(81, 101))
-        assert len(table._handles) == 20
+        assert len(table._handles) == 36
+        assert table.stats.rows_at_rebuild == 36
 
     def test_assign_columns_overwrites_in_place(self):
         database = self.make(rows=3)
@@ -279,10 +283,45 @@ class TestBulkRecoveryMutators:
         database.assign_columns("t", [1], ["x"], [[5]])
         assert database.version > stamps[0] and table.mutations > stamps[1]
 
-    def test_bulk_mutators_refuse_to_run_inside_a_transaction(self):
-        from repro.errors import TransactionError
-
-        database = self.make(rows=1)
+    def test_set_mutators_are_undo_logged_one_record_per_set(self):
+        database = self.make(rows=3)
+        before = database.snapshot()
         database.transactions.begin()
-        with pytest.raises(TransactionError, match="not undo-logged"):
-            database.delete_rows("t", [1])
+        database.delete_rows("t", [1, 3])
+        database.insert_rows("t", [[7, 8], ["a", "b"]])
+        database.assign_columns("t", [2, 4], ["x"], [[20, 70]])
+        assert database.transactions.savepoint() == 3
+        assert database.table("t").items() == [
+            (2, (20, "r1")), (4, (70, "a")), (5, (8, "b")),
+        ]
+        database.transactions.rollback()
+        assert database.snapshot() == before
+        assert database.table("t").handles() == [2, 3, 1]  # undone newest first
+        assert database.insert_row("t", [9, "z"]) == 6  # handles are not reused
+
+    def test_an_empty_set_is_not_a_write(self):
+        database = self.make(rows=1)
+        seen = []
+        database.on_table_write = seen.append
+        stamp = database.version
+        assert database.delete_rows("t", []) == []
+        assert database.assign_columns("t", [], ["x"], [[]]) == []
+        assert database.insert_rows("t", [[], []]) == ()
+        assert seen == [] and database.version == stamp
+
+    def test_a_bad_value_is_reported_row_major_and_leaves_no_trace(self):
+        database = self.make(rows=1)
+        database.create_index("t_x", "t", "x")
+        table = database.table("t")
+        before = (table.items(), table.stats.snapshot(), database.version,
+                  database.handles.issued_count)
+        with pytest.raises(TypeError_) as by_set:
+            # row 1 is bad in column y, row 2 in column x: row 1 wins
+            database.insert_rows("t", [[1, 2, "no"], ["a", 5, "c"]])
+        with pytest.raises(TypeError_) as by_row:
+            database.insert_row("t", [2, 5])
+        assert str(by_set.value) == str(by_row.value)
+        assert table.items() == before[0]
+        assert table.stats.snapshot() == before[1]
+        assert database.handles.issued_count == before[3]
+        assert database.indexes.get("t_x").lookup(1) == set()

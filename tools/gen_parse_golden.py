@@ -9,10 +9,13 @@ to the lexer or parser that is meant to be behaviour-preserving
 generates the snapshot **on its parent commit** and must reproduce it
 (``tests/integration/test_parse_golden.py``).
 
-Texts come from four places: the lint corpus (``.sql`` scripts), every
+Texts come from five places: the lint corpus (``.sql`` scripts), every
 string constant that opens like a statement in ``examples/*.py`` and in
 ``tests/integration/test_paper_examples.py`` (fragments completed at
-run time pin error behaviour), and the org-chart rule program. The
+run time pin error behaviour), the org-chart rule program, and bulk
+``insert ... values`` statements — an org-chart load as
+``load_orgchart`` writes it plus :data:`BULK_VALUES`, row lists on and
+just off the all-literal form the lexer reads as one value matrix. The
 texts themselves are not stored, only a hash that tells the test when a
 source file moved on without the snapshot. Only public entry points are
 used, so the tool runs unchanged on either side of a parser rewrite::
@@ -38,6 +41,36 @@ GOLDEN = ROOT / "tests" / "golden" / "parse_golden.json"
 _SQL_OPENING = re.compile(
     r"\s*(create|drop|insert|delete|update|select|assert|explain)\b", re.I
 )
+
+
+#: multi-row VALUES texts: literal forms, near misses, malformed lists
+BULK_VALUES = [
+    "insert into t values (1, -2.5, 'it''s', null), (+5, - 7, '\n', TRUE)",
+    "insert into t (a, b) values (1., .5), (1e5, -1.e-3), (007, -0.0)",
+    "insert into t values\n  ('a\nb', 1),\n  ('c', NuLl)\n;\nselect * from t",
+    "insert into t values " + ",\n".join(
+        f"('r{n}', {n}, {n}.25, -{n}e-2, {('null', 'true', 'FALSE')[n % 3]})"
+        for n in range(400)),
+    "create rule r when inserted into t then insert into u values "
+    "(1, 'x'), (2, 'y'); insert into u values (-1, null)",
+    "insert into t values (1, 2), (3, 1 + 1)",
+    "insert into t values (1, 2), (3, (select max(a) from t))",
+    "insert into t values (1, 2) -- c\n, (3, 4)",
+    "insert into t values (1, /* c */ 2), (3, 4)",
+    "insert into t values (- -5), (--5\n)",
+    "insert into t values (1, 2) (3, 4)",
+    "insert into t values (1 2)",
+    "insert into t values (1,)",
+    "insert into t values ()",
+    "insert into t values (1, 2),",
+    "insert into t values (1, 2), (3, 4),\n",
+    "insert into t values (1, 2), (3, 4",
+    "insert into t values (nullx), (-null)",
+    "insert into t values (1..2)",
+    "insert into t values (12abc)",
+    "insert into t values (1, 'oops)",
+    "insert into t values (1, \u00b2)",
+]
 
 
 def _sql_constants(path: Path) -> Iterator[str]:
@@ -68,6 +101,14 @@ def collect_texts() -> list[dict[str, str]]:
     for index, text in enumerate(orgchart.ORG_RULES):
         texts.append({"label": f"orgchart.ORG_RULES#{index}",
                       "mode": "statement", "text": text})
+    load: list[str] = []
+    recorder = type("Recorder", (), {"execute": staticmethod(load.append)})
+    orgchart.load_orgchart(
+        recorder, orgchart.build_orgchart(depth=6, branching=2, seed=1),
+        batch_size=100)
+    for index, text in enumerate(load + BULK_VALUES):
+        texts.append({"label": f"bulk#{index}", "mode": "statement",
+                      "text": text})
     return texts
 
 
