@@ -80,7 +80,7 @@ class InstanceOrientedEngine(RuleEngine):
 
     def _condition_for_unit(self, rule, unit):
         resolver = TransitionTableResolver(self.database, unit)
-        evaluator = Evaluator(self.database, resolver)
+        evaluator = Evaluator(self.database, resolver, self._rule_bound(rule))
         return evaluator.evaluate_predicate(rule.condition, Scope())
 
     def _execute_rule_action(self, rule):
@@ -92,9 +92,12 @@ class InstanceOrientedEngine(RuleEngine):
                 if self._condition_for_unit(rule, unit) is not True:
                     continue
             resolver = TransitionTableResolver(self.database, unit)
-            executor = DmlExecutor(self.database, resolver, self.track_selects)
+            executor = DmlExecutor(
+                self.database, resolver, self.track_selects,
+                self._rule_bound(rule),
+            )
             if rule.is_external:
-                context = ExternalActionContext(self, rule, executor)
+                context = ExternalActionContext(self, rule, resolver)
                 rule.action.procedure(context)
                 effects.extend(context.collected_effects)
                 continue

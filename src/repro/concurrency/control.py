@@ -56,7 +56,7 @@ import threading
 
 from ..errors import ConflictError, TransactionError
 from ..obs.events import EventKind
-from ..sql import ast, parse_statement
+from ..sql import ast
 
 #: commit-log entries kept beyond what open transactions can still
 #: conflict with (a small grace so introspection can see recent history)
@@ -257,15 +257,18 @@ class TransactionCoordinator:
         (statement + rule cascade, up to ``max_retries``); conflicts
         inside an explicit transaction abort it and propagate.
         """
+        bound = None
         if isinstance(statement, str):
-            statement = parse_statement(statement)
+            # outside the operation lock (the server's reader threads
+            # get here concurrently): the statement cache has its own
+            statement, bound = self.database.statements.parse(statement)
         self._check_session(session)
         if isinstance(statement, ast.OperationBlock):
             if session.in_txn:
                 return self._run_op(
-                    session, lambda: self.system.execute(statement)
+                    session, lambda: self.system.execute(statement, bound)
                 )
-            return self._autocommit(session, statement)
+            return self._autocommit(session, statement, bound)
         if isinstance(statement, ast.AssertRules):
             if not session.in_txn:
                 raise TransactionError(
@@ -275,7 +278,7 @@ class TransactionCoordinator:
                 session, lambda: self.system.execute(statement)
             )
         if isinstance(statement, ast.Explain):
-            return self.system.execute(statement)
+            return self.system.execute(statement, bound)
         # Everything else mutates shared structure (schema, indexes, the
         # rule catalog): a global barrier — no transaction may be open
         # anywhere — keeps DDL trivially serializable.
@@ -389,12 +392,13 @@ class TransactionCoordinator:
                     if self._locks is not None:
                         self._locks.release_all(session)
 
-    def _autocommit(self, session, block):
+    def _autocommit(self, session, block, bound):
         attempt = 0
         while True:
             try:
                 return self._run_op(
-                    session, lambda: self._autocommit_once(session, block)
+                    session,
+                    lambda: self._autocommit_once(session, block, bound),
                 )
             except ConflictError:
                 if attempt >= self.max_retries:
@@ -408,10 +412,10 @@ class TransactionCoordinator:
                     attempt=attempt,
                 )
 
-    def _autocommit_once(self, session, block):
+    def _autocommit_once(self, session, block, bound):
         self._begin_session_txn(session, explicit=False)
         try:
-            result = self.system.execute(block)
+            result = self.system.execute(block, bound)
         except ConflictError:
             raise  # _run_op owns the cleanup
         except BaseException:

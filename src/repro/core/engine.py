@@ -45,7 +45,7 @@ from ..relational.dml import DmlExecutor
 from ..relational.expressions import Evaluator, Scope
 from ..relational.select import BaseTableResolver, evaluate_select
 from ..sql import ast, parse_statement
-from ..sql.parser import parse_select, parse_transition_predicates
+from ..sql.parser import parse_transition_predicates
 from .effects import TransitionEffect
 from .external import ExternalAction, ExternalActionContext
 from .incremental import EXTERNAL_SOURCE, IncrementalManager
@@ -135,8 +135,8 @@ class RuleEngine:
         self._base_resolver = BaseTableResolver(self.database)
         #: rule name -> ((schema_version, stats_epoch, condition id),
         #: cost-ordered condition AST). The ordered AST is a rebuilt
-        #: object, so caching keeps the compiled-program cache (keyed on
-        #: node identity) hitting across considerations; the key makes
+        #: object, so caching keeps the rule's compiled programs (keyed
+        #: on node identity) hitting across considerations; the key makes
         #: the order follow statistics drift and DDL.
         self._ordered_conditions = {}
         #: delta-driven condition evaluation (docs/semantics.md §12):
@@ -182,7 +182,10 @@ class RuleEngine:
         database = self.database
         return self._metrics.snapshot(
             strategy=getattr(self.strategy, "name", None),
-            planner=database.planner_stats.snapshot(),
+            planner=dict(
+                database.planner_stats.snapshot(),
+                statement_cache=database.statements.snapshot(),
+            ),
             compiler=database.compiler_stats.snapshot(),
             vectorized=database.vectorized_stats.snapshot(
                 enabled=vectorized_enabled(database)
@@ -294,6 +297,7 @@ class RuleEngine:
         return rule
 
     def drop_rule(self, name):
+        self.database.statements.release(self.catalog.rule(name))
         self.catalog.drop_rule(name)
         self._info.pop(name, None)
         self._considered_at.pop(name, None)
@@ -316,7 +320,8 @@ class RuleEngine:
             from ..relational.compiled import program_for
 
             program_for(
-                self.database, self._condition_for(rule), (), predicate=True
+                self.database, self._condition_for(rule), (), predicate=True,
+                statement=self._rule_bound(rule).statement,
             )
         # A rule defined mid-transaction starts with an empty baseline: it
         # observes only transitions that occur after its definition.
@@ -329,6 +334,12 @@ class RuleEngine:
         # plan and the refined triggering graph.
         self.incremental.on_rule_defined(rule)
         self._lint_new_rule(rule)
+
+    def _rule_bound(self, rule):
+        """The rule as a statement: its pinned cache entry (the plans
+        and programs of its condition and action live as long as the
+        rule does) and nothing to bind — a rule keeps its literals."""
+        return self.database.statements.bound_node(rule, pinned=True)
 
     def _lint_new_rule(self, rule):
         """Definition-time analysis: run the rule-scoped lint passes on
@@ -477,19 +488,22 @@ class RuleEngine:
             self._abort(reason="error")
             raise
 
-    def execute_block(self, block):
+    def execute_block(self, block, bound=None):
         """Execute an externally-generated operation block inside the open
         transaction (no rule processing yet — that happens at the next
-        triggering point or at commit)."""
+        triggering point or at commit). Text goes through the statement
+        cache; ``bound`` comes with a block that already did."""
         self._require_transaction()
+        statements = self.database.statements
         if isinstance(block, str):
-            block = parse_statement(block)
+            block, bound = statements.parse(block)
         if not isinstance(block, ast.OperationBlock):
             raise ExecutionError(
                 f"expected an operation block, got {type(block).__name__}"
             )
         executor = DmlExecutor(
-            self.database, self._base_resolver, self.track_selects
+            self.database, self._base_resolver, self.track_selects,
+            bound or statements.bound_node(block),
         )
         self.incremental.before_transition()
         savepoint = self.database.transactions.savepoint()
@@ -523,7 +537,7 @@ class RuleEngine:
             self.durability.crash_point("mid_block")
         return effects
 
-    def run_block(self, block):
+    def run_block(self, block, bound=None):
         """One whole §4 transaction: execute the external block, process
         rules to quiescence, commit. Returns the
         :class:`~repro.core.trace.TransactionResult`.
@@ -535,7 +549,7 @@ class RuleEngine:
             )
         self.begin()
         try:
-            self.execute_block(block)
+            self.execute_block(block, bound)
         except Exception:
             self._abort()
             raise
@@ -653,9 +667,12 @@ class RuleEngine:
 
     def query(self, select):
         """Evaluate a read-only select against the current state."""
+        bound = None
         if isinstance(select, str):
-            select = parse_select(select)
-        return evaluate_select(self.database, select, self._base_resolver)
+            select, bound = self.database.statements.parse_select(select)
+        return evaluate_select(
+            self.database, select, self._base_resolver, bound=bound
+        )
 
     # ------------------------------------------------------------------
     # the rule processing loop (Figure 1)
@@ -912,13 +929,15 @@ class RuleEngine:
         resolver = TransitionTableResolver(
             self.database, self._info[rule.name]
         )
-        evaluator = Evaluator(self.database, resolver)
+        bound = self._rule_bound(rule)
+        evaluator = Evaluator(self.database, resolver, bound)
         database = self.database
         if getattr(database, "enable_compiled_eval", False):
             from ..relational.compiled import program_for
 
             program = program_for(
-                database, condition, (), predicate=True
+                database, condition, (), predicate=True,
+                statement=bound.statement,
             )
             return program.run((), Scope(), evaluator)
         return evaluator.evaluate_predicate(condition, Scope())
@@ -960,11 +979,14 @@ class RuleEngine:
         interpretation.
         """
         resolver = TransitionTableResolver(self.database, self._info[rule.name])
-        executor = DmlExecutor(self.database, resolver, self.track_selects)
         if rule.is_external:
-            context = ExternalActionContext(self, rule, executor)
+            context = ExternalActionContext(self, rule, resolver)
             rule.action.procedure(context)
             return list(context.collected_effects)
+        executor = DmlExecutor(
+            self.database, resolver, self.track_selects,
+            self._rule_bound(rule),
+        )
         effects = []
         for operation in rule.action.operations:
             effect = executor.execute_operation(operation)

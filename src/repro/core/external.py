@@ -53,23 +53,32 @@ class ExternalActionContext:
     * :attr:`rule_name` / :attr:`transition_tables` — introspection.
     """
 
-    def __init__(self, engine, rule, executor):
+    def __init__(self, engine, rule, resolver):
         self._engine = engine
-        self._executor = executor
+        self._resolver = resolver
         self.rule_name = rule.name
         self.collected_effects = []
 
     def execute(self, block):
         """Execute an operation block (SQL string or parsed AST)."""
-        from ..sql import ast, parse_statement
+        from ..relational.dml import DmlExecutor
+        from ..sql import ast
 
+        database = self._engine.database
+        bound = None
         if isinstance(block, str):
-            block = parse_statement(block)
+            block, bound = database.statements.parse(block)
         if not isinstance(block, ast.OperationBlock):
             raise ExecutionError(
                 "external actions may only execute operation blocks"
             )
-        effects = self._executor.execute_block(block)
+        # the block is a statement of its own, with its own literals —
+        # whatever statement, of the same shape even, fired the rule
+        executor = DmlExecutor(
+            database, self._resolver, self._engine.track_selects,
+            bound or database.statements.bound_node(block),
+        )
+        effects = executor.execute_block(block)
         self.collected_effects.extend(effects)
         return effects
 
@@ -78,12 +87,13 @@ class ExternalActionContext:
         :class:`repro.relational.select.SelectResult`. Transition tables
         of the firing rule are available in FROM clauses."""
         from ..relational.select import evaluate_select
-        from ..sql.parser import parse_select
 
+        database = self._engine.database
+        bound = None
         if isinstance(select, str):
-            select = parse_select(select)
+            select, bound = database.statements.parse_select(select)
         return evaluate_select(
-            self._engine.database, select, self._executor.resolver
+            database, select, self._resolver, bound=bound
         )
 
     def rollback(self):

@@ -44,8 +44,8 @@ from .views import MaintainedView
 #: never justify a graph skip
 EXTERNAL_SOURCE = "external"
 
-#: cap on distinct maintained views; overflow clears wholesale (the
-#: CompiledCache discipline — correctness is refresh-on-miss anyway)
+#: cap on distinct maintained views; overflow clears wholesale
+#: (correctness is refresh-on-miss anyway)
 MAX_VIEWS = 512
 
 
@@ -278,7 +278,12 @@ class IncrementalManager:
             else:
                 if evaluator is None:
                     resolver = TransitionTableResolver(self.database, info)
-                    evaluator = Evaluator(self.database, resolver)
+                    evaluator = Evaluator(
+                        self.database, resolver,
+                        self.database.statements.bound_node(
+                            rule, pinned=True
+                        ),
+                    )
                 value = self._delta_value(conjunct.node, evaluator)
             if value is False:
                 # Mirror the interpreter's conjunction short-circuit:
@@ -302,7 +307,10 @@ class IncrementalManager:
         if getattr(database, "enable_compiled_eval", False):
             from ...relational.compiled import program_for
 
-            program = program_for(database, node, (), predicate=True)
+            program = program_for(
+                database, node, (), predicate=True,
+                statement=evaluator.statement,
+            )
             return program.run((), Scope(), evaluator)
         return evaluator.evaluate_predicate(node, Scope())
 
@@ -334,6 +342,8 @@ class IncrementalManager:
         view = self._views.get(key)
         if view is None:
             if len(self._views) >= MAX_VIEWS:
+                for discarded in self._views.values():
+                    self.database.statements.release(discarded)
                 self._views.clear()
             view = MaintainedView(
                 conjunct.table, conjunct.binding, conjunct.where

@@ -26,10 +26,11 @@ real one) surfaces through the ordinary path with the ordinary message.
 from __future__ import annotations
 
 
-def _batch_counter(database, table, binding, where):
+def _batch_counter(database, table, binding, where, bound):
     """A ``batch -> matching-row-count`` callable for ``where`` over
     batches of ``table`` rows bound as ``binding``, or ``None`` when the
     vectorized layer is off (callers fall back to :func:`row_predicate`).
+    ``bound`` names the cache entry the predicate's programs are kept in.
 
     Counting a batch is one filter-chain scan: the surviving selection
     vector's length is exactly Σ P(row) is True. Errors propagate (the
@@ -50,7 +51,7 @@ def _batch_counter(database, table, binding, where):
     from ...relational.expressions import Evaluator, Scope
     from ...relational.select import BaseTableResolver
 
-    evaluator = Evaluator(database, BaseTableResolver(database))
+    evaluator = Evaluator(database, BaseTableResolver(database), bound)
     stats = database.vectorized_stats
 
     def count(batch):
@@ -70,24 +71,25 @@ def _batch_counter(database, table, binding, where):
     return count
 
 
-def row_predicate(database, table, binding, where):
+def row_predicate(database, table, binding, where, bound):
     """A ``row -> True/False/None`` callable for ``where`` over single
     rows of ``table`` bound as ``binding``."""
     if where is None:
         return lambda row: True
+    from ...relational.expressions import Evaluator, Scope
+    from ...relational.select import BaseTableResolver
+
+    evaluator = Evaluator(database, BaseTableResolver(database), bound)
     columns = database.schema(table).column_names
     if getattr(database, "enable_compiled_eval", False):
         from ...relational.compiled import layout_of, program_for
 
         program = program_for(
-            database, where, layout_of([(binding, columns)]), predicate=True
+            database, where, layout_of([(binding, columns)]),
+            predicate=True, statement=evaluator.statement,
         )
         if not program.needs_scope:
-            return lambda row: program.run((row,), None, None)
-    from ...relational.expressions import Evaluator, Scope
-    from ...relational.select import BaseTableResolver
-
-    evaluator = Evaluator(database, BaseTableResolver(database))
+            return lambda row: program.run((row,), None, evaluator)
     scope = Scope()
     state = {"bound": False}
 
@@ -126,6 +128,7 @@ class MaintainedView:
         "version",
         "schema_version",
         "table_mutations",
+        "bound",
     )
 
     def __init__(self, table, binding, where):
@@ -138,6 +141,7 @@ class MaintainedView:
         self.version = -1
         self.schema_version = -1
         self.table_mutations = -1
+        self.bound = None
 
     def in_sync(self, database):
         return (
@@ -162,16 +166,24 @@ class MaintainedView:
         self.schema_version = database.schema_version
         self.table_mutations = database.table(self.table).mutations
 
+    def _bound(self, database):
+        """The view as a statement of its own — it outlives any one of
+        the rules sharing it — pinned until the manager discards it."""
+        if self.bound is None:
+            self.bound = database.statements.bound_node(self, pinned=True)
+        return self.bound
+
     def refresh(self, database):
         """Recount from a full scan of the current table contents."""
+        bound = self._bound(database)
         counter = _batch_counter(
-            database, self.table, self.binding, self.where
+            database, self.table, self.binding, self.where, bound
         )
         if counter is not None:
             count = counter(database.table(self.table).batch())
         else:
             predicate = row_predicate(
-                database, self.table, self.binding, self.where
+                database, self.table, self.binding, self.where, bound
             )
             count = 0
             for row in database.table(self.table).rows():
@@ -185,8 +197,9 @@ class MaintainedView:
         """Fold one transition's net effects into the count; returns the
         number of delta rows examined. Caller synchronizes versions."""
         storage = database.table(self.table)
+        bound = self._bound(database)
         counter = _batch_counter(
-            database, self.table, self.binding, self.where
+            database, self.table, self.binding, self.where, bound
         )
         if counter is not None:
             from ...relational.batch import Batch
@@ -211,7 +224,7 @@ class MaintainedView:
             self.count += delta
             return rows
         predicate = row_predicate(
-            database, self.table, self.binding, self.where
+            database, self.table, self.binding, self.where, bound
         )
         delta = 0
         rows = 0

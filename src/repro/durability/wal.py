@@ -36,9 +36,9 @@ import json
 import os
 import zlib
 from dataclasses import dataclass
-from itertools import groupby
 
 from ..errors import ReproError
+from ..relational.handles import encode_runs
 
 WAL_FILENAME = "wal.jsonl"
 WAL_VERSION = 2
@@ -304,19 +304,6 @@ class WalWriter:
 # commit-record construction and replay
 
 
-def encode_runs(handles):
-    """Ascending distinct handles as flat ``[start, count, ...]`` runs."""
-    runs = []
-    expected = None
-    for handle in handles:
-        if handle == expected:
-            runs[-1] += 1
-        else:
-            runs += (handle, 1)
-        expected = handle + 1
-    return runs
-
-
 def decode_runs(runs):
     """The ascending handle list a ``[start, count, ...]`` vector names.
 
@@ -336,21 +323,6 @@ def decode_runs(runs):
         floor = start + count
         handles.extend(range(start, floor))
     return handles
-
-
-def _split_by_table(handles, table_of):
-    """``{table: ascending handles}`` for a non-empty handle collection."""
-    if len(handles) == 1:
-        [handle] = handles
-        return {table_of(handle): [handle]}
-    handles = sorted(handles)
-    names = set(map(table_of, handles))
-    if len(names) == 1:  # nothing to group: the shape of most commits
-        return {names.pop(): handles}
-    split = {}
-    for name, run in groupby(handles, table_of):
-        split.setdefault(name, []).extend(run)
-    return split
 
 
 def build_commit_record(txn_id, effect, database):
@@ -374,14 +346,14 @@ def build_commit_record(txn_id, effect, database):
     one slot selection (:meth:`Table.column_vectors`). The record also carries the handle high-water
     mark ``hwm`` (handles are non-reusable across crashes too).
     """
-    table_of = database.handles.table_of
+    split_by_table = database.handles.split_by_table
     table = database.table
     commit = {}
     if effect.deleted:
-        for name, run in _split_by_table(effect.deleted, table_of).items():
+        for name, run in split_by_table(effect.deleted).items():
             commit[name] = {"d": encode_runs(run)}
     if effect.inserted:
-        for name, run in _split_by_table(effect.inserted, table_of).items():
+        for name, run in split_by_table(effect.inserted).items():
             commit.setdefault(name, {})["i"] = [
                 encode_runs(run), *table(name).column_vectors(run)
             ]
@@ -391,8 +363,8 @@ def build_commit_record(txn_id, effect, database):
             # one column updated throughout (the shape of most commits):
             # one group per touched table
             names = tuple(columns)
-            for name, run in _split_by_table(
-                [handle for handle, _ in effect.updated], table_of
+            for name, run in split_by_table(
+                [handle for handle, _ in effect.updated]
             ).items():
                 commit.setdefault(name, {})["u"] = [[
                     names, encode_runs(run),
@@ -402,7 +374,7 @@ def build_commit_record(txn_id, effect, database):
             columns_of = {}
             for handle, column in effect.updated:
                 columns_of.setdefault(handle, []).append(column)
-            for name, run in _split_by_table(columns_of, table_of).items():
+            for name, run in split_by_table(columns_of).items():
                 groups = {}
                 for handle in run:
                     groups.setdefault(

@@ -29,14 +29,16 @@ returns exactly the value — or raises exactly the error — the
 interpreter would, for every expression and every row. The differential
 and property suites enforce it.
 
-Compiled programs are cached per database in a :class:`CompiledCache`
-keyed by ``(AST identity, layout, predicate-ness)`` and invalidated
-wholesale when ``database.schema_version`` moves, mirroring the plan
-cache: rule conditions and plan predicates are stable AST objects, so
-steady-state rule processing compiles once and re-enters the closures
-per consideration. ``database.enable_compiled_eval`` (default on;
-``REPRO_COMPILED_EVAL=0`` in the environment forces it off) gates every
-call site.
+Compiled programs live in the database's statement cache
+(:mod:`repro.relational.plan.cache`), in the entry of the statement
+their expression belongs to, keyed by ``(AST identity, layout,
+predicate-ness)``: a rule's condition and a repeated statement shape
+compile once and re-enter the closures from then on. A cached
+statement's literals are :class:`~repro.sql.ast.Param` leaves; a
+program reads their values from the running evaluator's ``params``, so
+one program serves every binding. ``database.enable_compiled_eval``
+(default on; ``REPRO_COMPILED_EVAL=0`` in the environment forces it
+off) gates every call site.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import operator
 
 from ..errors import ExecutionError, ReproError, TypeError_
 from ..sql import ast
+from ..sql.params import constant
 from .expressions import (
     AGGREGATE_NAMES,
     _apply_scalar_function,
@@ -142,96 +145,41 @@ class CompiledProgram:
         return self.fn(rows, scope, evaluator)
 
 
-class CompiledCache:
-    """Compiled programs per database, guarded by the schema version.
-
-    Keys are ``(id(node), layout, predicate)`` — AST *identity*, not
-    structure: plan predicates and rule conditions are long-lived
-    objects, and identity keys make lookups O(1) without deep hashing.
-    Each entry holds a strong reference to its AST node so the id cannot
-    be recycled while the entry lives. ``max_entries`` bounds ad-hoc
-    growth the way the plan cache does (wholesale clear on overflow).
-    """
-
-    def __init__(self, max_entries=2048):
-        self.max_entries = max_entries
-        self._programs = {}
-        self._schema_version = None
-
-    def __len__(self):
-        return len(self._programs)
-
-    def program_for(self, node, layout, database, predicate=False,
-                    stats=None, batch=False, table=None):
-        """The cached program for ``node`` against ``layout``, compiling
-        on miss. ``layout`` is a hashable tuple of ``(binding_name,
-        columns_tuple)`` pairs; ``predicate=True`` adds the interpreter's
-        predicate coercion at the root; ``batch=True`` compiles a
-        vectorized :class:`BatchProgram` instead of a row closure;
-        ``table`` (batch only) names the base table the layout's columns
-        come from, whose catalog kinds the kernels specialize on."""
-        if self._schema_version != database.schema_version:
-            if self._programs:
-                if stats is not None:
-                    stats.invalidations += 1
-                self._programs.clear()
-            self._schema_version = database.schema_version
-        key = (id(node), layout, predicate, batch)
-        entry = self._programs.get(key)
-        if entry is not None:
-            if stats is not None:
-                stats.cache_hits += 1
-            return entry[0]
-        if stats is not None:
-            stats.cache_misses += 1
-            stats.compiles += 1
-        if batch:
-            kinds = (
-                _table_kinds(database, table) if table is not None else None
-            )
-            if predicate:
-                program = compile_batch_predicate(
-                    node, layout, kinds, database
-                )
-            else:
-                program = compile_batch_expression(
-                    node, layout, kinds, database
-                )
-            vstats = database.vectorized_stats
-            vstats.typed_kernels += program.kernels_typed
-            vstats.generic_kernels += program.kernels_generic
-        elif predicate:
-            program = compile_predicate(node, layout)
-        else:
-            program = compile_expression(node, layout)
-        if stats is not None:
-            stats.nodes_compiled += program.nodes_compiled
-            stats.nodes_fallback += program.nodes_fallback
-        if len(self._programs) >= self.max_entries:
-            self._programs.clear()
-        # keep the node alive so id() stays unambiguous
-        self._programs[key] = (program, node)
-        return program
-
-    def clear(self):
-        self._programs.clear()
+def compile_program(database, node, layout, predicate, batch, table):
+    """Compile ``node`` against ``layout`` as the statement cache asks
+    for it: a row program, or with ``batch`` a :class:`BatchProgram`
+    whose kernels specialize on the catalog kinds of ``table``."""
+    if not batch:
+        compile_row = compile_predicate if predicate else compile_expression
+        return compile_row(node, layout)
+    kinds = _table_kinds(database, table) if table is not None else None
+    compile_batch = (
+        compile_batch_predicate if predicate else compile_batch_expression
+    )
+    program = compile_batch(node, layout, kinds, database)
+    vstats = database.vectorized_stats
+    vstats.typed_kernels += program.kernels_typed
+    vstats.generic_kernels += program.kernels_generic
+    return program
 
 
-def program_for(database, node, layout, predicate=False):
-    """Convenience wrapper: the database's cached program for ``node``."""
-    return database.compiled_cache.program_for(
-        node, layout, database, predicate, database.compiler_stats
+def program_for(database, node, layout, predicate=False, statement=None):
+    """The database's cached row program for ``node``, an expression of
+    ``statement`` (a cache entry; None: ``node`` is its own)."""
+    return database.statements.program_for(
+        node, layout, database, predicate, statement=statement
     )
 
 
-def batch_program_for(database, node, layout, predicate=False, table=None):
+def batch_program_for(database, node, layout, predicate=False, table=None,
+                      statement=None):
     """The database's cached *batch* program for ``node`` (vectorized
     kernel tree; see :class:`BatchProgram`). ``table`` optionally names
     the base table backing the layout's columns, enabling typed-kernel
     specialization from catalog column types."""
-    return database.compiled_cache.program_for(
-        node, layout, database, predicate, database.compiler_stats,
-        batch=True, table=table,
+    return database.statements.program_for(
+        node, layout, database, predicate, batch=True, table=table,
+        statement=statement,
     )
 
 
@@ -398,6 +346,15 @@ class _Compiler:
             return value
 
         return literal, False
+
+    def _compile_param(self, node):
+        self.nodes_compiled += 1
+        index = node.index
+
+        def param(rows, scope, evaluator):
+            return evaluator.params[index]
+
+        return param, False
 
     def _compile_column_ref(self, node):
         column = node.column
@@ -768,6 +725,7 @@ _DYNAMIC_NODES = frozenset(
 
 _HANDLERS = {
     ast.Literal: _Compiler._compile_literal,
+    ast.Param: _Compiler._compile_param,
     ast.ColumnRef: _Compiler._compile_column_ref,
     ast.Star: _Compiler._compile_star,
     ast.UnaryOp: _Compiler._compile_unary,
@@ -889,16 +847,19 @@ class BatchContext:
     ``scope_for`` lazily builds the interpreter Scope for one slot
     (only called by fallback kernels — sites may pass ``None`` when the
     program reports no :attr:`BatchProgram.needs_scope`); ``evaluator``
-    serves fallback subtrees; ``stats`` (a :class:`VectorizedStats` or
+    serves fallback subtrees and its ``params`` — the running
+    statement's parameter vector — are what :class:`~repro.sql.ast
+    .Param` kernels read; ``stats`` (a :class:`VectorizedStats` or
     ``None``) receives fallback-row counts.
     """
 
-    __slots__ = ("cols", "scope_for", "evaluator", "stats")
+    __slots__ = ("cols", "scope_for", "evaluator", "params", "stats")
 
     def __init__(self, cols, scope_for=None, evaluator=None, stats=None):
         self.cols = cols
         self.scope_for = scope_for
         self.evaluator = evaluator
+        self.params = () if evaluator is None else evaluator.params
         self.stats = stats
 
 
@@ -982,10 +943,12 @@ def run_batch_filter(database, predicates, layout, ctx, sel, table=None):
     stats = database.vectorized_stats
     stats.batches_scanned += 1
     stats.rows_scanned += len(sel)
+    statement = getattr(ctx.evaluator, "statement", None)
     err = None
     for predicate in predicates:
         program = batch_program_for(
-            database, predicate, layout, predicate=True, table=table
+            database, predicate, layout, predicate=True, table=table,
+            statement=statement,
         )
         values, kernel_err = program.fn(ctx, sel)
         sel = [sel[p] for p in range(len(values)) if values[p] is True]
@@ -999,9 +962,10 @@ def run_batch_filter(database, predicates, layout, ctx, sel, table=None):
     return sel
 
 
-def prune_selection(batch, specs, optimizer_stats):
+def prune_selection(batch, specs, optimizer_stats, params=()):
     """Zone-map pruning: drop selected slots whose whole storage zone
-    cannot satisfy one of the ``(column_position, op, literal)`` specs.
+    cannot satisfy one of the ``(column_position, op, operand)`` specs,
+    each operand a literal or a parameter bound by ``params``.
 
     Zone bounds are widen-only (see :mod:`repro.relational.stats`), so
     a zone's ``(min, max)`` always covers every live value in it — a
@@ -1021,6 +985,10 @@ def prune_selection(batch, specs, optimizer_stats):
     sel = batch.sel
     if not sel or not specs:
         return sel
+    specs = [
+        (position, op, constant(operand, params))
+        for position, op, operand in specs
+    ]
     zones = batch.zones
     verdicts = {}
 
@@ -1254,14 +1222,16 @@ class _BatchCompiler:
         one pass."""
         right = node.right
         slot = self._typed_slot(node.left)
-        if slot is not None and isinstance(right, ast.Literal) \
-                and right.value is not None:
-            value = right.value
+        if slot is not None and (
+            type(right) is ast.Param
+            or (type(right) is ast.Literal and right.value is not None)
+        ):
             self.kernels_typed += 1
             self.nodes_compiled += 3  # column, literal, operator
 
             def fused(ctx, sel):
                 col = ctx.cols[slot]
+                value = constant(right, ctx.params)
                 return [
                     None if (item := col[s]) is None else py_op(item, value)
                     for s in sel
@@ -1368,6 +1338,15 @@ class _BatchCompiler:
             return [value] * len(sel), None
 
         return literal, False
+
+    def _compile_param(self, node):
+        self.nodes_compiled += 1
+        index = node.index
+
+        def param(ctx, sel):
+            return [ctx.params[index]] * len(sel), None
+
+        return param, False
 
     def _error_kernel(self, make_error):
         # raised only if a row is actually evaluated — at row 0
@@ -1679,14 +1658,17 @@ class _BatchCompiler:
     def _compile_like(self, node):
         operand, operand_needs = self.compile(node.operand)
         negated = node.negated
-        if isinstance(node.pattern, ast.Literal) and isinstance(
-            node.pattern.value, str
+        pattern = node.pattern
+        if (type(pattern) is ast.Param and pattern.kind == "s") or (
+            type(pattern) is ast.Literal and isinstance(pattern.value, str)
         ):
+            # one pattern per scan: its (memoized) regex is looked up
+            # once, not per row
             self.nodes_compiled += 2  # the Like node and its pattern
-            regex = _like_to_regex(node.pattern.value)
 
             def like_constant(ctx, sel):
                 values, err = operand(ctx, sel)
+                regex = _like_to_regex(constant(pattern, ctx.params))
                 out = []
                 try:
                     for value in values:
@@ -1990,6 +1972,7 @@ def _fallback_loop(ctx, sel, node, predicate):
 
 _BATCH_HANDLERS = {
     ast.Literal: _BatchCompiler._compile_literal,
+    ast.Param: _BatchCompiler._compile_param,
     ast.ColumnRef: _BatchCompiler._compile_column_ref,
     ast.Star: _BatchCompiler._compile_star,
     ast.UnaryOp: _BatchCompiler._compile_unary,

@@ -37,14 +37,16 @@ class Database:
         #: hash indexes by name (see repro.relational.index)
         self.indexes = IndexRegistry()
 
-        from .plan.cache import PlanCache, PlannerStats
+        from .plan.cache import PlannerStats, StatementCache
 
-        #: catalog-shape version, bumped only by schema/index DDL; the
-        #: plan cache is invalidated when it moves (plans depend on the
-        #: catalog, not on table contents)
+        #: catalog-shape version, bumped only by schema/index DDL; plans
+        #: and compiled programs are dropped when it moves (they depend
+        #: on the catalog, not on table contents)
         self.schema_version = 0
-        #: compiled plans per select AST (see repro.relational.plan.cache)
-        self.plan_cache = PlanCache()
+        #: every statement's template AST, plans and compiled programs,
+        #: by normalised text or by root node (see
+        #: repro.relational.plan.cache)
+        self.statements = StatementCache()
         #: planner/evaluator counters (rows scanned, cache hits, ...)
         self.planner_stats = PlannerStats()
 
@@ -52,14 +54,14 @@ class Database:
 
         #: statistics epoch: bumped whenever any table's statistics are
         #: rebuilt (drift threshold, compaction, checkpoint) and by index
-        #: DDL — the plan cache keys on it alongside schema_version, so
-        #: cached plans re-cost when the estimates they priced with have
-        #: drifted. Monotone, like the schema version.
+        #: DDL — the statement cache watches it alongside schema_version,
+        #: so cached plans re-cost when the estimates they priced with
+        #: have drifted. Monotone, like the schema version.
         self.stats_epoch = 0
         #: cost-layer counters (plans costed, reorders, zones pruned, ...)
         self.optimizer_stats = OptimizerStats()
 
-        from .compiled import CompiledCache, CompilerStats
+        from .compiled import CompilerStats
 
         #: evaluate predicates/projections through compiled closures (see
         #: repro.relational.compiled); False interprets every expression —
@@ -68,9 +70,6 @@ class Database:
         self.enable_compiled_eval = os.environ.get(
             "REPRO_COMPILED_EVAL", "1"
         ).lower() not in ("0", "off", "false")
-        #: compiled programs per (expression AST, layout), invalidated by
-        #: schema_version like the plan cache
-        self.compiled_cache = CompiledCache()
         #: compiler counters (compiles, cache hits, fallback nodes, ...)
         self.compiler_stats = CompilerStats()
 

@@ -117,15 +117,18 @@ class DmlExecutor:
 
     ``resolver`` supplies FROM-clause resolution for any embedded selects;
     the rule engine passes a transition-table-aware resolver when running
-    rule actions. ``outer_scope`` (optional) gives embedded expressions an
-    enclosing scope — unused by plain SQL but kept for symmetry.
+    rule actions. ``bound`` names the cached statement the operations
+    belong to and the values of its parameters (see
+    :class:`repro.relational.plan.cache.Bound`; None: every expression
+    evaluated is a statement of its own, literals in place).
     """
 
-    def __init__(self, database, resolver=None, track_selects=False):
+    def __init__(self, database, resolver=None, track_selects=False,
+                 bound=None):
         self.database = database
         self.resolver = resolver or BaseTableResolver(database)
         self.track_selects = track_selects
-        self._evaluator = Evaluator(database, self.resolver)
+        self._evaluator = Evaluator(database, self.resolver, bound)
 
     # -- public API -------------------------------------------------------
 
@@ -162,6 +165,10 @@ class DmlExecutor:
         if type(rows) is ast.LiteralRows:
             # all literals: the parsed value matrix goes in as one set
             return self._insert(operation, rows.values)
+        if type(rows) is ast.Param:  # the same, of a cached statement
+            return self._insert(
+                operation, self._evaluator.params[rows.index]
+            )
         # Rows holding expressions are evaluated and inserted in order:
         # a subquery in a later row sees the earlier rows.
         evaluate = self._evaluator.evaluate
@@ -179,7 +186,10 @@ class DmlExecutor:
     def _execute_insert_select(self, operation):
         # Materialize fully before inserting: the paper's insert-with-select
         # first evaluates the embedded select, then inserts its tuples.
-        result = evaluate_select(self.database, operation.select, self.resolver)
+        result = evaluate_select(
+            self.database, operation.select, self.resolver,
+            bound=self._evaluator.bound,
+        )
         return self._insert(operation, result.rows)
 
     def _insert(self, operation, rows):
@@ -282,7 +292,8 @@ class DmlExecutor:
         )
         layout = ((table_name, names),)
         programs = [
-            batch_program_for(database, expression, layout, table=table_name)
+            batch_program_for(database, expression, layout, table=table_name,
+                              statement=self._evaluator.statement)
             for expression in expressions
         ]
         vectors, error = run_batch_programs(programs, ctx, range(len(rows)))
@@ -298,6 +309,7 @@ class DmlExecutor:
             operation.select,
             self.resolver,
             collect_handles=self.track_selects,
+            bound=self._evaluator.bound,
         )
         self.last_select_result = result
         if not self.track_selects:
@@ -327,7 +339,9 @@ class DmlExecutor:
         table = self.database.table(table_name)
         if where is None:
             return table.handles(), table.rows()
-        candidates = index_candidates(where, table, {table_name})
+        candidates = index_candidates(
+            where, table, {table_name}, self._evaluator.params
+        )
         columns = table.schema.column_names
         if vectorized_enabled(self.database):
             if candidates is None:
@@ -365,7 +379,8 @@ class DmlExecutor:
             pairs = [(handle, table.get(handle)) for handle in sorted(candidates)]
         if getattr(self.database, "enable_compiled_eval", False):
             program = program_for(
-                self.database, where, ((table_name, columns),), predicate=True
+                self.database, where, ((table_name, columns),),
+                predicate=True, statement=self._evaluator.statement,
             )
             needs_scope = program.needs_scope
             evaluator = self._evaluator

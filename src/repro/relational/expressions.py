@@ -268,12 +268,18 @@ class Evaluator:
     ``resolver`` is a table resolver (see
     :class:`repro.relational.select.BaseTableResolver`) used when nested
     subqueries mention tables — including transition tables inside rule
-    conditions/actions.
+    conditions/actions. ``bound`` (a :class:`repro.relational.plan.cache
+    .Bound`) names the statement being run: ``params`` is what its
+    :class:`~repro.sql.ast.Param` leaves evaluate to, ``statement`` the
+    cache entry its plans and compiled programs are kept in (None:
+    whatever is evaluated is a statement of its own).
     """
 
-    def __init__(self, database, resolver):
+    def __init__(self, database, resolver, bound=None):
         self.database = database
         self.resolver = resolver
+        self.bound = bound
+        self.statement, self.params = bound or (None, ())
         # Uncorrelated-subquery cache: a subquery that references only its
         # own FROM tables evaluates identically for every outer row, so
         # within one database state its result can be reused. Keyed by the
@@ -311,6 +317,9 @@ class Evaluator:
 
     def _eval_literal(self, node, scope):
         return node.value
+
+    def _eval_param(self, node, scope):
+        return self.params[node.index]
 
     def _eval_column_ref(self, node, scope):
         return scope.resolve(node.column, node.qualifier)
@@ -477,7 +486,10 @@ class Evaluator:
             entry = self._subquery_cache.get(id(select))
             if entry is not None and entry[0] == self.database.version:
                 return entry[1]
-        result = evaluate_select(self.database, select, self.resolver, outer=scope)
+        result = evaluate_select(
+            self.database, select, self.resolver, outer=scope,
+            bound=self.bound,
+        )
         if cacheable:
             # keep the node alive so id() stays unambiguous
             self._subquery_cache[id(select)] = (
@@ -567,6 +579,7 @@ class Evaluator:
 
 Evaluator._DISPATCH = {
     ast.Literal: Evaluator._eval_literal,
+    ast.Param: Evaluator._eval_param,
     ast.ColumnRef: Evaluator._eval_column_ref,
     ast.Star: Evaluator._eval_star,
     ast.UnaryOp: Evaluator._eval_unary,

@@ -10,7 +10,20 @@ handle identity is the backbone of the whole rule semantics.
 
 from __future__ import annotations
 
-from itertools import repeat
+from bisect import bisect_right
+
+
+def encode_runs(handles):
+    """Ascending distinct handles as flat ``[start, count, ...]`` runs."""
+    runs = []
+    expected = None
+    for handle in handles:
+        if handle == expected:
+            runs[-1] += 1
+        else:
+            runs += (handle, 1)
+        expected = handle + 1
+    return runs
 
 
 class HandleAllocator:
@@ -19,7 +32,12 @@ class HandleAllocator:
     Each handle is a monotonically increasing integer; the allocator also
     records, permanently, which table each handle belongs to (handles of
     deleted tuples keep their table association — transition predicates
-    such as ``deleted from t`` need it after the tuple is gone).
+    such as ``deleted from t`` need it after the tuple is gone). Handles
+    are issued in ascending contiguous blocks, so what is kept is the
+    blocks — ``_starts[i] <= handle < _ends[i]`` belongs to table
+    ``_names[i]``, neighbouring blocks of one table merged — and a
+    lookup is a bisection: memory follows the number of times the
+    writing table changed, not the number of handles ever issued.
 
     Handle allocation is *not* undone on transaction rollback: the paper
     requires handles never be reused, and rolling back the counter could
@@ -28,7 +46,9 @@ class HandleAllocator:
 
     def __init__(self):
         self._next = 1
-        self._tables = {}
+        self._starts = []
+        self._ends = []
+        self._names = []
 
     def allocate(self, table_name):
         """Return a fresh handle associated with ``table_name``."""
@@ -39,8 +59,8 @@ class HandleAllocator:
         returns them as an ascending list (whose integers every index
         of the handles then shares)."""
         handles = list(range(self._next, self._next + count))
+        self._record(self._next, count, table_name)
         self._next += count
-        self._tables.update(zip(handles, repeat(table_name)))
         return handles
 
     def restore(self, handles, table_name):
@@ -49,8 +69,30 @@ class HandleAllocator:
         The allocator resumes past them, so handles stay non-reusable
         across system lifetimes, not just within one.
         """
-        self._tables.update(zip(handles, repeat(table_name)))
-        self.advance_past(max(handles, default=0))
+        runs = encode_runs(sorted(handles))
+        for start, count in zip(runs[::2], runs[1::2]):
+            self._record(start, count, table_name)
+        if runs:
+            self.advance_past(runs[-2] + runs[-1] - 1)
+
+    def _record(self, start, count, table_name):
+        """Note that ``start .. start + count - 1`` belong to
+        ``table_name``, merging with the blocks on either side."""
+        starts, ends, names = self._starts, self._ends, self._names
+        end = start + count
+        at = bisect_right(starts, start)
+        if at and ends[at - 1] == start and names[at - 1] == table_name:
+            at -= 1
+            ends[at] = end
+        else:
+            starts.insert(at, start)
+            ends.insert(at, end)
+            names.insert(at, table_name)
+        after = at + 1
+        if (after < len(starts) and starts[after] == end
+                and names[after] == table_name):
+            ends[at] = ends[after]
+            del starts[after], ends[after], names[after]
 
     def advance_past(self, handle):
         """Ensure future allocations exceed ``handle`` (recovery uses
@@ -66,11 +108,34 @@ class HandleAllocator:
         Raises:
             KeyError: for a handle this allocator never issued.
         """
-        return self._tables[handle]
+        at = bisect_right(self._starts, handle) - 1
+        if at < 0 or handle >= self._ends[at]:
+            raise KeyError(handle)
+        return self._names[at]
+
+    def split_by_table(self, handles):
+        """``{table: ascending handles}`` for a collection of issued
+        handles: one bisection per allocation run met, not per handle.
+
+        Raises:
+            KeyError: for a handle this allocator never issued.
+        """
+        split = {}
+        end = 0  # of the run the previous handle fell in
+        for handle in sorted(handles):
+            if handle >= end:
+                at = bisect_right(self._starts, handle) - 1
+                if at < 0 or handle >= self._ends[at]:
+                    raise KeyError(handle)
+                end = self._ends[at]
+                run = split.setdefault(self._names[at], [])
+            run.append(handle)
+        return split
 
     def knows(self, handle):
         """True if this allocator issued ``handle``."""
-        return handle in self._tables
+        at = bisect_right(self._starts, handle) - 1
+        return at >= 0 and handle < self._ends[at]
 
     @property
     def issued_count(self):

@@ -16,10 +16,11 @@ the same result. This package supplies that freedom in layers:
   every decision statistics can inform made by the cost model;
 * :mod:`~repro.relational.plan.executor` — runs a plan's source pipeline,
   producing the scopes the (shared) projection machinery consumes;
-* :mod:`~repro.relational.plan.cache` — the per-database plan cache
-  (keyed by the select AST, invalidated by schema/index DDL and by
-  statistics-epoch moves) and the planner counters surfaced through the
-  engine's observability bus.
+* :mod:`~repro.relational.plan.cache` — the per-database statement
+  cache (a statement's template AST, plans and compiled programs under
+  one key: its normalised text, or its root node; emptied by
+  schema/index DDL, plans also by statistics-epoch moves) and the
+  planner counters surfaced through the engine's observability bus.
 
 **Plan-invariance guarantee:** plans never change §4 semantics, only
 cost. Every plan produces exactly the rows, columns and touched handles
@@ -33,10 +34,10 @@ FROM-order plan ``tests/reference/syntactic_planner.py`` builds
 (docs/semantics.md §15).
 """
 
-from typing import Any
+from typing import Any, Optional
 
 from .builder import build_plan
-from .cache import PlanCache, PlannerStats
+from .cache import Bound, PlannerStats, StatementCache
 from .executor import execute_source
 from .nodes import (
     Aggregate,
@@ -57,32 +58,37 @@ from .nodes import (
 from .pushdown import conjuncts, index_candidates
 
 
-def explain_select(database: Any, select: Any) -> str:
+def explain_select(database: Any, select: Any,
+                   bound: Optional[Bound] = None) -> str:
     """Render the plan for a (possibly UNION-chained) select as text.
 
-    Plans come from the database's plan cache, so EXPLAIN shows exactly
-    the plan subsequent executions will run (and warms the cache).
+    Plans come from the database's statement cache (``bound`` names the
+    entry ``select`` belongs to and the literals to show), so EXPLAIN
+    shows exactly the plan subsequent executions will run (and warms
+    the cache).
     """
+    if bound is None:
+        bound = database.statements.bound_node(select)
     stats = database.planner_stats
-    plan = database.plan_cache.plan_for(select, database, stats)
+    plan = database.statements.plan_for(select, database, stats, bound)
     if select.union is None:
-        return explain(plan)
+        return explain(plan, params=bound.params)
     label = "Union all" if select.union_all else "Union"
-    first = explain(plan, indent=1)
-    rest = explain_select(database, select.union)
+    first = explain(plan, indent=1, params=bound.params)
+    rest = explain_select(database, select.union, bound)
     rest = "\n".join("  " + line for line in rest.splitlines())
     return f"{label}\n{first}\n{rest}"
 
 
 __all__ = [
     "Aggregate",
+    "Bound",
     "Distinct",
     "Filter",
     "HashJoin",
     "IndexLookup",
     "Limit",
     "Plan",
-    "PlanCache",
     "PlannerStats",
     "Product",
     "Project",
@@ -90,6 +96,7 @@ __all__ = [
     "Scan",
     "SingleRow",
     "Sort",
+    "StatementCache",
     "build_plan",
     "conjuncts",
     "execute_source",

@@ -31,13 +31,18 @@ statistics (empty tables) the tree is the *syntactic* one: FROM order,
 written conjunct order, every index key. ``tests/reference/
 syntactic_planner.py`` builds that tree unconditionally and is the
 differential oracle for everything statistics decide. Plans depend on
-table statistics, which is why the plan cache keys on
-``database.stats_epoch`` (see :mod:`~repro.relational.plan.cache`).
+table statistics, which is why the statement cache drops them when
+``database.stats_epoch`` moves (see :mod:`~repro.relational.plan.cache`).
+
+A cached statement's literals are parameters: every estimate here is
+made with ``params``, the binding that met the cache miss, and the plan
+then serves every other binding — its index keys and prune specs hold
+the parameter, not its value, and are resolved when the plan runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ...errors import ExecutionError
 from ...sql import ast
@@ -60,9 +65,11 @@ from .nodes import (
 from .pushdown import _indexable_pair, classify_where
 
 
-def build_plan(database: Any, select: ast.Select) -> Plan:
+def build_plan(database: Any, select: ast.Select,
+               params: Sequence[Any] = ()) -> Plan:
     """Build a :class:`Plan` for one select arm (``select.union`` is the
-    caller's concern — each arm is planned and cached separately)."""
+    caller's concern — each arm is planned and cached separately),
+    costed with its parameters bound by ``params``."""
     binding_columns: dict[str, tuple[str, ...]] = {}
     for table_ref in select.tables:
         name = table_ref.binding_name
@@ -76,14 +83,16 @@ def build_plan(database: Any, select: ast.Select) -> Plan:
         )
 
     classified = classify_where(select.where, binding_columns)
-    source = _build_source(database, select, binding_columns, classified)
+    source = _build_source(
+        database, select, binding_columns, classified, params
+    )
     root = _build_result_chain(select, source)
     return Plan(select, source, root, binding_columns)
 
 
 def _index_candidates(database: Any, table_ref: Any, binding: str,
                       pushed: Any) -> list[tuple[Any, str, Any]]:
-    """The ``(index, column, value)`` candidates a leaf's pushed
+    """The ``(index, column, operand)`` candidates a leaf's pushed
     equality conjuncts could serve through existing hash indexes."""
     table = database.table(table_ref.table)
     candidates: list[tuple[Any, str, Any]] = []
@@ -93,10 +102,10 @@ def _index_candidates(database: Any, table_ref: Any, binding: str,
         )
         if pair is None:
             continue
-        column, value = pair
+        column, operand = pair
         index = table.index_on(column)
         if index is not None:
-            candidates.append((index, column, value))
+            candidates.append((index, column, operand))
     return candidates
 
 
@@ -138,8 +147,8 @@ def _with_residual(source: Any, classified: Any, used_joins: Any,
     return Filter(source, tuple(residual), residual=True)
 
 
-def _build_source(database: Any, select: Any,
-                  binding_columns: Any, classified: Any) -> Any:
+def _build_source(database: Any, select: Any, binding_columns: Any,
+                  classified: Any, params: Sequence[Any]) -> Any:
     optimizer = database.optimizer_stats
     optimizer.plans_costed += 1
     layers = cost.kind_layers(database, select.tables)
@@ -159,7 +168,7 @@ def _build_source(database: Any, select: Any,
         pushed = tuple(classified.pushed.get(binding, ()))
         leaf, est, total = _cost_leaf(
             database, table_ref, binding, binding_columns[binding],
-            pushed, layers, optimizer,
+            pushed, layers, optimizer, params,
         )
         leaves.append(leaf)
         leaf_ests.append(est)
@@ -209,7 +218,9 @@ def _build_source(database: Any, select: Any,
         source = RestoreOrder(source, positions, est_rows=current_est)
 
     def ordered_residual(residual: list[Any]) -> Any:
-        ranked = cost.order_conjuncts(database, residual, layers, None)
+        ranked = cost.order_conjuncts(
+            database, residual, layers, None, params
+        )
         if ranked is None or ranked == residual:
             return residual
         optimizer.conjuncts_reordered += 1
@@ -220,7 +231,8 @@ def _build_source(database: Any, select: Any,
 
 def _cost_leaf(database: Any, table_ref: Any, binding: str,
                columns: tuple[str, ...], pushed: Any, layers: Any,
-               optimizer: Any) -> tuple[Any, Any, bool]:
+               optimizer: Any,
+               params: Sequence[Any]) -> tuple[Any, Any, bool]:
     """One FROM item's leaf under the cost model: selective index keys,
     ordered pushed conjuncts, zone-map prune specs, and an estimate.
     Returns ``(node, est_rows, all_pushed_total)``."""
@@ -231,7 +243,9 @@ def _cost_leaf(database: Any, table_ref: Any, binding: str,
     key_conjunct_ids: set[int] = set()
     if isinstance(table_ref, ast.BaseTableRef):
         candidates = _index_candidates(database, table_ref, binding, pushed)
-        keys, scanned = cost.select_index_keys(candidates, base_rows)
+        keys, scanned = cost.select_index_keys(
+            candidates, base_rows, params
+        )
         if keys:
             leaf = IndexLookup(table_ref, binding, columns, keys,
                                est_rows=scanned)
@@ -257,10 +271,10 @@ def _cost_leaf(database: Any, table_ref: Any, binding: str,
         # the remaining ones narrow the estimate further
         est = scanned * cost.filter_selectivity(
             database, table_ref,
-            [c for c in pushed if id(c) not in key_conjunct_ids],
+            [c for c in pushed if id(c) not in key_conjunct_ids], params,
         )
         ordered = cost.order_conjuncts(database, list(pushed), layers,
-                                       table_ref)
+                                       table_ref, params)
         if ordered is not None and ordered != list(pushed):
             optimizer.conjuncts_reordered += 1
             pushed = tuple(ordered)

@@ -1,25 +1,61 @@
-"""The per-database plan cache and the planner's observability counters.
+"""The per-database statement cache and the planner's counters.
 
-Rule processing (paper §4, Figure 1) re-evaluates every triggered rule's
-condition at the end of each transition, so the same condition/action
-selects run over and over within — and across — transactions. A plan's
-*correctness* depends only on the catalog (schemas, indexes), never on
-table contents, so one compiled plan serves every one of those
-evaluations: the cache is keyed by the select AST node itself (frozen
-dataclasses hash and compare structurally, so re-parsed ad-hoc text
-deduplicates too) and invalidated wholesale whenever
-``database.schema_version`` moves — i.e. on any schema or index DDL.
+Everything derived from a statement — its AST, the plan of each of its
+selects, the compiled row and batch programs of its expressions — is
+derived once per statement *shape* and kept in one :class:`Statement`
+entry of the database's one :class:`StatementCache`.
 
-A plan's *cost* depends on table statistics, so the cache also tracks
-``database.stats_epoch``: when any table's stats are rebuilt past its
-drift threshold (or index DDL changes the NDV sources), cached plans
-are dropped and re-costed. Those invalidations are counted as
-``optimizer.replans``.
+**Two kinds of key.** Statement *text* is keyed by
+:func:`repro.sql.lexer.normalise`: the token sequence, case, blanks and
+comments gone, each number or string literal replaced by a placeholder
+that keeps its kind only. The entry holds the *template* — the text
+parsed with :class:`~repro.sql.ast.Param` leaves where those literals
+are (``parse_statement(text, params)``) — and a hit costs one scan of
+the text: no parser, planner or compiler runs, the literals travel
+beside the template as the execution's parameter vector (a
+:class:`Bound`). An AST a caller built or parsed itself — a rule's
+condition and action, the ``execute(parse_statement(text))`` of API
+users — is keyed by the identity of its root node and keeps its
+literals.
+
+**What a binding may change.** Which rows qualify; never which plan is
+correct. A plan's correctness depends only on the catalog (PAPER.md §4
+defines rule semantics over query results, not plans), so what reads a
+literal's *value* reads it from the parameter vector as the statement
+runs: index keys, zone-map prune bounds, the fused ``column op
+literal`` kernels, LIKE patterns, VALUES matrices. What reads only its
+*kind* — the totality analysis, typed kernels, hash-join kind checks —
+reads the placeholder's, which is part of the key. Plan *shape* (access
+path, conjunct order, join order) is costed with the binding that met
+the miss and serves every other (docs/semantics.md §8, §15).
+
+**Residency.** ``max_entries`` bounds the entries resident beside the
+pinned ones (rules and their condition views: as long-lived as their
+definition); past it the least recently used entry goes, plans and
+programs with it. ``database.schema_version`` moving (schema or index
+DDL) empties every entry's plans and programs;
+``database.stats_epoch`` moving (a table's statistics rebuilt past its
+drift threshold) empties the plans only — a replan, counted as
+``optimizer.replans``. Templates stay: they are syntax.
+
+**Threads.** The server parses before it takes the coordinator's
+operation lock, so :meth:`StatementCache.parse` runs concurrently with
+itself and with an executing statement. The entry maps change only
+under ``_lock``; an entry's own ``plans`` and ``programs`` are touched
+only while it executes, which callers serialise (an engine runs one
+statement at a time). An evicted entry stays good for whoever holds it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import threading
+import weakref
+from collections import OrderedDict
+from typing import Any, NamedTuple, Optional, Sequence
+
+from ...sql import ast
+from ...sql.lexer import Normalised, literal_rows_matrix, normalise
+from ...sql.parser import parse_select, parse_statement
 
 #: counters whose deltas the engine attaches to rule events
 DELTA_FIELDS = (
@@ -91,56 +127,280 @@ class PlannerStats:
         }
 
 
-class PlanCache:
-    """Compiled plans keyed by select AST, guarded by the schema version.
+class Statement:
+    """One cache entry: a statement and everything derived from it.
 
-    ``max_entries`` bounds ad-hoc query growth; on overflow the cache is
-    cleared wholesale (plans are cheap to rebuild — the win is the
-    steady-state rule workload, whose handful of condition/action selects
-    always fits).
+    ``root`` is the template of a text statement (always what
+    ``parse_statement`` returns, so every front door shares the entry)
+    or the caller's own node. ``plans`` maps ``id(select)`` to the plan
+    of that select arm; ``star_items`` maps it to the arm's select list
+    with ``*`` expanded; ``programs`` maps ``(id(node), layout,
+    predicate, batch)`` to ``(program, weak reference to node)`` — most
+    nodes belong to ``root`` and live as long as the entry, and one that
+    does not (a conjunct the planner synthesised for a plan since
+    dropped) takes its programs with it when it dies, so an id is never
+    met again under a stale program.
     """
 
-    def __init__(self, max_entries: int = 512) -> None:
+    __slots__ = ("root", "key", "plans", "star_items", "programs")
+
+    def __init__(self, root: Any, key: Optional[str] = None) -> None:
+        self.root = root
+        self.key = key
+        self.plans: dict[int, Any] = {}
+        self.star_items: dict[int, Any] = {}
+        self.programs: dict[Any, Any] = {}
+
+
+class Bound(NamedTuple):
+    """A statement ready to run: its entry and one parameter vector."""
+
+    statement: Statement
+    params: Sequence[Any]
+
+
+def _only_select(root: Any) -> Optional[ast.Select]:
+    """The select of a block that is one select operation, else None."""
+    if type(root) is ast.OperationBlock and len(root.operations) == 1:
+        operation = root.operations[0]
+        if type(operation) is ast.SelectOperation:
+            return operation.select
+    return None
+
+
+class StatementCache:
+    """Statements by normalised text or by root node, least recently
+    used first; see the module docstring for keys, invalidation and
+    the locking discipline."""
+
+    def __init__(self, max_entries: int = 128) -> None:
         self.max_entries = max_entries
-        self._plans: dict[Any, Any] = {}
+        self.evictions = 0
+        self._lock = threading.Lock()
+        self._by_text: dict[str, Statement] = {}
+        #: id(root) -> entry, in order of last use
+        self._entries: OrderedDict[int, Statement] = OrderedDict()
+        #: id(root) -> entry that is never evicted (rules)
+        self._pinned: dict[int, Statement] = {}
         self._schema_version: Optional[int] = None
         self._stats_epoch: Optional[int] = None
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._entries) + len(self._pinned)
 
-    def plan_for(self, select: Any, database: Any, stats: Any) -> Any:
-        """The cached plan for ``select``, building (and caching) on
-        miss; ``stats`` is the :class:`PlannerStats` to count into."""
-        from .builder import build_plan
+    def snapshot(self) -> dict[str, int]:
+        """``stats()["planner"]["statement_cache"]``."""
+        return {
+            "entries": len(self),
+            "pinned": len(self._pinned),
+            "evictions": self.evictions,
+        }
 
-        if self._schema_version != database.schema_version:
-            if self._plans:
-                stats.plan_cache_invalidations += 1
-                self._plans.clear()
-            self._schema_version = database.schema_version
-            self._stats_epoch = database.stats_epoch
-        elif self._stats_epoch != database.stats_epoch:
-            # statistics drifted past a table's rebuild threshold (or an
-            # index came/went): cached plans were costed against stale
-            # estimates — re-plan (a "replan", distinct from the schema
-            # invalidation above, which would re-plan regardless of cost)
-            if self._plans:
-                stats.plan_cache_invalidations += 1
+    # -- statement text ---------------------------------------------------
+
+    def parse(self, text: str) -> tuple[Any, Optional[Bound]]:
+        """``parse_statement(text)`` through the cache: ``(node,
+        bound)``. ``bound`` is None for statements that are not cached
+        (DDL, rule definitions); otherwise ``node`` belongs to the
+        entry's template and ``bound`` carries this text's literals."""
+        return self._through(text, parse_statement, False)
+
+    def parse_select(self, text: str) -> tuple[Any, Optional[Bound]]:
+        """``parse_select(text)`` through the cache; the entry is the
+        one :meth:`parse` uses for the same text."""
+        return self._through(text, parse_select, True)
+
+    def _through(self, text: str, parser: Any,
+                 select_only: bool) -> tuple[Any, Optional[Bound]]:
+        found = normalise(text)
+        if found is None or (select_only and found.explain):
+            return parser(text), None
+        statement, params = self._lookup(found, text)
+        if statement is None:
+            params = []
+            root = parser(text, params)
+            if type(root) is ast.Explain:
+                root = root.select
+            if type(root) is ast.Select:
+                root = ast.OperationBlock((ast.SelectOperation(root),))
+            statement = self._admit(found, root, params)
+            if statement is None:
+                return parser(text), None
+        node = statement.root
+        if select_only or found.explain:
+            node = _only_select(node)
+            if node is None:  # the key of a statement that is no select
+                return parser(text), None  # (raises)
+            if not select_only:
+                node = ast.Explain(node)
+        return node, Bound(statement, params)
+
+    def _lookup(self, found: Normalised,
+                text: str) -> tuple[Optional[Statement], Any]:
+        with self._lock:
+            statement = self._by_text.get(found.key)
+            if statement is None:
+                return None, None
+            self._entries.move_to_end(id(statement.root))
+        params = found.params
+        for index, start, end in found.rows:
+            params[index] = literal_rows_matrix(text, start, end)
+        return statement, params
+
+    def _admit(self, found: Normalised, template: Any,
+               params: list[Any]) -> Optional[Statement]:
+        """A new entry for ``template``, parsed with its literals lifted
+        into ``params`` — or None unless those are, one for one, the
+        literals the key left out (the parser and ``normalise`` apply
+        one rule to the same tokens; this is the check that they do)."""
+        lifted = params
+        if found.rows and len(params) == len(found.params):
+            lifted = list(params)
+            for index, _, _ in found.rows:  # scanned, not yet read
+                lifted[index] = None
+        if lifted != found.params or (
+                list(map(type, lifted)) != list(map(type, found.params))):
+            return None
+        statement = Statement(template, found.key)
+        with self._lock:
+            # a racing admission of the same key is superseded here and
+            # ages out of _entries like any unused statement
+            self._by_text[found.key] = statement
+            self._entries[id(template)] = statement
+            self._evict()
+        return statement
+
+    # -- caller-built ASTs ------------------------------------------------
+
+    def for_node(self, node: Any, pinned: bool = False) -> Statement:
+        """The entry whose root *is* ``node``, created on first sight;
+        ``pinned`` entries (rules) stay until :meth:`release`."""
+        key = id(node)
+        with self._lock:
+            statement = self._pinned.get(key)
+            if statement is not None:
+                return statement
+            statement = self._entries.get(key)
+            if statement is not None:
+                self._entries.move_to_end(key)
+                return statement
+            statement = Statement(node)
+            if pinned:
+                self._pinned[key] = statement
+            else:
+                self._entries[key] = statement
+                self._evict()
+        return statement
+
+    def bound_node(self, node: Any, pinned: bool = False) -> Bound:
+        """``node`` as a statement of its own: its entry, and nothing
+        to bind."""
+        return Bound(self.for_node(node, pinned), ())
+
+    def release(self, node: Any) -> None:
+        """Drop the pinned entry of ``node`` (a dropped rule)."""
+        with self._lock:
+            self._pinned.pop(id(node), None)
+
+    def _evict(self) -> None:
+        while len(self._entries) > self.max_entries:
+            _, statement = self._entries.popitem(last=False)
+            key = statement.key
+            if key is not None and self._by_text.get(key) is statement:
+                del self._by_text[key]
+            self.evictions += 1
+
+    # -- derived state ----------------------------------------------------
+
+    def _invalidate(self, database: Any, stats: Any) -> None:
+        """The catalog or the statistics moved since the derived state
+        was built: drop what no longer holds, in every entry."""
+        schema_moved = self._schema_version != database.schema_version
+        had_plans = had_programs = False
+        with self._lock:
+            for entries in (self._entries, self._pinned):
+                for statement in entries.values():
+                    had_plans = had_plans or bool(statement.plans)
+                    statement.plans.clear()
+                    if schema_moved:
+                        had_programs = had_programs or bool(
+                            statement.programs)
+                        statement.programs.clear()
+                        statement.star_items.clear()
+        if had_plans:
+            stats.plan_cache_invalidations += 1
+            if not schema_moved:
+                # cached plans were costed against stale estimates: a
+                # "replan", distinct from the schema invalidation, which
+                # would re-plan regardless of cost
                 database.optimizer_stats.replans += 1
-                self._plans.clear()
-            self._stats_epoch = database.stats_epoch
-        plan = self._plans.get(select)
+        if had_programs:
+            database.compiler_stats.invalidations += 1
+        self._schema_version = database.schema_version
+        self._stats_epoch = database.stats_epoch
+
+    def plan_for(self, select: Any, database: Any, stats: Any,
+                 bound: Optional[Bound] = None) -> Any:
+        """The plan of one select arm of ``bound``'s statement (of
+        ``select`` itself, unbound), built and kept on a miss; ``stats``
+        is the :class:`PlannerStats` to count into."""
+        if (self._schema_version != database.schema_version
+                or self._stats_epoch != database.stats_epoch):
+            self._invalidate(database, stats)
+        if bound is None:
+            bound = self.bound_node(select)
+        plans = bound.statement.plans
+        plan = plans.get(id(select))
         if plan is not None:
             stats.plan_cache_hits += 1
             return plan
         stats.plan_cache_misses += 1
         stats.plans_built += 1
-        plan = build_plan(database, select)
-        if len(self._plans) >= self.max_entries:
-            self._plans.clear()
-        self._plans[select] = plan
+        from .builder import build_plan  # looked up per miss: the
+        # syntactic reference planner swaps it in there
+
+        plan = plans[id(select)] = build_plan(database, select, bound.params)
         return plan
 
-    def clear(self) -> None:
-        self._plans.clear()
+    def program_for(self, node: Any, layout: Any, database: Any,
+                    predicate: bool = False, batch: bool = False,
+                    table: Optional[str] = None,
+                    statement: Optional[Statement] = None) -> Any:
+        """The compiled program of expression ``node`` of ``statement``
+        (of ``node`` itself, when None) against ``layout``, compiled and
+        kept on a miss. ``layout`` is a hashable tuple of
+        ``(binding_name, columns_tuple)`` pairs; ``predicate=True`` adds
+        the interpreter's predicate coercion at the root; ``batch=True``
+        compiles a vectorized ``BatchProgram`` instead of a row closure;
+        ``table`` (batch only) names the base table the layout's columns
+        come from, whose catalog kinds the kernels specialize on."""
+        if self._schema_version != database.schema_version:
+            self._invalidate(database, database.planner_stats)
+        if statement is None:
+            statement = self.for_node(node)
+        stats = database.compiler_stats
+        programs = statement.programs
+        key = (id(node), layout, predicate, batch)
+        entry = programs.get(key)
+        if entry is not None:
+            stats.cache_hits += 1
+            return entry[0]
+        stats.cache_misses += 1
+        stats.compiles += 1
+        from .. import compiled  # imports this package: not at the top
+
+        program = compiled.compile_program(
+            database, node, layout, predicate, batch, table
+        )
+        stats.nodes_compiled += program.nodes_compiled
+        stats.nodes_fallback += program.nodes_fallback
+
+        def forget(_: Any) -> None:
+            programs.pop(key, None)
+
+        programs[key] = (program, weakref.ref(node, forget))
+        return program
+
+
+#: the name ``benchmarks/e2e/tracing.py`` wraps ``plan_for`` under
+PlanCache = StatementCache

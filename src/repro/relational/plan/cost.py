@@ -54,10 +54,11 @@ identical order, whatever the statistics said.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ...errors import CatalogError
 from ...sql import ast
+from ...sql.params import constant
 from ..types import SqlType
 from .pushdown import _SUBQUERY_NODES, _prunable_triple, conjuncts
 
@@ -190,6 +191,8 @@ def expression_kind(node: Any, layers: Any,
         return None
     if isinstance(node, ast.Literal):
         return _kind_of_value(node.value)
+    if isinstance(node, ast.Param):
+        return node.kind  # all a cached statement knows of the literal
     if isinstance(node, ast.ColumnRef):
         return _column_kind(node, layers)
     if isinstance(node, ast.UnaryOp):
@@ -441,9 +444,10 @@ def _clamp(selectivity: float) -> float:
     return min(1.0, max(MIN_SELECTIVITY, selectivity))
 
 
-def conjunct_selectivity(database: Any, table_ref: Any,
-                         conjunct: Any) -> float:
-    """Estimated fraction of one leaf's rows satisfying ``conjunct``."""
+def conjunct_selectivity(database: Any, table_ref: Any, conjunct: Any,
+                         params: Sequence[Any] = ()) -> float:
+    """Estimated fraction of one leaf's rows satisfying ``conjunct``
+    with its parameters bound by ``params``."""
     if table_ref is None or not isinstance(table_ref, ast.BaseTableRef):
         return DEFAULT_SELECTIVITY
     table = database.table(table_ref.table)
@@ -469,7 +473,8 @@ def conjunct_selectivity(database: Any, table_ref: Any,
     triple = _prunable_triple(conjunct, names, schema)
     if triple is None or rows == 0:
         return DEFAULT_SELECTIVITY
-    column, op, value = triple
+    column, op, operand = triple
+    value = constant(operand, params)
     position = schema.column_position(column)
     column_stats = stats.column(position)
     non_null = max(rows - column_stats.nulls, 0)
@@ -491,12 +496,14 @@ def conjunct_selectivity(database: Any, table_ref: Any,
     return DEFAULT_SELECTIVITY
 
 
-def filter_selectivity(database: Any, table_ref: Any,
-                       conjunct_list: Any) -> float:
+def filter_selectivity(database: Any, table_ref: Any, conjunct_list: Any,
+                       params: Sequence[Any] = ()) -> float:
     """Combined selectivity under the independence assumption."""
     result = 1.0
     for conjunct in conjunct_list:
-        result *= conjunct_selectivity(database, table_ref, conjunct)
+        result *= conjunct_selectivity(
+            database, table_ref, conjunct, params
+        )
     return result
 
 
@@ -516,7 +523,8 @@ def conjunct_cost(conjunct: Any) -> int:
 
 
 def order_conjuncts(database: Any, conjunct_list: Any, layers: Any,
-                    table_ref: Any = None) -> Optional[list[Any]]:
+                    table_ref: Any = None,
+                    params: Sequence[Any] = ()) -> Optional[list[Any]]:
     """Cheapest-and-most-selective-first ordering of AND-ed conjuncts.
 
     Classic rank ``cost / (1 - selectivity)``: a cheap conjunct that
@@ -533,7 +541,9 @@ def order_conjuncts(database: Any, conjunct_list: Any, layers: Any,
             return None
 
     def rank(conjunct: Any) -> float:
-        selectivity = conjunct_selectivity(database, table_ref, conjunct)
+        selectivity = conjunct_selectivity(
+            database, table_ref, conjunct, params
+        )
         return conjunct_cost(conjunct) / max(1.0 - selectivity, 1e-3)
 
     return sorted(conjunct_list, key=rank)
@@ -561,26 +571,31 @@ def order_condition(database: Any, condition: Any) -> Any:
 # index-key choice and zone-map prune specs
 
 
-def select_index_keys(candidates: Any, rows: Any) -> tuple[Any, float]:
+def select_index_keys(candidates: Any, rows: Any,
+                      params: Sequence[Any] = ()) -> tuple[Any, float]:
     """Choose which indexable equality keys are worth intersecting.
 
-    ``candidates`` is a list of ``(index, column, value)``; ``rows`` the
+    ``candidates`` is a list of ``(index, column, operand)``, the
+    operands literals or parameters bound by ``params``; ``rows`` the
     table's estimated row count. Keeps the smallest estimated bucket
     always, plus any other key whose bucket is under half the table
     (intersecting a near-table-sized bucket costs more than letting the
     pushed filter — which re-runs regardless — reject the rows). Returns
-    ``(keys, scanned)``: the ``(index_name, column, value)`` tuples in
+    ``(keys, scanned)``: the ``(index_name, column, operand)`` tuples in
     candidate order and the estimated candidate count. Dropping keys is
     always safe: any key subset yields a candidate superset, re-filtered
     by the same pushed conjuncts (see the module docstring on demotion).
     """
     if not candidates:
         return (), float(rows)
-    counts = [index.count(value) for index, _, value in candidates]
+    counts = [
+        index.count(constant(operand, params))
+        for index, _, operand in candidates
+    ]
     best = min(counts)
     keys = tuple(
-        (index.name, column, value)
-        for (index, column, value), count in zip(candidates, counts)
+        (index.name, column, operand)
+        for (index, column, operand), count in zip(candidates, counts)
         if count == best or count * 2 <= rows
     )
     return keys, float(best)
@@ -590,11 +605,11 @@ def prune_specs(database: Any, table_ref: Any, binding: str,
                 pushed: Any, layers: Any) -> tuple[Any, ...]:
     """Zone-map prune specs for one leaf's pushed filter.
 
-    Each spec is ``(column_position, op, literal)`` for a total
-    ``col op literal`` conjunct whose literal kind matches the column's
-    declared kind exactly (zone bounds compare against the literal with
-    plain Python operators — a kind mismatch must disable pruning, not
-    raise inside the kernel). Specs are only emitted when *every*
+    Each spec is ``(column_position, op, operand)`` for a total
+    ``col op literal`` conjunct whose literal (or parameter) kind
+    matches the column's declared kind exactly (zone bounds compare
+    against the value with plain Python operators — a kind mismatch
+    must disable pruning, not raise inside the kernel). Specs are only emitted when *every*
     conjunct of the filter is total: pruning skips rows where one total
     conjunct is false, which is invisible unless a sibling conjunct
     could have raised on a skipped row.
@@ -611,9 +626,9 @@ def prune_specs(database: Any, table_ref: Any, binding: str,
         triple = _prunable_triple(conjunct, names, schema)
         if triple is None:
             continue
-        column, op, value = triple
+        column, op, operand = triple
         column_kind = KIND_OF_TYPE[schema.column(column).sql_type]
-        if _kind_of_value(value) != column_kind:
+        if expression_kind(operand, layers, database) != column_kind:
             continue
-        specs.append((schema.column_position(column), op, value))
+        specs.append((schema.column_position(column), op, operand))
     return tuple(specs)

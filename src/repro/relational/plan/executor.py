@@ -33,6 +33,7 @@ from typing import Any
 
 from ...errors import ExecutionError
 from ...sql import ast
+from ...sql.params import constant
 from ..compiled import (
     BatchContext,
     batch_program_for,
@@ -213,7 +214,8 @@ class _SourceRunner:
                 # zone maps: skip whole storage zones that cannot satisfy
                 # a total col-op-literal conjunct, before any kernel runs
                 sel = prune_selection(
-                    batch, node.prune_specs, self.database.optimizer_stats
+                    batch, node.prune_specs, self.database.optimizer_stats,
+                    self.evaluator.params,
                 )
                 if sel is not batch.sel:
                     batch = batch.with_sel(sel)
@@ -257,13 +259,7 @@ class _SourceRunner:
         if self.database.on_table_read is not None:
             self.database.on_table_read(node.table_ref.table)
         table = self.database.table(node.table_ref.table)
-        candidates: Any = None
-        for _, column, value in node.keys:
-            index = table.index_on(column)
-            if index is None:
-                continue
-            found = index.lookup(value)
-            candidates = found if candidates is None else (candidates & found)
+        candidates = self._index_candidates(node, table)
         if candidates is None:
             batch = table.batch()
         else:
@@ -272,6 +268,21 @@ class _SourceRunner:
             self.stats.rows_scanned += len(batch.sel)
         node.actual_rows = len(batch.sel)
         return [(node.binding, table.schema.column_names)], batch
+
+    def _index_candidates(self, node: Any, table: Any) -> Any:
+        """The handles ``node``'s index keys admit under the running
+        statement's binding, or None when no key's index is there."""
+        params = self.evaluator.params
+        candidates: Any = None
+        for _, column, operand in node.keys:
+            index = table.index_on(column)
+            if index is None:
+                # index dropped since planning (stale plan served once);
+                # fall back to a full scan — candidates stay a superset
+                continue
+            found = index.lookup(constant(operand, params))
+            candidates = found if candidates is None else (candidates & found)
+        return candidates
 
     def _batch_context(self, bindings: Any, batch: Any) -> BatchContext:
         """A kernel context whose fallback scopes mirror the row path's
@@ -338,15 +349,7 @@ class _SourceRunner:
         if self.database.on_table_read is not None:
             self.database.on_table_read(node.table_ref.table)
         table = self.database.table(node.table_ref.table)
-        candidates: Any = None
-        for _, column, value in node.keys:
-            index = table.index_on(column)
-            if index is None:
-                # index dropped since planning (stale plan served once);
-                # fall back to a full scan — candidates stay a superset
-                continue
-            found = index.lookup(value)
-            candidates = found if candidates is None else (candidates & found)
+        candidates = self._index_candidates(node, table)
         if candidates is None:
             handles = table.handles()
         else:
@@ -393,7 +396,8 @@ class _SourceRunner:
         some predicate contains an interpreter-fallback subtree."""
         layout = layout_of(bindings)
         programs = [
-            program_for(self.database, predicate, layout, predicate=True)
+            program_for(self.database, predicate, layout, predicate=True,
+                        statement=self.evaluator.statement)
             for predicate in node.predicates
         ]
         needs_scope = any(program.needs_scope for program in programs)
@@ -492,7 +496,8 @@ class _SourceRunner:
         its values over the whole selection vector at once."""
         layout = layout_of(bindings)
         programs = [
-            batch_program_for(self.database, expr, layout)
+            batch_program_for(self.database, expr, layout,
+                              statement=self.evaluator.statement)
             for expr in key_exprs
         ]
         self.database.vectorized_stats.batches_scanned += 1
@@ -577,7 +582,8 @@ class _SourceRunner:
         if getattr(self.database, "enable_compiled_eval", False):
             layout = layout_of(bindings)
             programs = [
-                program_for(self.database, expr, layout)
+                program_for(self.database, expr, layout,
+                            statement=evaluator.statement)
                 for expr in key_exprs
             ]
             if not any(program.needs_scope for program in programs):

@@ -18,10 +18,11 @@ build time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ...sql import ast
 from ...sql.formatter import format_node
+from ...sql.params import bind
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +64,18 @@ class Scan:
 class IndexLookup:
     """Hash-index candidate lookup on a base table.
 
-    ``keys`` is a tuple of ``(index_name, column, literal_value)``; when
-    several indexed equality conjuncts exist the candidate sets are
-    intersected. Candidates are a *superset* of the matching tuples —
-    the pushed filter conjuncts still run on them, so semantics never
-    depend on index contents.
+    ``keys`` is a tuple of ``(index_name, column, operand)``, the operand
+    the conjunct's literal (or the parameter it was lifted to, looked up
+    under each execution's binding); when several indexed equality
+    conjuncts exist the candidate sets are intersected. Candidates are a
+    *superset* of the matching tuples — the pushed filter conjuncts
+    still run on them, so semantics never depend on index contents.
     """
 
     table_ref: Any             # ast.BaseTableRef
     binding: str
     columns: tuple
-    keys: tuple                # of (index_name, column, value)
+    keys: tuple                # of (index_name, column, operand)
     est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
 
@@ -94,7 +96,7 @@ class Filter:
     child: Any
     predicates: tuple          # of Expression (implicitly AND-ed)
     residual: bool = False     # True for the top-level residual filter
-    #: zone-map prune specs ``(column_position, op, literal)`` from the
+    #: zone-map prune specs ``(column_position, op, operand)`` from the
     #: cost model (see repro.relational.plan.cost.prune_specs); the
     #: vectorized executor skips whole storage zones that cannot satisfy
     #: them before running any kernel
@@ -218,8 +220,9 @@ class Plan:
 
     ``root`` is the result-node chain (Limit/Sort/Distinct over
     Project/Aggregate); ``source`` is the combination pipeline the
-    executor runs. ``select`` keeps the arm's AST alive (the cache key
-    references it) and is what the shared projection machinery reads.
+    executor runs. ``select`` keeps the arm's AST alive (the cache keys
+    the plan by its identity) and is what the shared projection
+    machinery reads.
     """
 
     select: Any                # ast.Select (one arm; union handled above)
@@ -232,7 +235,10 @@ class Plan:
 # explain rendering
 
 
-def _describe(node: Any) -> str:
+def _describe(node: Any, params: Sequence[Any]) -> str:
+    def render(expression: Any) -> str:
+        return format_node(bind(expression, params))
+
     if isinstance(node, Scan):
         ref = node.table_ref
         if isinstance(ref, ast.TransitionTableRef):
@@ -247,8 +253,8 @@ def _describe(node: Any) -> str:
         return label
     if isinstance(node, IndexLookup):
         keys = ", ".join(
-            f"{column} = {format_node(ast.Literal(value))} [{index_name}]"
-            for index_name, column, value in node.keys
+            f"{column} = {render(operand)} [{index_name}]"
+            for index_name, column, operand in node.keys
         )
         label = f"IndexLookup {node.table_ref.table}"
         if node.binding != node.table_ref.table:
@@ -257,12 +263,12 @@ def _describe(node: Any) -> str:
     if isinstance(node, Filter):
         kind = "Filter (residual)" if node.residual else "Filter"
         rendered = " and ".join(
-            format_node(predicate) for predicate in node.predicates
+            render(predicate) for predicate in node.predicates
         )
         return f"{kind}: {rendered}"
     if isinstance(node, HashJoin):
         keys = ", ".join(
-            f"{format_node(left)} = {format_node(right)}"
+            f"{render(left)} = {render(right)}"
             for left, right in zip(node.left_keys, node.right_keys)
         )
         return f"HashJoin ({keys})"
@@ -278,16 +284,16 @@ def _describe(node: Any) -> str:
         label = "Aggregate [" + ", ".join(node.items) + "]"
         if node.group_by:
             label += " group by " + ", ".join(
-                format_node(expr) for expr in node.group_by
+                render(expr) for expr in node.group_by
             )
         if node.having is not None:
-            label += " having " + format_node(node.having)
+            label += " having " + render(node.having)
         return label
     if isinstance(node, Distinct):
         return "Distinct"
     if isinstance(node, Sort):
         keys = ", ".join(
-            format_node(order.expression) + (" desc" if order.descending else "")
+            render(order.expression) + (" desc" if order.descending else "")
             for order in node.order_by
         )
         return f"Sort [{keys}]"
@@ -320,14 +326,15 @@ def _children(node: Any) -> tuple[Any, ...]:
     return ()
 
 
-def explain(plan: Any, indent: int = 0) -> str:
-    """Render a :class:`Plan` (or any node subtree) as an indented tree."""
+def explain(plan: Any, indent: int = 0, params: Sequence[Any] = ()) -> str:
+    """Render a :class:`Plan` (or any node subtree) as an indented tree,
+    a cached statement's parameters shown as ``params`` binds them."""
     node = plan.root if isinstance(plan, Plan) else plan
     lines: list[str] = []
 
     def walk(current: Any, depth: int) -> None:
         lines.append(
-            "  " * depth + _describe(current) + _annotation(current)
+            "  " * depth + _describe(current, params) + _annotation(current)
         )
         for child in _children(current):
             walk(child, depth + 1)

@@ -26,9 +26,14 @@ DML executor narrows its identification scan with.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from ...sql import ast
+from ...sql.params import constant
+
+#: what a prunable conjunct compares its column with: a literal, or the
+#: parameter a cached statement's literal was lifted to
+_CONSTANTS = (ast.Literal, ast.Param)
 
 
 def conjuncts(expression: ast.Expression) -> Iterator[ast.Expression]:
@@ -56,8 +61,10 @@ _FLIPPED_OPS = {
 def _prunable_triple(conjunct: ast.Expression, binding_names: Any,
                      schema: Any) -> Optional[tuple[str, str, Any]]:
     """If ``conjunct`` is ``col op literal`` (either side) on this
-    table with a non-NULL literal, return ``(column, op, value)`` with
+    table with a non-NULL literal, return ``(column, op, operand)`` with
     the op normalized to the column-on-the-left form; otherwise None.
+    ``operand`` is the literal or parameter node:
+    :func:`repro.sql.params.constant` gives its value under a binding.
 
     Shared by the indexable-equality computation, the cost model's
     selectivity estimator, and zone-map prune-spec extraction.
@@ -68,40 +75,42 @@ def _prunable_triple(conjunct: ast.Expression, binding_names: Any,
     if op is None:
         return None
     left, right = conjunct.left, conjunct.right
-    if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
+    if isinstance(right, ast.ColumnRef) and isinstance(left, _CONSTANTS):
         left, right = right, left
     else:
         op = conjunct.op
-    if not isinstance(left, ast.ColumnRef) or not isinstance(right, ast.Literal):
+    if not isinstance(left, ast.ColumnRef) or not isinstance(right, _CONSTANTS):
         return None
-    if right.value is None:
+    if type(right) is ast.Literal and right.value is None:
         return None  # col op NULL is never True; let 3VL handle it
     if left.qualifier is not None and left.qualifier not in binding_names:
         return None
     if not schema.has_column(left.column):
         return None
-    return left.column, op, right.value
+    return left.column, op, right
 
 
 def _indexable_pair(conjunct: ast.Expression, binding_names: Any,
                     schema: Any) -> Optional[tuple[str, Any]]:
     """If ``conjunct`` is ``col = literal`` on this table, return
-    ``(column, value)``; otherwise None."""
+    ``(column, operand)``; otherwise None."""
     triple = _prunable_triple(conjunct, binding_names, schema)
     if triple is None or triple[1] != "=":
         return None
-    column, _, value = triple
-    return column, value
+    column, _, operand = triple
+    return column, operand
 
 
 def index_candidates(where: Optional[ast.Expression], table: Any,
-                     binding_names: Any) -> Optional[set[Any]]:
+                     binding_names: Any,
+                     params: Sequence[Any] = ()) -> Optional[set[Any]]:
     """Handles possibly matching ``where`` via index lookups, or None.
 
     ``table`` is the :class:`~repro.relational.table.Table` being
     scanned; ``binding_names`` are the names the table is known by in the
-    predicate's scope (its own name, plus an alias if any). When several
-    indexable conjuncts exist, candidate sets are intersected.
+    predicate's scope (its own name, plus an alias if any); ``params``
+    binds the statement's parameters. When several indexable conjuncts
+    exist, candidate sets are intersected.
 
     Returning a set S guarantees every matching tuple is in S (the full
     predicate still runs on S); returning None means "no index applies".
@@ -113,11 +122,11 @@ def index_candidates(where: Optional[ast.Expression], table: Any,
         pair = _indexable_pair(conjunct, binding_names, table.schema)
         if pair is None:
             continue
-        column, value = pair
+        column, operand = pair
         index = table.index_on(column)
         if index is None:
             continue
-        found = index.lookup(value)
+        found = index.lookup(constant(operand, params))
         candidates = found if candidates is None else (candidates & found)
         if not candidates:
             return set()

@@ -3,8 +3,9 @@
 The paper's semantics are defined over query *results*, not plans (§4).
 Each select arm compiles to a logical plan
 (:mod:`repro.relational.plan`) — per-table conjunct pushdown, index
-lookups, hash equi-joins — cached per AST on the database and reused
-across rule consideration rounds; :meth:`_SelectExecutor._planned_scopes`
+lookups, hash equi-joins — kept with its statement in the database's
+statement cache and reused across rule consideration rounds and
+across the literals of a repeated statement shape; :meth:`_SelectExecutor._planned_scopes`
 is the one seam between FROM/WHERE and the projection/aggregation back
 end below it.
 
@@ -27,6 +28,7 @@ from typing import Optional
 
 from ..errors import ExecutionError
 from ..sql import ast
+from ..sql.params import bind
 from .compiled import (
     BatchContext,
     batch_program_for,
@@ -131,18 +133,22 @@ class BaseTableResolver:
 
 
 def evaluate_select(database, select, resolver=None, outer=None,
-                    collect_handles=False):
+                    collect_handles=False, bound=None):
     """Evaluate a :class:`repro.sql.ast.Select`; returns :class:`SelectResult`.
 
     ``outer`` is the enclosing scope for correlated subqueries (None for a
     top-level query). With ``collect_handles=True``, the result's
     ``touched`` lists the (table, handle) pairs of base-table tuples that
     survived the top-level WHERE — used by the §5.1 ``selected``
-    transition-effect extension.
+    transition-effect extension. ``bound`` names the cached statement
+    ``select`` is part of and the values of its parameters (None: the
+    select is a statement of its own, literals in place).
     """
     if resolver is None:
         resolver = BaseTableResolver(database)
-    executor = _SelectExecutor(database, resolver, collect_handles)
+    if bound is None:
+        bound = database.statements.bound_node(select)
+    executor = _SelectExecutor(database, resolver, collect_handles, bound)
     result = executor.run(select, outer)
     if collect_handles:
         result.touched = executor.touched
@@ -152,10 +158,10 @@ def evaluate_select(database, select, resolver=None, outer=None,
 class _SelectExecutor:
     """One select evaluation (shared by top-level queries and subqueries)."""
 
-    def __init__(self, database, resolver, collect_handles=False):
+    def __init__(self, database, resolver, collect_handles, bound):
         self.database = database
         self.resolver = resolver
-        self.evaluator = Evaluator(database, resolver)
+        self.evaluator = Evaluator(database, resolver, bound)
         self.collect_handles = collect_handles
         self.touched = []
 
@@ -245,7 +251,9 @@ class _SelectExecutor:
         (scopes None) for the projection paths to consume directly."""
         from .plan.executor import execute_source_batched
 
-        plan = self.database.plan_cache.plan_for(select, self.database, stats)
+        plan = self.database.statements.plan_for(
+            select, self.database, stats, self.evaluator.bound
+        )
         return execute_source_batched(
             plan,
             self.database,
@@ -273,8 +281,23 @@ class _SelectExecutor:
     def _expand_items(self, select, bindings):
         """Expand ``*``/``t.*`` into explicit column references.
 
-        ``bindings`` is a list of (binding_name, columns) pairs.
+        ``bindings`` is a list of (binding_name, columns) pairs — a
+        function of the catalog, so the statement's cache entry keeps
+        the expansion (dropped with its programs when the schema
+        moves): the nodes made here are what projection programs are
+        compiled for, and a new node is a new program.
         """
+        statement = self.evaluator.statement
+        items = statement.star_items.get(id(select))
+        if items is None:
+            items = self._expanded(select, bindings)
+            statement.star_items[id(select)] = items
+        return items
+
+    @staticmethod
+    def _expanded(select, bindings):
+        if not any(isinstance(item, ast.Star) for item in select.items):
+            return select.items
         items = []
         for item in select.items:
             if isinstance(item, ast.Star):
@@ -332,11 +355,15 @@ class _SelectExecutor:
         layout = layout_of(bindings)
         database = self.database
         evaluator = self.evaluator
+        statement = evaluator.statement
         item_programs = [
-            program_for(database, item.expression, layout) for item in items
+            program_for(database, item.expression, layout,
+                        statement=statement)
+            for item in items
         ]
         order_programs = [
-            program_for(database, order.expression, layout)
+            program_for(database, order.expression, layout,
+                        statement=statement)
             for order in select.order_by
         ]
         descending = [order.descending for order in select.order_by]
@@ -382,12 +409,15 @@ class _SelectExecutor:
         columns = [self._output_name(item, i) for i, item in enumerate(items)]
         database = self.database
         layout = layout_of(bindings)
+        statement = self.evaluator.statement
         programs = [
-            batch_program_for(database, item.expression, layout)
+            batch_program_for(database, item.expression, layout,
+                              statement=statement)
             for item in items
         ]
         order_programs = [
-            batch_program_for(database, order.expression, layout)
+            batch_program_for(database, order.expression, layout,
+                              statement=statement)
             for order in select.order_by
         ]
         descending = [order.descending for order in select.order_by]
@@ -430,7 +460,8 @@ class _SelectExecutor:
                 # materialized member scopes (they need the GroupScope)
                 layout = layout_of(bindings)
                 programs = [
-                    batch_program_for(self.database, expr, layout)
+                    batch_program_for(self.database, expr, layout,
+                                      statement=self.evaluator.statement)
                     for expr in select.group_by
                 ]
                 self.database.vectorized_stats.batches_scanned += 1
@@ -450,7 +481,8 @@ class _SelectExecutor:
                 # below stay interpreted (they need the GroupScope)
                 layout = layout_of(bindings)
                 programs = [
-                    program_for(self.database, expr, layout)
+                    program_for(self.database, expr, layout,
+                                statement=self.evaluator.statement)
                     for expr in select.group_by
                 ]
                 for scope in scopes:
@@ -509,7 +541,15 @@ class _SelectExecutor:
                 for group in group_exprs
             ):
                 continue
-            if isinstance(expression, ast.Literal):
+            if isinstance(expression, (ast.Literal, ast.Param)):
+                continue
+            # two parameters are the same expression when the literals
+            # they stand for are: compare (and report) as written
+            params = self.evaluator.params
+            expression = bind(expression, params)
+            if params and expression in {
+                bind(group, params) for group in group_exprs
+            }:
                 continue
             raise ExecutionError(
                 "non-aggregate select item must appear in GROUP BY: "

@@ -42,6 +42,24 @@ class Literal(Expression):
 
 
 @dataclass(frozen=True)
+class Param(Expression):
+    """A literal of a cached statement template (the parser makes one
+    per lifted literal when handed a ``params`` list): execution reads
+    its value at position ``index`` of the parameter vector bound to
+    the statement (see :mod:`repro.sql.params`).
+
+    ``kind`` is all that planning and compilation may know of the value:
+    ``"n"`` a number, ``"s"`` a string — the kinds of
+    ``repro.relational.plan.cost.expression_kind`` — or ``"r"``, the
+    value matrix of an all-literal VALUES list (only ever
+    ``InsertValues.rows``).
+    """
+
+    index: int
+    kind: str
+
+
+@dataclass(frozen=True)
 class ColumnRef(Expression):
     """A possibly-qualified column reference, e.g. ``e1.salary``.
 
@@ -543,7 +561,7 @@ def iter_expressions(node: object) -> Iterator[Expression]:
             continue
         if isinstance(current, Expression):
             yield current
-        if isinstance(current, (Literal, ColumnRef, Star)):
+        if isinstance(current, (Literal, Param, ColumnRef, Star)):
             continue
         if isinstance(current, UnaryOp):
             stack.append(current.operand)
@@ -609,9 +627,10 @@ def iter_selects(node: object) -> Iterator[Select]:
         for select in _direct_subqueries(node):
             yield from iter_selects(select)
     elif isinstance(node, InsertValues):
-        for row in node.rows:
-            for expr in row:
-                yield from iter_selects(expr)
+        if not isinstance(node.rows, Param):  # a literal matrix has none
+            for row in node.rows:
+                for expr in row:
+                    yield from iter_selects(expr)
     elif isinstance(node, InsertSelect):
         yield from iter_selects(node.select)
     elif isinstance(node, Delete):
@@ -644,7 +663,7 @@ def _direct_subqueries(expression: object) -> Iterator[Select]:
             if isinstance(current, (InSelect, QuantifiedComparison)):
                 stack.append(current.operand)
             continue
-        if isinstance(current, (Literal, ColumnRef, Star)):
+        if isinstance(current, (Literal, Param, ColumnRef, Star)):
             continue
         if isinstance(current, UnaryOp):
             stack.append(current.operand)

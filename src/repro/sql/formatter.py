@@ -82,6 +82,11 @@ def _format_literal(node: ast.Literal) -> str:
     return repr(value)
 
 
+def _format_param(node: ast.Param) -> str:
+    # an unbound template; repro.sql.params.bind gives the statement
+    return f"?{node.index}"
+
+
 def _format_column_ref(node: ast.ColumnRef) -> str:
     if node.qualifier:
         return f"{node.qualifier}.{node.column}"
@@ -254,10 +259,13 @@ def _format_select(node: ast.Select) -> str:
 
 
 def _format_insert_values(node: ast.InsertValues) -> str:
-    rows = ", ".join(
-        "(" + ", ".join(format_node(value) for value in row) + ")"
-        for row in node.rows
-    )
+    if isinstance(node.rows, ast.Param):
+        rows = _format_param(node.rows)
+    else:
+        rows = ", ".join(
+            "(" + ", ".join(format_node(value) for value in row) + ")"
+            for row in node.rows
+        )
     columns = ""
     if node.columns:
         columns = " (" + ", ".join(node.columns) + ")"
@@ -372,6 +380,7 @@ def _format_rollback_action(node: ast.RollbackAction) -> str:
 
 _FORMATTERS: dict[type, Callable[[Any], str]] = {
     ast.Literal: _format_literal,
+    ast.Param: _format_param,
     ast.ColumnRef: _format_column_ref,
     ast.Star: _format_star,
     ast.BinaryOp: _format_binary,

@@ -6,7 +6,9 @@ alternation in :data:`_MASTER`, tried at each position in this order:
 * skipped text: runs of ``[ \\t\\r\\n]``, ``-- line`` comments and
   ``/* block */`` comments, matched as a prefix of the token after them;
 * words: a letter or ``_`` followed by Unicode alphanumerics or ``_``;
-  case-insensitive keywords, identifiers folded to lower case;
+  case-insensitive keywords, identifiers folded to lower case (tried
+  first, being the most frequent: nothing else can match where a word
+  does, so their place in the order decides nothing);
 * numbers: ASCII digits only — ``42``, ``0.95``, ``1.``, ``.5``,
   ``1e6``, ``2.5e-3`` (an exponent needs its digits, and ``1..2`` is
   ``1`` ``.`` ``.2``);
@@ -20,7 +22,7 @@ when skipped text or a string literal contains a newline.
 from __future__ import annotations
 
 import re
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..errors import LexError
 from .tokens import KEYWORD_LITERALS, KEYWORDS, Token, TokenKind
@@ -35,10 +37,10 @@ _STRING = r"'[^']*(?:''[^']*)*'(?!')"
 _MASTER = re.compile(
     rf"""
     (?: {_SPACE}+ | --[^\n]* | /\*.*?\*/ )*
-    (?: (?P<op>     [-,;()*+%=] | <> | != | <= | >= | [<>] | \|\| | /(?!\*) | \.(?![0-9]) )
+    (?: (?P<word>   {_WORD} )
+      | (?P<op>     [-,;()*+%=] | <> | != | <= | >= | [<>] | \|\| | /(?!\*) | \.(?![0-9]) )
       | (?P<float>  {_FLOAT} )
       | (?P<int>    {_INT} )
-      | (?P<word>   {_WORD} )
       | (?P<string> {_STRING} )
       | (?P<eof>    \Z )
       | (?P<bad>    . )
@@ -53,12 +55,22 @@ _OP, _FLOAT_GROUP, _INT_GROUP, _WORD_GROUP, _STRING_GROUP, _EOF = (
 
 #: A literal row list, ``(v, ...), (v, ...), ...``: values are the
 #: master expression's own numbers (one sign allowed, blanks after it),
-#: strings and words, with nothing but blanks and commas between them.
-#: A pure recogniser — whatever it does not match (an expression, a
-#: comment, a malformed row) is lexed token by token as anywhere else.
-_VALUE = rf"(?:(?:[-+]{_SPACE}*)?(?:{_FLOAT}|{_INT})|{_STRING}|{_WORD})"
+#: strings and the keyword literals, with nothing but blanks and commas
+#: between them. A pure recogniser — whatever it does not match (an
+#: expression, a comment, a malformed row) is lexed token by token as
+#: anywhere else.
+_KEYWORD_LITERAL = rf"(?i:{'|'.join(KEYWORD_LITERALS)})(?!\w)"
+_VALUE = (rf"(?:(?:[-+]{_SPACE}*)?(?:{_FLOAT}|{_INT})|{_STRING}"
+          rf"|{_KEYWORD_LITERAL})")
 _ROW = rf"\({_SPACE}*{_VALUE}(?:{_SPACE}*,{_SPACE}*{_VALUE})*{_SPACE}*\)"
-_LITERAL_ROWS = re.compile(rf"{_ROW}(?:{_SPACE}*,{_SPACE}*{_ROW})*")
+#: up to 64 rows, and the comma after them when another ``(`` follows:
+#: the list is walked a stretch at a time, because the matcher keeps a
+#: backtracking record per repetition — megabytes for one expression
+#: over a whole bulk load
+_NEXT_ROW = rf"{_SPACE}*,{_SPACE}*(?=\()"
+_ROWS_THEN_COMMA = re.compile(
+    rf"(?:{_ROW}{_NEXT_ROW}){{0,63}}{_ROW}({_NEXT_ROW})?"
+)
 #: the pieces of a matched row list, in order: one value or one ``)``
 _ROW_PIECE = re.compile(
     rf"([-+]?){_SPACE}*(?:({_FLOAT})|({_INT}))|({_STRING})|({_WORD})|\)"
@@ -139,10 +151,19 @@ class Lexer:
                     append(new(Token, (TokenKind.KEYWORD, keyword, text,
                                        position, line, column)))
                     if keyword == "VALUES":
-                        rows = self._literal_rows(end, line, line_start)
+                        rows = literal_rows_span(source, end)
                         if rows is not None:
-                            token, end, line, line_start = rows
-                            append(token)
+                            first, last = rows
+                            line, line_start = _past_newlines(
+                                source, end, first, line, line_start)
+                            append(Token(
+                                TokenKind.LITERAL_ROWS,
+                                literal_rows_matrix(source, first, last),
+                                source[first:last], first + offset, line,
+                                first - line_start + 1))
+                            line, line_start = _past_newlines(
+                                source, first, last, line, line_start)
+                            end = last
                 elif text[0].isalpha() or text[0] == "_":
                     append(new(Token, (TokenKind.IDENTIFIER, text.lower(),
                                        text, position, line, column)))
@@ -163,49 +184,6 @@ class Lexer:
             else:
                 raise self._error(start, line, column)
             pos = end
-
-    def _literal_rows(self, pos: int, line: int, line_start: int,
-                      ) -> Optional[tuple[Token, int, int, int]]:
-        """The row list that follows the VALUES keyword ending at
-        ``pos``, as one ``LITERAL_ROWS`` token — when every value of
-        every row is a literal. Returns ``(token, end, line,
-        line_start)`` past the list, or None to lex it token by token.
-        """
-        source = self._source
-        ahead = _MASTER.match(source, pos)
-        assert ahead is not None and ahead.lastindex is not None
-        start = ahead.start(ahead.lastindex)
-        rows = _LITERAL_ROWS.match(source, start)
-        if rows is None:
-            return None
-        end = rows.end()
-        ahead = _MASTER.match(source, end)
-        assert ahead is not None and ahead.lastindex is not None
-        if ahead.lastindex == _OP and ahead.group(_OP) == ",":
-            return None  # one more row, and it is not all literals
-        matrix: list[tuple[Any, ...]] = []
-        row: list[Any] = []
-        for sign, real, whole, string, word in _ROW_PIECE.findall(
-                source, start, end):
-            if whole:
-                row.append(-int(whole) if sign == "-" else int(whole))
-            elif real:
-                row.append(-float(real) if sign == "-" else float(real))
-            elif string:
-                row.append(string[1:-1].replace("''", "'"))
-            elif word:
-                keyword = word.upper()
-                if keyword not in KEYWORD_LITERALS:
-                    return None  # an identifier or some other keyword
-                row.append(KEYWORD_LITERALS[keyword])
-            else:  # the row's closing parenthesis
-                matrix.append(tuple(row))
-                row = []
-        line, line_start = _past_newlines(source, pos, start, line, line_start)
-        token = Token(TokenKind.LITERAL_ROWS, tuple(matrix), source[start:end],
-                      start + self._offset, line, start - line_start + 1)
-        line, line_start = _past_newlines(source, start, end, line, line_start)
-        return token, end, line, line_start
 
     def _error(self, position: int, line: int, column: int) -> LexError:
         """The error for the character at ``position``, where no token
@@ -230,6 +208,49 @@ class Lexer:
                         position + self._offset, line, column)
 
 
+def literal_rows_span(source: str, pos: int) -> Optional[tuple[int, int]]:
+    """Where the row list that follows a VALUES keyword ending at
+    ``pos`` starts and ends — when every value of every row is a
+    literal; None to lex it token by token."""
+    ahead = _MASTER.match(source, pos)
+    assert ahead is not None and ahead.lastindex is not None
+    start = end = ahead.start(ahead.lastindex)
+    while True:
+        rows = _ROWS_THEN_COMMA.match(source, end)
+        if rows is None:
+            return None  # the row here is not all literals
+        end = rows.end()
+        if rows.lastindex is None:
+            break
+    ahead = _MASTER.match(source, end)
+    assert ahead is not None and ahead.lastindex is not None
+    if ahead.lastindex == _OP and ahead.group(_OP) == ",":
+        return None  # one more row, and it is not all literals
+    return start, end
+
+
+def literal_rows_matrix(source: str, start: int,
+                        end: int) -> tuple[tuple[Any, ...], ...]:
+    """The value matrix of the literal row list ``source[start:end]``
+    (a span :func:`literal_rows_span` returned)."""
+    matrix: list[tuple[Any, ...]] = []
+    row: list[Any] = []
+    for sign, real, whole, string, word in _ROW_PIECE.findall(
+            source, start, end):
+        if whole:
+            row.append(-int(whole) if sign == "-" else int(whole))
+        elif real:
+            row.append(-float(real) if sign == "-" else float(real))
+        elif string:
+            row.append(string[1:-1].replace("''", "'"))
+        elif word:
+            row.append(KEYWORD_LITERALS[word.upper()])
+        else:  # the row's closing parenthesis
+            matrix.append(tuple(row))
+            row = []
+    return tuple(matrix)
+
+
 def _past_newlines(source: str, start: int, end: int, line: int,
                    line_start: int) -> tuple[int, int]:
     """``(line, line_start)`` after the newlines of ``source[start:end]``."""
@@ -242,6 +263,94 @@ def _past_newlines(source: str, start: int, end: int, line: int,
 def tokenize(source: str) -> list[Token]:
     """Convenience wrapper: tokenize ``source`` and return the token list."""
     return Lexer(source).tokenize()
+
+
+#: the statements worth a cache entry: the data manipulation a client
+#: repeats with other literals (DDL and rule definitions run once)
+_NORMALISED = frozenset({"select", "insert", "update", "delete"})
+
+
+class Normalised(NamedTuple):
+    """What :func:`normalise` makes of one statement's text."""
+
+    #: the tokens with case, blanks and comments gone and every lifted
+    #: literal replaced by ``?`` and its kind — equal keys parse to
+    #: ASTs that differ in the lifted literals' values only
+    key: str
+    #: the lifted literals' values, in source order
+    params: list[Any]
+    #: ``(index, start, end)`` per all-literal VALUES list: ``params[index]``
+    #: stands for :func:`literal_rows_matrix` of that span of the text
+    rows: list[tuple[int, int, int]]
+    #: the statement was prefixed with EXPLAIN (not part of the key)
+    explain: bool
+
+
+def normalise(source: str) -> Optional[Normalised]:
+    """The cache key and parameter vector of a select, insert, update or
+    delete statement (or block of them); None for any other text,
+    malformed text included.
+
+    One scan with the lexer's own expression, so token boundaries are
+    the lexer's. Number and string literals are lifted to parameters of
+    kind ``n`` / ``s`` (what ``plan.cost.expression_kind`` says of them)
+    and an all-literal VALUES list to one of kind ``r``; what stays in
+    the key verbatim is what parsing or a compile-time proof reads the
+    *value* of: LIMIT's count and a number that directly divides
+    (``x / 2``, ``x % (2)`` — non-zero, and whether it is an integer).
+    ``null``, ``true`` and ``false`` are words like any other.
+    """
+    match = _MASTER.match
+    parts: list[str] = []
+    params: list[Any] = []
+    rows: list[tuple[int, int, int]] = []
+    explain = False
+    verbatim = False  # is a number here LIMIT's count or a divisor?
+    pos = 0
+    while True:
+        found = match(source, pos)
+        assert found is not None and found.lastindex is not None
+        group = found.lastindex
+        pos = found.end()
+        if group == _WORD_GROUP:
+            word = found.group(group).lower()
+            if not parts and word not in _NORMALISED:
+                if word == "explain" and not explain:
+                    explain = True
+                    continue
+                return None
+            parts.append(word)
+            verbatim = word == "limit"
+            if word == "values":
+                span = literal_rows_span(source, pos)
+                if span is not None:
+                    rows.append((len(params), span[0], span[1]))
+                    params.append(None)
+                    parts.append("?r")
+                    pos = span[1]
+        elif not parts:
+            return None  # a statement starts with a word
+        elif group == _OP:
+            text = found.group(group)
+            parts.append(text)
+            verbatim = text == "/" or text == "%" or (verbatim and text == "(")
+        elif group == _INT_GROUP or group == _FLOAT_GROUP:
+            text = found.group(group)
+            if verbatim:
+                parts.append(text)
+                verbatim = False
+            else:
+                parts.append("?n")
+                params.append(
+                    int(text) if group == _INT_GROUP else float(text))
+        elif group == _STRING_GROUP:
+            parts.append("?s")
+            params.append(found.group(group)[1:-1].replace("''", "'"))
+            verbatim = False
+        elif group == _EOF:
+            return Normalised(" ".join(parts), params, rows, explain)
+        else:
+            return None
 
 
 def expand_literal_rows(token: Token) -> list[Token]:

@@ -70,13 +70,22 @@ _SCALAR_FUNCTIONS = frozenset({
 
 
 class Parser:
-    """Token-stream parser. One instance parses one source string."""
+    """Token-stream parser. One instance parses one source string.
+
+    With a ``params`` list the parser builds a statement *template* for
+    the statement cache (:mod:`repro.relational.plan.cache`): each
+    literal :func:`repro.sql.lexer.normalise` leaves out of the cache
+    key becomes a :class:`~repro.sql.ast.Param` — numbered as the tokens
+    come, which is source order — and its value is appended to the list.
+    """
 
     def __init__(self, source: str,
-                 tokens: Optional[list[Token]] = None) -> None:
+                 tokens: Optional[list[Token]] = None,
+                 params: Optional[list[Any]] = None) -> None:
         self._source = source
         self._tokens = tokenize(source) if tokens is None else tokens
         self._index = 0
+        self._params = params
 
     # ------------------------------------------------------------------
     # token helpers
@@ -377,12 +386,15 @@ class Parser:
         if self._match_keyword("VALUES"):
             token = self._match(TokenKind.LITERAL_ROWS)
             if token is not None:
-                return ast.InsertValues(
-                    table,
-                    ast.LiteralRows(token.value,
-                                    partial(_parse_literal_rows, token)),
-                    columns,
-                )
+                rows: Any
+                if self._params is not None:
+                    self._params.append(token.value)
+                    rows = ast.Param(len(self._params) - 1, "r")
+                else:
+                    rows = ast.LiteralRows(
+                        token.value, partial(_parse_literal_rows, token)
+                    )
+                return ast.InsertValues(table, rows, columns)
             return ast.InsertValues(table, self._parse_value_rows(), columns)
         if self._check(TokenKind.LPAREN):
             self._advance()
@@ -683,7 +695,16 @@ class Parser:
         if (kind is TokenKind.INTEGER or kind is TokenKind.FLOAT
                 or kind is TokenKind.STRING):
             self._index += 1
-            return self._spanned(ast.Literal(token.value), token)
+            params = self._params
+            if params is None or (
+                    kind is not TokenKind.STRING and self._divides()):
+                return self._spanned(ast.Literal(token.value), token)
+            params.append(token.value)
+            return self._spanned(
+                ast.Param(len(params) - 1,
+                          "s" if kind is TokenKind.STRING else "n"),
+                token,
+            )
         if kind is TokenKind.IDENTIFIER:
             return self._parse_identifier_expression()
         if kind is TokenKind.LPAREN:
@@ -713,6 +734,19 @@ class Parser:
         raise ParseError(
             f"expected expression, found {token.text or 'end of input'}", token
         )
+
+    def _divides(self) -> bool:
+        """Does the number just consumed directly follow ``/`` or ``%``
+        (parentheses aside)? A literal divisor is read at compile time
+        — non-zero, and whether an integer: the typed division kernels
+        of ``repro.relational.compiled`` — so it stays a literal, part
+        of the statement's shape (``normalise`` keeps it in the key by
+        the same rule over the same tokens)."""
+        index = self._index - 2
+        while index >= 0 and self._tokens[index].kind is TokenKind.LPAREN:
+            index -= 1
+        return index >= 0 and self._tokens[index].kind in (
+            TokenKind.SLASH, TokenKind.PERCENT)
 
     def _parse_case(self) -> ast.Expression:
         start = self._peek()
@@ -781,9 +815,10 @@ def _parse_literal_rows(token: Token) -> tuple[tuple[ast.Expression, ...], ...]:
 # module-level entry points
 
 
-def parse_statement(source: str) -> Any:
-    """Parse exactly one statement (DDL, rule DDL, or an operation block)."""
-    return Parser(source).parse_statement()
+def parse_statement(source: str, params: Optional[list[Any]] = None) -> Any:
+    """Parse exactly one statement (DDL, rule DDL, or an operation
+    block); with ``params``, as a template (see :class:`Parser`)."""
+    return Parser(source, params=params).parse_statement()
 
 
 def parse_script(source: str) -> list[Any]:
@@ -811,9 +846,11 @@ def parse_expression(source: str) -> ast.Expression:
     return expression
 
 
-def parse_select(source: str) -> ast.Select:
-    """Parse a standalone select statement."""
-    parser = Parser(source)
+def parse_select(source: str,
+                 params: Optional[list[Any]] = None) -> ast.Select:
+    """Parse a standalone select statement; with ``params``, as a
+    template (see :class:`Parser`)."""
+    parser = Parser(source, params=params)
     select = parser._parse_select()
     if not parser._at_end():
         raise ParseError(

@@ -31,8 +31,7 @@ from .core.rules import RuleCatalog
 from .errors import ExecutionError, TransactionError
 from .obs.events import EventKind
 from .relational.database import Database
-from .sql import ast, parse_statement
-from .sql.parser import parse_select
+from .sql import ast
 
 
 class ActiveDatabase:
@@ -78,8 +77,14 @@ class ActiveDatabase:
     # ------------------------------------------------------------------
     # statements
 
-    def execute(self, statement):
+    def execute(self, statement, bound=None):
         """Execute one statement (SQL text or a parsed AST node).
+
+        Text goes through the database's statement cache: a repeated
+        shape of select / insert / update / delete is parsed, planned
+        and compiled once, whatever its literals. ``bound`` is for
+        callers that went through the cache themselves
+        (``database.statements.parse``) and pass the node it gave them.
 
         Returns:
             * schema/rule DDL — ``None``;
@@ -90,7 +95,7 @@ class ActiveDatabase:
             * ``assert rules`` — ``None`` (requires an open transaction).
         """
         if isinstance(statement, str):
-            statement = parse_statement(statement)
+            statement, bound = self.database.statements.parse(statement)
 
         if isinstance(statement, ast.CreateTable):
             self._require_no_transaction("create table")
@@ -151,11 +156,11 @@ class ActiveDatabase:
             self.engine.assert_rules()
             return None
         if isinstance(statement, ast.Explain):
-            return self.explain(statement.select)
+            return self.explain(statement.select, bound)
         if isinstance(statement, ast.OperationBlock):
             if self.engine.in_transaction:
-                return self.engine.execute_block(statement)
-            result = self.engine.run_block(statement)
+                return self.engine.execute_block(statement, bound)
+            result = self.engine.run_block(statement, bound)
             self._maybe_checkpoint()
             return result
         raise ExecutionError(
@@ -177,15 +182,13 @@ class ActiveDatabase:
     def query(self, select):
         """Evaluate a read-only select; returns a
         :class:`~repro.relational.select.SelectResult`."""
-        if isinstance(select, str):
-            select = parse_select(select)
         return self.engine.query(select)
 
     def rows(self, select):
         """Shorthand: the result rows of :meth:`query`."""
         return self.query(select).rows
 
-    def explain(self, select):
+    def explain(self, select, bound=None):
         """The logical plan for a select (text or AST) as rendered text.
 
         Also reachable as the ``explain <select>`` statement. The plan is
@@ -196,8 +199,8 @@ class ActiveDatabase:
         from .relational.plan import explain_select
 
         if isinstance(select, str):
-            select = parse_select(select)
-        return explain_select(self.database, select)
+            select, bound = self.database.statements.parse_select(select)
+        return explain_select(self.database, select, bound)
 
     # ------------------------------------------------------------------
     # explicit transactions (§5.3 triggering points)

@@ -230,3 +230,17 @@ class TestLexerAgainstReference:
         assert folded(source) == 1 and len(tokens) == 11
         assert len(tokens[4].value) == rows
         assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    @pytest.mark.parametrize("rows", [63, 64, 65, 128, 129, 200])
+    @pytest.mark.parametrize("spoiler", [None, "(1, 1 + 1)", "(x)", "7"])
+    def test_stretches_of_sixty_four_rows(self, rows, spoiler):
+        """The list is recognised 64 rows at a time: a near miss is one
+        wherever it sits relative to a stretch's edge."""
+        for at in ((None,) if spoiler is None else (0, rows - 2, rows - 1)):
+            parts = [f"({n}, 'r')" for n in range(rows)]
+            if at is not None:
+                parts[at] = spoiler
+            source = "values " + " , ".join(parts) + " x"
+            assert folded(source) == (1 if spoiler is None else 0)
+            assert outcome(tokenize, source) == \
+                outcome(reference_tokenize, source)

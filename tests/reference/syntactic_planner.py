@@ -38,7 +38,9 @@ from repro.relational.plan.pushdown import _indexable_pair, classify_where
 from repro.sql import ast
 
 
-def build_plan(database, select):
+def build_plan(database, select, params=()):
+    # ``params`` would only feed estimates, and there are none here:
+    # index keys hold the literal or parameter node either way
     binding_columns = {}
     for table_ref in select.tables:
         name = table_ref.binding_name

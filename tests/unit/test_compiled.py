@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.relational.compiled import (
-    CompiledCache,
     CompilerStats,
     compile_expression,
     compile_predicate,
@@ -176,15 +175,16 @@ class TestCompiledCache:
         database.insert_row("t", (1,))  # bumps version, not schema_version
         assert program_for(database, node, LAYOUT) is first
 
-    def test_overflow_clears_wholesale(self):
-        cache = CompiledCache(max_entries=2)
+    def test_programs_leave_with_their_statement(self):
+        """One bound: evicting a statement drops its programs with it."""
         database = Database()
-        stats = CompilerStats()
+        database.statements.max_entries = 2
         nodes = [parse_expression(f"salary > {i}") for i in range(3)]
-        for node in nodes:
-            cache.program_for(node, LAYOUT, database, stats=stats)
-        assert len(cache) == 1  # third insert cleared the full cache
-        assert stats.compiles == 3
+        programs = [program_for(database, node, LAYOUT) for node in nodes]
+        assert len(database.statements) == 2
+        assert program_for(database, nodes[2], LAYOUT) is programs[2]
+        assert program_for(database, nodes[0], LAYOUT) is not programs[0]
+        assert database.compiler_stats.compiles == 4
 
     def test_snapshot_rates(self):
         stats = CompilerStats()
@@ -225,7 +225,7 @@ class TestEnvironmentGate:
         db.execute("select x from t where x > 1")
         stats = db.database.compiler_stats
         assert stats.compiles == 0
-        assert len(db.database.compiled_cache) == 0
+        assert stats.cache_hits == stats.cache_misses == 0
 
 
 class TestLikeMemoization:

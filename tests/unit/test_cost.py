@@ -201,7 +201,8 @@ class TestSelectIndexKeys:
         dept_index = table.index_on("dept_no")
         name_index = table.index_on("name")
         keys, scanned = select_index_keys(
-            [(dept_index, "dept_no", 3), (name_index, "name", "e7")], 100
+            [(dept_index, "dept_no", ast.Literal(3)),
+             (name_index, "name", ast.Param(0, "s"))], 100, ("e7",)
         )
         assert scanned == 1.0  # the name bucket is unique
         assert [key[1] for key in keys] == ["dept_no", "name"]
@@ -213,10 +214,13 @@ class TestSelectIndexKeys:
         # with only 15 rows a 10-row bucket covers most of the table:
         # intersecting it costs more than letting the filter reject
         keys, scanned = select_index_keys(
-            [(index, "dept_no", 3), (index, "dept_no", 4)], 15
+            [(index, "dept_no", ast.Literal(3)),
+             (index, "dept_no", ast.Literal(4))], 15
         )
         assert len(keys) == 2  # both tie at 10 rows: smallest kept
-        keys, _ = select_index_keys([(index, "dept_no", 3)], 15)
+        keys, _ = select_index_keys(
+            [(index, "dept_no", ast.Literal(3))], 15
+        )
         assert len(keys) == 1  # the smallest bucket is always kept
 
 
@@ -227,8 +231,12 @@ class TestPruneSpecs:
         pushed = [select.where] if select.where is not None else []
         from repro.relational.plan.pushdown import conjuncts
         pushed = list(conjuncts(select.where))
-        return prune_specs(
-            database, select.tables[0], "e", pushed, layers
+        # each spec's operand is the literal's node: show its value
+        return tuple(
+            (position, op, operand.value)
+            for position, op, operand in prune_specs(
+                database, select.tables[0], "e", pushed, layers
+            )
         )
 
     def test_range_and_equality_specs(self, database):

@@ -15,17 +15,18 @@ from repro.relational.plan import (
     Filter,
     HashJoin,
     IndexLookup,
-    PlanCache,
     PlannerStats,
     Product,
     Scan,
     SingleRow,
+    StatementCache,
     build_plan,
     explain,
     explain_select,
 )
 from repro.relational.plan.pushdown import classify_where, referenced_bindings
 from repro.relational.select import evaluate_select
+from repro.sql import ast
 from repro.sql.parser import parse_expression, parse_select
 from tests.reference import naive_select
 
@@ -140,7 +141,7 @@ class TestPlanShapes:
         assert isinstance(plan.source, Filter)
         lookup = plan.source.child
         assert isinstance(lookup, IndexLookup)
-        assert lookup.keys == (("emp_dept", "dept_no", 1),)
+        assert lookup.keys == (("emp_dept", "dept_no", ast.Literal(1)),)
 
     def test_no_index_plans_scan(self, database):
         select = parse_select("select name from emp where dept_no = 1")
@@ -191,7 +192,7 @@ class TestExplain:
         assert "IndexLookup emp (dept_no = 1 [emp_dept])" in text
 
     def test_union_arms_render_separately(self, database):
-        database.plan_cache = PlanCache()
+        database.statements = StatementCache()
         database.planner_stats = PlannerStats()
         database.schema_version = 0
         text = explain_select(database, parse_select(
@@ -204,7 +205,7 @@ class TestExplain:
 class TestPlanCache:
     def test_repeat_lookup_hits(self, database):
         database.schema_version = 0
-        cache = PlanCache()
+        cache = StatementCache()
         stats = PlannerStats()
         select = parse_select("select name from emp")
         first = cache.plan_for(select, database, stats)
@@ -214,20 +215,23 @@ class TestPlanCache:
         assert stats.plan_cache_misses == 1
 
     def test_structurally_equal_reparse_hits(self, database):
-        """Frozen AST dataclasses hash structurally, so re-parsed text of
-        the same query deduplicates to one plan."""
+        """Text is keyed by its normalised tokens, so the same query —
+        whatever its case, spacing and literals — deduplicates to one
+        template and one plan."""
         database.schema_version = 0
-        cache = PlanCache()
+        cache = StatementCache()
         stats = PlannerStats()
-        first = cache.plan_for(parse_select("select name from emp"),
-                               database, stats)
-        second = cache.plan_for(parse_select("select name from emp"),
-                                database, stats)
-        assert first is second
+        plans = []
+        for text in ("select name from emp where salary > 10",
+                     "SELECT name  FROM emp -- again\n WHERE salary > 99.5"):
+            select, bound = cache.parse_select(text)
+            plans.append(cache.plan_for(select, database, stats, bound))
+        assert plans[0] is plans[1]
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 1)
 
     def test_schema_version_change_invalidates(self, database):
         database.schema_version = 0
-        cache = PlanCache()
+        cache = StatementCache()
         stats = PlannerStats()
         select = parse_select("select name from emp where dept_no = 1")
         before = cache.plan_for(select, database, stats)
@@ -243,17 +247,17 @@ class TestPlanCache:
         counting an optimizer replan."""
         stats = database.planner_stats
         select = parse_select("select name from emp where dept_no = 1")
-        before = database.plan_cache.plan_for(select, database, stats)
+        before = database.statements.plan_for(select, database, stats)
         epoch = database.stats_epoch
         invalidations = stats.plan_cache_invalidations
         database.create_index("emp_dept", "emp", "dept_no")
         assert database.stats_epoch == epoch + 1
-        created = database.plan_cache.plan_for(select, database, stats)
+        created = database.statements.plan_for(select, database, stats)
         assert created is not before
         assert isinstance(created.source.child, IndexLookup)
         assert stats.plan_cache_invalidations == invalidations + 1
         database.drop_index("emp_dept")
-        dropped = database.plan_cache.plan_for(select, database, stats)
+        dropped = database.statements.plan_for(select, database, stats)
         assert dropped is not created
         assert isinstance(dropped.source.child, Scan)
         assert stats.plan_cache_invalidations == invalidations + 2
@@ -264,21 +268,26 @@ class TestPlanCache:
         lookup re-costs the plan and counts an optimizer replan."""
         stats = database.planner_stats
         select = parse_select("select name from emp")
-        before = database.plan_cache.plan_for(select, database, stats)
+        before = database.statements.plan_for(select, database, stats)
         replans = database.optimizer_stats.replans
         database.table("emp").rebuild_stats()
-        after = database.plan_cache.plan_for(select, database, stats)
+        after = database.statements.plan_for(select, database, stats)
         assert after is not before
         assert database.optimizer_stats.replans == replans + 1
 
-    def test_overflow_clears_wholesale(self, database):
+    def test_overflow_evicts_least_recently_used(self, database):
         database.schema_version = 0
-        cache = PlanCache(max_entries=2)
+        cache = StatementCache(max_entries=2)
         stats = PlannerStats()
-        for column in ("name", "salary", "dept_no"):
-            cache.plan_for(parse_select(f"select {column} from emp"),
-                           database, stats)
-        assert len(cache) <= 2
+        selects = [parse_select(f"select {column} from emp")
+                   for column in ("name", "salary", "dept_no")]
+        first = cache.plan_for(selects[0], database, stats)
+        second = cache.plan_for(selects[1], database, stats)
+        assert cache.plan_for(selects[0], database, stats) is first
+        cache.plan_for(selects[2], database, stats)  # evicts selects[1]
+        assert len(cache) == 2 and cache.evictions == 1
+        assert cache.plan_for(selects[0], database, stats) is first
+        assert cache.plan_for(selects[1], database, stats) is not second
 
     def test_hit_rate_in_snapshot(self):
         stats = PlannerStats()
@@ -414,7 +423,7 @@ class TestPlannedExecutionAgreesWithNaive:
         db = self.make_db()
         db.execute("create index emp_dept on emp (dept_no)")
         select = parse_select("select name from emp where dept_no = 1")
-        plan = db.database.plan_cache.plan_for(
+        plan = db.database.statements.plan_for(
             select, db.database, db.database.planner_stats
         )
         assert isinstance(plan.source.child, IndexLookup)

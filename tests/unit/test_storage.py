@@ -117,6 +117,50 @@ class TestHandleAllocator:
         allocator.allocate("b")
         assert allocator.issued_count == 2
 
+    def test_memory_follows_table_changes_not_handles(self):
+        """Handles are kept as allocation runs, neighbours of one table
+        merged: a million handles of one table are one run."""
+        allocator = HandleAllocator()
+        for _ in range(50):
+            allocator.allocate_many("big", 1000)
+        allocator.allocate("small")
+        allocator.allocate_many("big", 10)
+        assert len(allocator._starts) == 3
+        assert allocator.table_of(1) == allocator.table_of(50_000) == "big"
+        assert allocator.table_of(50_001) == "small"
+        assert allocator.table_of(50_011) == "big"
+        for unknown in (0, 50_012):
+            assert not allocator.knows(unknown)
+            with pytest.raises(KeyError):
+                allocator.table_of(unknown)
+
+    def test_restore_interleaves_and_merges_runs(self):
+        """Recovery re-registers each table's handles on its own, in any
+        order; the runs end up as if allocated in handle order, and
+        allocation resumes past them."""
+        allocator = HandleAllocator()
+        allocator.restore([9, 2, 4, 8], "b")
+        allocator.restore([1, 3, 5, 6, 7], "a")
+        assert [allocator.table_of(h) for h in range(1, 10)] == [
+            "a", "b", "a", "b", "a", "a", "a", "b", "b"]
+        assert allocator._starts == [1, 2, 3, 4, 5, 8]
+        assert allocator.allocate("c") == 10
+        allocator.restore([], "d")
+        assert allocator.issued_count == 10
+
+    def test_split_by_table(self):
+        allocator = HandleAllocator()
+        first = allocator.allocate_many("a", 3)
+        second = allocator.allocate_many("b", 2)
+        third = allocator.allocate_many("a", 2)
+        assert allocator.split_by_table({7, 1, 4, 3, 6}) == {
+            "a": [1, 3, 6, 7], "b": [4]}
+        assert allocator.split_by_table(first + second + third) == {
+            "a": first + third, "b": second}
+        assert allocator.split_by_table([]) == {}
+        with pytest.raises(KeyError):
+            allocator.split_by_table([2, 8])
+
 
 class TestDatabaseMutators:
     def make(self):
