@@ -1,6 +1,6 @@
 """Dynamic order-sensitivity probing.
 
-The static conflict check (:mod:`repro.analysis.conflicts`) is
+The static conflict check (:func:`repro.analysis.analyze`) is
 conservative: it flags rule pairs whose firing order *may* affect the
 final state. This module provides the dynamic counterpart the paper's §6
 tooling vision implies: execute the same transaction on identical
@@ -13,12 +13,14 @@ evidence (not proof) of commutativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Optional, Sequence
 
 from ..core.selection import TotalOrder
 from ..relational.types import sort_key
+from .program import analyze
 
 
-def canonical_state(db):
+def canonical_state(db: Any) -> dict:
     """A handle-free, order-free rendering of the database contents:
     ``{table: sorted list of row tuples}`` — comparable across separately
     built database instances."""
@@ -53,7 +55,7 @@ class ProbeResult:
     outcome_first_first: object = None
     outcome_second_first: object = None
 
-    def describe(self):
+    def describe(self) -> str:
         if not self.order_sensitive:
             return (
                 f"rules {self.first!r} and {self.second!r} commuted on the "
@@ -67,7 +69,8 @@ class ProbeResult:
         )
 
 
-def probe_order_sensitivity(factory, block, first, second):
+def probe_order_sensitivity(factory: Callable[[], Any], block: Any,
+                            first: str, second: str) -> ProbeResult:
     """Run ``block`` under both forced orders of a rule pair.
 
     Args:
@@ -103,7 +106,9 @@ def probe_order_sensitivity(factory, block, first, second):
     )
 
 
-def probe_conflicts(factory, block, warnings=None):
+def probe_conflicts(factory: Callable[[], Any], block: Any,
+                    warnings: Optional[Sequence] = None,
+                    ) -> list[ProbeResult]:
     """Probe every statically-flagged conflict pair against a workload.
 
     ``warnings`` defaults to running the static analysis on a freshly
@@ -111,9 +116,7 @@ def probe_conflicts(factory, block, warnings=None):
     order-sensitive ones first.
     """
     if warnings is None:
-        from .conflicts import find_ordering_conflicts
-
-        warnings = find_ordering_conflicts(factory().catalog)
+        warnings = analyze(factory().catalog).conflicts
     results = [
         probe_order_sensitivity(factory, block, warning.first, warning.second)
         for warning in warnings

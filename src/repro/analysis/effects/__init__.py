@@ -1,30 +1,23 @@
 """Static effect analysis over rule programs.
 
-:mod:`repro.analysis.effects.sets` computes per-rule read/write effect
-sets at ``(table, column)`` granularity; :mod:`repro.analysis.effects
-.conflicts` is the ``effects`` lint pass (RPL501/RPL502) and the
-table-level conflict advisory the OCC coordinator consumes. The
-triggering-graph refinement (``repro.analysis.lint.refine``) uses
-:func:`writes_can_populate` to prune edges whose transition tables the
-provider provably cannot fill.
+:mod:`repro.analysis.effects.sets` defines the per-rule read/write
+effect sets at ``(table, column)`` granularity — a product of the one
+walk over each rule (:mod:`repro.analysis.types.infer`) — and what the
+triggering graph asks of them (:meth:`RuleEffects.can_satisfy`,
+:func:`writes_can_populate`); :mod:`repro.analysis.effects.conflicts`
+is the ``effects`` lint pass (RPL501/RPL502).
 """
 
-from .conflicts import conflict_advisory
 from .sets import (
     ANY_COLUMN,
     RuleEffects,
-    columns_overlap,
-    program_effects,
-    rule_effects,
+    operation_writes,
     writes_can_populate,
 )
 
 __all__ = [
     "ANY_COLUMN",
     "RuleEffects",
-    "columns_overlap",
-    "conflict_advisory",
-    "program_effects",
-    "rule_effects",
+    "operation_writes",
     "writes_can_populate",
 ]

@@ -1,23 +1,32 @@
 """Static per-rule effect sets at (table, column) granularity.
 
-An *effect set* summarizes what one rule can observe and change:
+An *effect set* summarizes what one rule can observe and change; it is
+one of the products of the single scoped walk over the rule
+(:class:`repro.analysis.types.infer.RuleWalk`), computed when the rule
+is defined:
 
 * **reads** — ``(table, column)`` pairs the rule's condition and action
-  may look at. Over-approximated: an unqualified reference that several
-  in-scope tables could own charges every candidate; a reference that
-  does not resolve at all (unknown table, opaque scope) charges
-  ``(table, "*")`` for every table in scope. Reads may be too big,
-  never too small.
+  may look at, charged where the walk resolves each column reference:
+  a reference several in-scope tables could own charges every
+  candidate; one that resolves through an unknown table charges
+  ``(table, "*")``. Reads may be too big, never too small.
+* **scans** — the tables named in any FROM clause (transition tables
+  count as their base table) plus the targets of ``delete``/``update``,
+  which scan their target to find qualifying tuples: the table-level
+  read set of the paper's §6 conflict check.
 * **writes** — ``(kind, table, column)`` triples the rule's action can
   perform, with ``kind`` in ``inserted``/``deleted``/``updated``.
   Inserts and deletes touch every column of the target (``"*"`` when
   the schema is unknown); updates list exactly the assigned columns.
   ``None`` means the action is opaque (external procedure): assume
   everything.
+* **selected** — the base tables the action's top-level ``select``
+  operations retrieve from (what §5.1 ``selected`` predicates trigger
+  on).
 
 Writes are *exact* over SQL actions — that is what makes them strong
-enough to prune triggering-graph edges (see
-:func:`writes_can_populate` and ``repro.analysis.lint.refine``):
+enough to draw the triggering graph's edges (:meth:`RuleEffects
+.can_satisfy`) and to prune them (:func:`writes_can_populate`):
 ``updated t.c`` transition views contain only handles whose column
 ``c`` was actually assigned, so an action that never assigns ``c``
 provably leaves that view empty.
@@ -26,7 +35,7 @@ provably leaves that view empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterator, Optional
 
 from ...sql import ast
 
@@ -36,8 +45,12 @@ ANY_COLUMN = "*"
 
 SchemaLookup = Callable[[str], object]
 
-Read = "tuple[str, str]"
-Write = "tuple[str, str, str]"
+#: the write kind that satisfies each basic transition predicate kind
+_WRITE_KIND = {
+    ast.TransitionPredicateKind.INSERTED: "inserted",
+    ast.TransitionPredicateKind.DELETED: "deleted",
+    ast.TransitionPredicateKind.UPDATED: "updated",
+}
 
 
 @dataclass(frozen=True)
@@ -48,9 +61,10 @@ class RuleEffects:
     consumer must assume the action reads and writes everything.
     """
 
-    rule: str
     reads: frozenset
     writes: Optional[frozenset]
+    scans: frozenset = frozenset()
+    selected: frozenset = frozenset()
 
     @property
     def opaque(self) -> bool:
@@ -73,160 +87,40 @@ class RuleEffects:
     def read_tables(self) -> set:
         return {table for table, _ in self.reads}
 
-
-def columns_overlap(first: Iterable[str], second: Iterable[str]) -> bool:
-    """Do two column sets of one table intersect (``"*"`` meets any
-    non-empty set)?"""
-    first = set(first)
-    second = set(second)
-    if not first or not second:
-        return False
-    if ANY_COLUMN in first or ANY_COLUMN in second:
-        return True
-    return bool(first & second)
-
-
-# ---------------------------------------------------------------------------
-# reads
-
-def _schema_columns(schema_lookup: SchemaLookup, table: str) -> Optional[list]:
-    schema = schema_lookup(table)
-    if schema is None:
-        return None
-    return list(schema.column_names)
-
-
-def _scoped_tables(node: object) -> tuple[dict, set]:
-    """Every (binding → table) pair and every table name in scope
-    anywhere inside ``node`` — a flat over-approximation of the nested
-    scopes (bindings reused across sibling selects charge both)."""
-    bindings: dict[str, set] = {}
-    tables: set = set()
-    selects = list(ast.iter_selects(node))
-    for select in selects:
-        for table_ref in select.tables:
-            tables.add(table_ref.table)
-            bindings.setdefault(table_ref.binding_name, set()).add(
-                table_ref.table
+    def can_satisfy(self, predicate: ast.BasicTransitionPredicate) -> bool:
+        """Can the action produce an effect satisfying ``predicate``?
+        (The syntactic triggering edge; opaque actions can do anything.)"""
+        if self.writes is None:
+            return True
+        if predicate.kind is ast.TransitionPredicateKind.SELECTED:
+            return predicate.table in self.selected
+        wanted = _WRITE_KIND[predicate.kind]
+        return any(
+            kind == wanted and table == predicate.table and (
+                wanted != "updated" or predicate.column in (None, column)
             )
-    return bindings, tables
+            for kind, table, column in self.writes
+        )
 
 
-def _expression_roots(node: object) -> list:
-    """The expression (or select) roots reachable from a node —
-    :func:`ast.iter_expressions` descends from these but does not itself
-    unpack DML operations."""
-    if isinstance(node, ast.OperationBlock):
-        roots: list = []
-        for operation in node.operations:
-            roots.extend(_expression_roots(operation))
-        return roots
-    if isinstance(node, ast.InsertValues):
-        return [expr for row in node.rows for expr in row]
-    if isinstance(node, ast.InsertSelect):
-        return [node.select]
-    if isinstance(node, ast.Delete):
-        return [node.where] if node.where is not None else []
-    if isinstance(node, ast.Update):
-        roots = [a.expression for a in node.assignments]
-        if node.where is not None:
-            roots.append(node.where)
-        return roots
-    if isinstance(node, ast.SelectOperation):
-        return [node.select]
-    return [node]
-
-
-def _charge_reads(node: object, schema_lookup: SchemaLookup,
-                  reads: set, extra_tables: Iterable[str] = ()) -> None:
-    """Charge every column reference inside ``node`` to the tables that
-    could own it (sound over-approximation; see module docstring)."""
-    bindings, tables = _scoped_tables(node)
-    for table in extra_tables:
-        tables.add(table)
-        bindings.setdefault(table, set()).add(table)
-    schemas = {table: schema_lookup(table) for table in tables}
-    for root in _expression_roots(node):
-        for expr in ast.iter_expressions(root):
-            if not isinstance(expr, ast.ColumnRef):
-                continue
-            _charge_one(expr, bindings, schemas, reads)
-
-
-def _charge_one(expr: ast.ColumnRef, bindings: dict, schemas: dict,
-                reads: set) -> None:
-    if expr.qualifier is not None:
-        # a dangling qualifier charges nothing: the schema pass reports
-        # it and the evaluator raises before reading
-        for table in bindings.get(expr.qualifier, ()):
-            schema = schemas.get(table)
-            if schema is None:
-                reads.add((table, ANY_COLUMN))
-            elif schema.has_column(expr.column):
-                reads.add((table, expr.column))
-        return
-    owners = [
-        table for table, schema in schemas.items()
-        if schema is not None and schema.has_column(expr.column)
-    ]
-    for table in owners:
-        reads.add((table, expr.column))
-    for table, schema in schemas.items():
-        if schema is None:
-            reads.add((table, ANY_COLUMN))
-
-
-# ---------------------------------------------------------------------------
-# writes
-
-def _operation_writes(operation: object, schema_lookup: SchemaLookup,
-                      writes: set) -> None:
-    if isinstance(operation, (ast.InsertValues, ast.InsertSelect)):
-        columns = _schema_columns(schema_lookup, operation.table)
-        for column in (columns if columns is not None else [ANY_COLUMN]):
-            writes.add(("inserted", operation.table, column))
-    elif isinstance(operation, ast.Delete):
-        columns = _schema_columns(schema_lookup, operation.table)
-        for column in (columns if columns is not None else [ANY_COLUMN]):
-            writes.add(("deleted", operation.table, column))
-    elif isinstance(operation, ast.Update):
+def operation_writes(operation: object, schema_lookup: SchemaLookup,
+                     ) -> Iterator[tuple[str, str, str]]:
+    """The ``(kind, table, column)`` writes of one DML operation."""
+    if isinstance(operation, ast.Update):
         for assignment in operation.assignments:
-            writes.add(("updated", operation.table, assignment.column))
+            yield "updated", operation.table, assignment.column
+        return
+    if isinstance(operation, (ast.InsertValues, ast.InsertSelect)):
+        kind = "inserted"
+    elif isinstance(operation, ast.Delete):
+        kind = "deleted"
+    else:
+        return
+    schema = schema_lookup(operation.table)
+    columns = [ANY_COLUMN] if schema is None else schema.column_names
+    for column in columns:
+        yield kind, operation.table, column
 
-
-def rule_effects(rule: object, schema_lookup: SchemaLookup) -> RuleEffects:
-    """The effect summary of one :class:`~repro.analysis.lint.context
-    .LintRule` (or any object with name/condition/action)."""
-    reads: set = set()
-    if rule.condition is not None:
-        _charge_reads(rule.condition, schema_lookup, reads)
-
-    action = rule.action
-    if isinstance(action, ast.RollbackAction):
-        return RuleEffects(rule.name, frozenset(reads), frozenset())
-    if not isinstance(action, ast.OperationBlock):
-        return RuleEffects(rule.name, frozenset(reads), None)
-
-    writes: set = set()
-    for operation in action.operations:
-        _operation_writes(operation, schema_lookup, writes)
-        if isinstance(operation, (ast.Delete, ast.Update)):
-            # the WHERE (and update RHS) scan the target table
-            _charge_reads(operation, schema_lookup, reads,
-                          extra_tables=(operation.table,))
-        else:
-            _charge_reads(operation, schema_lookup, reads)
-    return RuleEffects(rule.name, frozenset(reads), frozenset(writes))
-
-
-def program_effects(rules: Iterable[object],
-                    schema_lookup: SchemaLookup) -> dict:
-    """Effect summaries for a whole rule program, by rule name."""
-    return {rule.name: rule_effects(rule, schema_lookup) for rule in rules}
-
-
-# ---------------------------------------------------------------------------
-# transition-population test (consumed by the triggering refinement)
 
 def writes_can_populate(writes: Optional[frozenset],
                         table_ref: ast.TransitionTableRef) -> bool:
@@ -240,17 +134,9 @@ def writes_can_populate(writes: Optional[frozenset],
     Conservative: opaque writes (None) and ``selected`` views always
     return True.
     """
-    if writes is None:
-        return True
-    kind = table_ref.kind
-    if kind is ast.TransitionKind.SELECTED:
+    if writes is None or table_ref.kind is ast.TransitionKind.SELECTED:
         return True  # read tracking is not modelled as a write
-    if kind is ast.TransitionKind.INSERTED:
-        wanted = "inserted"
-    elif kind is ast.TransitionKind.DELETED:
-        wanted = "deleted"
-    else:  # OLD_UPDATED / NEW_UPDATED
-        wanted = "updated"
+    wanted = _WRITE_KIND[ast.KIND_TO_PREDICATE[table_ref.kind]]
     for write_kind, table, column in writes:
         if write_kind != wanted or table != table_ref.table:
             continue

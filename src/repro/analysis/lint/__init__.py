@@ -3,15 +3,15 @@
 Entry points:
 
 * :func:`lint_catalog` — analyze a live rule catalog against a live
-  database (what ``ActiveDatabase.lint()`` calls);
-* :func:`lint_statement` — analyze one parsed statement in the context
-  of a live catalog (definition-time warnings for ``create rule``);
+  database (what ``ActiveDatabase.lint()`` calls): a view of the
+  catalog's :class:`~repro.analysis.program.ProgramAnalysis`;
 * :func:`lint_script` — analyze a SQL script end-to-end with source
-  positions on every finding (what ``python -m repro.lint`` runs);
-* :func:`lint_rule` — rule-scoped passes for a single named rule.
+  positions on every finding (what ``python -m repro.lint`` runs).
 
-The passes themselves live in sibling modules and self-register on
-import; see :mod:`repro.analysis.lint.base`.
+Every rule is first walked once (:mod:`repro.analysis.types.infer`);
+the ``schema`` and ``types`` passes hand out what that walk found, the
+other passes live in sibling modules and self-register on import; see
+:mod:`repro.analysis.lint.base`.
 """
 
 from __future__ import annotations
@@ -23,17 +23,10 @@ from ...relational.database import Database
 from ...sql import ast
 from ...sql.parser import Parser
 from ...sql.spans import span_of
-from .base import Pass, all_passes, get_pass, register_pass
+from ..types.infer import RuleWalk, walk_rule
+from .base import Pass, all_passes, get_pass, register_pass, run_passes
 from .context import LintContext, LintRule, priority_precedes
 from .diagnostics import CODES, Diagnostic, LintReport, Severity, make
-
-# Importing the pass modules populates the registry.
-from . import schema as _schema_pass            # noqa: F401
-from . import transition as _transition_pass    # noqa: F401
-from . import triggering as _triggering_pass    # noqa: F401
-from . import hygiene as _hygiene_pass          # noqa: F401
-from ..types import infer as _types_pass        # noqa: F401
-from ..effects import conflicts as _effects_pass  # noqa: F401
 
 __all__ = [
     "CODES",
@@ -46,21 +39,36 @@ __all__ = [
     "all_passes",
     "get_pass",
     "lint_catalog",
-    "lint_rule",
     "lint_script",
-    "lint_statement",
     "make",
     "register_pass",
 ]
 
 
-def _run_passes(context: LintContext, scope: Optional[str] = None,
-                ) -> LintReport:
-    report = LintReport()
-    for lint_pass in all_passes(scope):
-        report.extend(lint_pass.run(context))
-    report.sort()
-    return report
+def _walk_findings(name: str, description: str) -> None:
+    """Register the pass handing out the walk's ``name``-tagged
+    findings, rule by rule and then for the workload statements."""
+
+    @register_pass(name, scope="rule", description=description)
+    def run(context: LintContext) -> Iterable[Diagnostic]:
+        return [
+            diagnostic
+            for found in (
+                *(rule.diagnostics for rule in context.rules),
+                context.statement_diagnostics,
+            )
+            for diagnostic in found if diagnostic.pass_name == name
+        ]
+
+
+# Registration order is the order findings are produced in; importing
+# the pass modules populates the registry.
+_walk_findings("schema", "resolve names, types and arities")
+from . import transition as _transition_pass    # noqa: E402,F401
+from . import triggering as _triggering_pass    # noqa: E402,F401
+from . import hygiene as _hygiene_pass          # noqa: E402,F401
+_walk_findings("types", "typed expression inference with witnesses")
+from ..effects import conflicts as _effects_pass  # noqa: E402,F401
 
 
 def lint_catalog(catalog: Any, database: Any, *,
@@ -73,56 +81,11 @@ def lint_catalog(catalog: Any, database: Any, *,
     ``closed_world=True`` that set is treated as complete, enabling the
     dead-condition-read check (RPL304).
     """
-    context = LintContext(
-        database=database,
-        rules=[LintRule.from_catalog_rule(rule) for rule in catalog.rules()],
-        precedes=catalog.precedes,
-        workload_writes=set(workload_writes),
-        closed_world=closed_world,
+    from ..program import analysis_of
+
+    return analysis_of(catalog, database).lint(
+        closed_world=closed_world, workload_writes=workload_writes,
     )
-    return _run_passes(context)
-
-
-def lint_rule(catalog: Any, database: Any, rule_name: str) -> LintReport:
-    """Rule-scoped passes for one rule of a live catalog (the cheap
-    subset run at definition time)."""
-    context = LintContext(
-        database=database,
-        rules=[LintRule.from_catalog_rule(rule) for rule in catalog.rules()],
-        precedes=catalog.precedes,
-        only_rule=rule_name,
-    )
-    return _run_passes(context, scope="rule")
-
-
-def lint_statement(statement: Any, database: Any,
-                   catalog: Any = None) -> LintReport:
-    """Analyze one parsed statement against a live database.
-
-    ``create rule`` statements get the rule-scoped passes (with spans
-    when the statement came from :func:`repro.sql.parse_statement`);
-    operation blocks get schema resolution; other statements produce no
-    findings.
-    """
-    rules: list[LintRule] = []
-    if catalog is not None:
-        rules.extend(
-            LintRule.from_catalog_rule(rule) for rule in catalog.rules()
-        )
-    if isinstance(statement, ast.CreateRule):
-        rules = [r for r in rules if r.name != statement.name]
-        rules.append(LintRule.from_statement(statement, sequence=len(rules)))
-        context = LintContext(
-            database=database, rules=rules, only_rule=statement.name,
-        )
-        return _run_passes(context, scope="rule")
-    if isinstance(statement, ast.OperationBlock):
-        context = LintContext(
-            database=database, rules=[],
-            statements=[(statement, span_of(statement))],
-        )
-        return _run_passes(context, scope="rule")
-    return LintReport()
 
 
 _DEACTIVATE_PRAGMA = re.compile(
@@ -146,7 +109,6 @@ def lint_script(source: str, *, database: Optional[Database] = None,
     rules: list[LintRule] = []
     defined_names: set[str] = set()
     pairings: list[tuple[str, str]] = []
-    workload_writes: set[tuple[str, Optional[str]]] = set()
     other_statements: list[tuple[object, object]] = []
     extra: list[Diagnostic] = []
 
@@ -168,9 +130,7 @@ def lint_script(source: str, *, database: Optional[Database] = None,
         elif isinstance(statement, ast.CreateRule):
             defined_names.add(statement.name)
             rules = [r for r in rules if r.name != statement.name]
-            rules.append(
-                LintRule.from_statement(statement, sequence=len(rules))
-            )
+            rules.append(LintRule.from_statement(statement))
         elif isinstance(statement, ast.DropRule):
             rules = [r for r in rules if r.name != statement.name]
             other_statements.append((statement, span))
@@ -179,15 +139,6 @@ def lint_script(source: str, *, database: Optional[Database] = None,
             other_statements.append((statement, span))
         elif isinstance(statement, ast.OperationBlock):
             other_statements.append((statement, span))
-            for operation in statement.operations:
-                if isinstance(operation,
-                              (ast.InsertValues, ast.InsertSelect)):
-                    workload_writes.add((operation.table, None))
-                elif isinstance(operation, ast.Update):
-                    for assignment in operation.assignments:
-                        workload_writes.add(
-                            (operation.table, assignment.column)
-                        )
 
     for match in _DEACTIVATE_PRAGMA.finditer(source):
         name = match.group(1)
@@ -201,16 +152,27 @@ def lint_script(source: str, *, database: Optional[Database] = None,
                 pass_name="pragma",
             ))
 
-    context = LintContext(
+    for rule in rules:
+        walk_rule(rule, scratch)
+    workload = RuleWalk(scratch, None)
+    for statement, _span in other_statements:
+        if isinstance(statement, ast.OperationBlock):
+            for operation in statement.operations:
+                workload.operation(operation)
+
+    report = run_passes(LintContext(
         database=scratch,
         rules=rules,
         precedes=priority_precedes(pairings),
-        workload_writes=workload_writes,
+        workload_writes={
+            (table, None) for kind, table, _ in workload.writes
+            if kind != "deleted"
+        },
         closed_world=True,
         statements=other_statements,
         defined_names=defined_names,
-    )
-    report = _run_passes(context)
+        statement_diagnostics=workload.diagnostics,
+    ))
     report.extend(extra)
     report.sort()
     return report

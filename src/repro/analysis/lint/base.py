@@ -3,9 +3,10 @@
 A pass is a named analysis that maps a :class:`~repro.analysis.lint
 .context.LintContext` to diagnostics. Passes declare a ``scope``:
 
-* ``"rule"`` — examines one rule at a time (schema resolution,
-  transition discipline, per-rule hygiene). Rule-scoped passes run at
-  definition time too, so a ``create rule`` gets immediate feedback.
+* ``"rule"`` — examines one rule at a time (the walk's schema and type
+  findings, transition discipline, per-rule hygiene). Rule-scoped
+  passes run at definition time too, so a ``create rule`` gets
+  immediate feedback.
 * ``"program"`` — examines the whole rule program (triggering graph,
   conflicts, shadowing, dead reads). Program-scoped passes run only on
   full lint requests.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from .context import LintContext
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, LintReport
 
 PassFn = Callable[[LintContext], Iterable[Diagnostic]]
 
@@ -70,3 +71,13 @@ def all_passes(scope: Optional[str] = None) -> list[Pass]:
 
 def get_pass(name: str) -> Pass:
     return _REGISTRY[name]
+
+
+def run_passes(context: LintContext,
+               scope: Optional[str] = None) -> LintReport:
+    """Every registered pass (of ``scope``) over ``context``, sorted."""
+    report = LintReport()
+    for lint_pass in all_passes(scope):
+        report.extend(lint_pass.run(context))
+    report.sort()
+    return report

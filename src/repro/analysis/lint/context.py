@@ -18,10 +18,16 @@ workload write set (for closed-world checks like RPL304).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
+from ...core.rules import reaches
 from ...sql import ast
 from ...sql.spans import Span, span_of
+from ..effects.sets import RuleEffects
+from .diagnostics import Diagnostic
+
+if TYPE_CHECKING:
+    from .triggering import TriggeringGraph
 
 
 @dataclass
@@ -31,6 +37,10 @@ class LintRule:
     ``span`` locates the rule's ``create rule`` statement (script mode
     only); ``active`` mirrors the catalog's activation flag (always True
     in script mode unless a ``-- lint: deactivate`` pragma applies).
+    ``diagnostics``, ``effects`` and ``base_reads`` are the products of
+    the one walk over the rule (:func:`repro.analysis.types.infer
+    .walk_rule`): its schema and type findings, its effect summary, and
+    the ``(table, column, node)`` base-table reads of its condition.
     """
 
     name: str
@@ -39,7 +49,9 @@ class LintRule:
     action: object
     active: bool = True
     span: Optional[Span] = None
-    sequence: int = 0
+    diagnostics: tuple = ()
+    effects: RuleEffects = RuleEffects(frozenset(), None)
+    base_reads: tuple = ()
 
     @property
     def is_rollback(self) -> bool:
@@ -53,28 +65,23 @@ class LintRule:
         )
 
     @classmethod
-    def from_catalog_rule(cls, rule: object, sequence: int = 0) -> "LintRule":
+    def from_catalog_rule(cls, rule: object) -> "LintRule":
         return cls(
             name=rule.name,
             predicates=tuple(rule.predicates),
             condition=rule.condition,
             action=rule.action,
-            active=getattr(rule, "active", True),
-            span=None,
-            sequence=getattr(rule, "sequence", sequence),
+            active=rule.active,
         )
 
     @classmethod
-    def from_statement(cls, statement: ast.CreateRule,
-                       sequence: int = 0) -> "LintRule":
+    def from_statement(cls, statement: ast.CreateRule) -> "LintRule":
         return cls(
             name=statement.name,
             predicates=tuple(statement.predicates),
             condition=statement.condition,
             action=statement.action,
-            active=True,
             span=span_of(statement),
-            sequence=sequence,
         )
 
 
@@ -96,11 +103,12 @@ class LintContext:
             database whose future workload is unknown.
         statements: non-rule statements to lint (script mode: the DML
             blocks), as ``(statement, span)`` pairs.
-        only_rule: when set, restrict rule-scoped passes to this rule
-            (used for definition-time linting of a single new rule).
         defined_names: every rule name the program ever defined,
             including rules later dropped (so ``drop rule``/priority
             references to them are not flagged as dangling).
+        statement_diagnostics: the walk's findings about ``statements``.
+        graph: the triggering graph over ``rules`` (built on first use
+            unless the catalog's analysis supplies its own).
     """
 
     database: object
@@ -109,8 +117,16 @@ class LintContext:
     workload_writes: set = field(default_factory=set)
     closed_world: bool = False
     statements: list = field(default_factory=list)
-    only_rule: Optional[str] = None
     defined_names: set = field(default_factory=set)
+    statement_diagnostics: list[Diagnostic] = field(default_factory=list)
+    graph: Optional["TriggeringGraph"] = None
+
+    def triggering_graph(self) -> "TriggeringGraph":
+        if self.graph is None:
+            from .triggering import TriggeringGraph
+
+            self.graph = TriggeringGraph(self.rules, self.schema)
+        return self.graph
 
     def rule_named(self, name: str) -> Optional[LintRule]:
         for rule in self.rules:
@@ -118,47 +134,30 @@ class LintContext:
                 return rule
         return None
 
-    def scoped_rules(self) -> list[LintRule]:
-        """The rules a rule-scoped pass should visit."""
-        if self.only_rule is None:
-            return self.rules
-        rule = self.rule_named(self.only_rule)
-        return [rule] if rule is not None else []
-
-    def has_table(self, name: str) -> bool:
-        try:
-            self.database.schema(name)
-        except Exception:
-            return False
-        return True
-
     def schema(self, name: str) -> object:
-        """The table schema, or None when the table is unknown."""
-        try:
-            return self.database.schema(name)
-        except Exception:
-            return None
+        return table_schema(self.database, name)
+
+
+def describe_transition(node: Any) -> str:
+    """``inserted t`` / ``updated t.c``: a transition-table reference
+    or a basic transition predicate as the rule language writes it."""
+    text = f"{node.kind.value} {node.table}"
+    return f"{text}.{node.column}" if node.column else text
+
+
+def table_schema(database: Any, name: str) -> Any:
+    """The table's schema, or None when the table is unknown (or no
+    database is attached: a bare catalog knows no schemas)."""
+    if database is None or not database.catalog.has_table(name):
+        return None
+    return database.schema(name)
 
 
 def priority_precedes(pairings: Iterable[tuple[str, str]],
                       ) -> Callable[[str, str], bool]:
     """A ``precedes`` predicate over an explicit pairing list (script
     mode, where no :class:`RuleCatalog` exists)."""
-    adjacency: dict[str, list[str]] = {}
-    for higher, lower in pairings:
-        adjacency.setdefault(higher, []).append(lower)
-
-    def precedes(first: str, second: str) -> bool:
-        stack = list(adjacency.get(first, ()))
-        seen: set[str] = set()
-        while stack:
-            node = stack.pop()
-            if node == second:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
-        return False
-
-    return precedes
+    pairings = list(pairings)
+    return lambda first, second: first != second and reaches(
+        pairings, first, second
+    )

@@ -14,7 +14,8 @@ fix hint. Codes are grouped by hundreds:
   dead condition reads);
 * ``RPL4xx`` — static type inference (operator/operand mismatches,
   incoherent CASE branches, subquery shape and type errors, lossy
-  coercions) — the ``types`` pass, which also attaches
+  coercions) — pass tag ``types``; found by the same walk that
+  resolves names and attaches
   :class:`~repro.analysis.types.witness.TypeWitness` annotations;
 * ``RPL5xx`` — column-granular effect conflicts across the cascade
   (write/write and write-after-read among unordered siblings) — the

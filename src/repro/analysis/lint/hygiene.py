@@ -17,17 +17,16 @@ dead condition reads, dangling rule references.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, Iterator, Optional
+from typing import Iterable
 
+from ...core.rules import reaches
 from ...sql import ast
 from ...sql.spans import span_of
-from ..conflicts import predicates_overlap
-from ..graph import strongly_connected_components
 from .base import register_pass
-from .context import LintContext, LintRule
+from .context import LintContext
 from .diagnostics import Diagnostic, make
-from .refine import RefinedTriggeringGraph, condition_provably_false
+from .refine import condition_provably_false
+from .triggering import watched_tables
 
 _RULE_PASS = "reachability"
 _PROGRAM_PASS = "hygiene"
@@ -37,7 +36,7 @@ _PROGRAM_PASS = "hygiene"
                description="detect rules whose condition is constant-false")
 def run_rule_scoped(context: LintContext) -> Iterable[Diagnostic]:
     out: list[Diagnostic] = []
-    for rule in context.scoped_rules():
+    for rule in context.rules:
         if condition_provably_false(rule.condition):
             out.append(make(
                 "RPL301",
@@ -71,9 +70,10 @@ def _check_deactivated_overlap(context: LintContext,
     for rule in context.rules:
         if rule.active:
             continue
+        watched = watched_tables(rule)
         overlapping = sorted(
             other.name for other in active
-            if predicates_overlap(rule, other)
+            if not watched.isdisjoint(watched_tables(other))
         )
         if overlapping:
             names = ", ".join(repr(name) for name in overlapping)
@@ -93,32 +93,19 @@ def _check_deactivated_overlap(context: LintContext,
 
 def _check_rollback_cycles(context: LintContext,
                            out: list[Diagnostic]) -> None:
-    active = [rule for rule in context.rules if rule.active]
-    if not active:
+    graph = context.triggering_graph()
+    cyclic = {name for loop in graph.loops(refined=True) for name in loop}
+    rollback_rules = sorted(
+        rule.name for rule in context.rules
+        if rule.active and rule.is_rollback
+    )
+    if not cyclic or not rollback_rules:
         return
-    graph = RefinedTriggeringGraph(active, schema_lookup=context.schema)
-    names = [rule.name for rule in active]
-    cyclic: set[str] = set()
-    for component in strongly_connected_components(names, graph.successors):
-        if len(component) > 1 or (
-            component[0] in graph.successors.get(component[0], ())
-        ):
-            cyclic.update(component)
-    if not cyclic:
-        return
-    rollback_rules = {
-        rule.name for rule in active if rule.is_rollback
-    }
-    if not rollback_rules:
-        return
-    reported: set[tuple[str, str]] = set()
+    edges = graph.edges(refined=True)
     for start in sorted(cyclic):
-        reachable = _reachable_from(start, graph.successors)
-        for target in sorted(rollback_rules & reachable):
-            key = (start, target)
-            if key in reported:
+        for target in rollback_rules:
+            if not reaches(edges, start, target):
                 continue
-            reported.add(key)
             rule = context.rule_named(start)
             out.append(make(
                 "RPL303",
@@ -132,101 +119,8 @@ def _check_rollback_cycles(context: LintContext,
             ))
 
 
-def _reachable_from(start: str,
-                    successors: dict[str, list[str]]) -> set[str]:
-    seen: set[str] = set()
-    stack = list(successors.get(start, ()))
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(successors.get(node, ()))
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # RPL304
-
-def _immediate_column_refs(expr: object) -> Iterator[ast.ColumnRef]:
-    """Column references under ``expr`` without descending into nested
-    selects (those resolve against their own scopes)."""
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if node is None or isinstance(node, (ast.Select, str, int, float,
-                                             bool)):
-            continue
-        if isinstance(node, ast.ColumnRef):
-            yield node
-            continue
-        if isinstance(node, (tuple, list)):
-            stack.extend(node)
-            continue
-        if dataclasses.is_dataclass(node):
-            for field in dataclasses.fields(node):
-                stack.append(getattr(node, field.name))
-
-
-def _own_expressions(select: ast.Select) -> Iterator[object]:
-    for item in select.items:
-        if isinstance(item, ast.SelectItem):
-            yield item.expression
-    yield select.where
-    yield from select.group_by
-    yield select.having
-    for order in select.order_by:
-        yield order.expression
-
-
-def _condition_reads(context: LintContext, rule: LintRule,
-                     ) -> Iterator[tuple[str, str, ast.ColumnRef]]:
-    """(table, column, ref) base-table reads of the rule's condition."""
-    if rule.condition is None:
-        return
-    for select in ast.iter_selects(rule.condition):
-        base = {
-            ref.binding_name: ref.table
-            for ref in select.tables
-            if isinstance(ref, ast.BaseTableRef)
-        }
-        if not base:
-            continue
-        sole_table = (
-            next(iter(base.values()))
-            if len(select.tables) == 1 and len(base) == 1 else None
-        )
-        for expr in _own_expressions(select):
-            for ref in _immediate_column_refs(expr):
-                if ref.qualifier is not None:
-                    table = base.get(ref.qualifier)
-                    if table is not None:
-                        yield table, ref.column, ref
-                elif sole_table is not None:
-                    schema = context.schema(sole_table)
-                    if schema is not None and schema.has_column(ref.column):
-                        yield sole_table, ref.column, ref
-
-
-def _written_columns(context: LintContext) -> set[tuple[str, Optional[str]]]:
-    """(table, column-or-None) pairs some rule action or workload
-    statement can populate. ``(t, None)`` means "rows of t appear"."""
-    writes: set[tuple[str, Optional[str]]] = set(context.workload_writes)
-    for rule in context.rules:
-        if not rule.active:
-            continue
-        if rule.is_external:
-            return {("<any>", None)}  # opaque: may write anything
-        if not isinstance(rule.action, ast.OperationBlock):
-            continue
-        for operation in rule.action.operations:
-            if isinstance(operation, (ast.InsertValues, ast.InsertSelect)):
-                writes.add((operation.table, None))
-            elif isinstance(operation, ast.Update):
-                for assignment in operation.assignments:
-                    writes.add((operation.table, assignment.column))
-    return writes
-
 
 def _table_has_rows(context: LintContext, table: str) -> bool:
     try:
@@ -242,21 +136,21 @@ def _table_has_rows(context: LintContext, table: str) -> bool:
 def _check_dead_reads(context: LintContext, out: list[Diagnostic]) -> None:
     if not context.closed_world:
         return
-    writes = _written_columns(context)
-    if ("<any>", None) in writes:
-        return
-    populated_tables = {table for table, _ in writes}
+    active = [rule for rule in context.rules if rule.active]
+    if any(rule.effects.opaque for rule in active):
+        return  # an opaque action may write anything
+    populated = {table for table, _ in context.workload_writes}
+    for rule in active:
+        populated.update(
+            table for kind, table, _ in rule.effects.writes
+            if kind != "deleted"
+        )
     reported: set[tuple[str, str, str]] = set()
-    for rule in context.rules:
-        if not rule.active:
-            continue
-        for table, column, ref in _condition_reads(context, rule):
-            if table in populated_tables:
-                continue
-            if _table_has_rows(context, table):
-                continue
+    for rule in active:
+        for table, column, ref in rule.base_reads:
             key = (rule.name, table, column)
-            if key in reported:
+            if table in populated or key in reported \
+                    or _table_has_rows(context, table):
                 continue
             reported.add(key)
             out.append(make(

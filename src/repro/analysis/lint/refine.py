@@ -1,6 +1,6 @@
 """Condition-aware refinement of the triggering graph.
 
-The syntactic triggering graph (``repro.analysis.graph``) draws an edge
+The syntactic triggering graph (:mod:`.triggering`) draws an edge
 R1 → R2 whenever R1's action *may* produce an effect matching one of
 R2's basic transition predicates. That is sound but coarse: it reports a
 "potential loop" for every cycle even when R2's condition can never be
@@ -42,23 +42,15 @@ happen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
+from ...relational.expressions import contains_aggregate
 from ...sql import ast
-from ..effects.sets import SchemaLookup, rule_effects, writes_can_populate
-from ..graph import may_trigger
-from .context import LintRule
+from ..effects.sets import SchemaLookup, writes_can_populate
+from .context import LintRule, describe_transition
 
 #: Sentinel for "not statically known" — distinct from SQL NULL (None).
 UNKNOWN = object()
-
-_KIND_TO_PREDICATE = {
-    ast.TransitionKind.INSERTED: ast.TransitionPredicateKind.INSERTED,
-    ast.TransitionKind.DELETED: ast.TransitionPredicateKind.DELETED,
-    ast.TransitionKind.OLD_UPDATED: ast.TransitionPredicateKind.UPDATED,
-    ast.TransitionKind.NEW_UPDATED: ast.TransitionPredicateKind.UPDATED,
-    ast.TransitionKind.SELECTED: ast.TransitionPredicateKind.SELECTED,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +201,13 @@ def provably_false(value: object) -> bool:
     return value is False or value is None
 
 
-def conjuncts(expr: object) -> Iterator[object]:
-    """Split an expression on its top-level ANDs."""
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from conjuncts(expr.left)
-        yield from conjuncts(expr.right)
-    else:
-        yield expr
-
-
 def condition_provably_false(condition: object) -> bool:
     """Does the condition fold to FALSE/NULL with no assumptions at all?"""
     if condition is None:
         return False
     return any(
         provably_false(constant_fold(conjunct))
-        for conjunct in conjuncts(condition)
+        for conjunct in ast.conjuncts(condition)
     )
 
 
@@ -245,11 +228,6 @@ class _Scenario:
         return UNKNOWN
 
 
-def _fold_literal(expr: object) -> object:
-    value = constant_fold(expr, resolve=None)
-    return value
-
-
 def _update_scenarios(action: ast.OperationBlock, table: str,
                       column: Optional[str]) -> Optional[list[_Scenario]]:
     """Scenarios for ``new updated table[.column]`` produced by the
@@ -266,7 +244,7 @@ def _update_scenarios(action: ast.OperationBlock, table: str,
             continue  # does not match the narrowed predicate
         pairs = []
         for assignment in operation.assignments:
-            value = _fold_literal(assignment.expression)
+            value = constant_fold(assignment.expression)
             pairs.append((assignment.column, value))
         # Columns the update does not assign keep their old (statically
         # unknown) values — _Scenario.get already defaults to UNKNOWN.
@@ -297,7 +275,7 @@ def _insert_scenarios(action: ast.OperationBlock, table: str,
             if named is None or len(named) != len(row):
                 return None  # cannot map values to columns
             pairs = [
-                (column, _fold_literal(value))
+                (column, constant_fold(value))
                 for column, value in zip(named, row)
             ]
             if schema is not None:
@@ -319,16 +297,31 @@ def _transition_conjunct_target(conjunct: object,
                                 ) -> Optional[tuple[ast.Select,
                                                     ast.TransitionTableRef]]:
     """If ``conjunct`` is ``exists (select ... from <one transition
-    table> ...)``, return that select and its transition reference."""
-    if not isinstance(conjunct, ast.Exists):
+    table> ...)`` and that select is empty whenever the transition
+    table is — no aggregate (``select count(*)`` yields a row over no
+    input), no grouping, no union — return the select and its
+    transition reference."""
+    if not isinstance(conjunct, ast.Exists) or conjunct.negated:
         return None
     select = conjunct.select
-    if len(select.tables) != 1:
+    if len(select.tables) != 1 or select.union is not None \
+            or select.group_by or select.having is not None:
         return None
     table_ref = select.tables[0]
-    if not isinstance(table_ref, ast.TransitionTableRef):
+    if not isinstance(table_ref, ast.TransitionTableRef) or any(
+        isinstance(item, ast.SelectItem)
+        and contains_aggregate(item.expression)
+        for item in select.items
+    ):
         return None
     return select, table_ref
+
+
+def required_views(condition: object) -> list[ast.TransitionTableRef]:
+    """The transition tables the condition needs a row from: it holds
+    only if none of them is empty."""
+    targets = map(_transition_conjunct_target, ast.conjuncts(condition))
+    return [target[1] for target in targets if target is not None]
 
 
 def _conjunct_refuted(select: ast.Select, table_ref: ast.TransitionTableRef,
@@ -373,7 +366,7 @@ def _predicate_discharged(provider: LintRule, consumer: LintRule,
 
     for scenario in scenarios:
         refuted = False
-        for conjunct in conjuncts(condition):
+        for conjunct in ast.conjuncts(condition):
             target = _transition_conjunct_target(conjunct)
             if target is None:
                 continue
@@ -392,36 +385,17 @@ def _predicate_discharged(provider: LintRule, consumer: LintRule,
     return True
 
 
-def _describe_transition_ref(table_ref: ast.TransitionTableRef) -> str:
-    kind = table_ref.kind.value if hasattr(table_ref.kind, "value") \
-        else str(table_ref.kind)
-    text = f"{kind} {table_ref.table}"
-    if table_ref.column is not None:
-        text += f".{table_ref.column}"
-    return text
-
-
-def _effects_discharged(provider: LintRule, consumer: LintRule,
-                        schema_lookup: SchemaLookup) -> Optional[str]:
+def _effects_discharged(provider: LintRule,
+                        consumer: LintRule) -> Optional[str]:
     """Effect-based discharge: a required exists-conjunct of the
     consumer selects from a transition view the provider's write set
     provably cannot populate (see module docstring). Returns the proof
     text, or None when no conjunct discharges."""
-    condition = consumer.condition
-    if condition is None:
-        return None
-    effects = rule_effects(provider, schema_lookup)
-    if effects.writes is None:
-        return None  # opaque action: assume anything
-    for conjunct in conjuncts(condition):
-        target = _transition_conjunct_target(conjunct)
-        if target is None:
-            continue
-        _, table_ref = target
-        if not writes_can_populate(effects.writes, table_ref):
+    for table_ref in required_views(consumer.condition):
+        if not writes_can_populate(provider.effects.writes, table_ref):
             return (
                 f"action of {provider.name!r} cannot populate the "
-                f"'{_describe_transition_ref(table_ref)}' view required "
+                f"'{describe_transition(table_ref)}' view required "
                 f"by the condition of {consumer.name!r}"
             )
     return None
@@ -444,13 +418,13 @@ def edge_realizable(provider: LintRule, consumer: LintRule,
             f"condition of {consumer.name!r} is constant-false"
         )
 
-    effect_proof = _effects_discharged(provider, consumer, schema_lookup)
+    effect_proof = _effects_discharged(provider, consumer)
     if effect_proof is not None:
         return False, effect_proof
 
     matching = [
         predicate for predicate in consumer.predicates
-        if _predicate_matched_by_action(provider, predicate)
+        if provider.effects.can_satisfy(predicate)
     ]
     if not matching:
         return True, None  # should not happen for a syntactic edge
@@ -463,74 +437,3 @@ def edge_realizable(provider: LintRule, consumer: LintRule,
         f"every effect of {provider.name!r} folds the condition of "
         f"{consumer.name!r} to false"
     )
-
-
-def _predicate_matched_by_action(provider: LintRule,
-                                 predicate: ast.BasicTransitionPredicate,
-                                 ) -> bool:
-    from ..graph import action_provides, effect_matches_predicate
-    provided = action_provides(provider)
-    if provided is None:
-        return True
-    return any(
-        effect_matches_predicate(effect, predicate) for effect in provided
-    )
-
-
-# ---------------------------------------------------------------------------
-# the refined graph
-
-@dataclass(frozen=True)
-class PrunedEdge:
-    """One syntactic edge the refinement proved dead."""
-
-    provider: str
-    consumer: str
-    reason: str
-
-    def describe(self) -> str:
-        return f"{self.provider} -> {self.consumer}: {self.reason}"
-
-
-class RefinedTriggeringGraph:
-    """The triggering graph after condition-aware pruning.
-
-    ``base_successors`` is the syntactic graph; ``successors`` the
-    refined one; ``pruned`` lists every removed edge with its proof.
-    """
-
-    def __init__(self, rules: list[LintRule],
-                 schema_lookup: SchemaLookup = lambda table: None) -> None:
-        self.rules = list(rules)
-        by_name = {rule.name: rule for rule in self.rules}
-        self.base_successors: dict[str, list[str]] = {}
-        self.successors: dict[str, list[str]] = {}
-        self.pruned: list[PrunedEdge] = []
-        for provider in self.rules:
-            base = [
-                consumer.name for consumer in self.rules
-                if may_trigger(provider, consumer)
-            ]
-            self.base_successors[provider.name] = base
-            kept = []
-            for consumer_name in base:
-                realizable, reason = edge_realizable(
-                    provider, by_name[consumer_name], schema_lookup
-                )
-                if realizable:
-                    kept.append(consumer_name)
-                else:
-                    self.pruned.append(PrunedEdge(
-                        provider.name, consumer_name, reason or ""
-                    ))
-            self.successors[provider.name] = kept
-
-    def has_edge(self, provider: str, consumer: str) -> bool:
-        return consumer in self.successors.get(provider, ())
-
-    def edges(self) -> list[tuple[str, str]]:
-        return [
-            (provider, consumer)
-            for provider, consumers in self.successors.items()
-            for consumer in consumers
-        ]

@@ -22,39 +22,17 @@ from typing import Iterable
 from ...sql import ast
 from ...sql.spans import span_of
 from .base import register_pass
-from .context import LintContext, LintRule
+from .context import LintContext, LintRule, describe_transition
 from .diagnostics import Diagnostic, make
 
 _PASS = "transition"
-
-_KIND_TO_PREDICATE = {
-    ast.TransitionKind.INSERTED: ast.TransitionPredicateKind.INSERTED,
-    ast.TransitionKind.DELETED: ast.TransitionPredicateKind.DELETED,
-    ast.TransitionKind.OLD_UPDATED: ast.TransitionPredicateKind.UPDATED,
-    ast.TransitionKind.NEW_UPDATED: ast.TransitionPredicateKind.UPDATED,
-    ast.TransitionKind.SELECTED: ast.TransitionPredicateKind.SELECTED,
-}
-
-
-def _describe_ref(reference: ast.TransitionTableRef) -> str:
-    text = f"{reference.kind.value} {reference.table}"
-    if reference.column:
-        text += f".{reference.column}"
-    return text
-
-
-def _describe_predicate(predicate: ast.BasicTransitionPredicate) -> str:
-    text = f"{predicate.kind.value} {predicate.table}"
-    if predicate.column:
-        text += f".{predicate.column}"
-    return text
 
 
 @register_pass(_PASS, scope="rule",
                description="check transition-table discipline")
 def run(context: LintContext) -> Iterable[Diagnostic]:
     out: list[Diagnostic] = []
-    for rule in context.scoped_rules():
+    for rule in context.rules:
         _check_predicates(context, rule, out)
         _check_references(context, rule, out)
     return out
@@ -68,7 +46,7 @@ def _check_predicates(context: LintContext, rule: LintRule,
         if schema is None:
             out.append(make(
                 "RPL001",
-                f"transition predicate {_describe_predicate(predicate)!r} "
+                f"transition predicate {describe_transition(predicate)!r} "
                 f"names unknown table {predicate.table!r}",
                 span=span, rule=rule.name, pass_name=_PASS,
             ))
@@ -77,7 +55,7 @@ def _check_predicates(context: LintContext, rule: LintRule,
         ):
             out.append(make(
                 "RPL103",
-                f"transition predicate {_describe_predicate(predicate)!r} "
+                f"transition predicate {describe_transition(predicate)!r} "
                 f"narrows to column {predicate.column!r}, which table "
                 f"{predicate.table!r} does not have",
                 span=span, rule=rule.name,
@@ -102,19 +80,19 @@ def _check_references(context: LintContext, rule: LintRule,
         if not isinstance(node, (ast.OperationBlock, ast.Expression)):
             continue
         for reference in ast.transition_table_refs(node):
-            wanted_kind = _KIND_TO_PREDICATE[reference.kind]
+            wanted_kind = ast.KIND_TO_PREDICATE[reference.kind]
             if (wanted_kind, reference.table, reference.column) in declared:
                 continue
             span = span_of(reference) or rule.span
             if (wanted_kind, reference.table) in kinds_by_table:
                 covering = ", ".join(sorted(
-                    repr(_describe_predicate(p)) for p in rule.predicates
+                    repr(describe_transition(p)) for p in rule.predicates
                     if p.kind is wanted_kind and p.table == reference.table
                 ))
                 out.append(make(
                     "RPL102",
-                    f"reference {_describe_ref(reference)!r} does not match "
-                    f"the column narrowing of the rule's predicate(s) "
+                    f"reference {describe_transition(reference)!r} does not "
+                    f"match the column narrowing of the rule's predicate(s) "
                     f"{covering}",
                     span=span, rule=rule.name,
                     hint="use the same column narrowing in the predicate "
@@ -124,7 +102,7 @@ def _check_references(context: LintContext, rule: LintRule,
             else:
                 out.append(make(
                     "RPL101",
-                    f"reference {_describe_ref(reference)!r} has no "
+                    f"reference {describe_transition(reference)!r} has no "
                     "corresponding basic transition predicate",
                     span=span, rule=rule.name,
                     hint=f"add '{wanted_kind.value} {reference.table}' to "

@@ -559,13 +559,10 @@ class TransactionCoordinator:
         (conflicts between external statements, not rules); a high
         predicted share confirms the RPL5xx warnings point at real
         contention."""
-        advisory = None
-        try:
-            advisory = self.engine.conflict_advisory()
-        except Exception:
-            pass
-        contended = set(advisory["contended_tables"]) if advisory else set()
-        if footprint & contended:
+        contended = self.engine.conflict_advisory().get(
+            "contended_tables", ()
+        )
+        if not footprint.isdisjoint(contended):
             self.stats.conflicts_predicted += 1
         else:
             self.stats.conflicts_unpredicted += 1

@@ -142,7 +142,14 @@ class RuleEngine:
         #: delta-driven condition evaluation (docs/semantics.md §12):
         #: maintainable conditions are answered from maintained views,
         #: everything else falls back to _check_condition
-        self.incremental = IncrementalManager(self.database, self.catalog)
+        self.incremental = IncrementalManager(
+            self.database, self.catalog, lambda: self.analysis
+        )
+        self._analysis = None
+        #: definition-time analyses that raised (the rule is defined and
+        #: runs regardless — on generic kernels, its witnesses missing);
+        #: ``stats()["analysis"]["errors"]``
+        self.analysis_errors = 0
 
         #: concurrency-layer hooks (see repro.concurrency). pause_hook
         #: (``callable(point)``) is invoked at the named interleaving
@@ -206,30 +213,34 @@ class RuleEngine:
         )
 
     def conflict_advisory(self):
-        """The static effect-analysis conflict forecast for the current
-        catalog (``stats()["analysis"]``): per-rule read/write sets are
-        intersected pairwise into a contended-table set; the OCC
-        coordinator classifies each observed ``txn_conflict`` by whether
-        its tables were forecast here (see
-        :mod:`repro.analysis.effects.conflicts`). Returns None for an
-        empty catalog.
-        """
-        rules = list(self.catalog)
-        if not rules:
-            return None
-        from ..analysis.effects import conflict_advisory
-        from ..analysis.lint.context import LintRule
+        """``stats()["analysis"]``: the static conflict forecast of the
+        current catalog (:meth:`~repro.analysis.program.ProgramAnalysis
+        .advisory` — a lookup unless the catalog changed) plus
+        ``errors``, the analyses that raised. The OCC coordinator
+        classifies each observed ``txn_conflict`` against its
+        ``contended_tables``. Never raises: observability and conflict
+        clean-up must survive an analyzer bug."""
+        try:
+            advisory = self.analysis.advisory()
+        except Exception:
+            self.analysis_errors += 1
+            advisory = {}
+        return dict(advisory, errors=self.analysis_errors)
 
-        def schema_lookup(table):
-            try:
-                return self.database.schema(table)
-            except Exception:
-                return None
+    @property
+    def analysis(self):
+        """The static analysis of this engine's catalog
+        (:class:`~repro.analysis.program.ProgramAnalysis`): every rule
+        walked once at definition, one triggering graph per catalog
+        version; ``lint()``, ``analyze()``, ``stats()["analysis"]``, the
+        coordinator's conflict classification and the incremental
+        layer's graph skip all read it."""
+        if self._analysis is None:
+            from ..analysis.program import ProgramAnalysis
 
-        return conflict_advisory(
-            [LintRule.from_catalog_rule(rule) for rule in rules],
-            schema_lookup,
-        )
+            self._analysis = ProgramAnalysis(self.catalog, self.database)
+            self.catalog.analysis = self._analysis
+        return self._analysis
 
     def _emit_recovery(self, info):
         """Emit the ``recovery`` event (called by
@@ -331,7 +342,7 @@ class RuleEngine:
                 EventKind.TRANS_INFO_RESET, rule=rule.name, cause="registered"
             )
         # (Re)definition invalidates the incremental layer's per-rule
-        # plan and the refined triggering graph.
+        # plan; the static analysis follows the catalog's version.
         self.incremental.on_rule_defined(rule)
         self._lint_new_rule(rule)
 
@@ -342,25 +353,33 @@ class RuleEngine:
         return self.database.statements.bound_node(rule, pinned=True)
 
     def _lint_new_rule(self, rule):
-        """Definition-time analysis: run the rule-scoped lint passes on
-        the new rule and emit each finding as a ``lint_diagnostic``
-        event. The diagnostics are advisory — rule definition never
-        fails because of lint, and analyzer bugs must not break the
-        engine, so the whole thing is wrapped. The type witnesses the
-        ``types`` pass attaches to the rule's AST are load-bearing:
-        :mod:`repro.relational.compiled` specializes batch kernels on
-        them, so a rule that skipped this pass would run generic
-        kernels where typed ones are provable."""
+        """Definition-time analysis: walk the new rule once and emit
+        each rule-scoped finding as a ``lint_diagnostic`` event. The
+        diagnostics are advisory — rule definition never fails because
+        of lint, and analyzer bugs must not break the engine, so a
+        failure is counted (``stats()["analysis"]["errors"]``) and
+        reported on the same event stream instead of raised. It is not
+        harmless: the type witnesses the walk attaches to the rule's
+        AST are load-bearing — :mod:`repro.relational.compiled`
+        specializes batch kernels on them, so a rule whose walk failed
+        runs generic kernels where typed ones are provable."""
         try:
-            from ..analysis.lint import lint_rule
-
-            report = lint_rule(self.catalog, self.database, rule.name)
-            for diagnostic in report:
-                self._emit(
-                    EventKind.LINT_DIAGNOSTIC, **diagnostic.to_dict()
-                )
-        except Exception:  # pragma: no cover - defensive
-            pass
+            findings = [
+                diagnostic.to_dict()
+                for diagnostic in self.analysis.on_rule_defined(rule)
+            ]
+        except Exception as error:
+            self.analysis_errors += 1
+            findings = [{
+                "code": None, "severity": "error",
+                "message": f"analysis of rule {rule.name!r} failed: "
+                           f"{type(error).__name__}: {error}",
+                "line": None, "column": None, "rule": rule.name,
+                "hint": None, "pass": "internal",
+                "error": type(error).__name__,
+            }]
+        for finding in findings:
+            self._emit(EventKind.LINT_DIAGNOSTIC, **finding)
 
     # ------------------------------------------------------------------
     # transactions

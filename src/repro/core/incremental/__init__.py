@@ -13,7 +13,6 @@ from .classify import (
     DeltaConjunct,
     MaintenancePlan,
     classify_condition,
-    split_conjuncts,
 )
 from .manager import EXTERNAL_SOURCE, IncrementalManager, IncrementalStats
 from .views import MaintainedView
@@ -27,5 +26,4 @@ __all__ = [
     "MaintainedView",
     "MaintenancePlan",
     "classify_condition",
-    "split_conjuncts",
 ]

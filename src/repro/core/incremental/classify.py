@@ -79,21 +79,6 @@ class MaintenancePlan:
         )
 
 
-def split_conjuncts(expression):
-    """Flatten a top-level ``AND`` chain, preserving left-to-right order."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, ast.BinaryOp) and node.op == "and":
-            walk(node.left)
-            walk(node.right)
-        else:
-            out.append(node)
-
-    walk(expression)
-    return out
-
-
 def _unwrap_negations(node):
     """Strip ``not`` wrappers; returns (inner node, negation parity).
 
@@ -177,7 +162,7 @@ def classify_condition(condition, database):
     full re-evaluation — mixing paths inside one condition would change
     where evaluation errors surface)."""
     conjuncts = []
-    for conjunct in split_conjuncts(condition):
+    for conjunct in ast.conjuncts(condition):
         classified = classify_conjunct(conjunct, database)
         if classified is None:
             return None

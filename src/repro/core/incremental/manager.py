@@ -14,8 +14,9 @@ module implements that framing for the maintainable fragment:
 * the engine's fold points — exactly where Figure 1 runs
   ``modify-trans-info`` — feed each transition's net ``[I, D, U]``
   effects to every affected view;
-* the PR 5 :class:`~repro.analysis.lint.refine.RefinedTriggeringGraph`
-  supplies a second shortcut: when a rule's accumulated trans-info stems
+* the engine's static analysis
+  (:class:`~repro.analysis.program.ProgramAnalysis`) supplies a second
+  shortcut: when a rule's accumulated trans-info stems
   from exactly one transition of one provider rule and the refined graph
   pruned that provider→consumer edge, the consumer's condition is
   provably false and is not evaluated at all (``graph_skip``) — the
@@ -96,14 +97,15 @@ class IncrementalManager:
     internal.
     """
 
-    def __init__(self, database, catalog):
+    def __init__(self, database, catalog, analysis):
         self.database = database
         self.catalog = catalog
+        #: zero-argument accessor of the engine's ProgramAnalysis
+        self.analysis = analysis
         self.stats = IncrementalStats()
         self._plans = {}        # rule name -> (schema_version, plan|None)
         self._views = {}        # (table, binding, where) -> MaintainedView
         self._provenance = {}   # rule name -> {source label: fold count}
-        self._graph = None      # None=unbuilt, False=unavailable, else set
         self._touched = set()   # views written during the open transaction
         self._expected_version = -1
 
@@ -225,12 +227,10 @@ class IncrementalManager:
     def on_rule_defined(self, rule):
         self._plans.pop(rule.name, None)
         self._provenance[rule.name] = {}
-        self._graph = None
 
     def on_rule_dropped(self, name):
         self._plans.pop(name, None)
         self._provenance.pop(name, None)
-        self._graph = None
 
     # ------------------------------------------------------------------
     # condition evaluation
@@ -379,40 +379,12 @@ class IncrementalManager:
         ((source, folds),) = provenance.items()
         if folds != 1 or source == EXTERNAL_SOURCE:
             return False
-        pruned = self._pruned_edges()
-        if pruned is None:
+        try:
+            return (source, rule.name) in self.analysis().graph.pruned_pairs
+        except Exception:
+            # an analyzer failure costs the shortcut, never the answer
+            self.stats.errors += 1
             return False
-        return (source, rule.name) in pruned
-
-    def _pruned_edges(self):
-        if self._graph is None:
-            try:
-                from ...analysis.lint.context import LintRule
-                from ...analysis.lint.refine import RefinedTriggeringGraph
-
-                rules = [
-                    LintRule.from_catalog_rule(rule)
-                    for rule in self.catalog
-                ]
-                database = self.database
-
-                def schema_lookup(table):
-                    if database.catalog.has_table(table):
-                        return database.schema(table)
-                    return None
-
-                graph = RefinedTriggeringGraph(
-                    rules, schema_lookup=schema_lookup
-                )
-                self._graph = {
-                    (edge.provider, edge.consumer) for edge in graph.pruned
-                }
-            except Exception:  # pragma: no cover - defensive
-                self._graph = False
-                self.stats.errors += 1
-        if self._graph is False:
-            return None
-        return self._graph
 
     # ------------------------------------------------------------------
     # invalidation & observability

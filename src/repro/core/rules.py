@@ -92,6 +92,25 @@ class Rule:
         return f"Rule({self.name!r})"
 
 
+def reaches(pairings, start, goal):
+    """Is ``goal`` reachable from ``start`` along ``(higher, lower)``
+    pairings? (``start`` reaches itself.)"""
+    adjacency = {}
+    for higher, lower in pairings:
+        adjacency.setdefault(higher, []).append(lower)
+    stack = [start]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(adjacency.get(node, ()))
+    return False
+
+
 class RuleCatalog:
     """The set of defined rules plus their priority partial order."""
 
@@ -100,6 +119,13 @@ class RuleCatalog:
         self._pairings = set()  # (higher, lower) name pairs
         self._sequence = 0
         self._closure = None    # cached transitive closure of pairings
+        #: bumped by every rule or pairing change; with the rules'
+        #: ``active`` flags it keys the static analysis of this catalog
+        self.version = 0
+        #: the :class:`~repro.analysis.program.ProgramAnalysis` of the
+        #: engine that owns this catalog (None for a bare catalog);
+        #: ``repro.analysis.analyze(catalog)`` answers from it
+        self.analysis = None
 
     # ------------------------------------------------------------------
     # definition
@@ -135,6 +161,7 @@ class RuleCatalog:
             reset_policy,
         )
         self._rules[name] = rule
+        self.version += 1
         return rule
 
     def create_rule_from_ast(self, node, reset_policy="execution"):
@@ -154,6 +181,7 @@ class RuleCatalog:
             if higher != name and lower != name
         }
         self._closure = None
+        self.version += 1
 
     def rule(self, name):
         rule = self._rules.get(name)
@@ -195,16 +223,18 @@ class RuleCatalog:
                 f"rule {higher!r} cannot have priority over itself"
             )
         candidate = self._pairings | {(higher, lower)}
-        if self._reaches(candidate, lower, higher):
+        if reaches(candidate, lower, higher):
             raise PriorityCycleError(
                 f"priority {higher!r} before {lower!r} would create a cycle"
             )
         self._pairings.add((higher, lower))
         self._closure = None
+        self.version += 1
 
     def remove_priority(self, higher, lower):
         self._pairings.discard((higher, lower))
         self._closure = None
+        self.version += 1
 
     def pairings(self):
         return set(self._pairings)
@@ -239,23 +269,6 @@ class RuleCatalog:
         for node in adjacency:
             descend(node)
         return below
-
-    @staticmethod
-    def _reaches(pairings, start, goal):
-        adjacency = {}
-        for higher, lower in pairings:
-            adjacency.setdefault(higher, []).append(lower)
-        stack = [start]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
-        return False
 
     def maximal_first_order(self, rules):
         """Order a set of rules by repeatedly taking priority-maximal

@@ -167,15 +167,6 @@ class TransitionTableResolver(BaseTableResolver):
 # basic transition predicates. This restriction is syntactic, however,
 # therefore easily checked." — we check it at create-rule time)
 
-_KIND_TO_PREDICATE = {
-    ast.TransitionKind.INSERTED: ast.TransitionPredicateKind.INSERTED,
-    ast.TransitionKind.DELETED: ast.TransitionPredicateKind.DELETED,
-    ast.TransitionKind.OLD_UPDATED: ast.TransitionPredicateKind.UPDATED,
-    ast.TransitionKind.NEW_UPDATED: ast.TransitionPredicateKind.UPDATED,
-    ast.TransitionKind.SELECTED: ast.TransitionPredicateKind.SELECTED,
-}
-
-
 def validate_transition_references(rule_name, predicates, node):
     """Check every transition-table reference under ``node`` corresponds to
     one of the rule's basic transition predicates (exact table and, for
@@ -192,7 +183,7 @@ def validate_transition_references(rule_name, predicates, node):
         return
     for reference in ast.transition_table_refs(node):
         wanted = (
-            _KIND_TO_PREDICATE[reference.kind],
+            ast.KIND_TO_PREDICATE[reference.kind],
             reference.table,
             reference.column,
         )

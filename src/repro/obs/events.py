@@ -40,7 +40,10 @@ conflicts and the resulting statement retries.
 ``lint_diagnostic`` carries one static-analysis finding (see
 :mod:`repro.analysis.lint`): rule-scoped passes run when a rule is
 defined, and each resulting :class:`~repro.analysis.lint.Diagnostic`
-is emitted with its flattened ``to_dict()`` payload.
+is emitted with its flattened ``to_dict()`` payload. An analysis that
+raises is reported on the same kind (``"pass": "internal"``, ``code``
+None, ``error`` the exception class) — rule definition never fails
+because of the analyzer, and never fails silently either.
 
 Events carry live objects (e.g. :class:`~repro.core.effects
 .TransitionEffect` instances) in ``data`` so in-process consumers — the

@@ -346,9 +346,10 @@ class MetricsCollector(EventSink):
         coordinator; the bus-derived conflict/retry/session counters
         appear inside the engine section regardless. ``analysis`` is the
         static effect-analysis conflict advisory
-        (:func:`~repro.analysis.effects.conflicts.conflict_advisory`):
-        rule counts, colliding pairs, and the forecast contended-table
-        set the OCC coordinator validates against observed conflicts.
+        (:meth:`~repro.analysis.program.ProgramAnalysis.advisory`):
+        rule counts, colliding pairs, the forecast contended-table set
+        the OCC coordinator validates against observed conflicts, and
+        ``errors`` — analyses that raised.
         """
         engine = {
             "transactions": self.transactions,

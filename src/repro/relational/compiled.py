@@ -1064,8 +1064,8 @@ class _BatchCompiler:
     When ``kinds`` (column → totality kind from the catalog) and/or
     ``database`` are supplied, binary operators whose operand kinds are
     statically proven — via a valid :class:`~repro.analysis.types
-    .witness.TypeWitness` on the node (stamped by the ``types`` lint
-    pass against the same ``schema_version``) or via the PR 9 totality
+    .witness.TypeWitness` on the node (stamped by the analyzer's walk
+    over the rule against the same ``schema_version``) or via the PR 9 totality
     analysis over ``kinds`` — compile to *monomorphic* kernels with no
     per-value type dispatch and no try/except (a total subtree cannot
     raise, so error parity is trivially preserved). Everything else

@@ -26,23 +26,15 @@ DML executor narrows its identification scan with.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ...sql import ast
+from ...sql.ast import conjuncts
 from ...sql.params import constant
 
 #: what a prunable conjunct compares its column with: a literal, or the
 #: parameter a cached statement's literal was lifted to
 _CONSTANTS = (ast.Literal, ast.Param)
-
-
-def conjuncts(expression: ast.Expression) -> Iterator[ast.Expression]:
-    """Split a predicate into its top-level AND-conjuncts."""
-    if isinstance(expression, ast.BinaryOp) and expression.op == "and":
-        yield from conjuncts(expression.left)
-        yield from conjuncts(expression.right)
-    else:
-        yield expression
 
 
 #: comparison ops usable for index lookups / zone pruning, mapped to

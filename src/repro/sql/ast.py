@@ -431,6 +431,17 @@ class TransitionPredicateKind(Enum):
     SELECTED = "selected"  # §5.1 extension
 
 
+#: the basic transition predicate a reference to each transition-table
+#: flavour needs (paper §3: both updated tables go with ``updated``)
+KIND_TO_PREDICATE = {
+    TransitionKind.INSERTED: TransitionPredicateKind.INSERTED,
+    TransitionKind.DELETED: TransitionPredicateKind.DELETED,
+    TransitionKind.OLD_UPDATED: TransitionPredicateKind.UPDATED,
+    TransitionKind.NEW_UPDATED: TransitionPredicateKind.UPDATED,
+    TransitionKind.SELECTED: TransitionPredicateKind.SELECTED,
+}
+
+
 @dataclass(frozen=True)
 class BasicTransitionPredicate:
     """One basic transition predicate: an operation kind, a table, and for
@@ -545,6 +556,16 @@ class Explain:
 
 # ---------------------------------------------------------------------------
 # Walking utilities
+
+
+def conjuncts(expression: object) -> Iterator[Any]:
+    """Split a predicate into its top-level AND-conjuncts, left to
+    right."""
+    if isinstance(expression, BinaryOp) and expression.op == "and":
+        yield from conjuncts(expression.left)
+        yield from conjuncts(expression.right)
+    else:
+        yield expression
 
 
 def iter_expressions(node: object) -> Iterator[Expression]:

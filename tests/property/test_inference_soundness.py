@@ -26,8 +26,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro import ActiveDatabase
-from repro.analysis.lint.context import LintContext
-from repro.analysis.types.infer import TypeInference, _TypeScope
+from repro.analysis.types.infer import RuleWalk, Scope as WalkScope
 from repro.analysis.types.witness import witness_of
 from repro.errors import ReproError
 from repro.relational import compiled
@@ -132,12 +131,10 @@ def fresh_database():
 
 
 def infer_with_witnesses(database, expression):
-    """Run the inference walk so every subnode carries a witness."""
-    context = LintContext(database=database, rules=[])
-    inference = TypeInference(context, None, [])
-    scope = _TypeScope()
-    scope.bind("t", database.schema("t"))
-    inference.infer(expression, [scope])
+    """Run the walk so every subnode carries a witness."""
+    scope = WalkScope()
+    scope.bind("t", "t", database.schema("t"))
+    RuleWalk(database, None).expression(expression, [scope])
 
 
 def witnessed_nodes(expression):

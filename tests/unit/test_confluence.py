@@ -2,6 +2,7 @@
 
 from repro import ActiveDatabase
 from repro.analysis import (
+    analyze,
     canonical_state,
     probe_conflicts,
     probe_order_sensitivity,
@@ -118,9 +119,7 @@ class TestProbe:
         assert results[0].order_sensitive
 
     def test_probe_conflicts_with_explicit_warnings(self):
-        from repro.analysis import find_ordering_conflicts
-
-        warnings = find_ordering_conflicts(commuting_factory().catalog)
+        warnings = analyze(commuting_factory().catalog).conflicts
         results = probe_conflicts(
             commuting_factory, "insert into t values (1)", warnings
         )
@@ -160,9 +159,7 @@ class TestEdgeCases:
         )
         assert results == []
 
-        from repro.analysis import find_potential_loops
-
-        loops = find_potential_loops(self_loop_factory().catalog)
+        loops = analyze(self_loop_factory().catalog).loops
         assert [warning.rules for warning in loops] == [("clamp",)]
         assert not loops[0].assumed  # derived from SQL, not an opaque action
 

@@ -4,14 +4,11 @@ conflict advisory, and type witnesses on catalog rules."""
 
 import pytest
 
-from repro.analysis.effects import (
-    ANY_COLUMN,
-    conflict_advisory,
-    rule_effects,
-    writes_can_populate,
-)
+from repro import ActiveDatabase
+from repro.analysis.effects import ANY_COLUMN, writes_can_populate
 from repro.analysis.lint import lint_catalog, lint_script
 from repro.analysis.lint.context import LintRule
+from repro.analysis.types.infer import walk_rule
 from repro.analysis.types.witness import (
     TypeWitness,
     clear_witness,
@@ -33,73 +30,64 @@ def database():
     return db
 
 
-def lookup_for(database):
-    def schema_lookup(table):
-        try:
-            return database.schema(table)
-        except Exception:
-            return None
-
-    return schema_lookup
-
-
-def lint_rule_of(sql):
-    return LintRule.from_statement(parse_statement(sql), sequence=0)
+def effects_of(sql, database):
+    """The effect summary the one walk over the rule produces."""
+    rule = LintRule.from_statement(parse_statement(sql))
+    return walk_rule(rule, database).effects
 
 
 class TestRuleEffects:
     def test_update_writes_exactly_the_assigned_columns(self, database):
-        rule = lint_rule_of(
+        effects = effects_of(
             "create rule r when inserted into emp "
             "if exists (select * from inserted emp where salary > 0) "
-            "then update emp set salary = 0 where salary < 0"
+            "then update emp set salary = 0 where salary < 0",
+            database,
         )
-        effects = rule_effects(rule, lookup_for(database))
         assert ("updated", "emp", "salary") in effects.writes
         assert ("updated", "emp", "name") not in effects.writes
 
     def test_insert_writes_every_schema_column(self, database):
-        rule = lint_rule_of(
+        effects = effects_of(
             "create rule r when inserted into emp "
-            "then insert into log (select name, salary from inserted emp)"
+            "then insert into log (select name, salary from inserted emp)",
+            database,
         )
-        effects = rule_effects(rule, lookup_for(database))
         assert {("inserted", "log", "name"),
                 ("inserted", "log", "salary")} <= effects.writes
 
     def test_unknown_table_write_is_wildcarded(self, database):
-        rule = lint_rule_of(
+        effects = effects_of(
             "create rule r when inserted into emp "
-            "then insert into mystery values (1)"
+            "then insert into mystery values (1)",
+            database,
         )
-        effects = rule_effects(rule, lookup_for(database))
         assert ("inserted", "mystery", ANY_COLUMN) in effects.writes
 
     def test_condition_and_where_columns_are_read(self, database):
-        rule = lint_rule_of(
+        effects = effects_of(
             "create rule r when inserted into emp "
             "if exists (select * from inserted emp where salary > 10) "
-            "then delete from log where name = 'x'"
+            "then delete from log where name = 'x'",
+            database,
         )
-        effects = rule_effects(rule, lookup_for(database))
         assert ("emp", "salary") in effects.reads
         assert ("log", "name") in effects.reads
 
     def test_rollback_action_writes_nothing(self, database):
-        rule = lint_rule_of(
-            "create rule r when inserted into emp then rollback"
+        effects = effects_of(
+            "create rule r when inserted into emp then rollback",
+            database,
         )
-        effects = rule_effects(rule, lookup_for(database))
         assert effects.writes == frozenset()
         assert not effects.opaque
 
     def test_opaque_action_has_none_writes(self, database):
-        rule = lint_rule_of(
+        rule = LintRule.from_statement(parse_statement(
             "create rule r when inserted into emp then rollback"
-        )
-        object.__setattr__(rule, "action", None)
-        effects = rule_effects(rule, lookup_for(database))
-        assert effects.opaque
+        ))
+        rule.action = None
+        assert walk_rule(rule, database).effects.opaque
 
 
 class TestWritesCanPopulate:
@@ -169,36 +157,68 @@ then update emp set {assignment} where bonus > 0;
 
 
 class TestConflictAdvisory:
-    def test_colliding_rules_forecast_contention(self, database):
-        rules = [
-            lint_rule_of(
-                "create rule a when inserted into emp "
-                "then update emp set salary = 1"
-            ),
-            lint_rule_of(
-                "create rule b when inserted into log "
-                "then update emp set salary = 2"
-            ),
-        ]
-        advisory = conflict_advisory(rules, lookup_for(database))
+    def advisory(self, *rules):
+        db = ActiveDatabase()
+        db.execute("create table emp (name varchar, salary integer)")
+        db.execute("create table log (name varchar, salary integer)")
+        for rule in rules:
+            db.execute(rule)
+        return db, db.stats()["analysis"]
+
+    def test_colliding_rules_forecast_contention(self):
+        _, advisory = self.advisory(
+            "create rule a when inserted into emp "
+            "then update emp set salary = 1",
+            "create rule b when inserted into log "
+            "then update emp set salary = 2",
+        )
         assert advisory["rules_analyzed"] == 2
         assert advisory["conflict_pairs"] == 1
         assert advisory["contended_tables"] == ["emp"]
 
-    def test_disjoint_rules_forecast_nothing(self, database):
-        rules = [
-            lint_rule_of(
-                "create rule a when inserted into emp "
-                "then update emp set salary = 1"
-            ),
-            lint_rule_of(
-                "create rule b when inserted into log "
-                "then delete from log where salary < 0"
-            ),
-        ]
-        advisory = conflict_advisory(rules, lookup_for(database))
+    def test_disjoint_rules_forecast_nothing(self):
+        _, advisory = self.advisory(
+            "create rule a when inserted into emp "
+            "then update emp set salary = 1",
+            "create rule b when inserted into log "
+            "then delete from log where salary < 0",
+        )
         assert advisory["conflict_pairs"] == 0
         assert advisory["contended_tables"] == []
+
+    def test_deactivated_rules_are_not_counted(self):
+        db, before = self.advisory(
+            "create rule a when inserted into emp "
+            "then update emp set salary = 1",
+            "create rule b when inserted into log "
+            "then update emp set salary = 2",
+        )
+        db.deactivate_rule("b")
+        after = db.stats()["analysis"]
+        assert (before["rules_analyzed"], after["rules_analyzed"]) == (2, 1)
+        assert after["contended_tables"] == []
+
+    def test_deactivated_provider_makes_no_cascade_siblings(self):
+        """Regression (two analyzers, two answers): RPL501 needs a
+        common provider that can fire."""
+        db = ActiveDatabase()
+        for table in "abcd":
+            db.execute(f"create table {table} (x integer)")
+        db.execute(
+            "create rule prov when inserted into a "
+            "then insert into b values (1); insert into c values (1)"
+        )
+        db.execute(
+            "create rule sib1 when inserted into b then update d set x = 1"
+        )
+        db.execute(
+            "create rule sib2 when inserted into c then update d set x = 2"
+        )
+        assert [d.code for d in db.lint()] == ["RPL501"]
+        db.deactivate_rule("prov")
+        assert [d.code for d in db.lint()] == []
+        db.activate_rule("prov")
+        assert [d.code for d in db.lint()] == ["RPL501"]
 
 
 class TestTypeWitnesses:

@@ -8,10 +8,10 @@ from repro.core.incremental import (
     CounterConjunct,
     DeltaConjunct,
     classify_condition,
-    split_conjuncts,
 )
 from repro.obs import EventKind, RingBufferSink
 from repro.relational.database import Database
+from repro.sql import ast
 from repro.sql.parser import parse_expression
 from tests.reference import full_reeval
 
@@ -115,8 +115,10 @@ class TestClassification:
         ) is None
 
     def test_split_conjuncts_preserves_order(self):
-        parts = split_conjuncts(parse_expression("1 = 1 and 2 = 2 and 3 = 3"))
-        assert len(parts) == 3
+        parts = list(
+            ast.conjuncts(parse_expression("1 = 1 and 2 = 2 and 3 = 3"))
+        )
+        assert [part.left.value for part in parts] == [1, 2, 3]
 
     def test_shared_structure_shares_the_view_key(self):
         a = classify("exists (select * from t where x > 10)").conjuncts[0]

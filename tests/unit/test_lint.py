@@ -5,14 +5,16 @@ and edge refinement, the catalog/script entry points, definition-time
 lint events, and — centrally — the two analyses ISSUE 5 pins down:
 
 * a regression test fixing the pre/post warning sets around refinement
-  (the syntactic graph reports a loop, the refined graph discharges it);
-* a differential test that refinement never removes an edge a dynamic
-  probe can actually realize.
+  (the syntactic graph reports a loop, the refined graph discharges it).
+
+That refinement never removes an edge a run can realize is theorem T2
+of ``tests/property/test_analysis_theorems.py``.
 """
 
 import pytest
 
 from repro import ActiveDatabase
+from repro.analysis import analyze
 from repro.analysis.lint import (
     lint_catalog,
     lint_script,
@@ -21,29 +23,29 @@ from repro.analysis.lint.base import all_passes, get_pass
 from repro.analysis.lint.context import LintRule
 from repro.analysis.lint.diagnostics import (
     CODES,
-    Diagnostic,
     LintReport,
     Severity,
     make,
 )
 from repro.analysis.lint.refine import (
-    RefinedTriggeringGraph,
     condition_provably_false,
     constant_fold,
     edge_realizable,
     provably_false,
 )
-from repro.analysis.loops import find_potential_loops
+from repro.analysis.lint.triggering import TriggeringGraph
+from repro.analysis.types.infer import walk_rule
 from repro.obs import EventKind, RingBufferSink
 from repro.sql import Span, ast
-from repro.sql.parser import Parser, parse_expression, parse_statement
+from repro.sql.parser import Parser, parse_expression
 from repro.workloads import orgchart
 
 
 def script_rules(source):
+    """The script's rules, walked without a database (schemas unknown)."""
     statements = Parser(source).parse_script()
     return [
-        LintRule.from_statement(statement)
+        walk_rule(LintRule.from_statement(statement), None)
         for statement in statements
         if isinstance(statement, ast.CreateRule)
     ]
@@ -198,20 +200,20 @@ class TestEdgeRefinement:
         from repro.core.external import ExternalAction
 
         [clamp] = script_rules(DISCHARGE_PROGRAM)
-        opaque = LintRule(
+        opaque = walk_rule(LintRule(
             name="opaque",
             predicates=clamp.predicates,
             condition=None,
             action=ExternalAction(lambda context: None, "opaque"),
-        )
+        ), None)
         realizable, _ = edge_realizable(opaque, clamp)
         assert realizable
 
     def test_refined_graph_records_the_pruning_proof(self):
         rules = script_rules(DISCHARGE_PROGRAM)
-        graph = RefinedTriggeringGraph(rules)
-        assert graph.base_successors["clamp"] == ["clamp"]
-        assert graph.successors["clamp"] == []
+        graph = TriggeringGraph(rules)
+        assert graph.successors()["clamp"] == ["clamp"]
+        assert graph.successors(refined=True)["clamp"] == []
         [pruned] = graph.pruned
         assert (pruned.provider, pruned.consumer) == ("clamp", "clamp")
         assert "clamp -> clamp" in pruned.describe()
@@ -235,7 +237,7 @@ class TestRefinementRegression:
         return db
 
     def test_syntactic_graph_still_reports_the_loop(self, db):
-        loops = {w.rules for w in find_potential_loops(db.catalog)}
+        loops = {w.rules for w in analyze(db.catalog).loops}
         assert loops == {("discharge_demo",)}
 
     def test_refinement_discharges_it(self, db):
@@ -249,110 +251,12 @@ class TestRefinementRegression:
     def test_pre_and_post_sets_differ_by_exactly_the_discharged_loop(
         self, db
     ):
-        syntactic = {w.rules for w in find_potential_loops(db.catalog)}
-        refined_rules = [
-            LintRule.from_catalog_rule(rule, db.catalog)
-            for rule in db.catalog.rules()
-        ]
-        graph = RefinedTriggeringGraph(
-            refined_rules, schema_lookup=db.database.schema
-        )
-        from repro.analysis.lint.triggering import _loops
-
-        refined = _loops(
-            [rule.name for rule in refined_rules], graph.successors
-        )
+        graph = db.engine.analysis.graph
+        assert analyze(db.catalog).graph is graph  # one graph, two views
+        syntactic = set(graph.loops())
+        refined = set(graph.loops(refined=True))
         assert syntactic - refined == {("discharge_demo",)}
         assert refined - syntactic == set()
-
-
-class TestRefinementDifferential:
-    """Refinement must never prune an edge a dynamic probe can realize.
-
-    For every edge the refiner removes, replay the provider's action as
-    an ordinary user transaction against a live database where the
-    consumer is the *only* defined rule, over a set of seeded states
-    that includes the adversarial ones (negative salaries etc.).  If the
-    consumer ever fires, the pruned edge was realizable and the
-    refinement is unsound.
-    """
-
-    SEEDS = [
-        [],
-        [("ann", 10)],
-        [("bob", -5)],
-        [("ann", 10), ("bob", -5), ("col", 0)],
-    ]
-
-    def dynamic_fires(self, source, consumer_name, provider_name):
-        """Does ``consumer_name`` ever fire when ``provider_name``'s
-        action runs as a user block, over every seeded state?"""
-        return any(
-            self.dynamic_fires_with_seed(
-                source, consumer_name, provider_name, seed
-            )
-            for seed in self.SEEDS
-        )
-
-    @pytest.mark.parametrize(
-        "source", [DISCHARGE_PROGRAM], ids=["discharge"]
-    )
-    def test_pruned_edges_are_dynamically_unrealizable(self, source):
-        rules = script_rules(source)
-        graph = RefinedTriggeringGraph(rules)
-        assert graph.pruned, "fixture must actually prune something"
-        for pruned in graph.pruned:
-            assert not self.dynamic_fires(
-                source, pruned.consumer, pruned.provider
-            ), f"refinement wrongly pruned {pruned.provider} -> " \
-               f"{pruned.consumer}"
-
-    def test_harness_detects_a_realizable_kept_edge(self):
-        """Sanity: the dynamic probe CAN observe a firing, so the
-        assertion above is not vacuously true."""
-        source = """
-create table dept (dno integer, budget integer);
-
-create rule nudge
-when updated dept.budget
-if exists (select * from new updated dept.budget where budget > 100)
-then update dept set budget = budget - 1 where budget > 100;
-"""
-        rules = script_rules(source)
-        graph = RefinedTriggeringGraph(rules)
-        assert graph.has_edge("nudge", "nudge")  # kept: not provable
-        assert self.dynamic_fires_with_seed(
-            source, "nudge", "nudge", [(1, 500)]
-        )
-
-    def dynamic_fires_with_seed(self, source, consumer, provider, seed):
-        from repro.sql import format_node
-
-        statements = Parser(source).parse_script()
-        creates = {
-            s.name: s for s in statements if isinstance(s, ast.CreateRule)
-        }
-        db = ActiveDatabase()
-        table = None
-        for statement in statements:
-            if isinstance(statement, ast.CreateTable):
-                db.execute(format_node(statement))
-                table = table or statement.name
-        for row in seed:
-            values = ", ".join(
-                repr(v) if isinstance(v, str) else str(v) for v in row
-            )
-            db.execute(f"insert into {table} values ({values})")
-        db.execute(format_node(creates[consumer]))
-        sink = db.attach_sink(RingBufferSink())
-        action_sql = "; ".join(
-            format_node(op) for op in creates[provider].action.operations
-        )
-        db.execute(action_sql)
-        return any(
-            event.data.get("rule") == consumer
-            for event in sink.of_kind(EventKind.RULE_FIRED)
-        )
 
 
 class TestCatalogEntryPoints:

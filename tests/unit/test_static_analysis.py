@@ -1,18 +1,11 @@
-"""Unit tests for static rule analysis (paper §6)."""
+"""Unit tests for static rule analysis (paper §6): the facts the §6
+sketch was first tested on, read off the one analysis object — a bare
+catalog's :class:`ProgramAnalysis` (no database: every schema unknown,
+so inserts and deletes write the ``"*"`` column)."""
 
 import pytest
 
-from repro.analysis import (
-    TriggeringGraph,
-    action_provides,
-    analyze,
-    find_ordering_conflicts,
-    find_potential_loops,
-    may_loop,
-    may_trigger,
-    rule_reads,
-    rule_writes,
-)
+from repro.analysis import ProgramAnalysis, analyze
 from repro.core.external import ExternalAction
 from repro.core.rules import RuleCatalog
 from repro.sql.parser import parse_statement
@@ -27,14 +20,28 @@ def define(catalog, sql):
     return catalog.create_rule_from_ast(parse_statement(sql))
 
 
+def effects_of(catalog, rule):
+    """The rule's walked effect summary."""
+    walked = {r.name: r for r in ProgramAnalysis(catalog).rules()}
+    return walked[rule.name].effects
+
+
+def may_trigger(catalog, provider, consumer):
+    return analyze(catalog).graph.has_edge(provider.name, consumer.name)
+
+
+def may_loop(catalog, name):
+    return any(name in warning.rules for warning in analyze(catalog).loops)
+
+
 class TestActionProvides:
     def test_insert_provides_inserted(self, catalog):
         rule = define(
             catalog,
             "create rule r when inserted into a then insert into b values (1)",
         )
-        provided = action_provides(rule)
-        assert {(e.kind, e.table) for e in provided} == {("inserted", "b")}
+        writes = effects_of(catalog, rule).writes
+        assert writes == {("inserted", "b", "*")}
 
     def test_update_provides_columns(self, catalog):
         rule = define(
@@ -42,14 +49,14 @@ class TestActionProvides:
             "create rule r when inserted into a "
             "then update b set x = 1, y = 2",
         )
-        provided = action_provides(rule)
-        assert {(e.kind, e.table, e.column) for e in provided} == {
+        assert effects_of(catalog, rule).writes == {
             ("updated", "b", "x"), ("updated", "b", "y"),
         }
 
     def test_rollback_provides_nothing(self, catalog):
         rule = define(catalog, "create rule r when inserted into a then rollback")
-        assert action_provides(rule) == frozenset()
+        effects = effects_of(catalog, rule)
+        assert effects.writes == frozenset() and not effects.opaque
 
     def test_external_action_is_opaque(self, catalog):
         rule = catalog.create_rule(
@@ -60,7 +67,7 @@ class TestActionProvides:
             None,
             ExternalAction(lambda c: None),
         )
-        assert action_provides(rule) is None
+        assert effects_of(catalog, rule).opaque
 
     def test_multi_operation_action(self, catalog):
         rule = define(
@@ -68,7 +75,7 @@ class TestActionProvides:
             "create rule r when inserted into a "
             "then delete from b; insert into c values (1)",
         )
-        kinds = {(e.kind, e.table) for e in action_provides(rule)}
+        kinds = {(k, t) for k, t, _ in effects_of(catalog, rule).writes}
         assert kinds == {("deleted", "b"), ("inserted", "c")}
 
 
@@ -82,8 +89,8 @@ class TestMayTrigger:
             catalog,
             "create rule c when deleted from b then rollback",
         )
-        assert may_trigger(provider, consumer)
-        assert not may_trigger(consumer, provider)
+        assert may_trigger(catalog, provider, consumer)
+        assert not may_trigger(catalog, consumer, provider)
 
     def test_column_narrowing(self, catalog):
         provider = define(
@@ -93,9 +100,9 @@ class TestMayTrigger:
         on_x = define(catalog, "create rule cx when updated b.x then rollback")
         on_y = define(catalog, "create rule cy when updated b.y then rollback")
         whole = define(catalog, "create rule cw when updated b then rollback")
-        assert may_trigger(provider, on_x)
-        assert not may_trigger(provider, on_y)
-        assert may_trigger(provider, whole)
+        assert may_trigger(catalog, provider, on_x)
+        assert not may_trigger(catalog, provider, on_y)
+        assert may_trigger(catalog, provider, whole)
 
     def test_external_triggers_everything(self, catalog):
         provider = catalog.create_rule(
@@ -109,7 +116,7 @@ class TestMayTrigger:
         consumer = define(
             catalog, "create rule c when deleted from zzz then rollback"
         )
-        assert may_trigger(provider, consumer)
+        assert may_trigger(catalog, provider, consumer)
 
 
 class TestLoops:
@@ -118,7 +125,7 @@ class TestLoops:
             catalog,
             "create rule r when updated t.x then update t set x = 1",
         )
-        warnings = find_potential_loops(catalog)
+        warnings = analyze(catalog).loops
         assert len(warnings) == 1
         assert warnings[0].is_self_loop
         assert warnings[0].rules == ("r",)
@@ -141,7 +148,7 @@ class TestLoops:
     def test_two_rule_cycle(self, catalog):
         define(catalog, "create rule a when inserted into t then insert into u values (1)")
         define(catalog, "create rule b when inserted into u then insert into t values (1)")
-        warnings = find_potential_loops(catalog)
+        warnings = analyze(catalog).loops
         assert len(warnings) == 1
         assert set(warnings[0].rules) == {"a", "b"}
         assert not warnings[0].is_self_loop
@@ -149,13 +156,13 @@ class TestLoops:
     def test_acyclic_chain_no_warning(self, catalog):
         define(catalog, "create rule a when inserted into t then insert into u values (1)")
         define(catalog, "create rule b when inserted into u then insert into v values (1)")
-        assert find_potential_loops(catalog) == []
+        assert analyze(catalog).loops == []
 
     def test_describe(self, catalog):
         define(
             catalog, "create rule r when updated t then update t set x = 1"
         )
-        [warning] = find_potential_loops(catalog)
+        [warning] = analyze(catalog).loops
         assert "r" in warning.describe()
 
 
@@ -169,7 +176,7 @@ class TestConflicts:
             catalog,
             "create rule b when inserted into t then delete from u",
         )
-        warnings = find_ordering_conflicts(catalog)
+        warnings = analyze(catalog).conflicts
         assert len(warnings) == 1
         assert {warnings[0].first, warnings[0].second} == {"a", "b"}
         assert "u" in warnings[0].tables
@@ -184,17 +191,17 @@ class TestConflicts:
             "create rule b when inserted into t then delete from u",
         )
         catalog.add_priority("a", "b")
-        assert find_ordering_conflicts(catalog) == []
+        assert analyze(catalog).conflicts == []
 
     def test_disjoint_predicates_no_warning(self, catalog):
         define(catalog, "create rule a when inserted into t then delete from u")
         define(catalog, "create rule b when inserted into v then delete from u")
-        assert find_ordering_conflicts(catalog) == []
+        assert analyze(catalog).conflicts == []
 
     def test_non_interfering_actions_no_warning(self, catalog):
         define(catalog, "create rule a when inserted into t then delete from u")
         define(catalog, "create rule b when inserted into t then delete from v")
-        assert find_ordering_conflicts(catalog) == []
+        assert analyze(catalog).conflicts == []
 
     def test_write_read_interference(self, catalog):
         define(catalog, "create rule a when inserted into t then delete from u")
@@ -203,7 +210,7 @@ class TestConflicts:
             "create rule b when inserted into t "
             "if exists (select * from u) then delete from v",
         )
-        warnings = find_ordering_conflicts(catalog)
+        warnings = analyze(catalog).conflicts
         assert len(warnings) == 1
 
     def test_reads_and_writes_helpers(self, catalog):
@@ -213,15 +220,16 @@ class TestConflicts:
             "if exists (select * from a) "
             "then delete from b where x in (select x from c)",
         )
-        assert rule_reads(rule) == {"a", "b", "c"}
-        assert rule_writes(rule) == {"b"}
+        effects = effects_of(catalog, rule)
+        assert effects.scans == {"a", "b", "c"}
+        assert effects.written_tables() == {"b"}
 
 
 class TestGraphAndReport:
     def test_graph_edges(self, catalog):
         define(catalog, "create rule a when inserted into t then insert into u values (1)")
         define(catalog, "create rule b when inserted into u then rollback")
-        graph = TriggeringGraph.from_catalog(catalog)
+        graph = analyze(catalog).graph
         assert graph.has_edge("a", "b")
         assert not graph.has_edge("b", "a")
         assert ("a", "b") in graph.edges()
@@ -229,7 +237,7 @@ class TestGraphAndReport:
     def test_to_dot(self, catalog):
         define(catalog, "create rule a when inserted into t then insert into u values (1)")
         define(catalog, "create rule b when inserted into u then rollback")
-        dot = graph_text = TriggeringGraph.from_catalog(catalog).to_dot()
+        dot = analyze(catalog).graph.to_dot()
         assert '"a" -> "b";' in dot
 
     def test_analyze_report(self, catalog):
@@ -253,7 +261,7 @@ class TestAssumedFlag:
             catalog,
             "create rule r when updated t.x then update t set x = 1",
         )
-        (warning,) = find_potential_loops(catalog)
+        (warning,) = analyze(catalog).loops
         assert warning.rules == ("r",)
         assert warning.assumed is False
         assert "assumed" not in warning.describe()
@@ -265,7 +273,7 @@ class TestAssumedFlag:
             ).predicates,
             None, ExternalAction(lambda context: None, "opaque"),
         )
-        (warning,) = find_potential_loops(catalog)
+        (warning,) = analyze(catalog).loops
         assert warning.rules == ("ext",)
         assert warning.assumed is True
         assert "assumed" in warning.describe()
@@ -282,7 +290,7 @@ class TestAssumedFlag:
             ).predicates,
             None, ExternalAction(lambda context: None, "opaque"),
         )
-        warnings = find_potential_loops(catalog)
+        warnings = analyze(catalog).loops
         cycle = next(w for w in warnings if "sql_rule" in w.rules)
         assert cycle.assumed is True
 
@@ -295,7 +303,7 @@ class TestAssumedFlag:
             catalog,
             "create rule b when inserted into t then update t set x = 2",
         )
-        (warning,) = find_ordering_conflicts(catalog)
+        (warning,) = analyze(catalog).conflicts
         assert warning.assumed is False
         assert "assumed" not in warning.describe()
 
@@ -310,7 +318,7 @@ class TestAssumedFlag:
             ).predicates,
             None, ExternalAction(lambda context: None, "opaque"),
         )
-        warnings = find_ordering_conflicts(catalog)
+        warnings = analyze(catalog).conflicts
         pair = next(w for w in warnings if "ext" in (w.first, w.second))
         assert pair.assumed is True
         assert "assumed" in pair.describe()

@@ -17,11 +17,9 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: ``[tool.mypy] files`` in pyproject.toml
 STRICT_PACKAGES = ("repro/analysis", "repro/sql", "repro/relational/plan")
-#: the override that sets ``disallow_untyped_defs = false``
-RELAXED_MODULES = {
-    "repro/analysis/graph.py", "repro/analysis/loops.py",
-    "repro/analysis/conflicts.py", "repro/analysis/confluence.py",
-}
+#: modules under an override that sets ``disallow_untyped_defs =
+#: false`` (none left: the whole of each package is strict)
+RELAXED_MODULES: set = set()
 
 
 def modules(*packages):
