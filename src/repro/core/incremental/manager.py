@@ -38,7 +38,7 @@ from ...relational.expressions import Evaluator, Scope
 from ..transition_log import TransInfo
 from ..transition_tables import TransitionTableResolver
 from .classify import CounterConjunct, classify_condition
-from .views import MaintainedView
+from .views import MaintainedView, NetDelta
 
 #: external (user-block) transitions carry this provenance label; the
 #: refined graph can only reason about rule actions, so external deltas
@@ -180,6 +180,7 @@ class IncrementalManager:
             touched_tables.add(net.tables[handle])
         for handle in net.upd:
             touched_tables.add(net.tables[handle])
+        deltas = {}
         for view in self._views.values():
             if view.broken or view.stale:
                 continue
@@ -188,7 +189,11 @@ class IncrementalManager:
                 continue
             if view.table in touched_tables:
                 try:
-                    self.stats.delta_rows += view.apply_net(database, net)
+                    delta = deltas.get(view.table)
+                    if delta is None:
+                        delta = deltas[view.table] = NetDelta(
+                            database.table(view.table), net, view.table)
+                    self.stats.delta_rows += view.apply_net(database, delta)
                 except Exception:
                     # Never surface maintenance errors: the rule falls
                     # back to full evaluation, where a genuine error

@@ -193,54 +193,57 @@ class MaintainedView:
         self.stale = False
         self.mark_synced(database)
 
-    def apply_net(self, database, net):
-        """Fold one transition's net effects into the count; returns the
-        number of delta rows examined. Caller synchronizes versions."""
-        storage = database.table(self.table)
+    def apply_net(self, database, delta):
+        """Fold one transition's net effects on the view's table — a
+        :class:`NetDelta` — into the count; returns the number of delta
+        rows examined. Caller synchronizes versions."""
         bound = self._bound(database)
         counter = _batch_counter(
             database, self.table, self.binding, self.where, bound
         )
+        change = 0
         if counter is not None:
-            from ...relational.batch import Batch
+            for batch, sign in delta.signed:
+                change += sign * counter(batch)
+        else:
+            predicate = row_predicate(
+                database, self.table, self.binding, self.where, bound
+            )
+            for batch, sign in delta.signed:
+                for row in batch.rows():
+                    if predicate(row) is True:
+                        change += sign
+        self.count += change
+        return delta.rows
 
-            arity = storage.schema.arity
-            inserted = list(net.inserted_handles(self.table))
-            deleted = [row for _, row in net.deleted_rows(self.table)]
-            updated = list(net.updated_handles(self.table))
-            delta = 0
-            rows = len(inserted) + len(deleted) + len(updated)
-            if inserted:
-                delta += counter(storage.batch_for_handles(inserted))
-            if deleted:
-                delta -= counter(Batch.from_rows(deleted, arity))
-            if updated:
-                delta += counter(
-                    storage.batch_for_handles([h for h, _ in updated])
-                )
-                delta -= counter(
-                    Batch.from_rows([old for _, old in updated], arity)
-                )
-            self.count += delta
-            return rows
-        predicate = row_predicate(
-            database, self.table, self.binding, self.where, bound
-        )
-        delta = 0
-        rows = 0
-        for handle in net.inserted_handles(self.table):
-            rows += 1
-            if predicate(storage.get(handle)) is True:
-                delta += 1
-        for _, old_row in net.deleted_rows(self.table):
-            rows += 1
-            if predicate(old_row) is True:
-                delta -= 1
-        for handle, old_row in net.updated_handles(self.table):
-            rows += 1
-            if predicate(storage.get(handle)) is True:
-                delta += 1
-            if predicate(old_row) is True:
-                delta -= 1
-        self.count += delta
-        return rows
+
+class NetDelta:
+    """One transition's net ``[I, D, U]`` on one table as the batches a
+    counter adds or subtracts: current values of the net-inserted and
+    net-updated tuples (+1) and pre-images of the net-deleted and
+    net-updated ones (-1). Resolved once and shared by every view over
+    the table; a count does not depend on the order of its rows, and a
+    handle set in ascending order resolves the fastest."""
+
+    __slots__ = ("signed", "rows")
+
+    def __init__(self, storage, net, table):
+        from ...relational.batch import Batch
+
+        arity = storage.schema.arity
+        inserted = sorted(net.inserted_handles(table))
+        deleted = [row for _, row in net.deleted_rows(table)]
+        updated = net.updated_handles(table)
+        self.rows = len(inserted) + len(deleted) + len(updated)
+        self.signed = []
+        if inserted:
+            self.signed.append((storage.batch_for_handles(inserted), 1))
+        if deleted:
+            self.signed.append((Batch.from_rows(deleted, arity), -1))
+        if updated:
+            self.signed.append((
+                storage.batch_for_handles(sorted(h for h, _ in updated)), 1
+            ))
+            self.signed.append((
+                Batch.from_rows([old for _, old in updated], arity), -1
+            ))

@@ -44,25 +44,11 @@ class TransitionTableResolver(BaseTableResolver):
             return super().resolve(table_ref)
 
         table = table_ref.table
-        schema = self.database.schema(table)
-        columns = schema.column_names
         kind = table_ref.kind
-
-        if kind is ast.TransitionKind.INSERTED:
-            # Current values of net-inserted tuples: they are live (a
-            # net-inserted handle was, by definition, not re-deleted).
-            storage = self.database.table(table)
-            rows = [
-                storage.get(handle)
-                for handle in self.info.inserted_handles(table)
-            ]
-            return columns, rows
-
         if kind is ast.TransitionKind.DELETED:
             # Baseline pre-images of net-deleted tuples.
             rows = [row for _, row in self.info.deleted_rows(table)]
-            return columns, rows
-
+            return self.database.schema(table).column_names, rows
         if kind is ast.TransitionKind.OLD_UPDATED:
             rows = [
                 old_row
@@ -70,32 +56,10 @@ class TransitionTableResolver(BaseTableResolver):
                     table, table_ref.column
                 )
             ]
-            return columns, rows
-
-        if kind is ast.TransitionKind.NEW_UPDATED:
-            # Current values of the same net-updated tuples; they are live
-            # (net-updated handles were not subsequently deleted).
-            storage = self.database.table(table)
-            rows = [
-                storage.get(handle)
-                for handle, _ in self.info.updated_handles(
-                    table, table_ref.column
-                )
-            ]
-            return columns, rows
-
-        if kind is ast.TransitionKind.SELECTED:
-            storage = self.database.table(table)
-            rows = [
-                storage.get(handle)
-                for handle in self.info.selected_handles(
-                    table, table_ref.column
-                )
-                if handle in storage
-            ]
-            return columns, rows
-
-        raise ExecutionError(f"unknown transition table kind {kind!r}")
+            return self.database.schema(table).column_names, rows
+        # the views over live storage: one gather of their rows
+        columns, batch = self.resolve_batch(table_ref)
+        return columns, batch.rows()
 
     def resolve_batch(self, table_ref):
         """Batch form of :meth:`resolve` for the vectorized scan path.

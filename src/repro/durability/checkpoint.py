@@ -35,7 +35,7 @@ class CheckpointError(ReproError):
 def build_checkpoint_document(db, wal_lsn, last_txn):
     """The checkpoint document for an :class:`~repro.ActiveDatabase`.
 
-    ``handles`` lists each table's live handles in storage (insertion)
+    ``handles`` lists each table's live handles in storage (ascending)
     order, aligned with the wrapped document's row lists.
     """
     document = to_document(db)

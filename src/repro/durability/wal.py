@@ -401,9 +401,12 @@ def replay_commit_record(record, database):
 
     Per table: deletes, then inserts (ascending handle order —
     allocation order), then updates, each as whole vectors through the
-    database's set mutators. Inserted handles are always
-    fresher than anything live and tables do not share storage, so this
-    reproduces the original storage order exactly.
+    database's set mutators. A table's storage order is ascending
+    handle order whatever order its rows arrived in, so this reproduces
+    the live database's order exactly: a commit's inserts are usually
+    fresher than anything live and append, and those of a transaction
+    that committed after a younger one (concurrent sessions) are merged
+    into place.
 
     Raises:
         WalError: when a handle-run vector is malformed, or the

@@ -15,11 +15,16 @@ slots), so a selection vector must never be held across mutations —
 identification always completes before modification, matching the
 engine's identify-then-mutate discipline.
 
+There is no row view beside the columns: a row is built on demand, and
+:meth:`Batch.rows` builds a whole selection's rows in one gather.
 Transient batches (transition-table pre-images, deleted rows) transpose
 a row list once via :meth:`Batch.from_rows`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from typing import Any
 
 
 class Batch:
@@ -28,11 +33,10 @@ class Batch:
     Attributes:
         cols: tuple of slot-indexed column sequences (one per schema
             column). Shared with the owning table for base-table batches.
-        sel: list of slot positions, in scan (insertion) order.
+        sel: list of slot positions, in scan (ascending handle) order
+            for full scans, in the requested order otherwise.
         handles: slot-indexed handle sequence, or ``None`` for transient
             batches that have no tuple identity (transition pre-images).
-        tuples: slot-indexed row-tuple sequence when the owner maintains
-            a materialized row view (base tables do), else ``None``.
         label: the base table's name (for touched-handle bookkeeping),
             or ``None`` for transient batches.
         zones: the owning table's per-column zone maps (see
@@ -46,58 +50,63 @@ class Batch:
             selections — index lookups (handle order) must say False.
     """
 
-    __slots__ = ("cols", "sel", "handles", "tuples", "label", "zones",
-                 "ordered")
+    __slots__ = ("cols", "sel", "handles", "label", "zones", "ordered")
 
-    def __init__(self, cols, sel, handles=None, tuples=None, label=None,
-                 zones=None, ordered=False):
+    def __init__(self, cols: Sequence[Sequence[Any]], sel: list[int],
+                 handles: Sequence[int] | None = None,
+                 label: str | None = None, zones: Any = None,
+                 ordered: bool = False) -> None:
         self.cols = cols
         self.sel = sel
         self.handles = handles
-        self.tuples = tuples
         self.label = label
         self.zones = zones
         self.ordered = ordered
 
-    def __len__(self):
+    def __len__(self) -> int:
         return len(self.sel)
 
     @classmethod
-    def from_rows(cls, rows, arity, label=None):
+    def from_rows(cls, rows: Sequence[tuple[Any, ...]], arity: int,
+                  label: str | None = None) -> Batch:
         """A transient batch transposing ``rows`` (a list of value
         tuples); ``arity`` disambiguates the empty case."""
+        cols: tuple[list[Any], ...]
         if rows:
             cols = tuple(list(column) for column in zip(*rows))
         else:
             cols = tuple([] for _ in range(arity))
-        return cls(cols, list(range(len(rows))), tuples=list(rows),
-                   label=label, ordered=True)
+        return cls(cols, list(range(len(rows))), label=label, ordered=True)
 
-    def with_sel(self, sel):
+    def with_sel(self, sel: list[int]) -> Batch:
         """The same storage narrowed to a new selection vector (a
         subsequence of the current one, so ascent is preserved)."""
-        return Batch(self.cols, sel, self.handles, self.tuples, self.label,
-                     self.zones, self.ordered)
+        return Batch(self.cols, sel, self.handles, self.label, self.zones,
+                     self.ordered)
 
-    def unlabeled(self):
+    def unlabeled(self) -> Batch:
         """The same selection with touched-handle attribution stripped —
         used for transition-table views over live base storage."""
-        return Batch(self.cols, self.sel, self.handles, self.tuples, None,
-                     self.zones, self.ordered)
+        return Batch(self.cols, self.sel, self.handles, None, self.zones,
+                     self.ordered)
 
-    def row(self, slot):
-        """The value tuple at ``slot`` (materialized view when present)."""
-        if self.tuples is not None:
-            return self.tuples[slot]
-        return tuple(column[slot] for column in self.cols)
+    def row(self, slot: int) -> tuple[Any, ...]:
+        """The value tuple at ``slot``."""
+        return tuple([column[slot] for column in self.cols])
 
-    def rows(self):
+    def rows(self) -> list[tuple[Any, ...]]:
         """The selected rows as value tuples, in selection order."""
-        if self.tuples is not None:
-            tuples = self.tuples
-            return [tuples[slot] for slot in self.sel]
-        cols = self.cols
-        return [tuple(column[slot] for column in cols) for slot in self.sel]
+        return gather_rows(self.cols, self.sel)
 
-    def handle(self, slot):
+    def handle(self, slot: int) -> int:
+        """The handle at ``slot`` (base-table batches only)."""
+        if self.handles is None:
+            raise TypeError("a transient batch has no tuple handles")
         return self.handles[slot]
+
+
+def gather_rows(cols: Sequence[Sequence[Any]],
+                slots: Sequence[int]) -> list[tuple[Any, ...]]:
+    """The rows at ``slots`` of column-wise storage, built column by
+    column in one pass each (no per-row Python loop)."""
+    return list(zip(*[map(column.__getitem__, slots) for column in cols]))

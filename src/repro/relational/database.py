@@ -186,11 +186,13 @@ class Database:
     # context-switch replay, which restore state and are not new writes
     # — through the table-level mutators beneath them. Each takes
     # distinct handles and one value vector per column, type-checks
-    # every value and every handle before storage is touched (the first
-    # bad value in row-major order is the one reported, and nothing is
-    # written or allocated), notifies ``on_table_write`` and bumps
-    # ``version`` once, and is undo-logged as one record while a
-    # transaction is active. An empty set is not a write.
+    # every value and every handle before anything is touched (the
+    # first bad value in row-major order is the one reported; a handle
+    # that is not live, or is named twice, is an ExecutionError; and
+    # nothing is written, allocated, notified or versioned), then
+    # notifies ``on_table_write`` and bumps ``version`` once, and is
+    # undo-logged as one record while a transaction is active. An empty
+    # set is not a write.
 
     @staticmethod
     def _coerce_vectors(schema, positions, vectors, expected):
@@ -240,10 +242,10 @@ class Database:
         count = len(columns[0]) if handles is None else len(handles)
         if not count:
             return ()
-        self._written(table_name)
         columns = self._coerce_vectors(
             schema, range(schema.arity), columns, count
         )
+        self._written(table_name)
         if handles is None:
             handles = self.handles.allocate_many(table_name, count)
             table.insert_columns(handles, columns)
@@ -258,8 +260,10 @@ class Database:
         row values."""
         if not handles:
             return []
+        table = self.table(table_name)
+        slots = table.locate(handles)
         self._written(table_name)
-        rows = self.table(table_name).delete_many(handles)
+        rows = table.delete_many(handles, slots)
         self.transactions.log("delete", table_name, handles, rows)
         return rows
 
@@ -281,11 +285,12 @@ class Database:
         positions = [schema.column_position(name) for name in column_names]
         if not handles:
             return []
-        self._written(table_name)
         vectors = self._coerce_vectors(
             schema, positions, vectors, len(handles)
         )
-        old_rows = table.assign_columns(handles, positions, vectors)
+        slots = table.locate(handles)
+        self._written(table_name)
+        old_rows = table.assign_columns(handles, positions, vectors, slots)
         self.transactions.log("update", table_name, handles, old_rows)
         return old_rows
 

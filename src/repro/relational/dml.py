@@ -230,8 +230,8 @@ class DmlExecutor:
     # -- delete ---------------------------------------------------------------
 
     def _execute_delete(self, operation):
-        handles, rows = self._matching_tuples(operation.table, operation.where)
-        self.database.delete_rows(operation.table, handles)
+        handles, _ = self._matching(operation.table, operation.where)
+        rows = self.database.delete_rows(operation.table, handles)
         return DeleteEffect(operation.table, tuple(zip(handles, rows)))
 
     # -- update ---------------------------------------------------------------
@@ -243,7 +243,7 @@ class DmlExecutor:
         columns = tuple(assignment.column for assignment in assignments)
         for column in columns:
             schema.column_position(column)  # raises early on unknown column
-        handles, rows = self._matching_tuples(table_name, operation.where)
+        handles, batch = self._matching(table_name, operation.where)
 
         # Evaluate every assignment against the pre-update state first,
         # then apply — expressions must not see sibling tuples' new values.
@@ -251,12 +251,12 @@ class DmlExecutor:
         if not handles:
             vectors = ()
         elif vectorized_enabled(self.database):
-            vectors = self._assignment_vectors(schema, rows, expressions)
+            vectors = self._assignment_vectors(schema, batch, expressions)
         else:
             names = schema.column_names
             evaluate = self._evaluator.evaluate
             planned = []
-            for row in rows:
+            for row in batch.rows():
                 scope = Scope()
                 scope.bind(table_name, names, row)
                 planned.append([
@@ -265,29 +265,28 @@ class DmlExecutor:
             vectors = zip(*planned)
         # a column assigned twice takes its last value
         assigned = dict(zip(columns, vectors))
-        self.database.assign_columns(
+        old_rows = self.database.assign_columns(
             table_name, handles, list(assigned), list(assigned.values())
         )
-        return UpdateEffect(table_name, columns, tuple(zip(handles, rows)))
+        return UpdateEffect(table_name, columns, tuple(zip(handles, old_rows)))
 
-    def _assignment_vectors(self, schema, rows, expressions):
-        """One value vector per expression over ``rows`` (tuples of the
-        table ``schema`` describes), through batch kernels; the error
-        raised is the one evaluating tuple by tuple, expression by
-        expression, meets first."""
+    def _assignment_vectors(self, schema, batch, expressions):
+        """One value vector per expression over the matched tuples
+        ``batch`` selects (in the table ``schema`` describes), through
+        batch kernels; the error raised is the one evaluating tuple by
+        tuple, expression by expression, meets first."""
         database = self.database
         table_name = schema.name
         names = schema.column_names
+        row_of = batch.row
 
-        def scope_for(position):
+        def scope_for(slot):
             scope = Scope()
-            scope.bind(table_name, names, rows[position])
+            scope.bind(table_name, names, row_of(slot))
             return scope
 
-        # the matched tuples are the batch: one vector per column,
-        # every position selected
         ctx = BatchContext(
-            list(zip(*rows)), scope_for, self._evaluator,
+            batch.cols, scope_for, self._evaluator,
             database.vectorized_stats,
         )
         layout = ((table_name, names),)
@@ -296,7 +295,7 @@ class DmlExecutor:
                               statement=self._evaluator.statement)
             for expression in expressions
         ]
-        vectors, error = run_batch_programs(programs, ctx, range(len(rows)))
+        vectors, error = run_batch_programs(programs, ctx, batch.sel)
         if error is not None:
             raise error
         return vectors
@@ -326,9 +325,10 @@ class DmlExecutor:
 
     # -- shared ---------------------------------------------------------------
 
-    def _matching_tuples(self, table_name, where):
+    def _matching(self, table_name, where):
         """Identify the qualifying tuples against the current state:
-        ``(handles, rows)``, two aligned lists in scan order.
+        ``(handles, batch)`` — their handles in scan order, and a batch
+        over the table's storage selecting exactly them.
 
         Identification happens *before* any mutation, per §2.1. An
         indexed-equality conjunct (``col = literal``) narrows the scan to
@@ -337,17 +337,22 @@ class DmlExecutor:
         if self.database.on_table_read is not None:
             self.database.on_table_read(table_name)
         table = self.database.table(table_name)
-        if where is None:
-            return table.handles(), table.rows()
-        candidates = index_candidates(
+        candidates = None if where is None else index_candidates(
             where, table, {table_name}, self._evaluator.params
         )
+        if candidates is None:
+            batch = table.batch()
+        else:
+            batch = table.batch_for_handles(sorted(candidates))
+        if where is not None:
+            batch = batch.with_sel(self._matching_slots(batch, table, where))
+        return list(map(batch.handles.__getitem__, batch.sel)), batch
+
+    def _matching_slots(self, batch, table, where):
+        """The slots of ``batch`` whose row satisfies ``where``."""
+        table_name = table.schema.name
         columns = table.schema.column_names
         if vectorized_enabled(self.database):
-            if candidates is None:
-                batch = table.batch()
-            else:
-                batch = table.batch_for_handles(sorted(candidates))
             row_of = batch.row
 
             def scope_for(slot):
@@ -361,7 +366,7 @@ class DmlExecutor:
                 self._evaluator,
                 self.database.vectorized_stats,
             )
-            sel = run_batch_filter(
+            return run_batch_filter(
                 self.database,
                 (where,),
                 ((table_name, columns),),
@@ -369,14 +374,8 @@ class DmlExecutor:
                 batch.sel,
                 table=table_name,
             )
-            return (
-                list(map(batch.handles.__getitem__, sel)),
-                list(map(batch.tuples.__getitem__, sel)),
-            )
-        if candidates is None:
-            pairs = table.items()
-        else:
-            pairs = [(handle, table.get(handle)) for handle in sorted(candidates)]
+        matched = []
+        slot_rows = zip(batch.sel, batch.rows())
         if getattr(self.database, "enable_compiled_eval", False):
             program = program_for(
                 self.database, where, ((table_name, columns),),
@@ -384,25 +383,20 @@ class DmlExecutor:
             )
             needs_scope = program.needs_scope
             evaluator = self._evaluator
-            matched = []
-            for handle, row in pairs:
+            for slot, row in slot_rows:
                 scope = None
                 if needs_scope:
                     scope = Scope()
                     scope.bind(table_name, columns, row)
                 if program.fn((row,), scope, evaluator) is True:
-                    matched.append((handle, row))
+                    matched.append(slot)
         else:
-            matched = []
-            for handle, row in pairs:
+            for slot, row in slot_rows:
                 scope = Scope()
                 scope.bind(table_name, columns, row)
                 if self._evaluator.evaluate_predicate(where, scope) is True:
-                    matched.append((handle, row))
-        if not matched:
-            return [], []
-        handles, rows = zip(*matched)
-        return list(handles), list(rows)
+                    matched.append(slot)
+        return matched
 
 
 def _referenced_columns(select, database):

@@ -11,12 +11,13 @@ handle identity is the backbone of the whole rule semantics.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 
 
-def encode_runs(handles):
+def encode_runs(handles: Iterable[int]) -> list[int]:
     """Ascending distinct handles as flat ``[start, count, ...]`` runs."""
-    runs = []
-    expected = None
+    runs: list[int] = []
+    expected: int | None = None
     for handle in handles:
         if handle == expected:
             runs[-1] += 1
@@ -44,26 +45,27 @@ class HandleAllocator:
     hand out an already-seen value.
     """
 
-    def __init__(self):
+    def __init__(self) -> None:
         self._next = 1
-        self._starts = []
-        self._ends = []
-        self._names = []
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._names: list[str] = []
 
-    def allocate(self, table_name):
+    def allocate(self, table_name: str) -> int:
         """Return a fresh handle associated with ``table_name``."""
         return self.allocate_many(table_name, 1)[0]
 
-    def allocate_many(self, table_name, count):
+    def allocate_many(self, table_name: str, count: int) -> list[int]:
         """Issue ``count`` fresh handles associated with ``table_name``;
-        returns them as an ascending list (whose integers every index
-        of the handles then shares)."""
+        returns them as an ascending list, every one larger than any
+        handle issued before — so storing them is an append (see
+        :mod:`repro.relational.table`)."""
         handles = list(range(self._next, self._next + count))
         self._record(self._next, count, table_name)
         self._next += count
         return handles
 
-    def restore(self, handles, table_name):
+    def restore(self, handles: Iterable[int], table_name: str) -> None:
         """Re-register handles from durable state (crash recovery).
 
         The allocator resumes past them, so handles stay non-reusable
@@ -75,7 +77,7 @@ class HandleAllocator:
         if runs:
             self.advance_past(runs[-2] + runs[-1] - 1)
 
-    def _record(self, start, count, table_name):
+    def _record(self, start: int, count: int, table_name: str) -> None:
         """Note that ``start .. start + count - 1`` belong to
         ``table_name``, merging with the blocks on either side."""
         starts, ends, names = self._starts, self._ends, self._names
@@ -94,7 +96,7 @@ class HandleAllocator:
             ends[at] = ends[after]
             del starts[after], ends[after], names[after]
 
-    def advance_past(self, handle):
+    def advance_past(self, handle: int) -> None:
         """Ensure future allocations exceed ``handle`` (recovery uses
         this with the WAL's recorded high-water mark, which may sit above
         any live tuple when a committed transaction deleted its newest
@@ -102,7 +104,7 @@ class HandleAllocator:
         if handle >= self._next:
             self._next = handle + 1
 
-    def table_of(self, handle):
+    def table_of(self, handle: int) -> str:
         """The table a handle belongs(/belonged) to.
 
         Raises:
@@ -113,14 +115,14 @@ class HandleAllocator:
             raise KeyError(handle)
         return self._names[at]
 
-    def split_by_table(self, handles):
+    def split_by_table(self, handles: Iterable[int]) -> dict[str, list[int]]:
         """``{table: ascending handles}`` for a collection of issued
         handles: one bisection per allocation run met, not per handle.
 
         Raises:
             KeyError: for a handle this allocator never issued.
         """
-        split = {}
+        split: dict[str, list[int]] = {}
         end = 0  # of the run the previous handle fell in
         for handle in sorted(handles):
             if handle >= end:
@@ -132,12 +134,17 @@ class HandleAllocator:
             run.append(handle)
         return split
 
-    def knows(self, handle):
+    def blocks(self) -> list[tuple[int, int, str]]:
+        """``(start, end, table)`` per allocation block, ascending: the
+        handles ``start .. end - 1`` belong to ``table``."""
+        return list(zip(self._starts, self._ends, self._names))
+
+    def knows(self, handle: int) -> bool:
         """True if this allocator issued ``handle``."""
         at = bisect_right(self._starts, handle) - 1
         return at >= 0 and handle < self._ends[at]
 
     @property
-    def issued_count(self):
+    def issued_count(self) -> int:
         """How many handles have been issued so far."""
         return self._next - 1

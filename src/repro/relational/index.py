@@ -87,6 +87,10 @@ class HashIndex:
     def key_count(self):
         return len(self._entries)
 
+    def buckets(self):
+        """``{value: handles}`` for every indexed value (a copy)."""
+        return {value: set(handles) for value, handles in self._entries.items()}
+
     def __repr__(self):
         return (
             f"HashIndex({self.name}: {self.table_name}.{self.column}, "

@@ -136,8 +136,7 @@ def scopes_from_batch(bindings: Any, batch: Any, outer: Any,
     label = batch.label
     collect = collect_handles and handles is not None and label is not None
     scopes: list[Any] = []
-    for slot in batch.sel:
-        row = batch.row(slot)
+    for slot, row in zip(batch.sel, batch.rows()):
         scope: Any = Scope(parent=outer)
         scope.bind(name, columns, row)
         scope.rows = (row,)
@@ -305,19 +304,18 @@ class _SourceRunner:
         """Materialize the row-path combo contract from a batch (at the
         boundary to a join/product or the scope materializer)."""
         label = batch.label
-        row_of = batch.row
+        rows = batch.rows()
         track = self.track_ordinals
         if self.collect_handles and batch.handles is not None \
                 and label is not None:
-            handles = batch.handles
+            handles = map(batch.handles.__getitem__, batch.sel)
             return [
-                ((row_of(slot),), ((label, handles[slot]),),
-                 (i,) if track else None)
-                for i, slot in enumerate(batch.sel)
+                ((row,), ((label, handle),), (i,) if track else None)
+                for i, (row, handle) in enumerate(zip(rows, handles))
             ]
         return [
-            ((row_of(slot),), None, (i,) if track else None)
-            for i, slot in enumerate(batch.sel)
+            ((row,), None, (i,) if track else None)
+            for i, row in enumerate(rows)
         ]
 
     # -- leaves -----------------------------------------------------------
@@ -352,20 +350,20 @@ class _SourceRunner:
         candidates = self._index_candidates(node, table)
         if candidates is None:
             handles = table.handles()
+            rows = table.rows()
         else:
             handles = sorted(candidates)
+            rows = table.batch_for_handles(handles).rows()
         if self.stats is not None:
             self.stats.rows_scanned += len(handles)
         columns = table.schema.column_names
         track = self.track_ordinals
         combos: list[Any] = []
-        for i, handle in enumerate(handles):
+        for i, (handle, row) in enumerate(zip(handles, rows)):
             pair: Any = None
             if self.collect_handles:
                 pair = ((node.table_ref.table, handle),)
-            combos.append(
-                ((table.get(handle),), pair, (i,) if track else None)
-            )
+            combos.append(((row,), pair, (i,) if track else None))
         node.actual_rows = len(combos)
         return [(node.binding, columns)], combos
 

@@ -28,7 +28,8 @@ compaction triggers the same rebuild (see ``Table.compact``).
 **Zone maps** live here too: per column, per zone of
 :data:`ZONE_SIZE` consecutive storage slots, the (min, max) of the
 zone's non-NULL values. They obey the same widen-only discipline
-(replacements widen, deletions are ignored, compaction rebuilds), so a
+(replacements and revived slots widen, deletions are ignored,
+compaction and a merge insert rebuild), so a
 zone's range always covers every live value in it — a batch filter may
 skip a whole zone whenever a total ``column op literal`` conjunct
 cannot hold anywhere in the zone's range (see
@@ -209,6 +210,20 @@ class TableStats:
                     _widen_zone(mins, maxs, zone + number,
                                 min(part), max(part))
 
+    def on_revive(self, slots, columns):
+        """Rows written at arbitrary ``slots`` — revived tombstones, or
+        slots past the end — given as one value vector per schema
+        column aligned with ``slots``."""
+        self.row_count += len(slots)
+        zone = max(slots) >> ZONE_SHIFT
+        for stats, (mins, maxs), values in zip(
+            self.columns, self.zones, columns
+        ):
+            if zone >= len(mins):
+                _pad(mins, maxs, zone)
+            if stats.observe(values) is not None:
+                _widen_slots(mins, maxs, slots, values)
+
     def on_delete(self, rows):
         """The deleted ``rows`` (value tuples) left the table."""
         self.row_count -= len(rows)
@@ -252,19 +267,20 @@ class TableStats:
         """Recompute everything exactly from columnar storage.
 
         ``cols`` are the table's slot-indexed column lists and
-        ``live_slots`` the live slots in scan order (dead slots must be
-        excluded — after compaction that is simply every slot).
+        ``live_slots`` the live slots in scan order, which is ascending
+        (dead slots must be excluded — after compaction that is simply
+        every slot).
         """
         self.row_count = len(live_slots)
         self.columns = tuple(ColumnStats() for _ in cols)
         self.zones = tuple(([], []) for _ in cols)
         if live_slots:
-            top_zone = max(live_slots) >> ZONE_SHIFT
+            top_zone = live_slots[-1] >> ZONE_SHIFT
             for stats, (mins, maxs), column in zip(
                 self.columns, self.zones, cols
             ):
                 _pad(mins, maxs, top_zone)
-                values = [column[slot] for slot in live_slots]
+                values = list(map(column.__getitem__, live_slots))
                 stats.observe(values)
                 _widen_slots(mins, maxs, live_slots, values)
         self.drift = 0

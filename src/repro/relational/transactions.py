@@ -13,7 +13,10 @@ The unit of the log is the unit of change: one record per set mutation
 (``rows`` is None), ``"delete"`` (the deleted rows) or ``"update"`` (the
 rows as they were), ``handles`` and ``rows`` aligned. A record is
 reverted newest tuple first through the table's own set mutators, so
-statistics and indexes follow.
+statistics and indexes follow. Reverting a delete revives the deleted
+tuples' tombstoned slots in place (see :mod:`repro.relational.table`),
+so a rolled-back table reads in the order it had in S0 — the ascending
+handle order crash recovery rebuilds too.
 
 Tuple handles are *not* reclaimed on rollback — the paper requires
 handles to be non-reusable, and a rolled-back insert's handle must never
@@ -129,6 +132,9 @@ class TransactionManager:
         that no concurrent committer invalidated the replay — with
         backward validation, a passing check guarantees every handle
         this replay touches is in the state the redo list expects.
+        Re-inserted tuples go back to their handles' places in the scan
+        order: their slots are revived where :meth:`detach` tombstoned
+        them, or merged in if a compaction has removed them since.
         """
         if self._log is not None:
             raise TransactionError("attach while a transaction is mounted")

@@ -90,9 +90,9 @@ def full_state(db):
         },
         "indexes": {
             name: {
-                key: set(handles)
+                key: handles
                 for key, handles in
-                db.database.indexes.get(name)._entries.items()
+                db.database.indexes.get(name).buckets().items()
                 if handles
             }
             for name in sorted(db.database.indexes.names())

@@ -346,6 +346,64 @@ class TestRecoveredLifecycle:
         for handle, row in table.items():
             rebuilt.setdefault(row[2], set()).add(handle)
         assert {
-            key: set(handles) for key, handles in index._entries.items()
+            key: handles for key, handles in index.buckets().items()
             if handles
         } == rebuilt
+
+
+class TestRecoveredOrderIsLiveOrder:
+    """A table's scan order is ascending handle order, whatever undo,
+    suspension or commit order did to it — so the live database and its
+    crash-recovered copy read the same rows in the same order."""
+
+    def assert_orders_agree(self, db, directory):
+        live_rows = db.rows("select a from t")
+        live_handles = db.database.table("t").handles()
+        assert live_handles == sorted(live_handles)
+        db.durability.close()
+        recovered = recover(directory)
+        assert recovered.rows("select a from t") == live_rows
+        assert recovered.database.table("t").handles() == live_handles
+        return live_rows
+
+    def make(self, directory):
+        db = ActiveDatabase(durability=directory)
+        db.execute("create table t (a integer)")
+        db.execute("insert into t values (1), (2), (3)")
+        return db
+
+    def test_rule_requested_rollback(self, tmp_path):
+        directory = str(tmp_path / "d")
+        db = self.make(directory)
+        db.execute("create rule r when deleted from t then rollback")
+        result = db.execute("delete from t where a = 1")
+        assert not result.committed
+        db.execute("insert into t values (4)")
+        assert self.assert_orders_agree(db, directory) == [
+            (1,), (2,), (3,), (4,)]
+
+    def test_savepoint_rollback_of_a_failing_block(self, tmp_path):
+        directory = str(tmp_path / "d")
+        db = self.make(directory)
+        db.begin()
+        with pytest.raises(Exception):
+            db.execute("delete from t where a = 1; insert into t values ('x')")
+        db.commit()
+        db.execute("insert into t values (4)")
+        assert self.assert_orders_agree(db, directory) == [
+            (1,), (2,), (3,), (4,)]
+
+    def test_commit_order_differs_from_allocation_order(self, tmp_path):
+        from repro.concurrency import TransactionCoordinator
+
+        directory = str(tmp_path / "d")
+        db = self.make(directory)
+        coordinator = TransactionCoordinator(db)
+        first, second = coordinator.open_session(), coordinator.open_session()
+        coordinator.begin(first)
+        coordinator.execute(first, "insert into t values (4)")
+        # mounting the second session suspends the first one's insert
+        coordinator.execute(second, "insert into t values (5)")
+        coordinator.commit(first)  # the older handle commits last
+        assert self.assert_orders_agree(db, directory) == [
+            (1,), (2,), (3,), (4,), (5,)]

@@ -77,8 +77,8 @@ def check_invariants(table):
             assert column_stats.ndv(len(non_null)) >= len(set(non_null))
     # zone soundness: every live non-NULL value is covered by its zone's
     # bounds, and a None minimum proves the zone empty of such values
-    for slot in table._live.values():
-        row = table._tuples[slot]
+    batch = table.batch()
+    for slot, row in zip(batch.sel, batch.rows()):
         zone = slot >> ZONE_SHIFT
         for position in range(arity):
             value = row[position]
@@ -92,7 +92,8 @@ def check_invariants(table):
 
 def check_rebuild_equals_recompute(table):
     fresh = TableStats(table.schema.arity)
-    fresh.rebuild(table._cols, list(table._live.values()))
+    batch = table.batch()
+    fresh.rebuild(batch.cols, batch.sel)
     table.rebuild_stats()
     assert table.stats.snapshot() == fresh.snapshot()
     assert table.stats.zones == fresh.zones

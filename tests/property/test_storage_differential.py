@@ -1,16 +1,19 @@
-"""Differential test: the set mutators against the tuple-at-a-time
-write path they replaced (``tests/reference/row_mutators.py``).
+"""Differential test: the set mutators against a tuple-at-a-time model
+of the storage they replaced (``tests/reference/row_mutators.py``).
 
 One random program — a schema, some indexes, then inserts, updates,
 deletes, savepoints and rollbacks to them, in sets of 0 to 1,000 tuples
 — runs on two databases: through ``Database.insert_rows`` /
 ``assign_columns`` / ``delete_rows`` and the production undo log on one,
-tuple by tuple through the reference on the other. After every step the
-two must be indistinguishable down to the storage arrays: handles, slots,
-tombstones (so compaction happened at the same tuples), rows, column
-vectors, every statistic and zone bound, every index bucket, and the
-number of statistics rebuilds. A set holding a bad value must raise what
-the reference raises at its first bad tuple and leave no trace at all.
+tuple by tuple on the model on the other. After every step the two must
+be indistinguishable through the production tables' public accessors:
+scan order, live slots, storage size and tombstones (so compaction
+happened at the same tuples), rows and column vectors, every statistic,
+every index bucket, the number of compactions, merge inserts and
+statistics rebuilds, and the handles issued — and zone maps, which
+must moreover cover every live value in their zone, also after undo
+revived or merged slots. A set holding a bad value must raise what the
+reference raises at its first bad tuple and leave no trace at all.
 """
 
 import random
@@ -21,9 +24,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.relational.database import Database
-from repro.relational.stats import DISTINCT_CAP, ZONE_SIZE
+from repro.relational.stats import DISTINCT_CAP, ZONE_SHIFT, ZONE_SIZE
 
-from ..reference.row_mutators import RowMutators
+from ..reference.row_mutators import ModelDatabase
 
 TYPES = ("integer", "float", "varchar", "boolean")
 SET_SIZES = (0, 1, 2, 7, ZONE_SIZE - 1, ZONE_SIZE, ZONE_SIZE + 1, 1000)
@@ -50,66 +53,81 @@ def bad_value_for(type_name):
     return {"integer": 1.5, "float": "x", "varchar": 7, "boolean": 1}[type_name]
 
 
-def physical_state(database):
-    """Everything a write can leave behind in the one table ``t``."""
+def observed(database):
+    """What a write can leave behind in the one table ``t``, read through
+    public accessors (the model's ``observed()`` has the same keys)."""
     table = database.table("t")
+    batch = table.batch()
     stats = table.stats
+    rows = table.rows()
     return {
-        "live": list(table._live.items()),
-        "handles": list(table._handles),
-        "valid": list(table._valid),
-        "dead": table._dead,
-        "tuples": [row for row, valid in zip(table._tuples, table._valid)
-                   if valid],
-        "cols": [[value for value, valid in zip(column, table._valid) if valid]
-                 for column in table._cols],
-        "exact": [[repr(value) for value in row]
-                  for row in table.snapshot().values()],
-        "snapshot": table.snapshot(),
+        "handles": table.handles(),
+        "rows": rows,
+        "exact": [[repr(value) for value in row] for row in rows],
+        "vectors": table.column_vectors(table.handles()),
+        "slots": batch.sel,
+        "storage": len(batch.handles),
+        "tombstones": table.tombstones,
+        "compactions": table.compactions,
+        "merge_inserts": table.merge_inserts,
         "row_count": stats.row_count,
         "drift": stats.drift,
         "rows_at_rebuild": stats.rows_at_rebuild,
-        "zones": [(list(mins), list(maxs)) for mins, maxs in stats.zones],
         "columns": [
             (column.minimum, column.maximum, column.nulls,
              set(column.distinct), column.saturated,
              column.ndv(stats.row_count - column.nulls))
             for column in stats.columns
         ],
-        "indexes": {
-            index.name: {key: set(bucket)
-                         for key, bucket in index._entries.items()}
-            for index in table.indexes
-        },
-        "rebuilds": database.optimizer_stats.stats_rebuilds,
-        "stats_epoch": database.stats_epoch,
-        "issued": database.handles.issued_count,
+        "indexes": {index.name: index.buckets() for index in table.indexes},
     }
 
 
+def zones(stats):
+    return [(list(mins), list(maxs)) for mins, maxs in stats.zones]
+
+
+def zones_cover_live_values(table):
+    """Every live non-NULL value lies within its zone's bounds."""
+    batch = table.batch()
+    for slot, row in zip(batch.sel, batch.rows()):
+        for (mins, maxs), value in zip(table.stats.zones, row):
+            if value is not None:
+                zone = slot >> ZONE_SHIFT
+                assert mins[zone] is not None
+                assert mins[zone] <= value <= maxs[zone]
+
+
 class Pair:
-    """The database under test and the reference, run in lockstep."""
+    """The database under test and the model, run in lockstep."""
 
     def __init__(self, types, indexed):
         self.types = types
         self.names = [f"c{position}" for position in range(len(types))]
         self.ours = Database()
-        self.theirs = Database()
-        for database in (self.ours, self.theirs):
+        self.model = ModelDatabase()
+        for database in (self.ours, self.model):
             database.create_table("t", list(zip(self.names, types)))
             for position in indexed:
                 database.create_index(
                     f"i{position}", "t", self.names[position])
-        self.reference = RowMutators(self.theirs)
         self.ours.transactions.begin()
-        self.reference.begin()
+        self.model.begin()
         self.savepoints = []
 
     def live(self):
         return self.ours.table("t").handles()
 
     def check(self):
-        assert physical_state(self.ours) == physical_state(self.theirs)
+        ours = self.ours
+        assert observed(ours) == self.model.table("t").observed()
+        assert (ours.optimizer_stats.stats_rebuilds, ours.stats_epoch,
+                ours.handles.issued_count) == (
+            self.model.stats_rebuilds, self.model.stats_epoch,
+            self.model.issued_count)
+        table = ours.table("t")
+        assert zones(table.stats) == zones(self.model.table("t").stats)
+        zones_cover_live_values(table)
 
     # -- steps --------------------------------------------------------------
 
@@ -117,39 +135,33 @@ class Pair:
         handles = self.ours.insert_rows(
             "t", [list(column) for column in zip(*rows)]
             if rows else [[] for _ in self.names])
-        expected = [self.reference.insert_row("t", row) for row in rows]
-        assert list(handles) == expected
+        assert list(handles) == self.model.insert_rows("t", rows)
 
     def update(self, handles, positions, vectors):
         names = [self.names[position] for position in positions]
         old = self.ours.assign_columns("t", handles, names, vectors)
-        assert old == [
-            self.reference.update_row(
-                "t", handle, dict(zip(names, values)))[0]
-            for handle, values in zip(handles, zip(*vectors))
-        ]
+        assert old == self.model.update_rows("t", handles, names, vectors)
 
     def delete(self, handles):
         rows = self.ours.delete_rows("t", handles)
-        assert rows == [
-            self.reference.delete_row("t", handle) for handle in handles]
+        assert rows == self.model.delete_rows("t", handles)
 
     def savepoint(self):
         self.savepoints.append((
-            self.ours.transactions.savepoint(), self.reference.savepoint()))
+            self.ours.transactions.savepoint(), self.model.savepoint()))
 
     def rollback_to(self, depth):
         ours, theirs = self.savepoints[depth]
         del self.savepoints[depth + 1:]
         self.ours.transactions.rollback_to_savepoint(ours)
-        self.reference.rollback_to_savepoint(theirs)
+        self.model.rollback_to_savepoint(theirs)
 
     def failing(self, write, tuples):
         """``write`` must raise what the reference raises coercing the
         first bad tuple of ``tuples`` — one per tuple, each a list of
         ``(column position, value)`` — and change nothing."""
         schema = self.ours.schema("t")
-        before = physical_state(self.ours)
+        before = observed(self.ours)
         version = self.ours.table("t").mutations
         log_length = self.ours.transactions.savepoint()
         with pytest.raises(ReproError) as expected:
@@ -160,7 +172,7 @@ class Pair:
             write()
         assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
-        assert physical_state(self.ours) == before
+        assert observed(self.ours) == before
         assert self.ours.table("t").mutations == version
         assert self.ours.transactions.savepoint() == log_length
 
@@ -224,7 +236,7 @@ def run_program(seed, types, indexed, spreads, steps):
             pair.rollback_to(rng.randrange(len(pair.savepoints)))
         pair.check()
     pair.ours.transactions.rollback()
-    pair.reference.rollback()
+    pair.model.rollback()
     pair.check()
     assert pair.ours.table("t").snapshot() == {}
 
@@ -281,3 +293,58 @@ class TestSetMutatorsAgainstRowAtATime:
         pair.check()
         column = pair.ours.table("t").stats.columns[0]
         assert column.saturated and len(column.distinct) == DISTINCT_CAP
+
+
+class TestLocate:
+    """``Table.locate`` — the merge walk that replaced the handle→slot
+    dict — against that dict, on storage with allocation gaps and
+    tombstones, for sets in every order and shape; a set naming a dead
+    handle, or one handle twice, is refused with the first offender."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_against_a_slot_dict(self, seed):
+        rng = random.Random(seed)
+        database = Database()
+        database.create_table("t", [("a", "integer")])
+        database.create_table("u", [("a", "integer")])
+        for _ in range(rng.randint(1, 8)):
+            database.insert_rows(
+                rng.choice("tu"), [[1] * rng.randint(1, 2 * ZONE_SIZE)])
+        table = database.table("t")
+        if len(table) > 2 and rng.random() < 0.6:
+            live = table.handles()
+            database.delete_rows(
+                "t", rng.sample(live, rng.randint(1, len(live) - 1)))
+        batch = table.batch()
+        slot_of = {batch.handles[slot]: slot for slot in batch.sel}
+        live = table.handles()
+        if not live:
+            return
+        dead = sorted(set(range(1, database.handles.issued_count + 2))
+                      - set(live))
+        for _ in range(10):
+            count = rng.randint(1, len(live))
+            shape = rng.random()
+            if shape < 0.3:
+                chosen = rng.sample(live, count)
+            elif shape < 0.6:
+                chosen = sorted(rng.sample(live, count))
+            else:
+                start = rng.randrange(len(live))
+                chosen = live[start:start + count]
+            assert table.locate(chosen) == [slot_of[h] for h in chosen]
+            bad = list(chosen)
+            at = rng.randrange(len(bad) + 1)
+            bad.insert(at, rng.choice(chosen if rng.random() < 0.5 else dead))
+            seen, expected = set(), None
+            for handle in bad:
+                if handle in seen:
+                    expected = f"handle {handle} named twice"
+                elif handle not in slot_of:
+                    expected = f"handle {handle} is not live"
+                if expected:
+                    break
+                seen.add(handle)
+            with pytest.raises(ReproError, match=expected):
+                table.locate(bad)

@@ -194,8 +194,8 @@ def logged_handles(v1_records):
 def index_contents(db):
     return {
         name: {
-            key: set(handles)
-            for key, handles in db.database.indexes.get(name)._entries.items()
+            key: handles
+            for key, handles in db.database.indexes.get(name).buckets().items()
             if handles
         }
         for name in db.database.indexes.names()

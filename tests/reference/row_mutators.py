@@ -1,357 +1,427 @@
-"""Reference write path: the tuple-at-a-time mutators the repo shipped
-until the set mutators of :mod:`repro.relational.database` /
-:mod:`repro.relational.table` replaced them.
+"""Reference storage: a self-contained model of one database's tables,
+kept in the layout the repo started from — a handle→slot dict plus one
+row tuple per slot — and written one tuple at a time.
 
-Test-only. ``tests/property/test_storage_differential.py`` holds the set
-mutators to this module: the same handles, storage, statistics, zone
-maps, index buckets, compaction points and errors, whatever way a
-workload is cut into sets. Everything here is the seed's code verbatim —
-``Database.insert_row`` / ``delete_row`` / ``update_row``,
-``TransactionManager``'s undo log, ``Table.insert`` / ``delete`` /
-``replace`` / ``compact``, ``TableStats.on_insert`` / ``on_delete`` /
-``on_replace`` / ``rebuild``, ``ColumnStats.observe`` / ``forget`` and
-``HashIndex.on_insert`` / ``on_delete`` / ``on_replace`` — turned into
-functions over the production objects' fields, so nothing on this side
-runs a line of the code under test. (``restore_row`` is the seed's
-``Database.restore_row``, which ``tests/reference/wal_v1.py`` replays
-through.)
+Test-only. ``tests/property/test_storage_differential.py`` holds the
+production set mutators (:mod:`repro.relational.database` /
+:mod:`repro.relational.table`) to this model: the same handles, scan
+order, slots and tombstones, rows and column vectors, statistics, zone
+maps, index buckets, compaction points and statistics rebuilds, however
+a workload is cut into sets. Nothing here calls the storage under test —
+the model keeps its own tables, statistics, indexes, handle counter and
+undo log, and borrows only the schema layer's value coercion and the
+storage constants (zone size, compaction and drift thresholds).
+
+The write paths are the seed's ``Table.insert`` / ``delete`` /
+``replace`` / ``compact`` and ``TableStats.on_insert`` / ``on_delete``
+/ ``on_replace`` / ``rebuild``, tuple by tuple. Undo follows the
+storage contract of :mod:`repro.relational.table` — a table's scan
+order is ascending handle order: undoing a delete puts each tuple back
+at its handle's ordered position, reviving its tombstoned slot when
+there is one. When a slot is gone (compacted away) and the handle lies
+below the largest stored one, the undo of that set is a *merge insert*,
+which rebuilds the statistics exactly from storage once the set is
+back; otherwise the restored tuples widen the zones of their slots.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.errors import ExecutionError, TransactionError
+from repro.relational.schema import Column, TableSchema
 from repro.relational.stats import (
     DISTINCT_CAP,
     REBUILD_MIN_DRIFT,
     ZONE_SHIFT,
-    ColumnStats,
 )
+from repro.relational.types import SqlType
 
 _COMPACT_MIN_DEAD = 64
 
 
 # ---------------------------------------------------------------------------
-# ColumnStats / TableStats
+# statistics
 
 
-def observe(stats, value):
-    if value is None:
-        stats.nulls += 1
-        return
-    if stats.minimum is None:
-        stats.minimum = value
-        stats.maximum = value
-    else:
-        if value < stats.minimum:
-            stats.minimum = value
-        elif value > stats.maximum:
-            stats.maximum = value
-    if not stats.saturated:
-        stats.distinct.add(value)
-        if len(stats.distinct) >= DISTINCT_CAP:
-            stats.saturated = True
+class ColumnModel:
+    """Widen-only summary of one column (``ColumnStats``' fields)."""
+
+    def __init__(self):
+        self.minimum = None
+        self.maximum = None
+        self.nulls = 0
+        self.distinct = set()
+        self.saturated = False
+
+    def observe(self, value):
+        if value is None:
+            self.nulls += 1
+            return
+        if self.minimum is None:
+            self.minimum = value
+            self.maximum = value
+        else:
+            if value < self.minimum:
+                self.minimum = value
+            elif value > self.maximum:
+                self.maximum = value
+        if not self.saturated:
+            self.distinct.add(value)
+            if len(self.distinct) >= DISTINCT_CAP:
+                self.saturated = True
+
+    def forget(self, value):
+        """A deletion: only the exact counters can shrink."""
+        if value is None:
+            self.nulls -= 1
+
+    def ndv(self, non_null_rows):
+        if not self.saturated:
+            return len(self.distinct)
+        return max(DISTINCT_CAP, non_null_rows)
 
 
-def forget(stats, value):
-    """A deletion: only the exact counters can shrink."""
-    if value is None:
-        stats.nulls -= 1
+class StatsModel:
+    """Row count, column summaries, per-zone ``(mins, maxs)`` and drift."""
 
+    def __init__(self, arity):
+        self.row_count = 0
+        self.columns = tuple(ColumnModel() for _ in range(arity))
+        self.zones = tuple(([], []) for _ in range(arity))
+        self.drift = 0
+        self.rows_at_rebuild = 0
 
-def stats_on_insert(stats, slot, row):
-    stats.row_count += 1
-    zone = slot >> ZONE_SHIFT
-    for column, (mins, maxs), value in zip(stats.columns, stats.zones, row):
-        if zone >= len(mins):
-            # pad: rebuilds truncate to the last *live* zone, but new
-            # slots append past any trailing tombstoned region
-            pad = zone + 1 - len(mins)
-            mins.extend([None] * pad)
-            maxs.extend([None] * pad)
-        if value is not None:
-            low = mins[zone]
-            if low is None or value < low:
-                mins[zone] = value
-            if low is None or value > maxs[zone]:
-                maxs[zone] = value
-        observe(column, value)
-
-
-def stats_on_delete(stats, row):
-    stats.row_count -= 1
-    stats.drift += 1
-    for column, value in zip(stats.columns, row):
-        forget(column, value)
-
-
-def stats_on_replace(stats, slot, old_row, new_row):
-    stats.drift += 1
-    zone = slot >> ZONE_SHIFT
-    for column, (mins, maxs), old, new in zip(
-        stats.columns, stats.zones, old_row, new_row
-    ):
-        forget(column, old)
-        if new is not None:
+    def widen(self, slot, row):
+        """Make the zone of ``slot`` cover ``row``'s values."""
+        zone = slot >> ZONE_SHIFT
+        for (mins, maxs), value in zip(self.zones, row):
             if zone >= len(mins):
+                # pad: rebuilds truncate to the last *live* zone, but new
+                # slots append past any trailing tombstoned region
                 pad = zone + 1 - len(mins)
                 mins.extend([None] * pad)
                 maxs.extend([None] * pad)
-            low = mins[zone]
-            if low is None or new < low:
-                mins[zone] = new
-            if low is None or new > maxs[zone]:
-                maxs[zone] = new
-        observe(column, new)
+            if value is not None:
+                low = mins[zone]
+                if low is None or value < low:
+                    mins[zone] = value
+                if low is None or value > maxs[zone]:
+                    maxs[zone] = value
 
+    def observe(self, row):
+        self.row_count += 1
+        for column, value in zip(self.columns, row):
+            column.observe(value)
 
-def should_rebuild(stats):
-    return stats.drift >= max(REBUILD_MIN_DRIFT, stats.rows_at_rebuild)
+    def on_insert(self, slot, row):
+        self.widen(slot, row)
+        self.observe(row)
 
+    def on_delete(self, row):
+        self.row_count -= 1
+        self.drift += 1
+        for column, value in zip(self.columns, row):
+            column.forget(value)
 
-def stats_rebuild(stats, cols, live_slots):
-    """Recompute everything exactly from columnar storage."""
-    stats.row_count = len(live_slots)
-    stats.columns = tuple(ColumnStats() for _ in cols)
-    stats.zones = tuple(([], []) for _ in cols)
-    n_zones = (
-        ((max(live_slots) >> ZONE_SHIFT) + 1) if live_slots else 0
-    )
-    for column_stats, (mins, maxs), column in zip(
-        stats.columns, stats.zones, cols
-    ):
-        mins.extend([None] * n_zones)
-        maxs.extend([None] * n_zones)
-        for slot in live_slots:
-            value = column[slot]
-            observe(column_stats, value)
-            if value is None:
-                continue
-            zone = slot >> ZONE_SHIFT
-            low = mins[zone]
-            if low is None or value < low:
-                mins[zone] = value
-            if low is None or value > maxs[zone]:
-                maxs[zone] = value
-    stats.drift = 0
-    stats.rows_at_rebuild = stats.row_count
+    def on_replace(self, slot, old_row, new_row):
+        self.drift += 1
+        zone = slot >> ZONE_SHIFT
+        for column, (mins, maxs), old, new in zip(
+            self.columns, self.zones, old_row, new_row
+        ):
+            column.forget(old)
+            if new is not None:
+                if zone >= len(mins):
+                    pad = zone + 1 - len(mins)
+                    mins.extend([None] * pad)
+                    maxs.extend([None] * pad)
+                low = mins[zone]
+                if low is None or new < low:
+                    mins[zone] = new
+                if low is None or new > maxs[zone]:
+                    maxs[zone] = new
+            column.observe(new)
 
+    def should_rebuild(self):
+        return self.drift >= max(REBUILD_MIN_DRIFT, self.rows_at_rebuild)
 
-# ---------------------------------------------------------------------------
-# HashIndex
-
-
-def index_on_insert(index, handle, row):
-    value = row[index.position]
-    if value is None:
-        return
-    index._entries.setdefault(value, set()).add(handle)
-
-
-def index_on_delete(index, handle, row):
-    value = row[index.position]
-    if value is None:
-        return
-    bucket = index._entries.get(value)
-    if bucket is not None:
-        bucket.discard(handle)
-        if not bucket:
-            del index._entries[value]
-
-
-def index_on_replace(index, handle, old_row, new_row):
-    old_value = old_row[index.position]
-    new_value = new_row[index.position]
-    if old_value == new_value:
-        return
-    index_on_delete(index, handle, old_row)
-    index_on_insert(index, handle, new_row)
+    def rebuild(self, arity, live):
+        """Recompute everything from ``live``, ``(slot, row)`` pairs in
+        slot order."""
+        self.row_count = 0
+        self.columns = tuple(ColumnModel() for _ in range(arity))
+        self.zones = tuple(([], []) for _ in range(arity))
+        if live:
+            top = (live[-1][0] >> ZONE_SHIFT) + 1
+            for mins, maxs in self.zones:
+                mins.extend([None] * top)
+                maxs.extend([None] * top)
+        for slot, row in live:
+            self.widen(slot, row)
+            self.observe(row)
+        self.drift = 0
+        self.rows_at_rebuild = self.row_count
 
 
 # ---------------------------------------------------------------------------
-# Table
+# indexes and tables
 
 
-def table_insert(table, handle, row):
-    """Store ``row`` (already schema-coerced) under ``handle``."""
-    if handle in table._live:
-        raise ExecutionError(
-            f"handle {handle} already live in table {table.schema.name!r}"
-        )
-    table.mutations += 1
-    slot = len(table._handles)
-    table._handles.append(handle)
-    table._tuples.append(row)
-    table._valid.append(True)
-    for column, value in zip(table._cols, row):
-        column.append(value)
-    table._live[handle] = slot
-    stats_on_insert(table.stats, slot, row)
-    for index in table.indexes:
-        index_on_insert(index, handle, row)
+class IndexModel:
+    """``{value: handles}`` over one column; NULLs are not indexed."""
+
+    def __init__(self, name, position):
+        self.name = name
+        self.position = position
+        self.buckets = {}
+
+    def insert(self, handle, row):
+        value = row[self.position]
+        if value is not None:
+            self.buckets.setdefault(value, set()).add(handle)
+
+    def delete(self, handle, row):
+        value = row[self.position]
+        bucket = self.buckets.get(value)
+        if bucket is not None:
+            bucket.discard(handle)
+            if not bucket:
+                del self.buckets[value]
+
+    def replace(self, handle, old_row, new_row):
+        if old_row[self.position] != new_row[self.position]:
+            self.delete(handle, old_row)
+            self.insert(handle, new_row)
 
 
-def table_delete(table, handle):
-    """Remove and return the row stored under ``handle``."""
-    slot = table._live.pop(handle, None)
-    if slot is None:
-        raise ExecutionError(
-            f"cannot delete handle {handle}: not live in table "
-            f"{table.schema.name!r}"
-        )
-    table.mutations += 1
-    row = table._tuples[slot]
-    table._valid[slot] = False
-    table._dead += 1
-    stats_on_delete(table.stats, row)
-    for index in table.indexes:
-        index_on_delete(index, handle, row)
-    if (
-        table._dead >= _COMPACT_MIN_DEAD
-        and table._dead * 2 >= len(table._handles)
-    ):
-        table_compact(table)
-    elif should_rebuild(table.stats):
-        table_rebuild_stats(table)
-    return row
+class TableModel:
+    """One table: ``live`` maps handle → slot; per slot its handle, its
+    row tuple and whether it is live."""
 
+    def __init__(self, owner, schema):
+        self.owner = owner
+        self.schema = schema
+        self.live = {}
+        self.slot_handles = []
+        self.tuples = []
+        self.valid = []
+        self.dead = 0
+        self.indexes = []
+        self.stats = StatsModel(schema.arity)
+        self.compactions = 0
+        self.merge_inserts = 0
 
-def table_replace(table, handle, row):
-    """Overwrite the row under a live ``handle``; returns the old row."""
-    slot = table._live.get(handle)
-    if slot is None:
-        raise ExecutionError(
-            f"cannot update handle {handle}: not live in table "
-            f"{table.schema.name!r}"
-        )
-    table.mutations += 1
-    old = table._tuples[slot]
-    table._tuples[slot] = row
-    for column, value in zip(table._cols, row):
-        column[slot] = value
-    stats_on_replace(table.stats, slot, old, row)
-    for index in table.indexes:
-        index_on_replace(index, handle, old, row)
-    if should_rebuild(table.stats):
-        table_rebuild_stats(table)
-    return old
+    def insert(self, handle, row):
+        """Store a fresh tuple (its handle is the largest yet): append."""
+        if handle in self.live:
+            raise ExecutionError(
+                f"handle {handle} already live in table {self.schema.name!r}")
+        slot = len(self.slot_handles)
+        self.slot_handles.append(handle)
+        self.tuples.append(row)
+        self.valid.append(True)
+        self.live[handle] = slot
+        self.stats.on_insert(slot, row)
+        for index in self.indexes:
+            index.insert(handle, row)
 
-
-def table_compact(table):
-    """Drop tombstoned slots, renumbering the survivors in scan order."""
-    if not table._dead:
-        return 0
-    old_cols = table._cols
-    old_tuples = table._tuples
-    old_handles_col = table._handles
-    cols = tuple([] for _ in old_cols)
-    handles_col = []
-    tuples = []
-    live = {}
-    for handle, slot in table._live.items():
-        live[handle] = len(handles_col)
-        handles_col.append(old_handles_col[slot])
-        tuples.append(old_tuples[slot])
-        for column, old_column in zip(cols, old_cols):
-            column.append(old_column[slot])
-    table._cols = cols
-    table._handles = handles_col
-    table._tuples = tuples
-    table._valid = [True] * len(handles_col)
-    table._live = live
-    reclaimed = table._dead
-    table._dead = 0
-    table_rebuild_stats(table)
-    return reclaimed
-
-
-def table_rebuild_stats(table):
-    stats_rebuild(table.stats, table._cols, list(table._live.values()))
-    if table.on_stats_rebuild is not None:
-        table.on_stats_rebuild()
-
-
-# ---------------------------------------------------------------------------
-# Database + TransactionManager
-
-
-class RowMutators:
-    """The seed's ``Database`` mutation primitives and undo log over one
-    production :class:`~repro.relational.database.Database`, which this
-    object alone must write to."""
-
-    def __init__(self, database):
-        self.database = database
-        self._log = None  # None = no active transaction
-
-    # -- physical mutation primitives (undo-logged) -------------------------
-
-    def insert_row(self, table_name, values):
-        """Insert one coerced row; returns the new tuple handle."""
-        database = self.database
-        if database.on_table_write is not None:
-            database.on_table_write(table_name)
-        table = database.table(table_name)
-        row = table.schema.coerce_row(values)
-        handle = database.handles.allocate(table_name)
-        table_insert(table, handle, row)
-        if self._log is not None:
-            self._log.append(("insert", table_name, handle, None))
-        database.version += 1
-        return handle
-
-    def restore_row(self, table_name, handle, values):
-        """Re-insert a row under its original handle (crash recovery).
-
-        Identical to :meth:`insert_row` except the handle comes from
-        durable state instead of the allocator.
-        """
-        database = self.database
-        if database.on_table_write is not None:
-            database.on_table_write(table_name)
-        table = database.table(table_name)
-        row = table.schema.coerce_row(values)
-        database.handles.restore([handle], table_name)
-        table_insert(table, handle, row)
-        if self._log is not None:
-            self._log.append(("insert", table_name, handle, None))
-        database.version += 1
-        return handle
-
-    def delete_row(self, table_name, handle):
-        """Delete the tuple under ``handle``; returns its final row value."""
-        database = self.database
-        if database.on_table_write is not None:
-            database.on_table_write(table_name)
-        table = database.table(table_name)
-        row = table_delete(table, handle)
-        if self._log is not None:
-            self._log.append(("delete", table_name, handle, row))
-        database.version += 1
+    def delete(self, handle):
+        slot = self.live.pop(handle, None)
+        if slot is None:
+            raise ExecutionError(
+                f"handle {handle} is not live in table {self.schema.name!r}")
+        row = self.tuples[slot]
+        self.valid[slot] = False
+        self.dead += 1
+        self.stats.on_delete(row)
+        for index in self.indexes:
+            index.delete(handle, row)
+        if (self.dead >= _COMPACT_MIN_DEAD
+                and self.dead * 2 >= len(self.slot_handles)):
+            self.compact()
+        elif self.stats.should_rebuild():
+            self.rebuild_stats()
         return row
 
-    def update_row(self, table_name, handle, new_values_by_column):
-        """Assign new values to some columns of a live tuple; returns
-        ``(old_row, new_row)``."""
-        database = self.database
-        if database.on_table_write is not None:
-            database.on_table_write(table_name)
-        table = database.table(table_name)
-        schema = table.schema
-        old_row = table.get(handle)
-        new_row = list(old_row)
-        for column_name, value in new_values_by_column.items():
-            position = schema.column_position(column_name)
-            new_row[position] = schema.columns[position].coerce(
-                value, schema.name
-            )
-        new_row = tuple(new_row)
-        table_replace(table, handle, new_row)
-        if self._log is not None:
-            self._log.append(("update", table_name, handle, old_row))
-        database.version += 1
-        return old_row, new_row
+    def replace(self, handle, row):
+        slot = self.live.get(handle)
+        if slot is None:
+            raise ExecutionError(
+                f"handle {handle} is not live in table {self.schema.name!r}")
+        old = self.tuples[slot]
+        self.tuples[slot] = row
+        self.stats.on_replace(slot, old, row)
+        for index in self.indexes:
+            index.replace(handle, old, row)
+        if self.stats.should_rebuild():
+            self.rebuild_stats()
+        return old
 
-    # -- transactions --------------------------------------------------------
+    def restore(self, entries):
+        """Undo of one deleted set: ``(handle, row)`` pairs, in the order
+        the undo puts them back. Each goes to its handle's ordered
+        position; see the module docstring for revival and merging."""
+        top = self.slot_handles[-1] if self.slot_handles else None
+        merged = False
+        for handle, row in entries:
+            position = bisect_left(self.slot_handles, handle)
+            if (position < len(self.slot_handles)
+                    and self.slot_handles[position] == handle):
+                self.valid[position] = True  # a tombstone revived
+                self.tuples[position] = row
+                self.dead -= 1
+            else:
+                merged = merged or (top is not None and handle < top)
+                self.slot_handles.insert(position, handle)
+                self.tuples.insert(position, row)
+                self.valid.insert(position, True)
+            self.stats.observe(row)
+            for index in self.indexes:
+                index.insert(handle, row)
+        self.live = {
+            handle: slot for slot, (handle, valid)
+            in enumerate(zip(self.slot_handles, self.valid)) if valid
+        }
+        if merged:
+            self.merge_inserts += 1
+            self.rebuild_stats()
+        else:
+            for handle, row in entries:
+                self.stats.widen(self.live[handle], row)
+
+    def compact(self):
+        keep = [slot for slot, valid in enumerate(self.valid) if valid]
+        self.slot_handles = [self.slot_handles[slot] for slot in keep]
+        self.tuples = [self.tuples[slot] for slot in keep]
+        self.valid = [True] * len(keep)
+        self.live = {handle: slot
+                     for slot, handle in enumerate(self.slot_handles)}
+        self.dead = 0
+        self.compactions += 1
+        self.rebuild_stats()
+
+    def rebuild_stats(self):
+        self.stats.rebuild(self.schema.arity, [
+            (slot, self.tuples[slot]) for slot in sorted(self.live.values())
+        ])
+        self.owner.stats_rebuilds += 1
+        self.owner.stats_epoch += 1
+
+    # -- what the production side is compared on ------------------------------
+
+    def handles(self):
+        """Live handles in scan (slot) order."""
+        return [handle for handle, valid in zip(self.slot_handles, self.valid)
+                if valid]
+
+    def rows(self):
+        return [row for row, valid in zip(self.tuples, self.valid) if valid]
+
+    def observed(self):
+        stats = self.stats
+        rows = self.rows()
+        return {
+            "handles": self.handles(),
+            "rows": rows,
+            "exact": [[repr(value) for value in row] for row in rows],
+            "vectors": [list(column) for column in zip(*rows)]
+            if rows else [[] for _ in range(self.schema.arity)],
+            "slots": [slot for slot, valid in enumerate(self.valid) if valid],
+            "storage": len(self.slot_handles),
+            "tombstones": self.dead,
+            "compactions": self.compactions,
+            "merge_inserts": self.merge_inserts,
+            "row_count": stats.row_count,
+            "drift": stats.drift,
+            "rows_at_rebuild": stats.rows_at_rebuild,
+            "columns": [
+                (column.minimum, column.maximum, column.nulls,
+                 set(column.distinct), column.saturated,
+                 column.ndv(stats.row_count - column.nulls))
+                for column in stats.columns
+            ],
+            "indexes": {index.name: {value: set(bucket) for value, bucket
+                                     in index.buckets.items()}
+                        for index in self.indexes},
+        }
+
+
+# ---------------------------------------------------------------------------
+# database + undo log
+
+
+class ModelDatabase:
+    """The model's catalog, handle counter and undo log. Every set
+    operation is written tuple by tuple and logged as one record, which
+    rollback undoes newest tuple first."""
+
+    def __init__(self):
+        self.tables = {}
+        self.issued_count = 0
+        self.stats_rebuilds = 0
+        self.stats_epoch = 0
+        self._log = None  # None = no active transaction
+
+    def create_table(self, name, columns):
+        schema = TableSchema(name, [
+            Column(column, SqlType.from_name(type_name))
+            for column, type_name in columns
+        ])
+        self.tables[name] = TableModel(self, schema)
+
+    def create_index(self, name, table_name, column):
+        table = self.tables[table_name]
+        index = IndexModel(name, table.schema.column_position(column))
+        for handle, slot in table.live.items():
+            index.insert(handle, table.tuples[slot])
+        table.indexes.append(index)
+        self.stats_epoch += 1
+
+    def table(self, name):
+        return self.tables[name]
+
+    def _logged(self, record):
+        if self._log is not None:
+            self._log.append(record)
+
+    # -- set operations, tuple by tuple ----------------------------------------
+
+    def insert_rows(self, table_name, rows):
+        table = self.tables[table_name]
+        handles = []
+        for values in rows:
+            row = table.schema.coerce_row(values)
+            self.issued_count += 1
+            table.insert(self.issued_count, row)
+            handles.append(self.issued_count)
+        if handles:
+            self._logged(("insert", table_name, handles))
+        return handles
+
+    def delete_rows(self, table_name, handles):
+        table = self.tables[table_name]
+        entries = [(handle, table.delete(handle)) for handle in handles]
+        if entries:
+            self._logged(("delete", table_name, entries))
+        return [row for _, row in entries]
+
+    def update_rows(self, table_name, handles, column_names, vectors):
+        table = self.tables[table_name]
+        schema = table.schema
+        positions = [schema.column_position(name) for name in column_names]
+        entries = []
+        for handle, values in zip(handles, zip(*vectors)):
+            new_row = list(table.tuples[table.live[handle]])
+            for position, value in zip(positions, values):
+                new_row[position] = schema.columns[position].coerce(
+                    value, schema.name)
+            entries.append((handle, table.replace(handle, tuple(new_row))))
+        if entries:
+            self._logged(("update", table_name, entries))
+        return [row for _, row in entries]
+
+    # -- transactions ----------------------------------------------------------
 
     def begin(self):
         if self._log is not None:
@@ -362,24 +432,21 @@ class RowMutators:
         self._log = None
 
     def rollback(self):
-        """Undo every logged mutation and end the transaction."""
-        self._undo_to(0)
+        self.rollback_to_savepoint(0)
         self._log = None
 
     def savepoint(self):
         return len(self._log)
 
     def rollback_to_savepoint(self, savepoint):
-        """Undo mutations performed after ``savepoint``; txn stays active."""
-        self._undo_to(savepoint)
-
-    def _undo_to(self, position):
-        while len(self._log) > position:
-            kind, table_name, handle, row = self._log.pop()
-            table = self.database.table(table_name)
+        while len(self._log) > savepoint:
+            kind, table_name, entries = self._log.pop()
+            table = self.tables[table_name]
             if kind == "insert":
-                table_delete(table, handle)
+                for handle in reversed(entries):
+                    table.delete(handle)
             elif kind == "delete":
-                table_insert(table, handle, row)
+                table.restore(entries[::-1])
             else:
-                table_replace(table, handle, row)
+                for handle, row in reversed(entries):
+                    table.replace(handle, row)

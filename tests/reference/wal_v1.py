@@ -7,16 +7,14 @@ production build → encode → decode → bulk replay to this module's
 build → row-at-a-time replay: same rows, same storage order, same
 handles, indexes and rebuilt statistics. :func:`build_commit_record` and
 :func:`replay_commit_record` are the seed's functions verbatim, except
-that replay writes through ``tests/reference/row_mutators.py`` — the
-seed's ``Database.restore_row`` / ``delete_row`` / ``update_row``, which
-left ``src/`` after them.
+that replay writes one tuple per call through the database's n = 1
+spellings (``insert_rows`` of one row under its logged handle — the
+seed's ``Database.restore_row`` — ``delete_row`` and ``update_row``).
 """
 
 from __future__ import annotations
 
 from repro.durability.wal import WalError
-
-from .row_mutators import RowMutators
 
 
 def build_commit_record(txn_id, effect, database):
@@ -66,21 +64,19 @@ def replay_commit_record(record, database):
     """Apply one commit record's net effect to a recovering database.
 
     Deletes first, then inserts (ascending handle order — allocation
-    order), then updates: inserted handles are always fresher than
-    anything live, so this reproduces the original storage order
-    byte-for-byte.
+    order), then updates; storage keeps every table in ascending handle
+    order, so this reproduces the original storage order.
 
     Raises:
         WalError: when the post-replay row counts disagree with the
             counts recorded at commit time.
     """
-    rows = RowMutators(database)
     for table, handle in record["delete"]:
-        rows.delete_row(table, handle)
+        database.delete_row(table, handle)
     for table, handle, values in record["insert"]:
-        rows.restore_row(table, handle, values)
+        database.insert_rows(table, [[value] for value in values], [handle])
     for table, handle, values in record["update"]:
-        rows.update_row(table, handle, values)
+        database.update_row(table, handle, values)
     database.handles.advance_past(record["handle_hwm"])
     for table, expected in record["counts"].items():
         actual = database.row_count(table)

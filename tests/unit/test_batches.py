@@ -181,9 +181,11 @@ class TestUndoOverColumnBatches:
         database.delete_row("t", handles[1])
         database.transactions.rollback()
         assert database.table("t").get(handles[1]) == (1, "r")
-        # undo re-inserts, so the restored row returns at the end of
-        # insertion (scan) order — same as the dict storage it replaced
-        assert database.table("t").rows() == [(0, "r"), (2, "r"), (1, "r")]
+        # undo revives the tombstoned slot: the restored row is back at
+        # its handle's place in the scan order, and no slot was added
+        assert database.table("t").rows() == [(0, "r"), (1, "r"), (2, "r")]
+        assert database.table("t").tombstones == 0
+        assert len(database.table("t").batch().handles) == 3
 
     def test_undo_after_auto_compaction(self, database):
         count = 2 * _COMPACT_MIN_DEAD
@@ -198,7 +200,10 @@ class TestUndoOverColumnBatches:
         database.transactions.rollback()
         table = database.table("t")
         assert len(table) == count
-        assert sorted(table.rows()) == [(v, "r") for v in range(count)]
+        # the compacted-away slots come back through merge inserts, one
+        # per undone delete, each at its handle's place
+        assert table.rows() == [(v, "r") for v in range(count)]
+        assert table.merge_inserts == _COMPACT_MIN_DEAD
         for handle in handles:
             assert handle in table
 

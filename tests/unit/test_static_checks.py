@@ -3,8 +3,8 @@ with the standard library alone — neither tool can be installed in the
 development sandbox, so without this a missing annotation or a stale
 import is found only after the push.
 
-* every function in the packages ``pyproject.toml`` hands to strict
-  mypy annotates all its parameters and its return type;
+* every function in the packages and modules ``pyproject.toml`` hands
+  to strict mypy annotates all its parameters and its return type;
 * no module under ``src/`` imports a name it never uses (ruff ``F401``).
 """
 
@@ -15,8 +15,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: ``[tool.mypy] files`` in pyproject.toml
-STRICT_PACKAGES = ("repro/analysis", "repro/sql", "repro/relational/plan")
+#: ``[tool.mypy] files`` in pyproject.toml: packages, and single modules
+STRICT_PACKAGES = (
+    "repro/analysis", "repro/sql", "repro/relational/plan",
+    "repro/relational/table.py", "repro/relational/batch.py",
+    "repro/relational/handles.py",
+)
 #: modules under an override that sets ``disallow_untyped_defs =
 #: false`` (none left: the whole of each package is strict)
 RELAXED_MODULES: set = set()
@@ -24,7 +28,9 @@ RELAXED_MODULES: set = set()
 
 def modules(*packages):
     paths = sorted(
-        path for package in packages for path in (SRC / package).rglob("*.py")
+        path for package in packages
+        for path in ([SRC / package] if package.endswith(".py")
+                     else (SRC / package).rglob("*.py"))
     )
     assert paths, f"nothing under {packages}"
     return [pytest.param(path, id=str(path.relative_to(SRC)))

@@ -125,7 +125,7 @@ class TestHandleAllocator:
             allocator.allocate_many("big", 1000)
         allocator.allocate("small")
         allocator.allocate_many("big", 10)
-        assert len(allocator._starts) == 3
+        assert len(allocator.blocks()) == 3
         assert allocator.table_of(1) == allocator.table_of(50_000) == "big"
         assert allocator.table_of(50_001) == "small"
         assert allocator.table_of(50_011) == "big"
@@ -143,7 +143,8 @@ class TestHandleAllocator:
         allocator.restore([1, 3, 5, 6, 7], "a")
         assert [allocator.table_of(h) for h in range(1, 10)] == [
             "a", "b", "a", "b", "a", "a", "a", "b", "b"]
-        assert allocator._starts == [1, 2, 3, 4, 5, 8]
+        assert [start for start, _, _ in allocator.blocks()] == [
+            1, 2, 3, 4, 5, 8]
         assert allocator.allocate("c") == 10
         allocator.restore([], "d")
         assert allocator.issued_count == 10
@@ -263,7 +264,7 @@ class TestBulkRecoveryMutators:
         assert table.items() == [
             (3, (1, "a")), (4, (2, None)), (9, (None, "c")),
         ]
-        assert [table._cols[0][s] for s in table._live.values()] == [1, 2, None]
+        assert table.column_vectors(table.handles(), ["x"]) == [[1, 2, None]]
         assert database.table_of_handle(9) == "t"
         assert database.insert_row("t", [5, "e"]) == 10
 
@@ -306,8 +307,31 @@ class TestBulkRecoveryMutators:
         # and the 16 deletes after it are tombstones again
         assert table.tombstones == 16
         assert table.handles() == list(range(81, 101))
-        assert len(table._handles) == 36
+        assert len(table.batch().handles) == 36  # slots, tombstones included
         assert table.stats.rows_at_rebuild == 36
+
+    def observable(self, database):
+        table = database.table("t")
+        return (table.items(), table.tombstones, table.mutations,
+                table.stats.snapshot(), database.version,
+                database.transactions.savepoint())
+
+    def test_delete_rows_refuses_a_handle_named_twice(self):
+        database = self.make(rows=3)
+        database.transactions.begin()
+        before = self.observable(database)
+        with pytest.raises(ExecutionError, match="handle 1 named twice"):
+            database.delete_rows("t", [1, 1])
+        assert self.observable(database) == before
+        assert len(database.table("t")) == database.table("t").stats.row_count
+
+    def test_assign_columns_refuses_a_handle_named_twice(self):
+        database = self.make(rows=3)
+        database.transactions.begin()
+        before = self.observable(database)
+        with pytest.raises(ExecutionError, match="handle 2 named twice"):
+            database.assign_columns("t", [2, 3, 2], ["x"], [[7, 8, 9]])
+        assert self.observable(database) == before
 
     def test_assign_columns_overwrites_in_place(self):
         database = self.make(rows=3)
@@ -340,7 +364,10 @@ class TestBulkRecoveryMutators:
         ]
         database.transactions.rollback()
         assert database.snapshot() == before
-        assert database.table("t").handles() == [2, 3, 1]  # undone newest first
+        # the deleted tuples' slots were revived: S0's order, S0's slots;
+        # the undone inserts' slots are the only tombstones
+        assert database.table("t").handles() == [1, 2, 3]
+        assert database.table("t").tombstones == 2
         assert database.insert_row("t", [9, "z"]) == 6  # handles are not reused
 
     def test_an_empty_set_is_not_a_write(self):
