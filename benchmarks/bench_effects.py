@@ -1,17 +1,17 @@
 """DEF-2.1: transition-effect composition and trans-info throughput.
 
 Micro-benchmarks for the algebraic core: folding long operation
-sequences into net effects (Definition 2.1) and maintaining per-rule
-trans-info incrementally (Figure 1). These are the innermost loops of
-rule processing, so their cost model matters: both should be linear in
-the number of affected tuples, independent of database size (they never
-touch stored tables).
+sequences into net effects (Definition 2.1) and logging them into a
+transaction's transition log, whose per-rule cursors are Figure 1's
+trans-info. These are the innermost loops of rule processing, so their
+cost model matters: both should be linear in the number of affected
+tuples, independent of database size (they never touch stored tables),
+and logging should not grow with rules that share a baseline.
 """
 
 import pytest
 
-from repro.core.effects import TransitionEffect, compose_all
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect, TransitionLog, compose_all
 from repro.relational.dml import DeleteEffect, InsertEffect, UpdateEffect
 
 from .conftest import print_series
@@ -38,11 +38,19 @@ def test_effect_fold(benchmark, size):
     assert len(result.inserted) == size - size // 2
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_transinfo_fold(benchmark, size):
-    ops = lifecycle_ops(size)
-    result = benchmark(TransInfo.from_op_effects, ops)
-    assert len(result.ins) == size - size // 2
+@pytest.mark.parametrize("rules", (1, 128))
+def test_log_append(benchmark, rules):
+    """One 1,000-tuple transition into a log whose rules share cursor 0
+    (the start of every transaction): one composition takes it in."""
+    effect = TransitionEffect.from_op_effects(lifecycle_ops(1000))
+
+    def append():
+        log = TransitionLog(f"r{i}" for i in range(rules))
+        log.append(effect, None)
+        return log
+
+    log = benchmark(append)
+    assert log.info("r0").size() == effect.size()
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -53,13 +61,6 @@ def test_pairwise_composition(benchmark, size):
         for i in range(size // 10)
     ]
     benchmark(compose_all, effects)
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_transinfo_copy(benchmark, size):
-    """Per-rule trans-info copies happen once per rule per transaction."""
-    info = TransInfo.from_op_effects(lifecycle_ops(size))
-    benchmark(info.copy)
 
 
 def test_shape_linear_in_change_size(benchmark):
@@ -77,7 +78,7 @@ def _shape_test_shape_linear_in_change_size():
         best = float("inf")
         for _ in range(5):
             start = time.perf_counter()
-            TransInfo.from_op_effects(ops)
+            TransitionEffect.from_op_effects(ops)
             best = min(best, time.perf_counter() - start)
         times[size] = best
         rows.append(

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.baselines import SnapshotEffectTracker
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect
 from repro.relational.database import Database
 from repro.relational.dml import DmlExecutor
 from repro.sql.parser import parse_statement
@@ -60,8 +60,7 @@ def change_block():
 def run_incremental(database):
     executor = DmlExecutor(database)
     effects = executor.execute_block(change_block())
-    info = TransInfo.from_op_effects(effects)
-    return info.to_effect()
+    return TransitionEffect.from_op_effects(effects)
 
 
 def run_snapshot(database):
@@ -125,7 +124,7 @@ def _shape_test_shape_incremental_scales_with_change_not_database():
             return min(_timed(fn) for _ in range(repeats))
 
         incremental = best_of(
-            lambda: TransInfo.from_op_effects(effects).to_effect()
+            lambda: TransitionEffect.from_op_effects(effects)
         )
         snapshot = best_of(
             lambda: diff_snapshots(take_snapshot(database), after)

@@ -36,7 +36,6 @@ from .core.selection import (
     TotalOrder,
 )
 from .core.trace import TransactionResult
-from .core.transition_log import TransInfo
 from .errors import (
     CatalogError,
     ConflictError,
@@ -111,7 +110,6 @@ __all__ = [
     "SimulatedCrash",
     "SqlError",
     "TotalOrder",
-    "TransInfo",
     "TransactionError",
     "TransactionResult",
     "TransitionEffect",

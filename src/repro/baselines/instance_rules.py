@@ -18,8 +18,8 @@ is about (see ``benchmarks/bench_set_vs_instance.py``).
 
 from __future__ import annotations
 
+from ..core.effects import TableEffect, TransitionEffect
 from ..core.engine import RuleEngine
-from ..core.transition_log import TransInfo
 from ..core.transition_tables import TransitionTableResolver
 from ..relational.dml import DmlExecutor
 from ..relational.expressions import Evaluator, Scope
@@ -27,28 +27,23 @@ from ..core.external import ExternalActionContext
 
 
 def split_singletons(info):
-    """Split composite transition info into per-tuple singleton infos.
+    """Split a composite transition effect into single-handle effects.
 
-    One singleton per net-inserted handle, per net-deleted handle, and per
-    net-updated handle (with all its updated columns) — i.e. one unit per
-    "data item" in the instance-oriented sense.
+    One per net-inserted handle, per net-deleted handle, and per
+    net-updated handle (with all its updated columns and its pre-image) —
+    i.e. one unit per "data item" in the instance-oriented sense.
     """
     singletons = []
-    for handle in info.ins:
-        unit = TransInfo()
-        unit.ins.add(handle)
-        unit.tables[handle] = info.tables[handle]
-        singletons.append(unit)
-    for handle, row in info.deleted.items():
-        unit = TransInfo()
-        unit.deleted[handle] = row
-        unit.tables[handle] = info.tables[handle]
-        singletons.append(unit)
-    for handle, (row, columns) in info.upd.items():
-        unit = TransInfo()
-        unit.upd[handle] = (row, set(columns))
-        unit.tables[handle] = info.tables[handle]
-        singletons.append(unit)
+    for table, part in info.tables.items():
+        pre = part.pre
+        units = [TableEffect(inserted=(handle,))
+                 for handle in part.inserted_handles()]
+        units += [TableEffect(deleted=(handle,), pre={handle: pre[handle]})
+                  for handle in sorted(part.deleted)]
+        units += [TableEffect(updated={handle: part.updated[handle]},
+                              pre={handle: pre[handle]})
+                  for handle in part.updated_handles()]
+        singletons += [TransitionEffect({table: unit}) for unit in units]
     return singletons
 
 
@@ -72,7 +67,7 @@ class InstanceOrientedEngine(RuleEngine):
         """True if the condition holds for at least one affected tuple."""
         if rule.condition is None:
             return True
-        info = self._info[rule.name]
+        info = self._log.info(rule.name)
         for unit in split_singletons(info):
             if self._condition_for_unit(rule, unit) is True:
                 return True
@@ -85,7 +80,7 @@ class InstanceOrientedEngine(RuleEngine):
 
     def _execute_rule_action(self, rule):
         """Run the action once per qualifying affected tuple."""
-        info = self._info[rule.name]
+        info = self._log.info(rule.name)
         effects = []
         for unit in split_singletons(info):
             if rule.condition is not None:

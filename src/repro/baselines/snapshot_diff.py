@@ -13,7 +13,7 @@ column its existing value affects the tuple without changing any value.
 
 from __future__ import annotations
 
-from ..core.effects import TransitionEffect
+from ..core.effects import TableEffect, TransitionEffect
 
 
 def take_snapshot(database):
@@ -26,45 +26,42 @@ def diff_snapshots(before, after):
 
     * ``I`` — handles live after but not before;
     * ``D`` — handles live before but not after;
-    * ``U`` — (handle, column) pairs whose value differs.
+    * ``U`` — handle → the positions of the columns whose value differs;
 
+    per table, with the pre-images of ``D`` and ``U`` from ``before``.
     This is the best a snapshot-based scheme can do — and it is lossy:
     identity updates (same value re-assigned) and the paper's
     delete-then-reinsert distinction are invisible to it.
     """
-    inserted = set()
-    deleted = set()
-    updated = set()
-    tables = set(before) | set(after)
-    for table in tables:
+    effect = TransitionEffect()
+    for table in set(before) | set(after):
         rows_before = before.get(table, {})
         rows_after = after.get(table, {})
-        for handle in rows_after:
-            if handle not in rows_before:
-                inserted.add(handle)
+        part = TableEffect(
+            inserted=[h for h in rows_after if h not in rows_before]
+        )
         for handle, old_row in rows_before.items():
             new_row = rows_after.get(handle)
             if new_row is None:
-                deleted.add(handle)
+                part.deleted.add(handle)
             elif new_row != old_row:
-                for position, (old_value, new_value) in enumerate(
-                    zip(old_row, new_row)
-                ):
-                    if old_value != new_value:
-                        updated.add((handle, position))
-    return TransitionEffect(
-        inserted=frozenset(inserted),
-        deleted=frozenset(deleted),
-        updated=frozenset(updated),
-    )
+                part.updated[handle] = frozenset(
+                    position for position, (old, new) in
+                    enumerate(zip(old_row, new_row)) if old != new
+                )
+            if new_row != old_row:
+                part.pre[handle] = old_row
+        if part:
+            effect.tables[table] = part
+    return effect
 
 
 class SnapshotEffectTracker:
     """Tracks transition effects by snapshotting around each transition.
 
-    Drop-in style counterpart to incremental
-    :class:`~repro.core.transition_log.TransInfo` maintenance, used by the
-    PERF-2 benchmark::
+    Drop-in style counterpart to the engine's incremental
+    :class:`~repro.core.effects.TransitionLog`, used by the PERF-2
+    benchmark::
 
         tracker = SnapshotEffectTracker(database)
         tracker.begin_transition()

@@ -1,9 +1,8 @@
 """The paper's contribution: set-oriented production rules.
 
-* :mod:`~repro.core.effects` — transition effects ``[I, D, U]`` and the
-  Definition 2.1 composition operator;
-* :mod:`~repro.core.transition_log` — per-rule composite transition
-  information (Figure 1's ``trans-info``);
+* :mod:`~repro.core.effects` — transition effects ``[I, D, U]``, the
+  Definition 2.1 composition operator, and the transaction's transition
+  log whose per-rule cursors are Figure 1's ``trans-info``;
 * :mod:`~repro.core.predicates` — transition predicate satisfaction;
 * :mod:`~repro.core.transition_tables` — the logical ``inserted`` /
   ``deleted`` / ``old updated`` / ``new updated`` tables;
@@ -31,7 +30,6 @@ from .selection import (
     TotalOrder,
 )
 from .trace import ConsiderationRecord, TransactionResult, TransitionRecord
-from .transition_log import TransInfo
 from .transition_tables import TransitionTableResolver
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "RuleEngine",
     "SelectionStrategy",
     "TotalOrder",
-    "TransInfo",
     "TransactionResult",
     "TransitionEffect",
     "TransitionRecord",

@@ -1,4 +1,5 @@
-"""Transition effects and their composition (paper Section 2.2).
+"""Transition effects, their composition, and a transaction's log of them
+(paper Sections 2.2 and 4, Figure 1).
 
 The *effect* of a transition is a triple ``[I, D, U]``:
 
@@ -20,14 +21,30 @@ operator ``⊕`` for treating two consecutive transitions as one:
 
 With the Section 5.1 extension enabled, effects also carry an ``S``
 component of (handle, column) pairs for retrieved data. The paper leaves
-``S``'s composition open; we adopt ``S = (S1 ∪ S2) − D2`` (a read of a
-tuple later deleted within the same composite is dropped, reads of
-freshly inserted tuples are kept) and record the choice in DESIGN.md.
+``S``'s composition open; we adopt ``S = (S1 ∪ S2) − D``, with ``D`` the
+composite's own net deletions: a read of a tuple the composite deleted is
+dropped, reads of tuples it inserted are kept (DESIGN.md records the
+choice). ``S1 ∪ S2`` is what is stored and ``D`` is subtracted when ``S``
+is read, which keeps ``⊕`` associative.
+
+An effect is kept per table (:class:`TableEffect`), and each table's part
+also carries the pre-image row of every ``D ∪ U`` handle: the row before
+the first operation of the composite that touched it — Figure 1's
+``get-old-value`` — so under ``⊕`` the earlier pre-image wins. That is
+all a rule's transition tables need. Every read is in ascending handle
+order, which is storage's scan order.
+
+Figure 1 keeps one ``trans-info`` per rule, starting where the rule's
+action last executed. Since ``⊕`` is associative, that is ``⊕`` of the
+transaction's transitions from the rule's baseline on: a
+:class:`TransitionLog` nets each transition once, holds one cursor per
+rule and one running composition per distinct cursor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from typing import Any
 
 from ..relational.dml import (
     DeleteEffect,
@@ -36,139 +53,343 @@ from ..relational.dml import (
     UpdateEffect,
 )
 
-_EMPTY = frozenset()
+Row = tuple[Any, ...]
+Columns = frozenset[str]
 
 
-@dataclass(frozen=True)
+class TableEffect:
+    """One table's part of an effect: ``I`` and ``D`` as handle sets,
+    ``U`` as handle → columns, ``pre``, the pre-image of each ``D ∪ U``
+    handle, and ``selected``, every read since the baseline as handle →
+    columns — the §5.1 ``S`` is :meth:`reads`."""
+
+    __slots__ = ("inserted", "deleted", "updated", "selected", "pre")
+
+    def __init__(self, inserted: Iterable[int] = (),
+                 deleted: Iterable[int] = (),
+                 updated: dict[int, Columns] | None = None,
+                 selected: dict[int, Columns] | None = None,
+                 pre: dict[int, Row] | None = None):
+        self.inserted = set(inserted)
+        self.deleted = set(deleted)
+        self.updated: dict[int, Columns] = dict(updated) if updated else {}
+        self.selected: dict[int, Columns] = dict(selected) if selected else {}
+        self.pre: dict[int, Row] = dict(pre) if pre else {}
+
+    def __bool__(self) -> bool:
+        return bool(self.inserted or self.deleted or self.updated
+                    or self.selected)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TableEffect):
+            return NotImplemented
+        return (self.inserted == other.inserted
+                and self.deleted == other.deleted
+                and self.updated == other.updated
+                and self.reads() == other.reads()
+                and self.pre == other.pre)
+
+    # -- Figure 1's modify-trans-info, one kind of entry at a time ---------
+
+    def delete(self, entries: Iterable[tuple[int, Row | None]]) -> None:
+        """Fold in deletions of ``(handle, row before it)``: a handle
+        inserted within this composite is forgotten; any other becomes
+        net-deleted, keeping its earliest pre-image, and leaves U."""
+        inserted, deleted, updated, pre = (
+            self.inserted, self.deleted, self.updated, self.pre)
+        for handle, row in entries:
+            if handle in inserted:
+                inserted.discard(handle)
+                continue
+            deleted.add(handle)
+            if updated.pop(handle, None) is None and row is not None:
+                pre[handle] = row
+
+    def update(self, entries: Iterable[tuple[int, Columns, Row | None]]
+               ) -> None:
+        """Fold in updates of ``(handle, columns, row before it)``; an
+        update of a tuple inserted within this composite is part of its
+        insertion."""
+        inserted, updated, pre = self.inserted, self.updated, self.pre
+        for handle, columns, row in entries:
+            if handle in inserted:
+                continue
+            current = updated.get(handle)
+            if current is None:
+                updated[handle] = columns
+                if row is not None:
+                    pre[handle] = row
+            elif not columns <= current:
+                updated[handle] = current | columns
+
+    def select(self, entries: Iterable[tuple[int, Columns]]) -> None:
+        selected = self.selected
+        for handle, columns in entries:
+            current = selected.get(handle)
+            selected[handle] = columns if current is None else current | columns
+
+    def extend(self, other: TableEffect) -> None:
+        """``self := self ⊕ other`` (Definition 2.1), in place."""
+        pre = other.pre.get
+        self.delete((handle, pre(handle)) for handle in other.deleted)
+        self.inserted |= other.inserted
+        self.update(
+            (handle, columns, pre(handle))
+            for handle, columns in other.updated.items()
+        )
+        self.select(other.selected.items())
+
+    # -- reads, ascending handle order ----------------------------------
+
+    def inserted_handles(self) -> list[int]:
+        return sorted(self.inserted)
+
+    def deleted_rows(self) -> list[Row]:
+        """Pre-images of the net-deleted tuples."""
+        pre = self.pre
+        return [pre[handle] for handle in sorted(self.deleted)]
+
+    def updated_handles(self, column: str | None = None) -> list[int]:
+        """Net-updated handles (of those whose ``column`` was updated)."""
+        if column is None:
+            return sorted(self.updated)
+        updated = self.updated
+        return sorted(
+            handle for handle in updated if column in updated[handle]
+        )
+
+    def reads(self) -> dict[int, Columns]:
+        """``S``: the reads of handles this composite did not delete."""
+        deleted = self.deleted
+        if not deleted:
+            return self.selected
+        return {handle: columns for handle, columns in self.selected.items()
+                if handle not in deleted}
+
+    def selected_handles(self, column: str | None = None) -> list[int]:
+        reads = self.reads()
+        return sorted(
+            handle for handle in reads
+            if column is None or column in reads[handle]
+        )
+
+
 class TransitionEffect:
     """The net effect of a transition: the paper's ``[I, D, U]`` triple
-    (plus the optional §5.1 ``S`` component).
+    plus the optional §5.1 ``S`` component, as ``tables``, one
+    :class:`TableEffect` per table it touched.
 
-    ``inserted``/``deleted`` are frozensets of handles;
-    ``updated``/``selected`` are frozensets of (handle, column) pairs.
+    The flat views ``inserted`` / ``deleted`` (handles) and ``updated`` /
+    ``selected`` ((handle, column) pairs) are built on demand.
     """
 
-    inserted: frozenset = _EMPTY
-    deleted: frozenset = _EMPTY
-    updated: frozenset = _EMPTY
-    selected: frozenset = _EMPTY
+    __slots__ = ("tables",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inserted", frozenset(self.inserted))
-        object.__setattr__(self, "deleted", frozenset(self.deleted))
-        object.__setattr__(self, "updated", frozenset(self.updated))
-        object.__setattr__(self, "selected", frozenset(self.selected))
+    def __init__(self, tables: dict[str, TableEffect] | None = None):
+        self.tables = {} if tables is None else tables
 
-    # ------------------------------------------------------------------
+    @classmethod
+    def from_op_effects(cls, op_effects: Iterable[object]
+                        ) -> TransitionEffect:
+        """``E(B) = E(op1) ⊕ ... ⊕ E(opn)`` for a block's operation
+        effects (paper §2.2: an insert op is ``[A(op), ∅, ∅]``, a delete
+        ``[∅, A(op), ∅]``, an update ``[∅, ∅, A(op)]``), folded in place."""
+        effect = cls()
+        for op_effect in op_effects:
+            effect.apply(op_effect)
+        return effect
 
-    @property
-    def updated_handles(self):
-        """The distinct handles appearing in ``U``."""
-        return frozenset(handle for handle, _ in self.updated)
+    def _part(self, table: str) -> TableEffect:
+        part = self.tables.get(table)
+        if part is None:
+            part = self.tables[table] = TableEffect()
+        return part
 
-    def is_empty(self):
-        """True when all components are empty (no rule can be triggered —
-        §4.2: "If all three sets in E1 are empty, then no rules can be
-        triggered and step 2 is trivial")."""
-        return not (self.inserted or self.deleted or self.updated or self.selected)
+    def apply(self, op_effect: object) -> None:
+        """``self := self ⊕ E(op)`` for one executed operation."""
+        if isinstance(op_effect, InsertEffect):
+            self._part(op_effect.table).inserted.update(op_effect.handles)
+        elif isinstance(op_effect, DeleteEffect):
+            self._part(op_effect.table).delete(op_effect.entries)
+        elif isinstance(op_effect, UpdateEffect):
+            columns = frozenset(op_effect.columns)
+            self._part(op_effect.table).update(
+                (handle, columns, row) for handle, row in op_effect.entries
+            )
+        elif isinstance(op_effect, SelectEffect):
+            for table, handle, columns in op_effect.entries:
+                self._part(table).select(((handle, frozenset(columns)),))
+        else:
+            raise TypeError(
+                f"unknown operation effect {type(op_effect).__name__}"
+            )
 
-    def is_well_formed(self):
-        """Check the net-effect invariant: a handle appears in at most one
-        of I, D, U (the paper's observation after Definition 2.1)."""
-        updated_handles = self.updated_handles
-        return (
-            self.inserted.isdisjoint(self.deleted)
-            and self.inserted.isdisjoint(updated_handles)
-            and self.deleted.isdisjoint(updated_handles)
-        )
+    def extend(self, other: TransitionEffect) -> TransitionEffect:
+        """``self := self ⊕ other``, in place; returns ``self``. Never
+        shares a mutable part with ``other``."""
+        tables = self.tables
+        for name, part in other.tables.items():
+            mine = tables.get(name)
+            if mine is None:
+                tables[name] = TableEffect(part.inserted, part.deleted,
+                                           part.updated, part.selected, part.pre)
+            else:
+                mine.extend(part)
+        return self
 
-    # ------------------------------------------------------------------
-
-    def compose(self, other):
+    def compose(self, other: TransitionEffect) -> TransitionEffect:
         """Definition 2.1: the effect of this transition followed by
         ``other``, treated as a single indivisible transition."""
-        inserted = (self.inserted | other.inserted) - other.deleted
-        deleted = (self.deleted | other.deleted) - self.inserted
-        dead_or_new = other.deleted | self.inserted
-        updated = frozenset(
-            pair
-            for pair in (self.updated | other.updated)
-            if pair[0] not in dead_or_new
-        )
-        selected = frozenset(
-            pair
-            for pair in (self.selected | other.selected)
-            if pair[0] not in other.deleted
-        )
-        return TransitionEffect(inserted, deleted, updated, selected)
+        return TransitionEffect().extend(self).extend(other)
 
-    def __or__(self, other):
+    def __or__(self, other: TransitionEffect) -> TransitionEffect:
         """``e1 | e2`` is shorthand for ``e1.compose(e2)``."""
         return self.compose(other)
 
-    # ------------------------------------------------------------------
-    # construction from executed operations
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransitionEffect):
+            return NotImplemented
+        return self._touched() == other._touched()
 
-    @classmethod
-    def empty(cls):
-        return _EMPTY_EFFECT
+    def _touched(self) -> dict[str, TableEffect]:
+        return {name: part for name, part in self.tables.items() if part}
 
-    @classmethod
-    def from_op_effect(cls, op_effect):
-        """The base-case effect of a single operation (paper §2.2):
+    # -- flat views ------------------------------------------------------
 
-        * insert op → ``[A(op), ∅, ∅]``
-        * delete op → ``[∅, A(op), ∅]``
-        * update op → ``[∅, ∅, A(op)]``
-        """
-        if isinstance(op_effect, InsertEffect):
-            return cls(inserted=frozenset(op_effect.handles))
-        if isinstance(op_effect, DeleteEffect):
-            return cls(
-                deleted=frozenset(handle for handle, _ in op_effect.entries)
-            )
-        if isinstance(op_effect, UpdateEffect):
-            pairs = frozenset(
-                (handle, column)
-                for handle, _ in op_effect.entries
-                for column in op_effect.columns
-            )
-            return cls(updated=pairs)
-        if isinstance(op_effect, SelectEffect):
-            pairs = frozenset(
-                (handle, column)
-                for _, handle, columns in op_effect.entries
-                for column in columns
-            )
-            return cls(selected=pairs)
-        raise TypeError(f"unknown operation effect {type(op_effect).__name__}")
+    @property
+    def inserted(self) -> frozenset[int]:
+        return frozenset(h for p in self.tables.values() for h in p.inserted)
 
-    @classmethod
-    def from_op_effects(cls, op_effects):
-        """``E(B) = E(op1) ⊕ E(op2) ⊕ ... ⊕ E(opn)`` for a whole block."""
-        effect = _EMPTY_EFFECT
-        for op_effect in op_effects:
-            effect = effect.compose(cls.from_op_effect(op_effect))
-        return effect
+    @property
+    def deleted(self) -> frozenset[int]:
+        return frozenset(h for p in self.tables.values() for h in p.deleted)
 
-    # ------------------------------------------------------------------
+    @property
+    def updated(self) -> frozenset[tuple[int, str]]:
+        return _pairs(part.updated for part in self.tables.values())
 
-    def summary(self):
+    @property
+    def selected(self) -> frozenset[tuple[int, str]]:
+        return _pairs(part.reads() for part in self.tables.values())
+
+    def counts(self) -> tuple[int, int, int, int]:
+        """``(|I|, |D|, |U| in handles, |S| in pairs)``."""
+        inserted = deleted = updated = selected = 0
+        for part in self.tables.values():
+            inserted += len(part.inserted)
+            deleted += len(part.deleted)
+            updated += len(part.updated)
+            if part.selected:
+                selected += sum(map(len, part.reads().values()))
+        return inserted, deleted, updated, selected
+
+    def size(self) -> int:
+        """Tracked entries — handles in I, D and U plus pairs in S — the
+        observability layer's measure of a rule's trans-info."""
+        return sum(self.counts())
+
+    def is_empty(self) -> bool:
+        """True when all components are empty (no rule can be triggered —
+        §4.2: "If all three sets in E1 are empty, then no rules can be
+        triggered and step 2 is trivial")."""
+        return not any(self.tables.values())
+
+    def is_well_formed(self) -> bool:
+        """Check the net-effect invariant: a handle appears in at most one
+        of I, D, U (the paper's observation after Definition 2.1)."""
+        return all(
+            part.inserted.isdisjoint(part.deleted)
+            and part.inserted.isdisjoint(part.updated)
+            and part.deleted.isdisjoint(part.updated)
+            for part in self.tables.values()
+        )
+
+    def summary(self) -> str:
         """Compact human-readable description, for traces and logs."""
+        updated = sum(
+            len(columns) for part in self.tables.values()
+            for columns in part.updated.values()
+        )
+        inserted, deleted, _, selected = self.counts()
         return (
-            f"[I:{len(self.inserted)} D:{len(self.deleted)} "
-            f"U:{len(self.updated)}"
-            + (f" S:{len(self.selected)}" if self.selected else "")
+            f"[I:{inserted} D:{deleted} U:{updated}"
+            + (f" S:{selected}" if selected else "")
             + "]"
         )
 
 
-_EMPTY_EFFECT = TransitionEffect()
+def _pairs(maps: Iterable[dict[int, Columns]]) -> frozenset[tuple[int, str]]:
+    return frozenset(
+        (handle, column)
+        for columns_of in maps
+        for handle, columns in columns_of.items()
+        for column in columns
+    )
 
 
-def compose_all(effects):
+def compose_all(effects: Iterable[TransitionEffect]) -> TransitionEffect:
     """Fold ``⊕`` over a sequence of effects (associative, Definition 2.1)."""
-    result = _EMPTY_EFFECT
+    result = TransitionEffect()
     for effect in effects:
-        result = result.compose(effect)
+        result.extend(effect)
     return result
+
+
+class TransitionLog:
+    """One transaction's transitions and every rule's baseline in them.
+
+    ``entries`` holds each transition's effect, netted once from its
+    operations, and ``sources`` the rule that made it (None for an
+    external block). A rule's trans-info is ``⊕`` of
+    ``entries[cursors[rule]:]``; one running composition is kept per
+    distinct cursor, so rules with the same baseline share it. Cursor 0
+    is always kept: it is the whole transaction's effect.
+
+    The footnote-8 resets — execution, consideration, triggering — and a
+    rule defined mid-transaction are all :meth:`restart`: a cursor move.
+    """
+
+    __slots__ = ("entries", "sources", "cursors", "_running")
+
+    def __init__(self, names: Iterable[str] = ()):
+        self.entries: list[TransitionEffect] = []
+        self.sources: list[str | None] = []
+        self.cursors: dict[str, int] = dict.fromkeys(names, 0)
+        self._running: dict[int, TransitionEffect] = {0: TransitionEffect()}
+
+    @property
+    def transaction(self) -> TransitionEffect:
+        """The composite of every transition so far (cursor 0)."""
+        return self._running[0]
+
+    def info(self, name: str) -> TransitionEffect:
+        """Rule ``name``'s trans-info. Read it, never change it."""
+        return self._running[self.cursors[name]]
+
+    def restart(self, name: str) -> None:
+        """Move ``name``'s baseline to now: its trans-info is empty until
+        the next transition."""
+        at = len(self.entries)
+        self.cursors[name] = at
+        if at not in self._running:
+            self._running[at] = TransitionEffect()
+
+    def forget(self, name: str) -> None:
+        self.cursors.pop(name, None)
+
+    def provider(self, name: str) -> str | None:
+        """The rule whose one transition is all of ``name``'s
+        trans-info, if there is one."""
+        at = self.cursors[name]
+        return self.sources[at] if at == len(self.entries) - 1 else None
+
+    def append(self, effect: TransitionEffect, source: str | None) -> None:
+        """Log one transition: every running composition takes it in."""
+        running = self._running
+        held = set(self.cursors.values())
+        for at in [at for at in running if at and at not in held]:
+            del running[at]
+        for composite in running.values():
+            composite.extend(effect)
+        self.entries.append(effect)
+        self.sources.append(source)

@@ -10,14 +10,15 @@ The engine realizes the paper's model of system execution:
 3. The transaction commits.
 
 Per Figure 1, each rule carries composite transition information
-(:class:`~repro.core.transition_log.TransInfo`) starting from the state
-in which its action last executed (or the transaction start): after a
-rule R fires, R's trans-info is re-initialized from R's own transition
-while every other rule's trans-info composes the new transition in
-(``modify-trans-info``). Rule triggering, condition evaluation and
-action execution all read that per-rule information, which is exactly
-how the §4.2 semantics ("composite effects") becomes implementable
-without storing full past states.
+starting from the state in which its action last executed (or the
+transaction start): after a rule R fires, R's trans-info restarts from
+R's own transition while every other rule's trans-info composes the new
+transition in (``modify-trans-info``). The engine keeps that as one
+:class:`~repro.core.effects.TransitionLog` per transaction — each
+transition netted once, a cursor per rule — and rule triggering,
+condition evaluation and action execution all read a rule's composite
+from it, which is exactly how the §4.2 semantics ("composite effects")
+becomes implementable without storing full past states.
 
 The §5.3 extension (user-defined rule triggering points) is available
 through the manual transaction API: :meth:`begin` /
@@ -46,14 +47,13 @@ from ..relational.expressions import Evaluator, Scope
 from ..relational.select import BaseTableResolver, evaluate_select
 from ..sql import ast, parse_statement
 from ..sql.parser import parse_transition_predicates
-from .effects import TransitionEffect
+from .effects import TransitionEffect, TransitionLog
 from .external import ExternalAction, ExternalActionContext
-from .incremental import EXTERNAL_SOURCE, IncrementalManager
+from .incremental import IncrementalManager
 from .predicates import transition_predicate_satisfied
 from .rules import RuleCatalog
 from .selection import default_strategy
 from .trace import TransactionResult
-from .transition_log import TransInfo
 from .transition_tables import TransitionTableResolver
 
 
@@ -63,12 +63,11 @@ class _SuspendedTransaction:
     for a context switch (see :meth:`RuleEngine.suspend_transaction`)."""
 
     detached: object
-    info: dict
+    log: TransitionLog
     considered_at: dict
     clock: int
     transition_index: int
     result: object
-    txn_effect: object
     recorder: object
     txn_id: int
     incremental_state: object
@@ -126,12 +125,11 @@ class RuleEngine:
         self._txn_id = 0
         self._txn_seq = 0          # allocation high-water mark (resume-safe)
 
-        self._info = {}            # rule name -> TransInfo (during a txn)
+        self._log = None           # the open txn's TransitionLog
         self._considered_at = {}   # rule name -> logical consideration time
         self._clock = 0
         self._transition_index = 0
         self._result = None        # TransactionResult of the open txn
-        self._txn_effect = None    # composed net effect of the open txn
         self._base_resolver = BaseTableResolver(self.database)
         #: rule name -> ((schema_version, stats_epoch, condition id),
         #: cost-ordered condition AST). The ordered AST is a rebuilt
@@ -310,7 +308,8 @@ class RuleEngine:
     def drop_rule(self, name):
         self.database.statements.release(self.catalog.rule(name))
         self.catalog.drop_rule(name)
-        self._info.pop(name, None)
+        if self._log is not None:
+            self._log.forget(name)
         self._considered_at.pop(name, None)
         self._ordered_conditions.pop(name, None)
         self.incremental.on_rule_dropped(name)
@@ -337,7 +336,7 @@ class RuleEngine:
         # A rule defined mid-transaction starts with an empty baseline: it
         # observes only transitions that occur after its definition.
         if self.in_transaction:
-            self._info[rule.name] = TransInfo.empty()
+            self._log.restart(rule.name)
             self._emit(
                 EventKind.TRANS_INFO_RESET, rule=rule.name, cause="registered"
             )
@@ -391,7 +390,7 @@ class RuleEngine:
     def begin(self):
         """Start a transaction (manual mode, for §5.3 triggering points)."""
         self.database.transactions.begin()
-        self._info = {rule.name: TransInfo.empty() for rule in self.catalog}
+        self._log = TransitionLog(rule.name for rule in self.catalog)
         # Consideration recency restarts with the transaction: recency
         # strategies order rules within one transaction's quiescence
         # loop, and stale clocks from earlier transactions would leak
@@ -400,7 +399,6 @@ class RuleEngine:
         self._clock = 0
         self._transition_index = 0
         self._result = TransactionResult()
-        self._txn_effect = TransitionEffect.empty()
         # Allocation goes through a high-water mark: with suspended
         # transactions, _txn_id tracks the *mounted* transaction (which
         # may be older than the newest allocated id) and a plain
@@ -451,7 +449,7 @@ class RuleEngine:
             # which case recovery will (correctly) replay it.
             try:
                 info = self.durability.log_commit(
-                    self._txn_id, self._txn_effect, self.database
+                    self._txn_id, self._log.transaction, self.database
                 )
             except Exception:
                 self._abort(reason="wal_error")
@@ -550,8 +548,7 @@ class RuleEngine:
             operations=len(block.operations),
             rows=sum(effect.rows_affected for effect in effects),
         )
-        self._fold_transition_into_rules(effects)
-        self._txn_effect = self._txn_effect.compose(block_effect)
+        self._log_transition(block_effect)
         if self.durability is not None:
             self.durability.crash_point("mid_block")
         return effects
@@ -592,9 +589,8 @@ class RuleEngine:
         if self._recorder is not None:
             self._bus.detach(self._recorder)
             self._recorder = None
-        self._info = {}
+        self._log = None
         self._result = None
-        self._txn_effect = None
 
     # ------------------------------------------------------------------
     # context switching (concurrency layer, PR 8)
@@ -618,23 +614,21 @@ class RuleEngine:
             self._bus.detach(self._recorder)
         context = _SuspendedTransaction(
             detached=detached,
-            info=self._info,
+            log=self._log,
             considered_at=self._considered_at,
             clock=self._clock,
             transition_index=self._transition_index,
             result=self._result,
-            txn_effect=self._txn_effect,
             recorder=self._recorder,
             txn_id=self._txn_id,
             incremental_state=self.incremental.suspend(),
         )
         self._recorder = None
-        self._info = {}
+        self._log = None
         self._considered_at = {}
         self._clock = 0
         self._transition_index = 0
         self._result = None
-        self._txn_effect = None
         return context
 
     def resume_transaction(self, context):
@@ -648,12 +642,11 @@ class RuleEngine:
             )
         self.database.transactions.attach(context.detached)
         self.database.version += 1
-        self._info = context.info
+        self._log = context.log
         self._considered_at = context.considered_at
         self._clock = context.clock
         self._transition_index = context.transition_index
         self._result = context.result
-        self._txn_effect = context.txn_effect
         self._txn_id = context.txn_id
         self.incremental.resume(context.incremental_state)
         self._recorder = context.recorder
@@ -720,7 +713,7 @@ class RuleEngine:
                 for rule in self.catalog
                 if rule.active
                 and transition_predicate_satisfied(
-                    rule.predicates, self._info[rule.name]
+                    rule.predicates, self._log.info(rule.name)
                 )
             ]
             selection_start = perf_counter()
@@ -753,7 +746,7 @@ class RuleEngine:
                     fired=condition_value is True,
                     after_transition=self._transition_index,
                     duration=condition_elapsed,
-                    trans_info_size=self._info[rule.name].size(),
+                    trans_info_size=self._log.info(rule.name).size(),
                     planner=planner.delta_since(planner_before),
                     compiler=compiler.delta_since(compiler_before),
                     vectorized=vectorized.delta_since(vectorized_before),
@@ -769,13 +762,12 @@ class RuleEngine:
                     # consideration" — a non-firing consideration (false
                     # OR unknown condition) consumes the rule's
                     # accumulated transition information.
-                    self._info[rule.name] = TransInfo.empty()
+                    self._log.restart(rule.name)
                     self._emit(
                         EventKind.TRANS_INFO_RESET,
                         rule=rule.name,
                         cause="consideration",
                     )
-                    self.incremental.reset_provenance(rule.name)
             if fired is None:
                 self._emit(
                     EventKind.QUIESCENT,
@@ -812,23 +804,17 @@ class RuleEngine:
             # Figure 1: the fired rule's trans-info restarts from its own
             # transition; every other rule composes the transition in
             # (subject to its footnote-8 reset policy).
-            new_info = TransInfo.from_op_effects(effects)
-            self._fold_transition_into_rules(
-                effects, exclude=fired.name, source=fired.name
-            )
-            self._info[fired.name] = new_info
-            # The fired rule's trans-info restarted from its own
-            # transition, so its provenance is exactly itself.
-            self.incremental.set_sole_provenance(fired.name, fired.name)
+            effect = TransitionEffect.from_op_effects(effects)
+            self._log_transition(effect, fired.name)
             self._emit(
                 EventKind.RULE_FIRED,
                 rule=fired.name,
                 transition=self._transition_index,
-                effect=new_info.to_effect(),
+                effect=effect,
                 seen=seen,
                 condition=True if fired.condition is not None else None,
                 duration=action_elapsed,
-                trans_info_size=new_info.size(),
+                trans_info_size=effect.size(),
                 planner=planner.delta_since(planner_before),
                 compiler=compiler.delta_since(compiler_before),
                 vectorized=vectorized.delta_since(vectorized_before),
@@ -839,7 +825,6 @@ class RuleEngine:
                 rule=fired.name,
                 cause="execution",
             )
-            self._txn_effect = self._txn_effect.compose(new_info.to_effect())
             if self.durability is not None:
                 self.durability.crash_point("mid_quiesce")
 
@@ -848,7 +833,9 @@ class RuleEngine:
         time (before the action runs), keyed by the table's SQL spelling —
         e.g. ``"deleted emp"`` or ``"new updated emp.salary"``. Used by the
         trace to reproduce the paper's example narratives."""
-        resolver = TransitionTableResolver(self.database, self._info[rule.name])
+        resolver = TransitionTableResolver(
+            self.database, self._log.info(rule.name)
+        )
         seen = {}
 
         def capture(kind, table, column=None):
@@ -883,37 +870,34 @@ class RuleEngine:
                 )
         return seen
 
-    def _fold_transition_into_rules(self, effects, exclude=None,
-                                    source=EXTERNAL_SOURCE):
-        """Fold a transition's operation effects into every rule's
-        trans-info (Figure 1's modify-trans-info loop), honouring each
-        rule's footnote-8 reset policy: a "triggering"-policy rule that is
-        currently untriggered restarts its baseline at this transition —
-        the [WF89b] semantics of "the state preceding the most recent
-        triggering of the rule".
+    def _log_transition(self, effect, fired=None):
+        """Log one transition (Figure 1's modify-trans-info), honouring
+        each rule's footnote-8 reset policy: a "triggering"-policy rule
+        that is currently untriggered restarts its baseline at this
+        transition — the [WF89b] semantics of "the state preceding the
+        most recent triggering of the rule" — and the ``fired`` rule
+        restarts from its own transition.
 
         This is also the incremental layer's maintenance point: the same
-        net effects that extend each rule's trans-info update the
-        maintained condition views, and ``source`` (the fired rule's name,
-        or "external") feeds the per-rule provenance that the refined
-        triggering graph's skip check consults."""
-        self.incremental.apply_transition(effects)
-        for name, info in self._info.items():
-            if name == exclude:
+        net effect updates the maintained condition views."""
+        self.incremental.apply_transition(effect)
+        log = self._log
+        for name in log.cursors:
+            if name == fired:
                 continue
             rule = self.catalog.rule(name)
-            if rule.reset_policy == "triggering" and not (
-                info.is_empty()
-                or transition_predicate_satisfied(rule.predicates, info)
-            ):
-                info = TransInfo.empty()
-                self._info[name] = info
+            if rule.reset_policy != "triggering":
+                continue
+            info = log.info(name)
+            if not (info.is_empty() or transition_predicate_satisfied(
+                    rule.predicates, info)):
+                log.restart(name)
                 self._emit(
                     EventKind.TRANS_INFO_RESET, rule=name, cause="triggering"
                 )
-                self.incremental.reset_provenance(name)
-            info.apply_all(effects)
-            self.incremental.note_fold(name, source)
+        if fired is not None:
+            log.restart(fired)
+        log.append(effect, fired)
 
     def _evaluate_condition(self, rule):
         """Condition value plus the incremental layer's per-consideration
@@ -924,8 +908,9 @@ class RuleEngine:
         back to :meth:`_check_condition`, the full evaluation."""
         if rule.condition is None:
             return True, None
+        log = self._log
         outcome, value = self.incremental.evaluate(
-            rule, self._info[rule.name]
+            rule, log.info(rule.name), log.provider(rule.name)
         )
         if outcome == "fallback":
             value = self._check_condition(rule)
@@ -946,7 +931,7 @@ class RuleEngine:
             return True
         condition = self._condition_for(rule)
         resolver = TransitionTableResolver(
-            self.database, self._info[rule.name]
+            self.database, self._log.info(rule.name)
         )
         bound = self._rule_bound(rule)
         evaluator = Evaluator(self.database, resolver, bound)
@@ -997,7 +982,9 @@ class RuleEngine:
         notes error semantics would need extending; we pick the safe
         interpretation.
         """
-        resolver = TransitionTableResolver(self.database, self._info[rule.name])
+        resolver = TransitionTableResolver(
+            self.database, self._log.info(rule.name)
+        )
         if rule.is_external:
             context = ExternalActionContext(self, rule, resolver)
             rule.action.procedure(context)
@@ -1027,7 +1014,7 @@ class RuleEngine:
     def transition_info(self, rule_name):
         """The rule's current composite transition info (open txn only)."""
         self._require_transaction()
-        return self._info[rule_name]
+        return self._log.info(rule_name)
 
     def triggered_rules(self):
         """Names of rules currently triggered (open txn only).
@@ -1042,6 +1029,6 @@ class RuleEngine:
             for rule in self.catalog
             if rule.active
             and transition_predicate_satisfied(
-                rule.predicates, self._info[rule.name]
+                rule.predicates, self._log.info(rule.name)
             )
         ]

@@ -14,13 +14,12 @@ from .classify import (
     MaintenancePlan,
     classify_condition,
 )
-from .manager import EXTERNAL_SOURCE, IncrementalManager, IncrementalStats
+from .manager import IncrementalManager, IncrementalStats
 from .views import MaintainedView
 
 __all__ = [
     "CounterConjunct",
     "DeltaConjunct",
-    "EXTERNAL_SOURCE",
     "IncrementalManager",
     "IncrementalStats",
     "MaintainedView",

@@ -16,11 +16,12 @@ module implements that framing for the maintainable fragment:
   effects to every affected view;
 * the engine's static analysis
   (:class:`~repro.analysis.program.ProgramAnalysis`) supplies a second
-  shortcut: when a rule's accumulated trans-info stems
-  from exactly one transition of one provider rule and the refined graph
-  pruned that provider→consumer edge, the consumer's condition is
-  provably false and is not evaluated at all (``graph_skip``) — the
-  same single-action semantics PR 5's differential gate validates.
+  shortcut: when a rule's accumulated trans-info is exactly one
+  transition of one provider rule (the engine's transition log knows)
+  and the refined graph pruned that provider→consumer edge, the
+  consumer's condition is provably false and is not evaluated at all
+  (``graph_skip``) — the same single-action semantics the refinement
+  differential validates.
 
 Full re-evaluation (the engine's ``_check_condition``) remains the
 semantic oracle: any classification gap, maintenance error or
@@ -35,15 +36,9 @@ docs/semantics.md §12, enforced by the incremental differential suite.
 from __future__ import annotations
 
 from ...relational.expressions import Evaluator, Scope
-from ..transition_log import TransInfo
 from ..transition_tables import TransitionTableResolver
 from .classify import CounterConjunct, classify_condition
 from .views import MaintainedView, NetDelta
-
-#: external (user-block) transitions carry this provenance label; the
-#: refined graph can only reason about rule actions, so external deltas
-#: never justify a graph skip
-EXTERNAL_SOURCE = "external"
 
 #: cap on distinct maintained views; overflow clears wholesale
 #: (correctness is refresh-on-miss anyway)
@@ -88,8 +83,7 @@ class IncrementalStats:
 
 
 class IncrementalManager:
-    """Owns the maintenance plans, the shared views, and the per-rule
-    delta provenance the graph skip needs.
+    """Owns the maintenance plans and the shared views.
 
     The engine calls the ``on_*``/``before_transition``/
     ``apply_transition`` hooks at its transaction and fold points and
@@ -105,7 +99,6 @@ class IncrementalManager:
         self.stats = IncrementalStats()
         self._plans = {}        # rule name -> (schema_version, plan|None)
         self._views = {}        # (table, binding, where) -> MaintainedView
-        self._provenance = {}   # rule name -> {source label: fold count}
         self._touched = set()   # views written during the open transaction
         self._expected_version = -1
 
@@ -113,7 +106,6 @@ class IncrementalManager:
     # transaction lifecycle (engine hooks)
 
     def on_begin(self):
-        self._provenance = {rule.name: {} for rule in self.catalog}
         self._touched = set()
 
     def on_commit(self):
@@ -133,8 +125,7 @@ class IncrementalManager:
         """Bundle the per-transaction state for a context switch (the
         concurrency coordinator multiplexes transactions over one
         engine); the manager returns to its idle configuration."""
-        state = (self._provenance, self._touched, self._expected_version)
-        self._provenance = {}
+        state = (self._touched, self._expected_version)
         self._touched = set()
         self._expected_version = -1
         return state
@@ -144,12 +135,12 @@ class IncrementalManager:
         ``_expected_version`` is deliberate: the database version moved
         while we were suspended, so the next ``before_transition``
         distrusts every view — they may hold another session's folds."""
-        self._provenance, self._touched, self._expected_version = state
+        self._touched, self._expected_version = state
 
     def discard_suspended(self, state):
         """Abort a suspended transaction: invalidate the views it
         touched, exactly as :meth:`on_abort` would have."""
-        _, touched, _ = state
+        touched, _ = state
         for view in touched:
             if not view.stale:
                 view.stale = True
@@ -164,22 +155,19 @@ class IncrementalManager:
             self._invalidate_all()
             self._expected_version = self.database.version
 
-    def apply_transition(self, effects):
-        """Fold one transition's net effects into every affected view
-        (called from the engine's ``modify-trans-info`` point, right
-        after the transition's operations executed)."""
+    def apply_transition(self, effect):
+        """Fold one transition's net effect (a
+        :class:`~repro.core.effects.TransitionEffect`) into every
+        affected view (called from the engine's ``modify-trans-info``
+        point, right after the transition's operations executed)."""
         database = self.database
         if not self._views:
             self._expected_version = database.version
             return
-        net = TransInfo.from_op_effects(effects)
-        touched_tables = set()
-        for handle in net.ins:
-            touched_tables.add(net.tables[handle])
-        for handle in net.deleted:
-            touched_tables.add(net.tables[handle])
-        for handle in net.upd:
-            touched_tables.add(net.tables[handle])
+        touched = {
+            name: part for name, part in effect.tables.items()
+            if part.inserted or part.deleted or part.updated
+        }
         deltas = {}
         for view in self._views.values():
             if view.broken or view.stale:
@@ -187,12 +175,13 @@ class IncrementalManager:
             if view.schema_version != database.schema_version:
                 view.stale = True
                 continue
-            if view.table in touched_tables:
+            part = touched.get(view.table)
+            if part is not None:
                 try:
                     delta = deltas.get(view.table)
                     if delta is None:
                         delta = deltas[view.table] = NetDelta(
-                            database.table(view.table), net, view.table)
+                            database.table(view.table), part)
                     self.stats.delta_rows += view.apply_net(database, delta)
                 except Exception:
                     # Never surface maintenance errors: the rule falls
@@ -213,41 +202,27 @@ class IncrementalManager:
         self._expected_version = database.version
 
     # ------------------------------------------------------------------
-    # provenance (who produced each rule's accumulated deltas)
-
-    def reset_provenance(self, name):
-        self._provenance[name] = {}
-
-    def note_fold(self, name, source):
-        provenance = self._provenance.setdefault(name, {})
-        provenance[source] = provenance.get(source, 0) + 1
-
-    def set_sole_provenance(self, name, source):
-        """The fired rule's trans-info restarts from its own transition."""
-        self._provenance[name] = {source: 1}
-
-    # ------------------------------------------------------------------
     # rule-set changes
 
     def on_rule_defined(self, rule):
         self._plans.pop(rule.name, None)
-        self._provenance[rule.name] = {}
 
     def on_rule_dropped(self, name):
         self._plans.pop(name, None)
-        self._provenance.pop(name, None)
 
     # ------------------------------------------------------------------
     # condition evaluation
 
-    def evaluate(self, rule, info):
-        """Evaluate ``rule``'s condition incrementally.
+    def evaluate(self, rule, info, provider=None):
+        """Evaluate ``rule``'s condition incrementally; ``info`` is its
+        trans-info and ``provider`` the rule whose one transition is all
+        of it, if any.
 
         Returns ``(outcome, value)`` with outcome one of ``"graph_skip"``
         / ``"hit"`` / ``"refresh"`` / ``"fallback"``; value is None on
         fallback (the engine then runs the full path).
         """
-        if self._graph_skip(rule):
+        if provider is not None and self._graph_skip(provider, rule):
             # No read note: the skip proof depends only on this
             # transaction's own deltas (the provider's transition), not
             # on base-table state, so the answer is the same under any
@@ -373,19 +348,15 @@ class IncrementalManager:
     # ------------------------------------------------------------------
     # the refined-graph skip
 
-    def _graph_skip(self, rule):
-        """True when the rule's whole accumulated trans-info is one
-        transition of one provider whose edge to this rule the refined
-        triggering graph pruned — the exact situation PR 5's refinement
-        differential validates (the consumer provably cannot fire)."""
-        provenance = self._provenance.get(rule.name)
-        if not provenance or len(provenance) != 1:
-            return False
-        ((source, folds),) = provenance.items()
-        if folds != 1 or source == EXTERNAL_SOURCE:
-            return False
+    def _graph_skip(self, provider, rule):
+        """True when the refined triggering graph pruned the edge from
+        ``provider``, whose one transition is the rule's whole
+        trans-info, to the rule — the exact situation the refinement
+        differential validates (the consumer provably cannot fire).
+        External blocks have no provider: the graph reasons about rule
+        actions only."""
         try:
-            return (source, rule.name) in self.analysis().graph.pruned_pairs
+            return (provider, rule.name) in self.analysis().graph.pruned_pairs
         except Exception:
             # an analyzer failure costs the shortcut, never the answer
             self.stats.errors += 1

@@ -9,8 +9,8 @@ maintained from each transition's net ``[I, D, U]`` effects:
              + Σ  P(current(h)) − P(old)   for (h, old) in net-updated
 
 where "current" reads the live storage right after the transition (the
-fold point) and pre-images come from the transition's own net effect —
-exactly the information Figure 1's ``modify-trans-info`` already keeps.
+fold point) and pre-images come from the transition's own net effect
+(:class:`~repro.core.effects.TableEffect` keeps them).
 
 ``P`` runs through the compiled-expression layer when enabled (the same
 predicate kernels plan filters use) and through the interpreter
@@ -218,22 +218,22 @@ class MaintainedView:
 
 
 class NetDelta:
-    """One transition's net ``[I, D, U]`` on one table as the batches a
+    """One transition's net ``[I, D, U]`` on one table (its
+    :class:`~repro.core.effects.TableEffect` ``part``) as the batches a
     counter adds or subtracts: current values of the net-inserted and
     net-updated tuples (+1) and pre-images of the net-deleted and
     net-updated ones (-1). Resolved once and shared by every view over
-    the table; a count does not depend on the order of its rows, and a
-    handle set in ascending order resolves the fastest."""
+    the table."""
 
     __slots__ = ("signed", "rows")
 
-    def __init__(self, storage, net, table):
+    def __init__(self, storage, part):
         from ...relational.batch import Batch
 
         arity = storage.schema.arity
-        inserted = sorted(net.inserted_handles(table))
-        deleted = [row for _, row in net.deleted_rows(table)]
-        updated = net.updated_handles(table)
+        inserted = part.inserted_handles()
+        deleted = part.deleted_rows()
+        updated = part.updated_handles()
         self.rows = len(inserted) + len(deleted) + len(updated)
         self.signed = []
         if inserted:
@@ -241,9 +241,9 @@ class NetDelta:
         if deleted:
             self.signed.append((Batch.from_rows(deleted, arity), -1))
         if updated:
+            pre = part.pre
+            self.signed.append((storage.batch_for_handles(updated), 1))
             self.signed.append((
-                storage.batch_for_handles(sorted(h for h, _ in updated)), 1
-            ))
-            self.signed.append((
-                Batch.from_rows([old for _, old in updated], arity), -1
+                Batch.from_rows([pre[handle] for handle in updated], arity),
+                -1,
             ))

@@ -20,33 +20,25 @@ from ..sql.ast import TransitionPredicateKind
 def basic_predicate_satisfied(predicate, info):
     """Does one basic transition predicate hold for a rule's trans-info?
 
-    ``info`` is the rule's :class:`repro.core.transition_log.TransInfo`
-    (composite since the rule's baseline).
+    ``info`` is the rule's composite
+    :class:`~repro.core.effects.TransitionEffect` since its baseline.
     """
     kind = predicate.kind
+    part = info.tables.get(predicate.table)
     if kind is TransitionPredicateKind.INSERTED:
-        return any(
-            info.tables[handle] == predicate.table for handle in info.ins
-        )
+        return part is not None and bool(part.inserted)
     if kind is TransitionPredicateKind.DELETED:
-        return any(
-            info.tables[handle] == predicate.table for handle in info.deleted
-        )
+        return part is not None and bool(part.deleted)
     if kind is TransitionPredicateKind.UPDATED:
-        for handle, (_, columns) in info.upd.items():
-            if info.tables[handle] != predicate.table:
-                continue
-            if predicate.column is None or predicate.column in columns:
-                return True
-        return False
-    if kind is TransitionPredicateKind.SELECTED:
-        for handle, column in info.sel:
-            if info.tables[handle] != predicate.table:
-                continue
-            if predicate.column is None or predicate.column == column:
-                return True
-        return False
-    raise ValueError(f"unknown transition predicate kind {kind!r}")
+        columns_of = part.updated if part else {}
+    elif kind is TransitionPredicateKind.SELECTED:
+        columns_of = part.reads() if part else {}
+    else:
+        raise ValueError(f"unknown transition predicate kind {kind!r}")
+    column = predicate.column
+    if column is None:
+        return bool(columns_of)
+    return any(column in columns for columns in columns_of.values())
 
 
 def transition_predicate_satisfied(predicates, info):

@@ -12,10 +12,11 @@ action may reference corresponding *transition tables*:
 * ``new updated t[.c]`` — the **current** values of those same tuples;
 * ``selected t[.c]`` (§5.1) — current values of retrieved tuples.
 
-The resolver below serves these out of a rule's
-:class:`~repro.core.transition_log.TransInfo`, falling through to the
+The resolver below serves these out of a rule's composite
+:class:`~repro.core.effects.TransitionEffect`, falling through to the
 database for ordinary tables — so one SQL evaluator handles rule
-conditions, rule actions and plain queries alike.
+conditions, rule actions and plain queries alike. Every transition
+table reads in ascending handle order, storage's scan order.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from ..errors import ExecutionError, InvalidRuleError
 from ..relational.batch import Batch
 from ..relational.select import BaseTableResolver
 from ..sql import ast
+from .effects import TableEffect
+
+_UNTOUCHED = TableEffect()  # what a table the effect never touched reads
 
 
 class TransitionTableResolver(BaseTableResolver):
@@ -42,24 +46,21 @@ class TransitionTableResolver(BaseTableResolver):
     def resolve(self, table_ref):
         if not isinstance(table_ref, ast.TransitionTableRef):
             return super().resolve(table_ref)
-
-        table = table_ref.table
-        kind = table_ref.kind
-        if kind is ast.TransitionKind.DELETED:
-            # Baseline pre-images of net-deleted tuples.
-            rows = [row for _, row in self.info.deleted_rows(table)]
-            return self.database.schema(table).column_names, rows
-        if kind is ast.TransitionKind.OLD_UPDATED:
-            rows = [
-                old_row
-                for _, old_row in self.info.updated_handles(
-                    table, table_ref.column
-                )
-            ]
-            return self.database.schema(table).column_names, rows
+        if table_ref.kind in _PRE_IMAGES:
+            return (self.database.schema(table_ref.table).column_names,
+                    self._pre_images(table_ref))
         # the views over live storage: one gather of their rows
         columns, batch = self.resolve_batch(table_ref)
         return columns, batch.rows()
+
+    def _pre_images(self, table_ref):
+        """Baseline pre-images of the net-deleted tuples, or of the
+        net-updated ones (whose ``column`` was updated)."""
+        part = self.info.tables.get(table_ref.table, _UNTOUCHED)
+        if table_ref.kind is ast.TransitionKind.DELETED:
+            return part.deleted_rows()
+        pre = part.pre
+        return [pre[handle] for handle in part.updated_handles(table_ref.column)]
 
     def resolve_batch(self, table_ref):
         """Batch form of :meth:`resolve` for the vectorized scan path.
@@ -76,53 +77,26 @@ class TransitionTableResolver(BaseTableResolver):
         schema = self.database.schema(table)
         columns = schema.column_names
         kind = table_ref.kind
-
+        if kind in _PRE_IMAGES:
+            rows = self._pre_images(table_ref)
+            return columns, Batch.from_rows(rows, schema.arity)
+        part = self.info.tables.get(table, _UNTOUCHED)
+        storage = self.database.table(table)
         if kind is ast.TransitionKind.INSERTED:
-            storage = self.database.table(table)
-            batch = storage.batch_for_handles(
-                self.info.inserted_handles(table)
-            )
-            return columns, batch.unlabeled()
-
-        if kind is ast.TransitionKind.DELETED:
-            rows = [row for _, row in self.info.deleted_rows(table)]
-            return columns, Batch.from_rows(rows, schema.arity)
-
-        if kind is ast.TransitionKind.OLD_UPDATED:
-            rows = [
-                old_row
-                for _, old_row in self.info.updated_handles(
-                    table, table_ref.column
-                )
+            handles = part.inserted_handles()
+        elif kind is ast.TransitionKind.NEW_UPDATED:
+            handles = part.updated_handles(table_ref.column)
+        elif kind is ast.TransitionKind.SELECTED:
+            handles = [
+                handle for handle in part.selected_handles(table_ref.column)
+                if handle in storage
             ]
-            return columns, Batch.from_rows(rows, schema.arity)
+        else:
+            raise ExecutionError(f"unknown transition table kind {kind!r}")
+        return columns, storage.batch_for_handles(handles).unlabeled()
 
-        if kind is ast.TransitionKind.NEW_UPDATED:
-            storage = self.database.table(table)
-            batch = storage.batch_for_handles(
-                [
-                    handle
-                    for handle, _ in self.info.updated_handles(
-                        table, table_ref.column
-                    )
-                ]
-            )
-            return columns, batch.unlabeled()
 
-        if kind is ast.TransitionKind.SELECTED:
-            storage = self.database.table(table)
-            batch = storage.batch_for_handles(
-                [
-                    handle
-                    for handle in self.info.selected_handles(
-                        table, table_ref.column
-                    )
-                    if handle in storage
-                ]
-            )
-            return columns, batch.unlabeled()
-
-        raise ExecutionError(f"unknown transition table kind {kind!r}")
+_PRE_IMAGES = (ast.TransitionKind.DELETED, ast.TransitionKind.OLD_UPDATED)
 
 
 # ---------------------------------------------------------------------------

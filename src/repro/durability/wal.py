@@ -330,7 +330,8 @@ def build_commit_record(txn_id, effect, database):
 
     ``effect`` is the whole-transaction
     :class:`~repro.core.effects.TransitionEffect` (external block and all
-    rule-generated transitions composed per Definition 2.1); redo values
+    rule-generated transitions composed per Definition 2.1 — the
+    transition log's cursor-0 composite), kept per table; redo values
     are read from the database at the commit point, which by definition
     holds every net-inserted row live and every net-updated column at
     its final value. The §5.1 ``S`` component is read-only and is not
@@ -346,49 +347,30 @@ def build_commit_record(txn_id, effect, database):
     one slot selection (:meth:`Table.column_vectors`). The record also carries the handle high-water
     mark ``hwm`` (handles are non-reusable across crashes too).
     """
-    split_by_table = database.handles.split_by_table
-    table = database.table
     commit = {}
-    if effect.deleted:
-        for name, run in split_by_table(effect.deleted).items():
-            commit[name] = {"d": encode_runs(run)}
-    if effect.inserted:
-        for name, run in split_by_table(effect.inserted).items():
-            commit.setdefault(name, {})["i"] = [
-                encode_runs(run), *table(name).column_vectors(run)
+    for name in sorted(effect.tables):
+        part = effect.tables[name]
+        table = database.table(name)
+        entry = {}
+        if part.deleted:
+            entry["d"] = encode_runs(sorted(part.deleted))
+        if part.inserted:
+            run = part.inserted_handles()
+            entry["i"] = [encode_runs(run), *table.column_vectors(run)]
+        if part.updated:
+            groups = {}
+            for handle in part.updated_handles():
+                groups.setdefault(part.updated[handle], []).append(handle)
+            entry["u"] = [
+                [names, encode_runs(run), *table.column_vectors(run, names)]
+                for names, run in sorted(
+                    (tuple(sorted(columns)), run)
+                    for columns, run in groups.items()
+                )
             ]
-    if effect.updated:
-        columns = {column for _, column in effect.updated}
-        if len(columns) == 1:
-            # one column updated throughout (the shape of most commits):
-            # one group per touched table
-            names = tuple(columns)
-            for name, run in split_by_table(
-                [handle for handle, _ in effect.updated]
-            ).items():
-                commit.setdefault(name, {})["u"] = [[
-                    names, encode_runs(run),
-                    *table(name).column_vectors(run, names),
-                ]]
-        else:
-            columns_of = {}
-            for handle, column in effect.updated:
-                columns_of.setdefault(handle, []).append(column)
-            for name, run in split_by_table(columns_of).items():
-                groups = {}
-                for handle in run:
-                    groups.setdefault(
-                        tuple(sorted(columns_of[handle])), []
-                    ).append(handle)
-                commit.setdefault(name, {})["u"] = [
-                    [names, encode_runs(groups[names]),
-                     *table(name).column_vectors(groups[names], names)]
-                    for names in sorted(groups)
-                ]
-    for name, entry in commit.items():
-        entry["n"] = len(table(name))
-    if len(commit) > 1:
-        commit = {name: commit[name] for name in sorted(commit)}
+        if entry:
+            entry["n"] = len(table)
+            commit[name] = entry
     return {
         "txn": txn_id,
         "hwm": database.handles.issued_count,

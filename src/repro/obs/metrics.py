@@ -222,9 +222,10 @@ class MetricsCollector(EventSink):
         metrics.action_time += data.get("duration", 0.0)
         effect = data.get("effect")
         if effect is not None:
-            metrics.rows_inserted += len(effect.inserted)
-            metrics.rows_deleted += len(effect.deleted)
-            metrics.rows_updated += len(effect.updated_handles)
+            inserted, deleted, updated, _ = effect.counts()
+            metrics.rows_inserted += inserted
+            metrics.rows_deleted += deleted
+            metrics.rows_updated += updated
         self._fold_planner(metrics, data)
         self._fold_compiler(metrics, data)
         self._fold_vectorized(metrics, data)

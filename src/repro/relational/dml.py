@@ -50,10 +50,6 @@ class InsertEffect:
     handles: tuple
 
     @property
-    def kind(self):
-        return "insert"
-
-    @property
     def rows_affected(self):
         return len(self.handles)
 
@@ -65,10 +61,6 @@ class DeleteEffect:
 
     table: str
     entries: tuple  # of (handle, old_row)
-
-    @property
-    def kind(self):
-        return "delete"
 
     @property
     def rows_affected(self):
@@ -85,10 +77,6 @@ class UpdateEffect:
     entries: tuple  # of (handle, old_row)
 
     @property
-    def kind(self):
-        return "update"
-
-    @property
     def rows_affected(self):
         return len(self.entries)
 
@@ -98,10 +86,6 @@ class SelectEffect:
     """§5.1 extension: tuples/columns read by a standalone select."""
 
     entries: tuple  # of (table, handle, columns)
-
-    @property
-    def kind(self):
-        return "select"
 
     @property
     def rows_affected(self):

@@ -115,25 +115,6 @@ class HandleAllocator:
             raise KeyError(handle)
         return self._names[at]
 
-    def split_by_table(self, handles: Iterable[int]) -> dict[str, list[int]]:
-        """``{table: ascending handles}`` for a collection of issued
-        handles: one bisection per allocation run met, not per handle.
-
-        Raises:
-            KeyError: for a handle this allocator never issued.
-        """
-        split: dict[str, list[int]] = {}
-        end = 0  # of the run the previous handle fell in
-        for handle in sorted(handles):
-            if handle >= end:
-                at = bisect_right(self._starts, handle) - 1
-                if at < 0 or handle >= self._ends[at]:
-                    raise KeyError(handle)
-                end = self._ends[at]
-                run = split.setdefault(self._names[at], [])
-            run.append(handle)
-        return split
-
     def blocks(self) -> list[tuple[int, int, str]]:
         """``(start, end, table)`` per allocation block, ascending: the
         handles ``start .. end - 1`` belong to ``table``."""

@@ -8,8 +8,10 @@ check the paper's algebraic claims on the resulting effects:
 * the empty effect is a two-sided identity;
 * composition preserves the net-effect invariant (a handle appears in at
   most one of I, D, U);
-* the incremental Figure 1 ``trans-info`` maintenance agrees exactly with
-  whole-sequence effect composition;
+* the per-table effect agrees exactly with the replaced representations
+  (``tests/reference/figure1.py``): the Figure 1 ``trans-info`` fold on
+  I, D, U, S and pre-images, the frozenset Definition 2.1 composition on
+  I, D and U;
 * net semantics: I/D/U membership can be predicted from each handle's
   operation history.
 """
@@ -17,8 +19,13 @@ check the paper's algebraic claims on the resulting effects:
 from hypothesis import given, settings, strategies as st
 
 from repro.core.effects import TransitionEffect, compose_all
-from repro.core.transition_log import TransInfo
-from repro.relational.dml import DeleteEffect, InsertEffect, UpdateEffect
+from repro.relational.dml import (
+    DeleteEffect,
+    InsertEffect,
+    SelectEffect,
+    UpdateEffect,
+)
+from tests.reference import figure1
 
 COLUMNS = ("a", "b", "c")
 
@@ -36,11 +43,14 @@ def op_sequences(draw, max_ops=30, initial_handles=5):
     initial = frozenset(live)
     ops = []
     count = draw(st.integers(min_value=0, max_value=max_ops))
-    for _ in range(count):
+    for step in range(count):
         choices = ["insert"]
         if live:
-            choices += ["delete", "update"]
+            choices += ["delete", "update", "select"]
         kind = draw(st.sampled_from(choices))
+        # the row value just before the operation, tagged with the step
+        # so that a pre-image names the operation it came from
+        row = ("row", step)
         if kind == "insert":
             handle = next_handle
             next_handle += 1
@@ -49,16 +59,27 @@ def op_sequences(draw, max_ops=30, initial_handles=5):
         elif kind == "delete":
             handle = draw(st.sampled_from(sorted(live)))
             live.discard(handle)
-            # the row value just before the delete (content irrelevant to
-            # the algebra; tagged for the TransInfo agreement check)
-            ops.append(DeleteEffect("t", ((handle, ("row", handle)),)))
+            ops.append(DeleteEffect("t", ((handle, row),)))
         else:
             handle = draw(st.sampled_from(sorted(live)))
             column = draw(st.sampled_from(COLUMNS))
             ops.append(
-                UpdateEffect("t", (column,), ((handle, ("row", handle)),))
+                UpdateEffect("t", (column,), ((handle, row),))
+                if kind == "update"
+                else SelectEffect((("t", handle, (column,)),))
             )
     return initial, ops
+
+
+def reference_fold(ops):
+    info = figure1.TransInfo()
+    for op in ops:
+        info.apply(op)
+    return info
+
+
+def pairs(info_upd):
+    return {(h, c) for h, (_, columns) in info_upd.items() for c in columns}
 
 
 def split_points(sequence, a, b):
@@ -83,7 +104,7 @@ class TestCompositionAlgebra:
     def test_identity(self, seq):
         _, ops = seq
         effect = TransitionEffect.from_op_effects(ops)
-        empty = TransitionEffect.empty()
+        empty = TransitionEffect()
         assert empty | effect == effect
         assert effect | empty == effect
 
@@ -99,7 +120,7 @@ class TestCompositionAlgebra:
         """Closure: composing well-formed effects (in any grouping, at
         every intermediate step) yields a well-formed effect."""
         _, ops = seq
-        running = TransitionEffect.empty()
+        running = TransitionEffect()
         for chunk in split_points(ops, cut_a, cut_b):
             effect = TransitionEffect.from_op_effects(chunk)
             assert effect.is_well_formed()
@@ -133,7 +154,7 @@ class TestNetSemantics:
                 inserted_during.update(op.handles)
             elif isinstance(op, DeleteEffect):
                 deleted_during.update(h for h, _ in op.entries)
-            else:
+            elif isinstance(op, UpdateEffect):
                 for handle, _ in op.entries:
                     updated_cols.setdefault(handle, set()).update(op.columns)
 
@@ -144,14 +165,14 @@ class TestNetSemantics:
                 assert handle not in effect.deleted
             else:
                 assert handle in effect.inserted
-            assert handle not in effect.updated_handles
+            assert handle not in {h for h, _ in effect.updated}
 
         for handle in deleted_during:
             if handle in inserted_during:
                 assert handle not in effect.deleted
             else:
                 assert handle in effect.deleted
-            assert handle not in effect.updated_handles
+            assert handle not in {h for h, _ in effect.updated}
 
         for handle, columns in updated_cols.items():
             survived = (
@@ -166,11 +187,25 @@ class TestFigure1Agreement:
     @given(op_sequences())
     @settings(max_examples=200)
     def test_trans_info_equals_composition(self, seq):
-        """Figure 1's incremental modify-trans-info computes exactly the
-        composed effect of Definition 2.1."""
+        """The per-table effect holds exactly what Figure 1's
+        modify-trans-info folds (I, D, U, S and every pre-image), and
+        exactly the frozenset Definition 2.1 composite on I, D and U."""
         _, ops = seq
-        info = TransInfo.from_op_effects(ops)
-        assert info.to_effect() == TransitionEffect.from_op_effects(ops)
+        effect = TransitionEffect.from_op_effects(ops)
+        info = reference_fold(ops)
+        part = effect.tables.get("t")
+        assert effect.inserted == info.ins
+        assert effect.deleted == set(info.deleted)
+        assert effect.updated == pairs(info.upd)
+        assert effect.selected == info.sel
+        expected_pre = dict(info.deleted)
+        expected_pre.update((h, row) for h, (row, _) in info.upd.items())
+        assert (part.pre if part else {}) == expected_pre
+        composed = figure1.TransitionEffect()
+        for op in ops:
+            composed = composed.compose(figure1.TransitionEffect.from_op_effect(op))
+        assert (composed.inserted, composed.deleted, composed.updated) == (
+            effect.inserted, effect.deleted, effect.updated)
 
     @given(op_sequences(), st.integers())
     @settings(max_examples=100)
@@ -179,9 +214,9 @@ class TestFigure1Agreement:
     ):
         _, ops = seq
         position = cut % (len(ops) + 1)
-        info = TransInfo.from_op_effects(ops[:position])
-        info.apply_all(ops[position:])
-        assert info.to_effect() == TransitionEffect.from_op_effects(ops)
+        effect = TransitionEffect.from_op_effects(ops[:position])
+        effect.extend(TransitionEffect.from_op_effects(ops[position:]))
+        assert effect == TransitionEffect.from_op_effects(ops)
 
     @given(op_sequences())
     @settings(max_examples=100)
@@ -189,11 +224,11 @@ class TestFigure1Agreement:
         """A handle updated then deleted must record its value as of the
         first update (the baseline pre-image), per get-old-value."""
         _, ops = seq
-        info = TransInfo.from_op_effects(ops)
+        part = TransitionEffect.from_op_effects(ops).tables.get("t")
         first_seen_row = {}
         for op in ops:
             if isinstance(op, (DeleteEffect, UpdateEffect)):
                 for handle, row in op.entries:
                     first_seen_row.setdefault(handle, row)
-        for handle, row in info.deleted.items():
-            assert row == first_seen_row[handle]
+        for handle in part.deleted if part else ():
+            assert part.pre[handle] == first_seen_row[handle]

@@ -26,7 +26,7 @@ class FullReevaluation:
     def __init__(self):
         self.stats = IncrementalStats()
 
-    def evaluate(self, rule, info):
+    def evaluate(self, rule, info, provider=None):
         return "fallback", None
 
     def stats_snapshot(self):
@@ -39,7 +39,6 @@ class FullReevaluation:
     on_begin = on_commit = on_abort = _ignore
     before_transition = apply_transition = _ignore
     suspend = resume = discard_suspended = _ignore
-    reset_provenance = note_fold = set_sole_provenance = _ignore
     on_rule_defined = on_rule_dropped = _ignore
 
 

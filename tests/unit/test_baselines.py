@@ -10,7 +10,7 @@ from repro.baselines import (
     take_snapshot,
 )
 from repro.core.engine import RuleEngine
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect
 from repro.relational.dml import DeleteEffect, InsertEffect, UpdateEffect
 
 
@@ -19,7 +19,7 @@ ROW = ("a", 1)
 
 class TestSplitSingletons:
     def test_split_counts(self):
-        info = TransInfo.from_op_effects(
+        info = TransitionEffect.from_op_effects(
             [
                 InsertEffect("t", (1, 2)),
                 DeleteEffect("t", ((3, ROW),)),
@@ -29,11 +29,10 @@ class TestSplitSingletons:
         units = split_singletons(info)
         assert len(units) == 4
         for unit in units:
-            total = len(unit.ins) + len(unit.deleted) + len(unit.upd)
-            assert total == 1
+            assert sum(unit.counts()) == 1
 
     def test_empty_info_splits_to_nothing(self):
-        assert split_singletons(TransInfo.empty()) == []
+        assert split_singletons(TransitionEffect()) == []
 
 
 class TestInstanceOrientedEngine:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.effects import TransitionEffect, compose_all
+from repro.core.effects import TableEffect, TransitionEffect, compose_all
 from repro.relational.dml import (
     DeleteEffect,
     InsertEffect,
@@ -11,18 +11,24 @@ from repro.relational.dml import (
 )
 
 
-def effect(I=(), D=(), U=(), S=()):
-    return TransitionEffect(
-        inserted=frozenset(I),
-        deleted=frozenset(D),
-        updated=frozenset(U),
-        selected=frozenset(S),
-    )
+def effect(I=(), D=(), U=(), S=(), pre=None):
+    """A one-table effect from flat handle sets and (handle, column)
+    pairs."""
+    updated, selected = {}, {}
+    for pairs, columns_of in ((U, updated), (S, selected)):
+        for handle, column in pairs:
+            columns_of[handle] = columns_of.get(handle, frozenset()) | {column}
+    return TransitionEffect({"t": TableEffect(I, D, updated, selected, pre)})
+
+
+def base(op):
+    """The base-case effect of one operation (§2.2)."""
+    return TransitionEffect.from_op_effects([op])
 
 
 class TestBasics:
     def test_empty(self):
-        assert TransitionEffect.empty().is_empty()
+        assert TransitionEffect().is_empty()
 
     def test_non_empty(self):
         assert not effect(I=[1]).is_empty()
@@ -36,7 +42,8 @@ class TestBasics:
         assert not effect(D=[1], U=[(1, "c")]).is_well_formed()
 
     def test_updated_handles(self):
-        assert effect(U=[(1, "a"), (1, "b"), (2, "a")]).updated_handles == {1, 2}
+        e = effect(U=[(1, "a"), (1, "b"), (2, "a")])
+        assert e.tables["t"].updated_handles() == [1, 2]
 
     def test_summary(self):
         assert effect(I=[1, 2], D=[3], U=[(4, "c")]).summary() == "[I:2 D:1 U:1]"
@@ -87,8 +94,8 @@ class TestCompositionDefinition21:
 
     def test_identity_element(self):
         e = effect(I=[1], D=[2], U=[(3, "c")])
-        assert TransitionEffect.empty().compose(e) == e
-        assert e.compose(TransitionEffect.empty()) == e
+        assert TransitionEffect().compose(e) == e
+        assert e.compose(TransitionEffect()) == e
 
     def test_associativity_worked_example(self):
         # insert(1); update(1); delete(1) -> empty, either grouping
@@ -111,7 +118,8 @@ class TestCompositionDefinition21:
 
 
 class TestSelectedComposition:
-    """Our documented choice for the §5.1 S component: S = (S1 ∪ S2) − D2."""
+    """Our documented choice for the §5.1 S component: S = (S1 ∪ S2) − D,
+    D the composite's net deletions."""
 
     def test_select_then_delete_drops(self):
         composed = effect(S=[(1, "c")]).compose(effect(D=[1]))
@@ -129,27 +137,23 @@ class TestSelectedComposition:
 class TestFromOpEffects:
     def test_insert_base_case(self):
         op = InsertEffect("t", (1, 2))
-        assert TransitionEffect.from_op_effect(op) == effect(I=[1, 2])
+        assert base(op) == effect(I=[1, 2])
 
     def test_delete_base_case(self):
         op = DeleteEffect("t", ((1, ("a",)), (2, ("b",))))
-        assert TransitionEffect.from_op_effect(op) == effect(D=[1, 2])
+        assert base(op) == effect(D=[1, 2], pre={1: ("a",), 2: ("b",)})
 
     def test_update_base_case_expands_columns(self):
         op = UpdateEffect("t", ("a", "b"), ((1, ("x",)),))
-        assert TransitionEffect.from_op_effect(op) == effect(
-            U=[(1, "a"), (1, "b")]
-        )
+        assert base(op) == effect(U=[(1, "a"), (1, "b")], pre={1: ("x",)})
 
     def test_select_base_case(self):
         op = SelectEffect((("t", 1, ("a", "b")),))
-        assert TransitionEffect.from_op_effect(op) == effect(
-            S=[(1, "a"), (1, "b")]
-        )
+        assert base(op) == effect(S=[(1, "a"), (1, "b")])
 
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):
-            TransitionEffect.from_op_effect(object())
+            base(object())
 
     def test_from_op_effects_folds(self):
         ops = [
@@ -160,4 +164,6 @@ class TestFromOpEffects:
         # insert 1; update 1 and 2; delete 2
         # net: inserted {1} (its update folds in), deleted {2} (its update
         # drops), nothing in U
-        assert TransitionEffect.from_op_effects(ops) == effect(I=[1], D=[2])
+        assert TransitionEffect.from_op_effects(ops) == effect(
+            I=[1], D=[2], pre={2: ("y",)}
+        )

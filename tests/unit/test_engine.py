@@ -256,7 +256,7 @@ class TestIntrospection:
         db.execute("insert into t values (1)")
         assert db.engine.triggered_rules() == ["r"]
         info = db.engine.transition_info("r")
-        assert len(info.ins) == 1
+        assert len(info.inserted) == 1
         db.commit()
 
     def test_triggered_rules_outside_transaction_raises(self, db):

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro import ActiveDatabase
-from repro.core.effects import TransitionEffect
+from repro.core.effects import TableEffect, TransitionEffect
 from repro.obs import (
     Event,
     EventBus,
@@ -40,11 +40,10 @@ class TestEvent:
         json.dumps(rendered)  # must be serializable
 
     def test_to_json_dict_flattens_live_objects(self):
-        effect = TransitionEffect(
-            inserted=frozenset({1, 2}),
-            deleted=frozenset({3}),
-            updated=frozenset({(4, "salary")}),
-        )
+        effect = TransitionEffect({"emp": TableEffect(
+            inserted={1, 2}, deleted={3},
+            updated={4: frozenset({"salary"})},
+        )})
         seen = {"deleted emp": [("Jane",), ("Mary",)]}
         event = make_event(
             kind=EventKind.RULE_FIRED, effect=effect, seen=seen
@@ -162,7 +161,7 @@ class TestMetricsCollector:
         ))
         collector.emit(make_event(
             seq=3, kind=EventKind.RULE_FIRED, rule="r1", duration=0.5,
-            effect=TransitionEffect(deleted=frozenset({1, 2})),
+            effect=TransitionEffect({"t": TableEffect(deleted={1, 2})}),
             trans_info_size=2,
         ))
         collector.emit(make_event(

@@ -8,7 +8,7 @@ from repro.core.predicates import (
     predicate_tables,
     transition_predicate_satisfied,
 )
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect
 from repro.relational.dml import (
     DeleteEffect,
     InsertEffect,
@@ -21,7 +21,7 @@ ROW = ("x", 1)
 
 
 def info_from(*ops):
-    return TransInfo.from_op_effects(list(ops))
+    return TransitionEffect.from_op_effects(ops)
 
 
 def pred(text):
@@ -51,7 +51,7 @@ class TestDeleted:
 
     def test_empty_info_not_satisfied(self):
         assert not basic_predicate_satisfied(
-            pred("deleted from emp"), TransInfo.empty()
+            pred("deleted from emp"), TransitionEffect()
         )
 
 

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 STRICT_PACKAGES = (
     "repro/analysis", "repro/sql", "repro/relational/plan",
     "repro/relational/table.py", "repro/relational/batch.py",
-    "repro/relational/handles.py",
+    "repro/relational/handles.py", "repro/core/effects.py",
 )
 #: modules under an override that sets ``disallow_untyped_defs =
 #: false`` (none left: the whole of each package is strict)

@@ -149,18 +149,6 @@ class TestHandleAllocator:
         allocator.restore([], "d")
         assert allocator.issued_count == 10
 
-    def test_split_by_table(self):
-        allocator = HandleAllocator()
-        first = allocator.allocate_many("a", 3)
-        second = allocator.allocate_many("b", 2)
-        third = allocator.allocate_many("a", 2)
-        assert allocator.split_by_table({7, 1, 4, 3, 6}) == {
-            "a": [1, 3, 6, 7], "b": [4]}
-        assert allocator.split_by_table(first + second + third) == {
-            "a": first + third, "b": second}
-        assert allocator.split_by_table([]) == {}
-        with pytest.raises(KeyError):
-            allocator.split_by_table([2, 8])
 
 
 class TestDatabaseMutators:

@@ -9,7 +9,7 @@ version. These tests pin down the classification, the invalidation, and
 import pytest
 
 from repro import ActiveDatabase
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect
 from repro.core.transition_tables import TransitionTableResolver
 from repro.relational.database import Database
 from repro.relational.dml import InsertEffect
@@ -178,7 +178,7 @@ class TestCacheBehaviour:
         mutation moved ``database.version`` in between (stale-cache
         scenario the classification fix prevents)."""
         handle = database.insert_row("emp", ("a", 10.0, 1))
-        info = TransInfo.empty()
+        info = TransitionEffect()
         resolver = TransitionTableResolver(database, info)
         evaluator = Evaluator(database, resolver)
         condition = parse_expression("exists (select * from inserted emp)")

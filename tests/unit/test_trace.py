@@ -1,7 +1,7 @@
 """Unit tests for transition records and transaction results."""
 
 from repro import ActiveDatabase
-from repro.core.effects import TransitionEffect
+from repro.core.effects import TableEffect, TransitionEffect
 from repro.core.trace import (
     ConsiderationRecord,
     TransactionResult,
@@ -9,8 +9,14 @@ from repro.core.trace import (
 )
 
 
-def effect(I=(), D=(), U=()):
-    return TransitionEffect(frozenset(I), frozenset(D), frozenset(U))
+def effect(I=(), D=(), U=(), S=()):
+    """A one-table effect from flat handle sets and (handle, column)
+    pairs."""
+    updated, selected = {}, {}
+    for pairs, columns_of in ((U, updated), (S, selected)):
+        for handle, column in pairs:
+            columns_of[handle] = columns_of.get(handle, frozenset()) | {column}
+    return TransitionEffect({"t": TableEffect(I, D, updated, selected)})
 
 
 class TestTransitionRecord:

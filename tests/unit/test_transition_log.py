@@ -1,9 +1,10 @@
-"""Unit tests for per-rule transition information (Figure 1 trans-info)."""
+"""Unit tests for Figure 1's trans-info: one transition's net effect
+folded from its operations, and the transaction's log of them with one
+cursor per rule (:class:`repro.core.effects.TransitionLog`)."""
 
 import pytest
 
-from repro.core.effects import TransitionEffect
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect, TransitionLog
 from repro.relational.dml import (
     DeleteEffect,
     InsertEffect,
@@ -17,106 +18,101 @@ ROW_V1 = ("a", 1, 20.0)
 ROW_V2 = ("a", 1, 30.0)
 
 
+def fold(*ops):
+    return TransitionEffect.from_op_effects(ops)
+
+
 class TestInitTransInfo:
     def test_insert(self):
-        info = TransInfo.from_op_effects([InsertEffect("t", (1, 2))])
-        assert info.ins == {1, 2}
-        assert info.tables[1] == "t"
-        assert not info.deleted and not info.upd
+        part = fold(InsertEffect("t", (1, 2))).tables["t"]
+        assert part.inserted == {1, 2}
+        assert not part.deleted and not part.updated
 
     def test_delete_records_values(self):
-        info = TransInfo.from_op_effects([DeleteEffect("t", ((1, ROW_V0),))])
-        assert info.deleted == {1: ROW_V0}
+        part = fold(DeleteEffect("t", ((1, ROW_V0),))).tables["t"]
+        assert part.deleted == {1}
+        assert part.pre == {1: ROW_V0}
 
     def test_update_records_pre_image_and_columns(self):
-        info = TransInfo.from_op_effects(
-            [UpdateEffect("t", ("salary",), ((1, ROW_V0),))]
-        )
-        assert info.upd == {1: (ROW_V0, {"salary"})}
+        part = fold(UpdateEffect("t", ("salary",), ((1, ROW_V0),))).tables["t"]
+        assert part.updated == {1: {"salary"}}
+        assert part.pre == {1: ROW_V0}
 
     def test_empty(self):
-        assert TransInfo.empty().is_empty()
+        assert TransitionLog(["r"]).info("r").is_empty()
 
 
 class TestModifyTransInfo:
     """The Figure 1 modify-trans-info cases."""
 
     def test_insert_then_delete_forgotten(self):
-        info = TransInfo.from_op_effects(
-            [InsertEffect("t", (1,)), DeleteEffect("t", ((1, ROW_V0),))]
-        )
-        assert info.is_empty()
+        effect = fold(InsertEffect("t", (1,)), DeleteEffect("t", ((1, ROW_V0),)))
+        assert effect.is_empty()
+        assert effect.tables["t"].pre == {}
 
     def test_insert_then_update_stays_insert(self):
-        info = TransInfo.from_op_effects(
-            [
-                InsertEffect("t", (1,)),
-                UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
-            ]
-        )
-        assert info.ins == {1}
-        assert not info.upd
+        part = fold(
+            InsertEffect("t", (1,)),
+            UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
+        ).tables["t"]
+        assert part.inserted == {1}
+        assert not part.updated
 
     def test_update_then_delete_keeps_original_pre_image(self):
         """Figure 1's get-old-value: a tuple updated (v0 -> v1) then
-        deleted records its *baseline* value v0 in del, and its upd
-        entries are dropped."""
-        info = TransInfo.from_op_effects(
-            [
-                UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
-                DeleteEffect("t", ((1, ROW_V1),)),
-            ]
-        )
-        assert info.deleted == {1: ROW_V0}
-        assert not info.upd
+        deleted keeps its *baseline* value v0 as its pre-image, and its U
+        entry is dropped."""
+        part = fold(
+            UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
+            DeleteEffect("t", ((1, ROW_V1),)),
+        ).tables["t"]
+        assert part.deleted == {1}
+        assert part.deleted_rows() == [ROW_V0]
+        assert not part.updated
 
     def test_repeated_update_keeps_first_pre_image(self):
-        info = TransInfo.from_op_effects(
-            [
-                UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
-                UpdateEffect("t", ("salary",), ((1, ROW_V1),)),
-            ]
-        )
-        assert info.upd[1] == (ROW_V0, {"salary"})
+        part = fold(
+            UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
+            UpdateEffect("t", ("salary",), ((1, ROW_V1),)),
+        ).tables["t"]
+        assert part.updated == {1: {"salary"}}
+        assert part.pre == {1: ROW_V0}
 
     def test_second_column_update_shares_baseline(self):
         """All (h, c, v) entries for one handle share one pre-image v."""
-        info = TransInfo.from_op_effects(
-            [
-                UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
-                UpdateEffect("t", ("name",), ((1, ROW_V1),)),
-            ]
-        )
-        row, columns = info.upd[1]
-        assert row == ROW_V0  # not ROW_V1
-        assert columns == {"salary", "name"}
+        part = fold(
+            UpdateEffect("t", ("salary",), ((1, ROW_V0),)),
+            UpdateEffect("t", ("name",), ((1, ROW_V1),)),
+        ).tables["t"]
+        assert part.pre[1] == ROW_V0  # not ROW_V1
+        assert part.updated[1] == {"salary", "name"}
 
     def test_plain_delete(self):
-        info = TransInfo.from_op_effects([DeleteEffect("t", ((1, ROW_V0),))])
-        info.apply(InsertEffect("t", (2,)))
-        assert info.deleted == {1: ROW_V0}
-        assert info.ins == {2}
+        effect = fold(DeleteEffect("t", ((1, ROW_V0),)))
+        effect.apply(InsertEffect("t", (2,)))
+        assert effect.tables["t"].deleted_rows() == [ROW_V0]
+        assert effect.tables["t"].inserted == {2}
 
     def test_incremental_equals_batch(self):
+        """Logging the operations as four transitions composes to the
+        effect of one transition holding all four."""
         ops = [
             InsertEffect("t", (1,)),
             UpdateEffect("t", ("salary",), ((1, ROW_V0), (2, ROW_V0))),
             DeleteEffect("t", ((2, ROW_V1),)),
             InsertEffect("t", (3,)),
         ]
-        batch = TransInfo.from_op_effects(ops)
-        incremental = TransInfo.empty()
+        log = TransitionLog(["r"])
         for op in ops:
-            incremental.apply(op)
-        assert batch.ins == incremental.ins
-        assert batch.deleted == incremental.deleted
-        assert batch.upd == incremental.upd
+            log.append(fold(op), None)
+        assert log.info("r") == fold(*ops)
+        assert log.transaction is log.info("r")
 
 
 class TestToEffect:
     def test_matches_pure_composition(self):
-        """TransInfo folding and TransitionEffect composition agree —
-        Figure 1 is a correct implementation of Definition 2.1."""
+        """Folding operations and composing their base-case effects
+        agree — Figure 1 is a correct implementation of Definition 2.1."""
         ops = [
             InsertEffect("t", (1, 2)),
             UpdateEffect("t", ("c",), ((1, ROW_V0), (3, ROW_V0))),
@@ -124,96 +120,100 @@ class TestToEffect:
             InsertEffect("t", (4,)),
             UpdateEffect("t", ("d",), ((4, ROW_V0),)),
         ]
-        info_effect = TransInfo.from_op_effects(ops).to_effect()
-        pure_effect = TransitionEffect.from_op_effects(ops)
-        assert info_effect == pure_effect
+        composed = TransitionEffect()
+        for op in ops:
+            composed = composed | fold(op)
+        assert composed == fold(*ops)
+        assert composed.inserted == {1, 4}
+        assert composed.deleted == {3}
+        assert composed.tables["t"].pre == {3: ROW_V0}
 
     def test_expands_columns(self):
-        info = TransInfo.from_op_effects(
-            [UpdateEffect("t", ("a", "b"), ((1, ROW_V0),))]
-        )
-        assert info.to_effect().updated == {(1, "a"), (1, "b")}
+        effect = fold(UpdateEffect("t", ("a", "b"), ((1, ROW_V0),)))
+        assert effect.updated == {(1, "a"), (1, "b")}
 
 
 class TestCopyIndependence:
+    """Rules at different cursors read different compositions, and no
+    composition shares a mutable part with a logged transition."""
+
     def test_copies_do_not_alias(self):
-        original = TransInfo.from_op_effects(
-            [
-                InsertEffect("t", (1,)),
-                UpdateEffect("t", ("c",), ((2, ROW_V0),)),
-            ]
+        log = TransitionLog(["early", "late"])
+        first = fold(
+            InsertEffect("t", (1,)),
+            UpdateEffect("t", ("c",), ((2, ROW_V0),)),
         )
-        copy = original.copy()
-        copy.apply(DeleteEffect("t", ((2, ROW_V1),)))
-        copy.apply(UpdateEffect("t", ("d",), ((3, ROW_V0),)))
-        assert 2 in original.upd
-        assert 2 not in copy.upd
-        assert 3 not in original.upd
-        assert 2 in copy.deleted and 2 not in original.deleted
+        log.append(first, None)
+        log.restart("late")
+        log.append(fold(
+            DeleteEffect("t", ((2, ROW_V1),)),
+            UpdateEffect("t", ("d",), ((3, ROW_V0),)),
+        ), "r")
+        early, late = log.info("early").tables["t"], log.info("late").tables["t"]
+        assert 2 in first.tables["t"].updated  # the logged entry is intact
+        assert 2 in early.deleted and early.pre[2] == ROW_V0
+        assert 2 in late.deleted and late.pre[2] == ROW_V1
+        assert 1 in early.inserted and 1 not in late.inserted
+        assert log.provider("late") == "r" and log.provider("early") is None
 
     def test_column_sets_do_not_alias(self):
-        original = TransInfo.from_op_effects(
-            [UpdateEffect("t", ("a",), ((1, ROW_V0),))]
-        )
-        copy = original.copy()
-        copy.apply(UpdateEffect("t", ("b",), ((1, ROW_V1),)))
-        assert original.upd[1][1] == {"a"}
-        assert copy.upd[1][1] == {"a", "b"}
+        log = TransitionLog(["r"])
+        first = fold(UpdateEffect("t", ("a",), ((1, ROW_V0),)))
+        log.append(first, None)
+        log.append(fold(UpdateEffect("t", ("b",), ((1, ROW_V1),))), None)
+        assert first.tables["t"].updated[1] == {"a"}
+        assert log.info("r").tables["t"].updated[1] == {"a", "b"}
 
 
 class TestAccessors:
+    """Every read is in ascending handle order."""
+
     def make(self):
-        return TransInfo.from_op_effects(
-            [
-                InsertEffect("t", (1,)),
-                InsertEffect("u", (2,)),
-                DeleteEffect("t", ((3, ROW_V0),)),
-                UpdateEffect("t", ("salary",), ((4, ROW_V0),)),
-                UpdateEffect("t", ("name",), ((5, ROW_V1),)),
-            ]
+        return fold(
+            InsertEffect("t", (9, 1)),
+            InsertEffect("u", (2,)),
+            DeleteEffect("t", ((7, ROW_V1), (3, ROW_V0))),
+            UpdateEffect("t", ("salary",), ((8, ROW_V0), (4, ROW_V0))),
+            UpdateEffect("t", ("name",), ((5, ROW_V1),)),
         )
 
     def test_inserted_handles_filters_table(self):
-        info = self.make()
-        assert info.inserted_handles("t") == [1]
-        assert info.inserted_handles("u") == [2]
+        effect = self.make()
+        assert effect.tables["t"].inserted_handles() == [1, 9]
+        assert effect.tables["u"].inserted_handles() == [2]
 
     def test_deleted_rows(self):
-        assert self.make().deleted_rows("t") == [(3, ROW_V0)]
-        assert self.make().deleted_rows("u") == []
+        assert self.make().tables["t"].deleted_rows() == [ROW_V0, ROW_V1]
+        assert self.make().tables["u"].deleted_rows() == []
 
     def test_updated_handles_whole_table(self):
-        handles = [h for h, _ in self.make().updated_handles("t")]
-        assert sorted(handles) == [4, 5]
+        assert self.make().tables["t"].updated_handles() == [4, 5, 8]
 
     def test_updated_handles_by_column(self):
-        info = self.make()
-        assert [h for h, _ in info.updated_handles("t", "salary")] == [4]
-        assert [h for h, _ in info.updated_handles("t", "name")] == [5]
+        part = self.make().tables["t"]
+        assert part.updated_handles("salary") == [4, 8]
+        assert part.updated_handles("name") == [5]
 
     def test_table_of(self):
-        assert self.make().table_of(2) == "u"
+        assert set(self.make().tables) == {"t", "u"}
 
 
 class TestSelectTracking:
     def test_select_entries(self):
-        info = TransInfo.from_op_effects(
-            [SelectEffect((("t", 1, ("a", "b")),))]
-        )
-        assert info.sel == {(1, "a"), (1, "b")}
-        assert info.selected_handles("t") == [1]
-        assert info.selected_handles("t", "a") == [1]
-        assert info.selected_handles("t", "zzz") == []
+        effect = fold(SelectEffect((("t", 1, ("a", "b")),)))
+        assert effect.selected == {(1, "a"), (1, "b")}
+        part = effect.tables["t"]
+        assert part.selected_handles() == [1]
+        assert part.selected_handles("a") == [1]
+        assert part.selected_handles("zzz") == []
 
     def test_select_then_delete_drops(self):
-        info = TransInfo.from_op_effects(
-            [
-                SelectEffect((("t", 1, ("a",)),)),
-                DeleteEffect("t", ((1, ROW_V0),)),
-            ]
+        effect = fold(
+            SelectEffect((("t", 1, ("a",)),)),
+            DeleteEffect("t", ((1, ROW_V0),)),
         )
-        assert info.sel == set()
+        assert effect.selected == set()
 
     def test_unknown_op_type_raises(self):
         with pytest.raises(TypeError):
-            TransInfo.empty().apply(object())
+            TransitionEffect().apply(object())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.transition_log import TransInfo
+from repro.core.effects import TransitionEffect
 from repro.core.transition_tables import (
     TransitionTableResolver,
     validate_transition_references,
@@ -31,7 +31,7 @@ def ref(kind, table, column=None):
 class TestResolver:
     def test_inserted_serves_current_rows(self, database):
         handle = database.insert_row("emp", ("a", 10.0))
-        info = TransInfo.from_op_effects([InsertEffect("emp", (handle,))])
+        info = TransitionEffect.from_op_effects([InsertEffect("emp", (handle,))])
         resolver = TransitionTableResolver(database, info)
         columns, rows = resolver.resolve(ref(ast.TransitionKind.INSERTED, "emp"))
         assert columns == ("name", "salary")
@@ -40,7 +40,7 @@ class TestResolver:
     def test_inserted_reflects_later_updates(self, database):
         """inserted t shows the *current* state of inserted tuples."""
         handle = database.insert_row("emp", ("a", 10.0))
-        info = TransInfo.from_op_effects([InsertEffect("emp", (handle,))])
+        info = TransitionEffect.from_op_effects([InsertEffect("emp", (handle,))])
         database.update_row("emp", handle, {"salary": 99.0})
         info.apply(UpdateEffect("emp", ("salary",), ((handle, ("a", 10.0)),)))
         resolver = TransitionTableResolver(database, info)
@@ -50,7 +50,7 @@ class TestResolver:
     def test_deleted_serves_baseline_rows(self, database):
         handle = database.insert_row("emp", ("a", 10.0))
         database.delete_row("emp", handle)
-        info = TransInfo.from_op_effects(
+        info = TransitionEffect.from_op_effects(
             [DeleteEffect("emp", ((handle, ("a", 10.0)),))]
         )
         resolver = TransitionTableResolver(database, info)
@@ -61,7 +61,7 @@ class TestResolver:
         handle = database.insert_row("emp", ("a", 10.0))
         old_row = database.row("emp", handle)
         database.update_row("emp", handle, {"salary": 20.0})
-        info = TransInfo.from_op_effects(
+        info = TransitionEffect.from_op_effects(
             [UpdateEffect("emp", ("salary",), ((handle, old_row),))]
         )
         resolver = TransitionTableResolver(database, info)
@@ -77,7 +77,7 @@ class TestResolver:
     def test_updated_column_narrowing(self, database):
         h1 = database.insert_row("emp", ("a", 10.0))
         h2 = database.insert_row("emp", ("b", 20.0))
-        info = TransInfo.from_op_effects(
+        info = TransitionEffect.from_op_effects(
             [
                 UpdateEffect("emp", ("salary",), ((h1, ("a", 10.0)),)),
                 UpdateEffect("emp", ("name",), ((h2, ("b", 20.0)),)),
@@ -95,12 +95,12 @@ class TestResolver:
 
     def test_base_table_falls_through(self, database):
         database.insert_row("emp", ("a", 10.0))
-        resolver = TransitionTableResolver(database, TransInfo.empty())
+        resolver = TransitionTableResolver(database, TransitionEffect())
         columns, rows = resolver.resolve(ast.BaseTableRef("emp"))
         assert len(rows) == 1
 
     def test_empty_info_gives_empty_tables(self, database):
-        resolver = TransitionTableResolver(database, TransInfo.empty())
+        resolver = TransitionTableResolver(database, TransitionEffect())
         for kind in (
             ast.TransitionKind.INSERTED,
             ast.TransitionKind.DELETED,
