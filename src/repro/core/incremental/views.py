@@ -39,7 +39,7 @@ def _batch_counter(database, table, binding, where, bound):
     applies unchanged.
     """
     from ...relational.compiled import (
-        BatchContext,
+        batch_context,
         run_batch_filter,
         vectorized_enabled,
     )
@@ -48,21 +48,14 @@ def _batch_counter(database, table, binding, where, bound):
         return None
     columns = database.schema(table).column_names
     layout = ((binding, columns),)
-    from ...relational.expressions import Evaluator, Scope
+    from ...relational.expressions import Evaluator
     from ...relational.select import BaseTableResolver
 
     evaluator = Evaluator(database, BaseTableResolver(database), bound)
     stats = database.vectorized_stats
 
     def count(batch):
-        row_of = batch.row
-
-        def scope_for(slot):
-            scope = Scope()
-            scope.bind(binding, columns, row_of(slot))
-            return scope
-
-        ctx = BatchContext(batch.cols, scope_for, evaluator, stats)
+        ctx = batch_context(batch, layout, None, evaluator, stats)
         sel = run_batch_filter(
             database, (where,), layout, ctx, batch.sel, table=table
         )

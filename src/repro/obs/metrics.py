@@ -43,6 +43,8 @@ class RuleMetrics:
         "batch_rows_scanned",
         "batch_rows_selected",
         "batch_fallback_rows",
+        "grouped_batches",
+        "group_scope_fallbacks",
         "zones_pruned",
         "rows_zone_pruned",
         "replans",
@@ -78,6 +80,8 @@ class RuleMetrics:
         self.batch_rows_scanned = 0
         self.batch_rows_selected = 0
         self.batch_fallback_rows = 0
+        self.grouped_batches = 0
+        self.group_scope_fallbacks = 0
         self.zones_pruned = 0
         self.rows_zone_pruned = 0
         self.replans = 0
@@ -113,6 +117,8 @@ class RuleMetrics:
             "batch_rows_scanned": self.batch_rows_scanned,
             "batch_rows_selected": self.batch_rows_selected,
             "batch_fallback_rows": self.batch_fallback_rows,
+            "grouped_batches": self.grouped_batches,
+            "group_scope_fallbacks": self.group_scope_fallbacks,
             "zones_pruned": self.zones_pruned,
             "rows_zone_pruned": self.rows_zone_pruned,
             "replans": self.replans,
@@ -271,6 +277,8 @@ class MetricsCollector(EventSink):
         metrics.batch_rows_scanned += delta.get("rows_scanned", 0)
         metrics.batch_rows_selected += delta.get("rows_selected", 0)
         metrics.batch_fallback_rows += delta.get("fallback_rows", 0)
+        metrics.grouped_batches += delta.get("grouped_batches", 0)
+        metrics.group_scope_fallbacks += delta.get("group_scope_fallbacks", 0)
 
     def _fold_optimizer(self, metrics, data):
         """Accumulate the per-evaluation optimizer delta the engine

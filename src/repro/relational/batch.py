@@ -19,11 +19,16 @@ There is no row view beside the columns: a row is built on demand, and
 :meth:`Batch.rows` builds a whole selection's rows in one gather.
 Transient batches (transition-table pre-images, deleted rows) transpose
 a row list once via :meth:`Batch.from_rows`.
+
+A :class:`JoinedBatch` is what a columnar hash join emits: the input
+batches' storage side by side, one slot vector per binding aligned by
+output position, and a selection of positions — no row tuples and no
+combinations.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 
@@ -103,6 +108,75 @@ class Batch:
         if self.handles is None:
             raise TypeError("a transient batch has no tuple handles")
         return self.handles[slot]
+
+    #: as for a JoinedBatch: kernels read a single binding's columns
+    slots = None
+
+    @property
+    def parts(self) -> tuple[Batch, ...]:
+        return (self,)
+
+    def row_tuples(self, slot: int) -> tuple[tuple[Any, ...], ...]:
+        """The rows behind one selected entry, one per binding."""
+        return (self.row(slot),)
+
+
+class JoinedBatch:
+    """A join's output over several bindings' storage.
+
+    Attributes:
+        parts: one :class:`Batch` per binding, in binding order; only
+            its ``cols``, ``handles`` and ``label`` are read.
+        slots: per binding, the storage slot behind each output
+            position (``slots[b][p]``).
+        sel: the selected output positions, ascending.
+    """
+
+    __slots__ = ("parts", "slots", "sel")
+
+    #: zone maps describe one table's storage, never a join's output
+    zones = None
+
+    def __init__(self, parts: Sequence[Batch], slots: Sequence[Sequence[int]],
+                 sel: Sequence[int]) -> None:
+        self.parts = tuple(parts)
+        self.slots = tuple(slots)
+        self.sel = sel
+
+    @property
+    def cols(self) -> tuple[Sequence[Sequence[Any]], ...]:
+        """Per binding, its slot-indexed column sequences."""
+        return tuple(part.cols for part in self.parts)
+
+    def with_sel(self, sel: Sequence[int]) -> JoinedBatch:
+        return JoinedBatch(self.parts, self.slots, sel)
+
+    def row_tuples(self, position: int) -> tuple[tuple[Any, ...], ...]:
+        """The rows one output position combines, one per binding."""
+        return tuple(
+            part.row(slots[position])
+            for part, slots in zip(self.parts, self.slots)
+        )
+
+
+def entry_pairs(batch: Batch | JoinedBatch
+                ) -> Iterator[tuple[tuple[str, int] | None, ...]]:
+    """Per selected entry, one ``(table, handle)`` per binding — None for
+    a binding with no tuple identity (a transient batch, or a transition
+    view, whose members are not retrieved tuples): the row path's
+    per-combination ``pairs``."""
+    specs = [
+        None if part.handles is None or part.label is None
+        else (part.label, part.handles, slots)
+        for part, slots in zip(batch.parts, batch.slots or (None,))
+    ]
+    for entry in batch.sel:
+        yield tuple(
+            None if spec is None
+            else (spec[0], spec[1][entry if spec[2] is None
+                                   else spec[2][entry]])
+            for spec in specs
+        )
 
 
 def gather_rows(cols: Sequence[Sequence[Any]],

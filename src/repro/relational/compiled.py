@@ -50,6 +50,7 @@ from ..sql import ast
 from ..sql.params import constant
 from .expressions import (
     AGGREGATE_NAMES,
+    Scope,
     _apply_scalar_function,
     _like_to_regex,
     compare,
@@ -259,7 +260,43 @@ def compile_predicate(expression, layout):
 # ---------------------------------------------------------------------------
 # the compiler
 
-_AMBIGUOUS = object()
+class _LayoutNames:
+    """Column-reference resolution against a layout, exactly as the
+    interpreter's innermost :class:`~repro.relational.expressions.Scope`
+    resolves: first column of a name wins within a binding, and an
+    unqualified name two bindings share is ambiguous."""
+
+    def __init__(self, layout):
+        self.slots = {}   # (binding, column) -> (i, j)
+        self.owners = {}  # column -> binding names, in layout order
+        for i, (name, columns) in enumerate(layout):
+            for j, column in enumerate(columns):
+                self.slots.setdefault((name, column), (i, j))
+                owners = self.owners.setdefault(column, [])
+                if name not in owners:
+                    owners.append(name)
+        self.bindings = {name for name, _ in layout}
+
+    def resolve(self, node):
+        """The ``(i, j)`` slot a :class:`~repro.sql.ast.ColumnRef` reads;
+        the message of the error the interpreter raises without looking
+        outward; or None — the reference belongs to an enclosing scope
+        (or to none, and the interpreter reports that)."""
+        column, qualifier = node.column, node.qualifier
+        if qualifier is None:
+            owners = self.owners.get(column)
+            if owners is None:
+                return None
+            if len(owners) > 1:
+                return (f"ambiguous column reference {column!r} "
+                        f"(could be any of: {', '.join(owners)})")
+            qualifier = owners[0]
+        elif qualifier not in self.bindings:
+            return None
+        slot = self.slots.get((qualifier, column))
+        if slot is None:
+            return f"table or alias {qualifier!r} has no column {column!r}"
+        return slot
 
 
 class _Compiler:
@@ -269,26 +306,7 @@ class _Compiler:
     def __init__(self, layout):
         self.nodes_compiled = 0
         self.nodes_fallback = 0
-        # (qualifier, column) -> (i, j); qualifier -> True for presence
-        self._qualified = {}
-        self._qualifiers = set()
-        # column -> (i, j) | _AMBIGUOUS (paired with the ambiguity names)
-        self._unqualified = {}
-        self._ambiguous_names = {}
-        for i, (name, columns) in enumerate(layout):
-            self._qualifiers.add(name)
-            for j, column in enumerate(columns):
-                self._qualified[(name, column)] = (i, j)
-                if column in self._unqualified:
-                    if self._unqualified[column] is not _AMBIGUOUS:
-                        first = self._ambiguous_names[column][0]
-                        if first != name:
-                            self._unqualified[column] = _AMBIGUOUS
-                    if name not in self._ambiguous_names[column]:
-                        self._ambiguous_names[column].append(name)
-                else:
-                    self._unqualified[column] = (i, j)
-                    self._ambiguous_names[column] = [name]
+        self._names = _LayoutNames(layout)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -357,49 +375,21 @@ class _Compiler:
         return param, False
 
     def _compile_column_ref(self, node):
-        column = node.column
-        qualifier = node.qualifier
-        if qualifier is not None:
-            slot = self._qualified.get((qualifier, column))
-            if slot is not None:
-                self.nodes_compiled += 1
-                i, j = slot
-
-                def qualified_ref(rows, scope, evaluator):
-                    return rows[i][j]
-
-                return qualified_ref, False
-            if qualifier in self._qualifiers:
-                # the innermost scope owns this qualifier but lacks the
-                # column: the interpreter errors without looking outward,
-                # and so must we — but only if the node is ever evaluated
-                self.nodes_compiled += 1
-                message = (
-                    f"table or alias {qualifier!r} has no column {column!r}"
-                )
-
-                def missing_column(rows, scope, evaluator):
-                    raise ExecutionError(message)
-
-                return missing_column, False
-            return self._fallback(node)  # outer query's binding
-        slot = self._unqualified.get(column)
+        slot = self._names.resolve(node)
         if slot is None:
             return self._fallback(node)  # outer scope (or unknown: the
             # interpreter raises its own error either way)
-        if slot is _AMBIGUOUS:
-            self.nodes_compiled += 1
-            names = ", ".join(self._ambiguous_names[column])
-            message = (
-                f"ambiguous column reference {column!r} "
-                f"(could be any of: {names})"
-            )
+        self.nodes_compiled += 1
+        if isinstance(slot, str):
+            # the innermost scope owns the name but cannot resolve it:
+            # the interpreter errors without looking outward, and so
+            # must we — but only if the node is ever evaluated
+            message = slot
 
-            def ambiguous_ref(rows, scope, evaluator):
+            def unresolvable_ref(rows, scope, evaluator):
                 raise ExecutionError(message)
 
-            return ambiguous_ref, False
-        self.nodes_compiled += 1
+            return unresolvable_ref, False
         i, j = slot
 
         def column_ref(rows, scope, evaluator):
@@ -772,6 +762,8 @@ VECTORIZED_DELTA_FIELDS = (
     "rows_scanned",
     "rows_selected",
     "fallback_rows",
+    "grouped_batches",
+    "group_scope_fallbacks",
 )
 
 
@@ -785,11 +777,14 @@ class VectorizedStats:
     is the selection-vector hit ratio); ``fallback_rows`` counts
     per-row interpreter escapes inside kernels (subqueries, outer
     references); ``row_fallbacks`` counts call sites that wanted a
-    batch but had to take the row path; ``typed_kernels`` /
-    ``generic_kernels`` partition compiled binary-operator kernels into
-    type-specialized (monomorphic, witness- or catalog-proven operand
-    kinds) and generic (per-value dispatch) forms. Exposed as
-    ``stats()["vectorized"]``.
+    batch but had to take the row path; ``grouped_batches`` counts
+    grouped selects reduced over column vectors, and
+    ``group_scope_fallbacks`` those evaluated through the interpreter's
+    ``GroupScope`` (scope inputs, or aggregates over empty input);
+    ``typed_kernels`` / ``generic_kernels`` partition compiled
+    binary-operator kernels into type-specialized (monomorphic, witness-
+    or catalog-proven operand kinds) and generic (per-value dispatch)
+    forms. Exposed as ``stats()["vectorized"]``.
     """
 
     __slots__ = VECTORIZED_DELTA_FIELDS + (
@@ -804,6 +799,8 @@ class VectorizedStats:
         self.rows_scanned = 0
         self.rows_selected = 0
         self.fallback_rows = 0
+        self.grouped_batches = 0
+        self.group_scope_fallbacks = 0
         self.row_fallbacks = 0
         self.typed_kernels = 0
         self.generic_kernels = 0
@@ -819,6 +816,8 @@ class VectorizedStats:
             ),
             "fallback_rows": self.fallback_rows,
             "row_fallbacks": self.row_fallbacks,
+            "grouped_batches": self.grouped_batches,
+            "group_scope_fallbacks": self.group_scope_fallbacks,
             "typed_kernels": self.typed_kernels,
             "generic_kernels": self.generic_kernels,
         }
@@ -843,24 +842,70 @@ class VectorizedStats:
 class BatchContext:
     """Everything a kernel tree needs besides the selection vector.
 
-    ``cols`` are the single binding's slot-indexed column sequences;
-    ``scope_for`` lazily builds the interpreter Scope for one slot
+    ``cols`` are the single binding's slot-indexed column sequences —
+    or, over a multi-binding layout (a :class:`~repro.relational.batch
+    .JoinedBatch`), one such tuple per binding, with ``slots[b][p]`` the
+    slot binding ``b`` contributes to position ``p``; ``scope_for``
+    lazily builds the interpreter Scope for one selected entry
     (only called by fallback kernels — sites may pass ``None`` when the
     program reports no :attr:`BatchProgram.needs_scope`); ``evaluator``
     serves fallback subtrees and its ``params`` — the running
     statement's parameter vector — are what :class:`~repro.sql.ast
     .Param` kernels read; ``stats`` (a :class:`VectorizedStats` or
-    ``None``) receives fallback-row counts.
+    ``None``) receives fallback-row counts. Over a group batch,
+    ``aggregates`` maps ``id()`` of each aggregate node to its reduced
+    column (selected entry → value, or :class:`Raised`).
     """
 
-    __slots__ = ("cols", "scope_for", "evaluator", "params", "stats")
+    __slots__ = ("cols", "slots", "scope_for", "evaluator", "params",
+                 "stats", "aggregates")
 
-    def __init__(self, cols, scope_for=None, evaluator=None, stats=None):
+    def __init__(self, cols, scope_for=None, evaluator=None, stats=None,
+                 slots=None, aggregates=None):
         self.cols = cols
+        self.slots = slots
         self.scope_for = scope_for
         self.evaluator = evaluator
         self.params = () if evaluator is None else evaluator.params
         self.stats = stats
+        self.aggregates = aggregates
+
+
+def batch_context(batch, bindings, outer, evaluator, stats):
+    """The kernel context over a :class:`~repro.relational.batch.Batch`
+    or :class:`~repro.relational.batch.JoinedBatch` whose fallback scopes
+    mirror the row path's combination scopes (same bindings, same outer
+    parent)."""
+    if batch.slots is None:  # one binding (the common fallback, kept lean)
+        (name, columns), = bindings
+        row_of = batch.row
+
+        def scope_for(entry):
+            scope = Scope(parent=outer)
+            scope.bind(name, columns, row_of(entry))
+            return scope
+    else:
+        row_tuples = batch.row_tuples
+
+        def scope_for(entry):
+            scope = Scope(parent=outer)
+            for (name, columns), row in zip(bindings, row_tuples(entry)):
+                scope.bind(name, columns, row)
+            return scope
+
+    return BatchContext(batch.cols, scope_for, evaluator, stats,
+                        slots=batch.slots)
+
+
+class Raised:
+    """A reduced aggregate cell whose evaluation raised: the error
+    surfaces when — and only if — a kernel reads the cell, which is when
+    the interpreter would have evaluated the aggregate for that group."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error):
+        self.error = error
 
 
 class BatchProgram:
@@ -927,6 +972,21 @@ def run_batch_programs(programs, ctx, sel):
         lists.append(values)
     n = len(domain)
     return [values[:n] for values in lists], err
+
+
+def run_batch_expressions(database, expressions, layout, ctx, sel):
+    """One value vector per expression over ``sel`` (the statement's
+    cached kernels), raising the first error in row-major order."""
+    statement = getattr(ctx.evaluator, "statement", None)
+    programs = [
+        batch_program_for(database, expression, layout, statement=statement)
+        for expression in expressions
+    ]
+    database.vectorized_stats.batches_scanned += 1
+    value_lists, err = run_batch_programs(programs, ctx, sel)
+    if err is not None:
+        raise err
+    return value_lists
 
 
 def run_batch_filter(database, predicates, layout, ctx, sel, table=None):
@@ -1055,11 +1115,15 @@ def prune_selection(batch, specs, optimizer_stats, params=()):
 
 
 class _BatchCompiler:
-    """One batch-compilation pass over a *single-binding* layout.
+    """One batch-compilation pass over a layout.
 
-    Multi-binding layouts (join products) stay on the row path — batch
-    kernels serve scans, filters over one table, DML targeting,
-    transition tables, and join sides before the product is formed.
+    A single-binding layout (scans, filters over one table, DML
+    targeting, transition tables, join sides) reads ``cols[j][slot]``
+    for each selected slot; a multi-binding one (a columnar join's
+    output) reads ``cols[i][j][slots[i][position]]`` for each selected
+    position. Column references resolve as the row compiler's do.
+    Aggregate calls read their group batch's reduced column, and
+    delegate to the interpreter anywhere else.
 
     When ``kinds`` (column → totality kind from the catalog) and/or
     ``database`` are supplied, binary operators whose operand kinds are
@@ -1077,23 +1141,16 @@ class _BatchCompiler:
     """
 
     def __init__(self, layout, kinds=None, database=None):
-        if len(layout) != 1:
-            raise ValueError(
-                "batch kernels compile single-binding layouts only"
-            )
         self.nodes_compiled = 0
         self.nodes_fallback = 0
         self.kernels_typed = 0
         self.kernels_generic = 0
-        (binding, columns), = layout
-        self._binding = binding
-        self._columns = {}
-        for j, column in enumerate(columns):
-            # first slot wins, as in the row compiler's layout maps
-            self._columns.setdefault(column, j)
+        self._names = _LayoutNames(layout)
+        self._single = len(layout) == 1
         self._database = database
         self._layers = None
-        if kinds is not None:
+        if kinds is not None and self._single:
+            (binding, _), = layout
             # cost-model kind environment for the single binding; the
             # layout's column names are the schema's, so unqualified and
             # binding-qualified refs resolve exactly as the evaluator's
@@ -1145,12 +1202,12 @@ class _BatchCompiler:
         return None
 
     def _typed_slot(self, node):
-        """The layout slot of a column ref the binding owns, or None."""
-        if not isinstance(node, ast.ColumnRef):
+        """The column position of a ref a single-binding layout owns, or
+        None (the fused kernels gather straight off ``cols[j]``)."""
+        if not self._single or not isinstance(node, ast.ColumnRef):
             return None
-        if node.qualifier is not None and node.qualifier != self._binding:
-            return None
-        return self._columns.get(node.column)
+        slot = self._names.resolve(node)
+        return slot[1] if isinstance(slot, tuple) else None
 
     def _try_typed_binary(self, node):
         """A monomorphic kernel for ``node`` when both operand kinds are
@@ -1358,28 +1415,29 @@ class _BatchCompiler:
         return error_kernel, False
 
     def _compile_column_ref(self, node):
-        column = node.column
-        qualifier = node.qualifier
-        if qualifier is not None and qualifier != self._binding:
-            return self._fallback(node)  # outer query's binding
-        j = self._columns.get(column)
-        if j is None:
-            if qualifier is not None:
-                # the binding owns this qualifier but lacks the column:
-                # error without looking outward, like the interpreter
-                self.nodes_compiled += 1
-                message = (
-                    f"table or alias {qualifier!r} has no column {column!r}"
-                )
-                return self._error_kernel(lambda: ExecutionError(message))
+        slot = self._names.resolve(node)
+        if slot is None:
             return self._fallback(node)  # outer scope (or unknown)
         self.nodes_compiled += 1
+        if isinstance(slot, str):
+            # the layout owns the name but cannot resolve it: error
+            # without looking outward, like the interpreter
+            return self._error_kernel(lambda: ExecutionError(slot))
+        i, j = slot
+        if self._single:
 
-        def column_gather(ctx, sel):
-            col = ctx.cols[j]
-            return [col[slot] for slot in sel], None
+            def column_gather(ctx, sel):
+                col = ctx.cols[j]
+                return [col[s] for s in sel], None
 
-        return column_gather, False
+            return column_gather, False
+
+        def joined_gather(ctx, sel):
+            col = ctx.cols[i][j]
+            slots = ctx.slots[i]
+            return [col[slots[p]] for p in sel], None
+
+        return joined_gather, False
 
     def _compile_star(self, node):
         self.nodes_compiled += 1
@@ -1769,10 +1827,32 @@ class _BatchCompiler:
 
     # -- functions --------------------------------------------------------
 
+    def _compile_aggregate(self, node):
+        """An aggregate reads the reduced column a group batch carries
+        for it; without one (a nested aggregate, an aggregate outside
+        any grouping) the interpreter resolves it per row, through the
+        scope chain the fallback scopes hang off."""
+        self.nodes_compiled += 1
+        key = id(node)
+
+        def aggregate(ctx, sel):
+            reduced = ctx.aggregates
+            column = None if reduced is None else reduced.get(key)
+            if column is None:
+                return _fallback_loop(ctx, sel, node, predicate=False)
+            out = []
+            for entry in sel:
+                value = column[entry]
+                if type(value) is Raised:
+                    return out, value.error
+                out.append(value)
+            return out, None
+
+        return aggregate, True
+
     def _compile_function_call(self, node):
         if node.name in AGGREGATE_NAMES:
-            # aggregates need the GroupScope machinery
-            return self._fallback(node)
+            return self._compile_aggregate(node)
         args = []
         needs = False
         for arg in node.args:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..errors import ExecutionError
 from ..sql import ast
 from .compiled import (
-    BatchContext,
+    batch_context,
     batch_program_for,
     program_for,
     run_batch_filter,
@@ -261,19 +261,9 @@ class DmlExecutor:
         tuple, expression by expression, meets first."""
         database = self.database
         table_name = schema.name
-        names = schema.column_names
-        row_of = batch.row
-
-        def scope_for(slot):
-            scope = Scope()
-            scope.bind(table_name, names, row_of(slot))
-            return scope
-
-        ctx = BatchContext(
-            batch.cols, scope_for, self._evaluator,
-            database.vectorized_stats,
-        )
-        layout = ((table_name, names),)
+        layout = ((table_name, schema.column_names),)
+        ctx = batch_context(batch, layout, None, self._evaluator,
+                            database.vectorized_stats)
         programs = [
             batch_program_for(database, expression, layout, table=table_name,
                               statement=self._evaluator.statement)
@@ -337,25 +327,11 @@ class DmlExecutor:
         table_name = table.schema.name
         columns = table.schema.column_names
         if vectorized_enabled(self.database):
-            row_of = batch.row
-
-            def scope_for(slot):
-                scope = Scope()
-                scope.bind(table_name, columns, row_of(slot))
-                return scope
-
-            ctx = BatchContext(
-                batch.cols,
-                scope_for,
-                self._evaluator,
-                self.database.vectorized_stats,
-            )
+            layout = ((table_name, columns),)
+            ctx = batch_context(batch, layout, None, self._evaluator,
+                                self.database.vectorized_stats)
             return run_batch_filter(
-                self.database,
-                (where,),
-                ((table_name, columns),),
-                ctx,
-                batch.sel,
+                self.database, (where,), layout, ctx, batch.sel,
                 table=table_name,
             )
         matched = []

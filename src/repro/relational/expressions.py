@@ -154,44 +154,47 @@ def contains_aggregate(expression):
     Does not descend into nested selects — their aggregates belong to the
     inner query.
     """
-    if expression is None:
+    if type(expression) in _LEAVES:
         return False
-    if isinstance(expression, ast.FunctionCall):
-        if expression.name in AGGREGATE_NAMES:
-            return True
-        return any(contains_aggregate(arg) for arg in expression.args)
-    if isinstance(expression, ast.UnaryOp):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.BinaryOp):
-        return contains_aggregate(expression.left) or contains_aggregate(
-            expression.right
-        )
-    if isinstance(expression, ast.IsNull):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.Between):
-        return any(
-            contains_aggregate(sub)
-            for sub in (expression.operand, expression.low, expression.high)
-        )
-    if isinstance(expression, ast.Like):
-        return contains_aggregate(expression.operand) or contains_aggregate(
-            expression.pattern
-        )
-    if isinstance(expression, ast.InList):
-        return contains_aggregate(expression.operand) or any(
-            contains_aggregate(item) for item in expression.items
-        )
-    if isinstance(expression, (ast.InSelect, ast.QuantifiedComparison)):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.CaseExpression):
-        if expression.default is not None and contains_aggregate(expression.default):
-            return True
-        return any(
-            contains_aggregate(condition) or contains_aggregate(value)
-            for condition, value in expression.branches
-        )
-    # Exists / ScalarSelect / Literal / ColumnRef / Star
+    for _ in aggregate_calls(expression):
+        return True
     return False
+
+
+_LEAVES = frozenset({type(None), ast.ColumnRef, ast.Literal, ast.Param,
+                     ast.Star})
+
+
+def aggregate_calls(expression):
+    """The aggregate calls ``expression`` applies at this query level:
+    neither the arguments of an aggregate (a nested aggregate is
+    evaluated per member, not per group) nor nested selects (their
+    aggregates belong to the inner query) are searched."""
+    stack = [expression]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionCall):
+            if node.name in AGGREGATE_NAMES:
+                yield node
+            else:
+                stack.extend(node.args)
+        elif isinstance(node, (ast.UnaryOp, ast.IsNull, ast.InSelect,
+                               ast.QuantifiedComparison)):
+            stack.append(node.operand)
+        elif isinstance(node, ast.BinaryOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, ast.Between):
+            stack += (node.operand, node.low, node.high)
+        elif isinstance(node, ast.Like):
+            stack += (node.operand, node.pattern)
+        elif isinstance(node, ast.InList):
+            stack.append(node.operand)
+            stack.extend(node.items)
+        elif isinstance(node, ast.CaseExpression):
+            stack.append(node.default)
+            for condition, value in node.branches:
+                stack += (condition, value)
+        # Exists / ScalarSelect / Literal / Param / ColumnRef / Star / None
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +566,7 @@ class Evaluator:
             value = self.evaluate(argument, member)
             if value is not None:
                 values.append(value)
-        if node.distinct:
-            values = list(dict.fromkeys(values))
-        return _apply_aggregate(node.name, values)
+        return reduce_aggregate(node, values)
 
     @staticmethod
     def _find_group_scope(scope):
@@ -724,6 +725,17 @@ def _apply_scalar_function(name, args):
             return text
         return text.replace(old, new)
     raise ExecutionError(f"unknown function {name!r}")
+
+
+def reduce_aggregate(node, values):
+    """One group's value of the aggregate call ``node`` (one argument,
+    not ``count(*)``) from its argument's non-NULL values in member
+    order — the one reduction both the interpreter's ``GroupScope`` and
+    the column-vector grouping in :mod:`repro.relational.select` run, so
+    float sums add in the same order and errors are the same."""
+    if node.distinct:
+        values = list(dict.fromkeys(values))
+    return _apply_aggregate(node.name, values)
 
 
 def _apply_aggregate(name, values):

@@ -1,4 +1,4 @@
-"""Execute a plan's source pipeline, producing filtered FROM scopes.
+"""Execute a plan's source pipeline, producing filtered FROM combinations.
 
 ``execute_source`` runs the Scan/IndexLookup/Filter/HashJoin/Product
 tree and returns one :class:`~repro.relational.expressions.Scope` per
@@ -6,6 +6,9 @@ surviving combination — the same objects (same binding layout, same
 ``touched_pairs`` attribute) the naive product enumerator in
 ``tests/reference/naive_select.py`` produces, so the shared projection
 machinery is oblivious to which of the two ran.
+``execute_source_batched`` keeps the columnar form wherever it can: a
+hash join over batches emits a :class:`~repro.relational.batch
+.JoinedBatch` — slot vectors, no row tuples, no combinations.
 
 Combination order is the nested-loop order: for every pipeline node the
 left/outer input's order is preserved and the right input's rows keep
@@ -13,35 +16,39 @@ their scan order within each match group. That makes planned results
 *order*-identical to naive results, not merely set-identical, which is
 what the differential property test asserts.
 
-Intermediate combinations are ``(rows, pairs, ords)`` tuples aligned
-with the node's binding list; Scopes are only materialized at the top
-(and transiently for key/filter evaluation). ``ords`` — per-binding
-scan-position ordinals — are None unless the tree contains a
+On the row path (products, restored join orders, the
+``REPRO_VECTORIZED_EVAL=0`` oracle) intermediate combinations are
+``(rows, pairs, ords)`` tuples aligned with the node's binding list;
+Scopes are only materialized at the top (and transiently for key/filter
+evaluation). ``ords`` — per-binding scan-position ordinals — are None
+unless the tree contains a
 :class:`~repro.relational.plan.nodes.RestoreOrder` node (cost-planner
 join reordering), which sorts on them to restore the FROM enumeration
 order and then drops them.
 
 The executor also writes each node's output size back onto the node
-(``actual_rows``) so EXPLAIN can report estimated vs. actual rows, and
-applies zone-map pruning (``Filter.prune_specs``) before running batch
-kernels.
+(``actual_rows``, and a hash join's ``mode``) so EXPLAIN can report
+estimated vs. actual rows, and applies zone-map pruning
+(``Filter.prune_specs``) before running batch kernels.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any
 
 from ...errors import ExecutionError
 from ...sql import ast
 from ...sql.params import constant
+from ..batch import JoinedBatch, entry_pairs
 from ..compiled import (
     BatchContext,
-    batch_program_for,
+    batch_context,
     layout_of,
     program_for,
     prune_selection,
+    run_batch_expressions,
     run_batch_filter,
-    run_batch_programs,
     vectorized_enabled,
 )
 from ..expressions import Scope
@@ -86,10 +93,9 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
                            stats: Any = None) -> tuple[Any, Any, Any]:
     """Like :func:`execute_source`, but keeps the columnar form when it
     can: returns ``(bindings, scopes, batch)``. ``batch`` is non-None —
-    and ``scopes`` is None — when the whole pipeline stayed a
-    single-binding batchable chain (Scan/IndexLookup/Filter) under
-    vectorized evaluation; the caller then projects straight off the
-    batch (or materializes scopes via :func:`scopes_from_batch`).
+    and ``scopes`` is None — when the whole pipeline stayed batchable
+    (Scan/IndexLookup/Filter chains, hash joins over them) under
+    vectorized evaluation; the caller projects or groups straight off it.
     """
     source = plan.source if isinstance(plan, Plan) else plan
     runner = _SourceRunner(
@@ -100,7 +106,7 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
         batched = runner.run_batch(source)
         if batched is not None:
             bindings, batch = batched
-            if stats is not None:
+            if stats is not None and runner.visited is None:
                 # single-table pipeline: the surviving selection *is*
                 # the visited row set (mirrors the combos accounting)
                 stats.rows_visited += len(batch.sel)
@@ -111,14 +117,10 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
         stats.rows_visited += len(combos)
     scopes: list[Any] = []
     for rows, pairs, _ords in combos:
-        # typed Any: ``rows``/``touched_pairs`` ride on the scope object
+        # typed Any: ``touched_pairs`` rides on the scope object
         scope: Any = Scope(parent=outer)
         for (name, columns), row in zip(bindings, rows):
             scope.bind(name, columns, row)
-        # the combination's row tuples, aligned with ``bindings`` — the
-        # compiled projection path indexes these instead of resolving
-        # column names through the scope (see repro.relational.compiled)
-        scope.rows = rows
         if pairs:
             touched = [pair for pair in pairs if pair is not None]
             if touched:
@@ -129,19 +131,16 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
 
 def scopes_from_batch(bindings: Any, batch: Any, outer: Any,
                       collect_handles: bool = False) -> list[Any]:
-    """Materialize the executor's Scope contract from a surviving batch
-    (needed by group/aggregate evaluation and interpreter-only callers)."""
-    (name, columns), = bindings
-    handles = batch.handles
-    label = batch.label
-    collect = collect_handles and handles is not None and label is not None
+    """Materialize the executor's Scope contract from a surviving batch,
+    for callers that want one Scope per combination."""
     scopes: list[Any] = []
-    for slot, row in zip(batch.sel, batch.rows()):
+    for entry, pairs in zip(batch.sel, entry_pairs(batch)):
         scope: Any = Scope(parent=outer)
-        scope.bind(name, columns, row)
-        scope.rows = (row,)
-        if collect:
-            scope.touched_pairs = [(label, handles[slot])]
+        for (name, columns), row in zip(bindings, batch.row_tuples(entry)):
+            scope.bind(name, columns, row)
+        touched = [pair for pair in pairs if pair is not None]
+        if collect_handles and touched:
+            scope.touched_pairs = touched
         scopes.append(scope)
     return scopes
 
@@ -159,8 +158,8 @@ class _SourceRunner:
         self.collect_handles = collect_handles
         self.stats = stats
         self.vectorized = vectorized_enabled(database)
-        #: combinations materialized by join/product nodes (None until
-        #: one runs — execute_source falls back to the pipeline output)
+        #: combinations formed by join/product nodes (None until one
+        #: runs — execute_source falls back to the pipeline output)
         self.visited: Any = None
         #: attach per-leaf scan-position ordinals to combos — only set
         #: (by execute_source_batched) when the tree has a RestoreOrder
@@ -197,9 +196,10 @@ class _SourceRunner:
 
     def run_batch(self, node: Any) -> Any:
         """The columnar pipeline for a batchable subtree: Scan /
-        IndexLookup / Filter chains over one binding. Returns
+        IndexLookup / Filter chains, and hash joins over them. Returns
         ``(bindings, batch)``, or None when the subtree needs the
-        row-at-a-time path (joins, products, unbatchable resolvers)."""
+        row-at-a-time path (products, restored join orders, unbatchable
+        resolvers)."""
         if isinstance(node, Scan):
             return self._scan_batch(node)
         if isinstance(node, IndexLookup):
@@ -236,6 +236,8 @@ class _SourceRunner:
             )
             node.actual_rows = len(sel)
             return bindings, batch.with_sel(sel)
+        if isinstance(node, HashJoin):
+            return self._hash_join_batch(node)
         return None
 
     def _scan_batch(self, node: Any) -> Any:
@@ -285,27 +287,65 @@ class _SourceRunner:
 
     def _batch_context(self, bindings: Any, batch: Any) -> BatchContext:
         """A kernel context whose fallback scopes mirror the row path's
-        per-combination scopes (same binding, same outer parent)."""
-        (name, columns), = bindings
-        outer = self.outer
-        row_of = batch.row
-
-        def scope_for(slot: int) -> Scope:
-            scope = Scope(parent=outer)
-            scope.bind(name, columns, row_of(slot))
-            return scope
-
-        return BatchContext(
-            batch.cols, scope_for, self.evaluator,
+        per-combination scopes (same bindings, same outer parent)."""
+        return batch_context(
+            batch, bindings, self.outer, self.evaluator,
             self.database.vectorized_stats,
         )
 
+    def _hash_join_batch(self, node: Any) -> Any:
+        """The columnar hash join: one key-column kernel per key
+        expression on each side, then :func:`_hash_match` over the
+        selected entries. None when a side is not batchable, or when a
+        ``RestoreOrder`` above needs per-leaf ordinals."""
+        if self.track_ordinals:
+            return None
+        left = self.run_batch(node.left)
+        if left is None:
+            return None
+        left_bindings, left_batch = left
+        left_keys = run_batch_expressions(
+            self.database, node.left_keys, layout_of(left_bindings),
+            self._batch_context(left_bindings, left_batch), left_batch.sel,
+        )
+        right = self.run_batch(node.right)
+        if right is None:
+            return None
+        right_bindings, right_batch = right
+        right_keys = run_batch_expressions(
+            self.database, node.right_keys, layout_of(right_bindings),
+            self._batch_context(right_bindings, right_batch),
+            right_batch.sel,
+        )
+
+        left_out, right_out = _hash_match(
+            left_batch.sel, zip(*left_keys), right_batch.sel,
+            zip(*right_keys), len(node.right_keys), self._check_kinds,
+        )
+        count = len(left_out)
+        self._count_visited(count)
+        node.actual_rows = count
+        node.mode = "columnar"
+        joined = JoinedBatch(
+            left_batch.parts + right_batch.parts,
+            _slots_at(left_batch, left_out) + _slots_at(right_batch,
+                                                        right_out),
+            range(count),
+        )
+        return left_bindings + right_bindings, joined
+
     def _combos_from_batch(self, batch: Any) -> list[Any]:
         """Materialize the row-path combo contract from a batch (at the
-        boundary to a join/product or the scope materializer)."""
+        boundary to a product or restored join order)."""
+        track = self.track_ordinals
+        if isinstance(batch, JoinedBatch):
+            return [
+                (batch.row_tuples(position),
+                 pairs if self.collect_handles else None, None)
+                for position, pairs in zip(batch.sel, entry_pairs(batch))
+            ]
         label = batch.label
         rows = batch.rows()
-        track = self.track_ordinals
         if self.collect_handles and batch.handles is not None \
                 and label is not None:
             handles = map(batch.handles.__getitem__, batch.sel)
@@ -414,100 +454,22 @@ class _SourceRunner:
     # -- joins ------------------------------------------------------------
 
     def _run_hash_join(self, node: Any) -> Any:
-        left_bindings, left_combos, left_keys = self._join_side(
-            node.left, node.left_keys
+        left_bindings, left_combos = self.run(node.left)
+        right_bindings, right_combos = self.run(node.right)
+        right_key_values = self._key_values_fn(right_bindings,
+                                               node.right_keys)
+        left_key_values = self._key_values_fn(left_bindings, node.left_keys)
+        left_out, right_out = _hash_match(
+            left_combos, (left_key_values(combo[0]) for combo in left_combos),
+            right_combos,
+            (right_key_values(combo[0]) for combo in right_combos),
+            len(node.right_keys), self._check_kinds,
         )
-        right_bindings, right_combos, right_keys = self._join_side(
-            node.right, node.right_keys
-        )
-        if right_keys is None:
-            right_key_values = self._key_values_fn(
-                right_bindings, node.right_keys
-            )
-        if left_keys is None:
-            left_key_values = self._key_values_fn(
-                left_bindings, node.left_keys
-            )
-
-        buckets: dict[Any, list[Any]] = {}
-        # per key position: kind tag -> witness value, for reproducing the
-        # naive path's cross-kind comparison errors (see _check_kinds)
-        witnesses: list[dict[str, Any]] = [{} for _ in node.right_keys]
-        for position_index, combo in enumerate(right_combos):
-            if right_keys is not None:
-                values = right_keys[position_index]
-            else:
-                values = right_key_values(combo[0])
-            parts: list[tuple[str, Any]] = []
-            for position, value in enumerate(values):
-                if value is None:
-                    continue
-                tag = _KIND_TAGS.get(type(value), "?")
-                witnesses[position].setdefault(tag, value)
-                parts.append((tag, value))
-            if len(parts) != len(values):
-                continue  # a NULL key component never joins
-            buckets.setdefault(tuple(parts), []).append(combo)
-
-        joined: list[Any] = []
-        for position_index, left_combo in enumerate(left_combos):
-            left_rows = left_combo[0]
-            if left_keys is not None:
-                values = left_keys[position_index]
-            else:
-                values = left_key_values(left_rows)
-            parts = []  # rebound per combo; same element type as above
-            for position, value in enumerate(values):
-                if value is None:
-                    continue
-                self._check_kinds(value, witnesses[position])
-                parts.append((_KIND_TAGS.get(type(value), "?"), value))
-            if len(parts) != len(values):
-                continue
-            for right_combo in buckets.get(tuple(parts), ()):
-                joined.append(_merge(left_combo, right_combo))
-        self._count_visited(joined)
+        joined = list(map(_merge, left_out, right_out))
+        self._count_visited(len(joined))
         node.actual_rows = len(joined)
+        node.mode = "row"
         return left_bindings + right_bindings, joined
-
-    def _join_side(self, child: Any, key_exprs: Any) -> tuple[Any, Any, Any]:
-        """One join input: ``(bindings, combos, keys_or_None)``.
-
-        When the child stayed batchable, the join keys are extracted as
-        key columns from the batch (one gather per key expression)
-        before combos are materialized; ``keys`` then aligns with
-        ``combos`` by position. Otherwise keys is None and the caller
-        computes them per combo through :meth:`_key_values_fn`.
-        """
-        if self.vectorized:
-            batched = self.run_batch(child)
-            if batched is not None:
-                bindings, batch = batched
-                keys = self._batch_keys(bindings, batch, key_exprs)
-                return bindings, self._combos_from_batch(batch), keys
-        bindings, combos = self.run(child)
-        return bindings, combos, None
-
-    def _batch_keys(self, bindings: Any, batch: Any,
-                    key_exprs: Any) -> list[list[Any]]:
-        """Key-column extraction: each key expression's kernel gathers
-        its values over the whole selection vector at once."""
-        layout = layout_of(bindings)
-        programs = [
-            batch_program_for(self.database, expr, layout,
-                              statement=self.evaluator.statement)
-            for expr in key_exprs
-        ]
-        self.database.vectorized_stats.batches_scanned += 1
-        value_lists, err = run_batch_programs(
-            programs, self._batch_context(bindings, batch), batch.sel
-        )
-        if err is not None:
-            raise err
-        return [
-            [values[p] for values in value_lists]
-            for p in range(len(batch.sel))
-        ]
 
     @staticmethod
     def _check_kinds(left_value: Any, right_witnesses: Any) -> None:
@@ -531,7 +493,7 @@ class _SourceRunner:
             for left_combo in left_combos
             for right_combo in right_combos
         ]
-        self._count_visited(joined)
+        self._count_visited(len(joined))
         node.actual_rows = len(joined)
         return left_bindings + right_bindings, joined
 
@@ -554,12 +516,12 @@ class _SourceRunner:
         node.actual_rows = len(restored)
         return [bindings[p] for p in positions], restored
 
-    def _count_visited(self, combos: Any) -> None:
+    def _count_visited(self, count: int) -> None:
         if self.visited is None:
             self.visited = 0
-        self.visited += len(combos)
+        self.visited += count
         if self.stats is not None:
-            self.stats.rows_visited += len(combos)
+            self.stats.rows_visited += count
 
     # -- helpers ----------------------------------------------------------
 
@@ -610,6 +572,75 @@ class _SourceRunner:
 
 
 _KIND_TAGS = {bool: "b", int: "n", float: "n", str: "s"}
+
+
+def _hash_match(left: Any, left_keys: Any, right: Any, right_keys: Any,
+                arity: int, check_kinds: Any) -> tuple[list[Any], list[Any]]:
+    """Hash-join matching: ``(left_out, right_out)``, the matched entries
+    of ``left`` and ``right`` pairwise in nested-loop order (left order,
+    then right order within each match group). ``*_keys`` yield each
+    entry's key values (right ones all consumed before the first left
+    one). Key parts are tagged by kind, so Python's cross-kind
+    equalities like ``True == 1`` cannot produce matches SQL comparison
+    would reject; a NULL component never joins; and every probe value
+    meets ``check_kinds`` against the right side's kind witnesses — the
+    comparison error the naive product would raise."""
+    # key -> its first right entry, and -> the later ones (only for keys
+    # seen twice: most build sides are unique on the key)
+    heads: dict[Any, Any] = {}
+    rest: dict[Any, list[Any]] = {}
+    witnesses: list[dict[str, Any]] = [{} for _ in range(arity)]
+    for entry, values in zip(right, right_keys):
+        parts: list[tuple[str, Any]] = []
+        for position, value in enumerate(values):
+            if value is None:
+                continue
+            tag = _KIND_TAGS.get(type(value), "?")
+            witnesses[position].setdefault(tag, value)
+            parts.append((tag, value))
+        if len(parts) != arity:
+            continue
+        key = parts[0] if arity == 1 else tuple(parts)
+        if key not in heads:
+            heads[key] = entry
+        elif key in rest:
+            rest[key].append(entry)
+        else:
+            rest[key] = [entry]
+    left_out: list[Any] = []
+    right_out: list[Any] = []
+    for entry, values in zip(left, left_keys):
+        parts = []  # rebound per entry; same element type as above
+        for position, value in enumerate(values):
+            if value is None:
+                continue
+            check_kinds(value, witnesses[position])
+            parts.append((_KIND_TAGS.get(type(value), "?"), value))
+        if len(parts) != arity:
+            continue
+        key = parts[0] if arity == 1 else tuple(parts)
+        head = heads.get(key, heads)
+        if head is heads:
+            continue
+        later = rest.get(key)
+        if later is None:
+            left_out.append(entry)
+            right_out.append(head)
+        else:
+            left_out.extend(repeat(entry, 1 + len(later)))
+            right_out.append(head)
+            right_out.extend(later)
+    return left_out, right_out
+
+
+def _slots_at(batch: Any, entries: list[Any]) -> tuple[Any, ...]:
+    """Per binding of ``batch``, the storage slots behind ``entries`` (a
+    list of its selected entries): a one-binding batch's entries *are*
+    slots, a joined batch's are positions into its slot vectors."""
+    if batch.slots is None:
+        return (entries,)
+    return tuple(list(map(slots.__getitem__, entries))
+                 for slots in batch.slots)
 
 
 def _merge(left: Any, right: Any) -> tuple[Any, Any, Any]:

@@ -127,6 +127,8 @@ class HashJoin:
     right_keys: tuple          # of Expression, evaluated against right
     est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
+    #: how the last execution ran: ``"columnar"`` or ``"row"``
+    mode: Optional[str] = None
 
     @property
     def bindings(self) -> tuple[str, ...]:
@@ -195,6 +197,8 @@ class Aggregate:
     items: tuple               # of output column names
     group_by: tuple = ()       # of Expression
     having: Optional[Any] = None
+    #: how the last execution grouped: ``"columnar"`` or ``"GroupScope"``
+    mode: Optional[str] = None
 
 
 @dataclass
@@ -304,14 +308,20 @@ def _describe(node: Any, params: Sequence[Any]) -> str:
 
 def _annotation(node: Any) -> str:
     """The ``  (est=..., act=...)`` suffix for nodes carrying a
-    cost-model estimate; empty for those that have none (the result
-    chain, the residual filter, ``SingleRow``)."""
+    cost-model estimate, followed by how a join or grouping last ran
+    (``columnar``, ``row``, ``GroupScope``); empty for nodes with
+    neither (the rest of the result chain, the residual filter,
+    ``SingleRow``)."""
+    parts: list[str] = []
     est = getattr(node, "est_rows", None)
-    if est is None:
-        return ""
-    act = getattr(node, "actual_rows", None)
-    act_text = "?" if act is None else str(act)
-    return f"  (est={int(round(est))}, act={act_text})"
+    if est is not None:
+        act = getattr(node, "actual_rows", None)
+        act_text = "?" if act is None else str(act)
+        parts += [f"est={int(round(est))}", f"act={act_text}"]
+    mode = getattr(node, "mode", None)
+    if mode is not None:
+        parts.append(mode)
+    return f"  ({', '.join(parts)})" if parts else ""
 
 
 def _children(node: Any) -> tuple[Any, ...]:

@@ -23,9 +23,13 @@ named regression cases.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ActiveDatabase
+from repro.relational.compiled import vectorized_enabled
 from repro.relational.database import Database
+from repro.relational.expressions import aggregate_calls
 from repro.relational.plan import conjuncts, cost
 from repro.relational.select import evaluate_select
+from repro.sql import ast
 from repro.sql.parser import parse_select
 from tests.reference import naive_select
 
@@ -73,14 +77,6 @@ def queries(draw):
     return f"select {distinct}{items} from {tables}{where}{order}{limit}"
 
 
-@st.composite
-def grouped_queries(draw):
-    """Aggregation over an equi-join (exercises Aggregate over HashJoin)."""
-    having = draw(st.sampled_from(["", " having count(*) > 1"]))
-    return (
-        "select x.a, count(*) as n, sum(y.d) as s from t1 x, t2 y "
-        "where x.a = y.b group by x.a" + having + " order by x.a"
-    )
 
 
 def build_database(rows1, rows2, indexes):
@@ -115,10 +111,16 @@ class TestPlannerEquivalence:
         db = build_database(rows1, rows2, indexes)
         run_both(db, sql)
 
-    @given(t1_rows, t2_rows, index_choice, grouped_queries())
+    @given(t1_rows, t2_rows, index_choice, st.data())
     @settings(max_examples=40, deadline=None)
-    def test_planned_equals_naive_grouped(self, rows1, rows2, indexes, sql):
+    def test_planned_equals_naive_grouped(self, rows1, rows2, indexes, data):
+        """Grouped selects over the integer tables (the typed ones are
+        :class:`TestAggregateEquivalence`'s)."""
         db = build_database(rows1, rows2, indexes)
+        sql = data.draw(grouped_queries(
+            ["x.a", "x.b", "x.c"], ["y.b", "y.d"], "x.a = y.b",
+            ["x.a", "x.a + x.c"],
+        ))
         run_both(db, sql)
 
     @given(t1_rows, t2_rows, queries())
@@ -233,3 +235,236 @@ class TestErrorIdentity:
         )
         assert planned[:3] == ("ok", ["a", "b", "b", "d"], [(1, 1, 1, 5)])
         assert naive == ("error", "ExecutionError", "division by zero")
+
+
+# ---------------------------------------------------------------------------
+# grouped selects: the column-vector reduction against GroupScope
+
+
+def grouped_queries(one_columns, two_columns, join, keys):
+    """Generated grouped selects over ``t1 x`` (and ``t2 y`` joined on
+    ``join``): 0–2 group keys drawn from ``keys``, aggregates with and
+    without ``distinct`` over ``*_columns``, compound items, HAVING over
+    aggregates, an optional ORDER BY, and a WHERE that may empty the
+    input."""
+
+    @st.composite
+    def draw_query(draw):
+        two_tables = draw(st.booleans())
+        columns = one_columns + (two_columns if two_tables else [])
+        group = draw(st.lists(st.sampled_from(keys), max_size=2,
+                              unique=True))
+
+        def aggregate():
+            name = draw(st.sampled_from(
+                ["count", "sum", "avg", "min", "max"]
+            ))
+            distinct = "distinct " if draw(st.booleans()) else ""
+            if name == "count" and draw(st.booleans()):
+                return "count(*)"
+            return f"{name}({distinct}{draw(st.sampled_from(columns))})"
+
+        items = list(group)
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            call = aggregate()
+            if draw(st.integers(min_value=0, max_value=3)) == 0:
+                call = f"{call} is null" if "(" in call else call
+            items.append(call)
+        if draw(st.booleans()):
+            items.append("count(*) * 2 + 1")
+        where = draw(st.sampled_from(["", "x.a > 0", "x.a > 100"]))
+        conjuncts = ([join] if two_tables else []) + ([where] if where else [])
+        sql = "select " + ", ".join(items) + " from t1 x"
+        if two_tables:
+            sql += ", t2 y"
+        if conjuncts:
+            sql += " where " + " and ".join(conjuncts)
+        if group:
+            sql += " group by " + ", ".join(group)
+        if draw(st.booleans()):
+            sql += " having " + draw(st.sampled_from(
+                ["count(*) > 1", f"{aggregate()} is not null",
+                 "count(*) + 0 < 3"]
+            ))
+        if draw(st.booleans()):
+            sql += " order by " + draw(st.sampled_from(
+                ["count(*) desc", items[0]]
+            ))
+        return sql
+
+    return draw_query()
+
+
+#: the typed tables: integer, float and varchar columns, NULLs in all
+TYPED_ROWS_1 = st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(-2, 2)),
+    st.one_of(st.none(), st.sampled_from([0.1, 0.2, 0.7, 1e16, -0.0, 3.0])),
+    st.one_of(st.none(), st.sampled_from(["p", "q", "r"])),
+), max_size=8)
+TYPED_ROWS_2 = st.lists(st.tuples(
+    st.one_of(st.none(), st.integers(-2, 2)),
+    st.one_of(st.none(), st.sampled_from([0.1, 0.3, 2.5])),
+), max_size=6)
+TYPED_KEYS = ["x.a", "x.s", "x.f", "x.a + 1"]
+#: aggregate arguments whose evaluation is total but whose reduction
+#: raises (sum/avg over varchar, min/max over mixed kinds)
+RAISING_AGGREGATES = [
+    "sum(x.s)", "avg(distinct x.s)",
+    "min(case when x.a > 0 then x.a else x.s end)",
+    "max(coalesce(x.s, x.a))",
+]
+
+
+def typed_tables(rows1, rows2):
+    db = Database()
+    db.create_table("t1", [("a", "integer"), ("f", "float"),
+                           ("s", "varchar")])
+    db.create_table("t2", [("a", "integer"), ("g", "float")])
+    for row in rows1:
+        db.insert_row("t1", row)
+    for row in rows2:
+        db.insert_row("t2", row)
+    return db
+
+
+def bits(outcome):
+    """An outcome with every float replaced by its exact bit pattern, so
+    ``0.1 + 0.2`` summed in another order, or ``-0.0``, cannot compare
+    equal to what the reference computed."""
+    def exact(value):
+        return ("float", value.hex()) if isinstance(value, float) else value
+
+    if outcome[0] != "ok":
+        return outcome
+    _, columns, rows, touched = outcome
+    return ("ok", columns,
+            [tuple(exact(value) for value in row) for row in rows], touched)
+
+
+class TestAggregateEquivalence:
+    """``docs/semantics.md`` §8: grouped results through key vectors and
+    reductions equal the reference's ``GroupScope`` results — columns,
+    rows, row order, touched handles, floats to the bit; errors equal
+    whenever every aggregate argument is total."""
+
+    @given(TYPED_ROWS_1, TYPED_ROWS_2, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduction_equals_group_scope(self, rows1, rows2, data):
+        db = typed_tables(rows1, rows2)
+        sql = data.draw(grouped_queries(
+            ["x.a", "x.f", "x.s"], ["y.a", "y.g"], "x.a = y.a", TYPED_KEYS,
+        ))
+        select, planned, naive = both_outcomes(db, sql)
+        assert bits(planned) == bits(naive), sql
+
+    @given(TYPED_ROWS_1, st.sampled_from(RAISING_AGGREGATES),
+           st.sampled_from(["", " group by x.a", " group by x.s"]),
+           st.sampled_from(["", " having count(*) > 1"]))
+    @settings(max_examples=80, deadline=None)
+    def test_errors_agree_when_every_argument_is_total(
+            self, rows1, aggregate, group, having):
+        db = typed_tables(rows1, [])
+        sql = f"select count(*), {aggregate} from t1 x{group}{having}"
+        select, planned, naive = both_outcomes(db, sql)
+        layers = cost.kind_layers(db, select.tables)
+        arguments = [
+            call.args[0] for item in select.items
+            for call in aggregate_calls(item.expression) if call.args
+            and not isinstance(call.args[0], ast.Star)
+        ]
+        if all(cost.expression_kind(argument, layers, db) is not None
+               for argument in arguments):
+            assert planned == naive, sql
+        elif planned[0] == naive[0] == "ok":
+            assert planned == naive, sql
+
+    def test_sum_over_varchar_raises_the_same_error(self):
+        db = typed_tables([(1, 0.5, "p"), (2, 0.5, "q")], [])
+        _, planned, naive = both_outcomes(
+            db, "select x.f, sum(x.s) from t1 x group by x.f"
+        )
+        assert planned == naive
+        assert planned[:2] == ("error", "TypeError_")
+
+    def test_empty_input_counts_zero_and_sums_null(self):
+        db = typed_tables([(1, 0.5, "p")], [(1, 2.5)])
+        for sql in (
+            "select count(*), sum(x.a), avg(x.f), min(x.s) from t1 x "
+            "where x.a > 100",
+            "select count(*), sum(y.g) from t1 x, t2 y "
+            "where x.a = y.a and y.g > 100",
+        ):
+            _, planned, naive = both_outcomes(db, sql)
+            assert planned == naive
+            assert planned[2][0][:2] == (0, None)
+
+    def test_non_grouped_column_of_another_binding_is_rejected(self):
+        """``y.b`` only shares its name with the grouped ``x.b``: it must
+        not be read off an arbitrary member row (both paths)."""
+        db = Database()
+        db.create_table("t1", [("b", "integer"), ("v", "integer")])
+        db.create_table("t2", [("b", "integer"), ("k", "integer")])
+        for row in [(1, 10), (2, 20)]:
+            db.insert_row("t1", row)
+        for row in [(1, 1), (1, 2), (2, 1)]:
+            db.insert_row("t2", row)
+        _, planned, naive = both_outcomes(
+            db,
+            "select y.b, count(*) from t1 x, t2 y where x.b = y.k "
+            "group by x.b",
+        )
+        assert planned == naive
+        assert planned[0] == "error"
+        assert "must appear in GROUP BY" in planned[2]
+        # an unqualified reference to the grouped binding still passes
+        _, planned, naive = both_outcomes(
+            db, "select v, count(*) from t1 x group by x.v"
+        )
+        assert planned == naive == ("ok", ["v", "col2"],
+                                    [(10, 1), (20, 1)],
+                                    [("t1", 1), ("t1", 2)])
+
+
+class TestRuleConditionAggregates:
+    """Paper Example 3.2's condition — ``sum`` over ``new`` and ``old
+    updated emp.salary`` — reduced over transition-table batches fires
+    the rule exactly when the reference's ``GroupScope`` says so."""
+
+    RULE = (
+        "create rule salary_watch when updated emp.salary "
+        "if (select sum(salary) from new updated emp.salary) > "
+        "(select sum(salary) from old updated emp.salary) "
+        "then update emp set salary = 0.5 * salary where dept_no = 2"
+    )
+
+    @given(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1e16, 7.0]),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.9, 1.1, 1.0]), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_example_3_2_fires_identically(self, salaries, factor, dept):
+        def run():
+            db = ActiveDatabase()
+            db.execute("create table emp (emp_no integer, salary float, "
+                       "dept_no integer)")
+            db.execute("insert into emp values " + ", ".join(
+                f"({i}, {salary!r}, {1 + i % 3})"
+                for i, salary in enumerate(salaries)
+            ))
+            db.execute(self.RULE)
+            result = db.execute(
+                f"update emp set salary = salary * {factor} "
+                f"where dept_no = {dept}"
+            )
+            rows = db.rows("select emp_no, salary from emp")
+            return (result.rule_firings,
+                    [(e, s.hex()) for e, s in rows]), db
+
+        planned, db = run()
+        with naive_select.installed():
+            naive, _ = run()
+        assert planned == naive
+        counters = db.stats()["rules"].get("salary_watch")
+        if counters and counters["considerations"] \
+                and vectorized_enabled(db.database):
+            assert counters["grouped_batches"] >= 2
+            assert counters["group_scope_fallbacks"] == 0

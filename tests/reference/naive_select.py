@@ -55,9 +55,8 @@ def naive_scopes(executor, select, outer, stats):
         scope = Scope(parent=outer)
         for (name, columns, _, _), (row, _) in zip(tables, combination):
             scope.bind(name, columns, row)
-        # what the shared projection reads off a scope: the row tuples
-        # aligned with ``bindings``, and the base-table handles behind them
-        scope.rows = tuple(row for row, _ in combination)
+        # the base-table handles behind the combination, as the shared
+        # projection reads them off a scope
         touched = [pair for _, pair in combination if pair is not None]
         if touched:
             scope.touched_pairs = touched

@@ -18,7 +18,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: ``[tool.mypy] files`` in pyproject.toml: packages, and single modules
 STRICT_PACKAGES = (
     "repro/analysis", "repro/sql", "repro/relational/plan",
-    "repro/relational/table.py", "repro/relational/batch.py",
+    "repro/relational/select.py", "repro/relational/table.py",
+    "repro/relational/batch.py",
     "repro/relational/handles.py", "repro/core/effects.py",
 )
 #: modules under an override that sets ``disallow_untyped_defs =

@@ -5,8 +5,11 @@ import pytest
 
 from repro import ActiveDatabase
 from repro.errors import ReproError
+from repro.relational.batch import JoinedBatch
 from repro.relational.compiled import vectorized_enabled
 from repro.relational.database import Database
+from repro.relational.expressions import Evaluator
+from repro.relational.plan.executor import execute_source_batched
 from repro.relational.select import BaseTableResolver, evaluate_select
 from repro.sql.parser import parse_select
 
@@ -186,3 +189,71 @@ class TestJoinKeyExtraction:
         row_mode = db.rows(sql)
         assert vectorized == row_mode
         assert len(vectorized) == 10
+
+
+class TestColumnarJoinsAndGrouping:
+    JOIN = ("select u.tag, count(*), sum(t.a) from t, u where t.b = u.b "
+            "group by u.tag")
+
+    @pytest.fixture
+    def joined(self, db):
+        db.execute("create table u (b integer, tag varchar)")
+        for b in range(3):
+            db.execute(f"insert into u values ({b}, 'u{b}')")
+        return db
+
+    def test_counters_tell_reduction_from_group_scope(self, joined):
+        joined.reset_stats()
+        columnar = joined.rows(self.JOIN)
+        section = joined.stats()["vectorized"]
+        assert section["grouped_batches"] == 1
+        assert section["group_scope_fallbacks"] == 0
+        joined.database.enable_vectorized_eval = False
+        joined.reset_stats()
+        assert joined.rows(self.JOIN) == columnar
+        section = joined.stats()["vectorized"]
+        assert section["grouped_batches"] == 0
+        assert section["group_scope_fallbacks"] == 1
+
+    def test_explain_shows_how_join_and_grouping_ran(self, joined):
+        joined.rows(self.JOIN)
+        text = joined.explain(self.JOIN)
+        assert "group by u.tag  (columnar)" in text
+        assert "HashJoin (t.b = u.b)  (est=" in text
+        assert "act=10, columnar)" in text
+        joined.database.enable_vectorized_eval = False
+        joined.rows(self.JOIN)
+        text = joined.explain(self.JOIN)
+        assert "group by u.tag  (GroupScope)" in text
+        assert "act=10, row)" in text
+
+    def test_join_emits_slot_vectors_not_combinations(self, joined):
+        database = joined.database
+        select = parse_select("select * from t, u where t.b = u.b")
+        bound = database.statements.bound_node(select)
+        plan = database.statements.plan_for(
+            select, database, database.planner_stats, bound,
+        )
+        resolver = BaseTableResolver(database)
+        bindings, scopes, batch = execute_source_batched(
+            plan, database, resolver, Evaluator(database, resolver, bound),
+            None,
+        )
+        assert scopes is None and isinstance(batch, JoinedBatch)
+        assert [name for name, _ in bindings] == ["t", "u"]
+        assert len(batch.sel) == 10
+        # nested-loop order: t in scan order, each with its one u match
+        assert [batch.row_tuples(p)[0][0] for p in batch.sel] == list(
+            range(10))
+
+    def test_per_rule_counters_carry_grouping(self, db):
+        db.execute(
+            "create rule r when inserted into t "
+            "if (select count(*) from inserted t) > 1 "
+            "then delete from t where a > 100"
+        )
+        db.reset_stats()
+        db.execute("insert into t values (200, 0, 'x'), (201, 1, 'y')")
+        counters = db.stats()["rules"]["r"]
+        assert counters["grouped_batches"] >= 1
+        assert counters["group_scope_fallbacks"] == 0
