@@ -1,12 +1,19 @@
 """Checkpointing: a durable full snapshot plus a WAL high-water mark.
 
-A checkpoint document wraps :func:`repro.persistence.to_document` (the
-same schema/data/rules/priorities format applications already use) with
-the durability bookkeeping that plain persistence deliberately omits:
-per-row tuple handles (handles are non-reusable, so recovery must
-restore the originals), the handle allocator's high-water mark, the LSN
-up to which the WAL is folded into the snapshot, and the last committed
-transaction id.
+A checkpoint document (version 2) is the catalog
+(:func:`repro.persistence.catalog_document`) and the data as one commit
+body — per non-empty table, one insert section of every live row under
+its original handle, and the row count
+(:func:`~repro.durability.wal.table_section`) — with the handle
+high-water mark, the LSN up to which the WAL is folded into it and the
+last committed transaction id::
+
+    {"format":"repro-durability-checkpoint","version":2,"wal_lsn":L,
+     "last_txn":T,"hwm":H,"catalog":{...},"data":{TABLE:{"i":[...],"n":N}}}
+
+Recovery replays ``data`` through the WAL's section reader, between
+creating the tables and defining indexes, rules and priorities:
+checkpoint restore *is* WAL replay. A version-1 checkpoint is refused.
 
 Writes are atomic: the document goes to a temp file (fsync'd), then an
 ``os.replace`` swaps it in, then the directory entry is fsync'd. A crash
@@ -19,49 +26,59 @@ from __future__ import annotations
 
 import json
 import os
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ReproError
-from ..persistence import to_document
+from ..persistence import catalog_document
+from .wal import encode_json, table_section
+
+if TYPE_CHECKING:
+    from ..system import ActiveDatabase
+    from .faults import FaultInjector
 
 CHECKPOINT_FILENAME = "checkpoint.json"
 CHECKPOINT_FORMAT = "repro-durability-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+#: the type of every field a checkpoint document must carry
+_FIELDS = {"wal_lsn": int, "last_txn": int, "hwm": int, "catalog": dict,
+           "data": dict}
 
 
 class CheckpointError(ReproError):
     """Raised for malformed or unwritable checkpoint documents."""
 
 
-def build_checkpoint_document(db, wal_lsn, last_txn):
-    """The checkpoint document for an :class:`~repro.ActiveDatabase`.
-
-    ``handles`` lists each table's live handles in storage (ascending)
-    order, aligned with the wrapped document's row lists.
-    """
-    document = to_document(db)
-    handles = {
-        name: db.database.table(name).handles()
-        for name in db.database.table_names()
-    }
+def build_checkpoint_document(db: ActiveDatabase, wal_lsn: int,
+                              last_txn: int) -> dict[str, Any]:
+    """The checkpoint document for an :class:`~repro.ActiveDatabase`."""
+    catalog = catalog_document(db)
+    data = {}
+    for name in db.database.table_names():
+        table = db.database.table(name)
+        if len(table):
+            data[name] = {"i": table_section(table, table.handles()),
+                          "n": len(table)}
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "wal_lsn": wal_lsn,
         "last_txn": last_txn,
-        "next_handle": db.database.handles.issued_count + 1,
-        "handles": handles,
-        "database": document,
+        "hwm": db.database.handles.issued_count,
+        "catalog": catalog,
+        "data": data,
     }
 
 
-def write_checkpoint(directory, document, injector=None, fsync=True):
+def write_checkpoint(directory: str, document: dict[str, Any],
+                     injector: FaultInjector | None = None,
+                     fsync: bool = True) -> int:
     """Atomically write ``document`` as the directory's checkpoint.
 
     Returns the number of bytes written.
     """
     path = os.path.join(directory, CHECKPOINT_FILENAME)
     tmp_path = path + ".tmp"
-    data = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    data = encode_json(document).encode("utf-8")
     with open(tmp_path, "wb") as handle:
         handle.write(data)
         handle.flush()
@@ -75,7 +92,7 @@ def write_checkpoint(directory, document, injector=None, fsync=True):
     return len(data)
 
 
-def read_checkpoint(directory):
+def read_checkpoint(directory: str) -> dict[str, Any] | None:
     """Load and validate the directory's checkpoint document, or None.
 
     Raises:
@@ -90,7 +107,7 @@ def read_checkpoint(directory):
     with open(path, "rb") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # not JSON, or not UTF-8
             raise CheckpointError(f"corrupt checkpoint file: {error}") from None
     if not isinstance(document, dict):
         raise CheckpointError("checkpoint document must be a JSON object")
@@ -100,12 +117,16 @@ def read_checkpoint(directory):
         )
     if document.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version {document.get('version')!r}"
+            f"checkpoint has format version {document.get('version')!r}; "
+            f"this build reads version {CHECKPOINT_VERSION} only"
         )
+    if any(type(document.get(key)) is not kind for key, kind in _FIELDS.items()):
+        raise CheckpointError("checkpoint document needs integers wal_lsn, "
+                              "last_txn, hwm and objects catalog, data")
     return document
 
 
-def _fsync_directory(directory):
+def _fsync_directory(directory: str) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)

@@ -2,7 +2,9 @@
 
 A :class:`DurabilityManager` owns a durability directory holding
 ``wal.jsonl`` (see :mod:`~repro.durability.wal`) and ``checkpoint.json``
-(see :mod:`~repro.durability.checkpoint`). It is attached to an
+(see :mod:`~repro.durability.checkpoint`); both are written in one
+section codec — a commit record's net effect and a checkpoint's data
+are the same per-table sections. It is attached to an
 :class:`~repro.ActiveDatabase` at construction and sits on the commit
 path: the engine calls :meth:`log_commit` after rule quiescence and
 *before* acknowledging the commit, so the fsync'd WAL record is the

@@ -3,8 +3,10 @@
 :func:`recover` rebuilds an :class:`~repro.ActiveDatabase` from a
 durability directory:
 
-1. load the last checkpoint (if any) — schema, rows *with their original
-   tuple handles*, indexes, rules, priorities, and the allocator
+1. load the last checkpoint (if any) — create its tables, replay its
+   data (one insert section per table, rows *with their original tuple
+   handles*) through the same section reader as step 3, then define
+   its indexes, rules and priorities, and resume the allocator past its
    high-water mark;
 2. scan the WAL, truncating a torn tail (a partially-written final
    record, detected by checksum) — everything before the tear is the
@@ -33,8 +35,12 @@ the database continues appending to the same WAL.
 
 from __future__ import annotations
 
+import os
 from time import perf_counter
+from typing import TYPE_CHECKING, Any
 
+from ..errors import ReproError
+from ..persistence import restore_catalog
 from .checkpoint import CheckpointError, read_checkpoint
 from .manager import DurabilityManager
 from .wal import (
@@ -42,12 +48,20 @@ from .wal import (
     WalError,
     WalWriter,
     replay_commit_record,
+    replay_sections,
     scan_wal,
 )
 
+if TYPE_CHECKING:
+    from ..relational.database import Database
+    from ..system import ActiveDatabase
+    from .faults import FaultInjector
 
-def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
-            **db_kwargs):
+
+def recover(directory: str | os.PathLike[str], fsync: bool = True,
+            checkpoint_interval: int = 0,
+            injector: FaultInjector | None = None,
+            **db_kwargs: Any) -> ActiveDatabase:
     """Rebuild the database persisted in ``directory``.
 
     ``db_kwargs`` are forwarded to the :class:`~repro.ActiveDatabase`
@@ -66,7 +80,7 @@ def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
         directory, fsync=fsync, checkpoint_interval=checkpoint_interval,
         injector=injector, _resume=True,
     )
-    document = read_checkpoint(directory)
+    document = read_checkpoint(manager.directory)
     scan = scan_wal(manager.wal_path)
     for record in scan.records:
         if record.get("v") != WAL_VERSION:
@@ -121,48 +135,25 @@ def recover(directory, fsync=True, checkpoint_interval=0, injector=None,
     return db
 
 
-def _restore_checkpoint(db, document):
-    """Rebuild schema/data/rules from a checkpoint, keeping handles."""
-    inner = document["database"]
-    handles = document["handles"]
-    for table in inner.get("tables", ()):
-        name = table["name"]
-        db.database.create_table(
-            name,
-            [(column, type_name) for column, type_name in table["columns"]],
-        )
-        table_handles = handles.get(name, [])
-        if len(table_handles) != len(table["rows"]):
-            raise CheckpointError(
-                f"checkpoint table {name!r}: {len(table['rows'])} rows but "
-                f"{len(table_handles)} handles"
-            )
-        arity = len(table["columns"])
-        if any(len(row) != arity for row in table["rows"]):
-            raise CheckpointError(
-                f"checkpoint table {name!r}: a row does not have "
-                f"{arity} values"
-            )
-        if table_handles:
-            db.database.insert_rows(
-                name, list(zip(*table["rows"])), table_handles
-            )
-    for index in inner.get("indexes", ()):
-        db.database.create_index(
-            index["name"], index["table"], index["column"]
-        )
-    for rule in inner.get("rules", ()):
-        defined = db.engine.define_rule(
-            rule["sql"], reset_policy=rule.get("reset_policy", "execution")
-        )
-        defined.active = rule.get("active", True)
-    for higher, lower in inner.get("priorities", ()):
-        db.engine.add_priority(higher, lower)
-    db.database.handles.advance_past(document["next_handle"] - 1)
+def _restore_checkpoint(db: ActiveDatabase, document: dict[str, Any]) -> None:
+    """Rebuild catalog and data from a checkpoint, keeping handles: the
+    data is replayed as commit sections, between the tables and the
+    indexes, rules and priorities. Any failure to replay it — a
+    malformed section, a value of the wrong type — is a
+    :class:`CheckpointError`."""
+
+    def load_data() -> None:
+        try:
+            replay_sections(document["data"], db.database)
+        except ReproError as error:
+            raise CheckpointError(str(error)) from None
+
+    restore_catalog(db, document["catalog"], load_data)
+    db.database.handles.advance_past(document["hwm"])
     db.engine._txn_id = document["last_txn"]
 
 
-def _apply_ddl(db, record):
+def _apply_ddl(db: ActiveDatabase, record: dict[str, Any]) -> None:
     """Re-execute one logged catalog change."""
     op = record["op"]
     if op == "create_table":
@@ -197,7 +188,7 @@ def _apply_ddl(db, record):
         )
 
 
-def _rebuild_statistics(database):
+def _rebuild_statistics(database: Database) -> None:
     """Recompute every table's statistics exactly from storage. Replay
     folded them as it went, widen-only like any other writer; a
     recovered database starts with exact bounds and no drift instead,

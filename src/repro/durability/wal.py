@@ -6,10 +6,10 @@ detected by either a JSON parse failure or a checksum mismatch, and
 :func:`scan_wal` reports how many bytes of the file are valid so
 recovery can truncate the rest.
 
-Every body opens with the format version and the LSN, ``{"v":2,"lsn":L,
+Every body opens with the format version and the LSN, ``{"v":3,"lsn":L,
 ...``; recovery refuses any other version. Two records exist:
 
-* the commit record ``{"v":2,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"v":3,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
@@ -25,6 +25,10 @@ Every body opens with the format version and the LSN, ``{"v":2,"lsn":L,
 Key order is the order of construction (a function of the logged effect
 alone), so equal histories write equal bytes.
 
+The commit sections are also the checkpoint's data: a checkpoint is the
+commit body that inserts every live row (:mod:`~repro.durability.checkpoint`),
+and :func:`replay_sections` is the one reader of both.
+
 The append of a commit record (plus fsync) *is* the commit point: a
 transaction whose record is fully durable is committed; one whose
 record is missing or torn never happened.
@@ -32,34 +36,50 @@ record is missing or torn never happened.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
+from math import inf
+from typing import IO, TYPE_CHECKING, Any, Sequence
 
 from ..errors import ReproError
 from ..relational.handles import encode_runs
+from ..relational.types import SqlType
+
+if TYPE_CHECKING:
+    from ..core.effects import TransitionEffect
+    from ..relational.database import Database
+    from ..relational.schema import TableSchema
+    from ..relational.table import Table
+    from .faults import FaultInjector
 
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 2
+WAL_VERSION = 3
 
 
 class WalError(ReproError):
     """Raised for WAL misuse or an unrecoverably corrupt WAL."""
 
 
-#: one encoder for every record: ``json.dumps`` with non-default
-#: separators builds a fresh ``JSONEncoder`` per call
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+#: one encoder for every record and checkpoint: ``json.dumps`` with
+#: non-default separators builds a fresh ``JSONEncoder`` per call
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: ``json.loads`` less its whitespace stripping: a body is one document
+_decode_json = json.JSONDecoder().raw_decode
 
 
-def encode_record(body):
+def encode_record(body: dict[str, Any]) -> bytes:
     """Render a record body as one checksummed WAL line (bytes)."""
-    data = _encode_json(body).encode("utf-8")
+    data = encode_json(body).encode("utf-8")
     return b"%08x %s\n" % (zlib.crc32(data), data)
 
 
-def decode_line(line):
+def decode_line(line: bytes) -> dict[str, Any] | None:
     """Parse one WAL line back into its body dict.
 
     Returns None when the line is torn or corrupt (bad shape, checksum
@@ -77,10 +97,11 @@ def decode_line(line):
     if zlib.crc32(data) != expected:
         return None
     try:
-        body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        text = data.decode("utf-8")
+        body, end = _decode_json(text)
+    except ValueError:  # not UTF-8, not JSON
         return None
-    return body if isinstance(body, dict) else None
+    return body if end == len(text) and isinstance(body, dict) else None
 
 
 @dataclass
@@ -97,17 +118,17 @@ class WalScan:
             first bad one, inside the tail recovery cuts off.
     """
 
-    records: list
+    records: list[dict[str, Any]]
     valid_bytes: int
     torn_bytes: int
     discarded_records: int = 0
 
     @property
-    def last_lsn(self):
+    def last_lsn(self) -> int:
         return self.records[-1]["lsn"] if self.records else 0
 
 
-def scan_wal(path):
+def scan_wal(path: str) -> WalScan:
     """Read a WAL file, stopping at the first torn/corrupt record.
 
     Recovery is point-in-time: everything from the first invalid record
@@ -151,12 +172,14 @@ class WalWriter:
             the append path.
     """
 
-    def __init__(self, path, fsync=True, injector=None, next_lsn=1):
+    def __init__(self, path: str, fsync: bool = True,
+                 injector: FaultInjector | None = None,
+                 next_lsn: int = 1) -> None:
         self.path = path
         self.fsync = fsync
         self.injector = injector
         self.next_lsn = next_lsn
-        self._file = None
+        self._file: IO[bytes] | None = None
         #: running counters for stats()["durability"]
         self.records_written = 0
         self.bytes_written = 0
@@ -165,14 +188,15 @@ class WalWriter:
         self._pending_sync = False
         #: why the writer refuses further appends (None while healthy):
         #: set when bytes of unknown state may sit in the log
-        self._failure = None
+        self._failure: str | None = None
 
-    def _open(self):
+    def _open(self) -> IO[bytes]:
         if self._file is None or self._file.closed:
             self._file = open(self.path, "ab")
         return self._file
 
-    def append(self, body, sync=None):
+    def append(self, body: dict[str, Any],
+               sync: bool | None = None) -> dict[str, Any]:
         """Assign the next LSN, append the record durably, return it.
 
         The record only counts as written once the bytes are flushed
@@ -231,7 +255,7 @@ class WalWriter:
             self.injector.fire("post_wal_append")
         return body
 
-    def _discard_partial_append(self, offset):
+    def _discard_partial_append(self, offset: int) -> None:
         """Cut the log back to ``offset`` after a failed write.
 
         The buffered writer is closed first and opened afresh by the
@@ -240,7 +264,8 @@ class WalWriter:
         """
         try:
             try:
-                self._file.close()
+                if self._file is not None:
+                    self._file.close()
             except OSError:
                 pass  # the same failure again, flushing the remainder
             self._cut_to(offset)
@@ -251,7 +276,7 @@ class WalWriter:
                 f"cut back ({error}); run recovery"
             )
 
-    def _fsync(self, handle):
+    def _fsync(self, handle: IO[bytes]) -> None:
         try:
             os.fsync(handle.fileno())
         except OSError as error:
@@ -267,7 +292,7 @@ class WalWriter:
             raise
         self.syncs += 1
 
-    def sync(self):
+    def sync(self) -> bool:
         """fsync any appends deferred with ``append(..., sync=False)``.
 
         One fsync covers every pending record (the group-commit batch);
@@ -281,19 +306,19 @@ class WalWriter:
             return True
         return False
 
-    def close(self):
+    def close(self) -> None:
         self.sync()  # a clean shutdown must not drop a pending batch
         if self._file is not None and not self._file.closed:
             self._file.close()
         self._file = None
 
-    def truncate_to(self, valid_bytes):
+    def truncate_to(self, valid_bytes: int) -> None:
         """Cut a torn tail off the file (used by recovery)."""
         self.close()
         if os.path.exists(self.path):
             self._cut_to(valid_bytes)
 
-    def _cut_to(self, size):
+    def _cut_to(self, size: int) -> None:
         with open(self.path, "r+b") as handle:
             handle.truncate(size)
             handle.flush()
@@ -301,31 +326,75 @@ class WalWriter:
 
 
 # ---------------------------------------------------------------------------
-# commit-record construction and replay
+# the section codec: commit records, checkpoint data, replay
+#
+# A section is ``[runs, vector, ...]``: a handle set as ascending
+# ``[start, count, ...]`` runs, then one value vector per column aligned
+# with it. A vector is a JSON list — or, for a FLOAT vector without
+# NULL, the base64 of its little-endian IEEE-754 doubles whenever that
+# string, quotes included, is strictly shorter: bit-exact, and shorter
+# than decimal text for any double that needs more than a few digits.
+
+#: doubles are logged little-endian: a big-endian host swaps them
+_BYTESWAP = sys.byteorder != "little"
 
 
-def decode_runs(runs):
-    """The ascending handle list a ``[start, count, ...]`` vector names.
-
-    Raises:
-        WalError: unless the vector is pairs of integers with positive
-            counts and strictly ascending, non-overlapping runs — so the
-            result is always a list of distinct handles.
-    """
-    handles = []
-    floor = 1
-    if not isinstance(runs, list) or len(runs) % 2:
-        raise WalError(f"malformed handle runs {runs!r}")
-    for start, count in zip(runs[::2], runs[1::2]):
-        if type(start) is not int or type(count) is not int \
-                or start < floor or count < 1:
-            raise WalError(f"malformed handle runs {runs!r}")
-        floor = start + count
-        handles.extend(range(start, floor))
-    return handles
+def pack_floats(values: Sequence[float]) -> str:
+    """``values`` as the base64 of their little-endian doubles."""
+    doubles = array("d", values)
+    if _BYTESWAP:
+        doubles.byteswap()
+    return base64.b64encode(doubles.tobytes()).decode()
 
 
-def build_commit_record(txn_id, effect, database):
+def unpack_floats(text: str) -> list[float]:
+    """The floats :func:`pack_floats` wrote as ``text``, bit for bit."""
+    try:
+        doubles = array("d", base64.b64decode(text, validate=True))
+    except ValueError:  # not base64, not ASCII, or not whole doubles
+        raise WalError("packed vector is not the base64 of whole doubles") \
+            from None
+    if _BYTESWAP:
+        doubles.byteswap()
+    return doubles.tolist()
+
+
+def encode_vector(values: list[Any]) -> list[Any] | str:
+    """One FLOAT vector as the log holds it: packed when it has no NULL
+    and the packed string is strictly shorter than the list's text. That
+    text is measured from the values' shortest reprs — what the JSON
+    encoder writes, but ``Infinity`` for ``inf`` — 64 values at a time,
+    and no further than it takes to prove it longer than the string
+    (each value left is at least three bytes, ``0.0``)."""
+    if None in values:
+        return values
+    packed = 4 * -(-8 * len(values) // 3) + 2  # base64 length, quoted
+    length = 1 + len(values) + 5 * (values.count(inf) + values.count(-inf))
+    for start in range(0, len(values), 64):
+        length += sum(map(len, map(repr, values[start:start + 64])))
+        if length + 3 * max(len(values) - start - 64, 0) > packed:
+            return pack_floats(values)
+    return values
+
+
+def table_section(table: Table, handles: Sequence[int],
+                  names: Sequence[str] | None = None) -> list[Any]:
+    """The section of live, ascending ``handles``: their runs, then the
+    vectors of every schema column — or of the columns in ``names`` —
+    gathered from columnar storage through one slot selection
+    (:meth:`Table.column_vectors`). Only a FLOAT column stores floats,
+    so a vector that opens with one goes through :func:`encode_vector`
+    (one that opens with NULL stays a list)."""
+    section: list[Any] = [encode_runs(handles),
+                          *table.column_vectors(handles, names)]
+    for at in range(1, len(section)):
+        if type(section[at][0]) is float:
+            section[at] = encode_vector(section[at])
+    return section
+
+
+def build_commit_record(txn_id: int, effect: TransitionEffect,
+                        database: Database) -> dict[str, Any]:
     """Render a transaction's composed net effect as a commit record.
 
     ``effect`` is the whole-transaction
@@ -338,31 +407,28 @@ def build_commit_record(txn_id, effect, database):
     logged.
 
     The effect is a set, and the record keeps it one: per touched table
-    (in name order) the deleted handles ``d``, the inserted handles with
-    one value vector per schema column ``i``, the updates ``u`` grouped
-    by updated-column set (column names and groups in name order) with
-    one value vector per updated column, and the row count ``n`` that
-    recovery verifies after replay. Handle sets are ascending ``[start, count, ...]`` runs and
-    each section's vectors are gathered from columnar storage through
-    one slot selection (:meth:`Table.column_vectors`). The record also carries the handle high-water
-    mark ``hwm`` (handles are non-reusable across crashes too).
+    (in name order) the deleted handles ``d`` as runs, the insert
+    section ``i``, one update section per updated-column set led by its
+    column names ``u`` (names and groups in name order), and the row
+    count ``n`` that recovery verifies after replay. The record also
+    carries the handle high-water mark ``hwm`` (handles are
+    non-reusable across crashes too).
     """
     commit = {}
     for name in sorted(effect.tables):
         part = effect.tables[name]
         table = database.table(name)
-        entry = {}
+        entry: dict[str, Any] = {}
         if part.deleted:
             entry["d"] = encode_runs(sorted(part.deleted))
         if part.inserted:
-            run = part.inserted_handles()
-            entry["i"] = [encode_runs(run), *table.column_vectors(run)]
+            entry["i"] = table_section(table, part.inserted_handles())
         if part.updated:
-            groups = {}
+            groups: dict[frozenset[str], list[int]] = {}
             for handle in part.updated_handles():
                 groups.setdefault(part.updated[handle], []).append(handle)
             entry["u"] = [
-                [names, encode_runs(run), *table.column_vectors(run, names)]
+                [names, *table_section(table, run, names)]
                 for names, run in sorted(
                     (tuple(sorted(columns)), run)
                     for columns, run in groups.items()
@@ -378,36 +444,129 @@ def build_commit_record(txn_id, effect, database):
     }
 
 
-def replay_commit_record(record, database):
-    """Apply one commit record's net effect to a recovering database.
-
-    Per table: deletes, then inserts (ascending handle order —
-    allocation order), then updates, each as whole vectors through the
-    database's set mutators. A table's storage order is ascending
-    handle order whatever order its rows arrived in, so this reproduces
-    the live database's order exactly: a commit's inserts are usually
-    fresher than anything live and append, and those of a transaction
-    that committed after a younger one (concurrent sessions) are merged
-    into place.
+def decode_runs(runs: Any) -> list[int]:
+    """The ascending handle list a ``[start, count, ...]`` vector names.
 
     Raises:
-        WalError: when a handle-run vector is malformed, or the
-            post-replay row count disagrees with the count recorded at
-            commit time.
+        WalError: unless the vector is pairs of integers with positive
+            counts and strictly ascending, non-overlapping runs — so the
+            result is always a list of distinct handles.
     """
-    for name, entry in record["commit"].items():
-        if "d" in entry:
-            database.delete_rows(name, decode_runs(entry["d"]))
-        if "i" in entry:
-            runs, *columns = entry["i"]
-            database.insert_rows(name, columns, decode_runs(runs))
-        for names, runs, *vectors in entry.get("u", ()):
-            database.assign_columns(name, decode_runs(runs), names, vectors)
+    if type(runs) is list and len(runs) == 2:  # one run: the common set
+        start, count = runs
+        if type(start) is int and type(count) is int and start >= 1 \
+                and count >= 1:
+            return list(range(start, start + count))
+    handles: list[int] = []
+    floor = 1
+    if not isinstance(runs, list) or len(runs) % 2:
+        raise WalError(f"malformed handle runs {runs!r}")
+    for start, count in zip(runs[::2], runs[1::2]):
+        if type(start) is not int or type(count) is not int \
+                or start < floor or count < 1:
+            raise WalError(f"malformed handle runs {runs!r}")
+        floor = start + count
+        handles.extend(range(start, floor))
+    return handles
+
+
+def _decode_section(section: Any, names: Sequence[str], schema: TableSchema
+                    ) -> tuple[list[int], list[list[Any]]]:
+    """The handles and value vectors of a section over the columns
+    ``names`` of ``schema``."""
+    if type(section) is not list or len(section) != len(names) + 1:
+        raise WalError(f"a section is a list of handle runs and "
+                       f"{len(names)} value vector(s)")
+    runs, *vectors = section
+    handles = decode_runs(runs)
+    for at, vector in enumerate(vectors):
+        if type(vector) is not list:
+            column = schema.column(names[at])
+            if type(vector) is not str or column.sql_type is not SqlType.FLOAT:
+                raise WalError(f"column {column.name!r}: a "
+                               f"{column.sql_type.value} vector must be a list")
+            vectors[at] = vector = unpack_floats(vector)
+        if len(vector) != len(handles):
+            raise WalError(f"column {names[at]!r}: {len(vector)} values "
+                           f"for {len(handles)} handles")
+    return handles, vectors
+
+
+#: the keys a table's entry may hold
+_ENTRY_KEYS = frozenset("diun")
+
+
+def replay_sections(sections: Any, database: Database,
+                    record: dict[str, Any] | None = None) -> None:
+    """Apply commit sections ``{table: entry}`` — the net effect of the
+    commit ``record``, or a checkpoint's data — to a recovering
+    database, and verify each table's row count. Per table: deletes,
+    then inserts (ascending handle order, allocation order), then
+    updates, each as whole vectors through the set mutators.
+
+    A table's storage order is ascending handle order whatever order
+    its rows arrived in, so this reproduces the live database's order
+    exactly: a commit's inserts are usually fresher than anything live
+    and append, and those of a transaction that committed after a
+    younger one (concurrent sessions) are merged into place.
+
+    Raises:
+        WalError: naming the record's LSN (or the checkpoint) and the
+            table, when an entry, a section, a vector or a handle run is
+            malformed (the shape, vector counts and lengths, packed
+            doubles only in FLOAT columns) or the post-replay row count
+            is not the recorded one.
+    """
+    if type(sections) is not dict:
+        raise WalError(f"cannot replay {_where(record)}: sections must be "
+                       f"an object")
+    for name, entry in sections.items():
+        try:
+            if type(entry) is not dict or type(entry.get("n")) is not int \
+                    or not entry.keys() <= _ENTRY_KEYS:
+                raise WalError("an entry is an object of d/i/u sections and "
+                               "an integer n")
+            schema = database.schema(name)
+            if "d" in entry:
+                database.delete_rows(name, decode_runs(entry["d"]))
+            if "i" in entry:
+                handles, vectors = _decode_section(
+                    entry["i"], schema.column_names, schema)
+                database.insert_rows(name, vectors, handles)
+            updates = entry.get("u", [])
+            if type(updates) is not list:
+                raise WalError("the update section must be a list")
+            for group in updates:
+                names = group[0] if type(group) is list and group else None
+                if type(names) is not list \
+                        or any(type(c) is not str for c in names):
+                    raise WalError("an update section is led by its column "
+                                   "names")
+                handles, vectors = _decode_section(group[1:], names, schema)
+                database.assign_columns(name, handles, names, vectors)
+        except WalError as problem:
+            raise WalError(f"cannot replay {_where(record)}: table "
+                           f"{name!r}: {problem}") from None
         actual = database.row_count(name)
         if actual != entry["n"]:
             raise WalError(
                 f"recovery verification failed: table {name!r} has "
-                f"{actual} rows after replaying txn {record['txn']} "
-                f"(lsn {record['lsn']}), commit recorded {entry['n']}"
+                f"{actual} rows after replaying {_where(record)}, commit "
+                f"recorded {entry['n']}"
             )
+
+
+def _where(record: dict[str, Any] | None) -> str:
+    if record is None:
+        return "the checkpoint"
+    return f"txn {record.get('txn')!r} (lsn {record['lsn']})"
+
+
+def replay_commit_record(record: dict[str, Any], database: Database) -> None:
+    """Apply one commit record's net effect (:func:`replay_sections`)
+    and resume the allocator past its ``hwm``."""
+    if type(record.get("txn")) is not int or type(record.get("hwm")) is not int:
+        raise WalError(f"cannot replay {_where(record)}: txn and hwm must be "
+                       f"integers")
+    replay_sections(record["commit"], database, record)
     database.handles.advance_past(record["hwm"])

@@ -39,8 +39,10 @@ class PersistenceError(ReproError):
     """Raised for unserializable content or malformed dump files."""
 
 
-def to_document(db, skip_external=False):
-    """Serialize an :class:`ActiveDatabase` to a JSON-compatible dict.
+def catalog_document(db, skip_external=False):
+    """``tables`` (name and columns), ``indexes``, ``rules`` and
+    ``priorities``: what :func:`to_document` and a durability checkpoint
+    share; each adds the data in its own format.
 
     Raises:
         PersistenceError: if a transaction is open, or an external-action
@@ -48,33 +50,7 @@ def to_document(db, skip_external=False):
     """
     if db.engine.in_transaction:
         raise PersistenceError("cannot serialize with an open transaction")
-
-    tables = []
-    for name in db.database.table_names():
-        schema = db.database.schema(name)
-        storage = db.database.table(name)
-        tables.append(
-            {
-                "name": name,
-                "columns": [
-                    [column.name, column.sql_type.value]
-                    for column in schema.columns
-                ],
-                "rows": [list(row) for row in storage.rows()],
-            }
-        )
-
-    indexes = []
-    for index_name in db.database.indexes.names():
-        index = db.database.indexes.get(index_name)
-        indexes.append(
-            {
-                "name": index.name,
-                "table": index.table_name,
-                "column": index.column,
-            }
-        )
-
+    database = db.database
     rules = []
     for rule in db.catalog:
         if rule.is_external:
@@ -91,16 +67,59 @@ def to_document(db, skip_external=False):
                 "active": rule.active,
             }
         )
-
-    priorities = sorted(db.catalog.pairings())
     return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "tables": tables,
-        "indexes": indexes,
+        "tables": [
+            {
+                "name": name,
+                "columns": [
+                    [column.name, column.sql_type.value]
+                    for column in database.schema(name).columns
+                ],
+            }
+            for name in database.table_names()
+        ],
+        "indexes": [
+            {"name": index.name, "table": index.table_name,
+             "column": index.column}
+            for index in map(database.indexes.get, database.indexes.names())
+        ],
         "rules": rules,
-        "priorities": [list(pair) for pair in priorities],
+        "priorities": [list(pair) for pair in sorted(db.catalog.pairings())],
     }
+
+
+def restore_catalog(db, catalog, load_data):
+    """Define ``catalog`` on an empty database: tables, then
+    ``load_data()``, then indexes, rules and priorities — data before
+    rules, so loading never fires a rule."""
+    for table in catalog.get("tables", ()):
+        db.database.create_table(table["name"], table["columns"])
+    load_data()
+    for index in catalog.get("indexes", ()):
+        db.database.create_index(
+            index["name"], index["table"], index["column"]
+        )
+    for rule in catalog.get("rules", ()):
+        defined = db.engine.define_rule(
+            rule["sql"], reset_policy=rule.get("reset_policy", "execution")
+        )
+        defined.active = rule.get("active", True)
+    for higher, lower in catalog.get("priorities", ()):
+        db.engine.add_priority(higher, lower)
+
+
+def to_document(db, skip_external=False):
+    """Serialize an :class:`ActiveDatabase` to a JSON-compatible dict.
+
+    Raises:
+        PersistenceError: as :func:`catalog_document`.
+    """
+    catalog = catalog_document(db, skip_external)
+    for table in catalog["tables"]:
+        table["rows"] = [
+            list(row) for row in db.database.table(table["name"]).rows()
+        ]
+    return {"format": FORMAT_NAME, "version": FORMAT_VERSION, **catalog}
 
 
 def from_document(document, **db_kwargs):
@@ -118,26 +137,16 @@ def from_document(document, **db_kwargs):
             database.
     """
     validate_document(document)
-
     db = ActiveDatabase(**db_kwargs)
-    for table in document.get("tables", ()):
-        db.database.create_table(
-            table["name"],
-            [(name, type_name) for name, type_name in table["columns"]],
-        )
-        if table["rows"]:
-            db.database.insert_rows(table["name"], list(zip(*table["rows"])))
-    for index in document.get("indexes", ()):
-        db.database.create_index(
-            index["name"], index["table"], index["column"]
-        )
-    for rule in document.get("rules", ()):
-        defined = db.engine.define_rule(
-            rule["sql"], reset_policy=rule.get("reset_policy", "execution")
-        )
-        defined.active = rule.get("active", True)
-    for higher, lower in document.get("priorities", ()):
-        db.engine.add_priority(higher, lower)
+
+    def load_rows():
+        for table in document.get("tables", ()):
+            if table["rows"]:
+                db.database.insert_rows(
+                    table["name"], list(zip(*table["rows"]))
+                )
+
+    restore_catalog(db, document, load_rows)
     return db
 
 
@@ -190,6 +199,6 @@ def load(path, **db_kwargs):
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # not JSON, or not UTF-8
             raise PersistenceError(f"malformed dump file: {error}") from None
     return from_document(document, **db_kwargs)

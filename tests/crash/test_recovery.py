@@ -1,12 +1,22 @@
 """Recovery scenarios: checkpoint restore, WAL replay, torn tails,
 handle identity, and post-recovery behaviour."""
 
+import base64
+import json
 import os
 
 import pytest
 
 from repro import ActiveDatabase, RingBufferSink, recover
-from repro.durability.wal import WalError, encode_record, scan_wal
+from repro.durability.checkpoint import CHECKPOINT_FILENAME, CheckpointError
+from repro.durability.wal import (
+    WAL_VERSION,
+    WalError,
+    encode_record,
+    pack_floats,
+    scan_wal,
+)
+from tests.reference import checkpoint_v1
 
 
 def snapshot(db):
@@ -197,7 +207,7 @@ class TestTornTailTruncation:
             handle.write(b"00000000 {torn\n")
             for late in (1, 2):
                 handle.write(encode_record(
-                    {"v": 2, "lsn": lsn + late, "kind": "ddl",
+                    {"v": WAL_VERSION, "lsn": lsn + late, "kind": "ddl",
                      "op": "drop_table", "name": "emp"}
                 ))
 
@@ -240,7 +250,7 @@ class TestReplayVerification:
         original.durability.close()
         with open(original.durability.wal_path, "ab") as handle:
             handle.write(
-                encode_record({"v": 2, "lsn": 999, "kind": "mystery"})
+                encode_record({"v": WAL_VERSION, "lsn": 999, "kind": "mystery"})
             )
         with pytest.raises(WalError, match="mystery.*lsn 999"):
             recover(directory)
@@ -251,7 +261,7 @@ class TestReplayVerification:
         original.durability.close()
         with open(original.durability.wal_path, "ab") as handle:
             handle.write(encode_record(
-                {"v": 2, "lsn": 999, "kind": "ddl", "op": "defrag"}
+                {"v": WAL_VERSION, "lsn": 999, "kind": "ddl", "op": "defrag"}
             ))
         with pytest.raises(WalError, match="defrag.*lsn 999"):
             recover(directory)
@@ -260,7 +270,9 @@ class TestReplayVerification:
         # a version-1 log: no "v", "kind":"commit"
         ({"kind": "commit", "lsn": 7, "txn": 4, "insert": [], "delete": [],
           "update": [], "handle_hwm": 9, "counts": {}}, "None"),
-        ({"v": 3, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "3"),
+        # a version-2 log: FLOATs as decimal text only
+        ({"v": 2, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "2"),
+        ({"v": 4, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "4"),
     ])
     def test_other_format_version_is_refused_not_truncated(
         self, tmp_path, body, found
@@ -276,6 +288,190 @@ class TestReplayVerification:
         with pytest.raises(WalError, match=f"lsn 7 .*version {found}"):
             recover(directory)
         assert os.path.getsize(wal_path) == size
+
+
+def _set(path, value):
+    """A tamper that sets ``entry[path...] = value``."""
+    def tamper(entry):
+        *head, last = path
+        for step in head:
+            entry = entry[step]
+        entry[last] = value
+    return tamper
+
+
+def _delete(key):
+    return lambda entry: entry.pop(key)
+
+
+#: malformed commit entries behind a valid CRC. Each tampers the
+#: ``emp`` entry — ``{"i": [[3, 2], ["jane", "bob"], [50.0, 40.0],
+#: [1, 2]], "n": 2}`` both as the last commit record and as checkpoint
+#: data — and names what the refusal says
+MALFORMED_ENTRIES = {
+    "missing_n": (_delete("n"), "integer n"),
+    "n_not_an_int": (_set(["n"], "2"), "integer n"),
+    "unknown_key": (_set(["x"], []), "integer n"),
+    "insert_not_a_list": (_set(["i"], "oops"), "a section is a list"),
+    "update_not_a_list": (_set(["u"], {}), "update section must be a list"),
+    "update_without_names": (_set(["u"], [[3, 1]]), "led by its column names"),
+    "insert_vector_missing": (
+        lambda entry: entry["i"].pop(), "handle runs and 3 value vector"),
+    "update_vector_count": (
+        _set(["u"], [[["salary"], [3, 1], [1.0], [2.0]]]),
+        "handle runs and 1 value vector"),
+    "vector_length": (_set(["i", 1], ["jane"]), "'name': 1 values for 2"),
+    "vector_not_a_list": (_set(["i", 3], 7), "integer vector must be a list"),
+    "packed_varchar": (
+        _set(["i", 1], pack_floats([1.0, 2.0])),
+        "'name': a varchar vector must be a list"),
+    "packed_not_base64": (_set(["i", 2], "!!!!"), "not the base64"),
+    "packed_partial_double": (
+        _set(["i", 2], base64.b64encode(bytes(12)).decode()),
+        "not the base64 of whole doubles"),
+    "packed_length": (
+        _set(["i", 2], pack_floats([50.0])), "'salary': 1 values for 2"),
+    "overlapping_runs": (_set(["i", 0], [3, 1, 3, 1]), "malformed handle runs"),
+}
+
+
+class TestMalformedSections:
+    """A checksummed but malformed commit entry is refused with a
+    pointed error naming the LSN (or the checkpoint) and the table —
+    never a KeyError or TypeError out of the replay loop."""
+
+    @pytest.fixture
+    def tampered_wal(self, tmp_path):
+        directory = str(tmp_path / "d")
+        make_db(directory).durability.close()
+        wal_path = os.path.join(directory, "wal.jsonl")
+        records = scan_wal(wal_path).records
+
+        def rewrite(tamper):
+            tamper(records[-1])
+            with open(wal_path, "wb") as handle:
+                for record in records:
+                    handle.write(encode_record(record))
+            return directory, records[-1]["lsn"]
+        return rewrite
+
+    @pytest.fixture
+    def tampered_checkpoint(self, tmp_path):
+        directory = str(tmp_path / "d")
+        db = make_db(directory)
+        db.checkpoint()
+        db.durability.close()
+        path = os.path.join(directory, CHECKPOINT_FILENAME)
+
+        def rewrite(tamper):
+            with open(path) as handle:
+                document = json.load(handle)
+            tamper(document)
+            with open(path, "w") as handle:
+                json.dump(document, handle)
+            return directory
+        return rewrite
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+    def test_wal_entry(self, tampered_wal, case):
+        tamper, problem = MALFORMED_ENTRIES[case]
+        directory, lsn = tampered_wal(
+            lambda record: tamper(record["commit"]["emp"]))
+        with pytest.raises(WalError) as failure:
+            recover(directory)
+        message = str(failure.value)
+        assert f"cannot replay txn 2 (lsn {lsn}): table 'emp': " in message
+        assert problem in message
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ENTRIES))
+    def test_checkpoint_entry(self, tampered_checkpoint, case):
+        tamper, problem = MALFORMED_ENTRIES[case]
+        directory = tampered_checkpoint(
+            lambda document: tamper(document["data"]["emp"]))
+        with pytest.raises(CheckpointError) as failure:
+            recover(directory)
+        message = str(failure.value)
+        assert "cannot replay the checkpoint: table 'emp': " in message
+        assert problem in message
+
+    @pytest.mark.parametrize("tamper, problem", [
+        (_set(["commit"], []), "sections must be an object"),
+        (_set(["hwm"], "9"), "txn and hwm must be integers"),
+        (_set(["txn"], None), "txn and hwm must be integers"),
+    ])
+    def test_wal_record(self, tampered_wal, tamper, problem):
+        directory, lsn = tampered_wal(tamper)
+        with pytest.raises(WalError, match=f"lsn {lsn}.*{problem}"):
+            recover(directory)
+
+    @pytest.mark.parametrize("tamper, problem", [
+        # the set mutators' refusals are checkpoint errors too
+        (_set(["data", "emp", "i", 3], ["x", 2]), "column emp.dno"),
+        (_set(["data", "emp", "u"], [[["salary"], [99, 1], [1.0]]]),
+         "handle 99 is not live in table 'emp'"),
+        (_set(["data", "ghost"], {"n": 0}), "table 'ghost' does not exist"),
+        (_set(["data", "emp", "n"], 3),
+         "table 'emp' has 2 rows after replaying the checkpoint"),
+        (_set(["data"], []), "objects catalog, data"),
+        (_set(["hwm"], True), "integers wal_lsn, last_txn, hwm"),
+    ])
+    def test_checkpoint_data(self, tampered_checkpoint, tamper, problem):
+        directory = tampered_checkpoint(tamper)
+        with pytest.raises(CheckpointError, match=problem):
+            recover(directory)
+
+
+class TestCheckpointFormat:
+    def test_version_1_checkpoint_is_refused_before_the_wal_is_cut(
+        self, tmp_path
+    ):
+        directory = str(tmp_path / "d")
+        db = make_db(directory)
+        db.checkpoint()
+        document = checkpoint_v1.build_checkpoint_document(db, 6, 2)
+        db.durability.close()
+        with open(os.path.join(directory, CHECKPOINT_FILENAME), "w") as out:
+            json.dump(document, out)
+        wal_path = db.durability.wal_path
+        with open(wal_path, "ab") as handle:
+            handle.write(b"torn")
+        size = os.path.getsize(wal_path)
+        with pytest.raises(CheckpointError, match=(
+                "checkpoint has format version 1; this build reads "
+                "version 2 only")):
+            recover(directory)
+        assert os.path.getsize(wal_path) == size
+
+    def test_checkpoint_that_is_not_utf8_is_a_checkpoint_error(
+        self, tmp_path
+    ):
+        directory = tmp_path / "d"
+        directory.mkdir()
+        (directory / CHECKPOINT_FILENAME).write_bytes(b'{"a":"\xff"}')
+        with pytest.raises(CheckpointError, match="corrupt checkpoint file"):
+            recover(str(directory))
+
+    def test_checkpoint_is_catalog_plus_insert_sections(self, tmp_path):
+        directory = str(tmp_path / "d")
+        db = make_db(directory)
+        db.execute("create index emp_dno on emp (dno)")
+        db.execute("delete from emp where name = 'jane'")
+        db.checkpoint()
+        with open(os.path.join(directory, CHECKPOINT_FILENAME)) as handle:
+            document = json.load(handle)
+        assert list(document) == [
+            "format", "version", "wal_lsn", "last_txn", "hwm", "catalog",
+            "data"]
+        assert document["version"] == 2
+        assert document["hwm"] == 4
+        assert document["data"] == {
+            "dept": {"i": [[1, 2], [1, 2]], "n": 2},
+            "emp": {"i": [[4, 1], ["bob"], [40.0], [2]], "n": 1},
+        }
+        assert document["catalog"]["indexes"] == [
+            {"name": "emp_dno", "table": "emp", "column": "dno"}]
+        assert [table["name"] for table in document["catalog"]["tables"]] \
+            == ["emp", "dept"]
 
 
 class TestRecoveredLifecycle:

@@ -419,7 +419,9 @@ class TestCheckpointFile:
         loaded = read_checkpoint(str(tmp_path))
         assert loaded == json.loads(json.dumps(document))
         assert loaded["wal_lsn"] == 5
-        assert loaded["handles"]["t"] == [1, 2]
+        # the data is one insert section per table: handles as runs
+        assert loaded["data"] == {
+            "t": {"i": [[1, 2], [1, 2], ["a", "b"]], "n": 2}}
 
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert read_checkpoint(str(tmp_path)) is None

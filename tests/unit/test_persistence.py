@@ -112,6 +112,12 @@ class TestFiles:
         with pytest.raises(PersistenceError):
             load(str(path))
 
+    def test_file_that_is_not_utf8_raises(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"a":"\xff"}')
+        with pytest.raises(PersistenceError, match="malformed dump file"):
+            load(str(path))
+
     def test_wrong_format_raises(self):
         with pytest.raises(PersistenceError):
             from_document({"format": "something-else", "version": 1})

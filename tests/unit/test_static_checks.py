@@ -21,6 +21,8 @@ STRICT_PACKAGES = (
     "repro/relational/select.py", "repro/relational/table.py",
     "repro/relational/batch.py",
     "repro/relational/handles.py", "repro/core/effects.py",
+    "repro/durability/wal.py", "repro/durability/checkpoint.py",
+    "repro/durability/recovery.py",
 )
 #: modules under an override that sets ``disallow_untyped_defs =
 #: false`` (none left: the whole of each package is strict)

@@ -6,9 +6,12 @@ recovered by the next. The snapshot pins the exact bytes of every WAL
 line (DDL and commit records, checksum included) that the transactions
 of paper Examples 3.1, 3.2 and 4.1 write — the rules and data of
 ``tests/integration/test_paper_examples.py`` — plus one transaction with
-several updated-column sets, NULLs and non-ASCII text. A change that
-moves a byte of the format must bump ``WAL_VERSION`` and regenerate on
-purpose (``tests/integration/test_wal_golden.py`` fails otherwise)::
+several updated-column sets, NULLs and non-ASCII text, and one whose
+FLOATs have long decimals, so a vector is logged as packed doubles.
+Beside each log it pins the checkpoint document of the end state. A
+change that moves a byte of either format must bump ``WAL_VERSION`` /
+``CHECKPOINT_VERSION`` and regenerate on purpose
+(``tests/integration/test_wal_golden.py`` fails otherwise)::
 
     PYTHONPATH=src python tools/gen_wal_golden.py
 """
@@ -67,6 +70,11 @@ def scenarios() -> list[dict[str, Any]]:
             "name = null where age = 7; delete from notes where body = 'drop'; "
             "insert into notes values ('añadido'), (null)",
         ]},
+        {"label": "packed_long_decimals", "statements": [
+            "create table readings (sensor integer, value float)",
+            "insert into readings values (1, 0.1), (2, 0.2), (3, 0.3)",
+            "update readings set value = value / 3.0",
+        ]},
     ]
 
 
@@ -77,10 +85,12 @@ class _Statements(list):
         self.append(statement)
 
 
-def wal_lines(statements: list[str]) -> list[str]:
-    """The WAL lines a fresh durable database writes for ``statements``
-    (one transaction or DDL change each)."""
+def record(statements: list[str]) -> dict[str, Any]:
+    """What a fresh durable database writes for ``statements`` (one
+    transaction or DDL change each): ``lines``, its WAL lines, and
+    ``checkpoint``, the checkpoint document of the end state."""
     from repro import ActiveDatabase, DurabilityManager
+    from repro.durability.checkpoint import CHECKPOINT_FILENAME
     from repro.durability.wal import WAL_FILENAME
 
     with tempfile.TemporaryDirectory() as directory:
@@ -89,12 +99,14 @@ def wal_lines(statements: list[str]) -> list[str]:
             db.execute(statement)
         db.durability.close()
         text = (Path(directory) / WAL_FILENAME).read_bytes().decode("ascii")
-    return text.splitlines()
+        db.checkpoint()
+        checkpoint = (Path(directory) / CHECKPOINT_FILENAME).read_bytes()
+    return {"lines": text.splitlines(), "checkpoint": checkpoint.decode("ascii")}
 
 
 def build() -> list[dict[str, Any]]:
     return [
-        {"label": entry["label"], "lines": wal_lines(entry["statements"])}
+        {"label": entry["label"], **record(entry["statements"])}
         for entry in scenarios()
     ]
 
@@ -105,7 +117,7 @@ def main() -> int:
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"{GOLDEN.relative_to(ROOT)}: "
           f"{sum(len(entry['lines']) for entry in entries)} WAL lines in "
-          f"{len(entries)} logs")
+          f"{len(entries)} logs, {len(entries)} checkpoints")
     return 0
 
 
