@@ -1,4 +1,4 @@
-"""ABL-2 (ablation): hash indexes under rule workloads.
+"""ABL-2 (ablation): sorted indexes under rule workloads.
 
 §1 argues relational optimization "is directly applicable to the rules
 themselves". Indexes are the second optimization we add (after the

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import IO, TYPE_CHECKING, Any, Sequence
 
-from ..errors import ReproError
+from ..errors import HandleClaimError, ReproError
 from ..relational.handles import encode_runs
 from ..relational.types import SqlType
 
@@ -514,8 +514,9 @@ def replay_sections(sections: Any, database: Database,
         WalError: naming the record's LSN (or the checkpoint) and the
             table, when an entry, a section, a vector or a handle run is
             malformed (the shape, vector counts and lengths, packed
-            doubles only in FLOAT columns) or the post-replay row count
-            is not the recorded one.
+            doubles only in FLOAT columns), an insert claims a handle
+            that another table (or this one) already holds or held, or
+            the post-replay row count is not the recorded one.
     """
     if type(sections) is not dict:
         raise WalError(f"cannot replay {_where(record)}: sections must be "
@@ -544,7 +545,7 @@ def replay_sections(sections: Any, database: Database,
                                    "names")
                 handles, vectors = _decode_section(group[1:], names, schema)
                 database.assign_columns(name, handles, names, vectors)
-        except WalError as problem:
+        except (WalError, HandleClaimError) as problem:
             raise WalError(f"cannot replay {_where(record)}: table "
                            f"{name!r}: {problem}") from None
         actual = database.row_count(name)

@@ -66,6 +66,11 @@ class ExecutionError(ReproError):
     """
 
 
+class HandleClaimError(ExecutionError):
+    """Raised when durable state claims a tuple handle that already
+    belongs to a table: handles are distinct across all tables."""
+
+
 class TransactionError(ReproError):
     """Raised for misuse of the transaction API (e.g. commit with no txn)."""
 

@@ -16,7 +16,7 @@ from .dml import (
 )
 from .expressions import Evaluator, Scope
 from .handles import HandleAllocator
-from .index import HashIndex, IndexRegistry
+from .index import IndexRegistry, SortedIndex
 from .plan.pushdown import index_candidates
 from .schema import Catalog, Column, TableSchema
 from .select import BaseTableResolver, SelectResult, evaluate_select
@@ -33,12 +33,12 @@ __all__ = [
     "DmlExecutor",
     "Evaluator",
     "HandleAllocator",
-    "HashIndex",
     "IndexRegistry",
     "InsertEffect",
     "Scope",
     "SelectEffect",
     "SelectResult",
+    "SortedIndex",
     "SqlType",
     "Table",
     "TableSchema",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from ..errors import CatalogError, TypeError_
+from ..errors import CatalogError, HandleClaimError, TypeError_
 from .handles import HandleAllocator
 from .schema import Catalog, Column, TableSchema
 from .table import Table
@@ -34,7 +34,7 @@ class Database:
         self.enable_subquery_cache = True
         from .index import IndexRegistry
 
-        #: hash indexes by name (see repro.relational.index)
+        #: sorted indexes by name (see repro.relational.index)
         self.indexes = IndexRegistry()
 
         from .plan.cache import PlannerStats, StatementCache
@@ -140,12 +140,12 @@ class Database:
         self.schema_version += 1
 
     def create_index(self, name, table_name, column):
-        """Create (and build) a hash index on ``table_name.column``."""
-        from .index import HashIndex
+        """Create (and build) a sorted index on ``table_name.column``."""
+        from .index import SortedIndex
 
         table = self.table(table_name)
         position = table.schema.column_position(column)
-        index = HashIndex(name, table_name, column, position)
+        index = SortedIndex(name, table_name, column, position)
         self.indexes.add(index)
         table.attach_index(index)
         self.schema_version += 1
@@ -230,7 +230,9 @@ class Database:
         them from durable state (crash recovery, checkpoint restore) —
         tuple handles are non-reusable values identifying tuples, so
         recovery must preserve them for transition effects to stay
-        meaningful; the allocator resumes past them.
+        meaningful; the allocator resumes past them. A supplied handle
+        that some table already holds, or held, is refused with
+        :class:`~repro.errors.HandleClaimError`, leaving no row behind.
         """
         table = self.table(table_name)
         schema = table.schema
@@ -251,7 +253,11 @@ class Database:
             table.insert_columns(handles, columns)
         else:
             table.insert_columns(handles, columns)
-            self.handles.restore(handles, table_name)
+            try:
+                self.handles.restore(handles, table_name)
+            except HandleClaimError:
+                table.delete_many(handles)
+                raise
         self.transactions.log("insert", table_name, handles)
         return handles
 

@@ -317,7 +317,7 @@ class DmlExecutor:
         if candidates is None:
             batch = table.batch()
         else:
-            batch = table.batch_for_handles(sorted(candidates))
+            batch = table.batch_for_handles(candidates)
         if where is not None:
             batch = batch.with_sel(self._matching_slots(batch, table, where))
         return list(map(batch.handles.__getitem__, batch.sel)), batch

@@ -231,6 +231,10 @@ def compare(op, left, right):
     if left is None or right is None:
         return None
     ordering = compare_values(left, right)
+    if not ordering and (left != left or right != right):
+        # NaN equals nothing and orders against nothing (IEEE 754), as
+        # in the batch kernels and the indexes
+        return op == "<>"
     if op == "=":
         return ordering == 0
     if op == "<>":

@@ -13,6 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable
 
+from ..errors import HandleClaimError
+
 
 def encode_runs(handles: Iterable[int]) -> list[int]:
     """Ascending distinct handles as flat ``[start, count, ...]`` runs."""
@@ -70,12 +72,36 @@ class HandleAllocator:
 
         The allocator resumes past them, so handles stay non-reusable
         across system lifetimes, not just within one.
+
+        Raises:
+            HandleClaimError: before recording any of them, if one is
+                already recorded — for another table, or for this one.
         """
         runs = encode_runs(sorted(handles))
-        for start, count in zip(runs[::2], runs[1::2]):
+        blocks = list(zip(runs[::2], runs[1::2]))
+        for start, count in blocks:
+            claimed = self._claimed(start, start + count)
+            if claimed is not None:
+                handle, owner = claimed
+                raise HandleClaimError(
+                    f"handle {handle} claimed by table {table_name!r} "
+                    f"already belongs to table {owner!r}"
+                )
+        for start, count in blocks:
             self._record(start, count, table_name)
         if runs:
             self.advance_past(runs[-2] + runs[-1] - 1)
+
+    def _claimed(self, start: int, end: int) -> tuple[int, str] | None:
+        """The first recorded handle in ``start .. end - 1`` and its
+        table, or None: a bisection to the blocks either side."""
+        starts = self._starts
+        at = bisect_right(starts, start)
+        if at and self._ends[at - 1] > start:
+            return start, self._names[at - 1]
+        if at < len(starts) and starts[at] < end:
+            return starts[at], self._names[at]
+        return None
 
     def _record(self, start: int, count: int, table_name: str) -> None:
         """Note that ``start .. start + count - 1`` belong to

@@ -6,7 +6,7 @@ Planning decisions, in order:
    residual — see :mod:`~repro.relational.plan.pushdown`);
 2. give every FROM item a leaf: an :class:`~repro.relational.plan.nodes
    .IndexLookup` when a pushed ``col = literal`` conjunct hits an
-   existing hash index (base tables only; keys chosen by estimated
+   existing sorted index (base tables only; keys chosen by estimated
    bucket size), else a full :class:`~repro.relational.plan.nodes.Scan`;
    pushed conjuncts become a per-leaf
    :class:`~repro.relational.plan.nodes.Filter` (they *always* re-run,
@@ -93,7 +93,7 @@ def build_plan(database: Any, select: ast.Select,
 def _index_candidates(database: Any, table_ref: Any, binding: str,
                       pushed: Any) -> list[tuple[Any, str, Any]]:
     """The ``(index, column, operand)`` candidates a leaf's pushed
-    equality conjuncts could serve through existing hash indexes."""
+    equality conjuncts could serve through existing sorted indexes."""
     table = database.table(table_ref.table)
     candidates: list[tuple[Any, str, Any]] = []
     for conjunct in pushed:

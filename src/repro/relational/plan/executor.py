@@ -63,6 +63,7 @@ from .nodes import (
     Scan,
     SingleRow,
 )
+from .pushdown import intersect
 
 
 def execute_source(plan: Any, database: Any, resolver: Any,
@@ -264,7 +265,7 @@ class _SourceRunner:
         if candidates is None:
             batch = table.batch()
         else:
-            batch = table.batch_for_handles(sorted(candidates))
+            batch = table.batch_for_handles(candidates)
         if self.stats is not None:
             self.stats.rows_scanned += len(batch.sel)
         node.actual_rows = len(batch.sel)
@@ -272,7 +273,8 @@ class _SourceRunner:
 
     def _index_candidates(self, node: Any, table: Any) -> Any:
         """The handles ``node``'s index keys admit under the running
-        statement's binding, or None when no key's index is there."""
+        statement's binding, ascending, or None when no key's index is
+        there."""
         params = self.evaluator.params
         candidates: Any = None
         for _, column, operand in node.keys:
@@ -282,7 +284,8 @@ class _SourceRunner:
                 # fall back to a full scan — candidates stay a superset
                 continue
             found = index.lookup(constant(operand, params))
-            candidates = found if candidates is None else (candidates & found)
+            candidates = found if candidates is None else intersect(
+                candidates, found)
         return candidates
 
     def _batch_context(self, bindings: Any, batch: Any) -> BatchContext:
@@ -392,7 +395,7 @@ class _SourceRunner:
             handles = table.handles()
             rows = table.rows()
         else:
-            handles = sorted(candidates)
+            handles = candidates
             rows = table.batch_for_handles(handles).rows()
         if self.stats is not None:
             self.stats.rows_scanned += len(handles)

@@ -95,17 +95,19 @@ def _indexable_pair(conjunct: ast.Expression, binding_names: Any,
 
 def index_candidates(where: Optional[ast.Expression], table: Any,
                      binding_names: Any,
-                     params: Sequence[Any] = ()) -> Optional[set[Any]]:
-    """Handles possibly matching ``where`` via index lookups, or None.
+                     params: Sequence[Any] = ()) -> Optional[list[int]]:
+    """Handles possibly matching ``where`` via index lookups, ascending,
+    or None.
 
     ``table`` is the :class:`~repro.relational.table.Table` being
     scanned; ``binding_names`` are the names the table is known by in the
     predicate's scope (its own name, plus an alias if any); ``params``
     binds the statement's parameters. When several indexable conjuncts
-    exist, candidate sets are intersected.
+    exist, their candidates are intersected.
 
-    Returning a set S guarantees every matching tuple is in S (the full
-    predicate still runs on S); returning None means "no index applies".
+    Returning handles S guarantees every matching tuple is in S (the
+    full predicate still runs on S); returning None means "no index
+    applies".
     """
     if where is None:
         return None
@@ -119,10 +121,18 @@ def index_candidates(where: Optional[ast.Expression], table: Any,
         if index is None:
             continue
         found = index.lookup(constant(operand, params))
-        candidates = found if candidates is None else (candidates & found)
+        candidates = found if candidates is None else intersect(
+            candidates, found)
         if not candidates:
-            return set()
+            return []
     return candidates
+
+
+def intersect(candidates: list[int], found: list[int]) -> list[int]:
+    """The handles of ``candidates`` that ``found`` holds too, in
+    ``candidates``' (ascending) order."""
+    members = set(found)
+    return [handle for handle in candidates if handle in members]
 
 
 # ---------------------------------------------------------------------------

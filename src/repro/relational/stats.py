@@ -34,9 +34,17 @@ zone's range always covers every live value in it — a batch filter may
 skip a whole zone whenever a total ``column op literal`` conjunct
 cannot hold anywhere in the zone's range (see
 :func:`repro.relational.compiled.prune_selection`).
+
+A NaN orders against nothing, so no finite range covers it: a NaN
+widens every bound it meets — its zone's and its column's — to
+``(-inf, inf)``. Such a zone is pruned only by a conjunct that no
+value satisfies, and ``col <> literal`` still sees its NaN rows.
 """
 
 from __future__ import annotations
+
+from math import inf
+from operator import ne
 
 #: distinct-set size bound per column; beyond it NDV becomes a lower
 #: bound (the estimator then assumes a near-unique column, which errs
@@ -72,13 +80,26 @@ def _widen_zone(mins, maxs, zone, low, high):
             maxs[zone] = high
 
 
+def _bounds(values):
+    """``(lowest, highest)`` of non-NULL ``values``; ``(-inf, inf)``
+    when a NaN is among them."""
+    low = min(values)
+    high = max(values)
+    if type(low) is float and any(map(ne, values, values)):
+        return -inf, inf
+    return low, high
+
+
 def _widen_slots(mins, maxs, slots, values):
     """Widen the zones of ``slots`` to cover the aligned ``values``."""
     for slot, value in zip(slots, values):
         if value is not None:
             zone = slot >> ZONE_SHIFT
             low = mins[zone]
-            if low is None:
+            if value != value:  # NaN
+                mins[zone] = -inf
+                maxs[zone] = inf
+            elif low is None:
                 mins[zone] = maxs[zone] = value
             elif value < low:
                 mins[zone] = value
@@ -107,8 +128,7 @@ class ColumnStats:
             if nulls == len(values):
                 return None
             values = [value for value in values if value is not None]
-        low = min(values)
-        high = max(values)
+        low, high = _bounds(values)
         if self.minimum is None:
             self.minimum = low
             self.maximum = high
@@ -207,8 +227,7 @@ class TableStats:
                 part = [value for value in values[start:cuts[number + 1]]
                         if value is not None]
                 if part:
-                    _widen_zone(mins, maxs, zone + number,
-                                min(part), max(part))
+                    _widen_zone(mins, maxs, zone + number, *_bounds(part))
 
     def on_revive(self, slots, columns):
         """Rows written at arbitrary ``slots`` — revived tombstones, or

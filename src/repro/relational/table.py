@@ -44,7 +44,7 @@ from typing import Any, NoReturn
 
 from ..errors import ExecutionError
 from .batch import Batch, gather_rows
-from .index import HashIndex
+from .index import SortedIndex
 from .schema import TableSchema
 from .stats import TableStats
 
@@ -63,7 +63,7 @@ class Table:
 
     All mutation goes through the three set mutators
     (:meth:`insert_columns` / :meth:`delete_many` /
-    :meth:`assign_columns`); hash indexes attached via
+    :meth:`assign_columns`); sorted indexes attached via
     :meth:`attach_index` are maintained by them — including during
     transaction undo, context-switch replay and crash recovery, which
     replay through the same mutators.
@@ -77,7 +77,7 @@ class Table:
         self._handles = array("q")
         self._valid = bytearray()
         self._dead = 0
-        self.indexes: list[HashIndex] = []
+        self.indexes: list[SortedIndex] = []
         #: monotone mutation counter, bumped by every set mutator call
         #: — including transaction undo and context-switch replay,
         #: which go through the same mutators. MaintainedView
@@ -562,19 +562,18 @@ class Table:
         """A handle→row mapping copy (rows are immutable tuples)."""
         return dict(zip(self.iter_handles(), self.rows()))
 
-    def attach_index(self, index: HashIndex) -> None:
-        """Attach a hash index; builds it from the current contents."""
-        index.build(
-            self.handles(),
-            list(compress(self._cols[index.position], self._valid)),
-        )
+    def attach_index(self, index: SortedIndex) -> None:
+        """Attach a sorted index; builds it from the live column vector
+        and the handle array."""
+        index.build(self._handles, self._cols[index.position],
+                    compress(range(len(self._valid)), self._valid))
         self.indexes.append(index)
 
-    def detach_index(self, index: HashIndex) -> None:
+    def detach_index(self, index: SortedIndex) -> None:
         """Detach a previously attached index."""
         self.indexes = [i for i in self.indexes if i is not index]
 
-    def index_on(self, column: str) -> HashIndex | None:
+    def index_on(self, column: str) -> SortedIndex | None:
         """The attached index covering ``column``, or None."""
         for index in self.indexes:
             if index.column == column:

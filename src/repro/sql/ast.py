@@ -517,7 +517,7 @@ class DropTable:
 
 @dataclass(frozen=True)
 class CreateIndex:
-    """``create index name on table (column)`` — a hash index (substrate
+    """``create index name on table (column)`` — a sorted index (substrate
     engineering; see :mod:`repro.relational.index`)."""
 
     name: str

@@ -420,6 +420,28 @@ class TestMalformedSections:
         with pytest.raises(CheckpointError, match=problem):
             recover(directory)
 
+    def test_wal_insert_claiming_another_tables_handle(self, tampered_wal):
+        # emp's insert claims handle 1, which dept's insert took first
+        directory, lsn = tampered_wal(
+            lambda record: record["commit"]["emp"]["i"].__setitem__(
+                0, [1, 1, 4, 1]))
+        with pytest.raises(WalError) as failure:
+            recover(directory)
+        assert str(failure.value) == (
+            f"cannot replay txn 2 (lsn {lsn}): table 'emp': handle 1 "
+            f"claimed by table 'emp' already belongs to table 'dept'")
+
+    def test_checkpoint_handle_claimed_by_two_tables(
+            self, tampered_checkpoint):
+        # emp's rows are restored first and now claim dept's handle 1
+        directory = tampered_checkpoint(
+            _set(["data", "emp", "i", 0], [1, 1, 4, 1]))
+        with pytest.raises(CheckpointError) as failure:
+            recover(directory)
+        assert str(failure.value) == (
+            "cannot replay the checkpoint: table 'dept': handle 1 claimed "
+            "by table 'dept' already belongs to table 'emp'")
+
 
 class TestCheckpointFormat:
     def test_version_1_checkpoint_is_refused_before_the_wal_is_cut(

@@ -14,8 +14,19 @@ statistics rebuilds, and the handles issued — and zone maps, which
 must moreover cover every live value in their zone, also after undo
 revived or merged slots. A set holding a bad value must raise what the
 reference raises at its first bad tuple and leave no trace at all.
+
+FLOAT columns also hold NaN, ±0.0 and ±inf. NaN equals nothing, so
+the indexes hold no NaN entry while the reference index keeps a bucket
+per NaN object: the comparison drops the reference's NaN buckets. After
+every step each index is probed with values of every kind — an
+integer, an integral float, a boolean, a string, NULL, NaN, -0.0 and
+inf — against those buckets, and ``where c = <probe>`` must return the
+same rows, in the same order, as on a copy of the database without
+indexes.
 """
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -24,12 +35,24 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.relational.database import Database
+from repro.relational.select import evaluate_select
 from repro.relational.stats import DISTINCT_CAP, ZONE_SHIFT, ZONE_SIZE
+from repro.sql import ast
+from repro.sql.parser import parse_select
 
 from ..reference.row_mutators import ModelDatabase
 
 TYPES = ("integer", "float", "varchar", "boolean")
 SET_SIZES = (0, 1, 2, 7, ZONE_SIZE - 1, ZONE_SIZE, ZONE_SIZE + 1, 1000)
+#: index probes, one of every kind a value or a literal can have
+PROBES = (1, 2.0, True, "s1", None, math.nan, -0.0, math.inf)
+#: the probes ``where c = <probe>`` is well-typed for, per column type
+SQL_PROBES = {
+    "integer": (1, 2.0, -0.0, math.inf, math.nan, None),
+    "float": (1, 2.0, -0.0, math.inf, math.nan, None),
+    "varchar": ("s1", None),
+    "boolean": (True, None),
+}
 
 
 def value_of(rng, type_name, spread):
@@ -42,6 +65,8 @@ def value_of(rng, type_name, spread):
         number = rng.randrange(spread)
         return float(number) if roll < 0.2 else number
     if type_name == "float":
+        if roll >= 0.9:  # a fresh NaN object each time
+            return rng.choice((float("nan"), 0.0, -0.0, math.inf, -math.inf))
         number = rng.randrange(spread)
         return number if roll < 0.3 else number + rng.choice((0.0, 0.5))
     if type_name == "varchar":
@@ -83,19 +108,33 @@ def observed(database):
     }
 
 
+def without_nan(buckets):
+    """``buckets`` without NaN keys: NaN equals nothing, so the indexes
+    under test hold no entry for it."""
+    return {key: handles for key, handles in buckets.items() if key == key}
+
+
+def exact(rows):
+    return [[repr(value) for value in row] for row in rows]
+
+
 def zones(stats):
     return [(list(mins), list(maxs)) for mins, maxs in stats.zones]
 
 
 def zones_cover_live_values(table):
-    """Every live non-NULL value lies within its zone's bounds."""
+    """Every live non-NULL value lies within its zone's bounds; a zone
+    holding a NaN, which orders against nothing, spans the whole line."""
     batch = table.batch()
     for slot, row in zip(batch.sel, batch.rows()):
         for (mins, maxs), value in zip(table.stats.zones, row):
             if value is not None:
                 zone = slot >> ZONE_SHIFT
                 assert mins[zone] is not None
-                assert mins[zone] <= value <= maxs[zone]
+                if value == value:
+                    assert mins[zone] <= value <= maxs[zone]
+                else:
+                    assert (mins[zone], maxs[zone]) == (-math.inf, math.inf)
 
 
 class Pair:
@@ -103,24 +142,40 @@ class Pair:
 
     def __init__(self, types, indexed):
         self.types = types
+        self.indexed = indexed
         self.names = [f"c{position}" for position in range(len(types))]
         self.ours = Database()
         self.model = ModelDatabase()
-        for database in (self.ours, self.model):
+        #: ours without its indexes, written alongside it
+        self.plain = Database()
+        for database in (self.ours, self.model, self.plain):
             database.create_table("t", list(zip(self.names, types)))
-            for position in indexed:
+            for position in indexed if database is not self.plain else ():
                 database.create_index(
                     f"i{position}", "t", self.names[position])
         self.ours.transactions.begin()
+        self.plain.transactions.begin()
         self.model.begin()
         self.savepoints = []
+        template = parse_select("select * from t where c0 = 1")
+        #: ``select * from t where c = <probe>`` per indexed column
+        self.selects = {
+            (position, probe): dataclasses.replace(
+                template, where=ast.BinaryOp(
+                    "=", ast.ColumnRef(self.names[position]),
+                    ast.Literal(probe)))
+            for position in indexed for probe in SQL_PROBES[types[position]]
+        }
 
     def live(self):
         return self.ours.table("t").handles()
 
     def check(self):
         ours = self.ours
-        assert observed(ours) == self.model.table("t").observed()
+        theirs = self.model.table("t").observed()
+        theirs["indexes"] = {name: without_nan(buckets)
+                             for name, buckets in theirs["indexes"].items()}
+        assert observed(ours) == theirs
         assert (ours.optimizer_stats.stats_rebuilds, ours.stats_epoch,
                 ours.handles.issued_count) == (
             self.model.stats_rebuilds, self.model.stats_epoch,
@@ -128,33 +183,50 @@ class Pair:
         table = ours.table("t")
         assert zones(table.stats) == zones(self.model.table("t").stats)
         zones_cover_live_values(table)
+        for index, reference in zip(table.indexes,
+                                    self.model.table("t").indexes):
+            buckets = without_nan(reference.buckets)
+            assert index.key_count == len(buckets)
+            for probe in PROBES:
+                expected = sorted(handle for key, handles in buckets.items()
+                                  if key == probe for handle in handles)
+                assert index.lookup(probe) == expected
+                assert index.count(probe) == len(expected)
+        for select in self.selects.values():
+            assert exact(evaluate_select(ours, select).rows) == exact(
+                evaluate_select(self.plain, select).rows)
 
     # -- steps --------------------------------------------------------------
 
     def insert(self, rows):
-        handles = self.ours.insert_rows(
-            "t", [list(column) for column in zip(*rows)]
-            if rows else [[] for _ in self.names])
+        columns = ([list(column) for column in zip(*rows)]
+                   if rows else [[] for _ in self.names])
+        handles = self.ours.insert_rows("t", columns)
         assert list(handles) == self.model.insert_rows("t", rows)
+        self.plain.insert_rows("t", columns)
 
     def update(self, handles, positions, vectors):
         names = [self.names[position] for position in positions]
         old = self.ours.assign_columns("t", handles, names, vectors)
         assert old == self.model.update_rows("t", handles, names, vectors)
+        self.plain.assign_columns("t", handles, names, vectors)
 
     def delete(self, handles):
         rows = self.ours.delete_rows("t", handles)
         assert rows == self.model.delete_rows("t", handles)
+        self.plain.delete_rows("t", handles)
 
     def savepoint(self):
         self.savepoints.append((
-            self.ours.transactions.savepoint(), self.model.savepoint()))
+            self.ours.transactions.savepoint(), self.model.savepoint(),
+            self.plain.transactions.savepoint()))
 
     def rollback_to(self, depth):
-        ours, theirs = self.savepoints[depth]
+        ours, theirs, plain = self.savepoints[depth]
         del self.savepoints[depth + 1:]
         self.ours.transactions.rollback_to_savepoint(ours)
         self.model.rollback_to_savepoint(theirs)
+        self.plain.transactions.rollback_to_savepoint(plain)
 
     def failing(self, write, tuples):
         """``write`` must raise what the reference raises coercing the
@@ -236,6 +308,7 @@ def run_program(seed, types, indexed, spreads, steps):
             pair.rollback_to(rng.randrange(len(pair.savepoints)))
         pair.check()
     pair.ours.transactions.rollback()
+    pair.plain.transactions.rollback()
     pair.model.rollback()
     pair.check()
     assert pair.ours.table("t").snapshot() == {}

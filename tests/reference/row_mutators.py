@@ -27,6 +27,7 @@ back; otherwise the restored tuples widen the zones of their slots.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import inf
 
 from repro.errors import ExecutionError, TransactionError
 from repro.relational.schema import Column, TableSchema
@@ -38,6 +39,12 @@ from repro.relational.stats import (
 from repro.relational.types import SqlType
 
 _COMPACT_MIN_DEAD = 64
+
+
+def span(value):
+    """The bounds a non-NULL value widens to: itself, or the whole line
+    for a NaN (which orders against nothing)."""
+    return (value, value) if value == value else (-inf, inf)
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +65,15 @@ class ColumnModel:
         if value is None:
             self.nulls += 1
             return
+        low, high = span(value)
         if self.minimum is None:
-            self.minimum = value
-            self.maximum = value
+            self.minimum = low
+            self.maximum = high
         else:
-            if value < self.minimum:
-                self.minimum = value
-            elif value > self.maximum:
-                self.maximum = value
+            if low < self.minimum:
+                self.minimum = low
+            if high > self.maximum:
+                self.maximum = high
         if not self.saturated:
             self.distinct.add(value)
             if len(self.distinct) >= DISTINCT_CAP:
@@ -104,10 +112,11 @@ class StatsModel:
                 maxs.extend([None] * pad)
             if value is not None:
                 low = mins[zone]
-                if low is None or value < low:
-                    mins[zone] = value
-                if low is None or value > maxs[zone]:
-                    maxs[zone] = value
+                lowest, highest = span(value)
+                if low is None or lowest < low:
+                    mins[zone] = lowest
+                if low is None or highest > maxs[zone]:
+                    maxs[zone] = highest
 
     def observe(self, row):
         self.row_count += 1
@@ -137,10 +146,11 @@ class StatsModel:
                     mins.extend([None] * pad)
                     maxs.extend([None] * pad)
                 low = mins[zone]
-                if low is None or new < low:
-                    mins[zone] = new
-                if low is None or new > maxs[zone]:
-                    maxs[zone] = new
+                lowest, highest = span(new)
+                if low is None or lowest < low:
+                    mins[zone] = lowest
+                if low is None or highest > maxs[zone]:
+                    maxs[zone] = highest
             column.observe(new)
 
     def should_rebuild(self):

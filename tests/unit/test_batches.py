@@ -155,11 +155,11 @@ class TestIndexMaintenanceOverCompaction:
         table = database.table("t")
         table.compact()
         index = table.index_on("a")
-        assert index.lookup(7) == {handles[7]}
-        assert index.lookup(2) == set()
+        assert index.lookup(7) == [handles[7]]
+        assert index.lookup(2) == []
         # mutations after compaction keep maintaining the index
         new = database.insert_row("t", [2, "again"])
-        assert index.lookup(2) == {new}
+        assert index.lookup(2) == [new]
 
     def test_index_attach_after_tombstones(self, database):
         handles = [
@@ -168,8 +168,8 @@ class TestIndexMaintenanceOverCompaction:
         database.delete_row("t", handles[0])
         database.create_index("idx_a", "t", "a")
         index = database.table("t").index_on("a")
-        assert index.lookup(0) == set()
-        assert index.lookup(3) == {handles[3]}
+        assert index.lookup(0) == []
+        assert index.lookup(3) == [handles[3]]
 
 
 class TestUndoOverColumnBatches:

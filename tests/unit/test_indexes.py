@@ -1,4 +1,4 @@
-"""Unit tests for hash indexes and indexed-equality pushdown."""
+"""Unit tests for sorted indexes and indexed-equality pushdown."""
 
 import pytest
 
@@ -24,31 +24,31 @@ class TestHashIndexMaintenance:
         h1 = database.insert_row("emp", ("a", 1, 10))
         h2 = database.insert_row("emp", ("b", 2, 10))
         index = database.create_index("idx", "emp", "dept_no")
-        assert index.lookup(10) == {h1, h2}
-        assert index.lookup(99) == set()
+        assert index.lookup(10) == [h1, h2]
+        assert index.lookup(99) == []
 
     def test_insert_updates_index(self, database):
         index = database.create_index("idx", "emp", "dept_no")
         handle = database.insert_row("emp", ("a", 1, 7))
-        assert index.lookup(7) == {handle}
+        assert index.lookup(7) == [handle]
 
     def test_delete_updates_index(self, database):
         index = database.create_index("idx", "emp", "dept_no")
         handle = database.insert_row("emp", ("a", 1, 7))
         database.delete_row("emp", handle)
-        assert index.lookup(7) == set()
+        assert index.lookup(7) == []
 
     def test_update_moves_between_buckets(self, database):
         index = database.create_index("idx", "emp", "dept_no")
         handle = database.insert_row("emp", ("a", 1, 7))
         database.update_row("emp", handle, {"dept_no": 8})
-        assert index.lookup(7) == set()
-        assert index.lookup(8) == {handle}
+        assert index.lookup(7) == []
+        assert index.lookup(8) == [handle]
 
     def test_nulls_not_indexed(self, database):
         index = database.create_index("idx", "emp", "dept_no")
         database.insert_row("emp", ("a", 1, None))
-        assert index.lookup(None) == set()
+        assert index.lookup(None) == []
         assert index.key_count == 0
 
     def test_rollback_keeps_index_consistent(self, database):
@@ -59,8 +59,8 @@ class TestHashIndexMaintenance:
         database.update_row("emp", kept, {"dept_no": 9})
         database.delete_row("emp", kept)
         database.transactions.rollback()
-        assert index.lookup(7) == {kept}
-        assert index.lookup(9) == set()
+        assert index.lookup(7) == [kept]
+        assert index.lookup(9) == []
 
     def test_duplicate_index_name_rejected(self, database):
         database.create_index("idx", "emp", "dept_no")
@@ -107,17 +107,17 @@ class TestPlanner:
         database.create_index("idx", "emp", "dept_no")
         target = database.insert_row("emp", ("a", 1, 7))
         database.insert_row("emp", ("b", 2, 8))
-        assert self.candidates(database, "dept_no = 7") == {target}
+        assert self.candidates(database, "dept_no = 7") == [target]
 
     def test_reversed_operands(self, database):
         database.create_index("idx", "emp", "dept_no")
         target = database.insert_row("emp", ("a", 1, 7))
-        assert self.candidates(database, "7 = dept_no") == {target}
+        assert self.candidates(database, "7 = dept_no") == [target]
 
     def test_qualified_reference(self, database):
         database.create_index("idx", "emp", "dept_no")
         target = database.insert_row("emp", ("a", 1, 7))
-        assert self.candidates(database, "emp.dept_no = 7") == {target}
+        assert self.candidates(database, "emp.dept_no = 7") == [target]
 
     def test_foreign_qualifier_ignored(self, database):
         database.create_index("idx", "emp", "dept_no")
@@ -131,7 +131,7 @@ class TestPlanner:
         database.insert_row("emp", ("b", 2, 7))
         assert (
             self.candidates(database, "dept_no = 7 and emp_no = 1")
-            == {target}
+            == [target]
         )
 
     def test_null_literal_not_pushed(self, database):

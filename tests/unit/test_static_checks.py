@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 STRICT_PACKAGES = (
     "repro/analysis", "repro/sql", "repro/relational/plan",
     "repro/relational/select.py", "repro/relational/table.py",
-    "repro/relational/batch.py",
+    "repro/relational/index.py", "repro/relational/batch.py",
     "repro/relational/handles.py", "repro/core/effects.py",
     "repro/durability/wal.py", "repro/durability/checkpoint.py",
     "repro/durability/recovery.py",

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import CatalogError, ExecutionError, TypeError_
+from repro.errors import (
+    CatalogError,
+    ExecutionError,
+    HandleClaimError,
+    TypeError_,
+)
 from repro.relational.database import Database
 from repro.relational.handles import HandleAllocator
 from repro.relational.schema import Catalog, Column, TableSchema
@@ -256,6 +261,24 @@ class TestBulkRecoveryMutators:
         assert database.table_of_handle(9) == "t"
         assert database.insert_row("t", [5, "e"]) == 10
 
+    def test_restore_rows_rejects_handles_a_table_held(self):
+        """A handle another table holds, or this one held before its
+        delete, is claimed twice: refused, leaving no row behind."""
+        database = self.make(rows=2)
+        database.create_table("u", [("x", "integer")])
+        database.insert_rows("u", [[7]], [5])
+        database.delete_rows("t", [2])
+        blocks = database.handles.blocks()
+        for handles, owner in (([4, 5], "u"), ([2], "t")):
+            before = database.snapshot()
+            with pytest.raises(HandleClaimError, match=(
+                    f"handle {handles[-1]} claimed by table 't' already "
+                    f"belongs to table '{owner}'")):
+                database.insert_rows("t", [[8] * len(handles),
+                                           ["z"] * len(handles)], handles)
+            assert database.snapshot() == before
+            assert database.handles.blocks() == blocks
+
     def test_restore_rows_rejects_live_and_repeated_handles(self):
         database = self.make(rows=2)
         for handles in ([2, 3], [5, 5]):
@@ -383,4 +406,4 @@ class TestBulkRecoveryMutators:
         assert table.items() == before[0]
         assert table.stats.snapshot() == before[1]
         assert database.handles.issued_count == before[3]
-        assert database.indexes.get("t_x").lookup(1) == set()
+        assert database.indexes.get("t_x").lookup(1) == []
