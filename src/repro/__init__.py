@@ -25,98 +25,87 @@ Quickstart::
     assert db.rows("select * from emp") == []   # cascaded
 """
 
-from .core.engine import RuleEngine
-from .core.effects import TransitionEffect
-from .core.rules import Rule, RuleCatalog
-from .core.selection import (
-    CreationOrder,
-    LeastRecentlyConsidered,
-    MostRecentlyConsidered,
-    PriorityOrder,
-    TotalOrder,
-)
-from .core.trace import TransactionResult
-from .errors import (
-    CatalogError,
-    ConflictError,
-    ConstraintError,
-    DuplicateRuleError,
-    ExecutionError,
-    InvalidRuleError,
-    LexError,
-    ParseError,
-    PriorityCycleError,
-    ReproError,
-    RuleError,
-    RuleLoopError,
-    SqlError,
-    TransactionError,
-    UnknownRuleError,
-)
-from .obs import (
-    Event,
-    EventKind,
-    EventSink,
-    JsonLinesSink,
-    NullSink,
-    RingBufferSink,
-)
-from .persistence import PersistenceError, dump, load
-from .relational.database import Database
-from .system import ActiveDatabase
-from .durability import (
-    DurabilityError,
-    DurabilityManager,
-    FaultInjector,
-    SimulatedCrash,
-    WalError,
-    recover,
-)
+from __future__ import annotations
+
+from importlib import import_module
+from typing import Any, Callable
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ActiveDatabase",
-    "CatalogError",
-    "ConflictError",
-    "ConstraintError",
-    "CreationOrder",
-    "Database",
-    "DuplicateRuleError",
-    "DurabilityError",
-    "DurabilityManager",
-    "Event",
-    "EventKind",
-    "EventSink",
-    "ExecutionError",
-    "FaultInjector",
-    "InvalidRuleError",
-    "JsonLinesSink",
-    "LeastRecentlyConsidered",
-    "LexError",
-    "MostRecentlyConsidered",
-    "NullSink",
-    "ParseError",
-    "PersistenceError",
-    "RingBufferSink",
-    "PriorityCycleError",
-    "PriorityOrder",
-    "ReproError",
-    "Rule",
-    "RuleCatalog",
-    "RuleEngine",
-    "RuleError",
-    "RuleLoopError",
-    "SimulatedCrash",
-    "SqlError",
-    "TotalOrder",
-    "TransactionError",
-    "TransactionResult",
-    "TransitionEffect",
-    "UnknownRuleError",
-    "WalError",
-    "__version__",
-    "dump",
-    "load",
-    "recover",
-]
+
+def _export_table(
+    package: str, namespace: dict[str, Any], table: dict[str, tuple[str, ...]]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]], list[str]]:
+    """A package root's lazy exports (PEP 562): ``(__getattr__, __dir__,
+    names)``.
+
+    ``table`` maps each submodule, relative to ``package``, to the names
+    the root re-exports from it. The root imports nothing itself: the
+    first read of a name imports its submodule and binds the value in
+    ``namespace`` (the root's globals), so later reads are plain
+    lookups, and a process loads only the modules it uses.
+    """
+    owner = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in owner:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(owner[name], package), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *owner})
+
+    return __getattr__, __dir__, sorted(owner)
+
+
+__getattr__, __dir__, __all__ = _export_table(__name__, globals(), {
+    ".core.engine": ("RuleEngine",),
+    ".core.effects": ("TransitionEffect",),
+    ".core.rules": ("Rule", "RuleCatalog"),
+    ".core.selection": (
+        "CreationOrder",
+        "LeastRecentlyConsidered",
+        "MostRecentlyConsidered",
+        "PriorityOrder",
+        "TotalOrder",
+    ),
+    ".core.trace": ("TransactionResult",),
+    ".errors": (
+        "CatalogError",
+        "ConflictError",
+        "ConstraintError",
+        "DuplicateRuleError",
+        "ExecutionError",
+        "InvalidRuleError",
+        "LexError",
+        "ParseError",
+        "PriorityCycleError",
+        "ReproError",
+        "RuleError",
+        "RuleLoopError",
+        "SqlError",
+        "TransactionError",
+        "UnknownRuleError",
+    ),
+    ".obs": (
+        "Event",
+        "EventKind",
+        "EventSink",
+        "JsonLinesSink",
+        "NullSink",
+        "RingBufferSink",
+    ),
+    ".persistence": ("PersistenceError", "dump", "load"),
+    ".relational.database": ("Database",),
+    ".system": ("ActiveDatabase",),
+    ".durability": (
+        "DurabilityError",
+        "DurabilityManager",
+        "FaultInjector",
+        "SimulatedCrash",
+        "WalError",
+        "recover",
+    ),
+})
+__all__.append("__version__")

@@ -26,21 +26,12 @@ makes the guarantee testable:
       db = recover("state_dir")                  # same committed state
 """
 
-from .checkpoint import CheckpointError
-from .faults import CRASH_POINTS, FaultInjector, SimulatedCrash
-from .manager import DurabilityError, DurabilityManager
-from .recovery import recover
-from .wal import WalError, WalWriter, scan_wal
+from .. import _export_table
 
-__all__ = [
-    "CRASH_POINTS",
-    "CheckpointError",
-    "DurabilityError",
-    "DurabilityManager",
-    "FaultInjector",
-    "SimulatedCrash",
-    "WalError",
-    "WalWriter",
-    "recover",
-    "scan_wal",
-]
+__getattr__, __dir__, __all__ = _export_table(__name__, globals(), {
+    ".checkpoint": ("CheckpointError",),
+    ".faults": ("CRASH_POINTS", "FaultInjector", "SimulatedCrash"),
+    ".manager": ("DurabilityError", "DurabilityManager"),
+    ".recovery": ("recover",),
+    ".wal": ("WalError", "WalWriter", "scan_wal"),
+})

@@ -209,6 +209,7 @@ class DurabilityManager:
             "ddl_logged": self.ddl_logged,
             "append_time": self.append_time,
             "last_lsn": self.wal.next_lsn - 1,
+            "wal_failure": self.wal.failure,
             "checkpoints": self.checkpoints,
             "checkpoint_time": self.checkpoint_time,
             "checkpoint_bytes": self.checkpoint_bytes,

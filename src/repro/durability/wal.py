@@ -186,9 +186,10 @@ class WalWriter:
         self.syncs = 0
         #: bytes flushed to the OS but not yet fsync'd (group commit)
         self._pending_sync = False
-        #: why the writer refuses further appends (None while healthy):
-        #: set when bytes of unknown state may sit in the log
-        self._failure: str | None = None
+        #: why the writer refuses further appends — the text of the
+        #: WalError each one raises (None while healthy): set when bytes
+        #: of unknown state may sit in the log
+        self.failure: str | None = None
 
     def _open(self) -> IO[bytes]:
         if self._file is None or self._file.closed:
@@ -220,8 +221,8 @@ class WalWriter:
             WalError: an earlier failure left bytes of unknown state in
                 the log (the cut itself failed, or an fsync raised).
         """
-        if self._failure is not None:
-            raise WalError(self._failure)
+        if self.failure is not None:
+            raise WalError(self.failure)
         if self.injector is not None:
             self.injector.fire("pre_wal_append")
         body = {"v": WAL_VERSION, "lsn": self.next_lsn, **body}
@@ -270,7 +271,7 @@ class WalWriter:
                 pass  # the same failure again, flushing the remainder
             self._cut_to(offset)
         except OSError as error:
-            self._failure = (
+            self.failure = (
                 f"WAL {self.path!r} may hold a partial record at offset "
                 f"{offset}: the append failed and the log could not be "
                 f"cut back ({error}); run recovery"
@@ -283,7 +284,7 @@ class WalWriter:
             # after a failed fsync the kernel may have dropped the dirty
             # pages: what the file holds past the last good sync is
             # unknowable from here
-            self._failure = (
+            self.failure = (
                 f"WAL {self.path!r}: fsync failed at offset "
                 f"{handle.tell()} ({error}); which bytes since the last "
                 f"successful fsync reached the disk is unknown; run "

@@ -6,44 +6,24 @@ carrying distinct non-reusable system handles, multiset semantics, and a
 transaction facility able to roll back to the transaction start state.
 """
 
-from .database import Database
-from .dml import (
-    DeleteEffect,
-    DmlExecutor,
-    InsertEffect,
-    SelectEffect,
-    UpdateEffect,
-)
-from .expressions import Evaluator, Scope
-from .handles import HandleAllocator
-from .index import IndexRegistry, SortedIndex
-from .plan.pushdown import index_candidates
-from .schema import Catalog, Column, TableSchema
-from .select import BaseTableResolver, SelectResult, evaluate_select
-from .table import Table
-from .transactions import TransactionManager
-from .types import SqlType
+from .. import _export_table
 
-__all__ = [
-    "BaseTableResolver",
-    "Catalog",
-    "Column",
-    "Database",
-    "DeleteEffect",
-    "DmlExecutor",
-    "Evaluator",
-    "HandleAllocator",
-    "IndexRegistry",
-    "InsertEffect",
-    "Scope",
-    "SelectEffect",
-    "SelectResult",
-    "SortedIndex",
-    "SqlType",
-    "Table",
-    "TableSchema",
-    "TransactionManager",
-    "UpdateEffect",
-    "evaluate_select",
-    "index_candidates",
-]
+__getattr__, __dir__, __all__ = _export_table(__name__, globals(), {
+    ".database": ("Database",),
+    ".dml": (
+        "DeleteEffect",
+        "DmlExecutor",
+        "InsertEffect",
+        "SelectEffect",
+        "UpdateEffect",
+    ),
+    ".expressions": ("Evaluator", "Scope"),
+    ".handles": ("HandleAllocator",),
+    ".index": ("IndexRegistry", "SortedIndex"),
+    ".plan.pushdown": ("index_candidates",),
+    ".schema": ("Catalog", "Column", "TableSchema"),
+    ".select": ("BaseTableResolver", "SelectResult", "evaluate_select"),
+    ".table": ("Table",),
+    ".transactions": ("TransactionManager",),
+    ".types": ("SqlType",),
+})

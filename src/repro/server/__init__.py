@@ -23,7 +23,9 @@ Quick start::
     PY
 """
 
-from .client import ReproClient, ServerError, connect
-from .server import RuleServer
+from .. import _export_table
 
-__all__ = ["ReproClient", "RuleServer", "ServerError", "connect"]
+__getattr__, __dir__, __all__ = _export_table(__name__, globals(), {
+    ".client": ("ReproClient", "ServerError", "connect"),
+    ".server": ("RuleServer",),
+})

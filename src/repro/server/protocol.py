@@ -6,9 +6,13 @@ Requests are UTF-8 text lines. A line starting with ``\\`` is a command
 ``rollback`` are accepted as aliases since the SQL dialect has no
 transaction statements (transactions are API-level, §5.3). Anything
 else is parsed as one SQL statement — selects route to the query path,
-everything else to :meth:`TransactionCoordinator.execute`. Newlines
-inside a statement must be folded to spaces by the client (the bundled
-client does).
+everything else to :meth:`TransactionCoordinator.execute`. A statement
+must arrive on one line, so the client folds it first (the bundled
+client's :func:`~repro.server.client.fold`): line breaks outside string
+literals and comments become spaces, ``--`` comments are dropped up to
+their newline, and a string literal holding a newline is refused before
+anything is sent. A request line longer than 65,536 bytes gets a
+``parse`` error and the server closes that connection.
 
 Responses are single-line JSON objects::
 
@@ -25,6 +29,7 @@ surface after ``max_retries`` wholesale re-runs.
 from __future__ import annotations
 
 import json
+from typing import Any
 
 from ..errors import (
     ConflictError,
@@ -33,6 +38,10 @@ from ..errors import (
     SqlError,
     TransactionError,
 )
+
+#: the longest request line the server reads, newline not counted
+#: (asyncio's default stream limit)
+MAX_LINE = 2 ** 16
 
 #: commands a client may send (leading backslash stripped)
 COMMANDS = (
@@ -46,7 +55,7 @@ COMMANDS = (
 )
 
 
-def parse_request(line):
+def parse_request(line: str) -> tuple[str | None, str]:
     """Split one request line into ``(kind, payload)``.
 
     ``kind`` is ``"command"`` or ``"sql"``; the payload is the command
@@ -69,7 +78,7 @@ def parse_request(line):
     return "sql", text
 
 
-def render_result(result):
+def render_result(result: Any) -> Any:
     """Shape an engine-level result into JSON-ready data."""
     if result is None:
         return None
@@ -99,11 +108,11 @@ def render_result(result):
     return repr(result)
 
 
-def ok_response(result):
+def ok_response(result: Any) -> dict[str, Any]:
     return {"ok": True, "result": render_result(result)}
 
 
-def error_response(exc):
+def error_response(exc: BaseException) -> dict[str, Any]:
     """Map an exception to its wire error code."""
     if isinstance(exc, ConflictError):
         code = "conflict"
@@ -120,13 +129,13 @@ def error_response(exc):
     return {"ok": False, "code": code, "error": str(exc)}
 
 
-def encode_response(response):
+def encode_response(response: dict[str, Any]) -> bytes:
     """One JSON line, ready for the socket."""
     return (
         json.dumps(response, separators=(",", ":"), default=repr) + "\n"
     ).encode("utf-8")
 
 
-def decode_response(line):
+def decode_response(line: bytes | str) -> Any:
     """Client side: parse one response line."""
     return json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)

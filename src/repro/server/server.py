@@ -65,7 +65,8 @@ class RuleServer:
 
     async def start(self):
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port,
+            limit=protocol.MAX_LINE,
         )
         return self.address
 
@@ -92,7 +93,18 @@ class RuleServer:
         self.connections += 1
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # over the stream limit: the rest of the line is
+                    # still unread, so the stream position is lost
+                    writer.write(protocol.encode_response(
+                        {"ok": False, "code": "parse",
+                         "error": "request line longer than "
+                                  f"{protocol.MAX_LINE} bytes"}
+                    ))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:

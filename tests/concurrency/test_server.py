@@ -8,11 +8,15 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ActiveDatabase
-from repro.errors import ConflictError, ParseError, TransactionError
+from repro.errors import ConflictError, LexError, ParseError, TransactionError
 from repro.server import RuleServer, connect
+from repro.server.client import fold
 from repro.server.protocol import parse_request, render_result
+from repro.sql.lexer import expand_literal_rows, tokenize
+from repro.sql.tokens import TokenKind
 
 
 class ServerFixture:
@@ -203,6 +207,87 @@ class TestServerBasics:
             assert client.query("select count(*) from t") == [[2]]
 
 
+    def test_a_line_comment_ends_at_its_newline(self, served):
+        statement = "delete from t -- only the threes\nwhere v = 3"
+        embedded = ActiveDatabase()
+        with served.client() as client:
+            for db in (client, embedded):
+                db.execute("create table t (v integer)")
+                db.execute("insert into t values (1), (2), (3)")
+                db.execute(statement)
+            assert client.query("select v from t") == [[1], [2]]
+        assert embedded.rows("select v from t") == [(1,), (2,)]
+
+    def test_string_literals_travel_verbatim(self, served):
+        with served.client() as client:
+            client.execute("create table t (s varchar)")
+            client.execute("insert into t values ('a  b'), ('x\ty')")
+            assert client.query("select s from t") == [["a  b"], ["x\ty"]]
+
+    def test_a_literal_holding_a_newline_is_refused_unsent(self, served):
+        with served.client() as client:
+            client.execute("create table t (s varchar)")
+            with pytest.raises(ParseError, match="newline"):
+                client.execute("insert into t values ('a\nb')")
+            assert client.query("select count(*) from t") == [[0]]
+
+
+def lexemes(text):
+    """``(kind, value)`` of each token, literal row lists expanded."""
+    return [
+        (token.kind, token.value)
+        for lexed in tokenize(text)
+        for token in (expand_literal_rows(lexed)[:-1]
+                      if lexed.kind is TokenKind.LITERAL_ROWS else [lexed])
+    ]
+
+
+_INSIDE = " ab'-/*\t\r"
+_PIECES = st.one_of(
+    st.sampled_from([
+        "delete", "from", "t", "where", "v", "insert", "into", "values",
+        "1", "2.5", "(", ")", ",", "=", "-", "+", "*", "/", "<>",
+    ]),
+    st.text(_INSIDE, max_size=6).map(
+        lambda body: "'" + body.replace("'", "''") + "'"),
+    st.text(_INSIDE + "\n", max_size=6).map(lambda body: "/*" + body + "*/"),
+    st.text(_INSIDE, max_size=6).map(lambda body: "--" + body),
+    st.sampled_from([" ", "\n", "\r\n", "\t", "\r", " \n  "]),
+)
+
+
+class TestClientFolding:
+    @given(st.lists(_PIECES, max_size=14).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_folded_line_lexes_like_the_statement(self, statement):
+        try:
+            expected = lexemes(statement)
+        except LexError:
+            expected = None
+        try:
+            folded = fold(statement)
+        except ParseError:
+            # only a literal holding a newline is refused (or what looks
+            # like one inside an unterminated comment the lexer rejects)
+            assert expected is None or any(
+                kind is TokenKind.STRING and "\n" in value
+                for kind, value in expected)
+            return
+        assert "\n" not in folded
+        if expected is None:
+            with pytest.raises(LexError):
+                lexemes(folded)
+        else:
+            assert lexemes(folded) == expected
+
+    def test_pieces_fold_as_documented(self):
+        assert fold("a -- x\r\nb /* c\nd */ 'e\r  f'") == (
+            "a  b /* c d */ 'e\r  f'")
+        assert fold("select 1 -- trailing") == "select 1 "
+        with pytest.raises(ParseError):
+            fold("values ('a''\n')")
+
+
 class TestServerConflicts:
     def test_wire_conflict_carries_the_code(self, served):
         with served.client() as c1, served.client() as c2:
@@ -323,3 +408,16 @@ class TestRawSocket:
             assert b"pong" in reader.readline()
             sock.sendall(b"\\quit\n")
             assert b"bye" in reader.readline()
+
+    def test_an_oversized_line_gets_a_reply_before_the_close(self, served):
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"x" * 70_000 + b"\n")
+            assert reader.readline() == (
+                b'{"ok":false,"code":"parse","error":'
+                b'"request line longer than 65536 bytes"}\n')
+            assert reader.readline() == b""  # that connection is closed
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"\\ping\n")
+            assert b"pong" in reader.readline()

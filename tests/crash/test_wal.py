@@ -338,6 +338,25 @@ class TestFailedAppend:
         with pytest.raises(WalError, match="fsync failed at offset"):
             writer.append({"kind": "ddl", "op": "b"})
 
+    def test_stats_name_the_poisoned_writer(self, tmp_path, monkeypatch):
+        db = ActiveDatabase(durability=str(tmp_path / "d"))
+        db.execute("create table t (x integer)")
+        assert db.stats()["durability"]["wal_failure"] is None
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            db.execute("insert into t values (1)")
+        monkeypatch.undo()
+        failure = db.stats()["durability"]["wal_failure"]
+        size = os.path.getsize(db.durability.wal_path)
+        assert f"fsync failed at offset {size}" in failure
+        with pytest.raises(WalError) as excinfo:
+            db.execute("insert into t values (2)")
+        assert str(excinfo.value) == failure
+
     def test_next_commit_after_a_failed_one_survives_recovery(self, tmp_path):
         """The regression: insert 1; failed insert 2; insert 3 is
         acknowledged — and must still be there after recovery."""

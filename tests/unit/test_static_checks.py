@@ -9,6 +9,7 @@ import is found only after the push.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ STRICT_PACKAGES = (
     "repro/relational/index.py", "repro/relational/batch.py",
     "repro/relational/handles.py", "repro/core/effects.py",
     "repro/durability/wal.py", "repro/durability/checkpoint.py",
-    "repro/durability/recovery.py",
+    "repro/durability/recovery.py", "repro/server/client.py",
+    "repro/server/protocol.py",
 )
 #: modules under an override that sets ``disallow_untyped_defs =
 #: false`` (none left: the whole of each package is strict)
@@ -120,6 +122,12 @@ def unused_imports(source):
             )
     return [f"{line}: {name}" for name, line in sorted(
         imported.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_strict_packages_are_mypys_file_list():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    files = re.search(r"^files = \[(.*?)\]", pyproject, re.M | re.S)
+    assert re.findall(r'"src/([^"]+)"', files.group(1)) == list(STRICT_PACKAGES)
 
 
 @pytest.mark.parametrize("path", strict_modules())
