@@ -452,12 +452,14 @@ class RuleEngine:
                     self._txn_id, self._log.transaction, self.database
                 )
             except Exception:
-                self._abort(reason="wal_error")
+                self._abort(reason="wal_error",
+                            wal_failure=self.durability.wal.failure)
                 raise
             self._emit(
                 EventKind.WAL_APPEND,
                 lsn=info["lsn"],
                 bytes=info["bytes"],
+                shared=info["shared"],
                 records=1,
                 duration=info["duration"],
             )
@@ -575,13 +577,11 @@ class RuleEngine:
         if not self.in_transaction or self._result is None:
             raise TransactionError("no transaction is active; call begin()")
 
-    def _abort(self, reason="error", rule=None):
+    def _abort(self, reason="error", **details):
         if self.database.transactions.active:
             self.database.transactions.rollback()
         self.incremental.on_abort()
-        data = {"reason": reason}
-        if rule is not None:
-            data["rule"] = rule
+        data = {"reason": reason, **details}
         self._bus.emit(EventKind.TXN_ABORT, self._txn_id, data)
         self._end_transaction()
 

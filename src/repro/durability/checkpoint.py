@@ -1,19 +1,20 @@
 """Checkpointing: a durable full snapshot plus a WAL high-water mark.
 
-A checkpoint document (version 2) is the catalog
+A checkpoint document (version 3) is the catalog
 (:func:`repro.persistence.catalog_document`) and the data as one commit
 body — per non-empty table, one insert section of every live row under
-its original handle, and the row count
-(:func:`~repro.durability.wal.table_section`) — with the handle
+its original handle, and the row count, a repeated vector as a reference
+(:class:`~repro.durability.wal.SectionWriter`) — with the handle
 high-water mark, the LSN up to which the WAL is folded into it and the
 last committed transaction id::
 
-    {"format":"repro-durability-checkpoint","version":2,"wal_lsn":L,
+    {"format":"repro-durability-checkpoint","version":3,"wal_lsn":L,
      "last_txn":T,"hwm":H,"catalog":{...},"data":{TABLE:{"i":[...],"n":N}}}
 
 Recovery replays ``data`` through the WAL's section reader, between
 creating the tables and defining indexes, rules and priorities:
-checkpoint restore *is* WAL replay. A version-1 checkpoint is refused.
+checkpoint restore *is* WAL replay. A version-2 checkpoint (no
+references) is read as version 3; a version-1 checkpoint is refused.
 
 Writes are atomic: the document goes to a temp file (fsync'd), then an
 ``os.replace`` swaps it in, then the directory entry is fsync'd. A crash
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import ReproError
 from ..persistence import catalog_document
-from .wal import encode_json, table_section
+from .wal import SectionWriter, encode_json
 
 if TYPE_CHECKING:
     from ..system import ActiveDatabase
@@ -38,7 +39,9 @@ if TYPE_CHECKING:
 
 CHECKPOINT_FILENAME = "checkpoint.json"
 CHECKPOINT_FORMAT = "repro-durability-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+#: the versions recovery reads: version 2 wrote no vector references
+CHECKPOINT_READ_VERSIONS = (2, 3)
 #: the type of every field a checkpoint document must carry
 _FIELDS = {"wal_lsn": int, "last_txn": int, "hwm": int, "catalog": dict,
            "data": dict}
@@ -52,11 +55,12 @@ def build_checkpoint_document(db: ActiveDatabase, wal_lsn: int,
                               last_txn: int) -> dict[str, Any]:
     """The checkpoint document for an :class:`~repro.ActiveDatabase`."""
     catalog = catalog_document(db)
+    writer = SectionWriter()
     data = {}
     for name in db.database.table_names():
         table = db.database.table(name)
         if len(table):
-            data[name] = {"i": table_section(table, table.handles()),
+            data[name] = {"i": writer.section(table, table.handles()),
                           "n": len(table)}
     return {
         "format": CHECKPOINT_FORMAT,
@@ -115,10 +119,11 @@ def read_checkpoint(directory: str) -> dict[str, Any] | None:
         raise CheckpointError(
             f"not a {CHECKPOINT_FORMAT} document: {document.get('format')!r}"
         )
-    if document.get("version") != CHECKPOINT_VERSION:
+    if document.get("version") not in CHECKPOINT_READ_VERSIONS:
         raise CheckpointError(
             f"checkpoint has format version {document.get('version')!r}; "
-            f"this build reads version {CHECKPOINT_VERSION} only"
+            f"this build reads versions "
+            f"{' and '.join(map(str, CHECKPOINT_READ_VERSIONS))} only"
         )
     if any(type(document.get(key)) is not kind for key, kind in _FIELDS.items()):
         raise CheckpointError("checkpoint document needs integers wal_lsn, "

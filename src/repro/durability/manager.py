@@ -27,7 +27,7 @@ from .checkpoint import (
     build_checkpoint_document,
     write_checkpoint,
 )
-from .wal import WAL_FILENAME, WalWriter, build_commit_record
+from .wal import WAL_FILENAME, SectionWriter, WalWriter, build_commit_record
 
 
 class DurabilityError(ReproError):
@@ -79,6 +79,8 @@ class DurabilityManager:
         self.commits_logged = 0
         self.ddl_logged = 0
         self.append_time = 0.0
+        #: vectors commit records wrote as references to an earlier one
+        self.vectors_shared = 0
         self.checkpoints = 0
         self.checkpoint_time = 0.0
         self.checkpoint_bytes = 0
@@ -115,7 +117,8 @@ class DurabilityManager:
         committed regardless of what happens to the process.
         """
         start = perf_counter()
-        record = build_commit_record(txn_id, effect, database)
+        writer = SectionWriter()
+        record = build_commit_record(txn_id, effect, database, writer)
         bytes_before = self.wal.bytes_written
         record = self.wal.append(
             record, sync=None if not self.group_commit else False
@@ -124,10 +127,12 @@ class DurabilityManager:
         self.commits_logged += 1
         self.commits_since_checkpoint += 1
         self.append_time += elapsed
+        self.vectors_shared += writer.shared
         self.last_txn = txn_id
         return {
             "lsn": record["lsn"],
             "bytes": self.wal.bytes_written - bytes_before,
+            "shared": writer.shared,
             "duration": elapsed,
         }
 
@@ -208,6 +213,7 @@ class DurabilityManager:
             "commits_logged": self.commits_logged,
             "ddl_logged": self.ddl_logged,
             "append_time": self.append_time,
+            "vectors_shared": self.vectors_shared,
             "last_lsn": self.wal.next_lsn - 1,
             "wal_failure": self.wal.failure,
             "checkpoints": self.checkpoints,

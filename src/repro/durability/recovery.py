@@ -44,7 +44,7 @@ from ..persistence import restore_catalog
 from .checkpoint import CheckpointError, read_checkpoint
 from .manager import DurabilityManager
 from .wal import (
-    WAL_VERSION,
+    WAL_READ_VERSIONS,
     WalError,
     WalWriter,
     replay_commit_record,
@@ -83,11 +83,11 @@ def recover(directory: str | os.PathLike[str], fsync: bool = True,
     document = read_checkpoint(manager.directory)
     scan = scan_wal(manager.wal_path)
     for record in scan.records:
-        if record.get("v") != WAL_VERSION:
+        if record.get("v") not in WAL_READ_VERSIONS:
             raise WalError(
                 f"WAL record lsn {record.get('lsn')} has format version "
-                f"{record.get('v')!r}; this build reads version "
-                f"{WAL_VERSION} only"
+                f"{record.get('v')!r}; this build reads versions "
+                f"{' and '.join(map(str, WAL_READ_VERSIONS))} only"
             )
     if scan.torn_bytes:
         WalWriter(manager.wal_path, fsync=fsync).truncate_to(scan.valid_bytes)

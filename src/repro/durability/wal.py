@@ -6,14 +6,17 @@ detected by either a JSON parse failure or a checksum mismatch, and
 :func:`scan_wal` reports how many bytes of the file are valid so
 recovery can truncate the rest.
 
-Every body opens with the format version and the LSN, ``{"v":3,"lsn":L,
-...``; recovery refuses any other version. Two records exist:
+Every body opens with the format version and the LSN, ``{"v":4,"lsn":L,
+...``; recovery reads versions 3 and 4 (a version-3 record is a
+version-4 one without vector references) and refuses any other. Two
+records exist:
 
-* the commit record ``{"v":3,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"v":4,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
-  as one vector per column (see :func:`build_commit_record`). Because
+  as one vector per column, each vector written once per record (see
+  :func:`build_commit_record` and :class:`SectionWriter`). Because
   the record is the composed net effect of the whole transaction
   (external block plus every rule-generated transition, Definition
   2.1), replaying it reproduces the committed state without re-running
@@ -58,7 +61,9 @@ if TYPE_CHECKING:
     from .faults import FaultInjector
 
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 3
+WAL_VERSION = 4
+#: the versions recovery reads: version 3 wrote no vector references
+WAL_READ_VERSIONS = (3, 4)
 
 
 class WalError(ReproError):
@@ -335,6 +340,15 @@ class WalWriter:
 # NULL, the base64 of its little-endian IEEE-754 doubles whenever that
 # string, quotes included, is strictly shorter: bit-exact, and shorter
 # than decimal text for any double that needs more than a few digits.
+#
+# Every vector a document (a commit record, a checkpoint's data) writes
+# has a slot: 0, 1, 2, ... in replay order — tables in document order,
+# within a table the insert vectors, then each update group's. A vector
+# whose text is exactly an earlier slot's is written as that slot's bare
+# integer whenever the number is shorter, so a rule that copies a
+# transition table logs the copied column once. An integer is never a
+# vector; the reader swaps a reference for the earlier slot's item
+# before any other check.
 
 #: doubles are logged little-endian: a big-endian host swaps them
 _BYTESWAP = sys.byteorder != "little"
@@ -394,8 +408,38 @@ def table_section(table: Table, handles: Sequence[int],
     return section
 
 
+class SectionWriter:
+    """Writes one document's sections, a vector that repeats an earlier
+    one's text as that one's slot; ``shared`` counts the references."""
+
+    def __init__(self) -> None:
+        self.first: dict[str, int] = {}  # a vector's text -> its slot
+        self.slots = self.shared = 0
+
+    def section(self, table: Table, handles: Sequence[int],
+                names: Sequence[str] | None = None) -> list[Any]:
+        """:func:`table_section`, repeated vectors as references."""
+        section = table_section(table, handles, names)
+        for at in range(1, len(section)):
+            vector = section[at]
+            # the text as written: ``repr`` tells 1 from 1.0 from True
+            # and 0.0 from -0.0, where Python equality does not
+            slot = self.first.setdefault(
+                vector if type(vector) is str else repr(vector), self.slots)
+            # "[0]" outgrows every slot below 100; nine values or a packed
+            # string outgrow every slot a document can hold
+            if slot != self.slots and (slot < 100 or len(vector) > 8 or len(
+                    str(slot)) < len(encode_json(vector))):
+                section[at] = slot
+                self.shared += 1
+            self.slots += 1
+        return section
+
+
 def build_commit_record(txn_id: int, effect: TransitionEffect,
-                        database: Database) -> dict[str, Any]:
+                        database: Database,
+                        writer: SectionWriter | None = None
+                        ) -> dict[str, Any]:
     """Render a transaction's composed net effect as a commit record.
 
     ``effect`` is the whole-transaction
@@ -413,8 +457,10 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
     column names ``u`` (names and groups in name order), and the row
     count ``n`` that recovery verifies after replay. The record also
     carries the handle high-water mark ``hwm`` (handles are
-    non-reusable across crashes too).
+    non-reusable across crashes too). ``writer`` (a fresh one by
+    default) writes the sections.
     """
+    writer = writer or SectionWriter()
     commit = {}
     for name in sorted(effect.tables):
         part = effect.tables[name]
@@ -423,13 +469,13 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
         if part.deleted:
             entry["d"] = encode_runs(sorted(part.deleted))
         if part.inserted:
-            entry["i"] = table_section(table, part.inserted_handles())
+            entry["i"] = writer.section(table, part.inserted_handles())
         if part.updated:
             groups: dict[frozenset[str], list[int]] = {}
             for handle in part.updated_handles():
                 groups.setdefault(part.updated[handle], []).append(handle)
             entry["u"] = [
-                [names, *table_section(table, run, names)]
+                [names, *writer.section(table, run, names)]
                 for names, run in sorted(
                     (tuple(sorted(columns)), run)
                     for columns, run in groups.items()
@@ -471,16 +517,23 @@ def decode_runs(runs: Any) -> list[int]:
     return handles
 
 
-def _decode_section(section: Any, names: Sequence[str], schema: TableSchema
-                    ) -> tuple[list[int], list[list[Any]]]:
+def _decode_section(section: Any, names: Sequence[str], schema: TableSchema,
+                    slots: list[Any]) -> tuple[list[int], list[list[Any]]]:
     """The handles and value vectors of a section over the columns
-    ``names`` of ``schema``."""
+    ``names`` of ``schema``; ``slots`` holds the document's vectors read
+    so far, as written, and gains this section's."""
     if type(section) is not list or len(section) != len(names) + 1:
         raise WalError(f"a section is a list of handle runs and "
                        f"{len(names)} value vector(s)")
     runs, *vectors = section
     handles = decode_runs(runs)
     for at, vector in enumerate(vectors):
+        if type(vector) is int:  # a reference (a bool is not one)
+            if not 0 <= vector < len(slots):
+                raise WalError(f"column {names[at]!r}: vector reference "
+                               f"{vector} names no earlier slot")
+            vectors[at] = vector = slots[vector]
+        slots.append(vector)
         if type(vector) is not list:
             column = schema.column(names[at])
             if type(vector) is not str or column.sql_type is not SqlType.FLOAT:
@@ -517,11 +570,13 @@ def replay_sections(sections: Any, database: Database,
             malformed (the shape, vector counts and lengths, packed
             doubles only in FLOAT columns), an insert claims a handle
             that another table (or this one) already holds or held, or
-            the post-replay row count is not the recorded one.
+            the post-replay row count is not the recorded one. A vector
+            reference is checked as the vector it names.
     """
     if type(sections) is not dict:
         raise WalError(f"cannot replay {_where(record)}: sections must be "
                        f"an object")
+    slots: list[Any] = []
     for name, entry in sections.items():
         try:
             if type(entry) is not dict or type(entry.get("n")) is not int \
@@ -533,7 +588,7 @@ def replay_sections(sections: Any, database: Database,
                 database.delete_rows(name, decode_runs(entry["d"]))
             if "i" in entry:
                 handles, vectors = _decode_section(
-                    entry["i"], schema.column_names, schema)
+                    entry["i"], schema.column_names, schema, slots)
                 database.insert_rows(name, vectors, handles)
             updates = entry.get("u", [])
             if type(updates) is not list:
@@ -544,7 +599,8 @@ def replay_sections(sections: Any, database: Database,
                         or any(type(c) is not str for c in names):
                     raise WalError("an update section is led by its column "
                                    "names")
-                handles, vectors = _decode_section(group[1:], names, schema)
+                handles, vectors = _decode_section(group[1:], names, schema,
+                                                   slots)
                 database.assign_columns(name, handles, names, vectors)
         except (WalError, HandleClaimError) as problem:
             raise WalError(f"cannot replay {_where(record)}: table "

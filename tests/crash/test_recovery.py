@@ -272,7 +272,8 @@ class TestReplayVerification:
           "update": [], "handle_hwm": 9, "counts": {}}, "None"),
         # a version-2 log: FLOATs as decimal text only
         ({"v": 2, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "2"),
-        ({"v": 4, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "4"),
+        # a version from the future
+        ({"v": 5, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "5"),
     ])
     def test_other_format_version_is_refused_not_truncated(
         self, tmp_path, body, found
@@ -300,6 +301,13 @@ def _set(path, value):
     return tamper
 
 
+def _sets(*tampers):
+    def tamper(entry):
+        for path, value in tampers:
+            _set(path, value)(entry)
+    return tamper
+
+
 def _delete(key):
     return lambda entry: entry.pop(key)
 
@@ -307,7 +315,9 @@ def _delete(key):
 #: malformed commit entries behind a valid CRC. Each tampers the
 #: ``emp`` entry — ``{"i": [[3, 2], ["jane", "bob"], [50.0, 40.0],
 #: [1, 2]], "n": 2}`` both as the last commit record and as checkpoint
-#: data — and names what the refusal says
+#: data, its vectors the document's slots 0, 1 and 2 either way — and
+#: names what the refusal says. A vector reference is refused just as
+#: the vector it names would be
 MALFORMED_ENTRIES = {
     "missing_n": (_delete("n"), "integer n"),
     "n_not_an_int": (_set(["n"], "2"), "integer n"),
@@ -321,7 +331,24 @@ MALFORMED_ENTRIES = {
         _set(["u"], [[["salary"], [3, 1], [1.0], [2.0]]]),
         "handle runs and 1 value vector"),
     "vector_length": (_set(["i", 1], ["jane"]), "'name': 1 values for 2"),
-    "vector_not_a_list": (_set(["i", 3], 7), "integer vector must be a list"),
+    "vector_not_a_list": (
+        _set(["i", 3], 7.5), "integer vector must be a list"),
+    "reference_dangling": (
+        _set(["i", 3], 7), "'dno': vector reference 7 names no earlier slot"),
+    "reference_forward": (
+        _set(["i", 1], 1), "'name': vector reference 1 names no earlier slot"),
+    "reference_to_itself": (
+        _set(["i", 2], 1), "'salary': vector reference 1 names no earlier"),
+    "reference_negative": (
+        _set(["i", 3], -1), "'dno': vector reference -1 names no earlier"),
+    "reference_bool": (
+        _set(["i", 3], True), "'dno': a integer vector must be a list"),
+    "reference_length": (
+        _set(["u"], [[["salary"], [3, 1], 1]]), "'salary': 2 values for 1"),
+    "reference_packed_varchar": (
+        _sets((["i", 2], pack_floats([50.0, 40.0])),
+              (["u"], [[["name"], [3, 2], 1]])),
+        "'name': a varchar vector must be a list"),
     "packed_varchar": (
         _set(["i", 1], pack_floats([1.0, 2.0])),
         "'name': a varchar vector must be a list"),
@@ -407,6 +434,9 @@ class TestMalformedSections:
     @pytest.mark.parametrize("tamper, problem", [
         # the set mutators' refusals are checkpoint errors too
         (_set(["data", "emp", "i", 3], ["x", 2]), "column emp.dno"),
+        # a reference is type-checked as the vector it names: the names
+        (_set(["data", "emp", "u"], [[["dno"], [3, 2], 0]]),
+         "expected integer for column emp.dno, got 'jane'"),
         (_set(["data", "emp", "u"], [[["salary"], [99, 1], [1.0]]]),
          "handle 99 is not live in table 'emp'"),
         (_set(["data", "ghost"], {"n": 0}), "table 'ghost' does not exist"),
@@ -460,7 +490,7 @@ class TestCheckpointFormat:
         size = os.path.getsize(wal_path)
         with pytest.raises(CheckpointError, match=(
                 "checkpoint has format version 1; this build reads "
-                "version 2 only")):
+                "versions 2 and 3 only")):
             recover(directory)
         assert os.path.getsize(wal_path) == size
 
@@ -484,7 +514,7 @@ class TestCheckpointFormat:
         assert list(document) == [
             "format", "version", "wal_lsn", "last_txn", "hwm", "catalog",
             "data"]
-        assert document["version"] == 2
+        assert document["version"] == 3
         assert document["hwm"] == 4
         assert document["data"] == {
             "dept": {"i": [[1, 2], [1, 2]], "n": 2},

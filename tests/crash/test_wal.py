@@ -357,6 +357,39 @@ class TestFailedAppend:
             db.execute("insert into t values (2)")
         assert str(excinfo.value) == failure
 
+    def test_abort_event_carries_the_writer_failure(
+        self, tmp_path, monkeypatch
+    ):
+        sink = RingBufferSink()
+        db = ActiveDatabase(durability=str(tmp_path / "d"), sink=sink)
+        db.execute("create table t (x integer)")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            db.execute("insert into t values (1)")
+        monkeypatch.undo()
+        (abort,) = sink.of_kind("txn_abort")
+        assert abort.data["reason"] == "wal_error"
+        failure = abort.data["wal_failure"]
+        assert failure == db.stats()["durability"]["wal_failure"]
+        assert "fsync failed at offset" in failure
+
+    def test_abort_event_of_a_cut_append_has_no_writer_failure(
+        self, tmp_path
+    ):
+        sink = RingBufferSink()
+        db = ActiveDatabase(durability=str(tmp_path / "d"), sink=sink)
+        db.execute("create table t (x integer)")
+        db.durability.wal.injector = FaultInjector(
+            point="enospc_wal_append", occurrence=1)
+        with pytest.raises(OSError):
+            db.execute("insert into t values (1)")
+        (abort,) = sink.of_kind("txn_abort")
+        assert abort.data == {"reason": "wal_error", "wal_failure": None}
+
     def test_next_commit_after_a_failed_one_survives_recovery(self, tmp_path):
         """The regression: insert 1; failed insert 2; insert 3 is
         acknowledged — and must still be there after recovery."""
@@ -572,3 +605,21 @@ class TestManager:
         assert stats["ddl_logged"] == 1
         assert stats["wal_bytes"] > 0
         assert stats["append_time"] > 0
+        assert stats["vectors_shared"] == 0
+
+    def test_shared_vectors_are_counted_per_append(self, tmp_path):
+        sink = RingBufferSink()
+        db = ActiveDatabase(durability=str(tmp_path / "d"), sink=sink)
+        db.execute("create table t (x integer, y integer, note varchar)")
+        db.execute("create table journal (x integer, note varchar)")
+        db.execute("create rule copy when inserted into t then insert into "
+                   "journal (select x, note from inserted t)")
+        db.execute("insert into t values (1, 1, 'a'), (2, 2, 'b')")
+        db.execute("insert into t values (3, 4, 'c')")
+        # journal first: its x and note, then t's x, y (= x) and note
+        assert [event.data["shared"] for event in sink.of_kind("wal_append")] \
+            == [3, 2]
+        assert db.stats()["durability"]["vectors_shared"] == 5
+        (record,) = [r for r in scan_wal(db.durability.wal_path).records
+                     if r.get("txn") == 2]
+        assert record["commit"]["t"]["i"] == [[5, 1], 0, [4], 1]

@@ -6,18 +6,27 @@ recovered by the next. The snapshot pins the exact bytes of every WAL
 line (DDL and commit records, checksum included) that the transactions
 of paper Examples 3.1, 3.2 and 4.1 write — the rules and data of
 ``tests/integration/test_paper_examples.py`` — plus one transaction with
-several updated-column sets, NULLs and non-ASCII text, and one whose
-FLOATs have long decimals, so a vector is logged as packed doubles.
-Beside each log it pins the checkpoint document of the end state. A
-change that moves a byte of either format must bump ``WAL_VERSION`` /
-``CHECKPOINT_VERSION`` and regenerate on purpose
+several updated-column sets, NULLs and non-ASCII text, one whose FLOATs
+have long decimals, so a vector is logged as packed doubles, and two
+journal rules — the org chart's ``log_salaries`` and one that copies
+``inserted t`` — whose copied columns are logged as references to the
+source's vectors. Beside each log it pins the checkpoint document of the
+end state. A change that moves a byte of either format must bump
+``WAL_VERSION`` / ``CHECKPOINT_VERSION`` and regenerate on purpose
 (``tests/integration/test_wal_golden.py`` fails otherwise)::
 
     PYTHONPATH=src python tools/gen_wal_golden.py
+    PYTHONPATH=src python tools/gen_wal_golden.py --check
+
+``--check`` regenerates and compares, writes nothing, names the
+scenario and the line that moved and exits 1 if any did.
+``tests/golden/wal_golden_v3.json`` is the last version-3 snapshot,
+kept unedited as the oracle of the version-4 lines.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import tempfile
@@ -26,6 +35,7 @@ from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "wal_golden.json"
+GOLDEN_V3 = ROOT / "tests" / "golden" / "wal_golden_v3.json"
 
 
 def scenarios() -> list[dict[str, Any]]:
@@ -36,8 +46,11 @@ def scenarios() -> list[dict[str, Any]]:
     finally:
         sys.path.remove(str(ROOT))
 
+    from repro.workloads.orgchart import ORG_RULES
+
     org = _Statements()
     paper.build_example_43_org(org)
+    (log_salaries,) = [rule for rule in ORG_RULES if "log_salaries" in rule]
     return [
         {"label": "example_3.1", "statements": [
             paper.EMP, paper.DEPT, paper.RULE_31,
@@ -75,6 +88,20 @@ def scenarios() -> list[dict[str, Any]]:
             "insert into readings values (1, 0.1), (2, 0.2), (3, 0.3)",
             "update readings set value = value / 3.0",
         ]},
+        {"label": "journal_copies", "statements": [
+            "create table emp (name varchar, salary float)",
+            "create table salary_log (name varchar, salary float)",
+            log_salaries,
+            "create table t (x integer, g float, flag boolean)",
+            "create table journal (x integer, g float, flag boolean)",
+            "create rule journal_t when inserted into t "
+            "then insert into journal select x, g, flag from inserted t",
+            "insert into emp values ('ann', 10.0), ('bo', 20.0), ('cy', 30.0)",
+            "update emp set salary = salary / 3.0",
+            "update emp set salary = 50.0 where name = 'bo'",
+            # equal in Python, three texts: [1,0] [1.0,-0.0] [true,false]
+            "insert into t values (1, 1.0, true), (0, -0.0, false)",
+        ]},
     ]
 
 
@@ -111,9 +138,40 @@ def build() -> list[dict[str, Any]]:
     ]
 
 
+def moved(golden: list[dict[str, Any]], entries: list[dict[str, Any]]
+          ) -> list[str]:
+    """What differs between the snapshot and a fresh build: one line per
+    scenario added or dropped, per log line and per checkpoint."""
+    found = {entry["label"]: entry for entry in entries}
+    pinned = {entry["label"]: entry for entry in golden}
+    problems = [f"{label}: not in the snapshot"
+                for label in found if label not in pinned]
+    problems += [f"{label}: no longer a scenario"
+                 for label in pinned if label not in found]
+    for label in [label for label in found if label in pinned]:
+        ours, theirs = found[label]["lines"], pinned[label]["lines"]
+        problems += [f"{label}: line {at + 1} moved"
+                     for at in range(max(len(ours), len(theirs)))
+                     if ours[at:at + 1] != theirs[at:at + 1]]
+        if found[label]["checkpoint"] != pinned[label]["checkpoint"]:
+            problems.append(f"{label}: the checkpoint moved")
+    return problems
+
+
 def main() -> int:
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="regenerate and compare, write nothing")
+    args = parser.parse_args()
     entries = build()
+    if args.check:
+        problems = moved(json.loads(GOLDEN.read_text()), entries)
+        for problem in problems:
+            print(problem)
+        print(f"{GOLDEN.relative_to(ROOT)}: "
+              f"{'differs' if problems else 'reproduced'}")
+        return 1 if problems else 0
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"{GOLDEN.relative_to(ROOT)}: "
           f"{sum(len(entry['lines']) for entry in entries)} WAL lines in "
