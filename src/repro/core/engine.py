@@ -460,6 +460,7 @@ class RuleEngine:
                 lsn=info["lsn"],
                 bytes=info["bytes"],
                 shared=info["shared"],
+                gathered=info["gathered"],
                 records=1,
                 duration=info["duration"],
             )

@@ -79,8 +79,9 @@ class DurabilityManager:
         self.commits_logged = 0
         self.ddl_logged = 0
         self.append_time = 0.0
-        #: vectors commit records wrote as references to an earlier one
-        self.vectors_shared = 0
+        #: vectors commit records wrote as references to an earlier one,
+        #: and as gathers of an earlier table's column
+        self.vectors_shared = self.vectors_gathered = 0
         self.checkpoints = 0
         self.checkpoint_time = 0.0
         self.checkpoint_bytes = 0
@@ -128,11 +129,13 @@ class DurabilityManager:
         self.commits_since_checkpoint += 1
         self.append_time += elapsed
         self.vectors_shared += writer.shared
+        self.vectors_gathered += writer.gathered
         self.last_txn = txn_id
         return {
             "lsn": record["lsn"],
             "bytes": self.wal.bytes_written - bytes_before,
             "shared": writer.shared,
+            "gathered": writer.gathered,
             "duration": elapsed,
         }
 
@@ -214,6 +217,7 @@ class DurabilityManager:
             "ddl_logged": self.ddl_logged,
             "append_time": self.append_time,
             "vectors_shared": self.vectors_shared,
+            "vectors_gathered": self.vectors_gathered,
             "last_lsn": self.wal.next_lsn - 1,
             "wal_failure": self.wal.failure,
             "checkpoints": self.checkpoints,

@@ -87,7 +87,7 @@ def recover(directory: str | os.PathLike[str], fsync: bool = True,
             raise WalError(
                 f"WAL record lsn {record.get('lsn')} has format version "
                 f"{record.get('v')!r}; this build reads versions "
-                f"{' and '.join(map(str, WAL_READ_VERSIONS))} only"
+                f"{', '.join(map(str, WAL_READ_VERSIONS))} only"
             )
     if scan.torn_bytes:
         WalWriter(manager.wal_path, fsync=fsync).truncate_to(scan.valid_bytes)

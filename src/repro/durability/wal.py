@@ -6,16 +6,16 @@ detected by either a JSON parse failure or a checksum mismatch, and
 :func:`scan_wal` reports how many bytes of the file are valid so
 recovery can truncate the rest.
 
-Every body opens with the format version and the LSN, ``{"v":4,"lsn":L,
-...``; recovery reads versions 3 and 4 (a version-3 record is a
-version-4 one without vector references) and refuses any other. Two
-records exist:
+Every body opens with the format version and the LSN, ``{"v":5,"lsn":L,
+...``; recovery reads versions 3 to 5 (each a version without the next
+one's references) and refuses any other. Two records exist:
 
-* the commit record ``{"v":4,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"v":5,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
-  as one vector per column, each vector written once per record (see
+  as one vector per column, each vector written once per record and a
+  copy of an earlier table's column as a reference to it (see
   :func:`build_commit_record` and :class:`SectionWriter`). Because
   the record is the composed net effect of the whole transaction
   (external block plus every rule-generated transition, Definition
@@ -56,14 +56,13 @@ from ..relational.types import SqlType
 if TYPE_CHECKING:
     from ..core.effects import TransitionEffect
     from ..relational.database import Database
-    from ..relational.schema import TableSchema
     from ..relational.table import Table
     from .faults import FaultInjector
 
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 4
-#: the versions recovery reads: version 3 wrote no vector references
-WAL_READ_VERSIONS = (3, 4)
+WAL_VERSION = 5
+#: the versions recovery reads: 3 wrote no slots, 4 no gathers
+WAL_READ_VERSIONS = (3, 4, 5)
 
 
 class WalError(ReproError):
@@ -348,7 +347,13 @@ class WalWriter:
 # integer whenever the number is shorter, so a rule that copies a
 # transition table logs the copied column once. An integer is never a
 # vector; the reader swaps a reference for the earlier slot's item
-# before any other check.
+# before any other check. Sections are numbered 0, 1, 2, ... alike. A
+# vector no slot matched whose text is column ``c`` (of its type) of an
+# earlier *table's* section ``k``, read at that section's handles, is
+# written as the shorter ``{"g":[k,"c"]}``: a journal's copy of a column
+# its source did not update. Tables come once per document, each applied
+# whole before the next, so replay's source rows hold the values the
+# writer read.
 
 #: doubles are logged little-endian: a big-endian host swaps them
 _BYTESWAP = sys.byteorder != "little"
@@ -392,29 +397,33 @@ def encode_vector(values: list[Any]) -> list[Any] | str:
     return values
 
 
+def _as_written(values: list[Any]) -> list[Any] | str:
+    """A vector as a section holds it: only a FLOAT column stores floats,
+    so one that opens with one goes through :func:`encode_vector`."""
+    return encode_vector(values) if type(values[0]) is float else values
+
+
 def table_section(table: Table, handles: Sequence[int],
                   names: Sequence[str] | None = None) -> list[Any]:
     """The section of live, ascending ``handles``: their runs, then the
     vectors of every schema column — or of the columns in ``names`` —
     gathered from columnar storage through one slot selection
-    (:meth:`Table.column_vectors`). Only a FLOAT column stores floats,
-    so a vector that opens with one goes through :func:`encode_vector`
-    (one that opens with NULL stays a list)."""
-    section: list[Any] = [encode_runs(handles),
-                          *table.column_vectors(handles, names)]
-    for at in range(1, len(section)):
-        if type(section[at][0]) is float:
-            section[at] = encode_vector(section[at])
-    return section
+    (:meth:`Table.column_vectors`), each :func:`_as_written`."""
+    return [encode_runs(handles),
+            *map(_as_written, table.column_vectors(handles, names))]
 
 
 class SectionWriter:
     """Writes one document's sections, a vector that repeats an earlier
-    one's text as that one's slot; ``shared`` counts the references."""
+    one's text as that one's slot (``shared`` counts them) and one equal
+    to an earlier table's column as a gather (``gathered``)."""
 
     def __init__(self) -> None:
         self.first: dict[str, int] = {}  # a vector's text -> its slot
-        self.slots = self.shared = 0
+        self.slots = self.shared = self.gathered = 0
+        self.sections: list[tuple[Table, Sequence[int]]] = []  # by number
+        self.sources: dict[tuple[SqlType, str], dict[str, Any]] = {}
+        self.read: set[tuple[int, str]] = set()
 
     def section(self, table: Table, handles: Sequence[int],
                 names: Sequence[str] | None = None) -> list[Any]:
@@ -424,16 +433,44 @@ class SectionWriter:
             vector = section[at]
             # the text as written: ``repr`` tells 1 from 1.0 from True
             # and 0.0 from -0.0, where Python equality does not
-            slot = self.first.setdefault(
-                vector if type(vector) is str else repr(vector), self.slots)
+            text = vector if type(vector) is str else repr(vector)
+            slot = self.first.setdefault(text, self.slots)
             # "[0]" outgrows every slot below 100; nine values or a packed
             # string outgrow every slot a document can hold
             if slot != self.slots and (slot < 100 or len(vector) > 8 or len(
                     str(slot)) < len(encode_json(vector))):
                 section[at] = slot
                 self.shared += 1
+            elif slot == self.slots and len(text) > 12:  # no gather is shorter
+                section[at] = self._gather(table, handles, (
+                    names or table.schema.column_names)[at - 1], vector, text)
+                self.gathered += section[at] is not vector
             self.slots += 1
+        self.sections.append((table, handles))
         return section
+
+    def _gather(self, table: Table, handles: Sequence[int], name: str,
+                vector: list[Any] | str, text: str) -> Any:
+        """``vector``, or the shorter gather of the first column of
+        ``name``'s type that reads ``text`` at an earlier table's section
+        of as many handles (``sources``: (type, text) -> its first gather;
+        ``read``: the (section, column)s read, each once)."""
+        kind = table.schema.column(name).sql_type
+        for number, (source, run) in enumerate(self.sections):
+            for column in source.schema.columns:
+                key = (number, column.name)
+                if source is not table and len(run) == len(handles) and \
+                        column.sql_type is kind and key not in self.read:
+                    self.read.add(key)
+                    found = _as_written(
+                        source.column_vectors(run, key[1:])[0])
+                    self.sources.setdefault((kind, found if type(found) is str
+                                             else repr(found)), {"g": [*key]})
+        gather = self.sources.get((kind, text))
+        size = len(encode_json(gather)) if gather else 0
+        # the JSON of the first ``size`` items decides "longer" already
+        return gather if gather and len(
+            encode_json(vector[:size])) > size else vector
 
 
 def build_commit_record(txn_id: int, effect: TransitionEffect,
@@ -517,22 +554,41 @@ def decode_runs(runs: Any) -> list[int]:
     return handles
 
 
-def _decode_section(section: Any, names: Sequence[str], schema: TableSchema,
-                    slots: list[Any]) -> tuple[list[int], list[list[Any]]]:
+def _decode_section(section: Any, names: Sequence[str], table: Table,
+                    slots: list[Any], sections: list[tuple[Table, list[int]]]
+                    ) -> tuple[list[int], list[list[Any]]]:
     """The handles and value vectors of a section over the columns
-    ``names`` of ``schema``; ``slots`` holds the document's vectors read
-    so far, as written, and gains this section's."""
+    ``names`` of ``table``; ``slots`` holds the document's vectors read
+    so far as written (a gather as its list), ``sections`` each section's
+    table and handles; both gain this section's."""
+    schema = table.schema
     if type(section) is not list or len(section) != len(names) + 1:
         raise WalError(f"a section is a list of handle runs and "
                        f"{len(names)} value vector(s)")
     runs, *vectors = section
     handles = decode_runs(runs)
     for at, vector in enumerate(vectors):
-        if type(vector) is int:  # a reference (a bool is not one)
+        if type(vector) is dict:  # a gather: a column of this one's type
+            # of an earlier (so replayed) table's section, at its handles
+            spec, kind = vector.get("g"), schema.column(names[at]).sql_type
+            number, name = spec if type(spec) is list and len(spec) == 2 \
+                and len(vector) == 1 else (None, None)
+            source, run = sections[number] if type(number) is int \
+                and 0 <= number < len(sections) else (table, [])
+            types = {column.name: column.sql_type
+                     for column in source.schema.columns}
+            if source is table or type(name) is not str \
+                    or types.get(name) is not kind:
+                raise WalError(f"column {names[at]!r}: {encode_json(vector)} "
+                               f"gathers no {kind.value} column of an "
+                               f"earlier table's section")
+            vector = source.column_vectors(run, [name])[0]
+        elif type(vector) is int:  # a reference (a bool is not one)
             if not 0 <= vector < len(slots):
                 raise WalError(f"column {names[at]!r}: vector reference "
                                f"{vector} names no earlier slot")
-            vectors[at] = vector = slots[vector]
+            vector = slots[vector]
+        vectors[at] = vector
         slots.append(vector)
         if type(vector) is not list:
             column = schema.column(names[at])
@@ -543,6 +599,7 @@ def _decode_section(section: Any, names: Sequence[str], schema: TableSchema,
         if len(vector) != len(handles):
             raise WalError(f"column {names[at]!r}: {len(vector)} values "
                            f"for {len(handles)} handles")
+    sections.append((table, handles))
     return handles, vectors
 
 
@@ -571,24 +628,27 @@ def replay_sections(sections: Any, database: Database,
             doubles only in FLOAT columns), an insert claims a handle
             that another table (or this one) already holds or held, or
             the post-replay row count is not the recorded one. A vector
-            reference is checked as the vector it names.
+            reference or a gather (of an earlier table's column of the
+            target's type) is checked as the vector it names.
     """
     if type(sections) is not dict:
         raise WalError(f"cannot replay {_where(record)}: sections must be "
                        f"an object")
     slots: list[Any] = []
+    numbered: list[tuple[Table, list[int]]] = []
     for name, entry in sections.items():
         try:
             if type(entry) is not dict or type(entry.get("n")) is not int \
                     or not entry.keys() <= _ENTRY_KEYS:
                 raise WalError("an entry is an object of d/i/u sections and "
                                "an integer n")
-            schema = database.schema(name)
+            table = database.table(name)
+            schema = table.schema
             if "d" in entry:
                 database.delete_rows(name, decode_runs(entry["d"]))
             if "i" in entry:
                 handles, vectors = _decode_section(
-                    entry["i"], schema.column_names, schema, slots)
+                    entry["i"], schema.column_names, table, slots, numbered)
                 database.insert_rows(name, vectors, handles)
             updates = entry.get("u", [])
             if type(updates) is not list:
@@ -599,8 +659,8 @@ def replay_sections(sections: Any, database: Database,
                         or any(type(c) is not str for c in names):
                     raise WalError("an update section is led by its column "
                                    "names")
-                handles, vectors = _decode_section(group[1:], names, schema,
-                                                   slots)
+                handles, vectors = _decode_section(group[1:], names, table,
+                                                   slots, numbered)
                 database.assign_columns(name, handles, names, vectors)
         except (WalError, HandleClaimError) as problem:
             raise WalError(f"cannot replay {_where(record)}: table "

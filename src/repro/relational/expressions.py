@@ -752,19 +752,24 @@ def _apply_aggregate(name, values):
     if name == "avg":
         total = sum(_require_number("avg", value) for value in values)
         return total / len(values)
-    if name == "min":
+    if name == "min" or name == "max":
+        wanted = -1 if name == "min" else 1
         result = values[0]
         for value in values[1:]:
-            if compare_values(value, result) < 0:
-                result = value
-        return result
-    if name == "max":
-        result = values[0]
-        for value in values[1:]:
-            if compare_values(value, result) > 0:
+            if _total_order(value, result) == wanted:
                 result = value
         return result
     raise ExecutionError(f"unknown aggregate {name!r}")
+
+
+def _total_order(left, right):
+    """:func:`compare_values`, with NaN above every number and equal to
+    itself — ``sort_key``'s order, so ``min``/``max`` never depend on
+    where a NaN was scanned (predicates keep IEEE comparisons)."""
+    ordering = compare_values(left, right)
+    if ordering or left == right:
+        return ordering
+    return (left != left) - (right != right)
 
 
 def _require_number(name, value):

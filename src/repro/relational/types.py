@@ -11,6 +11,7 @@ module provides the value-level primitives it builds on.
 from __future__ import annotations
 
 from enum import Enum
+from math import inf
 
 from ..errors import TypeError_
 
@@ -127,12 +128,14 @@ def sort_key(value):
 
     NULLs sort first; within a column all values have one comparable kind
     (enforced by the schema), so the second component is directly
-    comparable. Used by ORDER BY and by deterministic test fixtures.
+    comparable. NaN sorts above every number, infinity included, as in
+    PostgreSQL, so the order never depends on where a NaN was scanned.
+    Used by ORDER BY and by deterministic test fixtures.
     """
     if value is None:
         return (0, 0)
     if isinstance(value, bool):
         return (1, int(value))
     if isinstance(value, (int, float)):
-        return (2, value)
+        return (2, value) if value == value else (2, inf, 0)
     return (3, value)

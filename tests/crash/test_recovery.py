@@ -12,6 +12,7 @@ from repro.durability.checkpoint import CHECKPOINT_FILENAME, CheckpointError
 from repro.durability.wal import (
     WAL_VERSION,
     WalError,
+    encode_json,
     encode_record,
     pack_floats,
     scan_wal,
@@ -273,7 +274,7 @@ class TestReplayVerification:
         # a version-2 log: FLOATs as decimal text only
         ({"v": 2, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "2"),
         # a version from the future
-        ({"v": 5, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "5"),
+        ({"v": 6, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "6"),
     ])
     def test_other_format_version_is_refused_not_truncated(
         self, tmp_path, body, found
@@ -362,6 +363,48 @@ MALFORMED_ENTRIES = {
 }
 
 
+def _gathering(tamper):
+    """A tamper of a document's sections: ``dept`` first — its section 0
+    holds handles 1 and 2 and the INTEGER ``dno`` (an update group in
+    the WAL record, the insert section in the checkpoint) — then the
+    ``emp`` entry, changed by ``tamper``."""
+    def tampered(sections):
+        dept = {"i": [[1, 2], [1, 2]], "n": 2} if sections.pop(
+            "dept", None) else {"u": [[["dno"], [1, 2], [1, 2]]], "n": 2}
+        emp = sections.pop("emp")
+        tamper(emp)
+        sections.update(dept=dept, emp=emp)
+    return tampered
+
+
+def _gather_at(path, gather, column="dno", kind="integer"):
+    """A malformed gather set at ``path`` of emp's entry, and the refusal
+    naming its column, its text and the type it had to have."""
+    return _set(path, gather), (
+        f"column {column!r}: {encode_json(gather)} gathers no {kind} "
+        f"column of an earlier table's section")
+
+
+#: malformed gathers, in the document ``_gathering`` builds; emp's
+#: insert section is section 1, dept's section 0 holds only ``dno``
+MALFORMED_GATHERS = {
+    "gather_forward": _gather_at(["i", 3], {"g": [2, "dno"]}),
+    "gather_out_of_range": _gather_at(["i", 3], {"g": [7, "dno"]}),
+    "gather_negative": _gather_at(["i", 3], {"g": [-1, "dno"]}),
+    "gather_same_table": (
+        _set(["u"], [[["dno"], [3, 2], {"g": [1, "dno"]}]]),
+        _gather_at(["u"], {"g": [1, "dno"]})[1]),
+    "gather_bool": _gather_at(["i", 3], {"g": [True, "dno"]}),
+    "gather_missing_column": _gather_at(["i", 3], {"g": [0, "name"]}),
+    "gather_other_type": _gather_at(
+        ["i", 1], {"g": [0, "dno"]}, "name", "varchar"),
+    "gather_not_a_pair": _gather_at(["i", 3], {"g": [0, "dno", 1]}),
+    "gather_not_a_list": _gather_at(["i", 3], {"g": "0"}),
+    "gather_column_not_a_string": _gather_at(["i", 3], {"g": [0, 3]}),
+    "gather_extra_key": _gather_at(["i", 3], {"g": [0, "dno"], "x": 1}),
+}
+
+
 class TestMalformedSections:
     """A checksummed but malformed commit entry is refused with a
     pointed error naming the LSN (or the checkpoint) and the table —
@@ -420,6 +463,45 @@ class TestMalformedSections:
         message = str(failure.value)
         assert "cannot replay the checkpoint: table 'emp': " in message
         assert problem in message
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GATHERS))
+    def test_wal_gather(self, tampered_wal, case):
+        tamper, problem = MALFORMED_GATHERS[case]
+        directory, lsn = tampered_wal(
+            lambda record: _gathering(tamper)(record["commit"]))
+        with pytest.raises(WalError) as failure:
+            recover(directory)
+        message = str(failure.value)
+        assert f"cannot replay txn 2 (lsn {lsn}): table 'emp': " in message
+        assert problem in message
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GATHERS))
+    def test_checkpoint_gather(self, tampered_checkpoint, case):
+        tamper, problem = MALFORMED_GATHERS[case]
+        directory = tampered_checkpoint(
+            lambda document: _gathering(tamper)(document["data"]))
+        with pytest.raises(CheckpointError) as failure:
+            recover(directory)
+        message = str(failure.value)
+        assert "cannot replay the checkpoint: table 'emp': " in message
+        assert problem in message
+
+    #: emp's dno gathered from dept's section 0, whose dno is [1, 2] —
+    #: emp's own values: the well-formed gather the cases above break
+    GATHER_DNO = staticmethod(_gathering(_set(["i", 3], {"g": [0, "dno"]})))
+
+    def test_a_well_formed_gather_replays_from_the_wal(self, tampered_wal):
+        directory, _ = tampered_wal(
+            lambda record: self.GATHER_DNO(record["commit"]))
+        assert recover(directory).rows("select * from emp") == [
+            ("jane", 50.0, 1), ("bob", 40.0, 2)]
+
+    def test_a_well_formed_gather_replays_from_the_checkpoint(
+            self, tampered_checkpoint):
+        directory = tampered_checkpoint(
+            lambda document: self.GATHER_DNO(document["data"]))
+        assert recover(directory).rows("select * from emp") == [
+            ("jane", 50.0, 1), ("bob", 40.0, 2)]
 
     @pytest.mark.parametrize("tamper, problem", [
         (_set(["commit"], []), "sections must be an object"),

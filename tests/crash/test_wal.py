@@ -606,6 +606,7 @@ class TestManager:
         assert stats["wal_bytes"] > 0
         assert stats["append_time"] > 0
         assert stats["vectors_shared"] == 0
+        assert stats["vectors_gathered"] == 0
 
     def test_shared_vectors_are_counted_per_append(self, tmp_path):
         sink = RingBufferSink()
@@ -623,3 +624,22 @@ class TestManager:
         (record,) = [r for r in scan_wal(db.durability.wal_path).records
                      if r.get("txn") == 2]
         assert record["commit"]["t"]["i"] == [[5, 1], 0, [4], 1]
+
+    def test_gathered_vectors_are_counted_per_append(self, tmp_path):
+        sink = RingBufferSink()
+        db = ActiveDatabase(durability=str(tmp_path / "d"), sink=sink)
+        db.execute("create table t (x integer, note varchar)")
+        db.execute("create table u (x integer, note varchar)")
+        db.execute("create rule copy when updated t.x then insert into "
+                   "u (select x, note from new updated t.x)")
+        db.execute("insert into t values (1, 'first'), (2, 'second'), "
+                   "(3, 'third')")
+        db.execute("update t set x = x + 10")  # note: a gather, x: a slot
+        db.execute("update t set x = 0 where x = 11")  # ["first"]: a list
+        assert [event.data["gathered"]
+                for event in sink.of_kind("wal_append")] == [0, 1, 0]
+        assert [event.data["shared"]
+                for event in sink.of_kind("wal_append")] == [0, 1, 1]
+        assert db.stats()["durability"]["vectors_gathered"] == 1
+        record = scan_wal(db.durability.wal_path).records[-2]
+        assert record["commit"]["u"]["i"][1:] == [0, {"g": [0, "note"]}]

@@ -10,8 +10,10 @@ several updated-column sets, NULLs and non-ASCII text, one whose FLOATs
 have long decimals, so a vector is logged as packed doubles, and two
 journal rules — the org chart's ``log_salaries`` and one that copies
 ``inserted t`` — whose copied columns are logged as references to the
-source's vectors. Beside each log it pins the checkpoint document of the
-end state. A change that moves a byte of either format must bump
+source's vectors, and ``log_salaries`` over a dozen employees, whose
+copied names — a column the update did not write — are logged as
+gathers. Beside each log it pins the checkpoint document of the end
+state. A change that moves a byte of either format must bump
 ``WAL_VERSION`` / ``CHECKPOINT_VERSION`` and regenerate on purpose
 (``tests/integration/test_wal_golden.py`` fails otherwise)::
 
@@ -20,8 +22,9 @@ end state. A change that moves a byte of either format must bump
 
 ``--check`` regenerates and compares, writes nothing, names the
 scenario and the line that moved and exits 1 if any did.
-``tests/golden/wal_golden_v3.json`` is the last version-3 snapshot,
-kept unedited as the oracle of the version-4 lines.
+``tests/golden/wal_golden_v3.json`` and ``wal_golden_v4.json`` are the
+last version-3 and version-4 snapshots, kept unedited as the oracles of
+the lines that followed them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Any
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "wal_golden.json"
 GOLDEN_V3 = ROOT / "tests" / "golden" / "wal_golden_v3.json"
+GOLDEN_V4 = ROOT / "tests" / "golden" / "wal_golden_v4.json"
 
 
 def scenarios() -> list[dict[str, Any]]:
@@ -101,6 +105,16 @@ def scenarios() -> list[dict[str, Any]]:
             "update emp set salary = 50.0 where name = 'bo'",
             # equal in Python, three texts: [1,0] [1.0,-0.0] [true,false]
             "insert into t values (1, 1.0, true), (0, -0.0, false)",
+        ]},
+        {"label": "journal_gathers", "statements": [
+            "create table emp (name varchar, dno integer, salary float)",
+            "create table salary_log (name varchar, salary float)",
+            log_salaries,
+            "insert into emp values " + ", ".join(
+                f"('emp{at:02}', {at % 3}, {10.0 * at})" for at in range(12)),
+            "update emp set salary = salary * 1.5",
+            # the group is [dno, salary]: the names are still a gather
+            "update emp set dno = 3, salary = salary + 1.0 where dno = 1",
         ]},
     ]
 
