@@ -33,8 +33,8 @@ types are statically known — unknown stays silent, so inference gaps
 cannot produce false positives. Totality (the witness ``total`` flag)
 is not re-derived here: it is *defined* as
 :func:`repro.relational.plan.cost.expression_kind`'s verdict, so the
-witness layer and the cost model can never disagree about what may
-raise.
+witness layer and the totality analysis can never disagree about what
+may raise.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ class RuleWalk:
                  sql_type: Optional[SqlType],
                  nullable: bool = True) -> Optional[SqlType]:
         """Attach the node's witness; the ``total`` flag delegates to
-        the cost model's totality analysis (nothing is provable under
+        the plan layer's totality analysis (nothing is provable under
         an unknown table, or without a database) so the two can never
         disagree."""
         layers = None if self.database is None or any(

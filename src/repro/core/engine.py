@@ -131,12 +131,6 @@ class RuleEngine:
         self._transition_index = 0
         self._result = None        # TransactionResult of the open txn
         self._base_resolver = BaseTableResolver(self.database)
-        #: rule name -> ((schema_version, stats_epoch, condition id),
-        #: cost-ordered condition AST). The ordered AST is a rebuilt
-        #: object, so caching keeps the rule's compiled programs (keyed
-        #: on node identity) hitting across considerations; the key makes
-        #: the order follow statistics drift and DDL.
-        self._ordered_conditions = {}
         #: delta-driven condition evaluation (docs/semantics.md §12):
         #: maintainable conditions are answered from maintained views,
         #: everything else falls back to _check_condition
@@ -311,7 +305,6 @@ class RuleEngine:
         if self._log is not None:
             self._log.forget(name)
         self._considered_at.pop(name, None)
-        self._ordered_conditions.pop(name, None)
         self.incremental.on_rule_dropped(name)
 
     def add_priority(self, higher, lower):
@@ -330,7 +323,7 @@ class RuleEngine:
             from ..relational.compiled import program_for
 
             program_for(
-                self.database, self._condition_for(rule), (), predicate=True,
+                self.database, rule.condition, (), predicate=True,
                 statement=self._rule_bound(rule).statement,
             )
         # A rule defined mid-transaction starts with an empty baseline: it
@@ -928,9 +921,9 @@ class RuleEngine:
         per-consideration: it carries the rule's current trans-info
         resolver and the state-versioned subquery caches.
         """
-        if rule.condition is None:
+        condition = rule.condition
+        if condition is None:
             return True
-        condition = self._condition_for(rule)
         resolver = TransitionTableResolver(
             self.database, self._log.info(rule.name)
         )
@@ -946,34 +939,6 @@ class RuleEngine:
             )
             return program.run((), Scope(), evaluator)
         return evaluator.evaluate_predicate(condition, Scope())
-
-    def _condition_for(self, rule):
-        """The rule's condition with AND-conjuncts cost-ordered (see
-        :func:`repro.relational.plan.cost.order_condition`), cached per
-        rule until statistics or the schema move.
-
-        Reordering is gated on every conjunct being *total* — unable to
-        raise on any row — so short-circuit evaluation observes the same
-        errors in any order; ``order_condition`` returns the original
-        object when reordering is unsafe or a no-op, which keeps the
-        compiled-program cache (keyed on AST identity) warm.
-        """
-        condition = rule.condition
-        if condition is None:
-            return condition
-        key = (
-            self.database.schema_version,
-            self.database.stats_epoch,
-            id(condition),
-        )
-        cached = self._ordered_conditions.get(rule.name)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        from ..relational.plan.cost import order_condition
-
-        ordered = order_condition(self.database, condition)
-        self._ordered_conditions[rule.name] = (key, ordered)
-        return ordered
 
     def _execute_rule_action(self, rule):
         """Execute the rule's action; returns the operation effects.

@@ -11,7 +11,7 @@ makes the guarantee testable:
   high-water mark;
 * :mod:`~repro.durability.recovery` — :func:`recover`: load the last
   checkpoint, truncate torn WAL tails, replay the suffix as whole
-  column vectors, verify row counts, rebuild indexes and statistics;
+  column vectors, verify row counts, rebuild indexes and zone maps;
 * :mod:`~repro.durability.faults` — :class:`FaultInjector`, seeded
   crash schedules at named points of the commit/checkpoint path, plus a
   disk-full append that is not a crash;

@@ -20,10 +20,10 @@ durability directory:
    each commit record already *is* the composed net effect of its
    transaction's rule processing — verifying the per-table row counts
    each commit record captured;
-4. recompute table statistics exactly from storage (replay goes
-   through the same set mutators as any other write, so indexes and
-   statistics were maintained all along; this only resets the
-   widen-only bounds and the drift).
+4. recompute the zone maps exactly from storage (replay goes through
+   the same set mutators as any other write, so indexes and zone maps
+   were maintained all along; this only tightens the widen-only
+   bounds).
 
 The recovered database starts a fresh system lifetime in the paper's
 sense — no open transaction, empty per-rule transition information —
@@ -189,10 +189,10 @@ def _apply_ddl(db: ActiveDatabase, record: dict[str, Any]) -> None:
 
 
 def _rebuild_statistics(database: Database) -> None:
-    """Recompute every table's statistics exactly from storage. Replay
+    """Recompute every table's zone maps exactly from storage. Replay
     folded them as it went, widen-only like any other writer; a
-    recovered database starts with exact bounds and no drift instead,
-    as after a checkpoint's compaction. (Indexes need nothing: the set
-    mutators replay went through maintained them.)"""
+    recovered database starts with exact bounds instead, as after a
+    checkpoint's compaction. (Indexes need nothing: the set mutators
+    replay went through maintained them.)"""
     for name in database.table_names():
         database.table(name).rebuild_stats()

@@ -47,7 +47,6 @@ class RuleMetrics:
         "group_scope_fallbacks",
         "zones_pruned",
         "rows_zone_pruned",
-        "replans",
         "peak_trans_info_size",
         "resets",
         "rollbacks",
@@ -84,7 +83,6 @@ class RuleMetrics:
         self.group_scope_fallbacks = 0
         self.zones_pruned = 0
         self.rows_zone_pruned = 0
-        self.replans = 0
         self.peak_trans_info_size = 0
         self.resets = {}
         self.rollbacks = 0
@@ -121,7 +119,6 @@ class RuleMetrics:
             "group_scope_fallbacks": self.group_scope_fallbacks,
             "zones_pruned": self.zones_pruned,
             "rows_zone_pruned": self.rows_zone_pruned,
-            "replans": self.replans,
             "peak_trans_info_size": self.peak_trans_info_size,
             "resets": dict(self.resets),
             "rollbacks": self.rollbacks,
@@ -282,15 +279,13 @@ class MetricsCollector(EventSink):
 
     def _fold_optimizer(self, metrics, data):
         """Accumulate the per-evaluation optimizer delta the engine
-        attaches to consideration/firing events (None when the database
-        has no cost layer): zone-map prunes and stats-epoch replans
+        attaches to consideration/firing events: zone-map prunes
         charged to this rule's evaluations."""
         delta = data.get("optimizer")
         if not delta:
             return
         metrics.zones_pruned += delta.get("zones_pruned", 0)
         metrics.rows_zone_pruned += delta.get("rows_zone_pruned", 0)
-        metrics.replans += delta.get("replans", 0)
 
     def _fold_incremental(self, metrics, data):
         """Count how this consideration's condition was answered by the
@@ -338,9 +333,7 @@ class MetricsCollector(EventSink):
         fallbacks), again covering all query evaluation. ``optimizer``
         is the database-wide
         :meth:`~repro.relational.stats.OptimizerStats.snapshot` dict
-        (cost-planned plans, join/conjunct/condition reorders, zone-map
-        prune counters, stats-epoch replans and rebuilds), covering all
-        query evaluation. ``durability``
+        (zone-map prune counters), covering all query evaluation. ``durability``
         is the attached manager's
         :meth:`~repro.durability.manager.DurabilityManager.stats_snapshot`
         (WAL bytes/records/latency, checkpoints, recovery), present only

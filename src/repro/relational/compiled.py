@@ -1174,7 +1174,7 @@ class _BatchCompiler:
         """The node's value kind when evaluation is provably total,
         else None. Witnesses first (they cover rule-condition fragments
         inferred at definition time), then the PR 9 totality analysis
-        over the catalog kinds, then a local extension the cost model
+        over the catalog kinds, then a local extension that analysis
         deliberately excludes: ``%`` and ``/`` with a nonzero numeric
         literal divisor cannot raise either."""
         kind = self._witness_kind(node)
@@ -1240,7 +1240,7 @@ class _BatchCompiler:
             return self._typed_zip(node, _PY_ARITHMETIC[op])
         if op in ("%", "/"):
             # only a literal nonzero numeric divisor is provably safe —
-            # the cost model deliberately refuses these operators, so
+            # the totality analysis deliberately refuses these operators, so
             # the divisor constraint is discharged locally here
             right = node.right
             if (

@@ -52,13 +52,8 @@ class Database:
 
         from .stats import OptimizerStats
 
-        #: statistics epoch: bumped whenever any table's statistics are
-        #: rebuilt (drift threshold, compaction, checkpoint) and by index
-        #: DDL — the statement cache watches it alongside schema_version,
-        #: so cached plans re-cost when the estimates they priced with
-        #: have drifted. Monotone, like the schema version.
-        self.stats_epoch = 0
-        #: cost-layer counters (plans costed, reorders, zones pruned, ...)
+        #: zone-pruning counters (zones considered and pruned, rows
+        #: pruned)
         self.optimizer_stats = OptimizerStats()
 
         from .compiled import CompilerStats
@@ -119,18 +114,10 @@ class Database:
             resolved.append(Column(column_name, column_type))
         schema = TableSchema(name, resolved)
         self.catalog.create_table(schema)
-        table = Table(schema)
-        table.on_stats_rebuild = self._on_stats_rebuild
-        self._tables[name] = table
+        self._tables[name] = Table(schema)
         self.version += 1
         self.schema_version += 1
         return schema
-
-    def _on_stats_rebuild(self):
-        """A table rebuilt its statistics: advance the stats epoch so the
-        plan cache re-costs, and count the rebuild."""
-        self.stats_epoch += 1
-        self.optimizer_stats.stats_rebuilds += 1
 
     def drop_table(self, name):
         self.catalog.drop_table(name)
@@ -149,16 +136,12 @@ class Database:
         self.indexes.add(index)
         table.attach_index(index)
         self.schema_version += 1
-        # index DDL changes both plan *shape* candidates and the NDV
-        # source the cost model prefers (an index key count is exact)
-        self.stats_epoch += 1
         return index
 
     def drop_index(self, name):
         index = self.indexes.drop(name)
         self.table(index.table_name).detach_index(index)
         self.schema_version += 1
-        self.stats_epoch += 1
 
     def table(self, name):
         """The :class:`Table` storage for ``name``.

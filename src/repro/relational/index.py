@@ -199,15 +199,14 @@ class SortedIndex:
         return self._handles[low:high].tolist()
 
     def count(self, value: Any) -> int:
-        """How many live rows hold ``value`` — the cost model's
-        cheapest cardinality probe."""
+        """How many live rows hold ``value``."""
         low, high = self._run(value)
         return high - low
 
     @property
     def key_count(self) -> int:
-        """Distinct indexed values: the exact NDV of the column's
-        non-NULL, non-NaN values."""
+        """Distinct indexed values: the column's distinct non-NULL,
+        non-NaN values."""
         return self._distinct
 
     def buckets(self) -> dict[Any, set[int]]:

@@ -9,18 +9,17 @@ the same result. This package supplies that freedom in layers:
   Limit, ...) and the ``explain()`` renderer;
 * :mod:`~repro.relational.plan.pushdown` — conjunct analysis: splitting
   a WHERE into per-table pushdown filters, hash-join keys and a residual;
-* :mod:`~repro.relational.plan.cost` — statistics-driven estimation:
-  expression totality, cardinality/selectivity, conjunct ordering, index
-  key selection and zone-prune specs for the cost-based builder path;
+* :mod:`~repro.relational.plan.cost` — expression totality and the
+  zone-map prune specs of a pushed filter;
 * :mod:`~repro.relational.plan.builder` — ``build_plan()``: AST → plan,
-  every decision statistics can inform made by the cost model;
+  from the statement text and the catalog alone;
 * :mod:`~repro.relational.plan.executor` — runs a plan's source pipeline,
   producing the scopes the (shared) projection machinery consumes;
 * :mod:`~repro.relational.plan.cache` — the per-database statement
   cache (a statement's template AST, plans and compiled programs under
   one key: its normalised text, or its root node; emptied by
-  schema/index DDL, plans also by statistics-epoch moves) and the
-  planner counters surfaced through the engine's observability bus.
+  schema/index DDL) and the planner counters surfaced through the
+  engine's observability bus.
 
 **Plan-invariance guarantee:** plans never change §4 semantics, only
 cost. Every plan produces exactly the rows, columns and touched handles
@@ -28,10 +27,9 @@ of the FROM product with the whole WHERE evaluated per combination —
 ``tests/reference/naive_select.py``, the auditable reference the
 differential suite ``tests/property/test_planner_differential.py``
 compares against (docs/semantics.md §8 states what holds for errors).
-What statistics decide — join order, conjunct order, index keys, zone
-pruning — is gated so result rows, errors and row order match the
-FROM-order plan ``tests/reference/syntactic_planner.py`` builds
-(docs/semantics.md §15).
+Zone pruning is gated so result rows, errors and row order match the
+plan without prune specs that ``tests/reference/syntactic_planner.py``
+builds (docs/semantics.md §15).
 """
 
 from typing import Any, Optional
@@ -49,7 +47,6 @@ from .nodes import (
     Plan,
     Product,
     Project,
-    RestoreOrder,
     Scan,
     SingleRow,
     Sort,
@@ -92,7 +89,6 @@ __all__ = [
     "PlannerStats",
     "Product",
     "Project",
-    "RestoreOrder",
     "Scan",
     "SingleRow",
     "Sort",

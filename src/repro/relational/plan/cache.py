@@ -18,25 +18,22 @@ condition and action, the ``execute(parse_statement(text))`` of API
 users — is keyed by the identity of its root node and keeps its
 literals.
 
-**What a binding may change.** Which rows qualify; never which plan is
-correct. A plan's correctness depends only on the catalog (PAPER.md §4
+**What a binding may change.** Which rows qualify; never the plan. A
+plan is a function of the statement text and the catalog (PAPER.md §4
 defines rule semantics over query results, not plans), so what reads a
 literal's *value* reads it from the parameter vector as the statement
 runs: index keys, zone-map prune bounds, the fused ``column op
 literal`` kernels, LIKE patterns, VALUES matrices. What reads only its
 *kind* — the totality analysis, typed kernels, hash-join kind checks —
-reads the placeholder's, which is part of the key. Plan *shape* (access
-path, conjunct order, join order) is costed with the binding that met
-the miss and serves every other (docs/semantics.md §8, §15).
+reads the placeholder's, which is part of the key (docs/semantics.md
+§8, §15).
 
 **Residency.** ``max_entries`` bounds the entries resident beside the
 pinned ones (rules and their condition views: as long-lived as their
 definition); past it the least recently used entry goes, plans and
 programs with it. ``database.schema_version`` moving (schema or index
-DDL) empties every entry's plans and programs;
-``database.stats_epoch`` moving (a table's statistics rebuilt past its
-drift threshold) empties the plans only — a replan, counted as
-``optimizer.replans``. Templates stay: they are syntax.
+DDL) empties every entry's plans and programs; nothing else does —
+table contents never enter a plan. Templates stay: they are syntax.
 
 **Threads.** The server parses before it takes the coordinator's
 operation lock, so :meth:`StatementCache.parse` runs concurrently with
@@ -183,7 +180,6 @@ class StatementCache:
         #: id(root) -> entry that is never evicted (rules)
         self._pinned: dict[int, Statement] = {}
         self._schema_version: Optional[int] = None
-        self._stats_epoch: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self._entries) + len(self._pinned)
@@ -313,39 +309,29 @@ class StatementCache:
     # -- derived state ----------------------------------------------------
 
     def _invalidate(self, database: Any, stats: Any) -> None:
-        """The catalog or the statistics moved since the derived state
-        was built: drop what no longer holds, in every entry."""
-        schema_moved = self._schema_version != database.schema_version
+        """The catalog moved since the derived state was built: drop
+        every entry's plans and programs."""
         had_plans = had_programs = False
         with self._lock:
             for entries in (self._entries, self._pinned):
                 for statement in entries.values():
                     had_plans = had_plans or bool(statement.plans)
+                    had_programs = had_programs or bool(statement.programs)
                     statement.plans.clear()
-                    if schema_moved:
-                        had_programs = had_programs or bool(
-                            statement.programs)
-                        statement.programs.clear()
-                        statement.star_items.clear()
+                    statement.programs.clear()
+                    statement.star_items.clear()
         if had_plans:
             stats.plan_cache_invalidations += 1
-            if not schema_moved:
-                # cached plans were costed against stale estimates: a
-                # "replan", distinct from the schema invalidation, which
-                # would re-plan regardless of cost
-                database.optimizer_stats.replans += 1
         if had_programs:
             database.compiler_stats.invalidations += 1
         self._schema_version = database.schema_version
-        self._stats_epoch = database.stats_epoch
 
     def plan_for(self, select: Any, database: Any, stats: Any,
                  bound: Optional[Bound] = None) -> Any:
         """The plan of one select arm of ``bound``'s statement (of
         ``select`` itself, unbound), built and kept on a miss; ``stats``
         is the :class:`PlannerStats` to count into."""
-        if (self._schema_version != database.schema_version
-                or self._stats_epoch != database.stats_epoch):
+        if self._schema_version != database.schema_version:
             self._invalidate(database, stats)
         if bound is None:
             bound = self.bound_node(select)
@@ -359,7 +345,7 @@ class StatementCache:
         from .builder import build_plan  # looked up per miss: the
         # syntactic reference planner swaps it in there
 
-        plan = plans[id(select)] = build_plan(database, select, bound.params)
+        plan = plans[id(select)] = build_plan(database, select)
         return plan
 
     def program_for(self, node: Any, layout: Any, database: Any,

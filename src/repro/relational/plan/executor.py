@@ -16,20 +16,15 @@ their scan order within each match group. That makes planned results
 *order*-identical to naive results, not merely set-identical, which is
 what the differential property test asserts.
 
-On the row path (products, restored join orders, the
-``REPRO_VECTORIZED_EVAL=0`` oracle) intermediate combinations are
-``(rows, pairs, ords)`` tuples aligned with the node's binding list;
-Scopes are only materialized at the top (and transiently for key/filter
-evaluation). ``ords`` — per-binding scan-position ordinals — are None
-unless the tree contains a
-:class:`~repro.relational.plan.nodes.RestoreOrder` node (cost-planner
-join reordering), which sorts on them to restore the FROM enumeration
-order and then drops them.
+On the row path (products, the ``REPRO_VECTORIZED_EVAL=0`` oracle)
+intermediate combinations are ``(rows, pairs)`` tuples aligned with the
+node's binding list; Scopes are only materialized at the top (and
+transiently for key/filter evaluation).
 
 The executor also writes each node's output size back onto the node
 (``actual_rows``, and a hash join's ``mode``) so EXPLAIN can report
-estimated vs. actual rows, and applies zone-map pruning
-(``Filter.prune_specs``) before running batch kernels.
+actual rows, and applies zone-map pruning (``Filter.prune_specs``)
+before running batch kernels.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ from .nodes import (
     IndexLookup,
     Plan,
     Product,
-    RestoreOrder,
     Scan,
     SingleRow,
 )
@@ -102,7 +96,6 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
     runner = _SourceRunner(
         database, resolver, evaluator, outer, collect_handles, stats
     )
-    runner.track_ordinals = _has_restore_order(source)
     if runner.vectorized:
         batched = runner.run_batch(source)
         if batched is not None:
@@ -117,7 +110,7 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
         # single-table pipeline: the combinations *are* the scanned rows
         stats.rows_visited += len(combos)
     scopes: list[Any] = []
-    for rows, pairs, _ords in combos:
+    for rows, pairs in combos:
         # typed Any: ``touched_pairs`` rides on the scope object
         scope: Any = Scope(parent=outer)
         for (name, columns), row in zip(bindings, rows):
@@ -162,21 +155,18 @@ class _SourceRunner:
         #: combinations formed by join/product nodes (None until one
         #: runs — execute_source falls back to the pipeline output)
         self.visited: Any = None
-        #: attach per-leaf scan-position ordinals to combos — only set
-        #: (by execute_source_batched) when the tree has a RestoreOrder
-        self.track_ordinals = False
 
     def run(self, node: Any) -> Any:
         """Execute ``node``; returns ``(bindings, combos)`` where combos
-        are ``(rows_tuple, pairs_tuple_or_None, ords_tuple_or_None)``
-        aligned with bindings."""
+        are ``(rows_tuple, pairs_tuple_or_None)`` aligned with
+        bindings."""
         if self.vectorized:
             batched = self.run_batch(node)
             if batched is not None:
                 bindings, batch = batched
                 return bindings, self._combos_from_batch(batch)
         if isinstance(node, SingleRow):
-            return [], [((), None, None)]
+            return [], [((), None)]
         if isinstance(node, Scan):
             return self._run_scan(node)
         if isinstance(node, IndexLookup):
@@ -187,8 +177,6 @@ class _SourceRunner:
             return self._run_hash_join(node)
         if isinstance(node, Product):
             return self._run_product(node)
-        if isinstance(node, RestoreOrder):
-            return self._run_restore_order(node)
         raise ExecutionError(
             f"cannot execute plan node {type(node).__name__}"
         )
@@ -199,8 +187,7 @@ class _SourceRunner:
         """The columnar pipeline for a batchable subtree: Scan /
         IndexLookup / Filter chains, and hash joins over them. Returns
         ``(bindings, batch)``, or None when the subtree needs the
-        row-at-a-time path (products, restored join orders, unbatchable
-        resolvers)."""
+        row-at-a-time path (products, unbatchable resolvers)."""
         if isinstance(node, Scan):
             return self._scan_batch(node)
         if isinstance(node, IndexLookup):
@@ -299,10 +286,7 @@ class _SourceRunner:
     def _hash_join_batch(self, node: Any) -> Any:
         """The columnar hash join: one key-column kernel per key
         expression on each side, then :func:`_hash_match` over the
-        selected entries. None when a side is not batchable, or when a
-        ``RestoreOrder`` above needs per-leaf ordinals."""
-        if self.track_ordinals:
-            return None
+        selected entries. None when a side is not batchable."""
         left = self.run_batch(node.left)
         if left is None:
             return None
@@ -339,12 +323,11 @@ class _SourceRunner:
 
     def _combos_from_batch(self, batch: Any) -> list[Any]:
         """Materialize the row-path combo contract from a batch (at the
-        boundary to a product or restored join order)."""
-        track = self.track_ordinals
+        boundary to a product)."""
         if isinstance(batch, JoinedBatch):
             return [
                 (batch.row_tuples(position),
-                 pairs if self.collect_handles else None, None)
+                 pairs if self.collect_handles else None)
                 for position, pairs in zip(batch.sel, entry_pairs(batch))
             ]
         label = batch.label
@@ -353,13 +336,10 @@ class _SourceRunner:
                 and label is not None:
             handles = map(batch.handles.__getitem__, batch.sel)
             return [
-                ((row,), ((label, handle),), (i,) if track else None)
-                for i, (row, handle) in enumerate(zip(rows, handles))
+                ((row,), ((label, handle),))
+                for row, handle in zip(rows, handles)
             ]
-        return [
-            ((row,), None, (i,) if track else None)
-            for i, row in enumerate(rows)
-        ]
+        return [((row,), None) for row in rows]
 
     # -- leaves -----------------------------------------------------------
 
@@ -375,13 +355,11 @@ class _SourceRunner:
                 (node.table_ref.table, handle)
                 for handle in table.iter_handles()
             ]
-        track = self.track_ordinals
         node.actual_rows = len(rows)
         return (
             [(node.binding, columns)],
             [
-                ((row,), ((pairs[i],) if pairs is not None else None),
-                 (i,) if track else None)
+                ((row,), ((pairs[i],) if pairs is not None else None))
                 for i, row in enumerate(rows)
             ],
         )
@@ -400,13 +378,12 @@ class _SourceRunner:
         if self.stats is not None:
             self.stats.rows_scanned += len(handles)
         columns = table.schema.column_names
-        track = self.track_ordinals
         combos: list[Any] = []
-        for i, (handle, row) in enumerate(zip(handles, rows)):
+        for handle, row in zip(handles, rows):
             pair: Any = None
             if self.collect_handles:
                 pair = ((node.table_ref.table, handle),)
-            combos.append(((row,), pair, (i,) if track else None))
+            combos.append(((row,), pair))
         node.actual_rows = len(combos)
         return [(node.binding, columns)], combos
 
@@ -500,25 +477,6 @@ class _SourceRunner:
         node.actual_rows = len(joined)
         return left_bindings + right_bindings, joined
 
-    def _run_restore_order(self, node: Any) -> Any:
-        """Sort a reordered join's output back into FROM enumeration
-        order and permute each combination's rows to FROM layout. Not a
-        visit — no new combinations are formed, so nothing is counted."""
-        bindings, combos = self.run(node.child)
-        positions = node.positions
-        combos.sort(key=lambda combo: tuple(combo[2][p] for p in positions))
-        restored: list[Any] = []
-        for rows, pairs, _ords in combos:
-            restored.append((
-                tuple(rows[p] for p in positions),
-                None if pairs is None else tuple(
-                    pairs[p] for p in positions
-                ),
-                None,  # ordinals are spent; nothing above re-sorts
-            ))
-        node.actual_rows = len(restored)
-        return [bindings[p] for p in positions], restored
-
     def _count_visited(self, count: int) -> None:
         if self.visited is None:
             self.visited = 0
@@ -585,9 +543,11 @@ def _hash_match(left: Any, left_keys: Any, right: Any, right_keys: Any,
     entry's key values (right ones all consumed before the first left
     one). Key parts are tagged by kind, so Python's cross-kind
     equalities like ``True == 1`` cannot produce matches SQL comparison
-    would reject; a NULL component never joins; and every probe value
-    meets ``check_kinds`` against the right side's kind witnesses — the
-    comparison error the naive product would raise."""
+    would reject; a NULL or NaN component never joins (NaN equals
+    nothing, itself included — a dict lookup would match one NaN
+    object to itself); and every probe value meets ``check_kinds``
+    against the right side's kind witnesses — the comparison error the
+    naive product would raise."""
     # key -> its first right entry, and -> the later ones (only for keys
     # seen twice: most build sides are unique on the key)
     heads: dict[Any, Any] = {}
@@ -600,7 +560,8 @@ def _hash_match(left: Any, left_keys: Any, right: Any, right_keys: Any,
                 continue
             tag = _KIND_TAGS.get(type(value), "?")
             witnesses[position].setdefault(tag, value)
-            parts.append((tag, value))
+            if value == value:
+                parts.append((tag, value))
         if len(parts) != arity:
             continue
         key = parts[0] if arity == 1 else tuple(parts)
@@ -618,7 +579,8 @@ def _hash_match(left: Any, left_keys: Any, right: Any, right_keys: Any,
             if value is None:
                 continue
             check_kinds(value, witnesses[position])
-            parts.append((_KIND_TAGS.get(type(value), "?"), value))
+            if value == value:
+                parts.append((_KIND_TAGS.get(type(value), "?"), value))
         if len(parts) != arity:
             continue
         key = parts[0] if arity == 1 else tuple(parts)
@@ -646,34 +608,13 @@ def _slots_at(batch: Any, entries: list[Any]) -> tuple[Any, ...]:
                  for slots in batch.slots)
 
 
-def _merge(left: Any, right: Any) -> tuple[Any, Any, Any]:
-    left_rows, left_pairs, left_ords = left
-    right_rows, right_pairs, right_ords = right
+def _merge(left: Any, right: Any) -> tuple[Any, Any]:
+    left_rows, left_pairs = left
+    right_rows, right_pairs = right
     rows = left_rows + right_rows
     if left_pairs is None and right_pairs is None:
-        pairs = None
-    else:
-        pairs = (left_pairs or (None,) * len(left_rows)) + (
-            right_pairs or (None,) * len(right_rows)
-        )
-    if left_ords is None or right_ords is None:
-        ords = None
-    else:
-        ords = left_ords + right_ords
-    return rows, pairs, ords
+        return rows, None
+    return rows, (left_pairs or (None,) * len(left_rows)) + (
+        right_pairs or (None,) * len(right_rows)
+    )
 
-
-def _has_restore_order(node: Any) -> bool:
-    """Does the source tree contain a RestoreOrder node? Decides whether
-    leaves must attach scan-position ordinals to their combos."""
-    while True:
-        if isinstance(node, RestoreOrder):
-            return True
-        if isinstance(node, Filter):
-            node = node.child
-            continue
-        if isinstance(node, (HashJoin, Product)):
-            return _has_restore_order(node.left) or _has_restore_order(
-                node.right
-            )
-        return False

@@ -42,17 +42,14 @@ class SingleRow:
 class Scan:
     """Full scan of one FROM item (base *or* transition table).
 
-    ``est_rows`` (here and on every source node) is the cost model's
-    plan-time cardinality estimate (None on a node built without one);
-    ``actual_rows`` is the node's output size from its most recent
-    execution, written by the executor so EXPLAIN can show estimated
-    vs. actual rows per node.
+    ``actual_rows`` (here and on every source node but ``SingleRow``)
+    is the node's output size from its most recent execution, written
+    by the executor so EXPLAIN can show it per node.
     """
 
     table_ref: Any             # ast.BaseTableRef | ast.TransitionTableRef
     binding: str               # the name the table is bound as
     columns: tuple             # column names (from the schema at plan time)
-    est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
 
     @property
@@ -76,7 +73,6 @@ class IndexLookup:
     binding: str
     columns: tuple
     keys: tuple                # of (index_name, column, operand)
-    est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
 
     @property
@@ -96,12 +92,11 @@ class Filter:
     child: Any
     predicates: tuple          # of Expression (implicitly AND-ed)
     residual: bool = False     # True for the top-level residual filter
-    #: zone-map prune specs ``(column_position, op, operand)`` from the
-    #: cost model (see repro.relational.plan.cost.prune_specs); the
+    #: zone-map prune specs ``(column_position, op, operand)`` (see
+    #: repro.relational.plan.cost.prune_specs); the
     #: vectorized executor skips whole storage zones that cannot satisfy
     #: them before running any kernel
     prune_specs: tuple = ()
-    est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
 
     @property
@@ -125,7 +120,6 @@ class HashJoin:
     right: Any
     left_keys: tuple           # of Expression, evaluated against left
     right_keys: tuple          # of Expression, evaluated against right
-    est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
     #: how the last execution ran: ``"columnar"`` or ``"row"``
     mode: Optional[str] = None
@@ -141,40 +135,11 @@ class Product:
 
     left: Any
     right: Any
-    est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
 
     @property
     def bindings(self) -> tuple[str, ...]:
         return self.left.bindings + self.right.bindings
-
-
-@dataclass
-class RestoreOrder:
-    """Re-sort a reordered join's output into FROM enumeration order.
-
-    The cost planner may join leaves in a cheaper order than the FROM
-    clause's; this node restores the naive nested-loop enumeration
-    order so results stay *order*-identical to the syntactic plan's.
-    Each leaf attaches its rows' scan positions as ordinals; this node
-    sorts the combined ordinal tuples by FROM position and permutes
-    each combination's rows back into FROM order.
-
-    ``positions[k]`` is the index, in the child's binding order, of the
-    FROM clause's k-th binding. It sits *below* the residual filter, so
-    residual conjuncts (the ones totality could not clear) evaluate in
-    exactly the naive combination order — same first error.
-    """
-
-    child: Any
-    positions: tuple           # FROM position -> child binding position
-    est_rows: Optional[float] = None
-    actual_rows: Optional[int] = None
-
-    @property
-    def bindings(self) -> tuple[str, ...]:
-        child_bindings = self.child.bindings
-        return tuple(child_bindings[p] for p in self.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +243,6 @@ def _describe(node: Any, params: Sequence[Any]) -> str:
         return f"HashJoin ({keys})"
     if isinstance(node, Product):
         return "Product"
-    if isinstance(node, RestoreOrder):
-        return "RestoreOrder [" + ", ".join(node.bindings) + "]"
     if isinstance(node, SingleRow):
         return "SingleRow"
     if isinstance(node, Project):
@@ -307,17 +270,14 @@ def _describe(node: Any, params: Sequence[Any]) -> str:
 
 
 def _annotation(node: Any) -> str:
-    """The ``  (est=..., act=...)`` suffix for nodes carrying a
-    cost-model estimate, followed by how a join or grouping last ran
-    (``columnar``, ``row``, ``GroupScope``); empty for nodes with
-    neither (the rest of the result chain, the residual filter,
-    ``SingleRow``)."""
+    """The ``  (act=...)`` suffix of a source node — ``?`` until it has
+    run — followed by how a join or grouping last ran (``columnar``,
+    ``row``, ``GroupScope``); empty for nodes with neither (the rest of
+    the result chain, ``SingleRow``)."""
     parts: list[str] = []
-    est = getattr(node, "est_rows", None)
-    if est is not None:
-        act = getattr(node, "actual_rows", None)
-        act_text = "?" if act is None else str(act)
-        parts += [f"est={int(round(est))}", f"act={act_text}"]
+    if hasattr(node, "actual_rows"):
+        act = node.actual_rows
+        parts.append(f"act={'?' if act is None else act}")
     mode = getattr(node, "mode", None)
     if mode is not None:
         parts.append(mode)
@@ -327,9 +287,7 @@ def _annotation(node: Any) -> str:
 def _children(node: Any) -> tuple[Any, ...]:
     if isinstance(node, (HashJoin, Product)):
         return (node.left, node.right)
-    if isinstance(node, (Filter, RestoreOrder)):
-        return (node.child,)
-    if isinstance(node, (Distinct, Sort, Limit)):
+    if isinstance(node, (Filter, Distinct, Sort, Limit)):
         return (node.child,)
     if isinstance(node, (Project, Aggregate)):
         return (node.source,)

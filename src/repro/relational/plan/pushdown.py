@@ -58,8 +58,8 @@ def _prunable_triple(conjunct: ast.Expression, binding_names: Any,
     ``operand`` is the literal or parameter node:
     :func:`repro.sql.params.constant` gives its value under a binding.
 
-    Shared by the indexable-equality computation, the cost model's
-    selectivity estimator, and zone-map prune-spec extraction.
+    Shared by the indexable-equality computation and zone-map
+    prune-spec extraction.
     """
     if not isinstance(conjunct, ast.BinaryOp):
         return None

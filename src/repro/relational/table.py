@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import compress, islice
 from operator import lt
 from typing import Any, NoReturn
@@ -90,15 +90,11 @@ class Table:
         #: how many inserts had to merge rows in below the largest
         #: stored handle (their slots were compacted away)
         self.merge_inserts = 0
-        #: live statistics + zone maps (see repro.relational.stats),
-        #: folded by the three set mutators — exactly like the indexes, so
-        #: undo and replay keep them consistent. Widen-only fields are
-        #: recomputed by :meth:`rebuild_stats` at compaction, at a merge
-        #: insert, or once delete/replace drift passes the table's size.
+        #: zone maps (see repro.relational.stats), folded by the three
+        #: set mutators — exactly like the indexes, so undo and replay
+        #: keep them sound. The widen-only bounds are recomputed by
+        #: :meth:`rebuild_stats` at compaction and at a merge insert.
         self.stats = TableStats(schema.arity)
-        #: called after every stats rebuild; the owning Database points
-        #: this at its stats-epoch bump so cached plans re-cost
-        self.on_stats_rebuild: Callable[[], None] | None = None
 
     def __len__(self) -> int:
         return len(self._handles) - self._dead
@@ -315,12 +311,12 @@ class Table:
     #
     # Every physical change is one of three set operations over distinct
     # handles. Each validates first — it applies completely or raises
-    # before touching storage — then writes storage and folds the
-    # statistics and every attached index once per value vector. The
-    # per-tuple tests that bound dead slots and statistics drift are
-    # applied where a tuple-at-a-time loop would have applied them, so a
-    # set leaves exactly the storage, statistics and indexes that its
-    # tuples, written one after another, would leave.
+    # before touching storage — then writes storage and folds the zone
+    # maps and every attached index once per value vector. The per-tuple
+    # test that bounds dead slots is applied where a tuple-at-a-time
+    # loop would have applied it, so a set leaves exactly the storage,
+    # zone maps and indexes that its tuples, written one after another,
+    # would leave.
 
     def insert_columns(self, handles: Sequence[int],
                        columns: Sequence[Sequence[Any]]) -> None:
@@ -394,7 +390,7 @@ class Table:
 
     def _merge(self, new: list[int], added: list[list[Any]]) -> None:
         """Merge rows under the ascending handles ``new`` (none of them
-        stored) into place, renumbering slots; statistics and zones are
+        stored) into place, renumbering slots; the zone maps are
         then rebuilt exactly from storage."""
         self.merge_inserts += 1
         merged = self._handles.tolist() + new
@@ -428,22 +424,20 @@ class Table:
             slots = self.locate(handles)
         rows = gather_rows(self._cols, slots)
         self.mutations += 1
-        stats = self.stats
         total = len(handles)
         done = 0
         while done < total:
-            # as many tuples as leave the compaction and drift tests,
-            # applied after each tuple, false until the last of them
+            # as many tuples as leave the compaction test, applied after
+            # each tuple, false until the last of them
             until_compact = max(
                 _COMPACT_MIN_DEAD, (len(self._handles) + 1) // 2
             ) - self._dead
-            stop = done + max(1, min(until_compact, stats.until_rebuild()))
+            stop = done + max(1, until_compact)
             part, part_rows = handles[done:stop], rows[done:stop]
             valid = self._valid
             for slot in slots[done:stop]:
                 valid[slot] = 0
             self._dead += len(part)
-            stats.on_delete(part_rows)
             for index in self.indexes:
                 position = index.position
                 index.delete_many(part, [row[position] for row in part_rows])
@@ -454,8 +448,6 @@ class Table:
             ):
                 self.compact()
                 slots = slots[:done] + self.locate(handles[done:])
-            elif stats.should_rebuild():
-                self.rebuild_stats()
         return rows
 
     def assign_columns(self, handles: Sequence[int], positions: Sequence[int],
@@ -470,28 +462,15 @@ class Table:
         cols = self._cols
         old_rows = gather_rows(cols, slots)
         self.mutations += 1
-        stats = self.stats
-        total = len(slots)
-        done = 0
-        while done < total:
-            # as many tuples as leave the drift test false until the last
-            stop = done + max(1, stats.until_rebuild())
-            part = slots[done:stop]
-            assigned = []
-            for position, values in zip(positions, vectors):
-                column = cols[position]
-                new = values[done:stop]
-                old = list(map(column.__getitem__, part))
-                assigned.append((position, old, new))
-                for slot, value in zip(part, new):
-                    column[slot] = value
-                for index in self.indexes:
-                    if index.position == position:
-                        index.assign_many(handles[done:stop], old, new)
-            stats.on_assign(part, assigned)
-            done = stop
-            if stats.should_rebuild():
-                self.rebuild_stats()
+        for position, values in zip(positions, vectors):
+            column = cols[position]
+            for index in self.indexes:
+                if index.position == position:
+                    index.assign_many(
+                        handles, list(map(column.__getitem__, slots)), values)
+            for slot, value in zip(slots, values):
+                column[slot] = value
+        self.stats.on_assign(slots, zip(positions, vectors))
         return old_rows
 
     def insert_rows(self, handles: Sequence[int],
@@ -544,17 +523,13 @@ class Table:
         reclaimed = self._dead
         self._dead = 0
         self.compactions += 1
-        # slots were renumbered: the zone maps (slot-aligned) and the
-        # widen-only column stats are both rebuilt exactly
+        # slots were renumbered: the (slot-aligned) zone maps are rebuilt
         self.rebuild_stats()
         return reclaimed
 
     def rebuild_stats(self) -> None:
-        """Recompute statistics and zone maps exactly from storage and
-        notify the owning database (which bumps its stats epoch)."""
+        """Recompute the zone maps exactly from storage."""
         self.stats.rebuild(self._cols, self._live_slots())
-        if self.on_stats_rebuild is not None:
-            self.on_stats_rebuild()
 
     # -- snapshots / indexes ----------------------------------------------
 

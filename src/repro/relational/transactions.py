@@ -13,7 +13,7 @@ The unit of the log is the unit of change: one record per set mutation
 (``rows`` is None), ``"delete"`` (the deleted rows) or ``"update"`` (the
 rows as they were), ``handles`` and ``rows`` aligned. A record is
 reverted newest tuple first through the table's own set mutators, so
-statistics and indexes follow. Reverting a delete revives the deleted
+zone maps and indexes follow. Reverting a delete revives the deleted
 tuples' tombstoned slots in place (see :mod:`repro.relational.table`),
 so a rolled-back table reads in the order it had in S0 — the ascending
 handle order crash recovery rebuilds too.

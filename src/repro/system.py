@@ -193,8 +193,8 @@ class ActiveDatabase:
 
         Also reachable as the ``explain <select>`` statement. The plan is
         the one execution will run — EXPLAIN warms the plan cache — and
-        its source nodes carry ``(est=, act=)``: the cost model's
-        estimate and the node's output size at its last execution.
+        its source nodes carry ``(act=)``: the node's output size at its
+        last execution.
         """
         from .relational.plan import explain_select
 

@@ -87,18 +87,18 @@ class TestExecution:
         db.query(select)
         assert db.database.planner_stats.plan_cache_hits == hits_after_explain + 1
 
-    def test_estimate_annotation_format(self, db):
-        """Format-pinning for the est/act annotations: two spaces, then
-        ``(est=<int>, act=<int|?>)`` — ``?`` until the node has run."""
+    def test_actual_rows_annotation_format(self, db):
+        """Format-pinning for the act annotations: two spaces, then
+        ``(act=<int|?>)`` — ``?`` until the node has run — and no
+        estimate."""
         sql = "select name from emp where salary > 50000"
         text = db.explain(sql)
-        assert "Scan emp  (est=2, act=?)" in text
+        assert "Scan emp  (act=?)" in text
         db.query(sql)
         text = db.explain(sql)
-        assert "Scan emp  (est=2, act=2)" in text
-        # 2 rows, salary spans 40000..90000: > 50000 interpolates to
-        # est 1.6, rendered rounded; only Jane actually qualifies
-        assert "Filter: salary > 50000  (est=2, act=1)" in text
+        assert "Scan emp  (act=2)" in text
+        assert "Filter: salary > 50000  (act=1)" in text
+        assert "est=" not in text
 
     def test_paper_section3_rule_condition_plan(self, db):
         """The README example: the condition of a §3-style rule joining a

@@ -20,8 +20,10 @@ errors* whenever every WHERE conjunct is total by
 named regression cases.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import ActiveDatabase
 from repro.relational.compiled import vectorized_enabled
@@ -295,15 +297,23 @@ def grouped_queries(one_columns, two_columns, join, keys):
     return draw_query()
 
 
+#: the float values the typed tables draw beside ordinary ones: ±0.0,
+#: ±inf and NaN — one shared NaN object, which a lookup that tries
+#: ``is`` before ``==`` would match to itself, and fresh ones
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+    st.builds(float, st.just("nan")),
+)
 #: the typed tables: integer, float and varchar columns, NULLs in all
 TYPED_ROWS_1 = st.lists(st.tuples(
     st.one_of(st.none(), st.integers(-2, 2)),
-    st.one_of(st.none(), st.sampled_from([0.1, 0.2, 0.7, 1e16, -0.0, 3.0])),
+    st.one_of(st.none(), st.sampled_from([0.1, 0.2, 0.7, 1e16, -0.0, 3.0]),
+              SPECIAL_FLOATS),
     st.one_of(st.none(), st.sampled_from(["p", "q", "r"])),
 ), max_size=8)
 TYPED_ROWS_2 = st.lists(st.tuples(
     st.one_of(st.none(), st.integers(-2, 2)),
-    st.one_of(st.none(), st.sampled_from([0.1, 0.3, 2.5])),
+    st.one_of(st.none(), st.sampled_from([0.1, 0.3, 2.5]), SPECIAL_FLOATS),
 ), max_size=6)
 TYPED_KEYS = ["x.a", "x.s", "x.f", "x.a + 1"]
 #: aggregate arguments whose evaluation is total but whose reduction
@@ -423,6 +433,27 @@ class TestAggregateEquivalence:
         assert planned == naive == ("ok", ["v", "col2"],
                                     [(10, 1), (20, 1)],
                                     [("t1", 1), ("t1", 2)])
+
+
+class TestFloatJoinKeys:
+    """Hash joins on FLOAT keys — NaN, ±0.0 and ±inf among them — match
+    exactly the pairs the reference's comparisons match, on the
+    columnar and on the row join."""
+
+    @given(TYPED_ROWS_1, TYPED_ROWS_2, st.booleans(),
+           st.sampled_from(["x.f = y.g", "x.f = y.g and x.a = y.a",
+                            "y.g = x.f and x.a > 0"]))
+    @example([(1, math.nan, "p"), (2, -0.0, "q")],
+             [(1, math.nan), (2, 0.0)], True, "x.f = y.g")
+    @example([(1, math.nan, "p")], [(1, math.nan)], False, "x.f = y.g")
+    @settings(max_examples=100, deadline=None)
+    def test_float_keys_join_like_the_reference(self, rows1, rows2,
+                                                vectorized, where):
+        db = typed_tables(rows1, rows2)
+        db.enable_vectorized_eval = vectorized
+        _, planned, naive = both_outcomes(
+            db, f"select x.a, x.f, y.g from t1 x, t2 y where {where}")
+        assert bits(planned) == bits(naive), where
 
 
 class TestRuleConditionAggregates:

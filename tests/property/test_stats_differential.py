@@ -1,14 +1,12 @@
-"""Property test: incrementally-folded table statistics agree with a
+"""Property test: incrementally-folded zone maps agree with a
 from-scratch recompute after arbitrary DML, rule cascades, aborts (undo
 replays through the same mutators) and compaction.
 
-The contract (see repro.relational.stats): ``row_count`` and per-column
-``nulls`` are exact at all times; ``min``/``max`` bracket the live
-extrema (widen-only); un-saturated NDV is an upper bound on the live
-distinct count; every zone's bounds cover every live non-NULL value in
-it, and a ``None`` zone minimum proves the zone holds no live non-NULL
-value (the soundness condition zone pruning relies on). After a forced
-rebuild the statistics equal a recompute from storage exactly.
+The contract (see repro.relational.stats): every zone's bounds cover
+every live non-NULL value in it, and a ``None`` zone minimum proves the
+zone holds no live non-NULL value (the soundness condition zone pruning
+relies on). After a forced rebuild the zones equal a recompute from
+storage exactly.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -61,20 +59,8 @@ def build():
 
 
 def check_invariants(table):
-    live = table.rows()
     stats = table.stats
     arity = table.schema.arity
-    assert stats.row_count == len(live)
-    for position in range(arity):
-        column = [row[position] for row in live]
-        non_null = [value for value in column if value is not None]
-        column_stats = stats.column(position)
-        assert column_stats.nulls == len(column) - len(non_null)
-        if non_null:
-            assert column_stats.minimum <= min(non_null)
-            assert column_stats.maximum >= max(non_null)
-        if not column_stats.saturated:
-            assert column_stats.ndv(len(non_null)) >= len(set(non_null))
     # zone soundness: every live non-NULL value is covered by its zone's
     # bounds, and a None minimum proves the zone empty of such values
     batch = table.batch()
@@ -95,7 +81,6 @@ def check_rebuild_equals_recompute(table):
     batch = table.batch()
     fresh.rebuild(batch.cols, batch.sel)
     table.rebuild_stats()
-    assert table.stats.snapshot() == fresh.snapshot()
     assert table.stats.zones == fresh.zones
 
 
@@ -108,7 +93,7 @@ class TestStatsDifferential:
             try:
                 db.execute(block)
             except Exception:
-                pass  # vetoed transactions roll back; stats must survive
+                pass  # vetoed transactions roll back; zones must survive
             for name in ("t", "log"):
                 check_invariants(db.database.table(name))
         for name in ("t", "log"):
@@ -133,7 +118,6 @@ class TestStatsDifferential:
     def test_explicit_abort_replays_stats(self, blocks):
         db = build()
         db.execute("insert into t values (1, 'base')")
-        before = db.database.table("t").stats.snapshot()
         db.begin()
         for block in blocks:
             try:
@@ -141,13 +125,8 @@ class TestStatsDifferential:
             except Exception:
                 pass
         db.rollback()
-        after = db.database.table("t").stats.snapshot()
-        # exact counters return to the pre-transaction baseline; the
-        # widen-only fields (min/max/ndv, drift) may keep the aborted
-        # work's widening — they only promise to bracket
-        assert after["row_count"] == before["row_count"]
-        assert [column["nulls"] for column in after["columns"]] == [
-            column["nulls"] for column in before["columns"]
-        ]
+        # the widen-only zones may keep the aborted work's widening —
+        # they only promise to cover
+        assert db.database.table("t").rows() == [(1, "base")]
         check_invariants(db.database.table("t"))
         check_rebuild_equals_recompute(db.database.table("t"))

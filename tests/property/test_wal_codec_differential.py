@@ -250,7 +250,8 @@ def rebuilt_stats(db):
     for name in TABLES:
         table = db.database.table(name)
         table.rebuild_stats()
-        snapshots[name] = table.stats.snapshot()
+        snapshots[name] = [(list(mins), list(maxs))
+                           for mins, maxs in table.stats.zones]
     return snapshots
 
 

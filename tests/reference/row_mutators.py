@@ -5,23 +5,23 @@ row tuple per slot — and written one tuple at a time.
 Test-only. ``tests/property/test_storage_differential.py`` holds the
 production set mutators (:mod:`repro.relational.database` /
 :mod:`repro.relational.table`) to this model: the same handles, scan
-order, slots and tombstones, rows and column vectors, statistics, zone
-maps, index buckets, compaction points and statistics rebuilds, however
-a workload is cut into sets. Nothing here calls the storage under test —
-the model keeps its own tables, statistics, indexes, handle counter and
-undo log, and borrows only the schema layer's value coercion and the
-storage constants (zone size, compaction and drift thresholds).
+order, slots and tombstones, rows and column vectors, zone maps, index
+buckets and compaction points, however a workload is cut into sets.
+Nothing here calls the storage under test — the model keeps its own
+tables, zone maps, indexes, handle counter and undo log, and borrows
+only the schema layer's value coercion and the storage constants (zone
+size, compaction threshold).
 
 The write paths are the seed's ``Table.insert`` / ``delete`` /
-``replace`` / ``compact`` and ``TableStats.on_insert`` / ``on_delete``
-/ ``on_replace`` / ``rebuild``, tuple by tuple. Undo follows the
+``replace`` / ``compact`` and the zone folds of ``TableStats``, tuple
+by tuple. Undo follows the
 storage contract of :mod:`repro.relational.table` — a table's scan
 order is ascending handle order: undoing a delete puts each tuple back
 at its handle's ordered position, reviving its tombstoned slot when
 there is one. When a slot is gone (compacted away) and the handle lies
 below the largest stored one, the undo of that set is a *merge insert*,
-which rebuilds the statistics exactly from storage once the set is
-back; otherwise the restored tuples widen the zones of their slots.
+which rebuilds the zones exactly from storage once the set is back;
+otherwise the restored tuples widen the zones of their slots.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from math import inf
 
 from repro.errors import ExecutionError, TransactionError
 from repro.relational.schema import Column, TableSchema
-from repro.relational.stats import (
-    DISTINCT_CAP,
-    REBUILD_MIN_DRIFT,
-    ZONE_SHIFT,
-)
+from repro.relational.stats import ZONE_SHIFT
 from repro.relational.types import SqlType
 
 _COMPACT_MIN_DEAD = 64
@@ -48,57 +44,14 @@ def span(value):
 
 
 # ---------------------------------------------------------------------------
-# statistics
-
-
-class ColumnModel:
-    """Widen-only summary of one column (``ColumnStats``' fields)."""
-
-    def __init__(self):
-        self.minimum = None
-        self.maximum = None
-        self.nulls = 0
-        self.distinct = set()
-        self.saturated = False
-
-    def observe(self, value):
-        if value is None:
-            self.nulls += 1
-            return
-        low, high = span(value)
-        if self.minimum is None:
-            self.minimum = low
-            self.maximum = high
-        else:
-            if low < self.minimum:
-                self.minimum = low
-            if high > self.maximum:
-                self.maximum = high
-        if not self.saturated:
-            self.distinct.add(value)
-            if len(self.distinct) >= DISTINCT_CAP:
-                self.saturated = True
-
-    def forget(self, value):
-        """A deletion: only the exact counters can shrink."""
-        if value is None:
-            self.nulls -= 1
-
-    def ndv(self, non_null_rows):
-        if not self.saturated:
-            return len(self.distinct)
-        return max(DISTINCT_CAP, non_null_rows)
+# zone maps
 
 
 class StatsModel:
-    """Row count, column summaries, per-zone ``(mins, maxs)`` and drift."""
+    """Per-column, per-zone ``(mins, maxs)``."""
 
     def __init__(self, arity):
-        self.row_count = 0
-        self.columns = tuple(ColumnModel() for _ in range(arity))
         self.zones = tuple(([], []) for _ in range(arity))
-        self.drift = 0
-        self.rows_at_rebuild = 0
 
     def widen(self, slot, row):
         """Make the zone of ``slot`` cover ``row``'s values."""
@@ -118,49 +71,9 @@ class StatsModel:
                 if low is None or highest > maxs[zone]:
                     maxs[zone] = highest
 
-    def observe(self, row):
-        self.row_count += 1
-        for column, value in zip(self.columns, row):
-            column.observe(value)
-
-    def on_insert(self, slot, row):
-        self.widen(slot, row)
-        self.observe(row)
-
-    def on_delete(self, row):
-        self.row_count -= 1
-        self.drift += 1
-        for column, value in zip(self.columns, row):
-            column.forget(value)
-
-    def on_replace(self, slot, old_row, new_row):
-        self.drift += 1
-        zone = slot >> ZONE_SHIFT
-        for column, (mins, maxs), old, new in zip(
-            self.columns, self.zones, old_row, new_row
-        ):
-            column.forget(old)
-            if new is not None:
-                if zone >= len(mins):
-                    pad = zone + 1 - len(mins)
-                    mins.extend([None] * pad)
-                    maxs.extend([None] * pad)
-                low = mins[zone]
-                lowest, highest = span(new)
-                if low is None or lowest < low:
-                    mins[zone] = lowest
-                if low is None or highest > maxs[zone]:
-                    maxs[zone] = highest
-            column.observe(new)
-
-    def should_rebuild(self):
-        return self.drift >= max(REBUILD_MIN_DRIFT, self.rows_at_rebuild)
-
     def rebuild(self, arity, live):
-        """Recompute everything from ``live``, ``(slot, row)`` pairs in
+        """Recompute every zone from ``live``, ``(slot, row)`` pairs in
         slot order."""
-        self.row_count = 0
-        self.columns = tuple(ColumnModel() for _ in range(arity))
         self.zones = tuple(([], []) for _ in range(arity))
         if live:
             top = (live[-1][0] >> ZONE_SHIFT) + 1
@@ -169,9 +82,6 @@ class StatsModel:
                 maxs.extend([None] * top)
         for slot, row in live:
             self.widen(slot, row)
-            self.observe(row)
-        self.drift = 0
-        self.rows_at_rebuild = self.row_count
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +119,7 @@ class TableModel:
     """One table: ``live`` maps handle → slot; per slot its handle, its
     row tuple and whether it is live."""
 
-    def __init__(self, owner, schema):
-        self.owner = owner
+    def __init__(self, schema):
         self.schema = schema
         self.live = {}
         self.slot_handles = []
@@ -232,7 +141,7 @@ class TableModel:
         self.tuples.append(row)
         self.valid.append(True)
         self.live[handle] = slot
-        self.stats.on_insert(slot, row)
+        self.stats.widen(slot, row)
         for index in self.indexes:
             index.insert(handle, row)
 
@@ -244,14 +153,11 @@ class TableModel:
         row = self.tuples[slot]
         self.valid[slot] = False
         self.dead += 1
-        self.stats.on_delete(row)
         for index in self.indexes:
             index.delete(handle, row)
         if (self.dead >= _COMPACT_MIN_DEAD
                 and self.dead * 2 >= len(self.slot_handles)):
             self.compact()
-        elif self.stats.should_rebuild():
-            self.rebuild_stats()
         return row
 
     def replace(self, handle, row):
@@ -261,11 +167,9 @@ class TableModel:
                 f"handle {handle} is not live in table {self.schema.name!r}")
         old = self.tuples[slot]
         self.tuples[slot] = row
-        self.stats.on_replace(slot, old, row)
+        self.stats.widen(slot, row)
         for index in self.indexes:
             index.replace(handle, old, row)
-        if self.stats.should_rebuild():
-            self.rebuild_stats()
         return old
 
     def restore(self, entries):
@@ -286,7 +190,6 @@ class TableModel:
                 self.slot_handles.insert(position, handle)
                 self.tuples.insert(position, row)
                 self.valid.insert(position, True)
-            self.stats.observe(row)
             for index in self.indexes:
                 index.insert(handle, row)
         self.live = {
@@ -315,8 +218,6 @@ class TableModel:
         self.stats.rebuild(self.schema.arity, [
             (slot, self.tuples[slot]) for slot in sorted(self.live.values())
         ])
-        self.owner.stats_rebuilds += 1
-        self.owner.stats_epoch += 1
 
     # -- what the production side is compared on ------------------------------
 
@@ -329,7 +230,6 @@ class TableModel:
         return [row for row, valid in zip(self.tuples, self.valid) if valid]
 
     def observed(self):
-        stats = self.stats
         rows = self.rows()
         return {
             "handles": self.handles(),
@@ -342,15 +242,6 @@ class TableModel:
             "tombstones": self.dead,
             "compactions": self.compactions,
             "merge_inserts": self.merge_inserts,
-            "row_count": stats.row_count,
-            "drift": stats.drift,
-            "rows_at_rebuild": stats.rows_at_rebuild,
-            "columns": [
-                (column.minimum, column.maximum, column.nulls,
-                 set(column.distinct), column.saturated,
-                 column.ndv(stats.row_count - column.nulls))
-                for column in stats.columns
-            ],
             "indexes": {index.name: {value: set(bucket) for value, bucket
                                      in index.buckets.items()}
                         for index in self.indexes},
@@ -369,8 +260,6 @@ class ModelDatabase:
     def __init__(self):
         self.tables = {}
         self.issued_count = 0
-        self.stats_rebuilds = 0
-        self.stats_epoch = 0
         self._log = None  # None = no active transaction
 
     def create_table(self, name, columns):
@@ -378,7 +267,7 @@ class ModelDatabase:
             Column(column, SqlType.from_name(type_name))
             for column, type_name in columns
         ])
-        self.tables[name] = TableModel(self, schema)
+        self.tables[name] = TableModel(schema)
 
     def create_index(self, name, table_name, column):
         table = self.tables[table_name]
@@ -386,7 +275,6 @@ class ModelDatabase:
         for handle, slot in table.live.items():
             index.insert(handle, table.tuples[slot])
         table.indexes.append(index)
-        self.stats_epoch += 1
 
     def table(self, name):
         return self.tables[name]

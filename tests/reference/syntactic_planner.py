@@ -1,22 +1,21 @@
-"""Reference planner: the plan statistics may never change the result of.
+"""Reference planner: the plan zone pruning may never change the result of.
 
 :func:`build_plan` makes every decision from the query text and the
 catalog alone — FROM items joined left to right in FROM order, pushed
 and residual conjuncts kept in written order, *every* usable index key
-intersected, no zone-map prune specs, no estimates — and
-:func:`order_condition` leaves a rule condition as written. Built from
-the public plan-node constructors and ``classify_where``, so the only
-thing it shares with ``repro.relational.plan.builder`` is the conjunct
+intersected — and attaches no zone-map prune specs. Built from the
+public plan-node constructors and ``classify_where``, so the only thing
+it shares with ``repro.relational.plan.builder`` is the conjunct
 classification both start from.
 
-Test-only: it left ``src/`` together with the switch that selected it.
-:func:`installed` swaps both functions in where the plan cache and the
-engine look them up; ``tests/property/test_cost_planner_differential.py``
-requires the production planner to agree with it on values, row order,
-touched handles, error type *and message*, fired-rule sequences and
-final state (docs/semantics.md §15). It is a different plan from the
-naive reference (``naive_select.py``): what the two may disagree on is
-§8's subject, not §15's.
+Test-only. :func:`installed` swaps it in where the plan cache looks the
+builder up; ``tests/property/test_cost_planner_differential.py``
+requires the production planner to build the same source tree but for
+prune specs, and to agree with it on values, row order, touched
+handles, error type *and message*, fired-rule sequences and final state
+(docs/semantics.md §15). It is a different plan from the naive
+reference (``naive_select.py``): what the two may disagree on is §8's
+subject, not §15's.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.errors import ExecutionError
-from repro.relational.plan import builder, cost
+from repro.relational.plan import builder
 from repro.relational.plan.nodes import (
     Filter,
     HashJoin,
@@ -38,9 +37,7 @@ from repro.relational.plan.pushdown import _indexable_pair, classify_where
 from repro.sql import ast
 
 
-def build_plan(database, select, params=()):
-    # ``params`` would only feed estimates, and there are none here:
-    # index keys hold the literal or parameter node either way
+def build_plan(database, select):
     binding_columns = {}
     for table_ref in select.tables:
         name = table_ref.binding_name
@@ -117,18 +114,14 @@ def _leaf(database, table_ref, columns, pushed):
     return Filter(leaf, pushed) if pushed else leaf
 
 
-def order_condition(database, condition):
-    return condition
-
-
 @contextmanager
 def installed():
-    """Every plan built and every rule condition ordered inside the
-    block — on any database — comes from this module. Plan caches are
-    per database, so give the reference a database of its own."""
-    originals = builder.build_plan, cost.order_condition
-    builder.build_plan, cost.order_condition = build_plan, order_condition
+    """Every plan built inside the block — on any database — comes from
+    this module. Plan caches are per database, so give the reference a
+    database of its own."""
+    original = builder.build_plan
+    builder.build_plan = build_plan
     try:
         yield
     finally:
-        builder.build_plan, cost.order_condition = originals
+        builder.build_plan = original

@@ -1,22 +1,10 @@
-"""Unit tests for the cost model (repro.relational.plan.cost): totality
-analysis, selectivity estimation, conjunct and condition ordering, index
-key selection, and zone-map prune specs."""
+"""Unit tests for repro.relational.plan.cost: totality analysis and
+zone-map prune specs."""
 
 import pytest
 
 from repro.relational.database import Database
-from repro.relational.plan.cost import (
-    DEFAULT_SELECTIVITY,
-    conjunct_selectivity,
-    expression_kind,
-    kind_layers,
-    order_condition,
-    order_conjuncts,
-    prune_specs,
-    select_index_keys,
-    source_rows,
-)
-from repro.sql import ast
+from repro.relational.plan.cost import expression_kind, kind_layers, prune_specs
 from repro.sql.parser import parse_expression, parse_select
 
 
@@ -100,128 +88,6 @@ class TestTotality:
             database,
             "case when e.salary > 1.0 then 1 else 'x' end = 1",
         ) is None
-
-
-class TestSelectivity:
-    def ref(self):
-        return ast.BaseTableRef("emp", None)
-
-    def test_equality_uses_ndv(self, database):
-        sel = conjunct_selectivity(
-            database, self.ref(), parse_expression("dept_no = 3")
-        )
-        assert sel == pytest.approx(0.1)
-
-    def test_range_interpolates_min_max(self, database):
-        # salary spans 0..9900 uniformly; salary < 990 keeps ~10%
-        sel = conjunct_selectivity(
-            database, self.ref(), parse_expression("salary < 990.0")
-        )
-        assert 0.05 < sel < 0.15
-
-    def test_is_null_uses_null_fraction(self, database):
-        sel = conjunct_selectivity(
-            database, self.ref(), parse_expression("salary is null")
-        )
-        assert sel == pytest.approx(0.0005)  # clamped: no NULLs
-
-    def test_unmodeled_conjunct_gets_default(self, database):
-        sel = conjunct_selectivity(
-            database, self.ref(), parse_expression("salary + 1.0 > dept_no")
-        )
-        assert sel == DEFAULT_SELECTIVITY
-
-    def test_source_rows(self, database):
-        assert source_rows(database, self.ref()) == 100.0
-
-
-class TestOrdering:
-    def test_selective_cheap_conjunct_first(self, database):
-        layers, tables = layers_for(
-            database, "select * from emp e where 1 = 1"
-        )
-        broad = parse_expression("e.salary > -1.0")    # keeps everything
-        narrow = parse_expression("e.dept_no = 3")     # keeps 10%
-        ordered = order_conjuncts(
-            database, [broad, narrow], layers, tables[0]
-        )
-        assert ordered == [narrow, broad]
-
-    def test_non_total_conjunct_blocks_reordering(self, database):
-        layers, tables = layers_for(
-            database, "select * from emp e where 1 = 1"
-        )
-        risky = parse_expression("e.salary / 0.0 > 1.0")
-        narrow = parse_expression("e.dept_no = 3")
-        assert order_conjuncts(
-            database, [risky, narrow], layers, tables[0]
-        ) is None
-
-    def test_subquery_conjunct_ordered_last(self, database):
-        layers, tables = layers_for(
-            database, "select * from emp e where 1 = 1"
-        )
-        subquery = parse_expression(
-            "exists (select name from emp x where x.salary > 1.0)"
-        )
-        narrow = parse_expression("e.dept_no = 3")
-        ordered = order_conjuncts(
-            database, [subquery, narrow], layers, tables[0]
-        )
-        assert ordered == [narrow, subquery]
-
-
-class TestOrderCondition:
-    def test_reorders_subquery_after_cheap_conjunct(self, database):
-        condition = parse_expression(
-            "exists (select name from emp x where x.salary > 1.0) "
-            "and 1 = 2"
-        )
-        before = database.optimizer_stats.conditions_reordered
-        ordered = order_condition(database, condition)
-        assert ordered is not condition
-        assert isinstance(ordered.left, ast.BinaryOp)
-        assert ordered.left.op == "="
-        assert database.optimizer_stats.conditions_reordered == before + 1
-
-    def test_unchanged_order_returns_same_object(self, database):
-        condition = parse_expression("1 = 2 and 3 = 4")
-        assert order_condition(database, condition) is condition
-
-    def test_non_total_condition_kept(self, database):
-        condition = parse_expression("1.0 / 0.0 > 1.0 and 1 = 2")
-        assert order_condition(database, condition) is condition
-
-
-class TestSelectIndexKeys:
-    def test_keeps_smallest_and_selective_buckets(self, database):
-        database.create_index("emp_dept", "emp", "dept_no")
-        database.create_index("emp_name", "emp", "name")
-        table = database.table("emp")
-        dept_index = table.index_on("dept_no")
-        name_index = table.index_on("name")
-        keys, scanned = select_index_keys(
-            [(dept_index, "dept_no", ast.Literal(3)),
-             (name_index, "name", ast.Param(0, "s"))], 100, ("e7",)
-        )
-        assert scanned == 1.0  # the name bucket is unique
-        assert [key[1] for key in keys] == ["dept_no", "name"]
-
-    def test_drops_near_table_sized_bucket(self, database):
-        database.create_index("emp_dept", "emp", "dept_no")
-        table = database.table("emp")
-        index = table.index_on("dept_no")
-        # with only 15 rows a 10-row bucket covers most of the table:
-        # intersecting it costs more than letting the filter reject
-        keys, scanned = select_index_keys(
-            [(index, "dept_no", ast.Literal(3)),
-             (index, "dept_no", ast.Literal(4))], 15
-        )
-        assert len(keys) == 2  # both tie at 10 rows: smallest kept
-        keys, _ = select_index_keys(
-            [(index, "dept_no", ast.Literal(3))], 15
-        )
-        assert len(keys) == 1  # the smallest bucket is always kept
 
 
 class TestPruneSpecs:

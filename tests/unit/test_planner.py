@@ -6,10 +6,13 @@ plan cache, and planner-vs-naive agreement on targeted cases (order
 preservation, NULL join keys, cross-kind keys, touched handles).
 """
 
+import math
+
 import pytest
 
 from repro import ActiveDatabase
 from repro.errors import ExecutionError, TypeError_
+from repro.relational.compiled import vectorized_enabled
 from repro.relational.database import Database
 from repro.relational.plan import (
     Filter,
@@ -27,6 +30,7 @@ from repro.relational.plan import (
 from repro.relational.plan.pushdown import classify_where, referenced_bindings
 from repro.relational.select import evaluate_select
 from repro.sql import ast
+from repro.sql.formatter import format_node
 from repro.sql.parser import parse_expression, parse_select
 from tests.reference import naive_select
 
@@ -143,6 +147,32 @@ class TestPlanShapes:
         assert isinstance(lookup, IndexLookup)
         assert lookup.keys == (("emp_dept", "dept_no", ast.Literal(1)),)
 
+    def test_every_indexed_key_is_intersected(self, database):
+        database.create_index("emp_dept", "emp", "dept_no")
+        database.create_index("emp_name", "emp", "name")
+        for i in range(100):  # a key nearly every row holds, and a rare one
+            database.insert_row("emp", (f"e{i}", float(i), int(i < 90)))
+        select = parse_select(
+            "select salary from emp where dept_no = 1 and name = 'e7'")
+        lookup = build_plan(database, select).source.child
+        assert [key[:2] for key in lookup.keys] == [
+            ("emp_dept", "dept_no"), ("emp_name", "name")]
+
+    def test_conjuncts_keep_written_order(self, database):
+        for i in range(100):
+            database.insert_row("emp", (f"e{i}", float(i), i % 10))
+        written = ("e.salary > -1.0", "e.dept_no = 3",
+                   "exists (select * from dept x where x.mgr_no > 1)")
+        select = parse_select(
+            "select e.name from emp e, dept d where e.dept_no = d.dept_no "
+            f"and {' and '.join(written)} and e.salary + d.mgr_no > 1.0")
+        source = build_plan(database, select).source
+        assert [format_node(p) for p in source.predicates] == [
+            written[2], "e.salary + d.mgr_no > 1.0"]
+        pushed = source.child.left
+        assert [format_node(p) for p in pushed.predicates] == list(
+            written[:2])
+
     def test_no_index_plans_scan(self, database):
         select = parse_select("select name from emp where dept_no = 1")
         plan = build_plan(database, select)
@@ -241,17 +271,14 @@ class TestPlanCache:
         assert stats.plan_cache_invalidations == 1
         assert isinstance(after.source.child, IndexLookup)
 
-    def test_index_ddl_invalidates_via_stats_epoch(self, database):
+    def test_index_ddl_invalidates_cached_plans(self, database):
         """Regression: CREATE/DROP INDEX must invalidate cached plans
-        through the stats-epoch cache key, re-planning access paths and
-        counting an optimizer replan."""
+        through the schema version, re-planning access paths."""
         stats = database.planner_stats
         select = parse_select("select name from emp where dept_no = 1")
         before = database.statements.plan_for(select, database, stats)
-        epoch = database.stats_epoch
         invalidations = stats.plan_cache_invalidations
         database.create_index("emp_dept", "emp", "dept_no")
-        assert database.stats_epoch == epoch + 1
         created = database.statements.plan_for(select, database, stats)
         assert created is not before
         assert isinstance(created.source.child, IndexLookup)
@@ -261,19 +288,6 @@ class TestPlanCache:
         assert dropped is not created
         assert isinstance(dropped.source.child, Scan)
         assert stats.plan_cache_invalidations == invalidations + 2
-
-    def test_stats_rebuild_invalidates_cached_plan(self, database):
-        """A statistics rebuild (drift threshold / compaction) moves the
-        stats epoch without touching the schema version, so the next
-        lookup re-costs the plan and counts an optimizer replan."""
-        stats = database.planner_stats
-        select = parse_select("select name from emp")
-        before = database.statements.plan_for(select, database, stats)
-        replans = database.optimizer_stats.replans
-        database.table("emp").rebuild_stats()
-        after = database.statements.plan_for(select, database, stats)
-        assert after is not before
-        assert database.optimizer_stats.replans == replans + 1
 
     def test_overflow_evicts_least_recently_used(self, database):
         database.schema_version = 0
@@ -337,6 +351,25 @@ class TestPlannedExecutionAgreesWithNaive:
             "('c', 30.0, 2), ('d', 40.0, null), ('e', null, 3)"
         )
         return db
+
+    def test_nan_join_keys_never_match(self):
+        """NaN equals nothing, itself included: a NaN key joins no row,
+        as a NULL key does, on the columnar and on the row hash join —
+        also where ``insert ... select`` copied the very NaN object."""
+        db = ActiveDatabase()
+        db.execute("create table t (a float, k integer)")
+        db.execute("create table u (a float, k integer)")
+        db.database.insert_rows("t", [[math.nan, 1.0], [1, 2]])
+        db.execute("insert into u select a, k from t")
+        assert db.rows("select k from t where a = a") == [(2,)]
+        for vectorized in (True, False):
+            db.database.enable_vectorized_eval = vectorized
+            for sql in ("select x.k, y.k from t x, t y where x.a = y.a",
+                        "select x.k, y.k from t x, u y where x.a = y.a"):
+                assert self.both_paths(db, sql).rows == [(2, 2)]
+                assert db.rows(sql) == [(2, 2)]
+                mode = "columnar" if vectorized_enabled(db.database) else "row"
+                assert mode in db.explain(sql)
 
     def test_join_rows_and_order_match(self):
         db = self.make_db()

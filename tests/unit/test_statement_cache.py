@@ -11,6 +11,7 @@ entries, and lookups from several threads.
 
 import gc
 import random
+import re
 import sys
 import threading
 
@@ -168,13 +169,10 @@ class TestBoundedResidency:
         cache = after["planner"]["statement_cache"]
         # two shapes, the set-up insert, the rule and its condition view
         assert cache["entries"] <= 6 and cache["evictions"] == 0
-        replans = after["optimizer"]["replans"] - before["optimizer"]["replans"]
         for section, field in (("planner", "plan_cache_misses"),
                                ("compiler", "cache_misses")):
-            # nothing is re-derived for a new literal; a statistics
-            # rebuild may re-plan (and re-expand ``*``) the few shapes
-            assert after[section][field] - before[section][field] \
-                <= 4 * replans
+            # nothing is re-derived for a new literal
+            assert after[section][field] == before[section][field]
         assert grown < 1500, grown  # flat: nothing is kept per statement
 
     def test_rule_entries_survive_an_eviction_storm(self, db):
@@ -209,6 +207,45 @@ class TestBoundedResidency:
         for column in "abcde":
             cache.parse(f"select {column} from t")
         assert len(cache) == 3 and cache.evictions == 2
+
+
+class TestPlansFromTextAndCatalog:
+    SHAPES = (
+        "select bal from acct where id = 5",
+        "select a.bal from acct a, acct b where a.id = b.id and a.bal > 10",
+        "select count(*) from acct where bal < 150 and id > 20",
+    )
+
+    def test_data_churn_never_rebuilds_a_plan(self, tmp_path):
+        """A plan is a function of the text and the catalog: churn past
+        the table's size, a compaction and a checkpoint leave every
+        cached plan in place and every EXPLAIN shape as it was."""
+        db = ActiveDatabase(durability=str(tmp_path))
+        db.execute("create table acct (id integer, bal float)")
+        db.execute("create index acct_id on acct (id)")
+        db.execute("insert into acct values " + ", ".join(
+            f"({i}, 100.0)" for i in range(200)))
+
+        def shapes():
+            return [re.sub(r"  \(act=[^)]*\)", "", db.explain(text))
+                    for text in self.SHAPES]
+
+        for text in self.SHAPES:
+            db.query(text)
+        explained = shapes()
+        built = db.stats()["planner"]["plans_built"]
+        for _ in range(3):  # 600 overwritten tuples
+            db.execute("update acct set bal = bal + 1")
+        db.execute("delete from acct where id >= 50")
+        assert db.database.table("acct").compactions == 1
+        db.execute("insert into acct values " + ", ".join(
+            f"({i}, 5.0)" for i in range(300, 700)))
+        db.checkpoint()
+        for text in self.SHAPES:
+            db.query(text)
+        assert db.stats()["planner"]["plans_built"] == built
+        assert shapes() == explained
+        db.durability.close()
 
 
 class TestFrontDoors:

@@ -14,6 +14,11 @@ from repro.relational.schema import Catalog, Column, TableSchema
 from repro.relational.types import SqlType
 
 
+def zones(table):
+    """A copy of ``table``'s zone maps."""
+    return [(list(mins), list(maxs)) for mins, maxs in table.stats.zones]
+
+
 class TestSchema:
     def make(self):
         return TableSchema(
@@ -319,12 +324,12 @@ class TestBulkRecoveryMutators:
         assert table.tombstones == 16
         assert table.handles() == list(range(81, 101))
         assert len(table.batch().handles) == 36  # slots, tombstones included
-        assert table.stats.rows_at_rebuild == 36
+        assert table.compactions == 1
 
     def observable(self, database):
         table = database.table("t")
         return (table.items(), table.tombstones, table.mutations,
-                table.stats.snapshot(), database.version,
+                zones(table), database.version,
                 database.transactions.savepoint())
 
     def test_delete_rows_refuses_a_handle_named_twice(self):
@@ -334,7 +339,7 @@ class TestBulkRecoveryMutators:
         with pytest.raises(ExecutionError, match="handle 1 named twice"):
             database.delete_rows("t", [1, 1])
         assert self.observable(database) == before
-        assert len(database.table("t")) == database.table("t").stats.row_count
+        assert len(database.table("t")) == 3
 
     def test_assign_columns_refuses_a_handle_named_twice(self):
         database = self.make(rows=3)
@@ -395,7 +400,7 @@ class TestBulkRecoveryMutators:
         database = self.make(rows=1)
         database.create_index("t_x", "t", "x")
         table = database.table("t")
-        before = (table.items(), table.stats.snapshot(), database.version,
+        before = (table.items(), zones(table), database.version,
                   database.handles.issued_count)
         with pytest.raises(TypeError_) as by_set:
             # row 1 is bad in column y, row 2 in column x: row 1 wins
@@ -404,6 +409,6 @@ class TestBulkRecoveryMutators:
             database.insert_row("t", [2, 5])
         assert str(by_set.value) == str(by_row.value)
         assert table.items() == before[0]
-        assert table.stats.snapshot() == before[1]
+        assert zones(table) == before[1]
         assert database.handles.issued_count == before[3]
         assert database.indexes.get("t_x").lookup(1) == []
