@@ -12,10 +12,10 @@ evidence (not proof) of commutativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from ..core.selection import TotalOrder
+from ..records import Record
 from ..relational.types import sort_key
 from .program import analyze
 
@@ -33,8 +33,7 @@ def canonical_state(db: Any) -> dict:
     return state
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     """Outcome of one order-sensitivity probe.
 
     Attributes:

@@ -34,9 +34,9 @@ provably leaves that view empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from ...records import Record
 from ...sql import ast
 
 #: Wildcard column: "every column of the table" (schema unknown, or a
@@ -53,8 +53,7 @@ _WRITE_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class RuleEffects:
+class RuleEffects(Record):
     """One rule's static effect summary.
 
     ``writes`` is ``None`` for opaque (external) actions — every

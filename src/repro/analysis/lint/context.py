@@ -17,10 +17,10 @@ workload write set (for closed-world checks like RPL304).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from ...core.rules import reaches
+from ...records import Record
 from ...sql import ast
 from ...sql.spans import Span, span_of
 from ..effects.sets import RuleEffects
@@ -30,8 +30,7 @@ if TYPE_CHECKING:
     from .triggering import TriggeringGraph
 
 
-@dataclass
-class LintRule:
+class LintRule(Record, frozen=False):
     """One rule as the analyzer sees it.
 
     ``span`` locates the rule's ``create rule`` statement (script mode
@@ -85,8 +84,7 @@ class LintRule:
         )
 
 
-@dataclass
-class LintContext:
+class LintContext(Record, frozen=False):
     """Everything the passes can see.
 
     Attributes:
@@ -112,14 +110,35 @@ class LintContext:
     """
 
     database: object
-    rules: list[LintRule] = field(default_factory=list)
-    precedes: Callable[[str, str], bool] = lambda a, b: False
-    workload_writes: set = field(default_factory=set)
-    closed_world: bool = False
-    statements: list = field(default_factory=list)
-    defined_names: set = field(default_factory=set)
-    statement_diagnostics: list[Diagnostic] = field(default_factory=list)
-    graph: Optional["TriggeringGraph"] = None
+    rules: list[LintRule]
+    precedes: Callable[[str, str], bool]
+    workload_writes: set
+    closed_world: bool
+    statements: list
+    defined_names: set
+    statement_diagnostics: list[Diagnostic]
+    graph: Optional["TriggeringGraph"]
+
+    def __init__(self, database: object,
+                 rules: Optional[list[LintRule]] = None,
+                 precedes: Callable[[str, str], bool] = lambda a, b: False,
+                 workload_writes: Optional[set] = None,
+                 closed_world: bool = False,
+                 statements: Optional[list] = None,
+                 defined_names: Optional[set] = None,
+                 statement_diagnostics: Optional[list[Diagnostic]] = None,
+                 graph: Optional["TriggeringGraph"] = None):
+        self.database = database
+        self.rules = [] if rules is None else rules
+        self.precedes = precedes
+        self.workload_writes = (
+            set() if workload_writes is None else workload_writes)
+        self.closed_world = closed_world
+        self.statements = [] if statements is None else statements
+        self.defined_names = set() if defined_names is None else defined_names
+        self.statement_diagnostics = (
+            [] if statement_diagnostics is None else statement_diagnostics)
+        self.graph = graph
 
     def triggering_graph(self) -> "TriggeringGraph":
         if self.graph is None:

@@ -25,9 +25,9 @@ fix hint. Codes are grouped by hundreds:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from ...records import Record
 from ...sql.spans import Span
 
 
@@ -91,8 +91,7 @@ CODES: dict[str, tuple[Severity, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One lint finding.
 
     Attributes:
@@ -108,7 +107,7 @@ class Diagnostic:
 
     code: str
     message: str
-    severity: Severity = field(default=Severity.ERROR)
+    severity: Severity = Severity.ERROR
     span: Optional[Span] = None
     rule: Optional[str] = None
     hint: Optional[str] = None
@@ -153,20 +152,19 @@ def make(code: str, message: str, *, span: Optional[Span] = None,
          pass_name: str = "") -> Diagnostic:
     """Build a diagnostic with the catalog's default severity for ``code``."""
     severity, _ = CODES[code]
-    return Diagnostic(
-        code=code, message=message, severity=severity, span=span,
-        rule=rule, hint=hint, pass_name=pass_name,
-    )
+    return Diagnostic(code, message, severity, span, rule, hint, pass_name)
 
 
 _SEVERITY_ORDER = {Severity.ERROR: 0, Severity.WARNING: 1, Severity.INFO: 2}
 
 
-@dataclass
-class LintReport:
+class LintReport(Record, frozen=False):
     """The outcome of a lint run: diagnostics in severity-then-source order."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
+
+    def __init__(self, diagnostics: Optional[list[Diagnostic]] = None):
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     def extend(self, diagnostics: list[Diagnostic]) -> None:
         self.diagnostics.extend(diagnostics)

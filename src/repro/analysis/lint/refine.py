@@ -41,9 +41,9 @@ happen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ...records import Record
 from ...relational.expressions import contains_aggregate
 from ...sql import ast
 from ..effects.sets import SchemaLookup, writes_can_populate
@@ -214,8 +214,7 @@ def condition_provably_false(condition: object) -> bool:
 # ---------------------------------------------------------------------------
 # constant-effect scenarios
 
-@dataclass(frozen=True)
-class _Scenario:
+class _Scenario(Record):
     """One way a provider operation can populate a transition table:
     a column → constant binding (values may be :data:`UNKNOWN`)."""
 

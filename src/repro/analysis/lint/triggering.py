@@ -27,10 +27,10 @@ The pass reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ...records import Record
 from ...sql.spans import Span
 from ..effects.sets import RuleEffects, SchemaLookup, writes_can_populate
 from .base import register_pass
@@ -45,8 +45,7 @@ from .refine import (
 _PASS = "triggering"
 
 
-@dataclass(frozen=True)
-class PrunedEdge:
+class PrunedEdge(Record):
     """One syntactic edge the refinement proved dead."""
 
     provider: str

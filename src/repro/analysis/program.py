@@ -29,11 +29,11 @@ re-derives the views, not the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from typing import Any, Callable, Iterable, Optional
 
+from ..records import Record
 from .lint.base import run_passes
 from .lint.context import LintContext, LintRule, table_schema
 from .lint.diagnostics import LintReport
@@ -44,8 +44,7 @@ from .types.infer import walk_rule
 # ---------------------------------------------------------------------------
 # the paper's §6 report
 
-@dataclass(frozen=True)
-class LoopWarning:
+class LoopWarning(Record):
     """A potential infinite loop among ``rules`` (a triggering cycle).
 
     ``assumed`` is True when some participating edge exists only because
@@ -78,8 +77,7 @@ class LoopWarning:
         return text
 
 
-@dataclass(frozen=True)
-class ConflictWarning:
+class ConflictWarning(Record):
     """Rules ``first``/``second`` are mutually triggerable, unordered, and
     interfere on ``tables`` — execution order may affect the final state.
 
@@ -107,14 +105,19 @@ class ConflictWarning:
         return text
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record, frozen=False):
     """The outcome of the paper's conservative §6 check: cycles and
     conflicts on the syntactic edges."""
 
     graph: TriggeringGraph
-    loops: list = field(default_factory=list)
-    conflicts: list = field(default_factory=list)
+    loops: list
+    conflicts: list
+
+    def __init__(self, graph: TriggeringGraph, loops: Optional[list] = None,
+                 conflicts: Optional[list] = None):
+        self.graph = graph
+        self.loops = [] if loops is None else loops
+        self.conflicts = [] if conflicts is None else conflicts
 
     @property
     def warning_count(self) -> int:

@@ -190,12 +190,7 @@ class RuleWalk:
         ) else tuple(scope.kinds() for scope in scopes)
         kind = expression_kind(node, layers, self.database)
         set_witness(node, TypeWitness(
-            sql_type=sql_type,
-            kind=kind,
-            total=kind is not None,
-            nullable=nullable,
-            schema_version=self._version,
-        ))
+            sql_type, kind, kind is not None, nullable, self._version))
         return sql_type
 
     # ------------------------------------------------------------------

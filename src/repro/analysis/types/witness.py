@@ -11,9 +11,10 @@ NULL.
 
 Witnesses attach to AST nodes the same way source spans do
 (:mod:`repro.sql.spans`): through ``object.__setattr__`` under a private
-attribute, so the frozen dataclasses stay structurally equal and
-hashable — two equal expressions with different witnesses still compare
-equal, and witnesses never leak into cache keys or repr output.
+attribute that is no field, so the frozen AST records stay
+structurally equal and hashable — two equal expressions with different
+witnesses still compare equal, and witnesses never leak into cache keys
+or repr output.
 
 The ``total`` flag is *defined* as agreement with the PR 9 totality
 analysis: the inference pass computes it by calling
@@ -29,18 +30,17 @@ this before specializing; see ``repro.relational.compiled``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ...records import Record
 from ...relational.types import SqlType
 
 #: The private attribute carrying the witness (``object.__setattr__``
-#: keeps frozen dataclasses immutable in every structural sense).
+#: keeps frozen records immutable in every structural sense).
 _WITNESS_ATTR = "_type_witness"
 
 
-@dataclass(frozen=True)
-class TypeWitness:
+class TypeWitness(Record):
     """What static inference proved about one expression.
 
     Attributes:

@@ -13,9 +13,8 @@ to inspect (and possibly tune) the produced rules, which is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConstraintError
+from ..records import Record
 from .language import (
     AggregateBound,
     Assertion,
@@ -35,8 +34,7 @@ _NEGATED_COMPARISON = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratedRule:
+class GeneratedRule(Record):
     """One statement produced by the compiler: a production rule
     (``kind="rule"``) or a priority pairing between generated rules
     (``kind="priority"``, used when a constraint compiles to several

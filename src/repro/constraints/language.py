@@ -15,16 +15,14 @@ policies generate *aborting* rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ConstraintError
+from ..records import Record
 
 _VALID_SIMPLE_REPAIRS = ("rollback", "delete")
 _VALID_REFERENTIAL_REPAIRS = ("rollback", "cascade", "set_null")
 
 
-@dataclass(frozen=True)
-class NotNull:
+class NotNull(Record):
     """Column ``table.column`` must never be NULL.
 
     Repair ``"rollback"`` aborts violating transactions; ``"delete"``
@@ -47,8 +45,7 @@ class NotNull:
         return f"nn_{self.table}_{self.column}"
 
 
-@dataclass(frozen=True)
-class Unique:
+class Unique(Record):
     """Column ``table.column`` must be unique among non-NULL values.
 
     Only ``"rollback"`` repair is offered: deleting one of two duplicates
@@ -68,8 +65,7 @@ class Unique:
         return f"uq_{self.table}_{self.column}"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """Every tuple of ``table`` must satisfy ``predicate`` (SQL text over
     the table's columns), e.g. ``Check("emp", "salary >= 0")``.
 
@@ -95,8 +91,7 @@ class Check:
         return f"ck_{self.table}"
 
 
-@dataclass(frozen=True)
-class ReferentialIntegrity:
+class ReferentialIntegrity(Record):
     """``child.child_column`` must reference an existing
     ``parent.parent_column`` value (NULL child values are exempt).
 
@@ -134,8 +129,7 @@ class ReferentialIntegrity:
         )
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Record):
     """A database-wide assertion over one or more tables (the SQL-standard
     ASSERTION analog; the CW90 case study's inter-table constraints are of
     this shape, e.g. "no employee earns more than their manager").
@@ -175,8 +169,7 @@ class Assertion:
         return f"assert_{self.label}"
 
 
-@dataclass(frozen=True)
-class AggregateBound:
+class AggregateBound(Record):
     """An aggregate over ``table`` must stay within a bound, e.g. "total
     salary of department 5 at most 1M": ``AggregateBound("emp",
     "sum(salary)", "<=", 1000000, where="dept_no = 5")``.

@@ -181,12 +181,16 @@ class TransitionEffect:
 
     The flat views ``inserted`` / ``deleted`` (handles) and ``updated`` /
     ``selected`` ((handle, column) pairs) are built on demand.
+    ``version`` counts the in-place changes (:meth:`apply`,
+    :meth:`extend`): rows cached from this effect's transition tables
+    are current while it stands still.
     """
 
-    __slots__ = ("tables",)
+    __slots__ = ("tables", "version")
 
     def __init__(self, tables: dict[str, TableEffect] | None = None):
         self.tables = {} if tables is None else tables
+        self.version = 0
 
     @classmethod
     def from_op_effects(cls, op_effects: Iterable[object]
@@ -207,6 +211,7 @@ class TransitionEffect:
 
     def apply(self, op_effect: object) -> None:
         """``self := self ⊕ E(op)`` for one executed operation."""
+        self.version += 1
         if isinstance(op_effect, InsertEffect):
             self._part(op_effect.table).inserted.update(op_effect.handles)
         elif isinstance(op_effect, DeleteEffect):
@@ -227,6 +232,7 @@ class TransitionEffect:
     def extend(self, other: TransitionEffect) -> TransitionEffect:
         """``self := self ⊕ other``, in place; returns ``self``. Never
         shares a mutable part with ``other``."""
+        self.version += 1
         tables = self.tables
         for name, part in other.tables.items():
             mine = tables.get(name)

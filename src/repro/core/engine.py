@@ -27,7 +27,6 @@ through the manual transaction API: :meth:`begin` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 from ..errors import (
@@ -57,20 +56,25 @@ from .trace import TransactionResult
 from .transition_tables import TransitionTableResolver
 
 
-@dataclass
 class _SuspendedTransaction:
     """Everything one open transaction owns inside the engine, bundled
     for a context switch (see :meth:`RuleEngine.suspend_transaction`)."""
 
-    detached: object
-    log: TransitionLog
-    considered_at: dict
-    clock: int
-    transition_index: int
-    result: object
-    recorder: object
-    txn_id: int
-    incremental_state: object
+    __slots__ = ("detached", "log", "considered_at", "clock",
+                 "transition_index", "result", "recorder", "txn_id",
+                 "incremental_state")
+
+    def __init__(self, detached, log, considered_at, clock, transition_index,
+                 result, recorder, txn_id, incremental_state):
+        self.detached = detached
+        self.log = log
+        self.considered_at = considered_at
+        self.clock = clock
+        self.transition_index = transition_index
+        self.result = result
+        self.recorder = recorder
+        self.txn_id = txn_id
+        self.incremental_state = incremental_state
 
 
 class RuleEngine:

@@ -32,15 +32,14 @@ would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ...records import Record
 from ...relational.compiled import compile_predicate, layout_of
 from ...sql import ast
 
 
-@dataclass(frozen=True)
-class CounterConjunct:
+class CounterConjunct(Record):
     """``[not] exists`` over a base table, maintained as a support count."""
 
     table: str
@@ -51,21 +50,19 @@ class CounterConjunct:
     @property
     def view_key(self):
         """Views are shared across rules by (table, binding, predicate
-        structure) — AST nodes are frozen dataclasses, so structurally
+        structure) — AST nodes are frozen records, so structurally
         equal WHERE clauses land on the same maintained counter."""
         return (self.table, self.binding, self.where)
 
 
-@dataclass(frozen=True)
-class DeltaConjunct:
+class DeltaConjunct(Record):
     """A conjunct over transition tables, delegated to the evaluator
     per consideration (inherently O(delta))."""
 
     node: ast.Expression
 
 
-@dataclass(frozen=True)
-class MaintenancePlan:
+class MaintenancePlan(Record):
     """One rule's classified condition: conjuncts in evaluation order."""
 
     conjuncts: tuple

@@ -11,7 +11,8 @@ induces a partial order used during rule selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import attrgetter
 
 from ..errors import (
     DuplicateRuleError,
@@ -19,6 +20,7 @@ from ..errors import (
     PriorityCycleError,
     UnknownRuleError,
 )
+from ..records import Record
 from ..sql import ast, format_node
 from .external import ExternalAction
 from .transition_tables import validate_transition_references
@@ -37,8 +39,7 @@ _EMPTY_SET = frozenset()
 RESET_POLICIES = ("execution", "consideration", "triggering")
 
 
-@dataclass
-class Rule:
+class Rule(Record, frozen=False):
     """One production rule.
 
     Attributes:
@@ -275,19 +276,34 @@ class RuleCatalog:
         elements (ties broken by creation order) — the §4.4 compromise:
         "a rule is chosen such that no other triggered rule is strictly
         higher in the ordering".
+
+        Kahn's algorithm over the priority closure restricted to
+        ``rules``: a rule is ready once no rule left in the set precedes
+        it, and the ready rule created first goes next. (A global order
+        restricted to the set is not the same: with "c before a", the
+        catalog's order is b, c, a, but {a, b} must give a, b.)
         """
-        remaining = sorted(rules, key=lambda rule: rule.sequence)
-        ordered = []
-        while remaining:
-            for index, rule in enumerate(remaining):
-                others = remaining[:index] + remaining[index + 1:]
-                if not any(
-                    self.precedes(other.name, rule.name) for other in others
-                ):
-                    ordered.append(rule)
-                    remaining.pop(index)
-                    break
-            else:  # pragma: no cover - cycle is prevented at add_priority
-                ordered.extend(remaining)
-                break
-        return ordered
+        ordered = sorted(rules, key=attrgetter("sequence"))
+        if len(ordered) < 2 or not self._pairings:
+            return ordered
+        if self._closure is None:
+            self._closure = self._compute_closure()
+        closure = self._closure
+        position = {rule.name: index for index, rule in enumerate(ordered)}
+        blockers = [0] * len(ordered)
+        for rule in ordered:
+            for name in closure.get(rule.name, ()):
+                if name in position:
+                    blockers[position[name]] += 1
+        ready = [index for index, count in enumerate(blockers) if not count]
+        result = []
+        while ready:
+            rule = ordered[heappop(ready)]
+            result.append(rule)
+            for name in closure.get(rule.name, ()):
+                if name in position:
+                    index = position[name]
+                    blockers[index] -= 1
+                    if not blockers[index]:
+                        heappush(ready, index)
+        return result

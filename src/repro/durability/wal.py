@@ -45,11 +45,11 @@ import os
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass
 from math import inf
 from typing import IO, TYPE_CHECKING, Any, Sequence
 
 from ..errors import HandleClaimError, ReproError
+from ..records import Record
 from ..relational.handles import encode_runs
 from ..relational.types import SqlType
 
@@ -108,8 +108,7 @@ def decode_line(line: bytes) -> dict[str, Any] | None:
     return body if end == len(text) and isinstance(body, dict) else None
 
 
-@dataclass
-class WalScan:
+class WalScan(Record, frozen=False):
     """The result of :func:`scan_wal`.
 
     Attributes:

@@ -53,8 +53,6 @@ trace recorder, the metrics collector — pay no serialization cost;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class EventKind:
     """The event vocabulary (plain strings, usable as JSON keys)."""
@@ -100,9 +98,8 @@ class EventKind:
     )
 
 
-@dataclass(frozen=True, slots=True)
 class Event:
-    """One engine event.
+    """One engine event (read-only by convention: sinks share it).
 
     Attributes:
         seq: engine-global monotone sequence number.
@@ -112,10 +109,17 @@ class Event:
             :meth:`to_json_dict` for the flattened form).
     """
 
-    seq: int
-    kind: str
-    txn: int
-    data: dict = field(default_factory=dict)
+    __slots__ = ("seq", "kind", "txn", "data")
+
+    def __init__(self, seq, kind, txn, data=None):
+        self.seq = seq
+        self.kind = kind
+        self.txn = txn
+        self.data = {} if data is None else data
+
+    def __repr__(self):
+        return (f"Event(seq={self.seq!r}, kind={self.kind!r}, "
+                f"txn={self.txn!r}, data={self.data!r})")
 
     def to_json_dict(self):
         """A JSON-serializable rendering of this event.

@@ -20,9 +20,8 @@ Semantics implemented exactly as the paper specifies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import ExecutionError
+from ..records import Record
 from ..sql import ast
 from .compiled import (
     batch_context,
@@ -42,33 +41,40 @@ from .select import BaseTableResolver, evaluate_select
 # values Figure 1's trans-info needs)
 
 
-@dataclass(frozen=True)
-class InsertEffect:
+class InsertEffect(Record):
     """Affected set of an insert: handles of the new tuples."""
 
     table: str
     handles: tuple
+
+    def __init__(self, table, handles):
+        setter = object.__setattr__
+        setter(self, "table", table)
+        setter(self, "handles", handles)
 
     @property
     def rows_affected(self):
         return len(self.handles)
 
 
-@dataclass(frozen=True)
-class DeleteEffect:
+class DeleteEffect(Record):
     """Affected set of a delete: handles plus each tuple's final row value
     (the value just before this deletion — Figure 1's ``old-state``)."""
 
     table: str
     entries: tuple  # of (handle, old_row)
 
+    def __init__(self, table, entries):
+        setter = object.__setattr__
+        setter(self, "table", table)
+        setter(self, "entries", entries)
+
     @property
     def rows_affected(self):
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class UpdateEffect:
+class UpdateEffect(Record):
     """Affected set of an update: per tuple, the updated columns and the
     row value just before this update (Figure 1's ``old-state`` value)."""
 
@@ -76,16 +82,24 @@ class UpdateEffect:
     columns: tuple  # column names assigned by this update
     entries: tuple  # of (handle, old_row)
 
+    def __init__(self, table, columns, entries):
+        setter = object.__setattr__
+        setter(self, "table", table)
+        setter(self, "columns", columns)
+        setter(self, "entries", entries)
+
     @property
     def rows_affected(self):
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class SelectEffect:
+class SelectEffect(Record):
     """§5.1 extension: tuples/columns read by a standalone select."""
 
     entries: tuple  # of (table, handle, columns)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def rows_affected(self):

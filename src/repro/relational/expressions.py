@@ -289,12 +289,16 @@ class Evaluator:
         self.statement, self.params = bound or (None, ())
         # Uncorrelated-subquery cache: a subquery that references only its
         # own FROM tables evaluates identically for every outer row, so
-        # within one database state its result can be reused. Keyed by the
-        # AST node's identity and guarded by the database's mutation
-        # version. Disable via ``database.enable_subquery_cache = False``
-        # (the ablation benchmark does).
+        # within one state its result can be reused. Keyed by the AST
+        # node's identity and guarded by the database's mutation version
+        # and, for a rule's resolver, its trans-info's version (transition
+        # tables read it). Disable via ``database.enable_subquery_cache =
+        # False`` (the ablation benchmark does).
+        self._info = getattr(resolver, "info", None)
         self._subquery_cache = {}
-        self._correlation_cache = {}
+        # the static verdict outlives the evaluator on the statement entry
+        self._correlation_cache = (
+            {} if self.statement is None else self.statement.self_contained)
 
     # -- entry point ----------------------------------------------------
 
@@ -490,8 +494,11 @@ class Evaluator:
             and self._is_uncorrelated(select)
         )
         if cacheable:
+            state = self.database.version
+            if self._info is not None:
+                state = (state, self._info.version)
             entry = self._subquery_cache.get(id(select))
-            if entry is not None and entry[0] == self.database.version:
+            if entry is not None and entry[0] == state:
                 return entry[1]
         result = evaluate_select(
             self.database, select, self.resolver, outer=scope,
@@ -499,10 +506,7 @@ class Evaluator:
         )
         if cacheable:
             # keep the node alive so id() stays unambiguous
-            self._subquery_cache[id(select)] = (
-                self.database.version, result.rows, select,
-            )
-            return result.rows
+            self._subquery_cache[id(select)] = (state, result.rows, select)
         return result.rows
 
     def _is_uncorrelated(self, select):
@@ -513,13 +517,14 @@ class Evaluator:
         unqualified ones must name a column of one of its own tables
         (inner bindings shadow outer ones in SQL scoping, so a name that
         resolves inside is genuinely inner). Unknown tables or transition
-        tables with unknown base tables disqualify caching.
+        tables over unknown base tables disqualify caching.
         """
+        version = self.database.schema_version
         cached = self._correlation_cache.get(id(select))
-        if cached is not None:
-            return cached[0]
+        if cached is not None and cached[0] == version:
+            return cached[1]
         result = _select_is_self_contained(select, self.database)
-        self._correlation_cache[id(select)] = (result, select)
+        self._correlation_cache[id(select)] = (version, result, select)
         return result
 
     def _any_comparison(self, op, value, select, scope):
@@ -614,11 +619,6 @@ def _select_is_self_contained(select, database):
     columns = set()
     for nested in ast.iter_selects(select):
         for table_ref in nested.tables:
-            if isinstance(table_ref, ast.TransitionTableRef):
-                # Transition-table contents vary with the reading rule's
-                # trans-info while database.version (the cache key) stays
-                # put — caching them would serve stale rows.
-                return False
             bindings.add(table_ref.binding_name)
             table_name = getattr(table_ref, "table", None)
             if table_name is None or not database.catalog.has_table(table_name):

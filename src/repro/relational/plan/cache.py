@@ -136,10 +136,13 @@ class Statement:
     nodes belong to ``root`` and live as long as the entry, and one that
     does not (a conjunct the planner synthesised for a plan since
     dropped) takes its programs with it when it dies, so an id is never
-    met again under a stale program.
+    met again under a stale program. ``self_contained`` maps ``id`` of a
+    subquery to ``(schema_version, verdict, subquery)``: may the
+    evaluator memoise it (``expressions._select_is_self_contained``)?
     """
 
-    __slots__ = ("root", "key", "plans", "star_items", "programs")
+    __slots__ = ("root", "key", "plans", "star_items", "programs",
+                 "self_contained")
 
     def __init__(self, root: Any, key: Optional[str] = None) -> None:
         self.root = root
@@ -147,6 +150,7 @@ class Statement:
         self.plans: dict[int, Any] = {}
         self.star_items: dict[int, Any] = {}
         self.programs: dict[Any, Any] = {}
+        self.self_contained: dict[int, Any] = {}
 
 
 class Bound(NamedTuple):

@@ -10,16 +10,16 @@ resolver — plans are resolver-independent, so one cached plan serves a
 rule condition across consideration rounds even though each round reads
 different transition-table contents.
 
-Nodes are plain (non-frozen) dataclasses: they are private to the plan
-cache, never hashed, and carry derived fields (``bindings``) computed at
-build time.
+Nodes are mutable records (``Record, frozen=False``): they are private
+to the plan cache, never hashed, compare field by field, and carry the
+executor's per-run annotations (``actual_rows``, ``mode``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+from ...records import Record
 from ...sql import ast
 from ...sql.formatter import format_node
 from ...sql.params import bind
@@ -29,8 +29,7 @@ from ...sql.params import bind
 # source nodes: produce FROM combinations
 
 
-@dataclass
-class SingleRow:
+class SingleRow(Record, frozen=False):
     """The FROM-less source: exactly one empty combination (``select 1``)."""
 
     @property
@@ -38,8 +37,7 @@ class SingleRow:
         return ()
 
 
-@dataclass
-class Scan:
+class Scan(Record, frozen=False):
     """Full scan of one FROM item (base *or* transition table).
 
     ``actual_rows`` (here and on every source node but ``SingleRow``)
@@ -57,8 +55,7 @@ class Scan:
         return (self.binding,)
 
 
-@dataclass
-class IndexLookup:
+class IndexLookup(Record, frozen=False):
     """Hash-index candidate lookup on a base table.
 
     ``keys`` is a tuple of ``(index_name, column, operand)``, the operand
@@ -80,8 +77,7 @@ class IndexLookup:
         return (self.binding,)
 
 
-@dataclass
-class Filter:
+class Filter(Record, frozen=False):
     """Evaluate conjuncts over the child's combinations; keep the True ones.
 
     Directly above a leaf this is a pushed-down per-table filter; at the
@@ -104,8 +100,7 @@ class Filter:
         return self.child.bindings
 
 
-@dataclass
-class HashJoin:
+class HashJoin(Record, frozen=False):
     """Hash equi-join: build on the right child, probe with the left.
 
     ``left_keys``/``right_keys`` are parallel tuples of expressions (one
@@ -129,8 +124,7 @@ class HashJoin:
         return self.left.bindings + self.right.bindings
 
 
-@dataclass
-class Product:
+class Product(Record, frozen=False):
     """Cartesian product (no usable equi-join conjunct)."""
 
     left: Any
@@ -146,16 +140,14 @@ class Product:
 # result nodes: shape the surviving combinations into the output table
 
 
-@dataclass
-class Project:
+class Project(Record, frozen=False):
     """Plain (non-aggregate) projection of the select items."""
 
     source: Any
     items: tuple               # of output column names
 
 
-@dataclass
-class Aggregate:
+class Aggregate(Record, frozen=False):
     """Grouped projection (GROUP BY and/or aggregate select items)."""
 
     source: Any
@@ -166,25 +158,21 @@ class Aggregate:
     mode: Optional[str] = None
 
 
-@dataclass
-class Distinct:
+class Distinct(Record, frozen=False):
     child: Any
 
 
-@dataclass
-class Sort:
+class Sort(Record, frozen=False):
     child: Any
     order_by: tuple            # of ast.OrderItem
 
 
-@dataclass
-class Limit:
+class Limit(Record, frozen=False):
     child: Any
     count: int
 
 
-@dataclass
-class Plan:
+class Plan(Record, frozen=False):
     """One select arm's full plan.
 
     ``root`` is the result-node chain (Limit/Sort/Distinct over
@@ -197,7 +185,15 @@ class Plan:
     select: Any                # ast.Select (one arm; union handled above)
     source: Any                # source-node tree
     root: Any                  # result-node chain ending at Project/Aggregate
-    binding_columns: dict = field(default_factory=dict)
+    binding_columns: dict
+
+    def __init__(self, select: Any, source: Any, root: Any,
+                 binding_columns: Optional[dict] = None):
+        self.select = select
+        self.source = source
+        self.root = root
+        self.binding_columns = (
+            {} if binding_columns is None else binding_columns)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@ the actual tuple storage lives in :mod:`repro.relational.table`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import CatalogError
+from ..records import Record
 from .types import STORED_UNCHANGED, SqlType, coerce_value
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(Record):
     """A named, typed column."""
 
     name: str

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..errors import ExecutionError, ReproError
+from ..records import Record
 from ..sql import ast
 from ..sql.params import bind
 from .batch import entry_pairs
@@ -62,8 +62,7 @@ from .types import sort_key
 Projected = list[tuple[tuple[Any, ...], tuple[Any, ...]]]
 
 
-@dataclass
-class SelectResult:
+class SelectResult(Record, frozen=False):
     """The outcome of evaluating a select: output column names and rows.
 
     ``touched`` is populated only when handle tracking was requested (the
@@ -75,6 +74,12 @@ class SelectResult:
     columns: list[str]
     rows: list[tuple[Any, ...]]
     touched: Optional[list[tuple[str, int]]] = None
+
+    def __init__(self, columns: list[str], rows: list[tuple[Any, ...]],
+                 touched: Optional[list[tuple[str, int]]] = None):
+        self.columns = columns
+        self.rows = rows
+        self.touched = touched
 
     def as_dicts(self) -> list[dict[str, Any]]:
         """Rows as dictionaries keyed by output column name."""

@@ -25,18 +25,18 @@ reappear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import TransactionError
 
 
-@dataclass
 class _DetachedTransaction:
     """A suspended transaction's undo log + the redo list that remounts
     its writes (see :meth:`TransactionManager.detach`)."""
 
-    log: list
-    redo: list
+    __slots__ = ("log", "redo")
+
+    def __init__(self, log, redo):
+        self.log = log
+        self.redo = redo
 
 
 class TransactionManager:

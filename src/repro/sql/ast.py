@@ -12,36 +12,37 @@ The node hierarchy mirrors the grammar given in the paper:
 * Section 5 extensions: ``selected`` transition predicates, standalone
   select operations in blocks, and the ``assert rules`` triggering point.
 
-Nodes are frozen dataclasses so they can be shared, hashed and compared in
-tests. Every node renders back to SQL via :mod:`repro.sql.formatter`.
+Nodes are frozen :class:`~repro.records.Record` classes, so they can be
+shared, hashed and compared structurally (a node's fields are its
+annotations, in order). Every node renders back to SQL via
+:mod:`repro.sql.formatter`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Optional
+
+from ..records import Record
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-class Expression:
+class Expression(Record):
     """Marker base class for expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Literal(Expression):
     """A constant: integer, float, string, boolean or NULL (``value=None``)."""
 
     value: object
 
 
-@dataclass(frozen=True)
 class Param(Expression):
     """A literal of a cached statement template (the parser makes one
     per lifted literal when handed a ``params`` list): execution reads
@@ -59,7 +60,6 @@ class Param(Expression):
     kind: str
 
 
-@dataclass(frozen=True)
 class ColumnRef(Expression):
     """A possibly-qualified column reference, e.g. ``e1.salary``.
 
@@ -71,14 +71,12 @@ class ColumnRef(Expression):
     qualifier: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class Star(Expression):
     """``*`` or ``t.*`` in a select list or ``count(*)``."""
 
     qualifier: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class UnaryOp(Expression):
     """Unary operator application: ``NOT x`` or ``-x``."""
 
@@ -86,7 +84,6 @@ class UnaryOp(Expression):
     operand: Expression
 
 
-@dataclass(frozen=True)
 class BinaryOp(Expression):
     """Binary operator application.
 
@@ -98,7 +95,6 @@ class BinaryOp(Expression):
     right: Expression
 
 
-@dataclass(frozen=True)
 class IsNull(Expression):
     """``expr IS [NOT] NULL``."""
 
@@ -106,7 +102,6 @@ class IsNull(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Between(Expression):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -116,7 +111,6 @@ class Between(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Like(Expression):
     """``expr [NOT] LIKE pattern`` with ``%``/``_`` wildcards."""
 
@@ -125,7 +119,6 @@ class Like(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class InList(Expression):
     """``expr [NOT] IN (e1, e2, ...)`` with an explicit value list."""
 
@@ -134,7 +127,6 @@ class InList(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class InSelect(Expression):
     """``expr [NOT] IN (select ...)``."""
 
@@ -143,7 +135,6 @@ class InSelect(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Exists(Expression):
     """``[NOT] EXISTS (select ...)``."""
 
@@ -151,7 +142,6 @@ class Exists(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class QuantifiedComparison(Expression):
     """``expr op ANY|ALL (select ...)`` (ANY/SOME are synonyms)."""
 
@@ -161,7 +151,6 @@ class QuantifiedComparison(Expression):
     select: "Select"
 
 
-@dataclass(frozen=True)
 class ScalarSelect(Expression):
     """A parenthesized select used as a scalar value.
 
@@ -172,7 +161,6 @@ class ScalarSelect(Expression):
     select: "Select"
 
 
-@dataclass(frozen=True)
 class FunctionCall(Expression):
     """A function application, aggregate or scalar.
 
@@ -186,7 +174,6 @@ class FunctionCall(Expression):
     distinct: bool = False
 
 
-@dataclass(frozen=True)
 class CaseExpression(Expression):
     """``CASE WHEN cond THEN value ... [ELSE value] END`` (searched form)."""
 
@@ -198,13 +185,12 @@ class CaseExpression(Expression):
 # Table references
 
 
-class TableReference:
+class TableReference(Record):
     """Marker base class for items in a FROM clause."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BaseTableRef(TableReference):
     """A database table with an optional alias (range variable)."""
 
@@ -227,7 +213,6 @@ class TransitionKind(Enum):
     SELECTED = "selected"  # §5.1 extension
 
 
-@dataclass(frozen=True)
 class TransitionTableRef(TableReference):
     """A logical transition table (paper §3), e.g. ``inserted emp`` or
     ``new updated emp.salary``.
@@ -252,24 +237,21 @@ class TransitionTableRef(TableReference):
 # Select
 
 
-@dataclass(frozen=True)
-class SelectItem:
+class SelectItem(Record):
     """One output column: an expression with an optional alias."""
 
     expression: Expression
     alias: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class OrderItem:
+class OrderItem(Record):
     """One ORDER BY key."""
 
     expression: Expression
     descending: bool = False
 
 
-@dataclass(frozen=True)
-class Select:
+class Select(Record):
     """A select operation (paper §2.1 ``select-op``), with the common SQL
     conveniences (DISTINCT, GROUP BY/HAVING, ORDER BY, LIMIT, UNION [ALL])
     needed by realistic rules and examples.
@@ -291,7 +273,7 @@ class Select:
 # Data manipulation operations (paper §2.1 sql-op)
 
 
-class Operation:
+class Operation(Record):
     """Marker base class for operations inside an operation block."""
 
     __slots__ = ()
@@ -344,7 +326,6 @@ class LiteralRows(Sequence):
         return repr(self.nodes())
 
 
-@dataclass(frozen=True)
 class InsertValues(Operation):
     """``insert into t values (v1, ..., vn) [, (...) ...]``.
 
@@ -362,7 +343,6 @@ class InsertValues(Operation):
     columns: tuple = ()      # optional column-name list
 
 
-@dataclass(frozen=True)
 class InsertSelect(Operation):
     """``insert into t (select ...)``."""
 
@@ -371,7 +351,6 @@ class InsertSelect(Operation):
     columns: tuple = ()
 
 
-@dataclass(frozen=True)
 class Delete(Operation):
     """``delete from t [where p]`` — omitted predicate means ``where true``."""
 
@@ -379,15 +358,13 @@ class Delete(Operation):
     where: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """One ``column = expression`` item in an UPDATE's SET clause."""
 
     column: str
     expression: Expression
 
 
-@dataclass(frozen=True)
 class Update(Operation):
     """``update t set c1 = e1, ... [where p]``."""
 
@@ -396,7 +373,6 @@ class Update(Operation):
     where: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class SelectOperation(Operation):
     """A standalone select inside an operation block (§5.1 extension).
 
@@ -407,8 +383,7 @@ class SelectOperation(Operation):
     select: Select
 
 
-@dataclass(frozen=True)
-class OperationBlock:
+class OperationBlock(Record):
     """A non-empty sequence of operations executed indivisibly (§2.1)."""
 
     operations: tuple
@@ -442,8 +417,7 @@ KIND_TO_PREDICATE = {
 }
 
 
-@dataclass(frozen=True)
-class BasicTransitionPredicate:
+class BasicTransitionPredicate(Record):
     """One basic transition predicate: an operation kind, a table, and for
     ``updated``/``selected`` an optional column narrowing.
     """
@@ -453,13 +427,11 @@ class BasicTransitionPredicate:
     column: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class RollbackAction:
+class RollbackAction(Record):
     """The ``rollback`` rule action (§3): abort the whole transaction."""
 
 
-@dataclass(frozen=True)
-class CreateRule:
+class CreateRule(Record):
     """``create rule name when trans-pred [if condition] then action``.
 
     ``predicates`` is the disjunctive list of basic transition predicates;
@@ -472,15 +444,13 @@ class CreateRule:
     action: object           # OperationBlock | RollbackAction
 
 
-@dataclass(frozen=True)
-class DropRule:
+class DropRule(Record):
     """``drop rule name``."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class CreateRulePriority:
+class CreateRulePriority(Record):
     """``create rule priority r1 before r2`` (§4.4)."""
 
     higher: str
@@ -492,31 +462,27 @@ class CreateRulePriority:
 # schema exists, so table DDL is part of the substrate, not the contribution)
 
 
-@dataclass(frozen=True)
-class ColumnDef:
+class ColumnDef(Record):
     """One column in a CREATE TABLE: name and declared type name."""
 
     name: str
     type_name: str
 
 
-@dataclass(frozen=True)
-class CreateTable:
+class CreateTable(Record):
     """``create table t (c1 type1, ..., cn typen)``."""
 
     name: str
     columns: tuple
 
 
-@dataclass(frozen=True)
-class DropTable:
+class DropTable(Record):
     """``drop table t``."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class CreateIndex:
+class CreateIndex(Record):
     """``create index name on table (column)`` — a sorted index (substrate
     engineering; see :mod:`repro.relational.index`)."""
 
@@ -525,15 +491,13 @@ class CreateIndex:
     column: str
 
 
-@dataclass(frozen=True)
-class DropIndex:
+class DropIndex(Record):
     """``drop index name``."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class AssertRules:
+class AssertRules(Record):
     """``assert rules`` — a user-defined rule triggering point (§5.3).
 
     When executed inside a transaction, the externally-generated transition
@@ -542,8 +506,7 @@ class AssertRules:
     """
 
 
-@dataclass(frozen=True)
-class Explain:
+class Explain(Record):
     """``explain <select>`` — render the select's logical plan as text.
 
     A read-only observability statement (not part of the paper's

@@ -12,9 +12,9 @@ statement as it was written (EXPLAIN, error messages);
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Sequence
 
+from ..records import Record, replace
 from . import ast
 
 
@@ -37,15 +37,15 @@ def bind(node: Any, params: Sequence[Any]) -> Any:
         if all(new is old for new, old in zip(items, node)):
             return node
         return items
-    if not dataclasses.is_dataclass(node):
+    if not isinstance(node, Record):
         return node  # names, flags, LIMIT's count
     changes = {}
-    for field in dataclasses.fields(node):
-        old = getattr(node, field.name)
+    for name in node._fields:
+        old = getattr(node, name)
         new = bind(old, params)
         if new is not old:
-            changes[field.name] = new
-    return dataclasses.replace(node, **changes) if changes else node
+            changes[name] = new
+    return replace(node, **changes) if changes else node
 
 
 def constant(operand: Any, params: Sequence[Any]) -> Any:

@@ -5,13 +5,14 @@ module threads that information onto AST nodes so diagnostics (parse
 errors, lint findings) can point at ``line:col`` in the ``create rule``
 text the user actually wrote.
 
-Spans are attached *out of band*: AST nodes are frozen dataclasses whose
-equality and hashing are structural (two parses of the same text compare
-equal), and a span must never change that — ``parse(format(parse(x)))``
-has different spans but equal ASTs. So the span lives in the node's
-instance ``__dict__`` under a private key, written with
-``object.__setattr__`` (the one sanctioned way to add metadata to a
-frozen dataclass), and is read back with :func:`span_of`.
+Spans are attached *out of band*: AST nodes are frozen records
+(:class:`~repro.records.Record`) whose equality and hashing are
+structural (two parses of the same text compare equal), and a span must
+never change that — ``parse(format(parse(x)))`` has different spans but
+equal ASTs. So the span is an instance attribute under a private name
+that is no field, written with ``object.__setattr__`` (the one way past
+a frozen record's ``__setattr__``), and is read back with
+:func:`span_of`.
 
 Nodes built by hand (tests, the constraint compiler) simply have no
 span; every consumer treats ``span_of(node) is None`` as "location
@@ -20,16 +21,15 @@ unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
+from ..records import Record
 from .ast import LiteralRows
 
 _SPAN_ATTR = "_source_span"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(Record):
     """A half-open region of source text.
 
     ``line``/``column`` are one-based and point at the first character;
@@ -89,8 +89,8 @@ def span_between(start_token: Any, end_token: Any) -> Span:
 def set_span(node: Any, span: Optional[Span]) -> Any:
     """Attach ``span`` to ``node`` (returns the node for chaining).
 
-    A no-op for nodes that cannot carry attributes (none of the AST
-    dataclasses are slotted, so in practice every node accepts one).
+    A no-op for nodes that cannot carry attributes (no AST node is
+    slotted, so in practice every node accepts one).
     """
     if span is not None:
         try:
@@ -108,14 +108,12 @@ def span_of(node: Any) -> Optional[Span]:
 def walk(node: Any) -> Iterator[Any]:
     """Yield ``node`` and every AST node nested anywhere inside it.
 
-    Generic structural traversal: descends into dataclass fields and
-    tuple/list containers, yielding each dataclass instance found
-    (expressions, table references, operations, statements, predicates,
-    select items — everything the parser constructs). Used by span
-    integrity checks and by lint passes that need the full node set.
+    Generic structural traversal: descends into record fields and
+    tuple/list containers, yielding each record found (expressions,
+    table references, operations, statements, predicates, select items —
+    everything the parser constructs). Used by span integrity checks and
+    by lint passes that need the full node set.
     """
-    import dataclasses
-
     stack = [node]
     while stack:
         current = stack.pop()
@@ -124,7 +122,6 @@ def walk(node: Any) -> Iterator[Any]:
         if isinstance(current, (tuple, list, LiteralRows)):
             stack.extend(current)
             continue
-        if dataclasses.is_dataclass(current) and not isinstance(current, type):
+        if isinstance(current, Record):
             yield current
-            for field in dataclasses.fields(current):
-                stack.append(getattr(current, field.name))
+            stack.extend(current._key(current))

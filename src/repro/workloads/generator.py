@@ -10,11 +10,11 @@ composition laws on realistic operation sequences).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+
+from ..records import Record
 
 
-@dataclass(frozen=True)
-class WorkloadConfig:
+class WorkloadConfig(Record):
     """Parameters of a random workload.
 
     Attributes:

@@ -15,7 +15,8 @@ deployment would have had.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+
+from ..records import Record
 
 
 EMP_SCHEMA = [
@@ -41,8 +42,7 @@ def create_schema(db):
     db.execute("create table dept (dept_no integer, mgr_no integer)")
 
 
-@dataclass
-class OrgChart:
+class OrgChart(Record, frozen=False):
     """A generated management hierarchy.
 
     Attributes:
@@ -52,10 +52,17 @@ class OrgChart:
         manager_of: ``{emp_no: manager_emp_no}`` (roots absent).
     """
 
-    employees: list = field(default_factory=list)
-    departments: list = field(default_factory=list)
-    levels: list = field(default_factory=list)
-    manager_of: dict = field(default_factory=dict)
+    employees: list
+    departments: list
+    levels: list
+    manager_of: dict
+
+    def __init__(self, employees=None, departments=None, levels=None,
+                 manager_of=None):
+        self.employees = [] if employees is None else employees
+        self.departments = [] if departments is None else departments
+        self.levels = [] if levels is None else levels
+        self.manager_of = {} if manager_of is None else manager_of
 
     @property
     def size(self):

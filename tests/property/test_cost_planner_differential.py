@@ -14,11 +14,11 @@ handles, error types *and messages*, fired-rule sequences, and final
 state, also after a compaction rebuilt the zone maps mid-run.
 """
 
-import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
 from repro import ActiveDatabase
+from repro.records import replace
 from repro.relational.database import Database
 from repro.relational.plan import Filter, HashJoin, Product, builder
 from repro.relational.select import evaluate_select
@@ -110,10 +110,10 @@ def syntactic_outcome(db, select):
 def without_prune_specs(node):
     """``node``'s source tree with every filter's prune specs dropped."""
     if isinstance(node, Filter):
-        return dataclasses.replace(
+        return replace(
             node, child=without_prune_specs(node.child), prune_specs=())
     if isinstance(node, (HashJoin, Product)):
-        return dataclasses.replace(node, left=without_prune_specs(node.left),
+        return replace(node, left=without_prune_specs(node.left),
                                    right=without_prune_specs(node.right))
     return node
 

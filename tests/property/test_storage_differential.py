@@ -25,7 +25,6 @@ same rows, in the same order, as on a copy of the database without
 indexes.
 """
 
-import dataclasses
 import math
 import random
 
@@ -34,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.records import replace
 from repro.relational.database import Database
 from repro.relational.select import evaluate_select
 from repro.relational.stats import ZONE_SHIFT, ZONE_SIZE
@@ -152,7 +152,7 @@ class Pair:
         template = parse_select("select * from t where c0 = 1")
         #: ``select * from t where c = <probe>`` per indexed column
         self.selects = {
-            (position, probe): dataclasses.replace(
+            (position, probe): replace(
                 template, where=ast.BinaryOp(
                     "=", ast.ColumnRef(self.names[position]),
                     ast.Literal(probe)))

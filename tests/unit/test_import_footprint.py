@@ -14,11 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
-ROOTS = ("repro", "repro.relational", "repro.durability", "repro.server")
+ROOTS = ("repro", "repro.relational", "repro.durability", "repro.server",
+         "repro.workloads")
 
 #: ``from repro import ActiveDatabase``, then one ``create rule``: the
 #: engine, the SQL front end and the analyzer — no durability, no
@@ -40,7 +43,7 @@ EMBEDDED = {
     "repro.core.rules", "repro.core.selection", "repro.core.trace",
     "repro.core.transition_tables",
     "repro.obs", "repro.obs.bus", "repro.obs.events", "repro.obs.metrics",
-    "repro.obs.recorder", "repro.obs.sinks",
+    "repro.obs.recorder", "repro.obs.sinks", "repro.records",
     "repro.relational", "repro.relational.batch",
     "repro.relational.compiled", "repro.relational.database",
     "repro.relational.dml", "repro.relational.expressions",
@@ -66,6 +69,29 @@ DURABLE = {
 RULE_PROGRAM = """
 db.execute("create table t (x integer)")
 db.execute("create rule r when inserted into t then delete from t where x < 0")
+"""
+
+#: the entry points, as code a fresh interpreter runs
+EMBEDDED_PROGRAM = (
+    "from repro import ActiveDatabase\ndb = ActiveDatabase()" + RULE_PROGRAM)
+DURABLE_PROGRAM = (
+    "import tempfile\nfrom repro import ActiveDatabase\n"
+    "db = ActiveDatabase(durability=tempfile.mkdtemp())" + RULE_PROGRAM)
+#: the ``python -m repro.server`` child: its ``__main__``, a durable
+#: database, the server around it, and one ``create rule``
+SERVER_CHILD = """
+import tempfile
+from repro.server.__main__ import build_system
+from repro.server.server import RuleServer
+db = build_system(tempfile.mkdtemp())
+server = RuleServer(db)
+""" + RULE_PROGRAM
+ORGCHART_PROGRAM = """
+from repro import ActiveDatabase
+from repro.workloads import orgchart
+db = ActiveDatabase()
+orgchart.populate(db, depth=2, branching=2, seed=1)
+orgchart.define_rules(db)
 """
 
 
@@ -117,13 +143,21 @@ def test_the_wal_codec_loads_no_engine():
 
 
 def test_an_embedded_rule_program_loads_what_it_runs():
-    assert loaded_after(
-        "from repro import ActiveDatabase\ndb = ActiveDatabase()"
-        + RULE_PROGRAM) == EMBEDDED
-    assert loaded_after(
-        "import tempfile\nfrom repro import ActiveDatabase\n"
-        "db = ActiveDatabase(durability=tempfile.mkdtemp())"
-        + RULE_PROGRAM) == EMBEDDED | DURABLE
+    assert loaded_after(EMBEDDED_PROGRAM) == EMBEDDED
+    assert loaded_after(DURABLE_PROGRAM) == EMBEDDED | DURABLE
+
+
+@pytest.mark.parametrize("program", [
+    EMBEDDED_PROGRAM, DURABLE_PROGRAM, SERVER_CHILD, ORGCHART_PROGRAM,
+], ids=["embedded", "durable", "server-child", "orgchart"])
+def test_no_entry_point_imports_dataclasses(program):
+    """Record classes build no code at import (``repro.records``), so
+    no process that runs the engine loads the dataclass generator."""
+    assert run(program + """
+import json, sys
+print(json.dumps(sorted(name for name in sys.modules
+                        if name == "dataclasses")))
+""") == []
 
 
 def test_every_export_is_its_submodules_object():

@@ -24,7 +24,7 @@ STRICT_PACKAGES = (
     "repro/relational/handles.py", "repro/core/effects.py",
     "repro/durability/wal.py", "repro/durability/checkpoint.py",
     "repro/durability/recovery.py", "repro/server/client.py",
-    "repro/server/protocol.py",
+    "repro/server/protocol.py", "repro/records.py",
 )
 #: modules under an override that sets ``disallow_untyped_defs =
 #: false`` (none left: the whole of each package is strict)

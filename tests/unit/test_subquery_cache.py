@@ -149,28 +149,44 @@ class TestCacheBehaviour:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == [("b",), ("c",)]
 
-    def test_transition_table_subquery_never_cached(self, database):
-        """Regression: a subquery reading a *transition table* must not be
-        classified self-contained. TransitionTableRef carries a ``.table``
-        attribute (its base table), so a purely attribute-based check
-        mistakes it for a cacheable base-table read — but its contents
-        vary with the reading rule's trans-info while ``database.version``
-        (the cache key) stays put."""
-        assert not _select_is_self_contained(
+    def test_transition_table_subquery_is_cached(self, database,
+                                                 monkeypatch):
+        """A subquery over a *transition table* is self-contained, so a
+        rule's evaluator memoises it like any other: keyed by
+        ``database.version`` and by the version of the trans-info its
+        resolver reads, it runs once while neither moves, and again
+        once either does."""
+        assert _select_is_self_contained(
             parse_select("select name from inserted emp"), database
         )
-        assert not _select_is_self_contained(
+        assert _select_is_self_contained(
             parse_select("select salary from old updated emp.salary"),
             database,
         )
-        # a transition table anywhere in the subtree disqualifies too
-        assert not _select_is_self_contained(
-            parse_select(
-                "select name from emp where exists "
-                "(select * from deleted emp)"
-            ),
-            database,
-        )
+        from repro.relational import select as select_module
+
+        calls = {"n": 0}
+        original = select_module._SelectExecutor.run
+
+        def counting_run(self, node, outer):
+            calls["n"] += 1
+            return original(self, node, outer)
+
+        monkeypatch.setattr(select_module._SelectExecutor, "run", counting_run)
+        handle = database.insert_row("emp", ("a", 10.0, 1))
+        info = TransitionEffect()
+        info.apply(InsertEffect("emp", (handle,)))
+        evaluator = Evaluator(database, TransitionTableResolver(database, info))
+        condition = parse_expression("'a' in (select name from inserted emp)")
+        for _ in range(3):
+            assert evaluator.evaluate_predicate(condition, Scope()) is True
+        assert calls["n"] == 1
+        info.apply(InsertEffect("emp", (handle,)))
+        evaluator.evaluate_predicate(condition, Scope())
+        assert calls["n"] == 2
+        database.insert_row("emp", ("b", 20.0, 1))
+        evaluator.evaluate_predicate(condition, Scope())
+        assert calls["n"] == 3
 
     def test_transition_subquery_sees_trans_info_changes(self, database):
         """Regression: one Evaluator re-reading a transition-table
