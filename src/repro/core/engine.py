@@ -452,15 +452,14 @@ class RuleEngine:
                 self._abort(reason="wal_error",
                             wal_failure=self.durability.wal.failure)
                 raise
-            self._emit(
-                EventKind.WAL_APPEND,
-                lsn=info["lsn"],
-                bytes=info["bytes"],
-                shared=info["shared"],
-                gathered=info["gathered"],
-                records=1,
-                duration=info["duration"],
-            )
+            if info is not None:  # None: a read-only transaction
+                self._emit(
+                    EventKind.WAL_APPEND,
+                    lsn=info["lsn"],
+                    bytes=info["bytes"],
+                    records=1,
+                    duration=info["duration"],
+                )
         self.database.transactions.commit()
         self.incremental.on_commit()
         self._emit(

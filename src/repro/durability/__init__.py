@@ -4,17 +4,21 @@ The paper assumes durability away ("failures are transparent", §2); this
 package supplies it, together with the fault-injection harness that
 makes the guarantee testable:
 
-* :mod:`~repro.durability.wal` — append-only, checksummed JSONL log of
-  committed transactions' net effects, one columnar record per
-  transaction; the fsync'd append is the commit point;
+* :mod:`~repro.durability.wal` — append-only log of committed
+  transactions' net effects, one checksummed, deflated frame per
+  transaction holding one columnar JSON record; the fsync'd append is
+  the commit point;
 * :mod:`~repro.durability.checkpoint` — atomic full snapshots with a WAL
-  high-water mark;
+  high-water mark, one frame each;
 * :mod:`~repro.durability.recovery` — :func:`recover`: load the last
   checkpoint, truncate torn WAL tails, replay the suffix as whole
   column vectors, verify row counts, rebuild indexes and zone maps;
 * :mod:`~repro.durability.faults` — :class:`FaultInjector`, seeded
   crash schedules at named points of the commit/checkpoint path, plus a
   disk-full append that is not a crash;
+* :mod:`~repro.durability.dump` — ``python -m repro.durability.dump
+  DIR`` prints a directory's records as JSON lines (a command only;
+  nothing imports it);
 * :mod:`~repro.durability.manager` — :class:`DurabilityManager`, the
   object an :class:`~repro.ActiveDatabase` is constructed with::
 

@@ -1,22 +1,24 @@
 """Checkpointing: a durable full snapshot plus a WAL high-water mark.
 
-A checkpoint document (version 3) is the catalog
+A checkpoint document (version 4) is the catalog
 (:func:`repro.persistence.catalog_document`) and the data as one commit
 body — per non-empty table, one insert section of every live row under
-its original handle, and the row count, a repeated vector as a reference
-(:class:`~repro.durability.wal.SectionWriter`) — with the handle
-high-water mark, the LSN up to which the WAL is folded into it and the
-last committed transaction id::
+its original handle, and the row count — with the handle high-water
+mark, the LSN up to which the WAL is folded into it and the last
+committed transaction id::
 
-    {"format":"repro-durability-checkpoint","version":3,"wal_lsn":L,
+    {"format":"repro-durability-checkpoint","version":4,"wal_lsn":L,
      "last_txn":T,"hwm":H,"catalog":{...},"data":{TABLE:{"i":[...],"n":N}}}
 
+The file is that document as one WAL frame
+(:func:`~repro.durability.wal.encode_record`), and nothing after it.
 Recovery replays ``data`` through the WAL's section reader, between
 creating the tables and defining indexes, rules and priorities:
-checkpoint restore *is* WAL replay. A version-2 checkpoint (no
-references) is read as version 3; a version-1 checkpoint is refused.
+checkpoint restore *is* WAL replay. A checkpoint of an earlier version
+— a JSON document, which opens with ``{`` — or of another version
+number is refused.
 
-Writes are atomic: the document goes to a temp file (fsync'd), then an
+Writes are atomic: the frame goes to a temp file (fsync'd), then an
 ``os.replace`` swaps it in, then the directory entry is fsync'd. A crash
 before the rename leaves the previous checkpoint intact; a crash after
 it leaves the new one — there is no in-between state, which the
@@ -25,23 +27,21 @@ it leaves the new one — there is no in-between state, which the
 
 from __future__ import annotations
 
-import json
 import os
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ReproError
 from ..persistence import catalog_document
-from .wal import SectionWriter, encode_json
+from .wal import encode_record, read_frame, table_section
 
 if TYPE_CHECKING:
     from ..system import ActiveDatabase
     from .faults import FaultInjector
 
+#: the name the JSON checkpoint had; kept, like the WAL's
 CHECKPOINT_FILENAME = "checkpoint.json"
 CHECKPOINT_FORMAT = "repro-durability-checkpoint"
-CHECKPOINT_VERSION = 3
-#: the versions recovery reads: version 2 wrote no vector references
-CHECKPOINT_READ_VERSIONS = (2, 3)
+CHECKPOINT_VERSION = 4
 #: the type of every field a checkpoint document must carry
 _FIELDS = {"wal_lsn": int, "last_txn": int, "hwm": int, "catalog": dict,
            "data": dict}
@@ -55,12 +55,11 @@ def build_checkpoint_document(db: ActiveDatabase, wal_lsn: int,
                               last_txn: int) -> dict[str, Any]:
     """The checkpoint document for an :class:`~repro.ActiveDatabase`."""
     catalog = catalog_document(db)
-    writer = SectionWriter()
     data = {}
     for name in db.database.table_names():
         table = db.database.table(name)
         if len(table):
-            data[name] = {"i": writer.section(table, table.handles()),
+            data[name] = {"i": table_section(table, table.handles()),
                           "n": len(table)}
     return {
         "format": CHECKPOINT_FORMAT,
@@ -82,7 +81,7 @@ def write_checkpoint(directory: str, document: dict[str, Any],
     """
     path = os.path.join(directory, CHECKPOINT_FILENAME)
     tmp_path = path + ".tmp"
-    data = encode_json(document).encode("utf-8")
+    data = encode_record(document)
     with open(tmp_path, "wb") as handle:
         handle.write(data)
         handle.flush()
@@ -109,21 +108,27 @@ def read_checkpoint(directory: str) -> dict[str, Any] | None:
     if not os.path.exists(path):
         return None
     with open(path, "rb") as handle:
-        try:
-            document = json.load(handle)
-        except ValueError as error:  # not JSON, or not UTF-8
-            raise CheckpointError(f"corrupt checkpoint file: {error}") from None
-    if not isinstance(document, dict):
-        raise CheckpointError("checkpoint document must be a JSON object")
+        data = handle.read()
+    if data[:1] == b"{":
+        raise CheckpointError(
+            f"{path!r} is a JSON checkpoint of an earlier version (versions "
+            f"1 to 3); this build reads framed version {CHECKPOINT_VERSION} "
+            f"only and leaves the file as it is"
+        )
+    frame = read_frame(data)
+    if frame is None or frame[1] != len(data):
+        raise CheckpointError(
+            "corrupt checkpoint file: not one whole frame holding a JSON "
+            "object")
+    document = frame[0]
     if document.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"not a {CHECKPOINT_FORMAT} document: {document.get('format')!r}"
         )
-    if document.get("version") not in CHECKPOINT_READ_VERSIONS:
+    if document.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint has format version {document.get('version')!r}; "
-            f"this build reads versions "
-            f"{' and '.join(map(str, CHECKPOINT_READ_VERSIONS))} only"
+            f"this build reads version {CHECKPOINT_VERSION} only"
         )
     if any(type(document.get(key)) is not kind for key, kind in _FIELDS.items()):
         raise CheckpointError("checkpoint document needs integers wal_lsn, "

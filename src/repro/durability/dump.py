@@ -1,0 +1,33 @@
+"""``python -m repro.durability.dump DIR``: a durability directory for a
+reader — the checkpoint's body, then each WAL frame's body, one JSON
+line each, then :func:`~repro.durability.wal.scan_wal`'s account of the
+torn tail. It only reads."""
+
+from __future__ import annotations
+
+import argparse
+import os
+
+from ..errors import ReproError
+from .checkpoint import read_checkpoint
+from .wal import WAL_FILENAME, encode_json, scan_wal
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(prog="python -m repro.durability.dump")
+    parser.add_argument("directory", help="a durability directory")
+    directory = parser.parse_args(argv).directory
+    try:
+        document = read_checkpoint(directory)
+        scan = scan_wal(os.path.join(directory, WAL_FILENAME))
+    except ReproError as error:  # a refused or corrupt file
+        parser.exit(1, f"{error}\n")
+    for body in ([document] if document else []) + scan.records:
+        print(encode_json(body))
+    print(f"# {len(scan.records)} records in {scan.valid_bytes} bytes; "
+          f"{scan.torn_bytes} torn bytes, {scan.discarded_records} intact "
+          f"records behind the tear")
+
+
+if __name__ == "__main__":
+    main()

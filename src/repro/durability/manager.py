@@ -2,13 +2,16 @@
 
 A :class:`DurabilityManager` owns a durability directory holding
 ``wal.jsonl`` (see :mod:`~repro.durability.wal`) and ``checkpoint.json``
-(see :mod:`~repro.durability.checkpoint`); both are written in one
-section codec — a commit record's net effect and a checkpoint's data
-are the same per-table sections. It is attached to an
+(see :mod:`~repro.durability.checkpoint`) — binary files that kept the
+names of the text formats before them. Both are written as the same
+deflated frames of the same per-table sections: a commit record's net
+effect and a checkpoint's data. It is attached to an
 :class:`~repro.ActiveDatabase` at construction and sits on the commit
 path: the engine calls :meth:`log_commit` after rule quiescence and
 *before* acknowledging the commit, so the fsync'd WAL record is the
-durable commit point.
+durable commit point. A transaction that touched no table and issued no
+handle since the last record (a ``select`` through ``execute``) appends
+nothing.
 
 A manager refuses to attach a *fresh* database to a directory that
 already holds durable state — that would fork history; existing state
@@ -27,7 +30,7 @@ from .checkpoint import (
     build_checkpoint_document,
     write_checkpoint,
 )
-from .wal import WAL_FILENAME, SectionWriter, WalWriter, build_commit_record
+from .wal import WAL_FILENAME, WalWriter, build_commit_record
 
 
 class DurabilityError(ReproError):
@@ -66,8 +69,11 @@ class DurabilityManager:
         self.wal = WalWriter(
             self.wal_path, fsync=fsync, injector=injector
         )
-        #: last committed transaction id seen (resumed by recovery)
+        #: last committed transaction id logged (resumed by recovery)
         self.last_txn = 0
+        #: the handle high-water mark of the last commit record (resumed
+        #: by recovery): an empty effect below it has nothing to log
+        self.last_hwm = 0
         #: recovery summary dict, set by recover() on resumed managers
         self.recovery = None
         #: group commit: when True, :meth:`log_commit` defers the fsync
@@ -79,9 +85,6 @@ class DurabilityManager:
         self.commits_logged = 0
         self.ddl_logged = 0
         self.append_time = 0.0
-        #: vectors commit records wrote as references to an earlier one,
-        #: and as gathers of an earlier table's column
-        self.vectors_shared = self.vectors_gathered = 0
         self.checkpoints = 0
         self.checkpoint_time = 0.0
         self.checkpoint_bytes = 0
@@ -112,14 +115,18 @@ class DurabilityManager:
     # logging
 
     def log_commit(self, txn_id, effect, database):
-        """Durably log a transaction's net effect; returns append info.
+        """Durably log a transaction's net effect; returns append info,
+        or None when there is nothing to log: the transaction touched no
+        table and issued no handle since the last commit record.
 
         This is the commit point: once this returns, the transaction is
         committed regardless of what happens to the process.
         """
+        if not effect.tables \
+                and database.handles.issued_count == self.last_hwm:
+            return None
         start = perf_counter()
-        writer = SectionWriter()
-        record = build_commit_record(txn_id, effect, database, writer)
+        record = build_commit_record(txn_id, effect, database)
         bytes_before = self.wal.bytes_written
         record = self.wal.append(
             record, sync=None if not self.group_commit else False
@@ -128,14 +135,11 @@ class DurabilityManager:
         self.commits_logged += 1
         self.commits_since_checkpoint += 1
         self.append_time += elapsed
-        self.vectors_shared += writer.shared
-        self.vectors_gathered += writer.gathered
         self.last_txn = txn_id
+        self.last_hwm = record["hwm"]
         return {
             "lsn": record["lsn"],
             "bytes": self.wal.bytes_written - bytes_before,
-            "shared": writer.shared,
-            "gathered": writer.gathered,
             "duration": elapsed,
         }
 
@@ -216,8 +220,6 @@ class DurabilityManager:
             "commits_logged": self.commits_logged,
             "ddl_logged": self.ddl_logged,
             "append_time": self.append_time,
-            "vectors_shared": self.vectors_shared,
-            "vectors_gathered": self.vectors_gathered,
             "last_lsn": self.wal.next_lsn - 1,
             "wal_failure": self.wal.failure,
             "checkpoints": self.checkpoints,

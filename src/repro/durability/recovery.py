@@ -9,11 +9,13 @@ durability directory:
    its indexes, rules and priorities, and resume the allocator past its
    high-water mark;
 2. scan the WAL, truncating a torn tail (a partially-written final
-   record, detected by checksum) — everything before the tear is the
-   committed history, everything after it never happened (checksummed
-   records behind the tear are counted, then cut with it: recovery is
-   point-in-time, see :func:`~repro.durability.wal.scan_wal`); refuse a
-   log written in another format version;
+   frame, detected by its length, checksum or inflate) — everything
+   before the tear is the committed history, everything after it never
+   happened (intact frames behind the tear are counted, then cut with
+   it: recovery is point-in-time, see
+   :func:`~repro.durability.wal.scan_wal`); refuse, before anything is
+   cut, a text log or JSON checkpoint of an earlier version and a
+   record of another format version;
 3. replay the WAL suffix (records past the checkpoint's LSN): DDL
    records re-execute catalog changes, commit records re-apply net
    effects as whole column vectors — no rule ever re-fires, because
@@ -44,7 +46,7 @@ from ..persistence import restore_catalog
 from .checkpoint import CheckpointError, read_checkpoint
 from .manager import DurabilityManager
 from .wal import (
-    WAL_READ_VERSIONS,
+    WAL_VERSION,
     WalError,
     WalWriter,
     replay_commit_record,
@@ -83,11 +85,11 @@ def recover(directory: str | os.PathLike[str], fsync: bool = True,
     document = read_checkpoint(manager.directory)
     scan = scan_wal(manager.wal_path)
     for record in scan.records:
-        if record.get("v") not in WAL_READ_VERSIONS:
+        if record.get("v") != WAL_VERSION:
             raise WalError(
                 f"WAL record lsn {record.get('lsn')} has format version "
-                f"{record.get('v')!r}; this build reads versions "
-                f"{', '.join(map(str, WAL_READ_VERSIONS))} only"
+                f"{record.get('v')!r}; this build reads version "
+                f"{WAL_VERSION} only"
             )
     if scan.torn_bytes:
         WalWriter(manager.wal_path, fsync=fsync).truncate_to(scan.valid_bytes)
@@ -119,6 +121,7 @@ def recover(directory: str | os.PathLike[str], fsync: bool = True,
 
     manager.wal.next_lsn = max(scan.last_lsn, checkpoint_lsn) + 1
     manager.last_txn = db.engine._txn_id
+    manager.last_hwm = db.database.handles.issued_count
     manager.recovery = {
         "checkpoint": document is not None,
         "checkpoint_lsn": checkpoint_lsn,

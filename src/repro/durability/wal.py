@@ -1,22 +1,25 @@
-"""The write-ahead log: append-only JSONL of committed transactions.
+"""The write-ahead log: one checksummed, deflated frame per committed
+transaction.
 
-Each line is ``<crc32-hex> <json-body>\\n`` — the checksum covers the
-body bytes, so a torn tail (partial write of the final record) is
-detected by either a JSON parse failure or a checksum mismatch, and
-:func:`scan_wal` reports how many bytes of the file are valid so
-recovery can truncate the rest.
+A frame is a marker byte, the CRC-32 and the length of the record's
+body (little-endian, four bytes each), then the body — the record's
+JSON — as one raw deflate stream (level 1), which ends itself, so frames
+follow one another with nothing between them. The first frame that
+does not check out (header, stream, length, CRC, one JSON object) starts
+a torn or corrupt tail: :func:`scan_wal` reports how many bytes of the
+file are valid so recovery can truncate the rest. Versions 1 to 5 wrote
+text lines that open with a hex checksum, and the marker is no hex
+digit: :func:`scan_wal` refuses such a log before anything is cut.
 
-Every body opens with the format version and the LSN, ``{"v":5,"lsn":L,
-...``; recovery reads versions 3 to 5 (each a version without the next
-one's references) and refuses any other. Two records exist:
+Every body opens with the format version and the LSN, ``{"v":6,"lsn":L,
+...``; recovery reads version 6 and refuses any other. Two records
+exist:
 
-* the commit record ``{"v":5,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"v":6,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
-  as one vector per column, each vector written once per record and a
-  copy of an earlier table's column as a reference to it (see
-  :func:`build_commit_record` and :class:`SectionWriter`). Because
+  as one vector per column (see :func:`build_commit_record`). Because
   the record is the composed net effect of the whole transaction
   (external block plus every rule-generated transition, Definition
   2.1), replaying it reproduces the committed state without re-running
@@ -26,11 +29,12 @@ one's references) and refuses any other. Two records exist:
   so the catalog survives between checkpoints.
 
 Key order is the order of construction (a function of the logged effect
-alone), so equal histories write equal bytes.
+alone), so equal histories write equal bodies.
 
 The commit sections are also the checkpoint's data: a checkpoint is the
-commit body that inserts every live row (:mod:`~repro.durability.checkpoint`),
-and :func:`replay_sections` is the one reader of both.
+commit body that inserts every live row, in a frame of its own
+(:mod:`~repro.durability.checkpoint`), and :func:`replay_sections` is
+the one reader of both.
 
 The append of a commit record (plus fsync) *is* the commit point: a
 transaction whose record is fully durable is committed; one whose
@@ -42,6 +46,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import struct
 import sys
 import zlib
 from array import array
@@ -59,10 +64,10 @@ if TYPE_CHECKING:
     from ..relational.table import Table
     from .faults import FaultInjector
 
+#: the name the text log had; kept, so a directory an earlier build
+#: wrote is found and refused, not taken for an empty one
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 5
-#: the versions recovery reads: 3 wrote no slots, 4 no gathers
-WAL_READ_VERSIONS = (3, 4, 5)
+WAL_VERSION = 6
 
 
 class WalError(ReproError):
@@ -76,36 +81,58 @@ encode_json = json.JSONEncoder(separators=(",", ":")).encode
 #: ``json.loads`` less its whitespace stripping: a body is one document
 _decode_json = json.JSONDecoder().raw_decode
 
+#: a frame's header: marker, CRC-32 and length of the body
+_HEADER = struct.Struct("<BII")
+#: the first byte of every frame: not a hex digit (the first byte of
+#: every earlier log line), not ``{`` (of every earlier checkpoint)
+#: and not the zero a crash may leave past the end of a file
+FRAME_MARKER = 0xA5
+#: the first bytes of a text log of an earlier version
+_HEX_DIGITS = b"0123456789abcdef"
+
+
+def encode_frame(data: bytes) -> bytes:
+    """``data`` as one frame: header, then its raw deflate stream."""
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    return _HEADER.pack(FRAME_MARKER, zlib.crc32(data), len(data)) \
+        + deflate.compress(data) + deflate.flush()
+
 
 def encode_record(body: dict[str, Any]) -> bytes:
-    """Render a record body as one checksummed WAL line (bytes)."""
-    data = encode_json(body).encode("utf-8")
-    return b"%08x %s\n" % (zlib.crc32(data), data)
+    """Render a record body as one WAL frame (bytes)."""
+    return encode_frame(encode_json(body).encode("utf-8"))
 
 
-def decode_line(line: bytes) -> dict[str, Any] | None:
-    """Parse one WAL line back into its body dict.
-
-    Returns None when the line is torn or corrupt (bad shape, checksum
-    mismatch, or invalid JSON).
-    """
-    if not line.endswith(b"\n"):
+def read_frame(data: bytes | memoryview, at: int = 0
+               ) -> tuple[dict[str, Any], int] | None:
+    """The body of the frame at offset ``at`` of ``data`` and the offset
+    past the frame, or None when it is torn or corrupt. The stream is
+    fed in pieces of about the body's length (deflate grows no body by
+    more), so finding its end copies one piece."""
+    if len(data) - at < _HEADER.size:
         return None
-    head, sep, data = line[:-1].partition(b" ")
-    if not sep or len(head) != 8:
+    marker, crc, length = _HEADER.unpack_from(data, at)
+    inflate = zlib.decompressobj(-15)
+    body, at = b"", at + _HEADER.size
+    while marker == FRAME_MARKER and not inflate.eof and len(body) <= length:
+        piece = data[at:at + length + length // 1024 + 64]
+        try:
+            body += inflate.decompress(piece, length + 1 - len(body))
+        except zlib.error:
+            return None
+        if not piece:
+            return None  # the stream does not end: torn
+        at += len(piece)
+    if not inflate.eof or len(body) != length or zlib.crc32(body) != crc:
         return None
     try:
-        expected = int(head, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(data) != expected:
-        return None
-    try:
-        text = data.decode("utf-8")
-        body, end = _decode_json(text)
+        text = body.decode("utf-8")
+        document, end = _decode_json(text)
     except ValueError:  # not UTF-8, not JSON
         return None
-    return body if end == len(text) and isinstance(body, dict) else None
+    if end != len(text) or not isinstance(document, dict):
+        return None
+    return document, at - len(inflate.unused_data)
 
 
 class WalScan(Record, frozen=False):
@@ -132,34 +159,42 @@ class WalScan(Record, frozen=False):
 
 
 def scan_wal(path: str) -> WalScan:
-    """Read a WAL file, stopping at the first torn/corrupt record.
+    """Read a WAL file, stopping at the first torn/corrupt frame.
 
-    Recovery is point-in-time: everything from the first invalid record
-    onward is cut, intact records behind it included. With group commit
+    Recovery is point-in-time: everything from the first invalid frame
+    onward is cut, intact frames behind it included. With group commit
     several un-fsync'd records can be in flight and a filesystem may
     persist their pages out of order, so an ordinary crash can leave a
-    valid record after a bad one; none of them was acknowledged, and
+    valid frame after a bad one; none of them was acknowledged, and
     refusing to start would turn a recoverable crash into an outage. The
-    scan reads on past the tear only to count what is being discarded.
+    scan reads on past the tear, from marker to marker, only to count
+    what is being discarded.
+
+    Raises:
+        WalError: the file opens with a hex digit — a text log of an
+            earlier version, refused whole rather than cut as torn.
     """
     if not os.path.exists(path):
         return WalScan([], 0, 0)
-    records = []
-    valid = 0
-    discarded = 0
-    torn = False
-    total = os.path.getsize(path)
     with open(path, "rb") as handle:
-        for line in handle:
-            body = decode_line(line)
-            if torn:
-                discarded += body is not None
-            elif body is None:
-                torn = True
-            else:
-                records.append(body)
-                valid += len(line)
-    return WalScan(records, valid, total - valid, discarded)
+        data = handle.read()
+    if data and data[0] in _HEX_DIGITS:
+        raise WalError(
+            f"{path!r} is a text WAL of an earlier version (versions 1 to "
+            f"5); this build reads version {WAL_VERSION} frames only and "
+            f"leaves the file as it is"
+        )
+    records: list[dict[str, Any]] = []
+    view, valid, discarded = memoryview(data), 0, 0
+    while frame := read_frame(view, valid):
+        records.append(frame[0])
+        valid = frame[1]
+    probe = valid + 1
+    while (probe := data.find(FRAME_MARKER, probe)) >= 0:
+        frame = read_frame(view, probe)
+        discarded += frame is not None
+        probe = frame[1] if frame else probe + 1
+    return WalScan(records, valid, len(data) - valid, discarded)
 
 
 class WalWriter:
@@ -207,7 +242,7 @@ class WalWriter:
         (and fsync'd when enabled) — a crash before that leaves the log
         exactly as it was, or with a detectable torn tail. An ``OSError``
         from the write (disk full, IO error) leaves it exactly as it was
-        too: whatever part of the line reached the file is cut off again,
+        too: whatever part of the frame reached the file is cut off again,
         so a later append never lands behind a torn record.
 
         Args:
@@ -229,19 +264,19 @@ class WalWriter:
         if self.injector is not None:
             self.injector.fire("pre_wal_append")
         body = {"v": WAL_VERSION, "lsn": self.next_lsn, **body}
-        line = encode_record(body)
+        frame = encode_record(body)
         handle = self._open()
         offset = handle.tell()
         try:
             if self.injector is not None:
-                keep = self.injector.torn_write(len(line))
+                keep = self.injector.torn_write(len(frame))
                 if keep is not None:
-                    handle.write(line[:keep])
+                    handle.write(frame[:keep])
                     handle.flush()
                     if self.fsync:
                         os.fsync(handle.fileno())
                     self.injector.torn_failure()
-            handle.write(line)
+            handle.write(frame)
             handle.flush()
         except OSError:
             self._discard_partial_append(offset)
@@ -254,7 +289,7 @@ class WalWriter:
             self._pending_sync = True
         self.next_lsn += 1
         self.records_written += 1
-        self.bytes_written += len(line)
+        self.bytes_written += len(frame)
         if self.injector is not None:
             self.injector.fire("post_wal_append")
         return body
@@ -263,7 +298,7 @@ class WalWriter:
         """Cut the log back to ``offset`` after a failed write.
 
         The buffered writer is closed first and opened afresh by the
-        next append: it still holds the unwritten remainder of the line
+        next append: it still holds the unwritten remainder of the frame
         and would re-emit it on its next flush.
         """
         try:
@@ -338,21 +373,8 @@ class WalWriter:
 # NULL, the base64 of its little-endian IEEE-754 doubles whenever that
 # string, quotes included, is strictly shorter: bit-exact, and shorter
 # than decimal text for any double that needs more than a few digits.
-#
-# Every vector a document (a commit record, a checkpoint's data) writes
-# has a slot: 0, 1, 2, ... in replay order — tables in document order,
-# within a table the insert vectors, then each update group's. A vector
-# whose text is exactly an earlier slot's is written as that slot's bare
-# integer whenever the number is shorter, so a rule that copies a
-# transition table logs the copied column once. An integer is never a
-# vector; the reader swaps a reference for the earlier slot's item
-# before any other check. Sections are numbered 0, 1, 2, ... alike. A
-# vector no slot matched whose text is column ``c`` (of its type) of an
-# earlier *table's* section ``k``, read at that section's handles, is
-# written as the shorter ``{"g":[k,"c"]}``: a journal's copy of a column
-# its source did not update. Tables come once per document, each applied
-# whole before the next, so replay's source rows hold the values the
-# writer read.
+# A vector written twice in one document (a journal's copy of a column)
+# is written twice; the frame's deflate stream finds the repeat.
 
 #: doubles are logged little-endian: a big-endian host swaps them
 _BYTESWAP = sys.byteorder != "little"
@@ -412,70 +434,8 @@ def table_section(table: Table, handles: Sequence[int],
             *map(_as_written, table.column_vectors(handles, names))]
 
 
-class SectionWriter:
-    """Writes one document's sections, a vector that repeats an earlier
-    one's text as that one's slot (``shared`` counts them) and one equal
-    to an earlier table's column as a gather (``gathered``)."""
-
-    def __init__(self) -> None:
-        self.first: dict[str, int] = {}  # a vector's text -> its slot
-        self.slots = self.shared = self.gathered = 0
-        self.sections: list[tuple[Table, Sequence[int]]] = []  # by number
-        self.sources: dict[tuple[SqlType, str], dict[str, Any]] = {}
-        self.read: set[tuple[int, str]] = set()
-
-    def section(self, table: Table, handles: Sequence[int],
-                names: Sequence[str] | None = None) -> list[Any]:
-        """:func:`table_section`, repeated vectors as references."""
-        section = table_section(table, handles, names)
-        for at in range(1, len(section)):
-            vector = section[at]
-            # the text as written: ``repr`` tells 1 from 1.0 from True
-            # and 0.0 from -0.0, where Python equality does not
-            text = vector if type(vector) is str else repr(vector)
-            slot = self.first.setdefault(text, self.slots)
-            # "[0]" outgrows every slot below 100; nine values or a packed
-            # string outgrow every slot a document can hold
-            if slot != self.slots and (slot < 100 or len(vector) > 8 or len(
-                    str(slot)) < len(encode_json(vector))):
-                section[at] = slot
-                self.shared += 1
-            elif slot == self.slots and len(text) > 12:  # no gather is shorter
-                section[at] = self._gather(table, handles, (
-                    names or table.schema.column_names)[at - 1], vector, text)
-                self.gathered += section[at] is not vector
-            self.slots += 1
-        self.sections.append((table, handles))
-        return section
-
-    def _gather(self, table: Table, handles: Sequence[int], name: str,
-                vector: list[Any] | str, text: str) -> Any:
-        """``vector``, or the shorter gather of the first column of
-        ``name``'s type that reads ``text`` at an earlier table's section
-        of as many handles (``sources``: (type, text) -> its first gather;
-        ``read``: the (section, column)s read, each once)."""
-        kind = table.schema.column(name).sql_type
-        for number, (source, run) in enumerate(self.sections):
-            for column in source.schema.columns:
-                key = (number, column.name)
-                if source is not table and len(run) == len(handles) and \
-                        column.sql_type is kind and key not in self.read:
-                    self.read.add(key)
-                    found = _as_written(
-                        source.column_vectors(run, key[1:])[0])
-                    self.sources.setdefault((kind, found if type(found) is str
-                                             else repr(found)), {"g": [*key]})
-        gather = self.sources.get((kind, text))
-        size = len(encode_json(gather)) if gather else 0
-        # the JSON of the first ``size`` items decides "longer" already
-        return gather if gather and len(
-            encode_json(vector[:size])) > size else vector
-
-
 def build_commit_record(txn_id: int, effect: TransitionEffect,
-                        database: Database,
-                        writer: SectionWriter | None = None
-                        ) -> dict[str, Any]:
+                        database: Database) -> dict[str, Any]:
     """Render a transaction's composed net effect as a commit record.
 
     ``effect`` is the whole-transaction
@@ -493,10 +453,8 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
     column names ``u`` (names and groups in name order), and the row
     count ``n`` that recovery verifies after replay. The record also
     carries the handle high-water mark ``hwm`` (handles are
-    non-reusable across crashes too). ``writer`` (a fresh one by
-    default) writes the sections.
+    non-reusable across crashes too).
     """
-    writer = writer or SectionWriter()
     commit = {}
     for name in sorted(effect.tables):
         part = effect.tables[name]
@@ -505,13 +463,13 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
         if part.deleted:
             entry["d"] = encode_runs(sorted(part.deleted))
         if part.inserted:
-            entry["i"] = writer.section(table, part.inserted_handles())
+            entry["i"] = table_section(table, part.inserted_handles())
         if part.updated:
             groups: dict[frozenset[str], list[int]] = {}
             for handle in part.updated_handles():
                 groups.setdefault(part.updated[handle], []).append(handle)
             entry["u"] = [
-                [names, *writer.section(table, run, names)]
+                [names, *table_section(table, run, names)]
                 for names, run in sorted(
                     (tuple(sorted(columns)), run)
                     for columns, run in groups.items()
@@ -553,13 +511,10 @@ def decode_runs(runs: Any) -> list[int]:
     return handles
 
 
-def _decode_section(section: Any, names: Sequence[str], table: Table,
-                    slots: list[Any], sections: list[tuple[Table, list[int]]]
+def _decode_section(section: Any, names: Sequence[str], table: Table
                     ) -> tuple[list[int], list[list[Any]]]:
     """The handles and value vectors of a section over the columns
-    ``names`` of ``table``; ``slots`` holds the document's vectors read
-    so far as written (a gather as its list), ``sections`` each section's
-    table and handles; both gain this section's."""
+    ``names`` of ``table``."""
     schema = table.schema
     if type(section) is not list or len(section) != len(names) + 1:
         raise WalError(f"a section is a list of handle runs and "
@@ -567,28 +522,6 @@ def _decode_section(section: Any, names: Sequence[str], table: Table,
     runs, *vectors = section
     handles = decode_runs(runs)
     for at, vector in enumerate(vectors):
-        if type(vector) is dict:  # a gather: a column of this one's type
-            # of an earlier (so replayed) table's section, at its handles
-            spec, kind = vector.get("g"), schema.column(names[at]).sql_type
-            number, name = spec if type(spec) is list and len(spec) == 2 \
-                and len(vector) == 1 else (None, None)
-            source, run = sections[number] if type(number) is int \
-                and 0 <= number < len(sections) else (table, [])
-            types = {column.name: column.sql_type
-                     for column in source.schema.columns}
-            if source is table or type(name) is not str \
-                    or types.get(name) is not kind:
-                raise WalError(f"column {names[at]!r}: {encode_json(vector)} "
-                               f"gathers no {kind.value} column of an "
-                               f"earlier table's section")
-            vector = source.column_vectors(run, [name])[0]
-        elif type(vector) is int:  # a reference (a bool is not one)
-            if not 0 <= vector < len(slots):
-                raise WalError(f"column {names[at]!r}: vector reference "
-                               f"{vector} names no earlier slot")
-            vector = slots[vector]
-        vectors[at] = vector
-        slots.append(vector)
         if type(vector) is not list:
             column = schema.column(names[at])
             if type(vector) is not str or column.sql_type is not SqlType.FLOAT:
@@ -598,7 +531,6 @@ def _decode_section(section: Any, names: Sequence[str], table: Table,
         if len(vector) != len(handles):
             raise WalError(f"column {names[at]!r}: {len(vector)} values "
                            f"for {len(handles)} handles")
-    sections.append((table, handles))
     return handles, vectors
 
 
@@ -626,15 +558,11 @@ def replay_sections(sections: Any, database: Database,
             malformed (the shape, vector counts and lengths, packed
             doubles only in FLOAT columns), an insert claims a handle
             that another table (or this one) already holds or held, or
-            the post-replay row count is not the recorded one. A vector
-            reference or a gather (of an earlier table's column of the
-            target's type) is checked as the vector it names.
+            the post-replay row count is not the recorded one.
     """
     if type(sections) is not dict:
         raise WalError(f"cannot replay {_where(record)}: sections must be "
                        f"an object")
-    slots: list[Any] = []
-    numbered: list[tuple[Table, list[int]]] = []
     for name, entry in sections.items():
         try:
             if type(entry) is not dict or type(entry.get("n")) is not int \
@@ -642,12 +570,11 @@ def replay_sections(sections: Any, database: Database,
                 raise WalError("an entry is an object of d/i/u sections and "
                                "an integer n")
             table = database.table(name)
-            schema = table.schema
             if "d" in entry:
                 database.delete_rows(name, decode_runs(entry["d"]))
             if "i" in entry:
                 handles, vectors = _decode_section(
-                    entry["i"], schema.column_names, table, slots, numbered)
+                    entry["i"], table.schema.column_names, table)
                 database.insert_rows(name, vectors, handles)
             updates = entry.get("u", [])
             if type(updates) is not list:
@@ -658,8 +585,7 @@ def replay_sections(sections: Any, database: Database,
                         or any(type(c) is not str for c in names):
                     raise WalError("an update section is led by its column "
                                    "names")
-                handles, vectors = _decode_section(group[1:], names, table,
-                                                   slots, numbered)
+                handles, vectors = _decode_section(group[1:], names, table)
                 database.assign_columns(name, handles, names, vectors)
         except (WalError, HandleClaimError) as problem:
             raise WalError(f"cannot replay {_where(record)}: table "

@@ -5,6 +5,10 @@
     python -m repro.server                      # in-memory, port 7432
     python -m repro.server --port 0 ./data      # durable, random port
     python -m repro.server --mode 2pl ./data    # locking fallback
+
+A directory that already holds state is recovered; one written by a
+build with an earlier log or checkpoint format is refused, and left as
+it is. ``python -m repro.durability.dump ./data`` prints its records.
 """
 
 from __future__ import annotations

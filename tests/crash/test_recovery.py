@@ -12,9 +12,10 @@ from repro.durability.checkpoint import CHECKPOINT_FILENAME, CheckpointError
 from repro.durability.wal import (
     WAL_VERSION,
     WalError,
-    encode_json,
+    encode_frame,
     encode_record,
     pack_floats,
+    read_frame,
     scan_wal,
 )
 from tests.reference import checkpoint_v1
@@ -274,7 +275,7 @@ class TestReplayVerification:
         # a version-2 log: FLOATs as decimal text only
         ({"v": 2, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "2"),
         # a version from the future
-        ({"v": 6, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "6"),
+        ({"v": 7, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "7"),
     ])
     def test_other_format_version_is_refused_not_truncated(
         self, tmp_path, body, found
@@ -316,9 +317,9 @@ def _delete(key):
 #: malformed commit entries behind a valid CRC. Each tampers the
 #: ``emp`` entry — ``{"i": [[3, 2], ["jane", "bob"], [50.0, 40.0],
 #: [1, 2]], "n": 2}`` both as the last commit record and as checkpoint
-#: data, its vectors the document's slots 0, 1 and 2 either way — and
-#: names what the refusal says. A vector reference is refused just as
-#: the vector it names would be
+#: data — and names what the refusal says. A vector reference of
+#: versions 4 and 5 (an integer where a vector belongs) is refused as
+#: the malformed vector it now is
 MALFORMED_ENTRIES = {
     "missing_n": (_delete("n"), "integer n"),
     "n_not_an_int": (_set(["n"], "2"), "integer n"),
@@ -335,17 +336,18 @@ MALFORMED_ENTRIES = {
     "vector_not_a_list": (
         _set(["i", 3], 7.5), "integer vector must be a list"),
     "reference_dangling": (
-        _set(["i", 3], 7), "'dno': vector reference 7 names no earlier slot"),
+        _set(["i", 3], 7), "'dno': a integer vector must be a list"),
     "reference_forward": (
-        _set(["i", 1], 1), "'name': vector reference 1 names no earlier slot"),
+        _set(["i", 1], 1), "'name': a varchar vector must be a list"),
     "reference_to_itself": (
-        _set(["i", 2], 1), "'salary': vector reference 1 names no earlier"),
+        _set(["i", 2], 1), "'salary': a float vector must be a list"),
     "reference_negative": (
-        _set(["i", 3], -1), "'dno': vector reference -1 names no earlier"),
+        _set(["i", 3], -1), "'dno': a integer vector must be a list"),
     "reference_bool": (
         _set(["i", 3], True), "'dno': a integer vector must be a list"),
     "reference_length": (
-        _set(["u"], [[["salary"], [3, 1], 1]]), "'salary': 2 values for 1"),
+        _set(["u"], [[["salary"], [3, 1], 1]]),
+        "'salary': a float vector must be a list"),
     "reference_packed_varchar": (
         _sets((["i", 2], pack_floats([50.0, 40.0])),
               (["u"], [[["name"], [3, 2], 1]])),
@@ -364,10 +366,11 @@ MALFORMED_ENTRIES = {
 
 
 def _gathering(tamper):
-    """A tamper of a document's sections: ``dept`` first — its section 0
-    holds handles 1 and 2 and the INTEGER ``dno`` (an update group in
-    the WAL record, the insert section in the checkpoint) — then the
-    ``emp`` entry, changed by ``tamper``."""
+    """A tamper of a document's sections: ``dept`` first — its first
+    section holds handles 1 and 2 and the INTEGER ``dno`` (an update
+    group in the WAL record, the insert section in the checkpoint), what
+    a version-5 gather read — then the ``emp`` entry, changed by
+    ``tamper``."""
     def tampered(sections):
         dept = {"i": [[1, 2], [1, 2]], "n": 2} if sections.pop(
             "dept", None) else {"u": [[["dno"], [1, 2], [1, 2]]], "n": 2}
@@ -378,15 +381,14 @@ def _gathering(tamper):
 
 
 def _gather_at(path, gather, column="dno", kind="integer"):
-    """A malformed gather set at ``path`` of emp's entry, and the refusal
-    naming its column, its text and the type it had to have."""
-    return _set(path, gather), (
-        f"column {column!r}: {encode_json(gather)} gathers no {kind} "
-        f"column of an earlier table's section")
+    """A version-5 gather set at ``path`` of emp's entry, and the refusal
+    naming its column and the type of vector it had to be."""
+    return _set(path, gather), f"column {column!r}: a {kind} vector must be " \
+        f"a list"
 
 
-#: malformed gathers, in the document ``_gathering`` builds; emp's
-#: insert section is section 1, dept's section 0 holds only ``dno``
+#: gathers of version 5, malformed then, in the document ``_gathering``
+#: builds; an object where a vector belongs is refused as one
 MALFORMED_GATHERS = {
     "gather_forward": _gather_at(["i", 3], {"g": [2, "dno"]}),
     "gather_out_of_range": _gather_at(["i", 3], {"g": [7, "dno"]}),
@@ -434,11 +436,11 @@ class TestMalformedSections:
         path = os.path.join(directory, CHECKPOINT_FILENAME)
 
         def rewrite(tamper):
-            with open(path) as handle:
-                document = json.load(handle)
+            with open(path, "rb") as handle:
+                document, _ = read_frame(handle.read())
             tamper(document)
-            with open(path, "w") as handle:
-                json.dump(document, handle)
+            with open(path, "wb") as handle:
+                handle.write(encode_record(document))
             return directory
         return rewrite
 
@@ -486,23 +488,6 @@ class TestMalformedSections:
         assert "cannot replay the checkpoint: table 'emp': " in message
         assert problem in message
 
-    #: emp's dno gathered from dept's section 0, whose dno is [1, 2] —
-    #: emp's own values: the well-formed gather the cases above break
-    GATHER_DNO = staticmethod(_gathering(_set(["i", 3], {"g": [0, "dno"]})))
-
-    def test_a_well_formed_gather_replays_from_the_wal(self, tampered_wal):
-        directory, _ = tampered_wal(
-            lambda record: self.GATHER_DNO(record["commit"]))
-        assert recover(directory).rows("select * from emp") == [
-            ("jane", 50.0, 1), ("bob", 40.0, 2)]
-
-    def test_a_well_formed_gather_replays_from_the_checkpoint(
-            self, tampered_checkpoint):
-        directory = tampered_checkpoint(
-            lambda document: self.GATHER_DNO(document["data"]))
-        assert recover(directory).rows("select * from emp") == [
-            ("jane", 50.0, 1), ("bob", 40.0, 2)]
-
     @pytest.mark.parametrize("tamper, problem", [
         (_set(["commit"], []), "sections must be an object"),
         (_set(["hwm"], "9"), "txn and hwm must be integers"),
@@ -516,8 +501,8 @@ class TestMalformedSections:
     @pytest.mark.parametrize("tamper, problem", [
         # the set mutators' refusals are checkpoint errors too
         (_set(["data", "emp", "i", 3], ["x", 2]), "column emp.dno"),
-        # a reference is type-checked as the vector it names: the names
-        (_set(["data", "emp", "u"], [[["dno"], [3, 2], 0]]),
+        # a vector is type-checked against its column: the names
+        (_set(["data", "emp", "u"], [[["dno"], [3, 2], ["jane", "bob"]]]),
          "expected integer for column emp.dno, got 'jane'"),
         (_set(["data", "emp", "u"], [[["salary"], [99, 1], [1.0]]]),
          "handle 99 is not live in table 'emp'"),
@@ -526,6 +511,8 @@ class TestMalformedSections:
          "table 'emp' has 2 rows after replaying the checkpoint"),
         (_set(["data"], []), "objects catalog, data"),
         (_set(["hwm"], True), "integers wal_lsn, last_txn, hwm"),
+        (_set(["version"], 3),
+         "checkpoint has format version 3; this build reads version 4 only"),
     ])
     def test_checkpoint_data(self, tampered_checkpoint, tamper, problem):
         directory = tampered_checkpoint(tamper)
@@ -570,9 +557,8 @@ class TestCheckpointFormat:
         with open(wal_path, "ab") as handle:
             handle.write(b"torn")
         size = os.path.getsize(wal_path)
-        with pytest.raises(CheckpointError, match=(
-                "checkpoint has format version 1; this build reads "
-                "versions 2 and 3 only")):
+        with pytest.raises(CheckpointError,
+                           match="is a JSON checkpoint of an earlier version"):
             recover(directory)
         assert os.path.getsize(wal_path) == size
 
@@ -581,7 +567,8 @@ class TestCheckpointFormat:
     ):
         directory = tmp_path / "d"
         directory.mkdir()
-        (directory / CHECKPOINT_FILENAME).write_bytes(b'{"a":"\xff"}')
+        (directory / CHECKPOINT_FILENAME).write_bytes(
+            encode_frame(b'{"a":"\xff"}'))
         with pytest.raises(CheckpointError, match="corrupt checkpoint file"):
             recover(str(directory))
 
@@ -591,12 +578,12 @@ class TestCheckpointFormat:
         db.execute("create index emp_dno on emp (dno)")
         db.execute("delete from emp where name = 'jane'")
         db.checkpoint()
-        with open(os.path.join(directory, CHECKPOINT_FILENAME)) as handle:
-            document = json.load(handle)
+        with open(os.path.join(directory, CHECKPOINT_FILENAME), "rb") as handle:
+            document, _ = read_frame(handle.read())
         assert list(document) == [
             "format", "version", "wal_lsn", "last_txn", "hwm", "catalog",
             "data"]
-        assert document["version"] == 3
+        assert document["version"] == 4
         assert document["hwm"] == 4
         assert document["data"] == {
             "dept": {"i": [[1, 2], [1, 2]], "n": 2},

@@ -22,10 +22,12 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.faults import FaultInjector, SimulatedCrash
 from repro.durability.wal import (
+    FRAME_MARKER,
     WalError,
     WalWriter,
-    decode_line,
+    encode_frame,
     encode_record,
+    read_frame,
     scan_wal,
 )
 
@@ -33,28 +35,24 @@ from repro.durability.wal import (
 class TestRecordFormat:
     def test_encode_decode_roundtrip(self):
         body = {"kind": "commit", "txn": 3, "insert": [["t", 1, [5]]]}
-        line = encode_record(body)
-        assert line.endswith(b"\n")
-        assert decode_line(line) == body
+        frame = encode_record(body)
+        assert frame[0] == FRAME_MARKER
+        assert read_frame(frame) == (body, len(frame))
 
     def test_any_payload_byte_flip_is_detected(self):
-        line = encode_record({"kind": "ddl", "op": "drop_table", "name": "t"})
-        for position in range(9, len(line) - 1):
-            mutated = bytearray(line)
+        frame = encode_record({"kind": "ddl", "op": "drop_table", "name": "t"})
+        for position in range(len(frame)):
+            mutated = bytearray(frame)
             mutated[position] ^= 0xFF
-            assert decode_line(bytes(mutated)) is None, position
+            assert read_frame(bytes(mutated)) is None, position
 
     def test_truncated_line_is_rejected(self):
-        line = encode_record({"kind": "commit", "txn": 1})
-        for cut in range(1, len(line)):
-            assert decode_line(line[:cut]) is None
+        frame = encode_record({"kind": "commit", "txn": 1})
+        for cut in range(1, len(frame)):
+            assert read_frame(frame[:cut]) is None
 
     def test_non_object_body_is_rejected(self):
-        import zlib
-
-        data = b"[1,2,3]"
-        line = b"%08x %s\n" % (zlib.crc32(data), data)
-        assert decode_line(line) is None
+        assert read_frame(encode_frame(b"[1,2,3]")) is None
 
 
 class TestWriterAndScan:
@@ -164,7 +162,9 @@ class TestDeterministicBytes:
                 check=True, timeout=120,
             )
             logs.append((directory / "wal.jsonl").read_bytes())
-        assert len(logs[0]) > 2000
+        # not vacuous: the bodies the frames deflate are that long
+        bodies = scan_wal(str(tmp_path / "seed0" / "wal.jsonl")).records
+        assert len(json.dumps(bodies, separators=(",", ":"))) > 2000
         assert logs[0] == logs[1] == logs[2]
 
 
@@ -420,6 +420,26 @@ class TestFailedAppend:
         assert info["records_discarded_after_tear"] == 0
 
 
+class TestDump:
+    def test_prints_each_body_then_the_torn_tail(self, tmp_path, capsys):
+        from repro.durability.dump import main
+
+        directory = str(tmp_path / "d")
+        db = build_db(directory)
+        db.checkpoint()
+        db.execute("delete from t where x = 1")
+        db.durability.close()
+        with open(db.durability.wal_path, "ab") as handle:
+            handle.write(b"torn")
+        main([directory])
+        checkpoint, record, summary = capsys.readouterr().out.splitlines()
+        assert json.loads(checkpoint) == read_checkpoint(directory)
+        assert [json.loads(record)] == scan_wal(db.durability.wal_path).records
+        assert summary.startswith("# 1 records in ")
+        assert summary.endswith("; 4 torn bytes, 0 intact records behind "
+                                "the tear")
+
+
 class TestFaultInjector:
     def test_unknown_point_rejected(self):
         with pytest.raises(ValueError):
@@ -605,41 +625,45 @@ class TestManager:
         assert stats["ddl_logged"] == 1
         assert stats["wal_bytes"] > 0
         assert stats["append_time"] > 0
-        assert stats["vectors_shared"] == 0
-        assert stats["vectors_gathered"] == 0
 
-    def test_shared_vectors_are_counted_per_append(self, tmp_path):
+    def test_read_only_transactions_append_nothing(self, tmp_path):
         sink = RingBufferSink()
-        db = ActiveDatabase(durability=str(tmp_path / "d"), sink=sink)
-        db.execute("create table t (x integer, y integer, note varchar)")
-        db.execute("create table journal (x integer, note varchar)")
-        db.execute("create rule copy when inserted into t then insert into "
-                   "journal (select x, note from inserted t)")
-        db.execute("insert into t values (1, 1, 'a'), (2, 2, 'b')")
-        db.execute("insert into t values (3, 4, 'c')")
-        # journal first: its x and note, then t's x, y (= x) and note
-        assert [event.data["shared"] for event in sink.of_kind("wal_append")] \
-            == [3, 2]
-        assert db.stats()["durability"]["vectors_shared"] == 5
-        (record,) = [r for r in scan_wal(db.durability.wal_path).records
-                     if r.get("txn") == 2]
-        assert record["commit"]["t"]["i"] == [[5, 1], 0, [4], 1]
+        db = build_db(str(tmp_path / "d"), sink=sink)
+        before = db.stats()["durability"]
+        for _ in range(5):
+            db.execute("select x from t")
+        after = db.stats()["durability"]
+        for key in ("wal_records", "wal_bytes", "wal_syncs",
+                    "commits_logged", "last_lsn"):
+            assert after[key] == before[key], key
+        assert len(sink.of_kind("wal_append")) == 1  # the insert's
+        assert len(sink.of_kind("txn_commit")) == 6
 
-    def test_gathered_vectors_are_counted_per_append(self, tmp_path):
-        sink = RingBufferSink()
-        db = ActiveDatabase(durability=str(tmp_path / "d"), sink=sink)
-        db.execute("create table t (x integer, note varchar)")
-        db.execute("create table u (x integer, note varchar)")
-        db.execute("create rule copy when updated t.x then insert into "
-                   "u (select x, note from new updated t.x)")
-        db.execute("insert into t values (1, 'first'), (2, 'second'), "
-                   "(3, 'third')")
-        db.execute("update t set x = x + 10")  # note: a gather, x: a slot
-        db.execute("update t set x = 0 where x = 11")  # ["first"]: a list
-        assert [event.data["gathered"]
-                for event in sink.of_kind("wal_append")] == [0, 1, 0]
-        assert [event.data["shared"]
-                for event in sink.of_kind("wal_append")] == [0, 1, 1]
-        assert db.stats()["durability"]["vectors_gathered"] == 1
-        record = scan_wal(db.durability.wal_path).records[-2]
-        assert record["commit"]["u"]["i"][1:] == [0, {"g": [0, "note"]}]
+    def test_insert_then_delete_still_logs_its_hwm(self, tmp_path):
+        directory = str(tmp_path / "d")
+        db = build_db(directory)
+        db.execute("insert into t values (9, 'z'); delete from t where x = 9")
+        (record,) = scan_wal(db.durability.wal_path).records[-1:]
+        assert (record["commit"], record["hwm"]) == ({}, 3)
+        db.durability.close()
+        recovered = recover(directory)
+        assert recovered.database.handles.issued_count == 3
+        recovered.execute("insert into t values (4, 'd')")
+        assert recovered.database.table("t").handles() == [1, 2, 4]
+
+    def test_a_rolled_back_insert_still_logs_its_hwm(self, tmp_path):
+        """The block fails and its insert is undone, so the transaction
+        touches no table; the handle it issued is logged all the same."""
+        directory = str(tmp_path / "d")
+        db = build_db(directory)
+        db.begin()
+        with pytest.raises(Exception):
+            db.execute("insert into t values (9, 'z'); "
+                       "insert into t values ('x', 'y')")
+        db.commit()
+        (record,) = scan_wal(db.durability.wal_path).records[-1:]
+        assert (record["commit"], record["hwm"]) == ({}, 3)
+        db.execute("select x from t")
+        assert scan_wal(db.durability.wal_path).records[-1] == record
+        db.durability.close()
+        assert recover(directory).database.handles.issued_count == 3

@@ -2,18 +2,19 @@
 """Generate the golden WAL snapshot ``tests/golden/wal_golden.json``.
 
 The log is a durable contract: a database written by one build is
-recovered by the next. The snapshot pins the exact bytes of every WAL
-line (DDL and commit records, checksum included) that the transactions
-of paper Examples 3.1, 3.2 and 4.1 write — the rules and data of
-``tests/integration/test_paper_examples.py`` — plus one transaction with
-several updated-column sets, NULLs and non-ASCII text, one whose FLOATs
-have long decimals, so a vector is logged as packed doubles, and two
-journal rules — the org chart's ``log_salaries`` and one that copies
-``inserted t`` — whose copied columns are logged as references to the
-source's vectors, and ``log_salaries`` over a dozen employees, whose
-copied names — a column the update did not write — are logged as
-gathers. Beside each log it pins the checkpoint document of the end
-state. A change that moves a byte of either format must bump
+recovered by the next. The snapshot pins every WAL frame (DDL and commit
+records) that the transactions of paper Examples 3.1, 3.2 and 4.1 write
+— the rules and data of ``tests/integration/test_paper_examples.py`` —
+plus one transaction with several updated-column sets, NULLs and
+non-ASCII text, one whose FLOATs have long decimals, so a vector is
+logged as packed doubles, and two journal rules — the org chart's
+``log_salaries`` and one that copies ``inserted t`` — whose copies of
+their source's columns are logged in full, and ``log_salaries`` over a
+dozen employees. Beside each log it pins the checkpoint frame of the end
+state. A frame is pinned as ``<marker> <crc32> <length> <body>``: its
+header fields and its inflated body text, read here without the WAL's
+reader. The deflate bytes are not pinned: they depend on the zlib build.
+A change that moves a body byte of either format must bump
 ``WAL_VERSION`` / ``CHECKPOINT_VERSION`` and regenerate on purpose
 (``tests/integration/test_wal_golden.py`` fails otherwise)::
 
@@ -21,25 +22,28 @@ state. A change that moves a byte of either format must bump
     PYTHONPATH=src python tools/gen_wal_golden.py --check
 
 ``--check`` regenerates and compares, writes nothing, names the
-scenario and the line that moved and exits 1 if any did.
-``tests/golden/wal_golden_v3.json`` and ``wal_golden_v4.json`` are the
-last version-3 and version-4 snapshots, kept unedited as the oracles of
-the lines that followed them.
+scenario and the frame that moved and exits 1 if any did.
+``tests/golden/wal_golden_v3.json`` is the last version-3 snapshot, kept
+unedited as the oracle of the bodies that followed it, and
+``wal_golden_v5.json`` the last text snapshot (version 5), kept unedited
+as the logs and checkpoints this build must refuse.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "wal_golden.json"
 GOLDEN_V3 = ROOT / "tests" / "golden" / "wal_golden_v3.json"
-GOLDEN_V4 = ROOT / "tests" / "golden" / "wal_golden_v4.json"
+GOLDEN_V5 = ROOT / "tests" / "golden" / "wal_golden_v5.json"
 
 
 def scenarios() -> list[dict[str, Any]]:
@@ -113,7 +117,7 @@ def scenarios() -> list[dict[str, Any]]:
             "insert into emp values " + ", ".join(
                 f"('emp{at:02}', {at % 3}, {10.0 * at})" for at in range(12)),
             "update emp set salary = salary * 1.5",
-            # the group is [dno, salary]: the names are still a gather
+            # the group is [dno, salary]; the names are copied too
             "update emp set dno = 3, salary = salary + 1.0 where dno = 1",
         ]},
     ]
@@ -126,10 +130,24 @@ class _Statements(list):
         self.append(statement)
 
 
+def frames(data: bytes) -> list[str]:
+    """Each frame of ``data`` as ``<marker> <crc32> <length> <body>``:
+    the header's fields in hex, hex and decimal, then the body its raw
+    deflate stream inflates to."""
+    pinned, at = [], 0
+    while at < len(data):
+        marker, crc, length = struct.unpack_from("<BII", data, at)
+        inflate = zlib.decompressobj(-15)
+        body = inflate.decompress(data[at + 9:]).decode("ascii")
+        pinned.append(f"{marker:02x} {crc:08x} {length} {body}")
+        at = len(data) - len(inflate.unused_data)
+    return pinned
+
+
 def record(statements: list[str]) -> dict[str, Any]:
     """What a fresh durable database writes for ``statements`` (one
-    transaction or DDL change each): ``lines``, its WAL lines, and
-    ``checkpoint``, the checkpoint document of the end state."""
+    transaction or DDL change each): ``frames``, its WAL frames, and
+    ``checkpoint``, the checkpoint frame of the end state."""
     from repro import ActiveDatabase, DurabilityManager
     from repro.durability.checkpoint import CHECKPOINT_FILENAME
     from repro.durability.wal import WAL_FILENAME
@@ -139,10 +157,11 @@ def record(statements: list[str]) -> dict[str, Any]:
         for statement in statements:
             db.execute(statement)
         db.durability.close()
-        text = (Path(directory) / WAL_FILENAME).read_bytes().decode("ascii")
+        log = frames((Path(directory) / WAL_FILENAME).read_bytes())
         db.checkpoint()
-        checkpoint = (Path(directory) / CHECKPOINT_FILENAME).read_bytes()
-    return {"lines": text.splitlines(), "checkpoint": checkpoint.decode("ascii")}
+        (checkpoint,) = frames(
+            (Path(directory) / CHECKPOINT_FILENAME).read_bytes())
+    return {"frames": log, "checkpoint": checkpoint}
 
 
 def build() -> list[dict[str, Any]]:
@@ -155,7 +174,7 @@ def build() -> list[dict[str, Any]]:
 def moved(golden: list[dict[str, Any]], entries: list[dict[str, Any]]
           ) -> list[str]:
     """What differs between the snapshot and a fresh build: one line per
-    scenario added or dropped, per log line and per checkpoint."""
+    scenario added or dropped, per log frame and per checkpoint."""
     found = {entry["label"]: entry for entry in entries}
     pinned = {entry["label"]: entry for entry in golden}
     problems = [f"{label}: not in the snapshot"
@@ -163,8 +182,8 @@ def moved(golden: list[dict[str, Any]], entries: list[dict[str, Any]]
     problems += [f"{label}: no longer a scenario"
                  for label in pinned if label not in found]
     for label in [label for label in found if label in pinned]:
-        ours, theirs = found[label]["lines"], pinned[label]["lines"]
-        problems += [f"{label}: line {at + 1} moved"
+        ours, theirs = found[label]["frames"], pinned[label]["frames"]
+        problems += [f"{label}: frame {at + 1} moved"
                      for at in range(max(len(ours), len(theirs)))
                      if ours[at:at + 1] != theirs[at:at + 1]]
         if found[label]["checkpoint"] != pinned[label]["checkpoint"]:
@@ -188,7 +207,7 @@ def main() -> int:
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"{GOLDEN.relative_to(ROOT)}: "
-          f"{sum(len(entry['lines']) for entry in entries)} WAL lines in "
+          f"{sum(len(entry['frames']) for entry in entries)} WAL frames in "
           f"{len(entries)} logs, {len(entries)} checkpoints")
     return 0
 
