@@ -131,19 +131,19 @@ def _shape_test_shape_linear_scaling():
 
 
 # ---------------------------------------------------------------------------
-# PERF-3c: wide-table cascade, compiled vs interpreted evaluation
+# PERF-3c: wide-table cascade, batch vs interpreted evaluation
 
 WIDE_ROWS = 200 if FAST_MODE else 2000
 WIDE_DEPTHS = (2, 8) if FAST_MODE else (8, 32)
 
 
-def make_wide_cascade_db(depth, compiled):
+def make_wide_cascade_db(depth, batch):
     """The countdown cascade over a table padded with ``WIDE_ROWS``
     never-matching tuples: every transition's condition subquery and its
     action's update WHERE full-scan the table, so per-row predicate cost
-    dominates — the compiled layer's target profile."""
+    dominates — the batch kernels' target profile."""
     db = ActiveDatabase(record_seen=False, max_rule_transitions=depth + 10)
-    db.database.enable_compiled_eval = compiled
+    db.database.enable_vectorized_eval = batch
     db.execute("create table c (n integer, pad integer)")
     rows = ", ".join(f"(0, {i})" for i in range(WIDE_ROWS))
     db.execute(f"insert into c values {rows}")
@@ -162,10 +162,10 @@ def test_shape_compiled_cascade(benchmark):
 def _shape_compiled_cascade():
     rows_out = []
     times = {}
-    for mode, compiled in (("compiled", True), ("interpreted", False)):
+    for mode, batch in (("batch", True), ("interpreted", False)):
         per_depth = []
         for depth in WIDE_DEPTHS:
-            db = make_wide_cascade_db(depth, compiled)
+            db = make_wide_cascade_db(depth, batch)
             start = time.perf_counter()
             result = db.execute(f"insert into c values ({depth}, -1)")
             per_depth.append(time.perf_counter() - start)
@@ -179,19 +179,19 @@ def _shape_compiled_cascade():
         ("speedup",)
         + tuple(
             f"{i/c:.2f}x"
-            for i, c in zip(times["interpreted"], times["compiled"])
+            for i, c in zip(times["interpreted"], times["batch"])
         )
     )
     print_series(
-        f"PERF-3c: {WIDE_ROWS}-row cascade, compiled vs interpreted",
+        f"PERF-3c: {WIDE_ROWS}-row cascade, batch vs interpreted",
         ("evaluation",) + tuple(f"depth {d}" for d in WIDE_DEPTHS),
         rows_out,
         values={"seconds_by_mode": times},
     )
     if not FAST_MODE:
-        # rule condition + DML WHERE both run compiled; the combined
-        # per-transition cost must drop at least 2x
-        assert times["interpreted"][-1] / times["compiled"][-1] >= 2.0
+        # the condition's subquery and the DML WHERE both run as batch
+        # kernels; the combined per-transition cost must drop at least 2x
+        assert times["interpreted"][-1] / times["batch"][-1] >= 2.0
 
 
 def _timed(fn):

@@ -1,11 +1,10 @@
 """PERF-7: columnar batches + vectorized kernels vs row-at-a-time.
 
 The batch-kernel layer turns predicate/projection evaluation from one
-Python closure call per row into one kernel call per column batch, so
-its win grows with scanned volume. Two shapes are measured, each as a
-vectorized-on vs vectorized-off series (both with the compiled layer
-on — the off series is PR 4's row-compiled closures, the layer's
-differential oracle):
+interpreter walk per row into one kernel call per column batch, so its
+win grows with scanned volume. Two shapes are measured, each as a
+vectorized-on vs vectorized-off series (the off series is the pure
+interpreter, row at a time — the layer's differential oracle):
 
 * **predicate-heavy scan** — a four-conjunct filter chain plus ORDER BY
   over one table; the acceptance criterion (≥2x at full scale) is

@@ -180,8 +180,6 @@ class RuleEngine:
         :class:`~repro.obs.metrics.MetricsCollector` for the fields.
         Counters accumulate across transactions until :meth:`reset_stats`.
         """
-        from ..relational.compiled import vectorized_enabled
-
         database = self.database
         return self._metrics.snapshot(
             strategy=getattr(self.strategy, "name", None),
@@ -191,7 +189,7 @@ class RuleEngine:
             ),
             compiler=database.compiler_stats.snapshot(),
             vectorized=database.vectorized_stats.snapshot(
-                enabled=vectorized_enabled(database)
+                enabled=database.enable_vectorized_eval
             ),
             optimizer=database.optimizer_stats.snapshot(),
             durability=(
@@ -316,20 +314,6 @@ class RuleEngine:
         self.catalog.add_priority(higher, lower)
 
     def _register_rule(self, rule):
-        # Compile the condition now: define_rule is the one point every
-        # rule passes through once, so the quiescence loop's repeated
-        # considerations re-enter an already-cached program (the compiled
-        # cache re-compiles transparently if schema DDL intervenes).
-        if (
-            rule.condition is not None
-            and getattr(self.database, "enable_compiled_eval", False)
-        ):
-            from ..relational.compiled import program_for
-
-            program_for(
-                self.database, rule.condition, (), predicate=True,
-                statement=self._rule_bound(rule).statement,
-            )
         # A rule defined mid-transaction starts with an empty baseline: it
         # observes only transitions that occur after its definition.
         if self.in_transaction:
@@ -917,11 +901,9 @@ class RuleEngine:
         """Evaluate the rule's condition against the current state and its
         transition tables (None condition means ``if true``).
 
-        With compiled evaluation on, the condition runs through the
-        program compiled at definition time (a cache hit here); its
-        subquery fallbacks — and the selects they execute — get compiled
-        filter/projection programs of their own. The evaluator is still
-        per-consideration: it carries the rule's current trans-info
+        The interpreter evaluates the condition itself; the selects its
+        subqueries execute run batch kernels of their own. The evaluator
+        is per-consideration: it carries the rule's current trans-info
         resolver and the state-versioned subquery caches.
         """
         condition = rule.condition
@@ -932,15 +914,6 @@ class RuleEngine:
         )
         bound = self._rule_bound(rule)
         evaluator = Evaluator(self.database, resolver, bound)
-        database = self.database
-        if getattr(database, "enable_compiled_eval", False):
-            from ..relational.compiled import program_for
-
-            program = program_for(
-                database, condition, (), predicate=True,
-                statement=bound.statement,
-            )
-            return program.run((), Scope(), evaluator)
         return evaluator.evaluate_predicate(condition, Scope())
 
     def _execute_rule_action(self, rule):

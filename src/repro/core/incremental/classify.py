@@ -6,7 +6,7 @@ full condition query per consideration:
 
 * ``[not] exists (select * from <base table> [where P])`` where ``P``
   compiles against the table's own layout with no interpreter fallback
-  (:attr:`~repro.relational.compiled.CompiledProgram.needs_scope` is
+  (:attr:`~repro.relational.compiled.BatchProgram.needs_scope` is
   False — no subqueries, no aggregates, no outer-scope references).
   These become :class:`CounterConjunct`\\ s backed by a shared
   :class:`~repro.core.incremental.views.MaintainedView` support counter:
@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...records import Record
-from ...relational.compiled import compile_predicate, layout_of
+from ...relational.compiled import compile_batch_predicate, layout_of
 from ...sql import ast
 
 
@@ -144,9 +144,8 @@ def classify_conjunct(conjunct, database):
         layout = layout_of([(binding, columns)])
         # Compilation doubles as the static analysis: subqueries,
         # aggregates and outer-scope column references all lower to
-        # interpreter-fallback closures, which report needs_scope.
-        program = compile_predicate(where, layout)
-        if program.needs_scope:
+        # interpreter-fallback kernels, which report needs_scope.
+        if compile_batch_predicate(where, layout).needs_scope:
             return None
     return CounterConjunct(
         table=ref.table, binding=binding, where=where, negated=negated

@@ -264,7 +264,9 @@ class IncrementalManager:
                             rule, pinned=True
                         ),
                     )
-                value = self._delta_value(conjunct.node, evaluator)
+                # the machinery full evaluation uses for it: the
+                # interpreter
+                value = evaluator.evaluate_predicate(conjunct.node, Scope())
             if value is False:
                 # Mirror the interpreter's conjunction short-circuit:
                 # later conjuncts are not evaluated (and cannot raise).
@@ -277,22 +279,6 @@ class IncrementalManager:
         else:
             self.stats.refreshes += 1
         return outcome, result
-
-    def _delta_value(self, node, evaluator):
-        """A delta conjunct runs through exactly the machinery the full
-        path would use for it (compiled program when enabled, whose
-        subquery root falls back to the interpreter; the interpreter
-        directly otherwise)."""
-        database = self.database
-        if getattr(database, "enable_compiled_eval", False):
-            from ...relational.compiled import program_for
-
-            program = program_for(
-                database, node, (), predicate=True,
-                statement=evaluator.statement,
-            )
-            return program.run((), Scope(), evaluator)
-        return evaluator.evaluate_predicate(node, Scope())
 
     def _plan_for(self, rule):
         schema_version = self.database.schema_version

@@ -38,13 +38,9 @@ def _batch_counter(database, table, binding, where, bound):
     first within the batch) and the caller's broken/stale handling
     applies unchanged.
     """
-    from ...relational.compiled import (
-        batch_context,
-        run_batch_filter,
-        vectorized_enabled,
-    )
+    from ...relational.compiled import batch_context, run_batch_filter
 
-    if where is None or not vectorized_enabled(database):
+    if where is None or not database.enable_vectorized_eval:
         return None
     columns = database.schema(table).column_names
     layout = ((binding, columns),)
@@ -74,15 +70,6 @@ def row_predicate(database, table, binding, where, bound):
 
     evaluator = Evaluator(database, BaseTableResolver(database), bound)
     columns = database.schema(table).column_names
-    if getattr(database, "enable_compiled_eval", False):
-        from ...relational.compiled import layout_of, program_for
-
-        program = program_for(
-            database, where, layout_of([(binding, columns)]),
-            predicate=True, statement=evaluator.statement,
-        )
-        if not program.needs_scope:
-            return lambda row: program.run((row,), None, evaluator)
     scope = Scope()
     state = {"bound": False}
 

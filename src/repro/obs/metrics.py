@@ -254,8 +254,8 @@ class MetricsCollector(EventSink):
 
     def _fold_compiler(self, metrics, data):
         """Accumulate the per-evaluation compiler delta the engine attaches
-        to consideration/firing events (None when compiled evaluation is
-        unavailable on the database)."""
+        to consideration/firing events (None when the database has no
+        compiler counters)."""
         delta = data.get("compiler")
         if not delta:
             return

@@ -1,44 +1,45 @@
-"""Compiled-expression execution: ASTs translated to Python closures.
+"""Compiled-expression execution: ASTs translated to batch kernels.
 
 The interpreter in :mod:`repro.relational.expressions` resolves every
 column reference through a :class:`~repro.relational.expressions.Scope`
 chain — a dict lookup plus a per-binding membership scan — *per row*.
-That cost dominates the system's hot paths: plan ``Filter`` nodes, hash
-join keys, projections, DML WHERE identification, and (through all of
-those) rule-condition evaluation in the quiescence loop, which the paper
-re-runs for every triggered rule after every transition (§4, Figure 1).
+That cost would dominate the system's hot paths: plan ``Filter`` nodes,
+hash join keys, projections, grouping, DML WHERE identification and
+assignments, and (through all of those) the selects a rule condition
+runs, which the paper re-evaluates for every triggered rule after every
+transition (§4, Figure 1).
 
-This module translates an expression AST into a tree of closed-over
-Python closures against a fixed *layout* — the ordered ``(binding_name,
-columns)`` pairs of a FROM clause. Column references resolve to
-``rows[i][j]`` tuple indexes **once at compile time**; three-valued
-logic, comparison, arithmetic and type-error behaviour reuse the
-interpreter's own helper functions so the two paths cannot drift.
+This module translates an expression AST into a tree of *batch
+kernels* against a fixed *layout* — the ordered ``(binding_name,
+columns)`` pairs of a FROM clause. A kernel evaluates its node over a
+whole selection vector of a :class:`~repro.relational.batch.Batch` or
+:class:`~repro.relational.batch.JoinedBatch`; column references resolve
+to column positions **once at compile time**, and three-valued logic,
+comparison, arithmetic and type-error behaviour reuse the interpreter's
+own helper functions so the two paths cannot drift.
 
-Constructs whose value depends on machinery beyond the row tuples —
+Constructs whose value depends on machinery beyond the columns —
 subqueries (they need the evaluator, its caches and the resolver),
-aggregates (they need a ``GroupScope``), and column references that do
-not resolve inside the layout (they belong to an outer query's scope) —
-compile to *fallback* closures that delegate the subtree to the
-interpreter. A program whose tree contains a fallback reports
-``needs_scope`` so callers materialize the Scope the interpreter
-expects; a program without one skips Scope construction entirely.
+aggregates outside a group batch, and column references that do not
+resolve inside the layout (they belong to an outer query's scope) —
+compile to *fallback* kernels that hand the subtree to the interpreter
+one row at a time. A program whose tree contains a fallback reports
+``needs_scope`` so callers supply the Scope the interpreter expects.
 
-The invariance guarantee (docs/semantics.md §10): a compiled program
-returns exactly the value — or raises exactly the error — the
-interpreter would, for every expression and every row. The differential
-and property suites enforce it.
+The invariance guarantee (docs/semantics.md §13): a program returns
+exactly the values — and raises exactly the first error, in row order —
+the interpreter would, for every expression and every selection. The
+interpreter is both the fallback and the differential oracle
+(``REPRO_VECTORIZED_EVAL=0`` runs it everywhere).
 
-Compiled programs live in the database's statement cache
+Programs live in the database's statement cache
 (:mod:`repro.relational.plan.cache`), in the entry of the statement
 their expression belongs to, keyed by ``(AST identity, layout,
-predicate-ness)``: a rule's condition and a repeated statement shape
-compile once and re-enter the closures from then on. A cached
-statement's literals are :class:`~repro.sql.ast.Param` leaves; a
-program reads their values from the running evaluator's ``params``, so
-one program serves every binding. ``database.enable_compiled_eval``
-(default on; ``REPRO_COMPILED_EVAL=0`` in the environment forces it
-off) gates every call site.
+predicate-ness)``: a repeated statement shape compiles once and
+re-enters the kernels from then on. A cached statement's literals are
+:class:`~repro.sql.ast.Param` leaves; a program reads their values from
+the running evaluator's ``params``, so one program serves every
+binding.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class CompilerStats:
 
     ``compiles`` counts programs built; ``nodes_compiled`` /
     ``nodes_fallback`` partition the AST nodes of those programs into
-    closure-compiled and interpreter-delegated; cache counters mirror
+    kernel-compiled and interpreter-delegated; cache counters mirror
     the plan cache's. Exposed as ``stats()["compiler"]``.
     """
 
@@ -125,34 +126,10 @@ class CompilerStats:
         }
 
 
-class CompiledProgram:
-    """One compiled expression: a closure tree plus its metadata.
-
-    ``fn(rows, scope, evaluator)`` evaluates against ``rows`` (a tuple of
-    row value tuples aligned with the compile-time layout). ``scope`` may
-    be ``None`` unless :attr:`needs_scope`; ``evaluator`` is only touched
-    by fallback nodes (and may be ``None`` for programs without any).
-    """
-
-    __slots__ = ("fn", "needs_scope", "nodes_compiled", "nodes_fallback")
-
-    def __init__(self, fn, needs_scope, nodes_compiled, nodes_fallback):
-        self.fn = fn
-        self.needs_scope = needs_scope
-        self.nodes_compiled = nodes_compiled
-        self.nodes_fallback = nodes_fallback
-
-    def run(self, rows, scope, evaluator):
-        return self.fn(rows, scope, evaluator)
-
-
-def compile_program(database, node, layout, predicate, batch, table):
+def compile_program(database, node, layout, predicate, table):
     """Compile ``node`` against ``layout`` as the statement cache asks
-    for it: a row program, or with ``batch`` a :class:`BatchProgram`
-    whose kernels specialize on the catalog kinds of ``table``."""
-    if not batch:
-        compile_row = compile_predicate if predicate else compile_expression
-        return compile_row(node, layout)
+    for it: a :class:`BatchProgram` whose kernels specialize on the
+    catalog kinds of ``table``."""
     kinds = _table_kinds(database, table) if table is not None else None
     compile_batch = (
         compile_batch_predicate if predicate else compile_batch_expression
@@ -164,23 +141,15 @@ def compile_program(database, node, layout, predicate, batch, table):
     return program
 
 
-def program_for(database, node, layout, predicate=False, statement=None):
-    """The database's cached row program for ``node``, an expression of
-    ``statement`` (a cache entry; None: ``node`` is its own)."""
-    return database.statements.program_for(
-        node, layout, database, predicate, statement=statement
-    )
-
-
 def batch_program_for(database, node, layout, predicate=False, table=None,
                       statement=None):
-    """The database's cached *batch* program for ``node`` (vectorized
-    kernel tree; see :class:`BatchProgram`). ``table`` optionally names
-    the base table backing the layout's columns, enabling typed-kernel
-    specialization from catalog column types."""
+    """The database's cached batch program for ``node``, an expression
+    of ``statement`` (a cache entry; None: ``node`` is its own).
+    ``table`` optionally names the base table backing the layout's
+    columns, enabling typed-kernel specialization from catalog column
+    types."""
     return database.statements.program_for(
-        node, layout, database, predicate, batch=True, table=table,
-        statement=statement,
+        node, layout, database, predicate, table=table, statement=statement,
     )
 
 
@@ -213,52 +182,13 @@ def _table_kinds(database, table):
     }
 
 
-def vectorized_enabled(database):
-    """Whether call sites should take the batch-kernel path.
-
-    Vectorized execution sits *on top of* the compiled layer (kernels
-    reuse the same helpers and cache), so disabling compiled evaluation
-    (``REPRO_COMPILED_EVAL=0``) also disables vectorization — the pure
-    interpreter remains the bottom-most oracle.
-    """
-    return bool(
-        getattr(database, "enable_vectorized_eval", False)
-        and getattr(database, "enable_compiled_eval", False)
-    )
-
-
 def layout_of(bindings):
     """A hashable layout from a ``(name, columns)`` bindings list."""
     return tuple((name, tuple(columns)) for name, columns in bindings)
 
 
 # ---------------------------------------------------------------------------
-# compilation entry points
-
-
-def compile_expression(expression, layout):
-    """Compile ``expression`` to a :class:`CompiledProgram` evaluating to
-    a value (``None`` = SQL NULL), exactly as the interpreter's
-    ``evaluate`` would."""
-    compiler = _Compiler(layout)
-    fn, needs_scope = compiler.compile(expression)
-    return CompiledProgram(
-        fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback
-    )
-
-
-def compile_predicate(expression, layout):
-    """Compile ``expression`` as a predicate: the result is coerced to
-    True/False/None with the interpreter's non-boolean error."""
-    compiler = _Compiler(layout)
-    fn, needs_scope = compiler.compile_predicate(expression)
-    return CompiledProgram(
-        fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback
-    )
-
-
-# ---------------------------------------------------------------------------
-# the compiler
+# layout resolution and node classification
 
 class _LayoutNames:
     """Column-reference resolution against a layout, exactly as the
@@ -299,392 +229,6 @@ class _LayoutNames:
         return slot
 
 
-class _Compiler:
-    """One compilation pass: resolves column slots against a layout and
-    lowers each node to a closure, counting what compiled vs. fell back."""
-
-    def __init__(self, layout):
-        self.nodes_compiled = 0
-        self.nodes_fallback = 0
-        self._names = _LayoutNames(layout)
-
-    # -- dispatch ---------------------------------------------------------
-
-    def compile(self, node):
-        """Lower ``node``; returns ``(fn, needs_scope)``."""
-        handler = _HANDLERS.get(type(node))
-        if handler is None:
-            return self._fallback(node)
-        return handler(self, node)
-
-    def compile_predicate(self, node):
-        """Lower ``node`` with predicate-result coercion at the root —
-        the compiled mirror of ``Evaluator.evaluate_predicate``."""
-        if type(node) in _DYNAMIC_NODES:
-            # delegate the whole predicate: evaluate_predicate applies
-            # the same coercion after the interpreter runs the subtree
-            self.nodes_fallback += 1
-
-            def fallback_predicate(rows, scope, evaluator):
-                return evaluator.evaluate_predicate(node, scope)
-
-            return fallback_predicate, True
-        fn, needs_scope = self.compile(node)
-        if _always_boolean(node):
-            # the closure can only produce True/False/None (or raise);
-            # the interpreter's coercion would be a no-op
-            return fn, needs_scope
-
-        def predicate(rows, scope, evaluator):
-            value = fn(rows, scope, evaluator)
-            if value is None or isinstance(value, bool):
-                return value
-            raise ExecutionError(
-                f"predicate evaluated to non-boolean value {value!r}"
-            )
-
-        return predicate, needs_scope
-
-    def _fallback(self, node):
-        """Delegate ``node`` (and its whole subtree) to the interpreter."""
-        self.nodes_fallback += 1
-
-        def fallback(rows, scope, evaluator):
-            return evaluator.evaluate(node, scope)
-
-        return fallback, True
-
-    # -- leaves -----------------------------------------------------------
-
-    def _compile_literal(self, node):
-        self.nodes_compiled += 1
-        value = node.value
-
-        def literal(rows, scope, evaluator):
-            return value
-
-        return literal, False
-
-    def _compile_param(self, node):
-        self.nodes_compiled += 1
-        index = node.index
-
-        def param(rows, scope, evaluator):
-            return evaluator.params[index]
-
-        return param, False
-
-    def _compile_column_ref(self, node):
-        slot = self._names.resolve(node)
-        if slot is None:
-            return self._fallback(node)  # outer scope (or unknown: the
-            # interpreter raises its own error either way)
-        self.nodes_compiled += 1
-        if isinstance(slot, str):
-            # the innermost scope owns the name but cannot resolve it:
-            # the interpreter errors without looking outward, and so
-            # must we — but only if the node is ever evaluated
-            message = slot
-
-            def unresolvable_ref(rows, scope, evaluator):
-                raise ExecutionError(message)
-
-            return unresolvable_ref, False
-        i, j = slot
-
-        def column_ref(rows, scope, evaluator):
-            return rows[i][j]
-
-        return column_ref, False
-
-    def _compile_star(self, node):
-        self.nodes_compiled += 1
-
-        def star(rows, scope, evaluator):
-            raise ExecutionError("'*' is only valid in select lists and count(*)")
-
-        return star, False
-
-    # -- operators --------------------------------------------------------
-
-    def _compile_unary(self, node):
-        op = node.op
-        if op == "not":
-            operand, needs = self.compile_predicate(node.operand)
-            self.nodes_compiled += 1
-
-            def negation(rows, scope, evaluator):
-                return logic_not(operand(rows, scope, evaluator))
-
-            return negation, needs
-        operand, needs = self.compile(node.operand)
-        self.nodes_compiled += 1
-        negate = op == "-"
-
-        def unary(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError_(f"unary {op} requires a number, got {value!r}")
-            return -value if negate else value
-
-        return unary, needs
-
-    def _compile_binary(self, node):
-        op = node.op
-        if op == "and":
-            left, left_needs = self.compile_predicate(node.left)
-            right, right_needs = self.compile_predicate(node.right)
-            self.nodes_compiled += 1
-
-            def conjunction(rows, scope, evaluator):
-                value = left(rows, scope, evaluator)
-                if value is False:
-                    return False  # short-circuit
-                return logic_and(value, right(rows, scope, evaluator))
-
-            return conjunction, left_needs or right_needs
-        if op == "or":
-            left, left_needs = self.compile_predicate(node.left)
-            right, right_needs = self.compile_predicate(node.right)
-            self.nodes_compiled += 1
-
-            def disjunction(rows, scope, evaluator):
-                value = left(rows, scope, evaluator)
-                if value is True:
-                    return True  # short-circuit
-                return logic_or(value, right(rows, scope, evaluator))
-
-            return disjunction, left_needs or right_needs
-
-        left, left_needs = self.compile(node.left)
-        right, right_needs = self.compile(node.right)
-        needs = left_needs or right_needs
-        self.nodes_compiled += 1
-
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-
-            def comparison(rows, scope, evaluator):
-                return compare(
-                    op,
-                    left(rows, scope, evaluator),
-                    right(rows, scope, evaluator),
-                )
-
-            return comparison, needs
-
-        if op == "||":
-
-            def concat(rows, scope, evaluator):
-                left_value = left(rows, scope, evaluator)
-                right_value = right(rows, scope, evaluator)
-                if left_value is None or right_value is None:
-                    return None
-                if not isinstance(left_value, str) or not isinstance(
-                    right_value, str
-                ):
-                    raise TypeError_(
-                        f"'||' requires strings, got {left_value!r} and "
-                        f"{right_value!r}"
-                    )
-                return left_value + right_value
-
-            return concat, needs
-
-        if op in ("+", "-", "*", "/", "%"):
-
-            def arithmetic(rows, scope, evaluator):
-                left_value = left(rows, scope, evaluator)
-                right_value = right(rows, scope, evaluator)
-                if left_value is None or right_value is None:
-                    return None
-                if isinstance(left_value, bool) or isinstance(
-                    right_value, bool
-                ):
-                    raise TypeError_(
-                        f"arithmetic on booleans: {left_value!r} {op} "
-                        f"{right_value!r}"
-                    )
-                if not isinstance(left_value, (int, float)) or not isinstance(
-                    right_value, (int, float)
-                ):
-                    raise TypeError_(
-                        f"arithmetic requires numbers: {left_value!r} {op} "
-                        f"{right_value!r}"
-                    )
-                if op == "+":
-                    return left_value + right_value
-                if op == "-":
-                    return left_value - right_value
-                if op == "*":
-                    return left_value * right_value
-                if op == "/":
-                    if right_value == 0:
-                        raise ExecutionError("division by zero")
-                    result = left_value / right_value
-                    # integer / integer stays integral when exact
-                    if isinstance(left_value, int) and isinstance(
-                        right_value, int
-                    ):
-                        quotient = left_value // right_value
-                        if quotient * right_value == left_value:
-                            return quotient
-                    return result
-                if right_value == 0:
-                    raise ExecutionError("modulo by zero")
-                return left_value % right_value
-
-            return arithmetic, needs
-
-        message = f"unknown binary operator {op!r}"
-
-        def unknown_operator(rows, scope, evaluator):
-            raise ExecutionError(message)
-
-        return unknown_operator, needs
-
-    # -- predicates -------------------------------------------------------
-
-    def _compile_is_null(self, node):
-        operand, needs = self.compile(node.operand)
-        self.nodes_compiled += 1
-        negated = node.negated
-
-        def is_null(rows, scope, evaluator):
-            result = operand(rows, scope, evaluator) is None
-            return not result if negated else result
-
-        return is_null, needs
-
-    def _compile_between(self, node):
-        operand, operand_needs = self.compile(node.operand)
-        low, low_needs = self.compile(node.low)
-        high, high_needs = self.compile(node.high)
-        self.nodes_compiled += 1
-        negated = node.negated
-
-        def between(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            low_value = low(rows, scope, evaluator)
-            high_value = high(rows, scope, evaluator)
-            result = logic_and(
-                compare("<=", low_value, value),
-                compare("<=", value, high_value),
-            )
-            return logic_not(result) if negated else result
-
-        return between, operand_needs or low_needs or high_needs
-
-    def _compile_like(self, node):
-        operand, operand_needs = self.compile(node.operand)
-        negated = node.negated
-        if isinstance(node.pattern, ast.Literal) and isinstance(
-            node.pattern.value, str
-        ):
-            # constant pattern: the regex compiles once, at compile time
-            self.nodes_compiled += 2  # the Like node and its pattern
-            regex = _like_to_regex(node.pattern.value)
-
-            def like_constant(rows, scope, evaluator):
-                value = operand(rows, scope, evaluator)
-                if value is None:
-                    return None
-                if not isinstance(value, str):
-                    raise TypeError_("LIKE requires string operands")
-                result = bool(regex.match(value))
-                return not result if negated else result
-
-            return like_constant, operand_needs
-        pattern, pattern_needs = self.compile(node.pattern)
-        self.nodes_compiled += 1
-
-        def like(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            pattern_value = pattern(rows, scope, evaluator)
-            if value is None or pattern_value is None:
-                return None
-            if not isinstance(value, str) or not isinstance(
-                pattern_value, str
-            ):
-                raise TypeError_("LIKE requires string operands")
-            result = bool(_like_to_regex(pattern_value).match(value))
-            return not result if negated else result
-
-        return like, operand_needs or pattern_needs
-
-    def _compile_in_list(self, node):
-        operand, needs = self.compile(node.operand)
-        items = []
-        for item in node.items:
-            item_fn, item_needs = self.compile(item)
-            items.append(item_fn)
-            needs = needs or item_needs
-        self.nodes_compiled += 1
-        negated = node.negated
-
-        def in_list(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            found_unknown = False
-            for item_fn in items:
-                result = compare("=", value, item_fn(rows, scope, evaluator))
-                if result is True:
-                    return False if negated else True
-                if result is None:
-                    found_unknown = True
-            if found_unknown:
-                return None
-            return True if negated else False
-
-        return in_list, needs
-
-    # -- functions --------------------------------------------------------
-
-    def _compile_function_call(self, node):
-        if node.name in AGGREGATE_NAMES:
-            # aggregates need the GroupScope machinery
-            return self._fallback(node)
-        args = []
-        needs = False
-        for arg in node.args:
-            arg_fn, arg_needs = self.compile(arg)
-            args.append(arg_fn)
-            needs = needs or arg_needs
-        self.nodes_compiled += 1
-        name = node.name
-
-        def function_call(rows, scope, evaluator):
-            return _apply_scalar_function(
-                name, [arg_fn(rows, scope, evaluator) for arg_fn in args]
-            )
-
-        return function_call, needs
-
-    def _compile_case(self, node):
-        branches = []
-        needs = False
-        for condition, value in node.branches:
-            condition_fn, condition_needs = self.compile_predicate(condition)
-            value_fn, value_needs = self.compile(value)
-            branches.append((condition_fn, value_fn))
-            needs = needs or condition_needs or value_needs
-        default = None
-        if node.default is not None:
-            default, default_needs = self.compile(node.default)
-            needs = needs or default_needs
-        self.nodes_compiled += 1
-
-        def case(rows, scope, evaluator):
-            for condition_fn, value_fn in branches:
-                if condition_fn(rows, scope, evaluator) is True:
-                    return value_fn(rows, scope, evaluator)
-            if default is not None:
-                return default(rows, scope, evaluator)
-            return None
-
-        return case, needs
-
-
 _COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">=", "and", "or"})
 
 
@@ -713,24 +257,9 @@ _DYNAMIC_NODES = frozenset(
     }
 )
 
-_HANDLERS = {
-    ast.Literal: _Compiler._compile_literal,
-    ast.Param: _Compiler._compile_param,
-    ast.ColumnRef: _Compiler._compile_column_ref,
-    ast.Star: _Compiler._compile_star,
-    ast.UnaryOp: _Compiler._compile_unary,
-    ast.BinaryOp: _Compiler._compile_binary,
-    ast.IsNull: _Compiler._compile_is_null,
-    ast.Between: _Compiler._compile_between,
-    ast.Like: _Compiler._compile_like,
-    ast.InList: _Compiler._compile_in_list,
-    ast.FunctionCall: _Compiler._compile_function_call,
-    ast.CaseExpression: _Compiler._compile_case,
-}
-
 
 # ---------------------------------------------------------------------------
-# vectorized (batch) kernels
+# batch kernels
 #
 # A batch kernel evaluates one expression over a whole selection vector:
 #
@@ -751,8 +280,8 @@ _HANDLERS = {
 # row evaluator would touch before reaching the earliest error. A later
 # child's error therefore always sits at a strictly earlier row than a
 # pending one and takes precedence. The result: a batch program returns
-# the same value prefix and raises the same first error as evaluating
-# the row program over ``sel`` in order.
+# the same value prefix and raises the same first error as the
+# interpreter evaluating the expression over ``sel`` row by row.
 
 
 #: counters whose deltas the engine attaches to rule events (mirrors
@@ -1121,7 +650,8 @@ class _BatchCompiler:
     targeting, transition tables, join sides) reads ``cols[j][slot]``
     for each selected slot; a multi-binding one (a columnar join's
     output) reads ``cols[i][j][slots[i][position]]`` for each selected
-    position. Column references resolve as the row compiler's do.
+    position. Column references resolve as the interpreter's innermost
+    scope does (:class:`_LayoutNames`).
     Aggregate calls read their group batch's reduced column, and
     delegate to the interpreter anywhere else.
 
@@ -1136,8 +666,8 @@ class _BatchCompiler:
     keeps the generic kernels — the dynamic fallback, and with neither
     argument supplied the whole tree, which is how
     ``tests/property/test_inference_soundness.py`` obtains its
-    typed-versus-generic oracle — and the row-compiled closures remain
-    the differential oracle for both.
+    typed-versus-generic oracle — and the interpreter remains the
+    differential oracle for both.
     """
 
     def __init__(self, layout, kinds=None, database=None):
@@ -1992,7 +1522,7 @@ def _zip2(left, right, ctx, sel):
 
 
 def _arith(op, left_value, right_value):
-    """One arithmetic application with the row closure's exact type and
+    """One arithmetic application with the interpreter's exact type and
     zero-division behaviour."""
     if left_value is None or right_value is None:
         return None

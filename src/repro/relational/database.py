@@ -56,29 +56,17 @@ class Database:
         #: pruned)
         self.optimizer_stats = OptimizerStats()
 
-        from .compiled import CompilerStats
+        from .compiled import CompilerStats, VectorizedStats
 
-        #: evaluate predicates/projections through compiled closures (see
-        #: repro.relational.compiled); False interprets every expression —
-        #: same values and errors, different cost. REPRO_COMPILED_EVAL=0
-        #: in the environment forces the layer off (CI runs both ways).
-        self.enable_compiled_eval = os.environ.get(
-            "REPRO_COMPILED_EVAL", "1"
-        ).lower() not in ("0", "off", "false")
         #: compiler counters (compiles, cache hits, fallback nodes, ...)
         self.compiler_stats = CompilerStats()
-
-        from .compiled import VectorizedStats
-
         #: evaluate scans, filters, projections, join keys, DML
         #: targeting, and transition-table conditions through batch
-        #: kernels over columnar storage (see the vectorized section of
-        #: repro.relational.compiled); False keeps PR 4's row-at-a-time
-        #: compiled closures — same values and errors, different cost.
-        #: Vectorization layers on top of compiled evaluation, so
-        #: REPRO_COMPILED_EVAL=0 disables both and leaves the pure
-        #: interpreter oracle. REPRO_VECTORIZED_EVAL=0 forces just this
-        #: layer off (CI runs both ways).
+        #: kernels over columnar storage (see
+        #: repro.relational.compiled); False interprets every expression
+        #: row at a time — same values and errors, different cost.
+        #: REPRO_VECTORIZED_EVAL=0 in the environment forces it off (CI
+        #: runs both ways): the interpreter is the oracle.
         self.enable_vectorized_eval = os.environ.get(
             "REPRO_VECTORIZED_EVAL", "1"
         ).lower() not in ("0", "off", "false")

@@ -26,10 +26,8 @@ from ..sql import ast
 from .compiled import (
     batch_context,
     batch_program_for,
-    program_for,
     run_batch_filter,
     run_batch_programs,
-    vectorized_enabled,
 )
 from .expressions import Evaluator, Scope
 from .plan.pushdown import index_candidates
@@ -248,7 +246,7 @@ class DmlExecutor:
         expressions = [assignment.expression for assignment in assignments]
         if not handles:
             vectors = ()
-        elif vectorized_enabled(self.database):
+        elif self.database.enable_vectorized_eval:
             vectors = self._assignment_vectors(schema, batch, expressions)
         else:
             names = schema.column_names
@@ -340,7 +338,7 @@ class DmlExecutor:
         """The slots of ``batch`` whose row satisfies ``where``."""
         table_name = table.schema.name
         columns = table.schema.column_names
-        if vectorized_enabled(self.database):
+        if self.database.enable_vectorized_eval:
             layout = ((table_name, columns),)
             ctx = batch_context(batch, layout, None, self._evaluator,
                                 self.database.vectorized_stats)
@@ -349,27 +347,11 @@ class DmlExecutor:
                 table=table_name,
             )
         matched = []
-        slot_rows = zip(batch.sel, batch.rows())
-        if getattr(self.database, "enable_compiled_eval", False):
-            program = program_for(
-                self.database, where, ((table_name, columns),),
-                predicate=True, statement=self._evaluator.statement,
-            )
-            needs_scope = program.needs_scope
-            evaluator = self._evaluator
-            for slot, row in slot_rows:
-                scope = None
-                if needs_scope:
-                    scope = Scope()
-                    scope.bind(table_name, columns, row)
-                if program.fn((row,), scope, evaluator) is True:
-                    matched.append(slot)
-        else:
-            for slot, row in slot_rows:
-                scope = Scope()
-                scope.bind(table_name, columns, row)
-                if self._evaluator.evaluate_predicate(where, scope) is True:
-                    matched.append(slot)
+        for slot, row in zip(batch.sel, batch.rows()):
+            scope = Scope()
+            scope.bind(table_name, columns, row)
+            if self._evaluator.evaluate_predicate(where, scope) is True:
+                matched.append(slot)
         return matched
 
 

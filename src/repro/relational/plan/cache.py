@@ -1,7 +1,7 @@
 """The per-database statement cache and the planner's counters.
 
 Everything derived from a statement — its AST, the plan of each of its
-selects, the compiled row and batch programs of its expressions — is
+selects, the compiled batch programs of its expressions — is
 derived once per statement *shape* and kept in one :class:`Statement`
 entry of the database's one :class:`StatementCache`.
 
@@ -132,7 +132,7 @@ class Statement:
     or the caller's own node. ``plans`` maps ``id(select)`` to the plan
     of that select arm; ``star_items`` maps it to the arm's select list
     with ``*`` expanded; ``programs`` maps ``(id(node), layout,
-    predicate, batch)`` to ``(program, weak reference to node)`` — most
+    predicate)`` to ``(program, weak reference to node)`` — most
     nodes belong to ``root`` and live as long as the entry, and one that
     does not (a conjunct the planner synthesised for a plan since
     dropped) takes its programs with it when it dies, so an id is never
@@ -353,24 +353,22 @@ class StatementCache:
         return plan
 
     def program_for(self, node: Any, layout: Any, database: Any,
-                    predicate: bool = False, batch: bool = False,
-                    table: Optional[str] = None,
+                    predicate: bool = False, table: Optional[str] = None,
                     statement: Optional[Statement] = None) -> Any:
-        """The compiled program of expression ``node`` of ``statement``
-        (of ``node`` itself, when None) against ``layout``, compiled and
-        kept on a miss. ``layout`` is a hashable tuple of
-        ``(binding_name, columns_tuple)`` pairs; ``predicate=True`` adds
-        the interpreter's predicate coercion at the root; ``batch=True``
-        compiles a vectorized ``BatchProgram`` instead of a row closure;
-        ``table`` (batch only) names the base table the layout's columns
-        come from, whose catalog kinds the kernels specialize on."""
+        """The batch program of expression ``node`` of ``statement`` (of
+        ``node`` itself, when None) against ``layout``, compiled and kept
+        on a miss. ``layout`` is a hashable tuple of ``(binding_name,
+        columns_tuple)`` pairs; ``predicate=True`` adds the interpreter's
+        predicate coercion at the root; ``table`` names the base table
+        the layout's columns come from, whose catalog kinds the kernels
+        specialize on."""
         if self._schema_version != database.schema_version:
             self._invalidate(database, database.planner_stats)
         if statement is None:
             statement = self.for_node(node)
         stats = database.compiler_stats
         programs = statement.programs
-        key = (id(node), layout, predicate, batch)
+        key = (id(node), layout, predicate)
         entry = programs.get(key)
         if entry is not None:
             stats.cache_hits += 1
@@ -380,7 +378,7 @@ class StatementCache:
         from .. import compiled  # imports this package: not at the top
 
         program = compiled.compile_program(
-            database, node, layout, predicate, batch, table
+            database, node, layout, predicate, table
         )
         stats.nodes_compiled += program.nodes_compiled
         stats.nodes_fallback += program.nodes_fallback

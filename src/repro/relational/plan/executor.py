@@ -6,9 +6,10 @@ surviving combination — the same objects (same binding layout, same
 ``touched_pairs`` attribute) the naive product enumerator in
 ``tests/reference/naive_select.py`` produces, so the shared projection
 machinery is oblivious to which of the two ran.
-``execute_source_batched`` keeps the columnar form wherever it can: a
-hash join over batches emits a :class:`~repro.relational.batch
-.JoinedBatch` — slot vectors, no row tuples, no combinations.
+``execute_source_batched`` keeps the columnar form: a hash join or a
+product over batches emits a :class:`~repro.relational.batch
+.JoinedBatch` — slot vectors, no row tuples, no combinations — and a
+filter above it runs batch kernels over the joined layout.
 
 Combination order is the nested-loop order: for every pipeline node the
 left/outer input's order is preserved and the right input's rows keep
@@ -16,10 +17,12 @@ their scan order within each match group. That makes planned results
 *order*-identical to naive results, not merely set-identical, which is
 what the differential property test asserts.
 
-On the row path (products, the ``REPRO_VECTORIZED_EVAL=0`` oracle)
-intermediate combinations are ``(rows, pairs)`` tuples aligned with the
-node's binding list; Scopes are only materialized at the top (and
-transiently for key/filter evaluation).
+The row path has two callers only: the ``REPRO_VECTORIZED_EVAL=0``
+oracle, where the interpreter evaluates every expression, and a scan
+whose resolver has no batch for its table reference (the error path of
+an unresolvable name). There intermediate combinations are ``(rows,
+pairs)`` tuples aligned with the node's binding list; Scopes are only
+materialized at the top (and transiently for key/filter evaluation).
 
 The executor also writes each node's output size back onto the node
 (``actual_rows``, and a hash join's ``mode``) so EXPLAIN can report
@@ -40,11 +43,9 @@ from ..compiled import (
     BatchContext,
     batch_context,
     layout_of,
-    program_for,
     prune_selection,
     run_batch_expressions,
     run_batch_filter,
-    vectorized_enabled,
 )
 from ..expressions import Scope
 from ..types import compare_values
@@ -89,8 +90,9 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
     """Like :func:`execute_source`, but keeps the columnar form when it
     can: returns ``(bindings, scopes, batch)``. ``batch`` is non-None —
     and ``scopes`` is None — when the whole pipeline stayed batchable
-    (Scan/IndexLookup/Filter chains, hash joins over them) under
-    vectorized evaluation; the caller projects or groups straight off it.
+    (Scan/IndexLookup/Filter chains, hash joins and products over
+    them) under vectorized evaluation; the caller projects or groups
+    straight off it.
     """
     source = plan.source if isinstance(plan, Plan) else plan
     runner = _SourceRunner(
@@ -151,7 +153,7 @@ class _SourceRunner:
         self.outer = outer
         self.collect_handles = collect_handles
         self.stats = stats
-        self.vectorized = vectorized_enabled(database)
+        self.vectorized = database.enable_vectorized_eval
         #: combinations formed by join/product nodes (None until one
         #: runs — execute_source falls back to the pipeline output)
         self.visited: Any = None
@@ -185,9 +187,9 @@ class _SourceRunner:
 
     def run_batch(self, node: Any) -> Any:
         """The columnar pipeline for a batchable subtree: Scan /
-        IndexLookup / Filter chains, and hash joins over them. Returns
-        ``(bindings, batch)``, or None when the subtree needs the
-        row-at-a-time path (products, unbatchable resolvers)."""
+        IndexLookup / Filter chains, and hash joins and products over
+        them. Returns ``(bindings, batch)``, or None when the subtree
+        needs the row-at-a-time path (a resolver with no batch)."""
         if isinstance(node, Scan):
             return self._scan_batch(node)
         if isinstance(node, IndexLookup):
@@ -226,6 +228,8 @@ class _SourceRunner:
             return bindings, batch.with_sel(sel)
         if isinstance(node, HashJoin):
             return self._hash_join_batch(node)
+        if isinstance(node, Product):
+            return self._product_batch(node)
         return None
 
     def _scan_batch(self, node: Any) -> Any:
@@ -309,10 +313,34 @@ class _SourceRunner:
             left_batch.sel, zip(*left_keys), right_batch.sel,
             zip(*right_keys), len(node.right_keys), self._check_kinds,
         )
+        node.mode = "columnar"
+        return self._joined(node, left, right, left_out, right_out)
+
+    def _product_batch(self, node: Any) -> Any:
+        """The columnar product: every left entry repeated once per right
+        entry, the right selection tiled once per left entry — the
+        nested-loop order. None when a side is not batchable."""
+        left = self.run_batch(node.left)
+        if left is None:
+            return None
+        right = self.run_batch(node.right)
+        if right is None:
+            return None
+        left_sel, right_sel = left[1].sel, right[1].sel
+        left_out = [entry for entry in left_sel for _ in right_sel]
+        right_out = list(right_sel) * len(left_sel)
+        return self._joined(node, left, right, left_out, right_out)
+
+    def _joined(self, node: Any, left: Any, right: Any, left_out: Any,
+                right_out: Any) -> Any:
+        """The join node's output over two ``(bindings, batch)`` inputs:
+        a :class:`JoinedBatch` pairing entry ``left_out[p]`` of the left
+        batch with entry ``right_out[p]`` of the right one."""
+        left_bindings, left_batch = left
+        right_bindings, right_batch = right
         count = len(left_out)
         self._count_visited(count)
         node.actual_rows = count
-        node.mode = "columnar"
         joined = JoinedBatch(
             left_batch.parts + right_batch.parts,
             _slots_at(left_batch, left_out) + _slots_at(right_batch,
@@ -322,8 +350,8 @@ class _SourceRunner:
         return left_bindings + right_bindings, joined
 
     def _combos_from_batch(self, batch: Any) -> list[Any]:
-        """Materialize the row-path combo contract from a batch (at the
-        boundary to a product)."""
+        """Materialize the row-path combo contract from a batch (above a
+        subtree the columnar pipeline cannot take)."""
         if isinstance(batch, JoinedBatch):
             return [
                 (batch.row_tuples(position),
@@ -391,10 +419,6 @@ class _SourceRunner:
 
     def _run_filter(self, node: Any) -> Any:
         bindings, combos = self.run(node.child)
-        if getattr(self.database, "enable_compiled_eval", False) and combos:
-            kept = self._filter_compiled(node, bindings, combos)
-            node.actual_rows = len(kept)
-            return bindings, kept
         evaluate = self.evaluator.evaluate_predicate
         kept: list[Any] = []
         for combo in combos:
@@ -406,30 +430,6 @@ class _SourceRunner:
                 kept.append(combo)
         node.actual_rows = len(kept)
         return bindings, kept
-
-    def _filter_compiled(self, node: Any, bindings: Any,
-                         combos: Any) -> list[Any]:
-        """The filter loop over compiled predicate programs: column slots
-        resolve at compile time, and the per-row Scope is only built when
-        some predicate contains an interpreter-fallback subtree."""
-        layout = layout_of(bindings)
-        programs = [
-            program_for(self.database, predicate, layout, predicate=True,
-                        statement=self.evaluator.statement)
-            for predicate in node.predicates
-        ]
-        needs_scope = any(program.needs_scope for program in programs)
-        evaluator = self.evaluator
-        kept: list[Any] = []
-        for combo in combos:
-            rows = combo[0]
-            scope = self._scope_for(bindings, rows) if needs_scope else None
-            for program in programs:
-                if program.fn(rows, scope, evaluator) is not True:
-                    break
-            else:
-                kept.append(combo)
-        return kept
 
     # -- joins ------------------------------------------------------------
 
@@ -496,34 +496,8 @@ class _SourceRunner:
         """A ``rows -> [key values]`` callable for one join side (NULLs
         included; hash parts are tagged by kind at the call site, so
         Python's cross-kind equalities like ``True == 1`` cannot produce
-        matches SQL comparison would reject). With compiled evaluation on,
-        the key expressions compile once per join run; either way the
-        per-combination Scope is only built when actually needed."""
+        matches SQL comparison would reject)."""
         evaluator = self.evaluator
-        if getattr(self.database, "enable_compiled_eval", False):
-            layout = layout_of(bindings)
-            programs = [
-                program_for(self.database, expr, layout,
-                            statement=evaluator.statement)
-                for expr in key_exprs
-            ]
-            if not any(program.needs_scope for program in programs):
-                def compiled_values(rows: Any) -> list[Any]:
-                    return [
-                        program.fn(rows, None, evaluator)
-                        for program in programs
-                    ]
-
-                return compiled_values
-
-            def compiled_values_with_scope(rows: Any) -> list[Any]:
-                scope = self._scope_for(bindings, rows)
-                return [
-                    program.fn(rows, scope, evaluator)
-                    for program in programs
-                ]
-
-            return compiled_values_with_scope
 
         def interpreted_values(rows: Any) -> list[Any]:
             scope = self._scope_for(bindings, rows)

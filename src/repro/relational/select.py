@@ -16,9 +16,9 @@ columns, rows, order and touched handles (the plan-invariance guarantee,
 ``docs/semantics.md`` §8).
 
 Over a batch, projection is batch kernels and grouping a reduction
-over column vectors; over scopes (the row path, products, restored join
-orders, the reference) the interpreter projects, and its ``GroupScope``
-groups — the fallback and the oracle.
+over column vectors; over scopes (the row path, restored join orders,
+the reference) the interpreter projects, and its ``GroupScope`` groups
+— the fallback and the oracle.
 
 Table resolution is pluggable: :class:`BaseTableResolver` serves ordinary
 tables; the rule engine supplies a resolver that additionally serves the
@@ -267,8 +267,8 @@ class _SelectExecutor:
         returns ``(bindings, scopes, batch)``. The surviving scopes are
         exactly the post-WHERE combinations of the FROM product
         (plan-invariance guarantee). Under vectorized evaluation a
-        batchable pipeline — one binding, or hash joins over batchable
-        inputs — comes back still columnar (scopes None) for the
+        batchable pipeline — one binding, or hash joins and products over
+        batchable inputs — comes back still columnar (scopes None) for the
         projection and grouping paths to consume directly."""
         # looked up per call: the e2e tracer wraps the module attribute
         from .plan.executor import execute_source_batched

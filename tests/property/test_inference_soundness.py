@@ -11,8 +11,8 @@ The witness contract the typed-kernel layer relies on:
   exactly (``"?"`` marks a provably-NULL node, so a non-NULL value
   there is a soundness bug).
 
-Random expressions are drawn from the same grammar the compiled- and
-vectorized-equivalence suites use — including *mistyped* operands, since
+Random expressions are drawn from the same grammar the
+vectorized-equivalence suite uses — including *mistyped* operands, since
 soundness must hold on ill-typed programs too (their witnesses just
 must not claim totality). A second group checks the consumer end to
 end: typed batch kernels agree with generic kernels and the row
@@ -333,10 +333,8 @@ class TestConfigurationDifferential:
 
     def test_typed_kernels_actually_engaged(self):
         adb = ActiveDatabase()
-        # typed kernels ride on the compiled + vectorized layers; force
-        # both on so this check holds under the CI env matrix that
-        # disables them (REPRO_COMPILED_EVAL=0 etc.)
-        adb.database.enable_compiled_eval = True
+        # typed kernels are batch kernels; force the layer on so this
+        # check holds under the CI oracle run (REPRO_VECTORIZED_EVAL=0)
         adb.database.enable_vectorized_eval = True
         for statement in SCENARIO:
             adb.execute(statement)

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import ActiveDatabase
-from repro.relational.compiled import vectorized_enabled
 from repro.relational.database import Database
 from repro.relational.expressions import aggregate_calls
 from repro.relational.plan import conjuncts, cost
@@ -211,6 +210,25 @@ class TestErrorIdentity:
             assert planned[0] == "ok", sql
         elif planned[0] == naive[0] == "ok":
             assert planned == naive, sql
+
+    @given(t1_rows, t2_rows, index_choice, raising_queries())
+    @example(
+        [(1, 1, 1)], [(1, 5), (2, 0), (3, 1)], set(),
+        "select * from t1 x, t2 y where x.a + y.d > 0 and x.a / y.d > 0",
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columnar_and_row_runs_of_a_plan_agree(
+            self, rows1, rows2, indexes, sql):
+        """One plan, run as batches (products and joins as slot vectors,
+        filters as kernels) and row by row through the interpreter: the
+        same rows and touched handles, or the same first error. The
+        example is a product whose second conjunct first raises on its
+        second combination."""
+        db = build_database(rows1, rows2, indexes)
+        select = parse_select(sql)
+        columnar = outcome(db, select)
+        db.enable_vectorized_eval = False
+        assert outcome(db, select) == columnar, sql
 
     @pytest.mark.parametrize("rows2", [[(1, 0), (2, 5)], []])
     def test_pushed_conjunct_raises_where_the_reference_short_circuits(
@@ -496,6 +514,6 @@ class TestRuleConditionAggregates:
         assert planned == naive
         counters = db.stats()["rules"].get("salary_watch")
         if counters and counters["considerations"] \
-                and vectorized_enabled(db.database):
+                and db.database.enable_vectorized_eval:
             assert counters["grouped_batches"] >= 2
             assert counters["group_scope_fallbacks"] == 0

@@ -1,23 +1,26 @@
-"""Differential property test: vectorized evaluation ≡ row evaluation.
+"""Differential property test: vectorized evaluation ≡ interpretation.
 
 The vectorized-evaluation invariance guarantee (docs/semantics.md §13):
 for every expression and every row set, a batch kernel produces exactly
 the per-row values — and exactly the first error, at the first failing
-row in scan order — that row-at-a-time evaluation would. These tests
-generate random single-binding expression ASTs over random row batches
-and require identical outcomes from both paths, in both expression and
-predicate position.
+row in scan order — that the interpreter, row at a time, would. These
+tests generate random expression ASTs (arithmetic, comparisons,
+AND/OR/NOT, LIKE, IN-lists, BETWEEN, CASE, scalar functions, NULLs and
+mistyped operands included) over two layouts — one binding over a
+:class:`Batch`, and two bindings over the :class:`JoinedBatch` a join
+or product emits, where ``b`` is ambiguous — and require identical
+outcomes from both paths, in both expression and predicate position.
 
-A second group runs whole SELECTs, DML statements and rule transactions
-with the layer enabled and disabled, covering the plan-executor scan/
-filter/projection path, DML WHERE targeting and rule-condition
-evaluation over transition tables end to end.
+A second group runs whole SELECTs (joins and products), DML statements
+and rule transactions with the layer enabled and disabled, covering the
+plan-executor scan/filter/product/projection path, DML WHERE targeting
+and rule-condition evaluation over transition tables end to end.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.relational.batch import Batch
+from repro.relational.batch import Batch, JoinedBatch
 from repro.relational.compiled import (
     BatchContext,
     compile_batch_expression,
@@ -29,9 +32,11 @@ from repro.relational.select import BaseTableResolver, evaluate_select
 from repro.sql import ast
 from repro.sql.parser import parse_select
 
-# Kernels are single-binding (joins batch each side, never the product).
 LAYOUT = (("x", ("a", "b", "s")),)
 COLUMNS = ("a", "b", "s")
+# Two bindings whose column sets overlap on "b" (so unqualified "b" is
+# ambiguous), with a string column for LIKE.
+JOINED_LAYOUT = (("x", ("a", "b", "s")), ("y", ("b", "d")))
 
 literals = st.one_of(
     st.none(),
@@ -49,6 +54,22 @@ column_refs = st.sampled_from(
         ast.ColumnRef("a"),
         ast.ColumnRef("b"),
         ast.ColumnRef("s"),
+        ast.ColumnRef("nosuch"),  # unresolvable -> interpreter error
+        ast.ColumnRef("nosuch", "x"),  # qualifier ok, column missing
+    ]
+)
+
+joined_column_refs = st.sampled_from(
+    [
+        ast.ColumnRef("a", "x"),
+        ast.ColumnRef("b", "x"),
+        ast.ColumnRef("s", "x"),
+        ast.ColumnRef("b", "y"),
+        ast.ColumnRef("d", "y"),
+        ast.ColumnRef("a"),
+        ast.ColumnRef("b"),  # ambiguous
+        ast.ColumnRef("s"),
+        ast.ColumnRef("d"),
         ast.ColumnRef("nosuch"),  # unresolvable -> interpreter error
         ast.ColumnRef("nosuch", "x"),  # qualifier ok, column missing
     ]
@@ -98,6 +119,9 @@ def _compound(children):
 expressions = st.recursive(
     st.one_of(literals, column_refs), _compound, max_leaves=12
 )
+joined_expressions = st.recursive(
+    st.one_of(literals, joined_column_refs), _compound, max_leaves=12
+)
 
 cell = st.one_of(
     st.none(),
@@ -107,6 +131,12 @@ cell = st.one_of(
     st.sampled_from(["", "ab", "abc", "zzz"]),
 )
 row_sets = st.lists(st.tuples(cell, cell, cell), max_size=8)
+#: the two sides of a product: its output is every left row with every
+#: right row, in nested-loop order
+product_sides = st.tuples(
+    st.lists(st.tuples(cell, cell, cell), max_size=4),
+    st.lists(st.tuples(cell, cell), max_size=3),
+)
 
 
 def fresh_evaluator():
@@ -114,14 +144,18 @@ def fresh_evaluator():
     return Evaluator(database, BaseTableResolver(database))
 
 
-def row_outcomes(expression, rows, evaluator, predicate):
+def row_outcomes(expression, rows, evaluator, predicate,
+                 layout=LAYOUT):
     """Per-row evaluation truncated at the first error, exactly the
     shape a batch kernel must reproduce: (values-prefix, error-or-None).
-    """
+    ``rows`` holds one row per combination (one-binding ``layout``) or
+    one tuple of rows per combination (several bindings)."""
     values = []
     for row in rows:
         scope = Scope()
-        scope.bind("x", COLUMNS, row)
+        combination = (row,) if len(layout) == 1 else row
+        for (name, columns), part in zip(layout, combination):
+            scope.bind(name, columns, part)
         try:
             if predicate:
                 values.append(
@@ -149,6 +183,41 @@ def batch_outcomes(expression, rows, evaluator, predicate):
     else:
         program = compile_batch_expression(expression, LAYOUT)
     return program.fn(ctx, batch.sel)
+
+
+def product_outcomes(expression, sides, evaluator, predicate):
+    """The kernels over the :class:`JoinedBatch` a product of ``sides``
+    emits: the left slots each repeated, the right selection tiled."""
+    left_rows, right_rows = sides
+    parts = [
+        Batch.from_rows(rows, len(columns))
+        for rows, (_, columns) in zip(sides, JOINED_LAYOUT)
+    ]
+    slots = (
+        [i for i in range(len(left_rows)) for _ in right_rows],
+        list(range(len(right_rows))) * len(left_rows),
+    )
+    batch = JoinedBatch(parts, slots, list(range(len(slots[0]))))
+    row_tuples = batch.row_tuples
+
+    def scope_for(position):
+        scope = Scope()
+        for (name, columns), row in zip(JOINED_LAYOUT,
+                                        row_tuples(position)):
+            scope.bind(name, columns, row)
+        return scope
+
+    ctx = BatchContext(batch.cols, scope_for, evaluator, slots=batch.slots)
+    if predicate:
+        program = compile_batch_predicate(expression, JOINED_LAYOUT)
+    else:
+        program = compile_batch_expression(expression, JOINED_LAYOUT)
+    return program.fn(ctx, batch.sel)
+
+
+def product_rows(sides):
+    left_rows, right_rows = sides
+    return [(left, right) for left in left_rows for right in right_rows]
 
 
 def describe(error):
@@ -180,6 +249,38 @@ class TestKernelEquivalence:
         )
         values, err = batch_outcomes(
             expression, rows, evaluator, predicate=True
+        )
+        assert values == expected, expression
+        assert describe(err) == describe(row_err), expression
+        for value in values:
+            assert value in (True, False, None)
+
+
+class TestJoinedKernelEquivalence:
+    @given(joined_expressions, product_sides)
+    @settings(max_examples=300, deadline=None)
+    def test_expression_batch_parity(self, expression, sides):
+        evaluator = fresh_evaluator()
+        expected, row_err = row_outcomes(
+            expression, product_rows(sides), evaluator, predicate=False,
+            layout=JOINED_LAYOUT,
+        )
+        values, err = product_outcomes(
+            expression, sides, evaluator, predicate=False
+        )
+        assert values == expected, expression
+        assert describe(err) == describe(row_err), expression
+
+    @given(joined_expressions, product_sides)
+    @settings(max_examples=300, deadline=None)
+    def test_predicate_batch_parity(self, expression, sides):
+        evaluator = fresh_evaluator()
+        expected, row_err = row_outcomes(
+            expression, product_rows(sides), evaluator, predicate=True,
+            layout=JOINED_LAYOUT,
+        )
+        values, err = product_outcomes(
+            expression, sides, evaluator, predicate=True
         )
         assert values == expected, expression
         assert describe(err) == describe(row_err), expression
@@ -264,9 +365,6 @@ def single_table_queries(draw):
 
 def build_database(rows1, rows2):
     db = Database()
-    # keep the comparison non-vacuous when the CI oracle rerun exports
-    # REPRO_COMPILED_EVAL=0 (vectorization layers on compiled eval)
-    db.enable_compiled_eval = True
     db.create_table(
         "t1", [("a", "integer"), ("b", "integer"), ("s", "varchar")]
     )
@@ -321,7 +419,6 @@ class TestStatementEquivalence:
         outcomes = []
         for vectorized in (True, False):
             db = ActiveDatabase(record_seen=False)
-            db.database.enable_compiled_eval = True
             db.database.enable_vectorized_eval = vectorized
             db.execute(
                 "create table t1 (a integer, b integer, s varchar)"
@@ -367,7 +464,6 @@ class TestStatementEquivalence:
         snapshots = []
         for vectorized in (True, False):
             db = ActiveDatabase(record_seen=False)
-            db.database.enable_compiled_eval = True
             db.database.enable_vectorized_eval = vectorized
             db.execute(
                 "create table t1 (a integer, b integer, s varchar)"

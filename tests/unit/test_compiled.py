@@ -1,20 +1,23 @@
 """Unit tests for the compiled-expression layer (repro.relational.compiled).
 
-The differential/property suites assert compiled ≡ interpreted wholesale;
-these tests pin the layer's mechanics: slot resolution, error parity and
-laziness, fallback classification, cache behaviour against the schema
-version, the environment gate, and the memoized LIKE pattern compiler.
+The differential/property suites assert batch kernels ≡ the interpreter
+wholesale; these tests pin the layer's mechanics: slot resolution, error
+parity and laziness, fallback classification, cache behaviour against
+the schema version, the environment gate, and the memoized LIKE pattern
+compiler.
 """
 
 import pytest
 
 from repro.errors import ExecutionError
+from repro.relational.batch import Batch, JoinedBatch
 from repro.relational.compiled import (
+    BatchContext,
     CompilerStats,
-    compile_expression,
-    compile_predicate,
-    layout_of,
-    program_for,
+    batch_context,
+    batch_program_for,
+    compile_batch_expression,
+    compile_batch_predicate,
 )
 from repro.relational.database import Database
 from repro.relational.expressions import Evaluator, Scope, _like_to_regex
@@ -30,32 +33,54 @@ def evaluator_for(database=None):
     return Evaluator(database, BaseTableResolver(database))
 
 
-def run(program, rows, scope=None, evaluator=None):
-    return program.run(rows, scope, evaluator)
+def run(program, combos, layout=LAYOUT, evaluator=None, outer=None):
+    """``program``'s values over one batch entry per combination of
+    ``combos`` (one row per binding of ``layout``), raising the first
+    error in row order."""
+    parts = [
+        Batch.from_rows([combo[i] for combo in combos], len(columns))
+        for i, (_, columns) in enumerate(layout)
+    ]
+    entries = list(range(len(combos)))
+    if len(parts) == 1:
+        (batch,) = parts
+    else:
+        batch = JoinedBatch(parts, [entries] * len(parts), entries)
+    ctx = batch_context(batch, layout, outer, evaluator, None)
+    values, error = program.fn(ctx, batch.sel)
+    if error is not None:
+        raise error
+    return values
 
 
 class TestSlotResolution:
     def test_qualified_ref_reads_tuple_slot(self):
-        program = compile_expression(parse_expression("emp.salary"), LAYOUT)
-        assert run(program, (("carol", 900, 2),)) == 900
+        program = compile_batch_expression(
+            parse_expression("emp.salary"), LAYOUT
+        )
+        assert run(program, [(("carol", 900, 2),), (("dave", 5, 1),)]) \
+            == [900, 5]
         assert not program.needs_scope
         assert program.nodes_fallback == 0
 
     def test_unqualified_ref_reads_tuple_slot(self):
-        program = compile_expression(parse_expression("dept_no"), LAYOUT)
-        assert run(program, (("carol", 900, 2),)) == 2
+        program = compile_batch_expression(parse_expression("dept_no"), LAYOUT)
+        assert run(program, [(("carol", 900, 2),)]) == [2]
 
     def test_multi_binding_layout(self):
         layout = (("e", ("a", "b")), ("d", ("c",)))
-        program = compile_expression(parse_expression("e.b + d.c"), layout)
-        assert run(program, ((1, 2), (30,))) == 32
+        program = compile_batch_expression(
+            parse_expression("e.b + d.c"), layout
+        )
+        assert run(program, [((1, 2), (30,)), ((1, 5), (7,))], layout) \
+            == [32, 12]
 
     def test_ambiguous_unqualified_ref_matches_interpreter_error(self):
         layout = (("e1", ("salary",)), ("e2", ("salary",)))
         node = parse_expression("salary")
-        program = compile_expression(node, layout)
+        program = compile_batch_expression(node, layout)
         with pytest.raises(ExecutionError) as compiled_error:
-            run(program, ((1,), (2,)))
+            run(program, [((1,), (2,))], layout)
         scope = Scope()
         scope.bind("e1", ("salary",), (1,))
         scope.bind("e2", ("salary",), (2,))
@@ -65,9 +90,9 @@ class TestSlotResolution:
 
     def test_missing_column_matches_interpreter_error(self):
         node = parse_expression("emp.nosuch")
-        program = compile_expression(node, LAYOUT)
+        program = compile_batch_expression(node, LAYOUT)
         with pytest.raises(ExecutionError) as compiled_error:
-            run(program, (("carol", 900, 2),))
+            run(program, [(("carol", 900, 2),)])
         scope = Scope()
         scope.bind("emp", ("name", "salary", "dept_no"), ("carol", 900, 2))
         with pytest.raises(ExecutionError) as interpreted_error:
@@ -77,14 +102,14 @@ class TestSlotResolution:
     def test_bad_ref_error_is_lazy_under_short_circuit(self):
         """``false and emp.nosuch = 1`` must evaluate to False, exactly as
         the interpreter's short-circuit leaves the bad ref unevaluated."""
-        program = compile_predicate(
+        program = compile_batch_predicate(
             parse_expression("false and emp.nosuch = 1"), LAYOUT
         )
-        assert run(program, (("carol", 900, 2),)) is False
-        program = compile_predicate(
+        assert run(program, [(("carol", 900, 2),)]) == [False]
+        program = compile_batch_predicate(
             parse_expression("true or 1 / 0 = 1"), LAYOUT
         )
-        assert run(program, (("carol", 900, 2),)) is True
+        assert run(program, [(("carol", 900, 2),)]) == [True]
 
 
 class TestFallbacks:
@@ -93,39 +118,48 @@ class TestFallbacks:
         database.create_table("t", [("x", "integer")])
         database.insert_row("t", (1,))
         node = parse_expression("exists (select * from t)")
-        program = compile_predicate(node, layout_of([]))
+        program = compile_batch_predicate(node, LAYOUT)
         assert program.needs_scope
         assert program.nodes_fallback == 1
-        assert run(program, (), Scope(), evaluator_for(database)) is True
+        assert run(
+            program, [(("carol", 900, 2),)], evaluator=evaluator_for(database)
+        ) == [True]
 
     def test_outer_scope_ref_falls_back(self):
-        program = compile_expression(parse_expression("outer_col"), LAYOUT)
+        program = compile_batch_expression(parse_expression("outer_col"), LAYOUT)
         assert program.needs_scope
         outer = Scope()
         outer.bind("o", ("outer_col",), (7,))
-        scope = Scope(parent=outer)
-        scope.bind("emp", ("name", "salary", "dept_no"), ("carol", 900, 2))
-        assert run(program, (("carol", 900, 2),), scope, evaluator_for()) == 7
+        assert run(
+            program, [(("carol", 900, 2),)], evaluator=evaluator_for(),
+            outer=outer,
+        ) == [7]
 
     def test_aggregate_call_falls_back(self):
-        program = compile_expression(parse_expression("count(*)"), LAYOUT)
-        assert program.nodes_fallback == 1
+        # outside a group batch an aggregate is the interpreter's, and
+        # it needs the scope chain its group hangs off
+        program = compile_batch_expression(
+            parse_expression("count(*)"), LAYOUT
+        )
+        assert program.needs_scope
 
     def test_pure_program_skips_scope(self):
-        program = compile_predicate(
+        program = compile_batch_predicate(
             parse_expression("salary > 500 and name like 'c%'"), LAYOUT
         )
         assert not program.needs_scope
-        # no scope, no evaluator — slots and closures suffice
-        assert run(program, (("carol", 900, 2),)) is True
+        # no scope builder, no evaluator — the columns suffice
+        batch = Batch.from_rows([("carol", 900, 2), ("al", 900, 2)], 3)
+        assert program.fn(BatchContext(batch.cols), batch.sel) \
+            == ([True, False], None)
 
 
 class TestPredicateCoercion:
     def test_non_boolean_predicate_matches_interpreter_error(self):
         node = parse_expression("salary + 1")
-        program = compile_predicate(node, LAYOUT)
+        program = compile_batch_predicate(node, LAYOUT)
         with pytest.raises(ExecutionError) as compiled_error:
-            run(program, (("carol", 900, 2),))
+            run(program, [(("carol", 900, 2),)])
         scope = Scope()
         scope.bind("emp", ("name", "salary", "dept_no"), ("carol", 900, 2))
         with pytest.raises(ExecutionError) as interpreted_error:
@@ -133,16 +167,16 @@ class TestPredicateCoercion:
         assert str(compiled_error.value) == str(interpreted_error.value)
 
     def test_null_predicate_stays_unknown(self):
-        program = compile_predicate(parse_expression("null"), LAYOUT)
-        assert run(program, (("carol", 900, 2),)) is None
+        program = compile_batch_predicate(parse_expression("null"), LAYOUT)
+        assert run(program, [(("carol", 900, 2),)]) == [None]
 
 
 class TestCompiledCache:
     def test_hit_on_same_node_and_layout(self):
         database = Database()
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT, predicate=True)
-        second = program_for(database, node, LAYOUT, predicate=True)
+        first = batch_program_for(database, node, LAYOUT, predicate=True)
+        second = batch_program_for(database, node, LAYOUT, predicate=True)
         assert first is second
         stats = database.compiler_stats
         assert stats.compiles == 1
@@ -152,18 +186,18 @@ class TestCompiledCache:
     def test_distinct_layouts_compile_separately(self):
         database = Database()
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT)
+        first = batch_program_for(database, node, LAYOUT)
         other_layout = (("e2", ("salary",)),)
-        second = program_for(database, node, other_layout)
+        second = batch_program_for(database, node, other_layout)
         assert first is not second
         assert database.compiler_stats.compiles == 2
 
     def test_schema_change_invalidates(self):
         database = Database()
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT)
+        first = batch_program_for(database, node, LAYOUT)
         database.create_table("t", [("x", "integer")])  # bumps schema_version
-        second = program_for(database, node, LAYOUT)
+        second = batch_program_for(database, node, LAYOUT)
         assert first is not second
         assert database.compiler_stats.invalidations == 1
 
@@ -171,19 +205,22 @@ class TestCompiledCache:
         database = Database()
         database.create_table("t", [("x", "integer")])
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT)
+        first = batch_program_for(database, node, LAYOUT)
         database.insert_row("t", (1,))  # bumps version, not schema_version
-        assert program_for(database, node, LAYOUT) is first
+        assert batch_program_for(database, node, LAYOUT) is first
 
     def test_programs_leave_with_their_statement(self):
         """One bound: evicting a statement drops its programs with it."""
         database = Database()
         database.statements.max_entries = 2
         nodes = [parse_expression(f"salary > {i}") for i in range(3)]
-        programs = [program_for(database, node, LAYOUT) for node in nodes]
+        programs = [
+            batch_program_for(database, node, LAYOUT) for node in nodes
+        ]
         assert len(database.statements) == 2
-        assert program_for(database, nodes[2], LAYOUT) is programs[2]
-        assert program_for(database, nodes[0], LAYOUT) is not programs[0]
+        assert batch_program_for(database, nodes[2], LAYOUT) is programs[2]
+        assert batch_program_for(database, nodes[0], LAYOUT) \
+            is not programs[0]
         assert database.compiler_stats.compiles == 4
 
     def test_snapshot_rates(self):
@@ -200,29 +237,58 @@ class TestCompiledCache:
         database = Database()
         node = parse_expression("salary > 500")
         before = database.compiler_stats.counters()
-        program_for(database, node, LAYOUT)
+        batch_program_for(database, node, LAYOUT)
         delta = database.compiler_stats.delta_since(before)
         assert delta == {"cache_hits": 0, "cache_misses": 1, "compiles": 1}
 
 
+def compiles_of_filtered_select():
+    """The compiler counters after one filtered select on a fresh
+    database built under the current environment."""
+    from repro import ActiveDatabase
+
+    db = ActiveDatabase(record_seen=False)
+    db.execute("create table t (x integer)")
+    db.execute("insert into t values (1), (2), (3)")
+    assert db.rows("select x from t where x > 1") == [(2,), (3,)]
+    return db.database.compiler_stats
+
+
 class TestEnvironmentGate:
+    # REPRO_VECTORIZED_EVAL is the one gate: off, the interpreter
+    # evaluates every expression and nothing is compiled
+
     def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_EVAL", raising=False)
-        assert Database().enable_compiled_eval is True
+        monkeypatch.delenv("REPRO_VECTORIZED_EVAL", raising=False)
+        assert compiles_of_filtered_select().compiles > 0
 
     @pytest.mark.parametrize("value", ["0", "off", "false", "OFF"])
     def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_COMPILED_EVAL", value)
-        assert Database().enable_compiled_eval is False
+        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", value)
+        assert compiles_of_filtered_select().compiles == 0
 
     def test_disabled_database_never_compiles(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_EVAL", "0")
+        """Rule conditions, actions, DML targeting, joins and products:
+        with the gate off no path reaches the compiler."""
+        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "0")
         from repro import ActiveDatabase
 
         db = ActiveDatabase(record_seen=False)
         db.execute("create table t (x integer)")
+        db.execute("create table u (y integer)")
+        db.execute(
+            "create rule copy when inserted into t "
+            "if exists (select * from inserted t where x > 1) "
+            "then insert into u (select x from inserted t where x > 1)"
+        )
         db.execute("insert into t values (1), (2), (3)")
-        db.execute("select x from t where x > 1")
+        db.execute("update u set y = y + 1 where y > 2")
+        assert db.rows(
+            "select t.x, u.y from t, u where t.x = u.y"
+        ) == [(2, 2)]
+        assert db.rows(
+            "select t.x, u.y from t, u where t.x + u.y > 6"
+        ) == [(3, 4)]
         stats = db.database.compiler_stats
         assert stats.compiles == 0
         assert stats.cache_hits == stats.cache_misses == 0
@@ -232,8 +298,8 @@ class TestLikeMemoization:
     def test_one_regex_compile_per_distinct_pattern(self, monkeypatch):
         """Regression for the memoized LIKE pattern compiler: scanning many
         rows under one pattern must translate the pattern exactly once,
-        on the interpreter path as well as the compiled one."""
-        monkeypatch.setenv("REPRO_COMPILED_EVAL", "0")
+        on the interpreter path as well as the batch one."""
+        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "0")
         from repro import ActiveDatabase
 
         _like_to_regex.cache_clear()
@@ -249,42 +315,42 @@ class TestLikeMemoization:
         assert _like_to_regex.cache_info().misses == 2
 
     def test_constant_pattern_precompiled_at_compile_time(self):
+        """A constant pattern is resolved before the row loop: one
+        translator lookup per scan, however many rows it covers."""
         _like_to_regex.cache_clear()
-        program = compile_predicate(
+        program = compile_batch_predicate(
             parse_expression("name like 'c%'"), LAYOUT
         )
         baseline = _like_to_regex.cache_info()
-        for i in range(25):
-            run(program, ((f"c{i}", 0, 0),))
+        rows = [((f"c{i}", 0, 0),) for i in range(25)]
+        assert run(program, rows) == [True] * 25
         after = _like_to_regex.cache_info()
-        # the per-row loop never touched the pattern translator
-        assert (after.hits, after.misses) == (
-            baseline.hits,
-            baseline.misses,
-        )
+        assert (after.hits + after.misses) - (
+            baseline.hits + baseline.misses
+        ) == 1
 
     def test_dynamic_pattern_memoized_per_row(self):
         _like_to_regex.cache_clear()
         layout = (("t", ("s", "p")),)
-        program = compile_predicate(parse_expression("s like p"), layout)
-        assert run(program, (("ab", "a%"),)) is True
-        assert run(program, (("ab", "b%"),)) is False
+        program = compile_batch_predicate(parse_expression("s like p"), layout)
+        assert run(program, [(("ab", "a%"),), (("ab", "b%"),)], layout) \
+            == [True, False]
         info = _like_to_regex.cache_info()
         assert info.misses == 2
 
 
 class TestEngineIntegration:
     # the mode is forced on explicitly so these hold even when the
-    # suite runs under REPRO_COMPILED_EVAL=0 (the CI oracle run)
+    # suite runs under REPRO_VECTORIZED_EVAL=0 (the CI oracle run)
 
     def test_rule_condition_reenters_cached_program(self):
         from repro import ActiveDatabase
 
         db = ActiveDatabase(record_seen=False)
-        db.database.enable_compiled_eval = True
+        db.database.enable_vectorized_eval = True
         # pin the full condition path: as shipped this condition is
-        # answered from a maintained counter and never re-enters the
-        # compiled program per consideration
+        # answered from a maintained counter and never runs its
+        # subquery's filter program per consideration
         full_reeval.install(db)
         db.execute("create table t (x integer)")
         db.execute(
@@ -306,7 +372,7 @@ class TestEngineIntegration:
         from repro import ActiveDatabase
 
         db = ActiveDatabase(record_seen=False)
-        db.database.enable_compiled_eval = True
+        db.database.enable_vectorized_eval = True
         db.execute("create table t (x integer)")
         db.execute("insert into t values (1)")
         db.execute("select x from t where x = 1")
@@ -319,7 +385,7 @@ class TestEngineIntegration:
         from repro import ActiveDatabase
 
         db = ActiveDatabase(record_seen=False)
-        db.database.enable_compiled_eval = True
+        db.database.enable_vectorized_eval = True
         db.execute("create table t (x integer)")
         db.execute("insert into t values (1)")
         db.execute("select x from t where x = 1")

@@ -15,12 +15,8 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).parent
 
-ENABLE_ATTRIBUTES = {
-    "enable_compiled_eval",
-    "enable_vectorized_eval",
-    "enable_subquery_cache",
-}
-ENVIRONMENT_NAMES = {"REPRO_COMPILED_EVAL", "REPRO_VECTORIZED_EVAL"}
+ENABLE_ATTRIBUTES = {"enable_vectorized_eval", "enable_subquery_cache"}
+ENVIRONMENT_NAMES = {"REPRO_VECTORIZED_EVAL"}
 
 
 @functools.cache
@@ -41,7 +37,7 @@ def names_in_src():
     return names
 
 
-def test_database_init_assigns_exactly_three_enable_attributes():
+def test_database_init_assigns_exactly_two_enable_attributes():
     tree = ast.parse((SRC / "relational" / "database.py").read_text())
     (init,) = [
         node for node in ast.walk(tree)
@@ -64,7 +60,7 @@ def test_no_other_enable_attribute_is_mentioned_anywhere():
     assert mentioned == ENABLE_ATTRIBUTES
 
 
-def test_environment_reads_exactly_two_repro_names():
+def test_environment_reads_exactly_one_repro_name():
     read = {
         name for name in names_in_src()
         if name.startswith("REPRO_") and name.isupper()

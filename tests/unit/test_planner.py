@@ -12,7 +12,6 @@ import pytest
 
 from repro import ActiveDatabase
 from repro.errors import ExecutionError, TypeError_
-from repro.relational.compiled import vectorized_enabled
 from repro.relational.database import Database
 from repro.relational.plan import (
     Filter,
@@ -368,7 +367,7 @@ class TestPlannedExecutionAgreesWithNaive:
                         "select x.k, y.k from t x, u y where x.a = y.a"):
                 assert self.both_paths(db, sql).rows == [(2, 2)]
                 assert db.rows(sql) == [(2, 2)]
-                mode = "columnar" if vectorized_enabled(db.database) else "row"
+                mode = "columnar" if vectorized else "row"
                 assert mode in db.explain(sql)
 
     def test_join_rows_and_order_match(self):

@@ -37,7 +37,6 @@ SHAPES = {
 @pytest.fixture(scope="module")
 def database():
     database = Database()
-    database.enable_compiled_eval = True
     database.enable_vectorized_eval = True
     database.create_table("e", [("k", "integer"), ("s", "integer")])
     database.create_table("d", [("k", "integer")])

@@ -6,7 +6,6 @@ import pytest
 from repro import ActiveDatabase
 from repro.errors import ReproError
 from repro.relational.batch import JoinedBatch
-from repro.relational.compiled import vectorized_enabled
 from repro.relational.database import Database
 from repro.relational.expressions import Evaluator
 from repro.relational.plan.executor import execute_source_batched
@@ -17,10 +16,8 @@ from repro.sql.parser import parse_select
 @pytest.fixture
 def db():
     db = ActiveDatabase()
-    # force both layers on so this suite still exercises the batch path
-    # when the CI oracle reruns export REPRO_COMPILED_EVAL=0 or
-    # REPRO_VECTORIZED_EVAL=0
-    db.database.enable_compiled_eval = True
+    # force the layer on so this suite still exercises the batch path
+    # when the CI oracle rerun exports REPRO_VECTORIZED_EVAL=0
     db.database.enable_vectorized_eval = True
     db.execute("create table t (a integer, b integer, s varchar)")
     for a in range(10):
@@ -40,19 +37,6 @@ class TestEnvironmentGate:
     def test_env_off_spelling(self, monkeypatch):
         monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "OFF")
         assert Database().enable_vectorized_eval is False
-
-    def test_vectorized_requires_compiled_layer(self):
-        database = Database()
-        database.enable_compiled_eval = True
-        database.enable_vectorized_eval = True
-        assert vectorized_enabled(database) is True
-        database.enable_compiled_eval = False
-        # vectorization layers on top of compiled evaluation: the pure
-        # interpreter must remain the bottom-most oracle
-        assert vectorized_enabled(database) is False
-        database.enable_compiled_eval = True
-        database.enable_vectorized_eval = False
-        assert vectorized_enabled(database) is False
 
 
 class TestStatsSection:
@@ -176,6 +160,53 @@ class TestCallSites:
         assert result.rule_firings == 1
         rows = db.rows("select a from log")
         assert rows == [(7,)]
+
+
+class TestProducts:
+    """A product runs as a joined batch — every left entry repeated, the
+    right selection tiled — and a filter above it as kernels over both
+    bindings."""
+
+    CROSS = ("from inserted orders o, stock s "
+             "where o.qty > s.qty and o.id + s.item > 2")
+
+    def run_rule(self, vectorized):
+        db = ActiveDatabase(track_selects=True, record_seen=False)
+        db.database.enable_vectorized_eval = vectorized
+        db.execute("create table orders (id integer, qty integer)")
+        db.execute("create table stock (item integer, qty integer)")
+        db.execute("create table alerts (id integer, item integer)")
+        db.execute("insert into stock values (1, 5), (2, 10), (3, 1)")
+        db.execute(
+            f"create rule short when inserted into orders "
+            f"if exists (select * {self.CROSS}) "
+            f"then select o.id, s.item {self.CROSS}; "
+            f"insert into alerts (select o.id, s.item {self.CROSS})"
+        )
+        db.reset_stats()
+        result = db.execute(
+            "insert into orders values (1, 6), (2, 3), (3, 12), (4, 0)"
+        )
+        firings = [
+            (transition.source, sorted(transition.effect.selected))
+            for transition in result.transitions
+        ]
+        return db, (firings, result.last_select.rows,
+                    db.rows("select * from alerts"))
+
+    def test_filtered_product_in_a_rule_matches_the_row_path(self):
+        batch_db, batched = self.run_rule(vectorized=True)
+        _, row = self.run_rule(vectorized=False)
+        assert batched == row
+        firings, selected_rows, alerts = batched
+        assert [source for source, _ in firings] == ["external", "short"]
+        assert firings[1][1], "the action's select read no stock tuple"
+        assert selected_rows == alerts == [(1, 3), (2, 3), (3, 1),
+                                           (3, 2), (3, 3)]
+        section = batch_db.stats()["vectorized"]
+        assert section["row_fallbacks"] == 0
+        # condition and action selects each filtered the 4 x 3 product
+        assert section["rows_scanned"] >= 3 * 12
 
 
 class TestJoinKeyExtraction:
