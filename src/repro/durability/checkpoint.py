@@ -1,22 +1,23 @@
 """Checkpointing: a durable full snapshot plus a WAL high-water mark.
 
-A checkpoint document (version 4) is the catalog
+A checkpoint document (version 5) is the catalog
 (:func:`repro.persistence.catalog_document`) and the data as one commit
 body — per non-empty table, one insert section of every live row under
 its original handle, and the row count — with the handle high-water
 mark, the LSN up to which the WAL is folded into it and the last
 committed transaction id::
 
-    {"format":"repro-durability-checkpoint","version":4,"wal_lsn":L,
+    {"format":"repro-durability-checkpoint","version":5,"wal_lsn":L,
      "last_txn":T,"hwm":H,"catalog":{...},"data":{TABLE:{"i":[...],"n":N}}}
 
-The file is that document as one WAL frame
+The file is that document as one WAL frame of a stream of its own
 (:func:`~repro.durability.wal.encode_record`), and nothing after it.
 Recovery replays ``data`` through the WAL's section reader, between
 creating the tables and defining indexes, rules and priorities:
 checkpoint restore *is* WAL replay. A checkpoint of an earlier version
-— a JSON document, which opens with ``{`` — or of another version
-number is refused.
+— a JSON document, which opens with ``{``, or a version-4 frame, which
+opens with the version-6 WAL marker — or of another version number is
+refused.
 
 Writes are atomic: the frame goes to a temp file (fsync'd), then an
 ``os.replace`` swaps it in, then the directory entry is fsync'd. A crash
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import ReproError
 from ..persistence import catalog_document
-from .wal import encode_record, read_frame, table_section
+from .wal import V6_FRAME_MARKER, encode_record, read_frame, table_section
 
 if TYPE_CHECKING:
     from ..system import ActiveDatabase
@@ -41,7 +42,7 @@ if TYPE_CHECKING:
 #: the name the JSON checkpoint had; kept, like the WAL's
 CHECKPOINT_FILENAME = "checkpoint.json"
 CHECKPOINT_FORMAT = "repro-durability-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 #: the type of every field a checkpoint document must carry
 _FIELDS = {"wal_lsn": int, "last_txn": int, "hwm": int, "catalog": dict,
            "data": dict}
@@ -114,6 +115,12 @@ def read_checkpoint(directory: str) -> dict[str, Any] | None:
             f"{path!r} is a JSON checkpoint of an earlier version (versions "
             f"1 to 3); this build reads framed version {CHECKPOINT_VERSION} "
             f"only and leaves the file as it is"
+        )
+    if data and data[0] == V6_FRAME_MARKER:
+        raise CheckpointError(
+            f"{path!r} is a checkpoint of version 4 (one deflate stream "
+            f"in a version-6 frame); this build reads version "
+            f"{CHECKPOINT_VERSION} only and leaves the file as it is"
         )
     frame = read_frame(data)
     if frame is None or frame[1] != len(data):

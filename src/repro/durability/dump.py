@@ -25,8 +25,8 @@ def main(argv: list[str] | None = None) -> None:
     for body in ([document] if document else []) + scan.records:
         print(encode_json(body))
     print(f"# {len(scan.records)} records in {scan.valid_bytes} bytes; "
-          f"{scan.torn_bytes} torn bytes, {scan.discarded_records} intact "
-          f"records behind the tear")
+          f"{scan.torn_bytes} torn bytes, at least "
+          f"{scan.discarded_records} whole records behind the tear")
 
 
 if __name__ == "__main__":

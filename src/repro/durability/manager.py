@@ -5,7 +5,9 @@ A :class:`DurabilityManager` owns a durability directory holding
 (see :mod:`~repro.durability.checkpoint`) — binary files that kept the
 names of the text formats before them. Both are written as the same
 deflated frames of the same per-table sections: a commit record's net
-effect and a checkpoint's data. It is attached to an
+effect and a checkpoint's data. The WAL's frames are one deflate stream,
+started afresh whenever the writer opens the file (after a checkpoint
+cut it, for one) or appends a body of 16 KiB or more; the checkpoint is a stream of one frame. It is attached to an
 :class:`~repro.ActiveDatabase` at construction and sits on the commit
 path: the engine calls :meth:`log_commit` after rule quiescence and
 *before* acknowledging the commit, so the fsync'd WAL record is the

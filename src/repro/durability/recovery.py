@@ -8,14 +8,15 @@ durability directory:
    handles*) through the same section reader as step 3, then define
    its indexes, rules and priorities, and resume the allocator past its
    high-water mark;
-2. scan the WAL, truncating a torn tail (a partially-written final
-   frame, detected by its length, checksum or inflate) — everything
-   before the tear is the committed history, everything after it never
-   happened (intact frames behind the tear are counted, then cut with
-   it: recovery is point-in-time, see
+2. scan the WAL in order, one inflater for the file's deflate stream,
+   truncating a torn tail (a partially-written final frame, detected by
+   its length, inflate or checksum) — everything before the tear is the
+   committed history, everything after it never happened (frames behind
+   the tear that read back whole are counted, a lower bound, then cut
+   with it: recovery is point-in-time, see
    :func:`~repro.durability.wal.scan_wal`); refuse, before anything is
-   cut, a text log or JSON checkpoint of an earlier version and a
-   record of another format version;
+   cut, a log or checkpoint of an earlier version and a record of
+   another format version;
 3. replay the WAL suffix (records past the checkpoint's LSN): DDL
    records re-execute catalog changes, commit records re-apply net
    effects as whole column vectors — no rule ever re-fires, because

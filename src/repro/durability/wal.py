@@ -1,21 +1,32 @@
 """The write-ahead log: one checksummed, deflated frame per committed
-transaction.
+transaction, all frames of a file one deflate stream.
 
-A frame is a marker byte, the CRC-32 and the length of the record's
-body (little-endian, four bytes each), then the body — the record's
-JSON — as one raw deflate stream (level 1), which ends itself, so frames
-follow one another with nothing between them. The first frame that
-does not check out (header, stream, length, CRC, one JSON object) starts
-a torn or corrupt tail: :func:`scan_wal` reports how many bytes of the
-file are valid so recovery can truncate the rest. Versions 1 to 5 wrote
-text lines that open with a hex checksum, and the marker is no hex
-digit: :func:`scan_wal` refuses such a log before anything is cut.
+A frame is a marker byte, the CRC-32 of the record's body and the
+length of the frame's chunk (little-endian, four bytes each), then the
+chunk: the body — the record's JSON — compressed into the file's raw
+deflate stream (level 1) and sync-flushed, less the ``00 00 FF FF`` a
+sync flush always ends with (the context takeover of RFC 7692's
+permessage-deflate). A record's back-references may reach into the
+bodies before it, so a log reads in order, with one inflater for the
+whole file. The writer starts a new stream each time it opens the file,
+and for every body of half the window or more: the stream's history is
+then always bodies the file holds, and a frame of a fresh stream — no
+reference before its own start — reads at any point of a log, which is
+how a checkpoint (one frame, one stream) and a record written by hand
+read too.
 
-Every body opens with the format version and the LSN, ``{"v":6,"lsn":L,
-...``; recovery reads version 6 and refuses any other. Two records
+The first frame that does not check out (header, chunk length, inflate,
+CRC, one JSON object) starts a torn or corrupt tail: :func:`scan_wal`
+reports how many bytes of the file are valid so recovery can truncate
+the rest. Versions 1 to 5 wrote text lines that open with a hex
+checksum, version 6 one deflate stream per frame behind the marker
+``0xA5``; :func:`scan_wal` refuses either before anything is cut.
+
+Every body opens with the format version and the LSN, ``{"v":7,"lsn":L,
+...``; recovery reads version 7 and refuses any other. Two records
 exist:
 
-* the commit record ``{"v":6,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"v":7,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
@@ -67,7 +78,7 @@ if TYPE_CHECKING:
 #: the name the text log had; kept, so a directory an earlier build
 #: wrote is found and refused, not taken for an empty one
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 6
+WAL_VERSION = 7
 
 
 class WalError(ReproError):
@@ -81,58 +92,87 @@ encode_json = json.JSONEncoder(separators=(",", ":")).encode
 #: ``json.loads`` less its whitespace stripping: a body is one document
 _decode_json = json.JSONDecoder().raw_decode
 
-#: a frame's header: marker, CRC-32 and length of the body
+#: a frame's header: marker, CRC-32 of the body, length of the chunk
 _HEADER = struct.Struct("<BII")
 #: the first byte of every frame: not a hex digit (the first byte of
-#: every earlier log line), not ``{`` (of every earlier checkpoint)
-#: and not the zero a crash may leave past the end of a file
-FRAME_MARKER = 0xA5
+#: every earlier log line), not ``{`` (of every earlier checkpoint), not
+#: the zero a crash may leave past the end of a file and not the marker
+#: of a version-6 frame
+FRAME_MARKER = 0xA6
+#: the marker of a version-6 frame, one deflate stream of its own
+V6_FRAME_MARKER = 0xA5
 #: the first bytes of a text log of an earlier version
 _HEX_DIGITS = b"0123456789abcdef"
+#: the end of every sync-flushed chunk, which a frame leaves out
+_SYNC_TAIL = b"\x00\x00\xff\xff"
+#: how far back a deflate stream refers
+_WINDOW = 32768
+#: a body at least this long starts a new stream: level 1's far matches
+#: into the body before it cost more than they save, and what it gains
+#: rests on how much of that body the data repeat (``set_bulk``'s ~19 KB
+#: bodies moved by up to 3 % from seed to seed; EXPERIMENTS.md §X).
+_OWN_STREAM = _WINDOW // 2
 
 
-def encode_frame(data: bytes) -> bytes:
-    """``data`` as one frame: header, then its raw deflate stream."""
-    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
-    return _HEADER.pack(FRAME_MARKER, zlib.crc32(data), len(data)) \
-        + deflate.compress(data) + deflate.flush()
+def new_deflate() -> Any:
+    """The compressor of a new stream: raw deflate, level 1."""
+    return zlib.compressobj(1, zlib.DEFLATED, -15)
+
+
+def encode_frame(data: bytes, deflate: Any = None) -> bytes:
+    """``data`` as the next frame of ``deflate``'s stream — by default,
+    of a stream of its own: header, then the sync-flushed chunk less its
+    tail."""
+    if deflate is None:
+        deflate = new_deflate()
+    chunk = deflate.compress(data) + deflate.flush(zlib.Z_SYNC_FLUSH)
+    return _HEADER.pack(FRAME_MARKER, zlib.crc32(data), len(chunk) - 4) \
+        + chunk[:-4]
 
 
 def encode_record(body: dict[str, Any]) -> bytes:
-    """Render a record body as one WAL frame (bytes)."""
+    """Render a record body as one WAL frame (bytes) of a stream of its
+    own (see :func:`encode_frame`)."""
     return encode_frame(encode_json(body).encode("utf-8"))
+
+
+def _read(data: bytes | memoryview, at: int, inflate: Any = None,
+          zdict: bytes = b"") -> tuple[dict[str, Any], int, bytes] | None:
+    """The document, the offset past the frame and the body of the frame
+    at ``at``, or None when it is torn or corrupt: no whole chunk, no
+    sync flush at its end, another CRC, not one JSON object. ``inflate``
+    is the decompressor of the stream the frame continues (lost after
+    None); without one the frame is read as a stream of its own whose
+    history is ``zdict``."""
+    if len(data) - at < _HEADER.size:
+        return None
+    marker, crc, length = _HEADER.unpack_from(data, at)
+    end = at + _HEADER.size + length
+    if marker != FRAME_MARKER or end > len(data):
+        return None
+    if inflate is None:
+        inflate = zlib.decompressobj(-15, zdict=zdict)
+    try:
+        body = inflate.decompress(data[end - length:end]) \
+            + inflate.decompress(_SYNC_TAIL)
+        if inflate.eof or zlib.crc32(body) != crc:
+            return None
+        text = body.decode("utf-8")
+        document, stop = _decode_json(text)
+    except (zlib.error, ValueError):  # no deflate, not UTF-8, not JSON
+        return None
+    if stop != len(text) or not isinstance(document, dict):
+        return None
+    return document, end, body
 
 
 def read_frame(data: bytes | memoryview, at: int = 0
                ) -> tuple[dict[str, Any], int] | None:
-    """The body of the frame at offset ``at`` of ``data`` and the offset
-    past the frame, or None when it is torn or corrupt. The stream is
-    fed in pieces of about the body's length (deflate grows no body by
-    more), so finding its end copies one piece."""
-    if len(data) - at < _HEADER.size:
-        return None
-    marker, crc, length = _HEADER.unpack_from(data, at)
-    inflate = zlib.decompressobj(-15)
-    body, at = b"", at + _HEADER.size
-    while marker == FRAME_MARKER and not inflate.eof and len(body) <= length:
-        piece = data[at:at + length + length // 1024 + 64]
-        try:
-            body += inflate.decompress(piece, length + 1 - len(body))
-        except zlib.error:
-            return None
-        if not piece:
-            return None  # the stream does not end: torn
-        at += len(piece)
-    if not inflate.eof or len(body) != length or zlib.crc32(body) != crc:
-        return None
-    try:
-        text = body.decode("utf-8")
-        document, end = _decode_json(text)
-    except ValueError:  # not UTF-8, not JSON
-        return None
-    if end != len(text) or not isinstance(document, dict):
-        return None
-    return document, at - len(inflate.unused_data)
+    """The body of the frame at offset ``at`` of ``data``, read as a
+    stream of its own, and the offset past the frame, or None when it is
+    torn or corrupt."""
+    frame = _read(data, at)
+    return None if frame is None else frame[:2]
 
 
 class WalScan(Record, frozen=False):
@@ -144,8 +184,9 @@ class WalScan(Record, frozen=False):
             this offset belong to a torn or corrupt tail.
         torn_bytes: how many trailing bytes were invalid (0 for a clean
             log).
-        discarded_records: how many checksummed records sit *behind* the
-            first bad one, inside the tail recovery cuts off.
+        discarded_records: how many frames behind the first bad one,
+            inside the tail recovery cuts off, read back whole — a lower
+            bound (see :func:`scan_wal`).
     """
 
     records: list[dict[str, Any]]
@@ -161,18 +202,27 @@ class WalScan(Record, frozen=False):
 def scan_wal(path: str) -> WalScan:
     """Read a WAL file, stopping at the first torn/corrupt frame.
 
+    The frames are read in order, by one inflater for the whole file.
     Recovery is point-in-time: everything from the first invalid frame
     onward is cut, intact frames behind it included. With group commit
     several un-fsync'd records can be in flight and a filesystem may
     persist their pages out of order, so an ordinary crash can leave a
     valid frame after a bad one; none of them was acknowledged, and
-    refusing to start would turn a recoverable crash into an outage. The
-    scan reads on past the tear, from marker to marker, only to count
-    what is being discarded.
+    refusing to start would turn a recoverable crash into an outage.
+
+    The scan reads on past the tear, from marker to marker, only to
+    count what is being discarded: a frame there counts when it reads
+    back whole — inflates, matches its CRC, holds one JSON object — with
+    the last 32 KiB of the valid bodies as its history. A frame that
+    refers into the torn one, or into another frame behind the tear,
+    cannot be read back, so the count is a lower bound: exact for frames
+    that open a stream, and for frames whose references all reach no
+    further back than the valid prefix.
 
     Raises:
-        WalError: the file opens with a hex digit — a text log of an
-            earlier version, refused whole rather than cut as torn.
+        WalError: the file opens with a hex digit or with the version-6
+            marker — a log of an earlier version, refused whole rather
+            than cut as torn.
     """
     if not os.path.exists(path):
         return WalScan([], 0, 0)
@@ -184,14 +234,25 @@ def scan_wal(path: str) -> WalScan:
             f"5); this build reads version {WAL_VERSION} frames only and "
             f"leaves the file as it is"
         )
+    if data and data[0] == V6_FRAME_MARKER:
+        raise WalError(
+            f"{path!r} is a WAL of version 6 (one deflate stream per "
+            f"frame); this build reads version {WAL_VERSION} frames only "
+            f"and leaves the file as it is"
+        )
     records: list[dict[str, Any]] = []
     view, valid, discarded = memoryview(data), 0, 0
-    while frame := read_frame(view, valid):
+    inflate, history = zlib.decompressobj(-15), bytearray()
+    while frame := _read(view, valid, inflate):
         records.append(frame[0])
         valid = frame[1]
+        history += frame[2]
+        if len(history) > 2 * _WINDOW:
+            del history[:-_WINDOW]
+    zdict = bytes(history[-_WINDOW:])
     probe = valid + 1
     while (probe := data.find(FRAME_MARKER, probe)) >= 0:
-        frame = read_frame(view, probe)
+        frame = _read(view, probe, zdict=zdict)
         discarded += frame is not None
         probe = frame[1] if frame else probe + 1
     return WalScan(records, valid, len(data) - valid, discarded)
@@ -199,6 +260,10 @@ def scan_wal(path: str) -> WalScan:
 
 class WalWriter:
     """Appends checksummed records to the WAL, fsync'ing each one.
+
+    Each time it opens the file it starts a new deflate stream, which
+    the frames it appends until the file is closed continue; a body of
+    half the window or more starts one too.
 
     Args:
         path: the WAL file path (created on first append).
@@ -218,6 +283,8 @@ class WalWriter:
         self.injector = injector
         self.next_lsn = next_lsn
         self._file: IO[bytes] | None = None
+        #: the compressor of the stream the open file continues
+        self._deflate: Any = None
         #: running counters for stats()["durability"]
         self.records_written = 0
         self.bytes_written = 0
@@ -232,6 +299,7 @@ class WalWriter:
     def _open(self) -> IO[bytes]:
         if self._file is None or self._file.closed:
             self._file = open(self.path, "ab")
+            self._deflate = new_deflate()
         return self._file
 
     def append(self, body: dict[str, Any],
@@ -264,8 +332,11 @@ class WalWriter:
         if self.injector is not None:
             self.injector.fire("pre_wal_append")
         body = {"v": WAL_VERSION, "lsn": self.next_lsn, **body}
-        frame = encode_record(body)
         handle = self._open()
+        data = encode_json(body).encode("utf-8")
+        if len(data) >= _OWN_STREAM:
+            self._deflate = new_deflate()
+        frame = encode_frame(data, self._deflate)
         offset = handle.tell()
         try:
             if self.injector is not None:
@@ -299,7 +370,9 @@ class WalWriter:
 
         The buffered writer is closed first and opened afresh by the
         next append: it still holds the unwritten remainder of the frame
-        and would re-emit it on its next flush.
+        and would re-emit it on its next flush. Opening it again starts
+        a new stream too: the compressor has taken in the body the file
+        no longer holds.
         """
         try:
             try:
@@ -349,7 +422,7 @@ class WalWriter:
         self.sync()  # a clean shutdown must not drop a pending batch
         if self._file is not None and not self._file.closed:
             self._file.close()
-        self._file = None
+        self._file = self._deflate = None
 
     def truncate_to(self, valid_bytes: int) -> None:
         """Cut a torn tail off the file (used by recovery)."""

@@ -98,16 +98,14 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
     runner = _SourceRunner(
         database, resolver, evaluator, outer, collect_handles, stats
     )
-    if runner.vectorized:
-        batched = runner.run_batch(source)
-        if batched is not None:
-            bindings, batch = batched
-            if stats is not None and runner.visited is None:
-                # single-table pipeline: the surviving selection *is*
-                # the visited row set (mirrors the combos accounting)
-                stats.rows_visited += len(batch.sel)
-            return bindings, None, batch
-    bindings, combos = runner.run(source)
+    bindings, out = runner.run(source)
+    if type(out) is not list:  # the whole pipeline stayed columnar
+        if stats is not None and runner.visited is None:
+            # single-table pipeline: the surviving selection *is* the
+            # visited row set (mirrors the combos accounting)
+            stats.rows_visited += len(out.sel)
+        return bindings, None, out
+    combos = out
     if stats is not None and runner.visited is None:
         # single-table pipeline: the combinations *are* the scanned rows
         stats.rows_visited += len(combos)
@@ -159,78 +157,89 @@ class _SourceRunner:
         self.visited: Any = None
 
     def run(self, node: Any) -> Any:
-        """Execute ``node``; returns ``(bindings, combos)`` where combos
-        are ``(rows_tuple, pairs_tuple_or_None)`` aligned with
-        bindings."""
-        if self.vectorized:
-            batched = self.run_batch(node)
-            if batched is not None:
-                bindings, batch = batched
-                return bindings, self._combos_from_batch(batch)
-        if isinstance(node, SingleRow):
-            return [], [((), None)]
+        """Execute ``node`` once; returns ``(bindings, out)``. ``out`` is
+        a batch when the subtree ran columnar — Scan / IndexLookup /
+        Filter chains, and hash joins and products over them, under
+        vectorized evaluation — and otherwise a list of combos:
+        ``(rows_tuple, pairs_tuple_or_None)`` aligned with bindings. A
+        join or product over one columnar and one row input turns the
+        batch into combos: neither input runs twice."""
         if isinstance(node, Scan):
+            if self.vectorized:
+                batched = self._scan_batch(node)
+                if batched is not None:
+                    return batched
             return self._run_scan(node)
         if isinstance(node, IndexLookup):
+            if self.vectorized:
+                return self._index_lookup_batch(node)
             return self._run_index_lookup(node)
         if isinstance(node, Filter):
-            return self._run_filter(node)
-        if isinstance(node, HashJoin):
-            return self._run_hash_join(node)
-        if isinstance(node, Product):
-            return self._run_product(node)
+            bindings, out = self.run(node.child)
+            if type(out) is list:
+                return self._run_filter(node, bindings, out)
+            return self._filter_batch(node, bindings, out)
+        if isinstance(node, (HashJoin, Product)):
+            return self._run_join(node)
+        if isinstance(node, SingleRow):
+            return [], [((), None)]
         raise ExecutionError(
             f"cannot execute plan node {type(node).__name__}"
         )
 
+    def _run_join(self, node: Any) -> Any:
+        """A hash join or product: columnar over two batches, else the
+        row path over both inputs' combos. A hash join's left keys run
+        before its right input, as in the nested-loop order of errors."""
+        is_hash = isinstance(node, HashJoin)
+        left = self.run(node.left)
+        left_keys = None
+        if is_hash and type(left[1]) is not list:
+            left_keys = self._batch_keys(left, node.left_keys)
+        right = self.run(node.right)
+        if type(left[1]) is list or type(right[1]) is list:
+            left, right = self._as_combos(left), self._as_combos(right)
+            if is_hash:
+                return self._run_hash_join(node, left, right)
+            return self._run_product(node, left, right)
+        if is_hash:
+            return self._hash_join_batch(node, left, left_keys, right)
+        return self._product_batch(node, left, right)
+
+    def _as_combos(self, side: Any) -> Any:
+        bindings, out = side
+        if type(out) is list:
+            return side
+        return bindings, self._combos_from_batch(out)
+
     # -- vectorized pipeline ----------------------------------------------
 
-    def run_batch(self, node: Any) -> Any:
-        """The columnar pipeline for a batchable subtree: Scan /
-        IndexLookup / Filter chains, and hash joins and products over
-        them. Returns ``(bindings, batch)``, or None when the subtree
-        needs the row-at-a-time path (a resolver with no batch)."""
-        if isinstance(node, Scan):
-            return self._scan_batch(node)
-        if isinstance(node, IndexLookup):
-            return self._index_lookup_batch(node)
-        if isinstance(node, Filter):
-            child = self.run_batch(node.child)
-            if child is None:
-                return None
-            bindings, batch = child
-            if node.prune_specs and batch.zones is not None:
-                # zone maps: skip whole storage zones that cannot satisfy
-                # a total col-op-literal conjunct, before any kernel runs
-                sel = prune_selection(
-                    batch, node.prune_specs, self.database.optimizer_stats,
-                    self.evaluator.params,
-                )
-                if sel is not batch.sel:
-                    batch = batch.with_sel(sel)
-            # the leaf scan names the base table behind the layout —
-            # catalog column kinds then drive typed-kernel selection
-            leaf = node.child
-            while isinstance(leaf, Filter):
-                leaf = leaf.child
-            table = getattr(
-                getattr(leaf, "table_ref", None), "table", None
+    def _filter_batch(self, node: Any, bindings: Any, batch: Any) -> Any:
+        if node.prune_specs and batch.zones is not None:
+            # zone maps: skip whole storage zones that cannot satisfy a
+            # total col-op-literal conjunct, before any kernel runs
+            sel = prune_selection(
+                batch, node.prune_specs, self.database.optimizer_stats,
+                self.evaluator.params,
             )
-            sel = run_batch_filter(
-                self.database,
-                node.predicates,
-                layout_of(bindings),
-                self._batch_context(bindings, batch),
-                batch.sel,
-                table=table,
-            )
-            node.actual_rows = len(sel)
-            return bindings, batch.with_sel(sel)
-        if isinstance(node, HashJoin):
-            return self._hash_join_batch(node)
-        if isinstance(node, Product):
-            return self._product_batch(node)
-        return None
+            if sel is not batch.sel:
+                batch = batch.with_sel(sel)
+        # the leaf scan names the base table behind the layout — catalog
+        # column kinds then drive typed-kernel selection
+        leaf = node.child
+        while isinstance(leaf, Filter):
+            leaf = leaf.child
+        table = getattr(getattr(leaf, "table_ref", None), "table", None)
+        sel = run_batch_filter(
+            self.database,
+            node.predicates,
+            layout_of(bindings),
+            self._batch_context(bindings, batch),
+            batch.sel,
+            table=table,
+        )
+        node.actual_rows = len(sel)
+        return bindings, batch.with_sel(sel)
 
     def _scan_batch(self, node: Any) -> Any:
         resolve_batch = getattr(self.resolver, "resolve_batch", None)
@@ -287,45 +296,30 @@ class _SourceRunner:
             self.database.vectorized_stats,
         )
 
-    def _hash_join_batch(self, node: Any) -> Any:
-        """The columnar hash join: one key-column kernel per key
-        expression on each side, then :func:`_hash_match` over the
-        selected entries. None when a side is not batchable."""
-        left = self.run_batch(node.left)
-        if left is None:
-            return None
-        left_bindings, left_batch = left
-        left_keys = run_batch_expressions(
-            self.database, node.left_keys, layout_of(left_bindings),
-            self._batch_context(left_bindings, left_batch), left_batch.sel,
-        )
-        right = self.run_batch(node.right)
-        if right is None:
-            return None
-        right_bindings, right_batch = right
-        right_keys = run_batch_expressions(
-            self.database, node.right_keys, layout_of(right_bindings),
-            self._batch_context(right_bindings, right_batch),
-            right_batch.sel,
+    def _batch_keys(self, side: Any, key_exprs: Any) -> Any:
+        """One key-column kernel per key expression over a batch side."""
+        bindings, batch = side
+        return run_batch_expressions(
+            self.database, key_exprs, layout_of(bindings),
+            self._batch_context(bindings, batch), batch.sel,
         )
 
+    def _hash_join_batch(self, node: Any, left: Any, left_keys: Any,
+                         right: Any) -> Any:
+        """The columnar hash join: :func:`_hash_match` over the selected
+        entries of both batches and their key columns."""
+        right_keys = self._batch_keys(right, node.right_keys)
         left_out, right_out = _hash_match(
-            left_batch.sel, zip(*left_keys), right_batch.sel,
-            zip(*right_keys), len(node.right_keys), self._check_kinds,
+            left[1].sel, zip(*left_keys), right[1].sel, zip(*right_keys),
+            len(node.right_keys), self._check_kinds,
         )
         node.mode = "columnar"
         return self._joined(node, left, right, left_out, right_out)
 
-    def _product_batch(self, node: Any) -> Any:
+    def _product_batch(self, node: Any, left: Any, right: Any) -> Any:
         """The columnar product: every left entry repeated once per right
         entry, the right selection tiled once per left entry — the
-        nested-loop order. None when a side is not batchable."""
-        left = self.run_batch(node.left)
-        if left is None:
-            return None
-        right = self.run_batch(node.right)
-        if right is None:
-            return None
+        nested-loop order."""
         left_sel, right_sel = left[1].sel, right[1].sel
         left_out = [entry for entry in left_sel for _ in right_sel]
         right_out = list(right_sel) * len(left_sel)
@@ -417,8 +411,7 @@ class _SourceRunner:
 
     # -- filters ----------------------------------------------------------
 
-    def _run_filter(self, node: Any) -> Any:
-        bindings, combos = self.run(node.child)
+    def _run_filter(self, node: Any, bindings: Any, combos: Any) -> Any:
         evaluate = self.evaluator.evaluate_predicate
         kept: list[Any] = []
         for combo in combos:
@@ -433,9 +426,9 @@ class _SourceRunner:
 
     # -- joins ------------------------------------------------------------
 
-    def _run_hash_join(self, node: Any) -> Any:
-        left_bindings, left_combos = self.run(node.left)
-        right_bindings, right_combos = self.run(node.right)
+    def _run_hash_join(self, node: Any, left: Any, right: Any) -> Any:
+        left_bindings, left_combos = left
+        right_bindings, right_combos = right
         right_key_values = self._key_values_fn(right_bindings,
                                                node.right_keys)
         left_key_values = self._key_values_fn(left_bindings, node.left_keys)
@@ -465,9 +458,9 @@ class _SourceRunner:
             if tag != left_tag:
                 compare_values(left_value, witness)
 
-    def _run_product(self, node: Any) -> Any:
-        left_bindings, left_combos = self.run(node.left)
-        right_bindings, right_combos = self.run(node.right)
+    def _run_product(self, node: Any, left: Any, right: Any) -> Any:
+        left_bindings, left_combos = left
+        right_bindings, right_combos = right
         joined = [
             _merge(left_combo, right_combo)
             for left_combo in left_combos

@@ -7,7 +7,9 @@ body byte that moves by accident must fail a test. A deliberate format
 change bumps ``repro.durability.wal.WAL_VERSION`` (or
 ``CHECKPOINT_VERSION``) and regenerates the snapshot.
 
-Version 6 moved the frame, not what it holds: each body of a scenario
+Versions 6 and 7 moved the frame, not what it holds (version 6 made
+each record a deflate stream of its own, version 7 made the frames of a
+file one stream): each body of a scenario
 pinned at version 3 is, apart from ``"v"``, its line in
 ``tests/golden/wal_golden_v3.json`` — the version-3 snapshot, unedited —
 and each checkpoint body is that snapshot's version-2 checkpoint but for
@@ -17,14 +19,16 @@ vectors: a body whose vectors all stay lists is, apart from ``"v"``, the
 body the version-2 codec (``tests/reference/wal_v2.py``) writes for the
 same transaction.
 
-``tests/golden/wal_golden_v5.json`` is the last text snapshot, unedited:
-log lines and JSON checkpoints an earlier build wrote, which this build
-refuses and leaves as they are.
+``tests/golden/wal_golden_v5.json`` is the last text snapshot and
+``wal_golden_v6.json`` the last of one stream per frame, both unedited:
+logs and checkpoints an earlier build wrote, which this build refuses
+and leaves as they are.
 """
 
 import importlib.util
 import json
 import os
+import struct
 import tempfile
 import zlib
 from pathlib import Path
@@ -52,6 +56,7 @@ TOOL = _load_tool()
 GOLDEN = json.loads(TOOL.GOLDEN.read_text())
 GOLDEN_V3 = json.loads(TOOL.GOLDEN_V3.read_text())
 GOLDEN_V5 = json.loads(TOOL.GOLDEN_V5.read_text())
+GOLDEN_V6 = json.loads(TOOL.GOLDEN_V6.read_text())
 SCENARIOS = {entry["label"]: entry for entry in TOOL.scenarios()}
 
 
@@ -99,16 +104,16 @@ def test_snapshot_is_not_vacuous():
     checkpoints = [entry["checkpoint"] for entry in GOLDEN]
     for frame in frames + checkpoints:
         marker, crc, length, text = frame.split(" ", 3)
-        assert marker == "a5"
+        assert marker == "a6"
         assert int(crc, 16) == zlib.crc32(text.encode("ascii"))
         assert int(length) == len(text)
-    assert all(body(frame).startswith('{"v":6,"lsn":') for frame in frames)
+    assert all(body(frame).startswith('{"v":7,"lsn":') for frame in frames)
     for entry in GOLDEN:
         document = json.loads(body(entry["checkpoint"]))
-        assert document["version"] == 4
+        assert document["version"] == 5
         assert set(document["data"]) <= {
             table["name"] for table in document["catalog"]["tables"]}
-    for older in GOLDEN_V3, GOLDEN_V5:
+    for older in GOLDEN_V3, GOLDEN_V5, GOLDEN_V6:
         assert [entry["label"] for entry in older] \
             == list(SCENARIOS)[:len(older)]
 
@@ -175,7 +180,7 @@ def test_only_packed_vectors_moved_since_version_2(expected):
         if has_packed_vector(ours):
             assert len(ours) < len(theirs)
         else:
-            assert ours.replace('{"v":6,', '{"v":2,', 1) == theirs
+            assert ours.replace('{"v":7,', '{"v":2,', 1) == theirs
 
 
 @pytest.mark.parametrize(
@@ -189,9 +194,9 @@ def test_bodies_are_the_version_3_bodies(pinned):
     (ours,) = [entry for entry in GOLDEN if entry["label"] == pinned["label"]]
     assert len(ours["frames"]) == len(pinned["lines"])
     for frame, old in zip(ours["frames"], pinned["lines"]):
-        assert body(frame).replace('{"v":6,', '{"v":3,', 1) == old[9:]
+        assert body(frame).replace('{"v":7,', '{"v":3,', 1) == old[9:]
     assert body(ours["checkpoint"]).replace(
-        '"version":4,', '"version":2,', 1) == pinned["checkpoint"]
+        '"version":5,', '"version":2,', 1) == pinned["checkpoint"]
 
 
 @pytest.mark.parametrize(
@@ -209,6 +214,43 @@ def test_parent_logs_are_refused_and_left_intact(pinned, tmp_path):
               None, checkpoint),
              (CheckpointError, "JSON checkpoint of an earlier version",
               log, checkpoint)]
+    for at, (error, message, wal_bytes, checkpoint_bytes) in enumerate(cases):
+        directory = tmp_path / str(at)
+        directory.mkdir()
+        files = {WAL_FILENAME: wal_bytes, CHECKPOINT_FILENAME: checkpoint_bytes}
+        files = {name: data for name, data in files.items() if data}
+        for name, data in files.items():
+            (directory / name).write_bytes(data)
+        with pytest.raises(error, match=message):
+            recover(str(directory), fsync=False)
+        assert {name: (directory / name).read_bytes() for name in files} \
+            == files
+        assert sorted(os.listdir(directory)) == sorted(files)
+
+
+def v6_frame(pinned):
+    """The bytes of a version-6 frame from its pin: marker ``a5``, CRC-32
+    and length of the body, then the body as a deflate stream of its
+    own."""
+    marker, crc, length, text = pinned.split(" ", 3)
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    return struct.pack("<BII", int(marker, 16), int(crc, 16), int(length)) \
+        + deflate.compress(text.encode("ascii")) + deflate.flush()
+
+
+@pytest.mark.parametrize(
+    "pinned", GOLDEN_V6, ids=[entry["label"] for entry in GOLDEN_V6]
+)
+def test_version_6_logs_are_refused_and_left_intact(pinned, tmp_path):
+    """A version-6 log and checkpoint — one deflate stream per frame,
+    whose frames a version-7 reader would take for a torn first chunk
+    and cut to nothing — are refused with a pointed error naming the
+    version, alone or together, and left byte-identical."""
+    log = b"".join(map(v6_frame, pinned["frames"]))
+    checkpoint = v6_frame(pinned["checkpoint"])
+    cases = [(WalError, "a WAL of version 6", log, None),
+             (CheckpointError, "a checkpoint of version 4", None, checkpoint),
+             (CheckpointError, "a checkpoint of version 4", log, checkpoint)]
     for at, (error, message, wal_bytes, checkpoint_bytes) in enumerate(cases):
         directory = tmp_path / str(at)
         directory.mkdir()

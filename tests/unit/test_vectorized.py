@@ -106,6 +106,23 @@ class TestFallbacks:
         assert database.vectorized_stats.row_fallbacks >= 1
         assert database.vectorized_stats.batches_scanned == 0
 
+    @pytest.mark.parametrize("where", ["", " where x.a = y.a"])
+    def test_a_join_runs_each_input_once(self, where):
+        """A product or hash join whose right input has no batch runs
+        its left input once: the columnar left is handed to the row
+        path, not scanned again."""
+        db = ActiveDatabase()
+        db.database.enable_vectorized_eval = True
+        db.execute("create table t (a integer)")
+        db.execute("insert into t values (1), (2), (3)")
+        db.reset_stats()
+        with pytest.raises(ReproError,
+                           match="only available inside a production rule"):
+            db.execute("select * from t x, inserted t y" + where)
+        stats = db.stats()
+        assert stats["planner"]["rows_scanned"] == 3
+        assert stats["vectorized"]["row_fallbacks"] == 1
+
 
 class TestCallSites:
     def test_dml_where_uses_batch_path(self, db):

@@ -12,11 +12,14 @@ logged as packed doubles, and two journal rules — the org chart's
 their source's columns are logged in full, and ``log_salaries`` over a
 dozen employees. Beside each log it pins the checkpoint frame of the end
 state. A frame is pinned as ``<marker> <crc32> <length> <body>``: its
-header fields and its inflated body text, read here without the WAL's
-reader. The deflate bytes are not pinned: they depend on the zlib build.
-A change that moves a body byte of either format must bump
-``WAL_VERSION`` / ``CHECKPOINT_VERSION`` and regenerate on purpose
-(``tests/integration/test_wal_golden.py`` fails otherwise)::
+header's marker and CRC, then the length and text of the body it
+inflates to, read here without the WAL's reader — a file's chunks are
+one raw deflate stream, each sync-flushed less its ``00 00 FF FF``
+tail, so one inflater reads them in order. The deflate bytes are not
+pinned: they depend on the zlib build. A change that moves a body byte
+of either format must bump ``WAL_VERSION`` / ``CHECKPOINT_VERSION`` and
+regenerate on purpose (``tests/integration/test_wal_golden.py`` fails
+otherwise)::
 
     PYTHONPATH=src python tools/gen_wal_golden.py
     PYTHONPATH=src python tools/gen_wal_golden.py --check
@@ -24,9 +27,11 @@ A change that moves a body byte of either format must bump
 ``--check`` regenerates and compares, writes nothing, names the
 scenario and the frame that moved and exits 1 if any did.
 ``tests/golden/wal_golden_v3.json`` is the last version-3 snapshot, kept
-unedited as the oracle of the bodies that followed it, and
-``wal_golden_v5.json`` the last text snapshot (version 5), kept unedited
-as the logs and checkpoints this build must refuse.
+unedited as the oracle of the bodies that followed it,
+``wal_golden_v5.json`` the last text snapshot (version 5) and
+``wal_golden_v6.json`` the last snapshot of one stream per frame
+(version 6, checkpoint version 4), kept unedited as the logs and
+checkpoints this build must refuse.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "wal_golden.json"
 GOLDEN_V3 = ROOT / "tests" / "golden" / "wal_golden_v3.json"
 GOLDEN_V5 = ROOT / "tests" / "golden" / "wal_golden_v5.json"
+GOLDEN_V6 = ROOT / "tests" / "golden" / "wal_golden_v6.json"
 
 
 def scenarios() -> list[dict[str, Any]]:
@@ -132,15 +138,16 @@ class _Statements(list):
 
 def frames(data: bytes) -> list[str]:
     """Each frame of ``data`` as ``<marker> <crc32> <length> <body>``:
-    the header's fields in hex, hex and decimal, then the body its raw
-    deflate stream inflates to."""
+    the header's marker and CRC in hex, then the length and text of the
+    body its chunk inflates to in the file's one deflate stream."""
     pinned, at = [], 0
+    inflate = zlib.decompressobj(-15)
     while at < len(data):
-        marker, crc, length = struct.unpack_from("<BII", data, at)
-        inflate = zlib.decompressobj(-15)
-        body = inflate.decompress(data[at + 9:]).decode("ascii")
-        pinned.append(f"{marker:02x} {crc:08x} {length} {body}")
-        at = len(data) - len(inflate.unused_data)
+        marker, crc, size = struct.unpack_from("<BII", data, at)
+        at += 9 + size
+        body = inflate.decompress(data[at - size:at] + b"\0\0\xff\xff")
+        text = body.decode("ascii")
+        pinned.append(f"{marker:02x} {crc:08x} {len(body)} {text}")
     return pinned
 
 
