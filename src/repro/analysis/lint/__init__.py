@@ -67,7 +67,7 @@ _walk_findings("schema", "resolve names, types and arities")
 from . import transition as _transition_pass    # noqa: E402,F401
 from . import triggering as _triggering_pass    # noqa: E402,F401
 from . import hygiene as _hygiene_pass          # noqa: E402,F401
-_walk_findings("types", "typed expression inference with witnesses")
+_walk_findings("types", "typed expression inference")
 from ..effects import conflicts as _effects_pass  # noqa: E402,F401
 
 

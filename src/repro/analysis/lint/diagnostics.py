@@ -15,8 +15,7 @@ fix hint. Codes are grouped by hundreds:
 * ``RPL4xx`` — static type inference (operator/operand mismatches,
   incoherent CASE branches, subquery shape and type errors, lossy
   coercions) — pass tag ``types``; found by the same walk that
-  resolves names and attaches
-  :class:`~repro.analysis.types.witness.TypeWitness` annotations;
+  resolves names;
 * ``RPL5xx`` — column-granular effect conflicts across the cascade
   (write/write and write-after-read among unordered siblings) — the
   ``effects`` pass.

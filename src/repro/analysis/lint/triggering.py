@@ -189,8 +189,8 @@ class TriggeringGraph:
                         PrunedEdge(provider.name, name, reason or "")
                     )
             self._refined[provider.name] = kept
-        #: the pruned ``(provider, consumer)`` pairs (the incremental
-        #: layer's graph skip looks them up)
+        #: the pruned ``(provider, consumer)`` pairs (:meth:`recurrent`
+        #: looks them up)
         self.pruned_pairs = frozenset(
             (edge.provider, edge.consumer) for edge in self.pruned
         )

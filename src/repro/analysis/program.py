@@ -7,16 +7,17 @@ rule analysis techniques..." — one facility, analysing rules as they
 are defined:
 
 * each rule is walked **once**, when it is defined
-  (:func:`repro.analysis.types.infer.walk_rule`: diagnostics, type
-  witnesses, effect summary);
+  (:func:`repro.analysis.types.infer.walk_rule`: diagnostics and
+  effect summary);
 * over those summaries **one** :class:`~repro.analysis.lint.triggering
   .TriggeringGraph` holds the syntactic edges, the refined subset and
   each pruned edge's proof — built lazily, once per catalog version;
 * everything else is a view of it: :func:`analyze` (the paper's
   conservative check: cycles and conflicts on the syntactic edges),
-  the RPLnnn passes, the ``stats()["analysis"]`` conflict advisory the
-  OCC coordinator scores conflicts against, and the incremental
-  layer's graph skip.
+  the RPLnnn passes, and the ``stats()["analysis"]`` conflict advisory
+  the OCC coordinator scores conflicts against. Execution reads none
+  of it: kernels, plans and condition answers never depend on the
+  analyzer.
 
 **Deactivated rules.** A deactivated rule is never considered, so it
 can neither fire nor consume: every view draws edges among *active*
@@ -166,8 +167,8 @@ class ProgramAnalysis:
         return walked
 
     def on_rule_defined(self, rule: Any) -> LintReport:
-        """Walk the new rule (this attaches its type witnesses) and
-        return its definition-time findings: the rule-scoped passes."""
+        """Walk the new rule and return its definition-time findings:
+        the rule-scoped passes."""
         return run_passes(
             LintContext(database=self.database, rules=[self._walk(rule)]),
             scope="rule",

@@ -1,20 +1,9 @@
 """Static type inference over rule programs.
 
-:mod:`repro.analysis.types.witness` defines the out-of-band
-:class:`TypeWitness` annotation; :mod:`repro.analysis.types.infer` is
-the one scoped, typed walk over a rule that computes and attaches
-witnesses while resolving names (RPL0xx), emitting the RPL4xx
-diagnostic family and summarizing the rule's effects. The
-compiled-kernel layer
-(:mod:`repro.relational.compiled`) consumes stable witnesses to emit
-monomorphic batch kernels.
+:mod:`repro.analysis.types.infer` is the one scoped, typed walk over a
+rule: it resolves names (RPL0xx), emits the RPL4xx diagnostic family
+and summarizes the rule's effects. Its results serve lint, ``analyze()``
+and the conflict advisory; execution never reads them — typed kernels
+stand on the plan layer's totality analysis
+(:func:`repro.relational.plan.cost.expression_kind`) alone.
 """
-
-from .witness import TypeWitness, clear_witness, set_witness, witness_of
-
-__all__ = [
-    "TypeWitness",
-    "clear_witness",
-    "set_witness",
-    "witness_of",
-]

@@ -1,5 +1,4 @@
-"""The one scoped, typed walk over a rule: scopes → types → witnesses →
-effects.
+"""The one scoped, typed walk over a rule: scopes → types → effects.
 
 :class:`RuleWalk` visits a rule's condition and action (or a workload
 statement) exactly once. Column references resolve to catalog
@@ -21,20 +20,16 @@ schema of their base table. Each resolution yields, together:
   quantified comparison against an incomparable subquery column
   (RPL403), subqueries producing the wrong number of columns (RPL404),
   a float-typed value stored into an INTEGER column (RPL405);
-* a :class:`~repro.analysis.types.witness.TypeWitness` on every
-  expression node, attached out-of-band (:mod:`repro.sql.spans`
-  pattern — structural equality untouched);
 * the rule's :class:`~repro.analysis.effects.sets.RuleEffects`: the
   column-level reads are charged where a reference resolves, the
   table-level scans where a scope opens, the writes per operation.
 
 Typing is conservative: a finding is only emitted when both sides'
 types are statically known — unknown stays silent, so inference gaps
-cannot produce false positives. Totality (the witness ``total`` flag)
-is not re-derived here: it is *defined* as
-:func:`repro.relational.plan.cost.expression_kind`'s verdict, so the
-witness layer and the totality analysis can never disagree about what
-may raise.
+cannot produce false positives. The walk stamps nothing on the AST:
+execution never reads it. Where typing needs to know that a value is
+provably NULL (a CASE branch), it asks the one totality analysis,
+:func:`repro.relational.plan.cost.expression_kind`.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from ...sql.spans import span_of
 from ..effects.sets import ANY_COLUMN, RuleEffects, operation_writes
 from ..lint.context import LintRule, table_schema
 from ..lint.diagnostics import Diagnostic, make
-from .witness import TypeWitness, set_witness, witness_of
 
 _NUMERIC = frozenset({SqlType.INTEGER, SqlType.FLOAT})
 
@@ -109,7 +103,6 @@ class Scope:
         self.tables: dict[str, str] = {}
         self.base: set[str] = set()
         self.has_unknown = False
-        self._kinds: Optional[dict] = None
 
     def bind(self, name: str, table: str, schema: Any,
              base: bool = True) -> None:
@@ -119,18 +112,6 @@ class Scope:
             self.base.add(name)
         if schema is None:
             self.has_unknown = True
-
-    def kinds(self) -> dict:
-        """This level as a cost-model kind environment."""
-        if self._kinds is None:
-            self._kinds = {
-                name: {
-                    column.name: KIND_OF_TYPE[column.sql_type]
-                    for column in schema.columns
-                }
-                for name, schema in self.bindings.items()
-            }
-        return self._kinds
 
 
 class RuleWalk:
@@ -146,7 +127,6 @@ class RuleWalk:
     def __init__(self, database: Any, rule: Optional[str]) -> None:
         self.database = database
         self.rule = rule
-        self._version = getattr(database, "schema_version", None)
         self.diagnostics: list[Diagnostic] = []
         self.reads: set[tuple[str, str]] = set()
         self.scans: set[str] = set()
@@ -168,7 +148,7 @@ class RuleWalk:
         )
 
     # ------------------------------------------------------------------
-    # diagnostics / witnesses
+    # diagnostics
 
     def emit(self, code: str, message: str, node: object = None,
              hint: Optional[str] = None) -> None:
@@ -177,21 +157,6 @@ class RuleWalk:
             rule=self.rule, hint=hint,
             pass_name="types" if code.startswith("RPL4") else "schema",
         ))
-
-    def _witness(self, node: object, scopes: list[Scope],
-                 sql_type: Optional[SqlType],
-                 nullable: bool = True) -> Optional[SqlType]:
-        """Attach the node's witness; the ``total`` flag delegates to
-        the plan layer's totality analysis (nothing is provable under
-        an unknown table, or without a database) so the two can never
-        disagree."""
-        layers = None if self.database is None or any(
-            scope.has_unknown for scope in scopes
-        ) else tuple(scope.kinds() for scope in scopes)
-        kind = expression_kind(node, layers, self.database)
-        set_witness(node, TypeWitness(
-            sql_type, kind, kind is not None, nullable, self._version))
-        return sql_type
 
     # ------------------------------------------------------------------
     # scopes
@@ -307,22 +272,17 @@ class RuleWalk:
 
     def expression(self, expr: object,
                    scopes: list[Scope]) -> Optional[SqlType]:
-        """Resolve, type and witness one expression."""
+        """Resolve and type one expression."""
         if expr is None or isinstance(expr, ast.Star):
             return None
         if isinstance(expr, ast.Literal):
-            return self._witness(
-                expr, scopes, _literal_type(expr.value),
-                nullable=expr.value is None,
-            )
+            return _literal_type(expr.value)
         if isinstance(expr, ast.ColumnRef):
-            return self._witness(
-                expr, scopes, self._resolve_column(expr, scopes)
-            )
+            return self._resolve_column(expr, scopes)
         if isinstance(expr, ast.UnaryOp):
             operand = self.expression(expr.operand, scopes)
             if expr.op == "not":
-                return self._witness(expr, scopes, SqlType.BOOLEAN)
+                return SqlType.BOOLEAN
             if operand is not None and operand not in _NUMERIC:
                 self.emit(
                     "RPL401",
@@ -333,7 +293,7 @@ class RuleWalk:
                          "operator",
                 )
                 operand = None
-            return self._witness(expr, scopes, operand)
+            return operand
         if isinstance(expr, ast.BinaryOp):
             return self._binary(
                 expr, scopes, self.expression(expr.left, scopes),
@@ -341,14 +301,13 @@ class RuleWalk:
             )
         if isinstance(expr, ast.IsNull):
             self.expression(expr.operand, scopes)
-            return self._witness(expr, scopes, SqlType.BOOLEAN,
-                                 nullable=False)
+            return SqlType.BOOLEAN
         if isinstance(expr, ast.Between):
             operand = self.expression(expr.operand, scopes)
             for bound in (expr.low, expr.high):
                 self._compare(operand, self.expression(bound, scopes),
                               "BETWEEN bound", bound)
-            return self._witness(expr, scopes, SqlType.BOOLEAN)
+            return SqlType.BOOLEAN
         if isinstance(expr, ast.Like):
             operand = self.expression(expr.operand, scopes)
             self.expression(expr.pattern, scopes)
@@ -358,13 +317,13 @@ class RuleWalk:
                     f"LIKE requires a varchar operand, got {operand.value}",
                     expr,
                 )
-            return self._witness(expr, scopes, SqlType.BOOLEAN)
+            return SqlType.BOOLEAN
         if isinstance(expr, ast.InList):
             operand = self.expression(expr.operand, scopes)
             for item in expr.items:
                 self._compare(operand, self.expression(item, scopes),
                               "IN list item", item)
-            return self._witness(expr, scopes, SqlType.BOOLEAN)
+            return SqlType.BOOLEAN
         if isinstance(expr, (ast.InSelect, ast.QuantifiedComparison)):
             construct = "IN" if isinstance(expr, ast.InSelect) \
                 else f"{expr.op} {expr.quantifier}"
@@ -382,21 +341,20 @@ class RuleWalk:
                     hint="align the operand's type with the subquery's "
                          "output column",
                 )
-            return self._witness(expr, scopes, SqlType.BOOLEAN)
+            return SqlType.BOOLEAN
         if isinstance(expr, ast.Exists):
             self.select(expr.select, scopes)
-            return self._witness(expr, scopes, SqlType.BOOLEAN,
-                                 nullable=False)
+            return SqlType.BOOLEAN
         if isinstance(expr, ast.ScalarSelect):
-            return self._witness(expr, scopes, self._single(
+            return self._single(
                 expr.select, self.select(expr.select, scopes),
                 "scalar subquery",
-            ))
+            )
         if isinstance(expr, ast.FunctionCall):
-            return self._witness(expr, scopes, _function_type(
+            return _function_type(
                 expr.name,
                 [self.expression(arg, scopes) for arg in expr.args],
-            ))
+            )
         if isinstance(expr, ast.CaseExpression):
             return self._case(expr, scopes)
         return None
@@ -416,9 +374,9 @@ class RuleWalk:
         op = expr.op
         if op in _COMPARISON_OPS:
             self._compare(left, right, f"operator {op!r}", expr)
-            return self._witness(expr, scopes, SqlType.BOOLEAN)
+            return SqlType.BOOLEAN
         if op in ("and", "or"):
-            return self._witness(expr, scopes, SqlType.BOOLEAN)
+            return SqlType.BOOLEAN
         sides = (("left", left), ("right", right))
         if op == "||":
             for side, side_type in sides:
@@ -431,9 +389,9 @@ class RuleWalk:
                         hint="concatenate strings only; cast or reformat "
                              "the value first",
                     )
-            return self._witness(expr, scopes, SqlType.VARCHAR)
+            return SqlType.VARCHAR
         if op not in _ARITHMETIC_OPS:
-            return self._witness(expr, scopes, None)
+            return None
         for side, side_type in sides:
             if side_type is not None and side_type not in _NUMERIC:
                 self.emit(
@@ -446,10 +404,10 @@ class RuleWalk:
                 )
         if left is SqlType.INTEGER and right is SqlType.INTEGER \
                 and op != "/":
-            return self._witness(expr, scopes, SqlType.INTEGER)
+            return SqlType.INTEGER
         if left in _NUMERIC and right in _NUMERIC:
-            return self._witness(expr, scopes, SqlType.FLOAT)
-        return self._witness(expr, scopes, None)
+            return SqlType.FLOAT
+        return None
 
     def _case(self, expr: ast.CaseExpression,
               scopes: list[Scope]) -> Optional[SqlType]:
@@ -458,8 +416,7 @@ class RuleWalk:
         poison it — unless that branch is provably NULL (kind ``"?"``),
         which fits any result type. Without this, an unknown-typed
         branch (e.g. an inner incoherent CASE) would be skipped and the
-        CASE could witness a type another branch violates at run
-        time."""
+        CASE could claim a type another branch violates at run time."""
         result: Optional[SqlType] = None
         sound = coherent = True
         branches = [(value, "branch") for _, value in expr.branches]
@@ -470,9 +427,7 @@ class RuleWalk:
                 self.expression(expr.branches[index][0], scopes)
             value_type = self.expression(value, scopes)
             if value_type is None:
-                witness = witness_of(value)
-                sound = sound and witness is not None \
-                    and witness.kind == "?"
+                sound = sound and self._provably_null(value, scopes)
             elif result is None:
                 result = value_type
             elif _group(result) != _group(value_type):
@@ -488,9 +443,25 @@ class RuleWalk:
                 coherent = False
             elif value_type is SqlType.FLOAT:
                 result = SqlType.FLOAT
-        return self._witness(
-            expr, scopes, result if sound and coherent else None
+        return result if sound and coherent else None
+
+    def _provably_null(self, value: object, scopes: list[Scope]) -> bool:
+        """The totality analysis' verdict ``"?"``: ``value`` yields NULL
+        on every row. Nothing is provable under an unknown table, or
+        without a database."""
+        if self.database is None or any(s.has_unknown for s in scopes):
+            return False
+        layers = tuple(
+            {
+                name: {
+                    column.name: KIND_OF_TYPE[column.sql_type]
+                    for column in schema.columns
+                }
+                for name, schema in scope.bindings.items()
+            }
+            for scope in scopes
         )
+        return expression_kind(value, layers, self.database) == "?"
 
     # ------------------------------------------------------------------
     # selects

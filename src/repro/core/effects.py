@@ -345,8 +345,7 @@ class TransitionLog:
     """One transaction's transitions and every rule's baseline in them.
 
     ``entries`` holds each transition's effect, netted once from its
-    operations, and ``sources`` the rule that made it (None for an
-    external block). A rule's trans-info is ``⊕`` of
+    operations. A rule's trans-info is ``⊕`` of
     ``entries[cursors[rule]:]``; one running composition is kept per
     distinct cursor, so rules with the same baseline share it. Cursor 0
     is always kept: it is the whole transaction's effect.
@@ -355,11 +354,10 @@ class TransitionLog:
     rule defined mid-transaction are all :meth:`restart`: a cursor move.
     """
 
-    __slots__ = ("entries", "sources", "cursors", "_running")
+    __slots__ = ("entries", "cursors", "_running")
 
     def __init__(self, names: Iterable[str] = ()):
         self.entries: list[TransitionEffect] = []
-        self.sources: list[str | None] = []
         self.cursors: dict[str, int] = dict.fromkeys(names, 0)
         self._running: dict[int, TransitionEffect] = {0: TransitionEffect()}
 
@@ -383,13 +381,7 @@ class TransitionLog:
     def forget(self, name: str) -> None:
         self.cursors.pop(name, None)
 
-    def provider(self, name: str) -> str | None:
-        """The rule whose one transition is all of ``name``'s
-        trans-info, if there is one."""
-        at = self.cursors[name]
-        return self.sources[at] if at == len(self.entries) - 1 else None
-
-    def append(self, effect: TransitionEffect, source: str | None) -> None:
+    def append(self, effect: TransitionEffect) -> None:
         """Log one transition: every running composition takes it in."""
         running = self._running
         held = set(self.cursors.values())
@@ -398,4 +390,3 @@ class TransitionLog:
         for composite in running.values():
             composite.extend(effect)
         self.entries.append(effect)
-        self.sources.append(source)

@@ -138,13 +138,10 @@ class RuleEngine:
         #: delta-driven condition evaluation (docs/semantics.md §12):
         #: maintainable conditions are answered from maintained views,
         #: everything else falls back to _check_condition
-        self.incremental = IncrementalManager(
-            self.database, self.catalog, lambda: self.analysis
-        )
+        self.incremental = IncrementalManager(self.database)
         self._analysis = None
         #: definition-time analyses that raised (the rule is defined and
-        #: runs regardless — on generic kernels, its witnesses missing);
-        #: ``stats()["analysis"]["errors"]``
+        #: runs regardless); ``stats()["analysis"]["errors"]``
         self.analysis_errors = 0
 
         #: concurrency-layer hooks (see repro.concurrency). pause_hook
@@ -226,9 +223,9 @@ class RuleEngine:
         """The static analysis of this engine's catalog
         (:class:`~repro.analysis.program.ProgramAnalysis`): every rule
         walked once at definition, one triggering graph per catalog
-        version; ``lint()``, ``analyze()``, ``stats()["analysis"]``, the
-        coordinator's conflict classification and the incremental
-        layer's graph skip all read it."""
+        version; ``lint()``, ``analyze()``, ``stats()["analysis"]`` and
+        the coordinator's conflict classification read it. Execution
+        does not: no kernel, plan or condition answer depends on it."""
         if self._analysis is None:
             from ..analysis.program import ProgramAnalysis
 
@@ -338,11 +335,9 @@ class RuleEngine:
         diagnostics are advisory — rule definition never fails because
         of lint, and analyzer bugs must not break the engine, so a
         failure is counted (``stats()["analysis"]["errors"]``) and
-        reported on the same event stream instead of raised. It is not
-        harmless: the type witnesses the walk attaches to the rule's
-        AST are load-bearing — :mod:`repro.relational.compiled`
-        specializes batch kernels on them, so a rule whose walk failed
-        runs generic kernels where typed ones are provable."""
+        reported on the same event stream instead of raised. Nothing
+        the rule executes reads the walk, so a failed walk costs only
+        its findings."""
         try:
             findings = [
                 diagnostic.to_dict()
@@ -878,7 +873,7 @@ class RuleEngine:
                 )
         if fired is not None:
             log.restart(fired)
-        log.append(effect, fired)
+        log.append(effect)
 
     def _evaluate_condition(self, rule):
         """Condition value plus the incremental layer's per-consideration
@@ -889,9 +884,8 @@ class RuleEngine:
         back to :meth:`_check_condition`, the full evaluation."""
         if rule.condition is None:
             return True, None
-        log = self._log
         outcome, value = self.incremental.evaluate(
-            rule, log.info(rule.name), log.provider(rule.name)
+            rule, self._log.info(rule.name)
         )
         if outcome == "fallback":
             value = self._check_condition(rule)

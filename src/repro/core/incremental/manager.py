@@ -13,15 +13,7 @@ module implements that framing for the maintainable fragment:
   construction);
 * the engine's fold points — exactly where Figure 1 runs
   ``modify-trans-info`` — feed each transition's net ``[I, D, U]``
-  effects to every affected view;
-* the engine's static analysis
-  (:class:`~repro.analysis.program.ProgramAnalysis`) supplies a second
-  shortcut: when a rule's accumulated trans-info is exactly one
-  transition of one provider rule (the engine's transition log knows)
-  and the refined graph pruned that provider→consumer edge, the
-  consumer's condition is provably false and is not evaluated at all
-  (``graph_skip``) — the same single-action semantics the refinement
-  differential validates.
+  effects to every affected view.
 
 Full re-evaluation (the engine's ``_check_condition``) remains the
 semantic oracle: any classification gap, maintenance error or
@@ -59,7 +51,6 @@ class IncrementalStats:
         "hits",
         "refreshes",
         "fallbacks",
-        "graph_skips",
         "invalidations",
         "errors",
     )
@@ -77,7 +68,6 @@ class IncrementalStats:
         self.hits = 0
         self.refreshes = 0
         self.fallbacks = 0
-        self.graph_skips = 0
         self.invalidations = 0
         self.errors = 0
 
@@ -91,11 +81,8 @@ class IncrementalManager:
     internal.
     """
 
-    def __init__(self, database, catalog, analysis):
+    def __init__(self, database):
         self.database = database
-        self.catalog = catalog
-        #: zero-argument accessor of the engine's ProgramAnalysis
-        self.analysis = analysis
         self.stats = IncrementalStats()
         self._plans = {}        # rule name -> (schema_version, plan|None)
         self._views = {}        # (table, binding, where) -> MaintainedView
@@ -213,22 +200,14 @@ class IncrementalManager:
     # ------------------------------------------------------------------
     # condition evaluation
 
-    def evaluate(self, rule, info, provider=None):
+    def evaluate(self, rule, info):
         """Evaluate ``rule``'s condition incrementally; ``info`` is its
-        trans-info and ``provider`` the rule whose one transition is all
-        of it, if any.
+        trans-info.
 
-        Returns ``(outcome, value)`` with outcome one of ``"graph_skip"``
-        / ``"hit"`` / ``"refresh"`` / ``"fallback"``; value is None on
-        fallback (the engine then runs the full path).
+        Returns ``(outcome, value)`` with outcome one of ``"hit"`` /
+        ``"refresh"`` / ``"fallback"``; value is None on fallback (the
+        engine then runs the full path).
         """
-        if provider is not None and self._graph_skip(provider, rule):
-            # No read note: the skip proof depends only on this
-            # transaction's own deltas (the provider's transition), not
-            # on base-table state, so the answer is the same under any
-            # concurrent committer.
-            self.stats.graph_skips += 1
-            return "graph_skip", False
         plan = self._plan_for(rule)
         if plan is None:
             self.stats.fallbacks += 1
@@ -332,23 +311,6 @@ class IncrementalManager:
         return view, True
 
     # ------------------------------------------------------------------
-    # the refined-graph skip
-
-    def _graph_skip(self, provider, rule):
-        """True when the refined triggering graph pruned the edge from
-        ``provider``, whose one transition is the rule's whole
-        trans-info, to the rule — the exact situation the refinement
-        differential validates (the consumer provably cannot fire).
-        External blocks have no provider: the graph reasons about rule
-        actions only."""
-        try:
-            return (provider, rule.name) in self.analysis().graph.pruned_pairs
-        except Exception:
-            # an analyzer failure costs the shortcut, never the answer
-            self.stats.errors += 1
-            return False
-
-    # ------------------------------------------------------------------
     # invalidation & observability
 
     def _invalidate_all(self):
@@ -370,7 +332,6 @@ class IncrementalManager:
             "hits": stats.hits,
             "refreshes": stats.refreshes,
             "fallbacks": stats.fallbacks,
-            "graph_skips": stats.graph_skips,
             "invalidations": stats.invalidations,
             "errors": stats.errors,
         }

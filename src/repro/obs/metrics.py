@@ -38,7 +38,6 @@ class RuleMetrics:
         "incremental_hits",
         "incremental_refreshes",
         "incremental_fallbacks",
-        "incremental_graph_skips",
         "batches_scanned",
         "batch_rows_scanned",
         "batch_rows_selected",
@@ -74,7 +73,6 @@ class RuleMetrics:
         self.incremental_hits = 0
         self.incremental_refreshes = 0
         self.incremental_fallbacks = 0
-        self.incremental_graph_skips = 0
         self.batches_scanned = 0
         self.batch_rows_scanned = 0
         self.batch_rows_selected = 0
@@ -110,7 +108,6 @@ class RuleMetrics:
             "incremental_hits": self.incremental_hits,
             "incremental_refreshes": self.incremental_refreshes,
             "incremental_fallbacks": self.incremental_fallbacks,
-            "incremental_graph_skips": self.incremental_graph_skips,
             "batches_scanned": self.batches_scanned,
             "batch_rows_scanned": self.batch_rows_scanned,
             "batch_rows_selected": self.batch_rows_selected,
@@ -301,8 +298,6 @@ class MetricsCollector(EventSink):
             metrics.incremental_refreshes += 1
         elif outcome == "fallback":
             metrics.incremental_fallbacks += 1
-        elif outcome == "graph_skip":
-            metrics.incremental_graph_skips += 1
 
     def _track_info_size(self, metrics, data):
         size = data.get("trans_info_size")
@@ -339,8 +334,8 @@ class MetricsCollector(EventSink):
         (WAL bytes/records/latency, checkpoints, recovery), present only
         when durability is enabled. ``incremental`` is the engine's
         :meth:`~repro.core.incremental.IncrementalManager.stats_snapshot`
-        (maintained views, delta applications, hit/refresh/fallback/
-        graph-skip counts for the delta-driven condition layer).
+        (maintained views, delta applications, hit/refresh/fallback
+        counts for the delta-driven condition layer).
         ``server`` is the concurrency coordinator's
         :meth:`~repro.concurrency.control.ConcurrencyStats.snapshot`
         (sessions, statements, conflicts/retries/aborts, context

@@ -1,7 +1,7 @@
 """Record classes without generated code.
 
 :class:`Record` is the base of the engine's structural classes — the
-SQL AST, source spans, type witnesses, analysis findings, plan nodes
+SQL AST, source spans, analysis findings, plan nodes
 and the per-statement records. A subclass declares its fields as
 annotations, in order, a default as a class attribute::
 
@@ -22,8 +22,8 @@ plain ``@dataclass`` is.
 The base reads the annotations once per class, in ``__init_subclass__``,
 into the ``_fields`` tuple; every method is shared, so defining a class
 compiles nothing. A subclass adds fields after its bases' and redeclares
-none. Metadata is attached out of band (source spans, type witnesses)
-with ``object.__setattr__``: it is no field, so it never takes part in
+none. Metadata is attached out of band (source spans) with
+``object.__setattr__``: it is no field, so it never takes part in
 ``==``, ``hash``, ``repr`` or :func:`replace`.
 
 Fields are set and read as attributes, never through ``__dict__``:

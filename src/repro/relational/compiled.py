@@ -158,13 +158,12 @@ _TYPED_DEPS = None
 
 def _typed_deps():
     """Lazy imports for the typed-kernel layer (function-level to keep
-    ``repro.analysis`` / ``repro.relational.plan`` out of this module's
-    import graph — both reach back into the engine at import time)."""
+    ``repro.relational.plan`` out of this module's import graph — it
+    reaches back into the engine at import time)."""
     global _TYPED_DEPS
     if _TYPED_DEPS is None:
-        from ..analysis.types.witness import witness_of
         from .plan.cost import KIND_OF_TYPE, expression_kind
-        _TYPED_DEPS = (witness_of, expression_kind, KIND_OF_TYPE)
+        _TYPED_DEPS = (expression_kind, KIND_OF_TYPE)
     return _TYPED_DEPS
 
 
@@ -175,7 +174,7 @@ def _table_kinds(database, table):
         schema = database.schema(table)
     except Exception:
         return None
-    kind_of_type = _typed_deps()[2]
+    kind_of_type = _typed_deps()[1]
     return {
         column.name: kind_of_type[column.sql_type]
         for column in schema.columns
@@ -311,8 +310,8 @@ class VectorizedStats:
     ``group_scope_fallbacks`` those evaluated through the interpreter's
     ``GroupScope`` (scope inputs, or aggregates over empty input);
     ``typed_kernels`` / ``generic_kernels`` partition compiled
-    binary-operator kernels into type-specialized (monomorphic, witness-
-    or catalog-proven operand kinds) and generic (per-value dispatch)
+    binary-operator kernels into type-specialized (monomorphic,
+    catalog-proven operand kinds) and generic (per-value dispatch)
     forms. Exposed as ``stats()["vectorized"]``.
     """
 
@@ -655,16 +654,14 @@ class _BatchCompiler:
     Aggregate calls read their group batch's reduced column, and
     delegate to the interpreter anywhere else.
 
-    When ``kinds`` (column → totality kind from the catalog) and/or
-    ``database`` are supplied, binary operators whose operand kinds are
-    statically proven — via a valid :class:`~repro.analysis.types
-    .witness.TypeWitness` on the node (stamped by the analyzer's walk
-    over the rule against the same ``schema_version``) or via the PR 9 totality
-    analysis over ``kinds`` — compile to *monomorphic* kernels with no
-    per-value type dispatch and no try/except (a total subtree cannot
-    raise, so error parity is trivially preserved). Everything else
-    keeps the generic kernels — the dynamic fallback, and with neither
-    argument supplied the whole tree, which is how
+    When ``kinds`` (column → totality kind from the catalog) and
+    ``database`` are supplied, binary operators the totality analysis
+    (:func:`repro.relational.plan.cost.expression_kind`) proves total
+    over ``kinds`` compile to *monomorphic* kernels with no per-value
+    type dispatch and no try/except (a total subtree cannot raise, so
+    error parity is trivially preserved). Everything else keeps the
+    generic kernels — the dynamic fallback, and without ``kinds`` the
+    whole tree, which is how
     ``tests/property/test_inference_soundness.py`` obtains its
     typed-versus-generic oracle — and the interpreter remains the
     differential oracle for both.
@@ -679,7 +676,8 @@ class _BatchCompiler:
         self._single = len(layout) == 1
         self._database = database
         self._layers = None
-        if kinds is not None and self._single:
+        self._verdicts = {}  # the pass's totality memo: id(node) -> kind
+        if kinds is not None and database is not None and self._single:
             (binding, _), = layout
             # cost-model kind environment for the single binding; the
             # layout's column names are the schema's, so unqualified and
@@ -687,49 +685,6 @@ class _BatchCompiler:
             self._layers = ({binding: dict(kinds)},)
 
     # -- static typing ----------------------------------------------------
-
-    def _witness_kind(self, node):
-        """The node's witness kind, when one is attached, stable, and
-        stamped against the database's current schema version."""
-        if self._database is None:
-            return None
-        witness = _typed_deps()[0](node)
-        if witness is None or not witness.stable:
-            return None
-        if witness.schema_version != self._database.schema_version:
-            return None
-        return witness.kind
-
-    def _total_kind(self, node):
-        """The node's value kind when evaluation is provably total,
-        else None. Witnesses first (they cover rule-condition fragments
-        inferred at definition time), then the PR 9 totality analysis
-        over the catalog kinds, then a local extension that analysis
-        deliberately excludes: ``%`` and ``/`` with a nonzero numeric
-        literal divisor cannot raise either."""
-        kind = self._witness_kind(node)
-        if kind is not None:
-            return kind
-        if self._database is not None and self._layers is not None:
-            kind = _typed_deps()[1](node, self._layers, self._database)
-            if kind is not None:
-                return kind
-        if isinstance(node, ast.BinaryOp):
-            op = node.op
-            if op in ("+", "-", "*"):
-                if self._total_kind(node.left) in ("n", "?") \
-                        and self._total_kind(node.right) in ("n", "?"):
-                    return "n"
-            elif op in ("%", "/"):
-                right = node.right
-                if (
-                    isinstance(right, ast.Literal)
-                    and type(right.value) in (int, float)
-                    and right.value != 0
-                    and self._total_kind(node.left) in ("n", "?")
-                ):
-                    return "n"
-        return None
 
     def _typed_slot(self, node):
         """The column position of a ref a single-binding layout owns, or
@@ -740,47 +695,27 @@ class _BatchCompiler:
         return slot[1] if isinstance(slot, tuple) else None
 
     def _try_typed_binary(self, node):
-        """A monomorphic kernel for ``node`` when both operand kinds are
-        statically proven, else None (the caller keeps the generic
-        dispatching kernels). Kind ``"?"`` marks a provably-NULL operand,
-        which the NULL check absorbs before the specialized operator
-        ever runs."""
-        op = node.op
-        left_kind = self._total_kind(node.left)
-        if left_kind is None:
+        """A monomorphic kernel for ``node`` when it is provably total,
+        else None (the caller keeps the generic dispatching kernels).
+        Kind ``"?"`` marks a provably-NULL operand, which the NULL check
+        absorbs before the specialized operator ever runs."""
+        expression_kind = _typed_deps()[0]
+        if expression_kind(
+            node, self._layers, self._database, self._verdicts
+        ) is None:
             return None
+        op = node.op
         if op in _PY_COMPARISONS:
-            right_kind = self._total_kind(node.right)
-            if right_kind is None or not (
-                left_kind == right_kind or "?" in (left_kind, right_kind)
-            ):
-                return None
             # same-kind operands order under the Python operator exactly
             # as compare() does (including int/float mixes within "n")
             return self._typed_zip(node, _PY_COMPARISONS[op])
         if op == "||":
-            if left_kind not in ("s", "?") \
-                    or self._total_kind(node.right) not in ("s", "?"):
-                return None
             return self._typed_zip(node, operator.add)
         if op in ("+", "-", "*"):
-            if left_kind not in ("n", "?") \
-                    or self._total_kind(node.right) not in ("n", "?"):
-                return None
             return self._typed_zip(node, _PY_ARITHMETIC[op])
         if op in ("%", "/"):
-            # only a literal nonzero numeric divisor is provably safe —
-            # the totality analysis deliberately refuses these operators, so
-            # the divisor constraint is discharged locally here
-            right = node.right
-            if (
-                left_kind not in ("n", "?")
-                or not isinstance(right, ast.Literal)
-                or type(right.value) not in (int, float)
-                or right.value == 0
-            ):
-                return None
-            divisor = right.value
+            # total only by a nonzero numeric literal divisor
+            divisor = node.right.value
             if op == "%":
                 return self._typed_map(node, lambda value: value % divisor)
             if type(divisor) is int:

@@ -46,8 +46,6 @@ class SortedIndex:
         self._keys: list[Any] = []
         #: the handle of each entry of ``_keys``
         self._handles = array("q")
-        #: distinct values among ``_keys``
-        self._distinct = 0
 
     # -- maintenance (called by the Table set mutators) -------------------
     #
@@ -102,15 +100,6 @@ class SortedIndex:
         added = [new_values[at] for at in order]
         handles = [new_handles[at] for at in order]
         places = list(map(self._position, added, handles))
-        # distinct values: an added one is new unless an entry beside
-        # its place holds it; a dropped one not added again may be gone
-        size = len(keys)
-        fresh = sum(
-            1 for rank, (place, value) in enumerate(zip(places, added))
-            if (not rank or added[rank - 1] != value)
-            and not (place < size and keys[place] == value)
-            and not (place and keys[place - 1] == value))
-        dropped = {keys[at] for at in drops}.difference(added)
         if not drops and places and places[0] == len(keys):
             keys += added  # all past every entry: an append
             stored.extend(handles)
@@ -122,8 +111,6 @@ class SortedIndex:
             del stored[drops[0]]
         elif drops or places:
             self._splice(drops, places, added, handles)
-        self._distinct += fresh - sum(
-            1 for value in dropped if not self._holds(value))
 
     def _splice(self, drops: list[int], places: list[int], added: list[Any],
                 handles: list[int]) -> None:
@@ -152,12 +139,6 @@ class SortedIndex:
         new_handles += stored[start:]
         self._keys, self._handles = new_keys, new_handles
 
-    def _holds(self, value: Any) -> bool:
-        """Whether some entry equals ``value``."""
-        keys = self._keys
-        at = bisect_left(keys, value)
-        return at < len(keys) and keys[at] == value
-
     def build(self, handles: Sequence[int], values: Sequence[Any],
               slots: Iterable[int]) -> None:
         """(Re)build from a table's storage: its slot ``handles``, the
@@ -167,11 +148,8 @@ class SortedIndex:
         order = [slot for slot in slots
                  if (value := values[slot]) is not None and value == value]
         order.sort(key=values.__getitem__)
-        keys = list(map(values.__getitem__, order))
-        self._keys = keys
+        self._keys = list(map(values.__getitem__, order))
         self._handles = array("q", map(handles.__getitem__, order))
-        self._distinct = sum(map(ne, keys, islice(keys, 1, None))) + (
-            1 if keys else 0)
 
     # -- lookup -----------------------------------------------------------
 
@@ -198,16 +176,12 @@ class SortedIndex:
         low, high = self._run(value)
         return self._handles[low:high].tolist()
 
-    def count(self, value: Any) -> int:
-        """How many live rows hold ``value``."""
-        low, high = self._run(value)
-        return high - low
-
     @property
     def key_count(self) -> int:
         """Distinct indexed values: the column's distinct non-NULL,
-        non-NaN values."""
-        return self._distinct
+        non-NaN values (counted on demand, one pass)."""
+        keys = self._keys
+        return sum(map(ne, keys, islice(keys, 1, None))) + bool(keys)
 
     def buckets(self) -> dict[Any, set[int]]:
         """``{value: handles}`` for every indexed value (a copy)."""

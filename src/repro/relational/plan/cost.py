@@ -127,18 +127,34 @@ def _column_kind(node: Any, layers: Any) -> Optional[str]:
 # totality analysis
 
 
-def expression_kind(node: Any, layers: Any,
-                    database: Any) -> Optional[str]:
+def expression_kind(node: Any, layers: Any, database: Any,
+                    memo: Optional[dict] = None) -> Optional[str]:
     """The expression's value kind if it is provably *total* (cannot
     raise on any row), else None.
 
-    Deliberately conservative: division/modulo (zero divisors), scalar
-    function calls, unresolvable or ambiguous columns, and any subquery
-    shape not covered below all return None. A None verdict only costs
-    an optimization — a typed kernel or a zone prune is not used.
+    Deliberately conservative: division/modulo by anything but a
+    nonzero numeric literal (zero divisors), scalar function calls,
+    unresolvable or ambiguous columns, and any subquery shape not
+    covered below all return None. A None verdict only costs an
+    optimization — a typed kernel or a zone prune is not used.
+
+    ``memo`` (``id(node)`` → verdict, for nodes of one tree under one
+    kind environment) makes a pass that asks about every node of a
+    tree analyse each node once.
     """
     if layers is None:
         return None
+    if memo is None:
+        memo = {}
+    key = id(node)
+    if key not in memo:
+        memo[key] = _analyse(node, layers, database, memo)
+    return memo[key]
+
+
+def _analyse(node: Any, layers: Any, database: Any,
+             memo: dict) -> Optional[str]:
+    """One node's verdict, its subexpressions' read through ``memo``."""
     if isinstance(node, ast.Literal):
         return _kind_of_value(node.value)
     if isinstance(node, ast.Param):
@@ -146,19 +162,19 @@ def expression_kind(node: Any, layers: Any,
     if isinstance(node, ast.ColumnRef):
         return _column_kind(node, layers)
     if isinstance(node, ast.UnaryOp):
-        kind = expression_kind(node.operand, layers, database)
+        kind = expression_kind(node.operand, layers, database, memo)
         if node.op == "not":
             return "b" if kind in ("b", "?") else None
         return "n" if kind in ("n", "?") else None  # unary +/-
     if isinstance(node, ast.BinaryOp):
-        return _binary_kind(node, layers, database)
+        return _binary_kind(node, layers, database, memo)
     if isinstance(node, ast.IsNull):
-        if expression_kind(node.operand, layers, database) is None:
+        if expression_kind(node.operand, layers, database, memo) is None:
             return None
         return "b"
     if isinstance(node, ast.Between):
         kinds = [
-            expression_kind(part, layers, database)
+            expression_kind(part, layers, database, memo)
             for part in (node.operand, node.low, node.high)
         ]
         if None in kinds:
@@ -171,40 +187,43 @@ def expression_kind(node: Any, layers: Any,
         return None
     if isinstance(node, ast.Like):
         for part in (node.operand, node.pattern):
-            if expression_kind(part, layers, database) not in ("s", "?"):
+            if expression_kind(part, layers, database, memo) \
+                    not in ("s", "?"):
                 return None
         return "b"
     if isinstance(node, ast.InList):
-        operand = expression_kind(node.operand, layers, database)
+        operand = expression_kind(node.operand, layers, database, memo)
         if operand is None:
             return None
         for item in node.items:
-            kind = expression_kind(item, layers, database)
+            kind = expression_kind(item, layers, database, memo)
             if kind is None or not _compatible(operand, kind):
                 return None
         return "b"
     if isinstance(node, ast.CaseExpression):
-        return _case_kind(node, layers, database)
+        return _case_kind(node, layers, database, memo)
     if isinstance(node, ast.Exists):
-        return "b" if _select_total(node.select, layers, database) else None
+        return "b" if _select_total(node.select, layers, database, memo) \
+            else None
     if isinstance(node, (ast.InSelect, ast.QuantifiedComparison)):
-        operand = expression_kind(node.operand, layers, database)
+        operand = expression_kind(node.operand, layers, database, memo)
         if operand is None:
             return None
-        item_kind = _single_item_kind(node.select, layers, database)
+        item_kind = _single_item_kind(node.select, layers, database, memo)
         if item_kind is None or not _compatible(operand, item_kind):
             return None
         return "b"
     if isinstance(node, ast.ScalarSelect):
-        return _scalar_select_kind(node.select, layers, database)
+        return _scalar_select_kind(node.select, layers, database, memo)
     return None  # FunctionCall (scalar or stray aggregate), Star, unknown
 
 
-def _binary_kind(node: Any, layers: Any, database: Any) -> Optional[str]:
-    left = expression_kind(node.left, layers, database)
+def _binary_kind(node: Any, layers: Any, database: Any,
+                 memo: dict) -> Optional[str]:
+    left = expression_kind(node.left, layers, database, memo)
     if left is None:
         return None
-    right = expression_kind(node.right, layers, database)
+    right = expression_kind(node.right, layers, database, memo)
     if right is None:
         return None
     op = node.op
@@ -212,32 +231,37 @@ def _binary_kind(node: Any, layers: Any, database: Any) -> Optional[str]:
         if left in ("b", "?") and right in ("b", "?"):
             return "b"
         return None
-    if op in ("+", "-", "*"):
+    divisor = node.right
+    if op in ("+", "-", "*") or (
+        # only a nonzero numeric literal divisor cannot raise
+        op in ("/", "%") and isinstance(divisor, ast.Literal)
+        and type(divisor.value) in (int, float) and divisor.value != 0
+    ):
         if left in ("n", "?") and right in ("n", "?"):
             return "n"
         return None
-    if op in ("/", "%"):
-        return None  # zero divisors raise at run time
     if op == "||":
         if left in ("s", "?") and right in ("s", "?"):
             return "s"
         return None
     if op in _COMPARISONS:
         return "b" if _compatible(left, right) else None
-    return None
+    return None  # "/" and "%" by anything else: zero divisors raise
 
 
-def _case_kind(node: Any, layers: Any, database: Any) -> Optional[str]:
+def _case_kind(node: Any, layers: Any, database: Any,
+               memo: dict) -> Optional[str]:
     result = "?"
     for condition, value in node.branches:
-        if expression_kind(condition, layers, database) not in ("b", "?"):
+        if expression_kind(condition, layers, database, memo) \
+                not in ("b", "?"):
             return None
-        kind = expression_kind(value, layers, database)
+        kind = expression_kind(value, layers, database, memo)
         if kind is None or not _compatible(result, kind):
             return None
         result = _combine(result, kind)
     if node.default is not None:
-        kind = expression_kind(node.default, layers, database)
+        kind = expression_kind(node.default, layers, database, memo)
         if kind is None or not _compatible(result, kind):
             return None
         result = _combine(result, kind)
@@ -267,7 +291,8 @@ def _plain_select_shape(select: Any) -> bool:
     )
 
 
-def _select_total(select: Any, layers: Any, database: Any) -> bool:
+def _select_total(select: Any, layers: Any, database: Any,
+                  memo: dict) -> bool:
     """Totality of a subquery evaluated for EXISTS (row production only)."""
     from ..expressions import contains_aggregate
 
@@ -277,7 +302,7 @@ def _select_total(select: Any, layers: Any, database: Any) -> bool:
     if inner is None:
         return False
     if select.where is not None and expression_kind(
-        select.where, inner, database
+        select.where, inner, database, memo
     ) not in ("b", "?"):
         return False
     for item in select.items:
@@ -285,28 +310,29 @@ def _select_total(select: Any, layers: Any, database: Any) -> bool:
             continue
         if contains_aggregate(item.expression):
             return False
-        if expression_kind(item.expression, inner, database) is None:
+        if expression_kind(item.expression, inner, database, memo) is None:
             return False
     return True
 
 
-def _single_item_kind(select: Any, layers: Any,
-                      database: Any) -> Optional[str]:
+def _single_item_kind(select: Any, layers: Any, database: Any,
+                      memo: dict) -> Optional[str]:
     """Kind of the single output column of an IN/quantified subquery,
     when the subquery is total; else None."""
     if len(select.items) != 1 or isinstance(select.items[0], ast.Star):
         return None
-    if not _select_total(select, layers, database):
+    if not _select_total(select, layers, database, memo):
         return None
     inner = _subquery_layers(select, layers, database)
-    return expression_kind(select.items[0].expression, inner, database)
+    return expression_kind(select.items[0].expression, inner, database,
+                           memo)
 
 
 _AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
-def _scalar_select_kind(select: Any, layers: Any,
-                        database: Any) -> Optional[str]:
+def _scalar_select_kind(select: Any, layers: Any, database: Any,
+                        memo: dict) -> Optional[str]:
     """A scalar select is total only in its always-one-row form: a
     single ungrouped aggregate item (``(select count(*) from t ...)``).
     The plain single-column form raises on multi-row results, which no
@@ -325,17 +351,17 @@ def _scalar_select_kind(select: Any, layers: Any,
     if inner is None:
         return None
     if select.where is not None and expression_kind(
-        select.where, inner, database
+        select.where, inner, database, memo
     ) not in ("b", "?"):
         return None
     if name == "count":
         if expr.args and not isinstance(expr.args[0], ast.Star):
-            if expression_kind(expr.args[0], inner, database) is None:
+            if expression_kind(expr.args[0], inner, database, memo) is None:
                 return None
         return "n"
     if len(expr.args) != 1 or isinstance(expr.args[0], ast.Star):
         return None
-    kind = expression_kind(expr.args[0], inner, database)
+    kind = expression_kind(expr.args[0], inner, database, memo)
     if kind is None:
         return None
     if name in ("sum", "avg"):

@@ -474,6 +474,39 @@ class TestFloatJoinKeys:
         assert bits(planned) == bits(naive), where
 
 
+class TestFloatMembership:
+    """``in (…)`` lists and ``in (select …)`` over FLOAT values — NaN
+    (one shared object and fresh ones), ±0.0 and ±inf — keep exactly
+    the rows the reference's comparisons keep: NaN is a member of
+    nothing, itself included, and ``-0.0`` is a member wherever ``0.0``
+    is. Both gates: the batch kernels and the interpreter."""
+
+    @given(TYPED_ROWS_1, TYPED_ROWS_2, st.booleans(),
+           st.sampled_from([
+               "x.f in (x.f)", "x.f not in (x.f)",
+               "x.f in (0.0, 3.0)", "x.f not in (-0.0, 0.1)",
+               "x.f in (x.f, 0.0) and x.a > 0",
+               "x.f in (select y.g from t2 y)",
+               "x.f not in (select y.g from t2 y)",
+               "x.f in (select x.f from t2 y)",
+               "x.a in (select y.a from t2 y where y.g in (x.f, 2.5))",
+           ]))
+    @example([(1, math.nan, "p"), (2, -0.0, "q")],
+             [(1, math.nan), (2, 0.0)], True, "x.f in (select y.g from t2 y)")
+    @example([(1, math.nan, "p")], [(1, math.nan)], False,
+             "x.f in (select x.f from t2 y)")
+    @example([(1, math.nan, "p"), (2, math.inf, "q")], [], True,
+             "x.f not in (x.f)")
+    @settings(max_examples=100, deadline=None)
+    def test_membership_probes_agree_with_the_reference(
+            self, rows1, rows2, vectorized, where):
+        db = typed_tables(rows1, rows2)
+        db.enable_vectorized_eval = vectorized
+        _, planned, naive = both_outcomes(
+            db, f"select x.a, x.f from t1 x where {where}")
+        assert bits(planned) == bits(naive), where
+
+
 class TestRuleConditionAggregates:
     """Paper Example 3.2's condition — ``sum`` over ``new`` and ``old
     updated emp.salary`` — reduced over transition-table batches fires

@@ -1,7 +1,6 @@
 """The record base (``repro.records.Record``) against the frozen
-dataclasses it replaced: every AST node class, ``Span`` and
-``TypeWitness`` gets a ``dataclasses.make_dataclass(..., frozen=True)``
-twin with the same fields and defaults, and the same generated values —
+dataclasses it replaced: every AST node class and ``Span`` gets a
+``dataclasses.make_dataclass(..., frozen=True)`` twin with the same fields and defaults, and the same generated values —
 NaN (one shared object and fresh ones), ``-0.0``, ``1``/``1.0``/``True``,
 strings, tuples and nested nodes — build one tree of each. ``repr``,
 ``==``, ``!=``, ``hash``, construction errors and the refusal to assign
@@ -14,7 +13,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.types.witness import TypeWitness
 from repro.records import Record
 from repro.sql import ast
 from repro.sql.spans import Span
@@ -24,7 +22,7 @@ CLASSES = sorted(
      if isinstance(value, type) and issubclass(value, Record)
      and value._fields),
     key=lambda cls: cls.__name__,
-) + [Span, TypeWitness]
+) + [Span]
 
 #: one NaN object shared by every tree that draws it: a tuple holding
 #: it equals itself, a fresh NaN does not

@@ -175,12 +175,11 @@ class Pair:
         for index, reference in zip(table.indexes,
                                     self.model.table("t").indexes):
             buckets = without_nan(reference.buckets)
-            assert index.key_count == len(buckets)
+            assert len(index.buckets()) == index.key_count == len(buckets)
             for probe in PROBES:
                 expected = sorted(handle for key, handles in buckets.items()
                                   if key == probe for handle in handles)
                 assert index.lookup(probe) == expected
-                assert index.count(probe) == len(expected)
         for select in self.selects.values():
             assert exact(evaluate_select(ours, select).rows) == exact(
                 evaluate_select(self.plain, select).rows)

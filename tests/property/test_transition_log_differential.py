@@ -121,11 +121,9 @@ def test_cursor_compositions_equal_eager_folds(data):
         if step in ("transition", "fire"):
             operations = [run_operation(data, database, values)
                           for _ in range(data.draw(st.integers(1, 4)))]
-            log.append(TransitionEffect.from_op_effects(operations),
-                       name if step == "fire" else None)
+            log.append(TransitionEffect.from_op_effects(operations))
             for info in eager.values():
                 for operation in operations:
                     info.apply(operation)
         for name, info in eager.items():
             check(database, log.info(name), info)
-    assert len(log.entries) == len(log.sources)

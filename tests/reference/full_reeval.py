@@ -26,7 +26,7 @@ class FullReevaluation:
     def __init__(self):
         self.stats = IncrementalStats()
 
-    def evaluate(self, rule, info, provider=None):
+    def evaluate(self, rule, info):
         return "fallback", None
 
     def stats_snapshot(self):

@@ -1,23 +1,15 @@
 """Unit tests for the static type-and-effect analyzer (docs §16):
 per-rule effect sets, the effect-based triggering-graph discharge, the
-conflict advisory, and type witnesses on catalog rules."""
+and the conflict advisory."""
 
 import pytest
 
 from repro import ActiveDatabase
 from repro.analysis.effects import ANY_COLUMN, writes_can_populate
-from repro.analysis.lint import lint_catalog, lint_script
+from repro.analysis.lint import lint_script
 from repro.analysis.lint.context import LintRule
 from repro.analysis.types.infer import walk_rule
-from repro.analysis.types.witness import (
-    TypeWitness,
-    clear_witness,
-    set_witness,
-    witness_of,
-)
-from repro.core.rules import RuleCatalog
 from repro.relational.database import Database
-from repro.relational.types import SqlType
 from repro.sql import ast
 from repro.sql.parser import parse_statement
 
@@ -219,38 +211,3 @@ class TestConflictAdvisory:
         assert [d.code for d in db.lint()] == []
         db.activate_rule("prov")
         assert [d.code for d in db.lint()] == ["RPL501"]
-
-
-class TestTypeWitnesses:
-    def test_witness_round_trip_preserves_equality(self):
-        node = ast.Literal(1)
-        twin = ast.Literal(1)
-        witness = TypeWitness(
-            sql_type=SqlType.INTEGER, kind="n", total=True,
-            nullable=False, schema_version=0,
-        )
-        set_witness(node, witness)
-        assert witness_of(node) is witness
-        assert node == twin  # out-of-band: structural equality untouched
-        clear_witness(node)
-        assert witness_of(node) is None
-
-    def test_stability_requires_total_and_kind(self):
-        stable = TypeWitness(SqlType.INTEGER, "n", True, True, 0)
-        assert stable.stable
-        assert not TypeWitness(SqlType.INTEGER, "n", False, True, 0).stable
-        assert not TypeWitness(None, None, True, True, 0).stable
-
-    def test_definition_time_lint_attaches_witnesses(self, database):
-        catalog = RuleCatalog()
-        rule = catalog.create_rule_from_ast(parse_statement(
-            "create rule r when inserted into emp "
-            "if exists (select * from inserted emp where salary > 10) "
-            "then delete from emp where salary < 0"
-        ))
-        lint_catalog(catalog, database)
-        (select,) = list(ast.iter_selects(rule.condition))
-        witness = witness_of(select.where)
-        assert witness is not None
-        assert witness.sql_type is SqlType.BOOLEAN
-        assert witness.schema_version == database.schema_version

@@ -35,7 +35,7 @@ EMBEDDED = {
     "repro.analysis.lint.hygiene", "repro.analysis.lint.refine",
     "repro.analysis.lint.transition", "repro.analysis.lint.triggering",
     "repro.analysis.program", "repro.analysis.types",
-    "repro.analysis.types.infer", "repro.analysis.types.witness",
+    "repro.analysis.types.infer",
     "repro.core", "repro.core.effects", "repro.core.engine",
     "repro.core.external", "repro.core.incremental",
     "repro.core.incremental.classify", "repro.core.incremental.manager",

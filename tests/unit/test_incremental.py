@@ -319,25 +319,8 @@ class TestErrorParity:
 
 
 class TestGraphSkip:
-    def test_pruned_self_edge_skips_reconsideration(self, db):
-        """The PR 5 discharge shape: clamp's own action writes salary = 0,
-        so the refined graph prunes clamp -> clamp; when clamp's
-        accumulated delta is exactly its own firing, its condition is
-        provably false and is never evaluated."""
-        db.execute("create table emp (name varchar, salary integer)")
-        db.execute(
-            "create rule clamp when updated emp.salary "
-            "if exists (select * from new updated emp.salary "
-            "where salary < 0) "
-            "then update emp set salary = 0 where salary < 0"
-        )
-        db.execute("insert into emp values ('ann', 10)")
-        db.reset_stats()
-        result = db.execute("update emp set salary = -5 where name = 'ann'")
-        assert result.rule_firings == 1
-        assert db.rows("select salary from emp") == [(0,)]
-        assert db.stats()["incremental"]["graph_skips"] >= 1
-        assert db.stats()["rules"]["clamp"]["incremental_graph_skips"] >= 1
+    # the refined-graph skip is gone (conditions are always evaluated);
+    # the class keeps its name so the surviving test keeps its id
 
     def test_external_deltas_never_justify_a_skip(self, db):
         db.execute("create table emp (name varchar, salary integer)")
@@ -365,7 +348,7 @@ class TestModeGating:
         for key in (
             "views", "classifications", "rules_classified",
             "rules_unclassifiable", "view_refreshes", "deltas_applied",
-            "delta_rows", "hits", "refreshes", "fallbacks", "graph_skips",
+            "delta_rows", "hits", "refreshes", "fallbacks",
             "invalidations", "errors",
         ):
             assert key in incremental

@@ -100,8 +100,8 @@ class TestDerivedOncePerCatalogVersion:
         db.execute("drop rule r2")
         db.lint()
         assert counted == {"walks": [], "graphs": 2}
-        # schema DDL re-walks: diagnostics, effects and witnesses are
-        # all facts about the schema version
+        # schema DDL re-walks: diagnostics and effects are facts about
+        # the schema version
         db.execute("create table other (y integer)")
         db.lint()
         assert counted == {"walks": ["r0", "r1"], "graphs": 3}

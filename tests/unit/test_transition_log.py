@@ -104,7 +104,7 @@ class TestModifyTransInfo:
         ]
         log = TransitionLog(["r"])
         for op in ops:
-            log.append(fold(op), None)
+            log.append(fold(op))
         assert log.info("r") == fold(*ops)
         assert log.transaction is log.info("r")
 
@@ -143,24 +143,23 @@ class TestCopyIndependence:
             InsertEffect("t", (1,)),
             UpdateEffect("t", ("c",), ((2, ROW_V0),)),
         )
-        log.append(first, None)
+        log.append(first)
         log.restart("late")
         log.append(fold(
             DeleteEffect("t", ((2, ROW_V1),)),
             UpdateEffect("t", ("d",), ((3, ROW_V0),)),
-        ), "r")
+        ))
         early, late = log.info("early").tables["t"], log.info("late").tables["t"]
         assert 2 in first.tables["t"].updated  # the logged entry is intact
         assert 2 in early.deleted and early.pre[2] == ROW_V0
         assert 2 in late.deleted and late.pre[2] == ROW_V1
         assert 1 in early.inserted and 1 not in late.inserted
-        assert log.provider("late") == "r" and log.provider("early") is None
 
     def test_column_sets_do_not_alias(self):
         log = TransitionLog(["r"])
         first = fold(UpdateEffect("t", ("a",), ((1, ROW_V0),)))
-        log.append(first, None)
-        log.append(fold(UpdateEffect("t", ("b",), ((1, ROW_V1),))), None)
+        log.append(first)
+        log.append(fold(UpdateEffect("t", ("b",), ((1, ROW_V1),))))
         assert first.tables["t"].updated[1] == {"a"}
         assert log.info("r").tables["t"].updated[1] == {"a", "b"}
 
