@@ -344,20 +344,22 @@ def compose_all(effects: Iterable[TransitionEffect]) -> TransitionEffect:
 class TransitionLog:
     """One transaction's transitions and every rule's baseline in them.
 
-    ``entries`` holds each transition's effect, netted once from its
-    operations. A rule's trans-info is ``⊕`` of
-    ``entries[cursors[rule]:]``; one running composition is kept per
-    distinct cursor, so rules with the same baseline share it. Cursor 0
-    is always kept: it is the whole transaction's effect.
+    ``transitions`` counts the transitions appended so far, and a
+    cursor is such a count. A rule's trans-info is ``⊕`` of the
+    transitions from ``cursors[rule]`` on; one running composition is
+    kept per distinct cursor, so rules with the same baseline share it,
+    and a transition's own effect is not kept once every running
+    composition has taken it in. Cursor 0 is always kept: it is the
+    whole transaction's effect.
 
     The footnote-8 resets — execution, consideration, triggering — and a
     rule defined mid-transaction are all :meth:`restart`: a cursor move.
     """
 
-    __slots__ = ("entries", "cursors", "_running")
+    __slots__ = ("transitions", "cursors", "_running")
 
     def __init__(self, names: Iterable[str] = ()):
-        self.entries: list[TransitionEffect] = []
+        self.transitions = 0
         self.cursors: dict[str, int] = dict.fromkeys(names, 0)
         self._running: dict[int, TransitionEffect] = {0: TransitionEffect()}
 
@@ -373,7 +375,7 @@ class TransitionLog:
     def restart(self, name: str) -> None:
         """Move ``name``'s baseline to now: its trans-info is empty until
         the next transition."""
-        at = len(self.entries)
+        at = self.transitions
         self.cursors[name] = at
         if at not in self._running:
             self._running[at] = TransitionEffect()
@@ -389,4 +391,4 @@ class TransitionLog:
             del running[at]
         for composite in running.values():
             composite.extend(effect)
-        self.entries.append(effect)
+        self.transitions += 1

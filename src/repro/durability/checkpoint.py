@@ -1,23 +1,25 @@
 """Checkpointing: a durable full snapshot plus a WAL high-water mark.
 
-A checkpoint document (version 5) is the catalog
+A checkpoint document (version 6) is the catalog
 (:func:`repro.persistence.catalog_document`) and the data as one commit
 body — per non-empty table, one insert section of every live row under
 its original handle, and the row count — with the handle high-water
 mark, the LSN up to which the WAL is folded into it and the last
 committed transaction id::
 
-    {"format":"repro-durability-checkpoint","version":5,"wal_lsn":L,
+    {"format":"repro-durability-checkpoint","version":6,"wal_lsn":L,
      "last_txn":T,"hwm":H,"catalog":{...},"data":{TABLE:{"i":[...],"n":N}}}
 
 The file is that document as one WAL frame of a stream of its own
 (:func:`~repro.durability.wal.encode_record`), and nothing after it.
 Recovery replays ``data`` through the WAL's section reader, between
 creating the tables and defining indexes, rules and priorities:
-checkpoint restore *is* WAL replay. A checkpoint of an earlier version
-— a JSON document, which opens with ``{``, or a version-4 frame, which
-opens with the version-6 WAL marker — or of another version number is
-refused.
+checkpoint restore *is* WAL replay, packed FLOAT vectors as byte
+planes included (version 5 wrote them as contiguous doubles, in the
+same frame). A checkpoint of an earlier version — a JSON document,
+which opens with ``{``, or a version-4 frame, which opens with the
+version-6 WAL marker — or of another version number (5 among them) is
+refused, naming its version.
 
 Writes are atomic: the frame goes to a temp file (fsync'd), then an
 ``os.replace`` swaps it in, then the directory entry is fsync'd. A crash
@@ -42,7 +44,7 @@ if TYPE_CHECKING:
 #: the name the JSON checkpoint had; kept, like the WAL's
 CHECKPOINT_FILENAME = "checkpoint.json"
 CHECKPOINT_FORMAT = "repro-durability-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 #: the type of every field a checkpoint document must carry
 _FIELDS = {"wal_lsn": int, "last_txn": int, "hwm": int, "catalog": dict,
            "data": dict}

@@ -1,7 +1,9 @@
 """``python -m repro.durability.dump DIR``: a durability directory for a
 reader — the checkpoint's body, then each WAL frame's body, one JSON
 line each, then :func:`~repro.durability.wal.scan_wal`'s account of the
-torn tail. It only reads."""
+torn tail. It only reads. A packed FLOAT vector prints as it is logged,
+the base64 of its doubles' byte planes, which
+:func:`~repro.durability.wal.unpack_floats` reads back."""
 
 from __future__ import annotations
 

@@ -22,11 +22,13 @@ the rest. Versions 1 to 5 wrote text lines that open with a hex
 checksum, version 6 one deflate stream per frame behind the marker
 ``0xA5``; :func:`scan_wal` refuses either before anything is cut.
 
-Every body opens with the format version and the LSN, ``{"v":7,"lsn":L,
-...``; recovery reads version 7 and refuses any other. Two records
+Every body opens with the format version and the LSN, ``{"v":8,"lsn":L,
+...``; recovery reads version 8 and refuses any other — version 7 wrote
+the same frames, but a packed FLOAT vector as contiguous doubles where
+version 8 writes byte planes (see :func:`pack_floats`). Two records
 exist:
 
-* the commit record ``{"v":7,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"v":8,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
@@ -78,7 +80,7 @@ if TYPE_CHECKING:
 #: the name the text log had; kept, so a directory an earlier build
 #: wrote is found and refused, not taken for an empty one
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 7
+WAL_VERSION = 8
 
 
 class WalError(ReproError):
@@ -446,6 +448,11 @@ class WalWriter:
 # NULL, the base64 of its little-endian IEEE-754 doubles whenever that
 # string, quotes included, is strictly shorter: bit-exact, and shorter
 # than decimal text for any double that needs more than a few digits.
+# The doubles are written as eight byte planes, byte k of every value
+# together (the byte-shuffle filter of HDF5 and Blosc): the sign and
+# exponent bytes of a column's values barely vary, and side by side
+# they deflate to little, where spread among mantissa bytes they would
+# not (``set_bulk``'s commit records: 10 % smaller; EXPERIMENTS.md §Z).
 # A vector written twice in one document (a journal's copy of a column)
 # is written twice; the frame's deflate stream finds the repeat.
 
@@ -454,20 +461,28 @@ _BYTESWAP = sys.byteorder != "little"
 
 
 def pack_floats(values: Sequence[float]) -> str:
-    """``values`` as the base64 of their little-endian doubles."""
+    """``values`` as the base64 of the byte planes of their
+    little-endian doubles: byte ``k`` of value ``j`` at ``k * n + j``."""
     doubles = array("d", values)
     if _BYTESWAP:
         doubles.byteswap()
-    return base64.b64encode(doubles.tobytes()).decode()
+    raw = doubles.tobytes()
+    return base64.b64encode(b"".join(raw[k::8] for k in range(8))).decode()
 
 
 def unpack_floats(text: str) -> list[float]:
     """The floats :func:`pack_floats` wrote as ``text``, bit for bit."""
     try:
-        doubles = array("d", base64.b64decode(text, validate=True))
-    except ValueError:  # not base64, not ASCII, or not whole doubles
-        raise WalError("packed vector is not the base64 of whole doubles") \
-            from None
+        planes = base64.b64decode(text, validate=True)
+    except ValueError:  # not base64, or not ASCII
+        planes = None
+    if planes is None or len(planes) % 8:
+        raise WalError("packed vector is not the base64 of whole doubles")
+    n = len(planes) // 8
+    raw = bytearray(len(planes))
+    for k in range(8):
+        raw[k::8] = planes[k * n:k * n + n]
+    doubles = array("d", raw)
     if _BYTESWAP:
         doubles.byteswap()
     return doubles.tolist()

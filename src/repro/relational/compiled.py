@@ -51,9 +51,11 @@ from ..sql import ast
 from ..sql.params import constant
 from .expressions import (
     AGGREGATE_NAMES,
+    ARITHMETIC,
     Scope,
     _apply_scalar_function,
     _like_to_regex,
+    arithmetic,
     compare,
     logic_and,
     logic_not,
@@ -462,22 +464,37 @@ def compile_batch_expression(expression, layout, kinds=None, database=None):
     (column → totality kind for the layout's single binding) and
     ``database`` enable type-specialized kernels; see
     :class:`_BatchCompiler`."""
-    compiler = _BatchCompiler(layout, kinds=kinds, database=database)
-    fn, needs_scope = compiler.compile(expression)
-    return BatchProgram(
-        fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback,
-        compiler.kernels_typed, compiler.kernels_generic,
-    )
+    return _compile(expression, layout, kinds, database, predicate=False)
 
 
 def compile_batch_predicate(expression, layout, kinds=None, database=None):
     """Compile ``expression`` as a batch predicate: values are coerced
     to True/False/None with the interpreter's non-boolean error."""
+    return _compile(expression, layout, kinds, database, predicate=True)
+
+
+def _compile(expression, layout, kinds, database, predicate):
+    """The program of either kind. An integer out of float range makes a
+    kernel's Python operator raise ``OverflowError`` (the fast paths and
+    typed kernels do not check for it): the program then hands that
+    selection to the interpreter, whose values and first error are the
+    kernels' by definition."""
     compiler = _BatchCompiler(layout, kinds=kinds, database=database)
-    fn, needs_scope = compiler.compile_predicate(expression)
+    if predicate:
+        fn, needs_scope = compiler.compile_predicate(expression)
+    else:
+        fn, needs_scope = compiler.compile(expression)
+
+    def program(ctx, sel):
+        try:
+            return fn(ctx, sel)
+        except OverflowError:
+            return _fallback_loop(ctx, sel, expression, predicate)
+
     return BatchProgram(
-        fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback,
-        compiler.kernels_typed, compiler.kernels_generic,
+        program, needs_scope, compiler.nodes_compiled,
+        compiler.nodes_fallback, compiler.kernels_typed,
+        compiler.kernels_generic,
     )
 
 
@@ -712,7 +729,7 @@ class _BatchCompiler:
         if op == "||":
             return self._typed_zip(node, operator.add)
         if op in ("+", "-", "*"):
-            return self._typed_zip(node, _PY_ARITHMETIC[op])
+            return self._typed_zip(node, ARITHMETIC[op])
         if op in ("%", "/"):
             # total only by a nonzero numeric literal divisor
             divisor = node.right.value
@@ -1077,7 +1094,7 @@ class _BatchCompiler:
             return concat, needs
 
         if op in ("+", "-", "*", "%"):
-            py_op = _PY_ARITHMETIC[op]
+            py_op = ARITHMETIC[op]
             modulo = op == "%"
             self.kernels_generic += 1
 
@@ -1422,8 +1439,8 @@ class _BatchCompiler:
         return case, needs
 
 
-#: Python operators backing the same-type kernel fast paths; semantics
-#: match compare_values/_arith exactly on the types the fast path admits
+#: Python comparisons backing the same-type kernel fast paths: they
+#: match compare_values exactly on the types the fast path admits
 _PY_COMPARISONS = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -1431,13 +1448,6 @@ _PY_COMPARISONS = {
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
-}
-
-_PY_ARITHMETIC = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "%": operator.mod,
 }
 
 
@@ -1457,39 +1467,10 @@ def _zip2(left, right, ctx, sel):
 
 
 def _arith(op, left_value, right_value):
-    """One arithmetic application with the interpreter's exact type and
-    zero-division behaviour."""
+    """One arithmetic application: the interpreter's, NULL included."""
     if left_value is None or right_value is None:
         return None
-    if isinstance(left_value, bool) or isinstance(right_value, bool):
-        raise TypeError_(
-            f"arithmetic on booleans: {left_value!r} {op} {right_value!r}"
-        )
-    if not isinstance(left_value, (int, float)) or not isinstance(
-        right_value, (int, float)
-    ):
-        raise TypeError_(
-            f"arithmetic requires numbers: {left_value!r} {op} "
-            f"{right_value!r}"
-        )
-    if op == "+":
-        return left_value + right_value
-    if op == "-":
-        return left_value - right_value
-    if op == "*":
-        return left_value * right_value
-    if op == "/":
-        if right_value == 0:
-            raise ExecutionError("division by zero")
-        result = left_value / right_value
-        if isinstance(left_value, int) and isinstance(right_value, int):
-            quotient = left_value // right_value
-            if quotient * right_value == left_value:
-                return quotient
-        return result
-    if right_value == 0:
-        raise ExecutionError("modulo by zero")
-    return left_value % right_value
+    return arithmetic(op, left_value, right_value)
 
 
 def _fallback_loop(ctx, sel, node, predicate):

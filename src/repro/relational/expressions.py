@@ -13,6 +13,7 @@ expressions; the runtime recursion between them mirrors the grammar's).
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import lru_cache
 
@@ -226,6 +227,48 @@ def logic_not(value):
     return not value
 
 
+#: the arithmetic operators over two numbers (the batch kernels' too)
+ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
+}
+
+
+def arithmetic(op, left, right):
+    """``left op right`` over two non-NULL operands, as SQL has it: only
+    numbers (never booleans), a zero divisor an error, an exact integer
+    division an integer, and an integer out of float range where a
+    float is needed an :class:`ExecutionError`, not Python's
+    ``OverflowError``. The interpreter and the batch kernels' checked
+    path both call it."""
+    if isinstance(left, bool) or isinstance(right, bool):
+        raise TypeError_(f"arithmetic on booleans: {left!r} {op} {right!r}")
+    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
+        raise TypeError_(
+            f"arithmetic requires numbers: {left!r} {op} {right!r}"
+        )
+    if op in ("/", "%") and right == 0:
+        raise ExecutionError("division by zero" if op == "/"
+                             else "modulo by zero")
+    if op == "/" and isinstance(left, int) and isinstance(right, int):
+        # integer / integer stays integral when exact, like many engines
+        # (checked first: the float division may overflow)
+        quotient = left // right
+        if quotient * right == left:
+            return quotient
+    function = ARITHMETIC.get(op)
+    if function is None:
+        raise ExecutionError(f"unknown binary operator {op!r}")
+    try:
+        return function(left, right)
+    except OverflowError:  # an integer that no float holds
+        raise ExecutionError(
+            f"integer out of float range in '{op}'") from None
+
+
 def compare(op, left, right):
     """SQL comparison with NULL propagation; returns True/False/None."""
     if left is None or right is None:
@@ -373,33 +416,7 @@ class Evaluator:
                     f"'||' requires strings, got {left!r} and {right!r}"
                 )
             return left + right
-        if isinstance(left, bool) or isinstance(right, bool):
-            raise TypeError_(f"arithmetic on booleans: {left!r} {op} {right!r}")
-        if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-            raise TypeError_(
-                f"arithmetic requires numbers: {left!r} {op} {right!r}"
-            )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            result = left / right
-            # integer / integer stays integral when exact, like many engines
-            if isinstance(left, int) and isinstance(right, int):
-                quotient = left // right
-                if quotient * right == left:
-                    return quotient
-            return result
-        if op == "%":
-            if right == 0:
-                raise ExecutionError("modulo by zero")
-            return left % right
-        raise ExecutionError(f"unknown binary operator {op!r}")
+        return arithmetic(op, left, right)
 
     def _eval_is_null(self, node, scope):
         value = self.evaluate(node.operand, scope)

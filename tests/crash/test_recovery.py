@@ -274,8 +274,10 @@ class TestReplayVerification:
           "update": [], "handle_hwm": 9, "counts": {}}, "None"),
         # a version-2 log: FLOATs as decimal text only
         ({"v": 2, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "2"),
+        # a version-7 log: packed FLOATs as contiguous doubles
+        ({"v": 7, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "7"),
         # a version from the future
-        ({"v": 8, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "8"),
+        ({"v": 9, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "9"),
     ])
     def test_other_format_version_is_refused_not_truncated(
         self, tmp_path, body, found
@@ -511,8 +513,8 @@ class TestMalformedSections:
          "table 'emp' has 2 rows after replaying the checkpoint"),
         (_set(["data"], []), "objects catalog, data"),
         (_set(["hwm"], True), "integers wal_lsn, last_txn, hwm"),
-        (_set(["version"], 4),
-         "checkpoint has format version 4; this build reads version 5 only"),
+        (_set(["version"], 5),
+         "checkpoint has format version 5; this build reads version 6 only"),
     ])
     def test_checkpoint_data(self, tampered_checkpoint, tamper, problem):
         directory = tampered_checkpoint(tamper)
@@ -583,7 +585,7 @@ class TestCheckpointFormat:
         assert list(document) == [
             "format", "version", "wal_lsn", "last_txn", "hwm", "catalog",
             "data"]
-        assert document["version"] == 5
+        assert document["version"] == 6
         assert document["hwm"] == 4
         assert document["data"] == {
             "dept": {"i": [[1, 2], [1, 2]], "n": 2},

@@ -7,9 +7,13 @@ body byte that moves by accident must fail a test. A deliberate format
 change bumps ``repro.durability.wal.WAL_VERSION`` (or
 ``CHECKPOINT_VERSION``) and regenerates the snapshot.
 
+Version 8 moved only the bytes of packed vectors, into byte planes:
+each body is, apart from ``"v"`` (``"version"`` in a checkpoint) and
+each packed string laid out again as contiguous doubles, its frame in
+``tests/golden/wal_golden_v7.json`` — the version-7 snapshot, unedited.
 Versions 6 and 7 moved the frame, not what it holds (version 6 made
 each record a deflate stream of its own, version 7 made the frames of a
-file one stream): each body of a scenario
+file one stream): read with contiguous doubles, each body of a scenario
 pinned at version 3 is, apart from ``"v"``, its line in
 ``tests/golden/wal_golden_v3.json`` — the version-3 snapshot, unedited —
 and each checkpoint body is that snapshot's version-2 checkpoint but for
@@ -19,12 +23,14 @@ vectors: a body whose vectors all stay lists is, apart from ``"v"``, the
 body the version-2 codec (``tests/reference/wal_v2.py``) writes for the
 same transaction.
 
-``tests/golden/wal_golden_v5.json`` is the last text snapshot and
-``wal_golden_v6.json`` the last of one stream per frame, both unedited:
-logs and checkpoints an earlier build wrote, which this build refuses
-and leaves as they are.
+``tests/golden/wal_golden_v5.json`` is the last text snapshot,
+``wal_golden_v6.json`` the last of one stream per frame and
+``wal_golden_v7.json`` the last of contiguous packed doubles, all
+unedited: logs and checkpoints an earlier build wrote, which this build
+refuses and leaves as they are.
 """
 
+import base64
 import importlib.util
 import json
 import os
@@ -37,7 +43,14 @@ import pytest
 
 from repro import ActiveDatabase, DurabilityManager, recover
 from repro.durability.checkpoint import CHECKPOINT_FILENAME, CheckpointError
-from repro.durability.wal import WAL_FILENAME, WalError, encode_json
+from repro.durability.wal import (
+    WAL_FILENAME,
+    WalError,
+    encode_frame,
+    encode_json,
+    new_deflate,
+    unpack_floats,
+)
 from tests.reference import wal_v2
 
 ROOT = Path(__file__).resolve().parent.parent.parent
@@ -57,6 +70,7 @@ GOLDEN = json.loads(TOOL.GOLDEN.read_text())
 GOLDEN_V3 = json.loads(TOOL.GOLDEN_V3.read_text())
 GOLDEN_V5 = json.loads(TOOL.GOLDEN_V5.read_text())
 GOLDEN_V6 = json.loads(TOOL.GOLDEN_V6.read_text())
+GOLDEN_V7 = json.loads(TOOL.GOLDEN_V7.read_text())
 SCENARIOS = {entry["label"]: entry for entry in TOOL.scenarios()}
 
 
@@ -81,6 +95,29 @@ def has_packed_vector(text):
     return any(isinstance(vector, str) for vector in vectors(text))
 
 
+def contiguous(text):
+    """A body with each packed vector's string laid out as version 7
+    wrote it: the base64 of the contiguous little-endian doubles. (A
+    body reads back as the same text: floats print as their shortest
+    repr.)"""
+    document = json.loads(text)
+
+    def relaid(vector):
+        if not isinstance(vector, str):
+            return vector
+        values = unpack_floats(vector)
+        return base64.b64encode(struct.pack(f"<{len(values)}d", *values)
+                                ).decode()
+
+    sections = document.get("commit") or document.get("data") or {}
+    for entry in sections.values():
+        if "i" in entry:
+            entry["i"] = entry["i"][:1] + [relaid(v) for v in entry["i"][1:]]
+        for group in entry.get("u", ()):
+            group[2:] = map(relaid, group[2:])
+    return encode_json(document)
+
+
 def repeats(text):
     """True when a commit body writes one vector's text twice."""
     texts = [encode_json(vector) for vector in vectors(text)]
@@ -101,19 +138,21 @@ def test_snapshot_is_not_vacuous():
     assert sum(map(has_packed_vector, commits)) == 2
     # a journal's copy of a packed vector is written in full again
     assert any(repeats(text) and has_packed_vector(text) for text in commits)
+    # ... and its byte planes are not its contiguous doubles
+    assert sum(contiguous(text) != text for text in commits) == 2
     checkpoints = [entry["checkpoint"] for entry in GOLDEN]
     for frame in frames + checkpoints:
         marker, crc, length, text = frame.split(" ", 3)
         assert marker == "a6"
         assert int(crc, 16) == zlib.crc32(text.encode("ascii"))
         assert int(length) == len(text)
-    assert all(body(frame).startswith('{"v":7,"lsn":') for frame in frames)
+    assert all(body(frame).startswith('{"v":8,"lsn":') for frame in frames)
     for entry in GOLDEN:
         document = json.loads(body(entry["checkpoint"]))
-        assert document["version"] == 5
+        assert document["version"] == 6
         assert set(document["data"]) <= {
             table["name"] for table in document["catalog"]["tables"]}
-    for older in GOLDEN_V3, GOLDEN_V5, GOLDEN_V6:
+    for older in GOLDEN_V3, GOLDEN_V5, GOLDEN_V6, GOLDEN_V7:
         assert [entry["label"] for entry in older] \
             == list(SCENARIOS)[:len(older)]
 
@@ -180,23 +219,43 @@ def test_only_packed_vectors_moved_since_version_2(expected):
         if has_packed_vector(ours):
             assert len(ours) < len(theirs)
         else:
-            assert ours.replace('{"v":7,', '{"v":2,', 1) == theirs
+            assert ours.replace('{"v":8,', '{"v":2,', 1) == theirs
 
 
 @pytest.mark.parametrize(
     "pinned", GOLDEN_V3, ids=[entry["label"] for entry in GOLDEN_V3]
 )
 def test_bodies_are_the_version_3_bodies(pinned):
-    """Apart from ``"v"``, each body is its version-3 line after the
-    checksum, byte for byte, and the checkpoint body is the version-2
-    checkpoint but for ``"version"`` (the snapshot as its build wrote
-    it)."""
+    """Apart from ``"v"`` and with packed vectors laid out contiguously,
+    each body is its version-3 line after the checksum, byte for byte,
+    and the checkpoint body is the version-2 checkpoint but for
+    ``"version"`` (the snapshot as its build wrote it)."""
     (ours,) = [entry for entry in GOLDEN if entry["label"] == pinned["label"]]
     assert len(ours["frames"]) == len(pinned["lines"])
     for frame, old in zip(ours["frames"], pinned["lines"]):
-        assert body(frame).replace('{"v":7,', '{"v":3,', 1) == old[9:]
-    assert body(ours["checkpoint"]).replace(
-        '"version":5,', '"version":2,', 1) == pinned["checkpoint"]
+        assert contiguous(body(frame)).replace('{"v":8,', '{"v":3,', 1) \
+            == old[9:]
+    assert contiguous(body(ours["checkpoint"])).replace(
+        '"version":6,', '"version":2,', 1) == pinned["checkpoint"]
+
+
+@pytest.mark.parametrize(
+    "pinned", GOLDEN_V7, ids=[entry["label"] for entry in GOLDEN_V7]
+)
+def test_only_packed_vectors_moved_since_version_7(pinned):
+    """Apart from ``"v"`` (``"version"``), each frame and checkpoint is
+    its version-7 pin with its packed vectors laid out contiguously:
+    the same header but for the CRC, the same length, the same values."""
+    (ours,) = [entry for entry in GOLDEN if entry["label"] == pinned["label"]]
+    assert len(ours["frames"]) == len(pinned["frames"])
+    pairs = [*zip(ours["frames"], pinned["frames"]),
+             (ours["checkpoint"], pinned["checkpoint"])]
+    for frame, old in pairs:
+        text = contiguous(body(frame)).replace('{"v":8,', '{"v":7,', 1)
+        if frame == ours["checkpoint"]:
+            text = text.replace('"version":6,', '"version":5,', 1)
+        assert text == body(old)
+        assert frame.split(" ", 3)[:3:2] == old.split(" ", 3)[:3:2]
 
 
 @pytest.mark.parametrize(
@@ -251,6 +310,41 @@ def test_version_6_logs_are_refused_and_left_intact(pinned, tmp_path):
     cases = [(WalError, "a WAL of version 6", log, None),
              (CheckpointError, "a checkpoint of version 4", None, checkpoint),
              (CheckpointError, "a checkpoint of version 4", log, checkpoint)]
+    for at, (error, message, wal_bytes, checkpoint_bytes) in enumerate(cases):
+        directory = tmp_path / str(at)
+        directory.mkdir()
+        files = {WAL_FILENAME: wal_bytes, CHECKPOINT_FILENAME: checkpoint_bytes}
+        files = {name: data for name, data in files.items() if data}
+        for name, data in files.items():
+            (directory / name).write_bytes(data)
+        with pytest.raises(error, match=message):
+            recover(str(directory), fsync=False)
+        assert {name: (directory / name).read_bytes() for name in files} \
+            == files
+        assert sorted(os.listdir(directory)) == sorted(files)
+
+
+def v7_files(pinned):
+    """The bytes of a version-7 log — its frames one deflate stream — and
+    checkpoint — a frame of a stream of its own — from their pins."""
+    deflate = new_deflate()
+    log = b"".join(encode_frame(body(frame).encode("ascii"), deflate)
+                   for frame in pinned["frames"])
+    return log, encode_frame(body(pinned["checkpoint"]).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "pinned", GOLDEN_V7, ids=[entry["label"] for entry in GOLDEN_V7]
+)
+def test_version_7_logs_are_refused_and_left_intact(pinned, tmp_path):
+    """A version-7 log and checkpoint — frames this build reads, whose
+    packed vectors it would read as planes, so as other floats — are
+    refused by the version their bodies name, alone or together, and
+    left byte-identical."""
+    log, checkpoint = v7_files(pinned)
+    cases = [(WalError, "lsn 1 has format version 7;", log, None),
+             (CheckpointError, "format version 5;", None, checkpoint),
+             (CheckpointError, "format version 5;", log, checkpoint)]
     for at, (error, message, wal_bytes, checkpoint_bytes) in enumerate(cases):
         directory = tmp_path / str(at)
         directory.mkdir()

@@ -15,7 +15,8 @@ checkpoint differential does the same for a checkpoint taken part-way,
 against ``tests/reference/checkpoint_v1.py`` and the v2 records of the
 WAL suffix behind it.
 
-The vector codec itself is checked bit for bit against ``struct``. A
+The vector codec itself is checked bit for bit against ``struct``, its
+byte planes against the doubles' bytes read with a stride. A
 record that was tampered with behind a valid CRC must fail the way the
 v2 replay failed — same exception, same pointed message — or, where v2
 let a malformed section through to the set mutators, with a
@@ -26,8 +27,10 @@ import base64
 import json
 import math
 import os
+import random
 import shutil
 import struct
+import zlib
 from array import array
 
 import pytest
@@ -371,6 +374,23 @@ def unpack_bits(text):
     return base64.b64decode(text, validate=True)
 
 
+def planes(raw):
+    """The byte planes of contiguous doubles: byte ``k`` of double ``j``
+    at ``k * n + j``."""
+    return b"".join(raw[k::8] for k in range(8))
+
+
+def contiguous_text(values):
+    """What version 7 wrote for ``values``: the base64 of their
+    contiguous little-endian doubles."""
+    return base64.b64encode(bits(values)).decode()
+
+
+def deflated(text):
+    deflate = zlib.compressobj(1, zlib.DEFLATED, -15)
+    return len(deflate.compress(text.encode("ascii")) + deflate.flush())
+
+
 def json_round_trip(vector):
     return json.loads(encode_json(vector))
 
@@ -382,8 +402,27 @@ class TestVectorCodec:
     def test_packed_doubles_round_trip_bit_for_bit(self, values):
         packed = pack_floats(values)
         assert bits(unpack_floats(packed)) == bits(values)
-        # the text is the base64 of the little-endian doubles
-        assert unpack_bits(packed) == bits(values)
+        # the text is the base64 of the little-endian doubles' byte
+        # planes, low byte first
+        assert unpack_bits(packed) == planes(bits(values))
+        assert len(packed) == len(contiguous_text(values))
+
+    @given(awkward)
+    def test_one_value_is_its_contiguous_double(self, value):
+        """A vector of one double has one byte per plane: its text is
+        what version 7 wrote."""
+        assert pack_floats([value]) == contiguous_text([value])
+
+    def test_planes_deflate_shorter_than_contiguous_doubles(self):
+        """600 salaries, as ``set_bulk`` logs them: their sign and
+        exponent bytes side by side deflate (level 1, as the log does)
+        at least 8 % shorter than spread among the mantissa bytes."""
+        draw = random.Random(20260419)
+        salaries = [draw.uniform(30_000, 90_000) for _ in range(600)]
+        packed, flat = pack_floats(salaries), contiguous_text(salaries)
+        assert len(packed) == len(flat)
+        assert deflated(packed) <= 0.92 * deflated(flat)
+        assert unpack_floats(packed) == salaries
 
     @given(st.lists(awkward, min_size=1, max_size=300))
     @example([0.1 + 0.2])          # 19 characters of decimal: packed
@@ -448,6 +487,8 @@ class TestVectorCodec:
         ("AAAAAAAA8D8", "not the base64"),          # no padding
         ("AAAAAAAA8D8=!", "not the base64"),        # a stray character
         ("AAAAAAAA", "not the base64"),             # six bytes
+        ("AAAAAAAAAAAA", "not the base64"),         # nine bytes
+        ("A" * 20, "not the base64"),               # fifteen bytes
         ("AAAAAAAA8D8=\n", "not the base64"),      # a newline
         ("☃", "not the base64"),                    # not ASCII
     ])

@@ -104,6 +104,57 @@ class TestArithmetic:
             evaluate(database, "'a' || 1")
 
 
+class TestIntegerPastFloatRange:
+    """An INTEGER no float holds: an exact division stays an integer, and
+    arithmetic that needs it as a float is a SQL error, not Python's
+    ``OverflowError`` — the same answer from the interpreter and from
+    the batch kernels (fast paths and typed kernels included)."""
+
+    BIG = 3 * 10**400
+
+    @pytest.fixture(params=[True, False], ids=["vectorized", "interpreter"])
+    def db(self, request):
+        from repro import ActiveDatabase
+
+        db = ActiveDatabase()
+        db.database.enable_vectorized_eval = request.param
+        db.execute("create table t (a integer, f float)")
+        db.database.insert_rows("t", [[self.BIG, 7], [2.0, 1.5]])
+        return db
+
+    def test_exact_division_stays_an_integer(self, db):
+        assert db.query("select a from t where a / 3 > 0").rows \
+            == [(self.BIG,), (7,)]
+        assert db.query("select a / 3 from t").rows == [(10**400,), (7 / 3,)]
+
+    @pytest.mark.parametrize("text, op", [
+        ("select a * 1.5 from t", "*"),
+        ("select a + 0.5 from t", "+"),
+        ("select a - f from t", "-"),
+        ("select a % 1.5 from t", "%"),
+        ("select a / 7 from t", "/"),
+        ("select a from t where a * f > 0", "*"),
+        ("select sum(a * 1.5) from t", "*"),
+        ("update t set f = a * 1.5", "*"),
+    ])
+    def test_float_arithmetic_is_an_execution_error(self, db, text, op):
+        with pytest.raises(ExecutionError,
+                           match=f"integer out of float range in '\\{op}'"):
+            db.execute(text)
+        assert db.query("select f from t").rows == [(2.0,), (1.5,)]
+
+    def test_the_first_error_in_row_order_wins(self, db):
+        """A row before the big one that fails otherwise fails first, as
+        the interpreter meets the rows; after it, the overflow does."""
+        db.execute("create table u (a integer, f float)")
+        db.database.insert_rows("u", [[7, self.BIG, 8], [0.0, 1.5, 0.0]])
+        with pytest.raises(ExecutionError, match="division by zero"):
+            db.query("select a * f + a / f from u")
+        db.execute("delete from u where a = 7")
+        with pytest.raises(ExecutionError, match="out of float range"):
+            db.query("select a * f + a / f from u")
+
+
 class TestComparisons:
     def test_numeric(self, database):
         assert evaluate(database, "1 < 2") is True

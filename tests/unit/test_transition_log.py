@@ -2,6 +2,8 @@
 folded from its operations, and the transaction's log of them with one
 cursor per rule (:class:`repro.core.effects.TransitionLog`)."""
 
+import sys
+
 import pytest
 
 from repro.core.effects import TransitionEffect, TransitionLog
@@ -162,6 +164,28 @@ class TestCopyIndependence:
         log.append(fold(UpdateEffect("t", ("b",), ((1, ROW_V1),))))
         assert first.tables["t"].updated[1] == {"a"}
         assert log.info("r").tables["t"].updated[1] == {"a", "b"}
+
+
+class TestRetention:
+    def test_a_long_cascade_keeps_only_the_held_compositions(self):
+        """The log counts transitions; what it holds is one running
+        composition per cursor still held (and cursor 0), never a
+        transition's own effect."""
+        log = TransitionLog(["early", "late", "gone"])
+        for handle in range(1, 201):
+            effect = fold(InsertEffect("t", (handle,)))
+            references = sys.getrefcount(effect)
+            log.append(effect)
+            assert sys.getrefcount(effect) == references
+            assert set(log._running) == {0, *log.cursors.values()}
+            log.restart("late")
+            if handle == 100:
+                log.restart("gone")
+                log.forget("gone")
+        assert log.transitions == 200
+        assert log.info("early").tables["t"].inserted == set(range(1, 201))
+        assert log.info("early") is log.transaction
+        assert log.info("late").is_empty()
 
 
 class TestAccessors:

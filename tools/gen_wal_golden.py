@@ -28,10 +28,13 @@ otherwise)::
 scenario and the frame that moved and exits 1 if any did.
 ``tests/golden/wal_golden_v3.json`` is the last version-3 snapshot, kept
 unedited as the oracle of the bodies that followed it,
-``wal_golden_v5.json`` the last text snapshot (version 5) and
+``wal_golden_v5.json`` the last text snapshot (version 5),
 ``wal_golden_v6.json`` the last snapshot of one stream per frame
-(version 6, checkpoint version 4), kept unedited as the logs and
-checkpoints this build must refuse.
+(version 6, checkpoint version 4) and ``wal_golden_v7.json`` the last
+of packed vectors as contiguous doubles (version 7, checkpoint version
+5), kept unedited as the logs and checkpoints this build must refuse;
+the last is also the oracle of this version's bodies, which move only
+packed vectors' bytes into planes.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ GOLDEN = ROOT / "tests" / "golden" / "wal_golden.json"
 GOLDEN_V3 = ROOT / "tests" / "golden" / "wal_golden_v3.json"
 GOLDEN_V5 = ROOT / "tests" / "golden" / "wal_golden_v5.json"
 GOLDEN_V6 = ROOT / "tests" / "golden" / "wal_golden_v6.json"
+GOLDEN_V7 = ROOT / "tests" / "golden" / "wal_golden_v7.json"
 
 
 def scenarios() -> list[dict[str, Any]]:
