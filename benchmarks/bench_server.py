@@ -5,7 +5,7 @@ interesting questions are about *aggregate* behaviour:
 
 1. Committed txns/sec as the client count grows on a conflict-free
    workload (blind inserts, each firing a rule cascade). Statements
-   never physically interleave — the event loop serializes them — so
+   never physically interleave — the server's loop serializes them — so
    throughput must stay flat from 1 to 8 clients; a drop would mean the
    coordinator's context switching or validation is charging per-client
    overhead it shouldn't.
@@ -45,8 +45,9 @@ SCHEMA = [
 
 
 class _Harness:
-    """A live server on its own event-loop thread (bench-local copy of
-    the tests' fixture — benchmarks must not import from tests/)."""
+    """A live server, started and stopped from an asyncio event loop on
+    a thread of its own (bench-local copy of the tests' fixture —
+    benchmarks must not import from tests/)."""
 
     def __init__(self, system=None):
         self.system = system or ActiveDatabase(record_seen=False)
@@ -75,6 +76,7 @@ class _Harness:
         ).result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
+        self.loop.close()
 
 
 def _sweep(clients, system=None):

@@ -44,8 +44,8 @@ One :class:`TransactionCoordinator` wraps one
   (docs/semantics.md §14).
 
 The coordinator is synchronous and reentrancy-free (an internal lock
-serializes session operations); the asyncio server drives it from one
-event loop, and the deterministic interleaving driver
+serializes session operations); the server drives it from the one
+thread of its ``selectors`` loop, and the deterministic interleaving driver
 (tests/concurrency) drives it from worker threads that yield at the
 engine's named pause points.
 """

@@ -5,7 +5,7 @@ The coordinator's default mode is optimistic (validate at mount/commit);
 transaction reads and an exclusive lock on every table it writes, held
 to commit/abort (strict two-phase locking). Locks are *no-wait*: any
 contention raises :class:`~repro.errors.ConflictError` immediately, so
-the single event loop never blocks and no deadlock detection is needed —
+the server's single loop never blocks and no deadlock detection is needed —
 the retry contract (docs/semantics.md §14) turns the immediate abort
 into progress.
 """

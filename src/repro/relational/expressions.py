@@ -768,7 +768,7 @@ def _apply_aggregate(name, values):
         return sum(_require_number("sum", value) for value in values)
     if name == "avg":
         total = sum(_require_number("avg", value) for value in values)
-        return total / len(values)
+        return arithmetic("/", total, float(len(values)))  # a float mean
     if name == "min" or name == "max":
         wanted = -1 if name == "min" else 1
         result = values[0]

@@ -1,6 +1,6 @@
 """The concurrent multi-client server (PR 8).
 
-A small asyncio socket server exposing one
+A small socket server, one ``selectors`` loop, exposing one
 :class:`~repro.system.ActiveDatabase` to many clients over a
 line-oriented wire protocol (:mod:`repro.server.protocol`): each request
 is one line — a SQL statement or a ``\\``-command — and each response is
@@ -9,7 +9,7 @@ one JSON line. Every connection gets its own
 :class:`~repro.concurrency.TransactionCoordinator` provides snapshot-
 style optimistic isolation (or 2PL in the fallback mode) with the WAL
 append as both commit point and serialization point, and group commit
-batches fsyncs across commits that land in the same event-loop tick.
+batches fsyncs across commits that land in the same tick of the loop.
 
 Quick start::
 

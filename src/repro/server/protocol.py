@@ -40,7 +40,7 @@ from ..errors import (
 )
 
 #: the longest request line the server reads, newline not counted
-#: (asyncio's default stream limit)
+#: (a connection holds at most one such line)
 MAX_LINE = 2 ** 16
 
 #: commands a client may send (leading backslash stripped)

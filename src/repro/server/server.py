@@ -1,224 +1,264 @@
-"""The asyncio socket server: one event loop, many sessions.
+"""The socket server: one ``selectors`` loop, many sessions.
 
-Engine calls are synchronous and run to completion inside the event
-loop, so statements from different connections never physically
-interleave — concurrency happens at transaction granularity, exactly
-where the :class:`~repro.concurrency.TransactionCoordinator` controls
-it: an explicit transaction spans many requests, its writes are context-
-switched in and out as other connections run, and validation at
-mount/commit enforces the first-committer-wins contract.
-
-Group commit: with durability attached, ``log_commit`` defers its fsync
-(``DurabilityManager.group_commit``) and every request that may have
-committed awaits a shared flush future; the first committer in a tick
-schedules one ``call_soon`` callback that fsyncs once for the whole
-batch, and only then are the acknowledgements written — a commit is
-never acked before its WAL record is durable.
+A *tick* is one ``select()``, then one request run to completion for
+every connection with a whole line buffered: transactions interleave
+only as the :class:`~repro.concurrency.TransactionCoordinator` allows.
+Replies to requests that may have committed (non-``select`` SQL,
+``\\commit``) wait for one WAL ``flush()`` at the end of the tick (group
+commit: no ack before durability; a failed flush becomes each reply).
+A connection with a reply unsent or a whole line buffered is not read.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextvars
+import selectors
+import socket
+import threading
+from contextlib import suppress
 
 from ..concurrency import TransactionCoordinator
-from ..errors import TransactionError
 from . import protocol
+
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_RESULTS = {"ping": "pong", "quit": "bye", "begin": "begun",
+            "rollback": "rolled back"}
+
+
+class _Connection:
+    """A client socket, its session, buffers and request context."""
+
+    __slots__ = ("sock", "session", "context", "inbox", "outbox", "events",
+                 "eof", "closing")
+
+    def __init__(self, sock, session):
+        self.sock, self.session = sock, session
+        self.context = contextvars.Context()
+        self.inbox, self.outbox = bytearray(), bytearray()
+        self.events, self.eof, self.closing = _READ, False, False
+
+    def runnable(self):
+        """A request line (or the end of the stream) waits to be run."""
+        return not (self.outbox or self.closing) and (
+            self.eof or b"\n" in self.inbox
+            or len(self.inbox) > protocol.MAX_LINE)
 
 
 class RuleServer:
     """Serve one :class:`~repro.system.ActiveDatabase` over TCP.
 
-    Args:
-        system: the database to serve.
-        host/port: bind address (port 0 picks a free port; see
-            :attr:`address` after :meth:`start`).
-        mode: concurrency mode, ``"occ"`` or ``"2pl"``.
-        max_retries: server-side wholesale retries for conflicting
-            auto-commit statements.
-        group_commit: batch WAL fsyncs across same-tick commits (only
-            meaningful with durability attached).
+    Args: ``host``/``port`` the bind address (port 0 picks a free one:
+    see :attr:`address`), ``mode`` ``"occ"`` or ``"2pl"``,
+    ``max_retries`` server-side wholesale retries of conflicting
+    auto-commit statements, ``group_commit`` one fsync for the commits
+    of a tick (with durability attached).
     """
 
     def __init__(self, system, host="127.0.0.1", port=0, mode="occ",
                  max_retries=5, group_commit=True):
-        self.system = system
-        self.host = host
-        self.port = port
+        self.system, self.host, self.port = system, host, port
         self.coordinator = TransactionCoordinator(
-            system, mode=mode, max_retries=max_retries
-        )
-        manager = system.durability
-        if manager is not None and group_commit:
-            manager.group_commit = True
-        self._server = None
-        self._flush_future = None
+            system, mode=mode, max_retries=max_retries)
+        if system.durability is not None and group_commit:
+            system.durability.group_commit = True
+        self._selector = self._listener = self._wake = None
+        self._connections, self._stopping = {}, False
+        self._done = threading.Event()
         self.connections = 0
 
     @property
     def address(self):
         """``(host, port)`` actually bound (after :meth:`start`)."""
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
-
-    # ------------------------------------------------------------------
-    # lifecycle
+        return self._listener.getsockname()[:2]
 
     async def start(self):
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port,
-            limit=protocol.MAX_LINE,
-        )
+        """Bind, run the loop on a daemon thread, return the address."""
+        self._bind()
+        threading.Thread(target=self._loop, daemon=True).start()
         return self.address
 
-    async def serve_forever(self):
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self):
+        """Run the loop in this thread until :meth:`stop`."""
+        if self._selector is None:
+            self._bind()
+        self._loop()
 
     async def stop(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        manager = self.system.durability
-        if manager is not None:
-            manager.flush()
+        """End the loop; it closes every socket and flushes the WAL."""
+        if self._selector is not None:
+            self._stopping = True
+            with suppress(OSError):  # unless the loop has closed it
+                self._wake[1].send(b"\0")
+            self._done.wait()
 
-    # ------------------------------------------------------------------
-    # per-connection protocol loop
+    def _bind(self):
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._listener = socket.create_server(
+            (self.host, self.port), family=family, backlog=100)
+        self._listener.setblocking(False)
+        self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, _READ)
+        self._selector.register(self._wake[0], _READ)
 
-    async def _handle_client(self, reader, writer):
-        session = self.coordinator.open_session()
-        self.connections += 1
+    def _loop(self):
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # over the stream limit: the rest of the line is
-                    # still unread, so the stream position is lost
-                    writer.write(protocol.encode_response(
-                        {"ok": False, "code": "parse",
-                         "error": "request line longer than "
-                                  f"{protocol.MAX_LINE} bytes"}
-                    ))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                try:
-                    text = line.decode("utf-8")
-                except UnicodeDecodeError:
-                    writer.write(protocol.encode_response(
-                        {"ok": False, "code": "parse",
-                         "error": "request is not valid UTF-8"}
-                    ))
-                    await writer.drain()
-                    continue
-                response, closing = await self._dispatch(session, text)
-                writer.write(protocol.encode_response(response))
-                await writer.drain()
-                if closing:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            while not self._stopping:
+                self._tick()
         finally:
-            self.coordinator.close_session(session)
-            writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                for connection in list(self._connections.values()):
+                    self._drop(connection)
+                for closable in (self._selector, self._listener, *self._wake):
+                    closable.close()
+                self._selector = None
+                if self.system.durability is not None:
+                    self.system.durability.flush()
+            finally:
+                self._done.set()
 
-    async def _dispatch(self, session, text):
-        """Run one request; returns ``(response, closing)``."""
+    def _tick(self):
+        busy = any(c.runnable() for c in self._connections.values())
+        for key, events in self._selector.select(0 if busy else None):
+            if key.data is not None:
+                (self._send if events & _WRITE else self._receive)(key.data)
+            elif key.fileobj is self._listener:
+                self._accept()
+            else:
+                key.fileobj.recv(64)  # stop() woke the loop
+        held = []
+        for connection in list(self._connections.values()):
+            if connection.runnable():
+                self._step(connection, held)
+        if held:
+            manager, failure = self.system.durability, None
+            if manager is not None and manager.group_commit:
+                try:  # one fsync covers every commit of the tick
+                    held[0][0].context.run(manager.flush)
+                except Exception as exc:  # noqa: BLE001 - the acks carry it
+                    failure = protocol.error_response(exc)
+            for connection, response in held:
+                self._reply(connection, failure or response)
+
+    def _accept(self):
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the client has gone already
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = _Connection(sock, self.coordinator.open_session())
+        self._connections[sock] = connection
+        self._selector.register(sock, _READ, connection)
+        self.connections += 1
+
+    def _receive(self, connection):
+        if b"\n" in connection.inbox:
+            return  # a whole line waits: read no more until it has run
+        try:
+            data = connection.sock.recv(protocol.MAX_LINE + 1)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            return self._drop(connection)
+        connection.inbox += data
+        connection.eof = not data
+
+    def _send(self, connection):
+        try:
+            sent = connection.sock.send(connection.outbox)
+        except BlockingIOError:
+            sent = 0
+        except OSError:  # the peer is gone
+            return self._drop(connection)
+        del connection.outbox[:sent]
+        if connection.closing and not connection.outbox:
+            return self._drop(connection)
+        events = _WRITE if connection.outbox else _READ
+        if events != connection.events:
+            connection.events = events
+            self._selector.modify(connection.sock, events, connection)
+
+    def _drop(self, connection):
+        del self._connections[connection.sock]
+        self._selector.unregister(connection.sock)
+        with suppress(OSError):  # a FIN ahead of any reset for unread bytes
+            connection.sock.shutdown(socket.SHUT_WR)
+        connection.sock.close()
+        self.coordinator.close_session(connection.session)
+
+    def _reply(self, connection, response):
+        connection.outbox += connection.context.run(
+            protocol.encode_response, response)
+        self._send(connection)
+
+    def _step(self, connection, held):
+        """Run the connection's next request line, or close it at EOF."""
+        inbox = connection.inbox
+        end = inbox.find(b"\n", 0, protocol.MAX_LINE + 1)
+        if end < 0 and len(inbox) > protocol.MAX_LINE:
+            connection.closing = True  # the stream position is lost
+            return self._reply(connection, _parse_error(
+                f"request line longer than {protocol.MAX_LINE} bytes"))
+        if end < 0:  # the stream has ended
+            if not inbox:
+                return self._drop(connection)
+            end = len(inbox)
+        line = inbox[:end]
+        del inbox[:end + 1]
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            return self._reply(
+                connection, _parse_error("request is not valid UTF-8"))
+        response, connection.closing, hold = connection.context.run(
+            self._request, connection.session, text)
+        if hold:
+            held.append((connection, response))
+        else:
+            self._reply(connection, response)
+
+    def _request(self, session, text):
+        """``(response, closing, held)``: held if it may have committed."""
         kind, payload = protocol.parse_request(text)
         if kind is None:
-            return {"ok": False, "code": "parse", "error": payload}, False
+            return _parse_error(payload), False, False
         try:
             if kind == "command":
-                return await self._command(session, payload)
-            return await self._sql(session, payload), False
+                return self._command(session, payload)
+            select = payload.lstrip().lower().startswith("select")
+            run = self.coordinator.query if select else self.coordinator.execute
+            return protocol.ok_response(run(session, payload)), False, not select
         except Exception as exc:  # noqa: BLE001 - everything maps to a code
-            return protocol.error_response(exc), False
+            return protocol.error_response(exc), False, False
 
-    async def _command(self, session, word):
-        if word == "quit":
-            return {"ok": True, "result": "bye"}, True
-        if word == "ping":
-            return {"ok": True, "result": "pong"}, False
-        if word == "session":
-            return {"ok": True, "result": {
-                "name": session.name,
-                "in_transaction": session.in_txn,
-                "statements": session.statements,
-                "commits": session.commits,
-                "conflicts": session.conflicts,
-            }}, False
-        if word == "stats":
-            return {"ok": True, "result": self.system.stats()}, False
-        if word == "begin":
-            self.coordinator.begin(session)
-            return {"ok": True, "result": "begun"}, False
+    def _command(self, session, word):
         if word == "commit":
             result = self.coordinator.commit(session)
-            await self._flush_group()
-            return protocol.ok_response(result), False
-        if word == "rollback":
-            self.coordinator.rollback(session)
-            return {"ok": True, "result": "rolled back"}, False
-        raise TransactionError(f"unhandled command {word!r}")
-
-    async def _sql(self, session, text):
-        lowered = text.lstrip().lower()
-        if lowered.startswith("select"):
-            result = self.coordinator.query(session, text)
-            return protocol.ok_response(result)
-        result = self.coordinator.execute(session, text)
-        await self._flush_group()
-        return protocol.ok_response(result)
-
-    # ------------------------------------------------------------------
-    # group commit
-
-    async def _flush_group(self):
-        """Await durability for any WAL records this statement appended.
-
-        The first awaiting committer schedules one flush callback; every
-        commit that lands before it runs shares the same fsync.
-        """
-        manager = self.system.durability
-        if manager is None or not manager.group_commit:
-            return
-        if self._flush_future is None:
-            loop = asyncio.get_running_loop()
-            self._flush_future = loop.create_future()
-            loop.call_soon(self._run_flush)
-        await self._flush_future
-
-    def _run_flush(self):
-        future, self._flush_future = self._flush_future, None
-        try:
-            self.system.durability.flush()
-        except Exception as exc:  # pragma: no cover - disk failure path
-            future.set_exception(exc)
+            return protocol.ok_response(result), False, True
+        if word in ("begin", "rollback"):
+            getattr(self.coordinator, word)(session)
+        if word == "session":
+            result = {"name": session.name, "in_transaction": session.in_txn,
+                      "statements": session.statements,
+                      "commits": session.commits,
+                      "conflicts": session.conflicts}
+        elif word == "stats":
+            result = self.system.stats()
         else:
-            future.set_result(None)
+            result = _RESULTS[word]
+        return {"ok": True, "result": result}, word == "quit", False
+
+
+def _parse_error(message):
+    return {"ok": False, "code": "parse", "error": message}
 
 
 def serve(system, host="127.0.0.1", port=7432, **kwargs):
     """Blocking convenience entry point (used by ``python -m
-    repro.server``)."""
+    repro.server``): serve until stopped or interrupted."""
     server = RuleServer(system, host=host, port=port, **kwargs)
-
-    async def main():
-        await server.start()
-        host_, port_ = server.address
-        print(f"repro server listening on {host_}:{port_}")
-        await server.serve_forever()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        pass
+    server._bind()
+    print("repro server listening on {}:{}".format(*server.address))
+    with suppress(KeyboardInterrupt):  # the loop has flushed the WAL
+        server.serve_forever()

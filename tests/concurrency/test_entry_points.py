@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -87,62 +88,87 @@ class TestMainEntry:
 
 
 class TestServeWrapper:
-    def test_serve_accepts_requests_until_cancelled(self, monkeypatch):
-        """Drive the blocking ``serve()`` loop on a private event loop:
-        let it start, talk to it from a worker thread, then cancel."""
-        import threading
+    @staticmethod
+    def capture_servers(monkeypatch):
+        """Have ``serve()`` build a server that reports itself once
+        bound, just before its loop starts."""
+        import queue
 
         import repro.server.server as server_module
 
-        system = ActiveDatabase()
-        system.execute("create table t (v float)")
-        servers = []
-        orig_server = server_module.RuleServer
+        bound = queue.Queue()
 
-        class CapturingServer(orig_server):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                servers.append(self)
-
-        results = {}
-
-        def fake_run(coro):
-            loop = asyncio.new_event_loop()
-            task = loop.create_task(coro)
-
-            def probe():
-                def talk():
-                    port = servers[0].address[1]
-                    with connect(port=port) as client:
-                        results["ping"] = client.ping()
-                        client.execute("insert into t values (7)")
-                    loop.call_soon_threadsafe(task.cancel)
-
-                threading.Thread(target=talk, daemon=True).start()
-
-            loop.call_later(0.1, probe)
-            try:
-                loop.run_until_complete(task)
-            except asyncio.CancelledError:
-                pass
-            finally:
-                loop.close()
+        class CapturingServer(server_module.RuleServer):
+            def serve_forever(self):
+                bound.put(self)
+                super().serve_forever()
 
         monkeypatch.setattr(server_module, "RuleServer", CapturingServer)
-        monkeypatch.setattr(server_module.asyncio, "run", fake_run)
-        serve(system, port=0)
-        assert results["ping"] == "pong"
+        return bound
+
+    def test_serve_on_a_thread_answers_until_stopped(self, monkeypatch):
+        system = ActiveDatabase()
+        system.execute("create table t (v float)")
+        bound = self.capture_servers(monkeypatch)
+        thread = threading.Thread(
+            target=serve, args=(system,), kwargs={"port": 0})
+        thread.start()
+        server = bound.get(timeout=10)
+        try:
+            with connect(port=server.address[1]) as client:
+                assert client.ping() == "pong"
+                assert client.execute(
+                    "insert into t values (7)")["committed"] is True
+        finally:
+            asyncio.run(server.stop())
+            thread.join(10)
+        assert not thread.is_alive()
         assert system.database.row_count("t") == 1
 
-    def test_serve_swallows_keyboard_interrupt(self, monkeypatch):
-        import repro.server.server as server_module
+    def test_serve_swallows_keyboard_interrupt(self, monkeypatch, tmp_path):
+        """Ctrl-C between a commit and the flush of its tick: ``serve()``
+        returns, the write is never acknowledged, and the loop's exit
+        still fsyncs the pending group commit."""
+        from repro.durability import recover
+        from repro.server.client import ServerError
 
-        def raise_interrupt(coro):
-            coro.close()
-            raise KeyboardInterrupt
+        directory = str(tmp_path / "data")
+        system = ActiveDatabase(durability=directory)
+        system.execute("create table t (v float)")
+        manager = system.durability
+        flush = manager.flush
+        syncs = manager.wal.syncs
+        calls = []
 
-        monkeypatch.setattr(server_module.asyncio, "run", raise_interrupt)
-        serve(ActiveDatabase(), port=0)  # must not propagate
+        def interrupted_flush():
+            calls.append(manager.wal.syncs)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return flush()
+
+        monkeypatch.setattr(manager, "flush", interrupted_flush)
+        bound = self.capture_servers(monkeypatch)
+        replies = []
+
+        def write():
+            with connect(port=bound.get(timeout=10).address[1]) as client:
+                try:
+                    replies.append(client.execute("insert into t values (7)"))
+                except ServerError as error:
+                    replies.append(str(error))
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        serve(system, port=0)  # must not propagate
+        writer.join(10)
+        assert not writer.is_alive()
+        assert replies == ["server closed the connection"]
+        assert calls == [syncs, syncs]  # the tick's flush, then the exit's
+        assert manager.wal.syncs == syncs + 1
+        manager.close()
+        recovered = recover(directory)
+        assert recovered.database.row_count("t") == 1
+        recovered.durability.close()
 
 
 class TestClientEdges:

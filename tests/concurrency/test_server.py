@@ -1,8 +1,13 @@
-"""Socket-level tests: the asyncio server, wire protocol, and client."""
+"""Socket-level tests: the selectors-loop server, wire protocol, and
+client."""
 
 from __future__ import annotations
 
 import asyncio
+import errno
+import json
+import os
+import select
 import socket
 import threading
 import time
@@ -11,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ActiveDatabase
-from repro.errors import ConflictError, LexError, ParseError, TransactionError
+from repro.errors import (
+    ConflictError,
+    ExecutionError,
+    LexError,
+    ParseError,
+    TransactionError,
+)
 from repro.server import RuleServer, connect
 from repro.server.client import fold
 from repro.server.protocol import parse_request, render_result
@@ -20,7 +31,8 @@ from repro.sql.tokens import TokenKind
 
 
 class ServerFixture:
-    """A live server on its own event-loop thread."""
+    """A live server, started and stopped from an asyncio event loop on a
+    thread of its own, as the benchmark's traced slice hosts it."""
 
     def __init__(self, system=None, **kwargs):
         self.system = system or ActiveDatabase()
@@ -49,6 +61,7 @@ class ServerFixture:
         ).result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
+        self.loop.close()
 
 
 @pytest.fixture
@@ -224,6 +237,15 @@ class TestServerBasics:
             client.execute("insert into t values ('a  b'), ('x\ty')")
             assert client.query("select s from t") == [["a  b"], ["x\ty"]]
 
+    def test_avg_past_float_range_is_an_execution_error(self, served):
+        with served.client() as client:
+            client.execute("create table t (a integer)")
+            client.execute(f"insert into t values ({3 * 10**400}), (7)")
+            with pytest.raises(ExecutionError,
+                               match="integer out of float range in '/'"):
+                client.query("select avg(a) from t")
+            assert client.query("select avg(a) from t where a = 7") == [[7.0]]
+
     def test_a_literal_holding_a_newline_is_refused_unsent(self, served):
         with served.client() as client:
             client.execute("create table t (s varchar)")
@@ -360,6 +382,7 @@ class TestDurableServer:
                 assert stats["durability"]["wal_records"] >= 6
         finally:
             fixture.stop()
+            system.durability.close()
         # everything acked must be durable: recover and check
         from repro.durability import recover
 
@@ -394,6 +417,7 @@ class TestDurableServer:
                 assert stats["wal_syncs"] <= stats["wal_records"]
         finally:
             fixture.stop()
+            system.durability.close()
 
 
 class TestRawSocket:
@@ -403,7 +427,9 @@ class TestRawSocket:
             sock.sendall(b"\\nonsense\n")
             assert b'"ok":false' in reader.readline()
             sock.sendall(b"\xff\xfe garbage \xff\n")
-            assert b'"ok":false' in reader.readline()
+            assert reader.readline() == (
+                b'{"ok":false,"code":"parse","error":'
+                b'"request is not valid UTF-8"}\n')
             sock.sendall(b"\\ping\n")
             assert b"pong" in reader.readline()
             sock.sendall(b"\\quit\n")
@@ -421,3 +447,148 @@ class TestRawSocket:
             reader = sock.makefile("rb")
             sock.sendall(b"\\ping\n")
             assert b"pong" in reader.readline()
+
+
+PONG = b'{"ok":true,"result":"pong"}\n'
+
+
+def raw_connection(port, receive_buffer=None):
+    """A plain socket to the server (a small receive buffer, if given,
+    is set before the connection is made, so the window stays small)."""
+    sock = socket.socket()
+    if receive_buffer is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, receive_buffer)
+    sock.settimeout(10)
+    sock.connect(("127.0.0.1", port))
+    return sock
+
+
+class TestPipelining:
+    def test_lines_in_one_send_get_their_replies_in_order(self, served):
+        """A line already buffered runs on the next tick: it does not
+        wait for more bytes from the socket."""
+        with raw_connection(served.port) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"\\ping\n\\session\n\\quit\n")
+            assert reader.readline() == PONG
+            assert b'"in_transaction":false' in reader.readline()
+            assert reader.readline() == b'{"ok":true,"result":"bye"}\n'
+            assert reader.readline() == b""
+
+    def test_a_client_that_never_reads_delays_no_other(self, served):
+        with raw_connection(served.port) as greedy:
+            greedy.sendall(b"\\ping\n" * 500)
+            with served.client() as other:
+                started = time.perf_counter()
+                assert other.ping() == "pong"
+                other.execute("create table t (v integer)")
+                assert other.execute("insert into t values (1)")["committed"]
+                assert time.perf_counter() - started < 5
+            reader = greedy.makefile("rb")
+            assert [reader.readline() for _ in range(500)] == [PONG] * 500
+
+    def test_an_unsent_reply_stops_the_reading(self, served):
+        """A connection whose reply is not fully sent is not read from:
+        its requests stop running until the client reads, the other
+        connections are served meanwhile, and no reply is cut or
+        reordered."""
+        requests, pad = 100, "x" * 1000  # 100 KB a reply, 10 MB in all
+        with served.client() as other:
+            other.execute("create table big (s varchar)")
+            for _ in range(10):
+                other.execute("insert into big values " + ", ".join(
+                    [f"('{pad}')"] * 10))
+            statements = other.stats()["server"]["statements"]
+            with raw_connection(served.port, receive_buffer=4096) as greedy:
+                greedy.sendall(b"".join(
+                    f"select s || '{i}' from big\n".encode()
+                    for i in range(requests)))
+                ran, previous = None, -1
+                while ran != previous:  # until the server stops reading
+                    time.sleep(0.2)
+                    previous, ran = ran, (
+                        other.stats()["server"]["statements"] - statements)
+                assert 0 < ran < requests
+                assert other.ping() == "pong"
+                reader = greedy.makefile("rb")
+                for i in range(requests):
+                    rows = json.loads(reader.readline())["result"]["rows"]
+                    assert rows == [[pad + str(i)]] * 100
+
+
+class TestGroupCommit:
+    @pytest.fixture
+    def durable(self, tmp_path):
+        system = ActiveDatabase(durability=str(tmp_path / "data"))
+        fixture = ServerFixture(system=system, group_commit=True)
+        with fixture.client() as setup:
+            setup.execute("create table t (v integer)")
+            setup.execute("create table gate (g integer)")
+        yield fixture
+        fixture.stop()
+        system.durability.close()
+
+    def test_a_failed_fsync_is_never_acknowledged(self, durable,
+                                                  monkeypatch):
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        with raw_connection(durable.port) as sock, \
+                durable.client() as client:
+            reader = sock.makefile("rb")
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+            sock.sendall(b"insert into t values (1)\n")
+            line = reader.readline()
+            monkeypatch.undo()
+            assert json.loads(line) == {
+                "ok": False, "code": "internal",
+                "error": "[Errno 5] injected fsync failure"}
+            failure = client.stats()["durability"]["wal_failure"]
+            assert "fsync failed" in failure
+            with pytest.raises(ExecutionError, match="fsync failed"):
+                client.execute("insert into t values (2)")
+
+    def test_writes_of_one_tick_share_one_fsync_before_either_ack(
+            self, durable):
+        """Two writes that reach the server while its loop is busy land
+        in the same tick: one fsync covers both, and at that fsync
+        neither client has a byte of its reply."""
+        server, manager = durable.server, durable.system.durability
+        entered, release = threading.Event(), threading.Event()
+        query, flush = server.coordinator.query, manager.flush
+        readable_at_flush = []
+
+        def gated_query(session, text):
+            if "gate" in text:
+                entered.set()
+                release.wait(10)
+            return query(session, text)
+
+        def watched_flush():
+            readable_at_flush.append(select.select(writers, [], [], 0)[0])
+            return flush()
+
+        writers = [raw_connection(durable.port) for _ in range(2)]
+        try:
+            readers = [sock.makefile("rb") for sock in writers]
+            for sock, reader in zip(writers, readers):
+                sock.sendall(b"\\ping\n")  # accepted before the gate
+                assert reader.readline() == PONG
+            server.coordinator.query = gated_query
+            manager.flush = watched_flush
+            syncs = manager.wal.syncs
+            with raw_connection(durable.port) as blocker:
+                blocker.sendall(b"select g from gate\n")
+                assert entered.wait(10)  # the loop is inside that query
+                for i, sock in enumerate(writers):
+                    sock.sendall(f"insert into t values ({i})\n".encode())
+                release.set()
+                assert b'"rows":[]' in blocker.makefile("rb").readline()
+            for reader in readers:
+                assert json.loads(reader.readline())["result"]["committed"]
+            assert manager.wal.syncs == syncs + 1
+            assert readable_at_flush == [[]]  # one flush, no reply yet
+        finally:
+            del server.coordinator.query, manager.flush
+            for sock in writers:
+                sock.close()

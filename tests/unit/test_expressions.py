@@ -143,6 +143,20 @@ class TestIntegerPastFloatRange:
             db.execute(text)
         assert db.query("select f from t").rows == [(2.0,), (1.5,)]
 
+    @pytest.mark.parametrize("text", [
+        "select avg(a) from t",
+        "select f, avg(a) from t group by f having f > 1.6",
+    ])
+    def test_avg_of_such_a_sum_is_an_execution_error(self, db, text):
+        with pytest.raises(ExecutionError,
+                           match="integer out of float range in '/'"):
+            db.query(text)
+
+    def test_avg_stays_a_float(self, db):
+        (value,), = db.query("select avg(a) from t where a = 7").rows
+        assert value == 7.0 and isinstance(value, float)
+        assert db.query("select avg(f) from t").rows == [(1.75,)]
+
     def test_the_first_error_in_row_order_wins(self, db):
         """A row before the big one that fails otherwise fails first, as
         the interpreter meets the rows; after it, the overflow does."""

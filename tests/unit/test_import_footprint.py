@@ -160,6 +160,23 @@ print(json.dumps(sorted(name for name in sys.modules
 """) == []
 
 
+def test_the_serving_process_loads_no_asyncio():
+    """The server is one ``selectors`` loop over plain sockets: a child
+    whose loop is running and has answered a client holds none of
+    asyncio, its ``ssl`` import or ``concurrent.futures``."""
+    assert run(SERVER_CHILD + """
+import json, sys, threading
+from repro.server.client import connect
+server._bind()
+threading.Thread(target=server.serve_forever, daemon=True).start()
+with connect(port=server.address[1]) as client:
+    assert client.ping() == "pong"
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.split(".")[0] in ("asyncio", "ssl")
+                        or name.startswith("concurrent.futures"))))
+""") == []
+
+
 def test_every_export_is_its_submodules_object():
     tables = {package: export_table(package) for package in ROOTS}
     problems = run(f"""
