@@ -768,7 +768,10 @@ def _apply_aggregate(name, values):
         return sum(_require_number("sum", value) for value in values)
     if name == "avg":
         total = sum(_require_number("avg", value) for value in values)
-        return arithmetic("/", total, float(len(values)))  # a float mean
+        try:  # int / int rounds once, to a float mean
+            return total / len(values)
+        except OverflowError:  # an integer sum that no float holds
+            raise ExecutionError("integer out of float range in '/'") from None
     if name == "min" or name == "max":
         wanted = -1 if name == "min" else 1
         result = values[0]

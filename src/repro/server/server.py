@@ -7,6 +7,7 @@ Replies to requests that may have committed (non-``select`` SQL,
 ``\\commit``) wait for one WAL ``flush()`` at the end of the tick (group
 commit: no ack before durability; a failed flush becomes each reply).
 A connection with a reply unsent or a whole line buffered is not read.
+A fault in one connection's work drops that connection only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import contextvars
 import selectors
 import socket
+import sys
 import threading
 from contextlib import suppress
 
@@ -61,7 +63,7 @@ class RuleServer:
             system, mode=mode, max_retries=max_retries)
         if system.durability is not None and group_commit:
             system.durability.group_commit = True
-        self._selector = self._listener = self._wake = None
+        self._selector = self._listener = self._wake = self._thread = None
         self._connections, self._stopping = {}, False
         self._done = threading.Event()
         self.connections = 0
@@ -74,17 +76,23 @@ class RuleServer:
     async def start(self):
         """Bind, run the loop on a daemon thread, return the address."""
         self._bind()
-        threading.Thread(target=self._loop, daemon=True).start()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
         return self.address
 
     def serve_forever(self):
-        """Run the loop in this thread until :meth:`stop`."""
+        """Run the loop in this thread until :meth:`stop` (after
+        :meth:`start`: wait for that loop to end instead of racing it)."""
+        if self._thread is not None:
+            return self._thread.join()
         if self._selector is None:
             self._bind()
         self._loop()
 
     async def stop(self):
-        """End the loop; it closes every socket and flushes the WAL."""
+        """End the loop; it closes every socket and flushes the WAL. This
+        blocks the calling thread until the loop has ended, which is after
+        the request it is running, if any."""
         if self._selector is not None:
             self._stopping = True
             with suppress(OSError):  # unless the loop has closed it
@@ -108,7 +116,7 @@ class RuleServer:
         finally:
             try:
                 for connection in list(self._connections.values()):
-                    self._drop(connection)
+                    self._guard(self._drop, connection)
                 for closable in (self._selector, self._listener, *self._wake):
                     closable.close()
                 self._selector = None
@@ -121,7 +129,8 @@ class RuleServer:
         busy = any(c.runnable() for c in self._connections.values())
         for key, events in self._selector.select(0 if busy else None):
             if key.data is not None:
-                (self._send if events & _WRITE else self._receive)(key.data)
+                self._guard(self._send if events & _WRITE else self._receive,
+                            key.data)
             elif key.fileobj is self._listener:
                 self._accept()
             else:
@@ -129,7 +138,7 @@ class RuleServer:
         held = []
         for connection in list(self._connections.values()):
             if connection.runnable():
-                self._step(connection, held)
+                self._guard(self._step, connection, held)
         if held:
             manager, failure = self.system.durability, None
             if manager is not None and manager.group_commit:
@@ -138,7 +147,16 @@ class RuleServer:
                 except Exception as exc:  # noqa: BLE001 - the acks carry it
                     failure = protocol.error_response(exc)
             for connection, response in held:
-                self._reply(connection, failure or response)
+                self._guard(self._reply, connection, failure or response)
+
+    def _guard(self, work, connection, *args):
+        """Run one connection's work: a fault drops that connection only."""
+        try:
+            work(connection, *args)
+        except Exception as exc:  # noqa: BLE001 - the others are served on
+            if not isinstance(exc, OSError):  # not just a peer gone
+                print(f"repro server: dropped a client: {exc!r}", file=sys.stderr)
+            self._drop(connection)
 
     def _accept(self):
         try:
@@ -159,8 +177,6 @@ class RuleServer:
             data = connection.sock.recv(protocol.MAX_LINE + 1)
         except BlockingIOError:
             return
-        except OSError:  # reset by the peer
-            return self._drop(connection)
         connection.inbox += data
         connection.eof = not data
 
@@ -169,8 +185,6 @@ class RuleServer:
             sent = connection.sock.send(connection.outbox)
         except BlockingIOError:
             sent = 0
-        except OSError:  # the peer is gone
-            return self._drop(connection)
         del connection.outbox[:sent]
         if connection.closing and not connection.outbox:
             return self._drop(connection)
@@ -180,7 +194,8 @@ class RuleServer:
             self._selector.modify(connection.sock, events, connection)
 
     def _drop(self, connection):
-        del self._connections[connection.sock]
+        if self._connections.pop(connection.sock, None) is None:
+            return  # dropped already
         self._selector.unregister(connection.sock)
         with suppress(OSError):  # a FIN ahead of any reset for unread bytes
             connection.sock.shutdown(socket.SHUT_WR)
@@ -188,8 +203,11 @@ class RuleServer:
         self.coordinator.close_session(connection.session)
 
     def _reply(self, connection, response):
-        connection.outbox += connection.context.run(
-            protocol.encode_response, response)
+        try:
+            line = connection.context.run(protocol.encode_response, response)
+        except Exception as exc:  # noqa: BLE001 - e.g. a 5,000-digit int
+            line = protocol.encode_response(protocol.error_response(exc))
+        connection.outbox += line
         self._send(connection)
 
     def _step(self, connection, held):

@@ -24,7 +24,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.server import RuleServer, connect
-from repro.server.client import fold
+from repro.server.client import ServerError, fold
 from repro.server.protocol import parse_request, render_result
 from repro.sql.lexer import expand_literal_rows, tokenize
 from repro.sql.tokens import TokenKind
@@ -592,3 +592,105 @@ class TestGroupCommit:
             del server.coordinator.query, manager.flush
             for sock in writers:
                 sock.close()
+
+
+class TestFaultIsolation:
+    """A fault in one connection's work ends that connection at most:
+    the others are served on and the listener keeps accepting."""
+
+    def test_an_unencodable_result_is_an_error_reply(self, served):
+        """json refuses an int of more than 4,300 digits: the client gets
+        an error in place of the result, and its connection stays open."""
+        big = 3 * 10**400
+        with served.client() as other, served.client() as client:
+            client.execute("create table t (a integer)")
+            client.execute(f"insert into t values ({big})")
+            with pytest.raises(ServerError,
+                               match="integer string conversion"):
+                client.query("select " + " * ".join(["a"] * 12) + " from t")
+            assert client.ping() == "pong"
+            assert other.ping() == "pong"
+        with served.client() as late:
+            assert late.query("select a from t") == [[big]]
+
+    def test_a_fault_outside_a_request_drops_only_its_connection(
+            self, served, capsys):
+        server = served.server
+        step = server._step
+
+        def faulty_step(connection, held):
+            if connection.inbox.startswith(b"\\session"):
+                raise RuntimeError("injected fault")
+            return step(connection, held)
+
+        server._step = faulty_step
+        try:
+            with served.client() as other, served.client() as victim:
+                with pytest.raises(ServerError, match="closed"):
+                    victim.session_info()
+                assert other.ping() == "pong"
+            with served.client() as late:
+                assert late.ping() == "pong"
+        finally:
+            del server._step
+        assert "injected fault" in capsys.readouterr().err
+
+    def test_serve_forever_after_start_waits_for_that_loop(self):
+        """It runs no second loop over the same selector: every tick
+        stays on the thread that :meth:`start` began."""
+        fixture = ServerFixture()
+        server, ticks = fixture.server, set()
+        tick = server._tick
+
+        def watched_tick():
+            ticks.add(threading.get_ident())
+            tick()
+
+        server._tick = watched_tick
+        waiter = threading.Thread(target=server.serve_forever, daemon=True)
+        waiter.start()
+        try:
+            waiter.join(0.2)
+            with fixture.client() as client:
+                assert client.ping() == "pong"
+            assert waiter.is_alive() and len(ticks) == 1
+        finally:
+            fixture.stop()
+        waiter.join(10)
+        assert not waiter.is_alive()
+
+    def test_stop_waits_out_the_running_request(self):
+        """``stop()`` blocks until the loop has ended: the request it is
+        running is answered first, then the connection is closed."""
+        fixture = ServerFixture()
+        server = fixture.server
+        with fixture.client() as setup:
+            setup.execute("create table t (v integer)")
+        entered, release = threading.Event(), threading.Event()
+        query = server.coordinator.query
+
+        def gated_query(session, text):
+            entered.set()
+            release.wait(10)
+            return query(session, text)
+
+        server.coordinator.query = gated_query
+        stopper = threading.Thread(target=fixture.stop, daemon=True)
+        try:
+            with raw_connection(fixture.port) as sock:
+                sock.sendall(b"select v from t\n")
+                assert entered.wait(10)
+                stopper.start()
+                stopper.join(0.2)
+                assert stopper.is_alive()
+                release.set()
+                reader = sock.makefile("rb")
+                assert b'"rows":[]' in reader.readline()
+                assert reader.readline() == b""
+            stopper.join(10)
+            assert not stopper.is_alive()
+        finally:
+            release.set()
+            del server.coordinator.query
+            if stopper.ident is None:  # failed before stopping it
+                fixture.stop()

@@ -157,6 +157,14 @@ class TestIntegerPastFloatRange:
         assert value == 7.0 and isinstance(value, float)
         assert db.query("select avg(f) from t").rows == [(1.75,)]
 
+    def test_avg_of_a_sum_past_2_53_rounds_once(self, db):
+        """``int / int`` is correctly rounded; rounding the sum to a
+        float first would give 6004799503160661.0 here."""
+        db.execute("create table u (a integer)")
+        db.database.insert_rows("u", [[2**54 + 1, 0, 0]])
+        assert db.query("select avg(a) from u").rows \
+            == [(6004799503160662.0,)]
+
     def test_the_first_error_in_row_order_wins(self, db):
         """A row before the big one that fails otherwise fails first, as
         the interpreter meets the rows; after it, the overflow does."""
