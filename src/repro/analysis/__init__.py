@@ -1,7 +1,7 @@
 """Static rule analysis (paper Section 6).
 
 One analysis per rule catalog (:mod:`repro.analysis.program`): each
-rule is walked once when it is defined, one triggering graph is derived
+rule is walked once, on first request, one triggering graph is derived
 from those walks, and the two warning classes the paper calls for —
 potential infinite loops (triggering cycles) and ordering conflicts
 (unordered rules whose firing order may change the final state) — are

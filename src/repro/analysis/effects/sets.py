@@ -3,7 +3,7 @@
 An *effect set* summarizes what one rule can observe and change; it is
 one of the products of the single scoped walk over the rule
 (:class:`repro.analysis.types.infer.RuleWalk`), computed when the rule
-is defined:
+is walked:
 
 * **reads** — ``(table, column)`` pairs the rule's condition and action
   may look at, charged where the walk resolves each column reference:

@@ -4,9 +4,9 @@ A pass is a named analysis that maps a :class:`~repro.analysis.lint
 .context.LintContext` to diagnostics. Passes declare a ``scope``:
 
 * ``"rule"`` — examines one rule at a time (the walk's schema and type
-  findings, transition discipline, per-rule hygiene). Rule-scoped
-  passes run at definition time too, so a ``create rule`` gets
-  immediate feedback.
+  findings, transition discipline, per-rule hygiene). While a sink
+  takes ``lint_diagnostic``, rule-scoped passes run at definition
+  time too, so a ``create rule`` gets immediate feedback.
 * ``"program"`` — examines the whole rule program (triggering graph,
   conflicts, shadowing, dead reads). Program-scoped passes run only on
   full lint requests.

@@ -3,12 +3,14 @@
 "The programmer might benefit from knowing that a set of rules may
 create an infinite loop, or from knowing that ordering between certain
 rules may affect the final database state. We plan to explore static
-rule analysis techniques..." — one facility, analysing rules as they
-are defined:
+rule analysis techniques..." — one facility, analysing rules when
+someone asks (``lint()``, :func:`analyze`, a sink that takes
+``lint_diagnostic``, the OCC coordinator's conflict classification):
 
-* each rule is walked **once**, when it is defined
+* each rule is walked **once**, on first request
   (:func:`repro.analysis.types.infer.walk_rule`: diagnostics and
-  effect summary);
+  effect summary) — as it is defined when a sink takes its
+  definition-time findings, else lazily, against the same catalog;
 * over those summaries **one** :class:`~repro.analysis.lint.triggering
   .TriggeringGraph` holds the syntactic edges, the refined subset and
   each pruned edge's proof — built lazily, once per catalog version;
@@ -18,6 +20,10 @@ are defined:
   the OCC coordinator scores conflicts against. Execution reads none
   of it: kernels, plans and condition answers never depend on the
   analyzer.
+
+A walk that raises is never raised: the rule is left out of every
+view, ``lint()`` reports an :class:`AnalysisFailure`, and ``errors``
+counts it once per rule and catalog version, whoever reads.
 
 **Deactivated rules.** A deactivated rule is never considered, so it
 can neither fire nor consume: every view draws edges among *active*
@@ -37,7 +43,7 @@ from typing import Any, Callable, Iterable, Optional
 from ..records import Record
 from .lint.base import run_passes
 from .lint.context import LintContext, LintRule, table_schema
-from .lint.diagnostics import LintReport
+from .lint.diagnostics import Diagnostic, LintReport
 from .lint.triggering import TriggeringGraph, interference, unordered_pairs
 from .types.infer import walk_rule
 
@@ -135,17 +141,31 @@ class AnalysisReport(Record, frozen=False):
         return "\n".join(lines)
 
 
+class AnalysisFailure(Diagnostic):
+    """An analysis of one rule that raised, as an error finding of pass
+    ``"internal"`` with no catalog code (``to_dict()``: ``code`` None,
+    ``error`` the exception class)."""
+
+    error: str = ""
+
+    def __post_init__(self) -> None:
+        """Any code: the finding is about the analyzer, not the rule."""
+
+    def to_dict(self) -> dict[str, object]:
+        return dict(super().to_dict(), code=None, error=self.error)
+
+
 # ---------------------------------------------------------------------------
 # one analysis per catalog version
 
 class ProgramAnalysis:
     """The analysis of a live rule catalog, kept current with it.
 
-    The engine holds one (``RuleEngine.analysis``) and registers it on
-    its catalog; per-rule walks happen in :meth:`on_rule_defined` (or
-    lazily, for rules defined behind the engine's back, when the schema
-    changed, or on a bare catalog), the graph and the views are derived
-    on first use and kept until the catalog's version, a rule's
+    The engine's catalog holds one (``RuleEngine.analysis``), built on
+    first request. A rule is walked in :meth:`on_rule_defined` when a
+    sink takes its definition-time findings, else by the first
+    :meth:`rules` after its definition; the graph and the views are
+    derived on first use and kept until the catalog's version, a rule's
     ``active`` flag or the schema version moves.
     """
 
@@ -153,12 +173,27 @@ class ProgramAnalysis:
         self.catalog = catalog
         self.database = database
         self._walked: dict[str, tuple] = {}  # name → (Rule, version, walk)
+        self._failures: dict[str, AnalysisFailure] = {}  # left-out rules
+        self.errors = 0  # ``stats()["analysis"]["errors"]``
+        self._counted: dict[str, int] = {}  # name → catalog version
         self._key: Optional[tuple] = None
         self._graph: Optional[TriggeringGraph] = None
         self._views: dict[str, Any] = {}
 
     def _schema_version(self) -> Optional[int]:
         return getattr(self.database, "schema_version", None)
+
+    def _failure(self, rule: Any, error: Exception) -> AnalysisFailure:
+        if self._counted.get(rule.name) != self.catalog.version:
+            self._counted[rule.name] = self.catalog.version
+            self.errors += 1
+        return AnalysisFailure(
+            "internal",
+            f"analysis of rule {rule.name!r} failed: "
+            f"{type(error).__name__}: {error}",
+            rule=rule.name, pass_name="internal",
+            error=type(error).__name__,
+        )
 
     def _walk(self, rule: Any) -> LintRule:
         walked = walk_rule(LintRule.from_catalog_rule(rule), self.database)
@@ -168,25 +203,34 @@ class ProgramAnalysis:
 
     def on_rule_defined(self, rule: Any) -> LintReport:
         """Walk the new rule and return its definition-time findings:
-        the rule-scoped passes."""
-        return run_passes(
-            LintContext(database=self.database, rules=[self._walk(rule)]),
-            scope="rule",
-        )
+        the rule-scoped passes, or the failure if the analysis raised."""
+        try:
+            return run_passes(
+                LintContext(database=self.database, rules=[self._walk(rule)]),
+                scope="rule",
+            )
+        except Exception as error:
+            return LintReport([self._failure(rule, error)])
 
     def rules(self) -> list[LintRule]:
-        """The walked program in catalog order, brought up to date."""
+        """The walked program in catalog order, brought up to date; a
+        rule whose walk raised is left out."""
         catalog = self.catalog
         version = self._schema_version()
         key = (catalog.version, version,
                tuple(rule.active for rule in catalog))
         if key != self._key:
             previous, self._walked = self._walked, {}
+            self._failures = {}
             for rule in catalog:
                 entry = previous.get(rule.name)
                 if entry is None or entry[0] is not rule \
                         or entry[1] != version:
-                    self._walk(rule)
+                    try:
+                        self._walk(rule)
+                    except Exception as error:
+                        self._failures[rule.name] = self._failure(rule, error)
+                        continue
                 else:
                     self._walked[rule.name] = entry
                 self._walked[rule.name][2].active = rule.active
@@ -217,12 +261,15 @@ class ProgramAnalysis:
 
     def lint(self, *, closed_world: bool = False,
              workload_writes: Iterable = ()) -> LintReport:
-        """The full semantic analysis (every RPLnnn pass)."""
-        return run_passes(LintContext(
+        """The full semantic analysis (every RPLnnn pass), after one
+        :class:`AnalysisFailure` per rule whose walk raised."""
+        report = run_passes(LintContext(
             database=self.database, rules=self.rules(),
             precedes=self.catalog.precedes, graph=self.graph,
             closed_world=closed_world, workload_writes=set(workload_writes),
         ))
+        report.diagnostics[:0] = self._failures.values()
+        return report
 
     def report(self) -> AnalysisReport:
         """The paper's §6 warnings (:func:`analyze`)."""
@@ -286,14 +333,19 @@ class ProgramAnalysis:
 
 
 def analysis_of(catalog: Any, database: Any = None) -> ProgramAnalysis:
-    """The analysis of ``catalog``: the one its engine keeps current,
-    or a fresh one for a bare catalog (or another database)."""
+    """The analysis of ``catalog`` against ``database`` — by default
+    the database of the engine that owns it. That one is built on first
+    request and kept on the catalog, current with it; another database
+    gets a fresh one."""
+    if database is None:
+        database = catalog.database
     held = catalog.analysis
-    if held is None or (
-        database is not None and database is not held.database
-    ):
-        return ProgramAnalysis(catalog, database)
-    return held
+    if held is not None and held.database is database:
+        return held
+    analysis = ProgramAnalysis(catalog, database)
+    if database is catalog.database:
+        catalog.analysis = analysis
+    return analysis
 
 
 def analyze(catalog: Any) -> AnalysisReport:

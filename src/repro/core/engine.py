@@ -114,6 +114,7 @@ class RuleEngine:
                  record_seen=True, sink=None, durability=None):
         self.database = database if database is not None else Database()
         self.catalog = catalog if catalog is not None else RuleCatalog()
+        self.catalog.database = self.database
         self.strategy = strategy if strategy is not None else default_strategy()
         self.max_rule_transitions = max_rule_transitions
         self.track_selects = track_selects
@@ -125,6 +126,7 @@ class RuleEngine:
         self._bus.attach(self._metrics)
         if sink is not None:
             self._bus.attach(sink)
+        self._events_at_reset = 0  # bus events before the stats window
         self._recorder = None      # per-transaction TraceRecorder
         self._txn_id = 0
         self._txn_seq = 0          # allocation high-water mark (resume-safe)
@@ -139,10 +141,6 @@ class RuleEngine:
         #: maintainable conditions are answered from maintained views,
         #: everything else falls back to _check_condition
         self.incremental = IncrementalManager(self.database)
-        self._analysis = None
-        #: definition-time analyses that raised (the rule is defined and
-        #: runs regardless); ``stats()["analysis"]["errors"]``
-        self.analysis_errors = 0
 
         #: concurrency-layer hooks (see repro.concurrency). pause_hook
         #: (``callable(point)``) is invoked at the named interleaving
@@ -176,6 +174,10 @@ class RuleEngine:
         ``{"engine": {...}, "rules": {name: {...}}}`` — see
         :class:`~repro.obs.metrics.MetricsCollector` for the fields.
         Counters accumulate across transactions until :meth:`reset_stats`.
+        ``"analysis"`` is :meth:`conflict_advisory` once something has
+        built the static analysis (``lint()``, ``analyze()``, a sink
+        taking ``lint_diagnostic``, a classified OCC conflict), and
+        ``{"errors": 0}`` until then: reading stats builds nothing.
         """
         database = self.database
         return self._metrics.snapshot(
@@ -200,38 +202,42 @@ class RuleEngine:
                 if self.concurrency is not None
                 else None
             ),
-            analysis=self.conflict_advisory(),
+            analysis=(
+                self.conflict_advisory()
+                if self.catalog.analysis is not None
+                else {"errors": 0}
+            ),
+            events=self._bus.events_emitted - self._events_at_reset,
         )
 
     def conflict_advisory(self):
-        """``stats()["analysis"]``: the static conflict forecast of the
-        current catalog (:meth:`~repro.analysis.program.ProgramAnalysis
-        .advisory` — a lookup unless the catalog changed) plus
-        ``errors``, the analyses that raised. The OCC coordinator
+        """The static conflict forecast of the current catalog
+        (:meth:`~repro.analysis.program.ProgramAnalysis.advisory` —
+        built on first call, then a lookup unless the catalog changed)
+        plus ``errors``, the analyses that raised. The OCC coordinator
         classifies each observed ``txn_conflict`` against its
         ``contended_tables``. Never raises: observability and conflict
         clean-up must survive an analyzer bug."""
+        analysis = self.analysis
         try:
-            advisory = self.analysis.advisory()
+            advisory = analysis.advisory()
         except Exception:
-            self.analysis_errors += 1
+            analysis.errors += 1
             advisory = {}
-        return dict(advisory, errors=self.analysis_errors)
+        return dict(advisory, errors=analysis.errors)
 
     @property
     def analysis(self):
         """The static analysis of this engine's catalog
         (:class:`~repro.analysis.program.ProgramAnalysis`): every rule
-        walked once at definition, one triggering graph per catalog
+        walked on first request, one triggering graph per catalog
         version; ``lint()``, ``analyze()``, ``stats()["analysis"]`` and
         the coordinator's conflict classification read it. Execution
-        does not: no kernel, plan or condition answer depends on it."""
-        if self._analysis is None:
-            from ..analysis.program import ProgramAnalysis
+        does not: no kernel, plan or condition answer depends on it,
+        and an engine nobody asks never imports :mod:`repro.analysis`."""
+        from ..analysis.program import analysis_of
 
-            self._analysis = ProgramAnalysis(self.catalog, self.database)
-            self.catalog.analysis = self._analysis
-        return self._analysis
+        return analysis_of(self.catalog, self.database)
 
     def _emit_recovery(self, info):
         """Emit the ``recovery`` event (called by
@@ -241,6 +247,7 @@ class RuleEngine:
     def reset_stats(self):
         """Zero all counters (a fresh measurement window)."""
         self._metrics.reset()
+        self._events_at_reset = self._bus.events_emitted
         self.database.planner_stats.reset()
         self.database.compiler_stats.reset()
         self.database.vectorized_stats.reset()
@@ -319,42 +326,20 @@ class RuleEngine:
                 EventKind.TRANS_INFO_RESET, rule=rule.name, cause="registered"
             )
         # (Re)definition invalidates the incremental layer's per-rule
-        # plan; the static analysis follows the catalog's version.
+        # plan; the static analysis follows the catalog's version. It
+        # walks the rule now only for a sink that takes its findings
+        # (advisory, and never raised: an analysis that raises is one
+        # "internal" finding); everyone else walks it on first request.
         self.incremental.on_rule_defined(rule)
-        self._lint_new_rule(rule)
+        if self._bus.wants(EventKind.LINT_DIAGNOSTIC):
+            for diagnostic in self.analysis.on_rule_defined(rule):
+                self._emit(EventKind.LINT_DIAGNOSTIC, **diagnostic.to_dict())
 
     def _rule_bound(self, rule):
         """The rule as a statement: its pinned cache entry (the plans
         and programs of its condition and action live as long as the
         rule does) and nothing to bind — a rule keeps its literals."""
         return self.database.statements.bound_node(rule, pinned=True)
-
-    def _lint_new_rule(self, rule):
-        """Definition-time analysis: walk the new rule once and emit
-        each rule-scoped finding as a ``lint_diagnostic`` event. The
-        diagnostics are advisory — rule definition never fails because
-        of lint, and analyzer bugs must not break the engine, so a
-        failure is counted (``stats()["analysis"]["errors"]``) and
-        reported on the same event stream instead of raised. Nothing
-        the rule executes reads the walk, so a failed walk costs only
-        its findings."""
-        try:
-            findings = [
-                diagnostic.to_dict()
-                for diagnostic in self.analysis.on_rule_defined(rule)
-            ]
-        except Exception as error:
-            self.analysis_errors += 1
-            findings = [{
-                "code": None, "severity": "error",
-                "message": f"analysis of rule {rule.name!r} failed: "
-                           f"{type(error).__name__}: {error}",
-                "line": None, "column": None, "rule": rule.name,
-                "hint": None, "pass": "internal",
-                "error": type(error).__name__,
-            }]
-        for finding in findings:
-            self._emit(EventKind.LINT_DIAGNOSTIC, **finding)
 
     # ------------------------------------------------------------------
     # transactions

@@ -123,9 +123,12 @@ class RuleCatalog:
         #: bumped by every rule or pairing change; with the rules'
         #: ``active`` flags it keys the static analysis of this catalog
         self.version = 0
-        #: the :class:`~repro.analysis.program.ProgramAnalysis` of the
-        #: engine that owns this catalog (None for a bare catalog);
+        #: the database of the engine that owns this catalog (None for
+        #: a bare catalog), and the
+        #: :class:`~repro.analysis.program.ProgramAnalysis` against it,
+        #: built on first request (``repro.analysis.analysis_of``);
         #: ``repro.analysis.analyze(catalog)`` answers from it
+        self.database = None
         self.analysis = None
 
     # ------------------------------------------------------------------

@@ -38,9 +38,9 @@ Four kinds belong to the concurrency layer (PR 8, see
 conflicts and the resulting statement retries.
 
 ``lint_diagnostic`` carries one static-analysis finding (see
-:mod:`repro.analysis.lint`): rule-scoped passes run when a rule is
-defined, and each resulting :class:`~repro.analysis.lint.Diagnostic`
-is emitted with its flattened ``to_dict()`` payload. An analysis that
+:mod:`repro.analysis.lint`): while an attached sink takes the kind, the
+rule-scoped passes run as each rule is defined, and each finding is
+emitted with its flattened ``to_dict()`` payload. An analysis that
 raises is reported on the same kind (``"pass": "internal"``, ``code``
 None, ``error`` the exception class) — rule definition never fails
 because of the analyzer, and never fails silently either.
@@ -52,6 +52,8 @@ trace recorder, the metrics collector — pay no serialization cost;
 """
 
 from __future__ import annotations
+
+from typing import Any, Optional
 
 
 class EventKind:
@@ -111,17 +113,18 @@ class Event:
 
     __slots__ = ("seq", "kind", "txn", "data")
 
-    def __init__(self, seq, kind, txn, data=None):
+    def __init__(self, seq: int, kind: str, txn: int,
+                 data: Optional[dict[str, Any]] = None) -> None:
         self.seq = seq
         self.kind = kind
         self.txn = txn
         self.data = {} if data is None else data
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return (f"Event(seq={self.seq!r}, kind={self.kind!r}, "
                 f"txn={self.txn!r}, data={self.data!r})")
 
-    def to_json_dict(self):
+    def to_json_dict(self) -> dict[str, Any]:
         """A JSON-serializable rendering of this event.
 
         Live objects are summarized: a ``TransitionEffect`` becomes its
@@ -135,16 +138,14 @@ class Event:
             "data": {key: _jsonify(value) for key, value in self.data.items()},
         }
 
-    def describe(self):
+    def describe(self) -> str:
         """One-line human rendering (used by the REPL's ``\\events``)."""
-        parts = []
-        for key, value in self.data.items():
-            parts.append(f"{key}={_jsonify(value)}")
-        detail = " ".join(str(part) for part in parts)
+        detail = " ".join(
+            f"{key}={_jsonify(value)}" for key, value in self.data.items())
         return f"#{self.seq} txn{self.txn} {self.kind} {detail}".rstrip()
 
 
-def _jsonify(value):
+def _jsonify(value: Any) -> Any:
     """Flatten a payload value into JSON-representable primitives."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

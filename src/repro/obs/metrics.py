@@ -1,10 +1,10 @@
 """Per-rule and per-engine metrics, aggregated from the event stream.
 
 The collector is an ordinary :class:`~repro.obs.sinks.EventSink`; it is
-attached to the engine's bus at construction, so every counter is
-derived from exactly the events any other sink would see. ``snapshot()``
-renders everything as plain dicts (JSON-ready), which is what
-``RuleEngine.stats()`` returns.
+attached to the engine's bus at construction and takes the kinds it
+folds, so every counter is derived from exactly the events any other
+sink would see. ``snapshot()`` renders everything as plain dicts
+(JSON-ready), which is what ``RuleEngine.stats()`` returns.
 """
 
 from __future__ import annotations
@@ -14,116 +14,45 @@ from .sinks import EventSink
 
 
 class RuleMetrics:
-    """Counters for one rule."""
+    """Counters for one rule, in :meth:`snapshot` order."""
 
     __slots__ = (
-        "considerations",
-        "fires",
-        "condition_true",
-        "condition_false",
-        "condition_unknown",
-        "condition_time",
-        "action_time",
-        "rows_inserted",
-        "rows_deleted",
-        "rows_updated",
-        "rows_scanned",
-        "rows_visited",
-        "rows_returned",
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "compiles",
-        "compile_cache_hits",
-        "compile_cache_misses",
-        "incremental_hits",
-        "incremental_refreshes",
-        "incremental_fallbacks",
-        "batches_scanned",
-        "batch_rows_scanned",
-        "batch_rows_selected",
-        "batch_fallback_rows",
-        "grouped_batches",
-        "group_scope_fallbacks",
-        "zones_pruned",
-        "rows_zone_pruned",
-        "peak_trans_info_size",
-        "resets",
-        "rollbacks",
+        "considerations", "fires", "condition_true", "condition_false",
+        "condition_unknown", "condition_time", "action_time",
+        "rows_inserted", "rows_deleted", "rows_updated", "rows_scanned",
+        "rows_visited", "rows_returned", "plan_cache_hits",
+        "plan_cache_misses", "compiles", "compile_cache_hits",
+        "compile_cache_misses", "incremental_hits", "incremental_refreshes",
+        "incremental_fallbacks", "batches_scanned", "batch_rows_scanned",
+        "batch_rows_selected", "batch_fallback_rows", "grouped_batches",
+        "group_scope_fallbacks", "zones_pruned", "rows_zone_pruned",
+        "peak_trans_info_size", "resets", "rollbacks",
     )
 
     def __init__(self):
-        self.considerations = 0
-        self.fires = 0
-        self.condition_true = 0
-        self.condition_false = 0
-        self.condition_unknown = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
         self.condition_time = 0.0
         self.action_time = 0.0
-        self.rows_inserted = 0
-        self.rows_deleted = 0
-        self.rows_updated = 0
-        self.rows_scanned = 0
-        self.rows_visited = 0
-        self.rows_returned = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.compiles = 0
-        self.compile_cache_hits = 0
-        self.compile_cache_misses = 0
-        self.incremental_hits = 0
-        self.incremental_refreshes = 0
-        self.incremental_fallbacks = 0
-        self.batches_scanned = 0
-        self.batch_rows_scanned = 0
-        self.batch_rows_selected = 0
-        self.batch_fallback_rows = 0
-        self.grouped_batches = 0
-        self.group_scope_fallbacks = 0
-        self.zones_pruned = 0
-        self.rows_zone_pruned = 0
-        self.peak_trans_info_size = 0
         self.resets = {}
-        self.rollbacks = 0
 
     def snapshot(self):
-        return {
-            "considerations": self.considerations,
-            "fires": self.fires,
-            "condition_true": self.condition_true,
-            "condition_false": self.condition_false,
-            "condition_unknown": self.condition_unknown,
-            "condition_time": self.condition_time,
-            "action_time": self.action_time,
-            "rows_inserted": self.rows_inserted,
-            "rows_deleted": self.rows_deleted,
-            "rows_updated": self.rows_updated,
-            "rows_scanned": self.rows_scanned,
-            "rows_visited": self.rows_visited,
-            "rows_returned": self.rows_returned,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "compiles": self.compiles,
-            "compile_cache_hits": self.compile_cache_hits,
-            "compile_cache_misses": self.compile_cache_misses,
-            "incremental_hits": self.incremental_hits,
-            "incremental_refreshes": self.incremental_refreshes,
-            "incremental_fallbacks": self.incremental_fallbacks,
-            "batches_scanned": self.batches_scanned,
-            "batch_rows_scanned": self.batch_rows_scanned,
-            "batch_rows_selected": self.batch_rows_selected,
-            "batch_fallback_rows": self.batch_fallback_rows,
-            "grouped_batches": self.grouped_batches,
-            "group_scope_fallbacks": self.group_scope_fallbacks,
-            "zones_pruned": self.zones_pruned,
-            "rows_zone_pruned": self.rows_zone_pruned,
-            "peak_trans_info_size": self.peak_trans_info_size,
-            "resets": dict(self.resets),
-            "rollbacks": self.rollbacks,
-        }
+        snapshot = {name: getattr(self, name) for name in self.__slots__}
+        snapshot["resets"] = dict(self.resets)
+        return snapshot
 
 
 class MetricsCollector(EventSink):
     """Aggregates the event stream into engine- and rule-level counters."""
+
+    kinds = frozenset({
+        EventKind.RULE_CONSIDERED, EventKind.RULE_FIRED,
+        EventKind.BLOCK_EXECUTED, EventKind.TRANS_INFO_RESET,
+        EventKind.QUIESCENT, EventKind.TXN_BEGIN, EventKind.TXN_COMMIT,
+        EventKind.TXN_ABORT, EventKind.ROLLBACK_BY_RULE,
+        EventKind.LOOP_BUDGET_TRIP, EventKind.TXN_CONFLICT,
+        EventKind.TXN_RETRY, EventKind.SESSION_OPEN, EventKind.SESSION_CLOSE,
+    })
 
     def __init__(self):
         self.reset()
@@ -146,7 +75,6 @@ class MetricsCollector(EventSink):
         self.max_quiescence_rounds = 0
         self.selection_time = 0.0
         self.peak_trans_info_size = 0
-        self.events = 0
         self.rules = {}
 
     # ------------------------------------------------------------------
@@ -158,7 +86,6 @@ class MetricsCollector(EventSink):
         return metrics
 
     def emit(self, event):
-        self.events += 1
         kind = event.kind
         data = event.data
         if kind == EventKind.RULE_CONSIDERED:
@@ -310,8 +237,11 @@ class MetricsCollector(EventSink):
 
     def snapshot(self, strategy=None, planner=None, compiler=None,
                  vectorized=None, optimizer=None, durability=None,
-                 incremental=None, server=None, analysis=None):
+                 incremental=None, server=None, analysis=None, events=0):
         """The full stats dict (``RuleEngine.stats()``'s return value).
+
+        ``events`` is the number of events the bus emitted in this
+        window, of every kind, including those no collector folds.
 
         ``planner`` is the database-wide
         :meth:`~repro.relational.plan.cache.PlannerStats.snapshot` dict
@@ -341,12 +271,10 @@ class MetricsCollector(EventSink):
         (sessions, statements, conflicts/retries/aborts, context
         switches), present only when the engine runs behind the
         coordinator; the bus-derived conflict/retry/session counters
-        appear inside the engine section regardless. ``analysis`` is the
-        static effect-analysis conflict advisory
-        (:meth:`~repro.analysis.program.ProgramAnalysis.advisory`):
-        rule counts, colliding pairs, the forecast contended-table set
-        the OCC coordinator validates against observed conflicts, and
-        ``errors`` — analyses that raised.
+        appear inside the engine section regardless. ``analysis`` is
+        ``errors`` (analyses that raised) and, once something has built
+        the static analysis, its conflict advisory
+        (:meth:`~repro.core.engine.RuleEngine.conflict_advisory`).
         """
         engine = {
             "transactions": self.transactions,
@@ -365,7 +293,7 @@ class MetricsCollector(EventSink):
             "max_quiescence_rounds": self.max_quiescence_rounds,
             "selection_time": self.selection_time,
             "peak_trans_info_size": self.peak_trans_info_size,
-            "events": self.events,
+            "events": events,
         }
         if strategy is not None:
             engine["strategy"] = strategy
@@ -376,20 +304,14 @@ class MetricsCollector(EventSink):
                 for name, metrics in sorted(self.rules.items())
             },
         }
-        if planner is not None:
-            result["planner"] = planner
-        if compiler is not None:
-            result["compiler"] = compiler
-        if vectorized is not None:
-            result["vectorized"] = vectorized
-        if optimizer is not None:
-            result["optimizer"] = optimizer
-        if durability is not None:
-            result["durability"] = durability
-        if incremental is not None:
-            result["incremental"] = incremental
-        if server is not None:
-            result["server"] = server
-        if analysis is not None:
-            result["analysis"] = analysis
+        sections = {
+            "planner": planner, "compiler": compiler,
+            "vectorized": vectorized, "optimizer": optimizer,
+            "durability": durability, "incremental": incremental,
+            "server": server, "analysis": analysis,
+        }
+        result.update(
+            (name, section) for name, section in sections.items()
+            if section is not None
+        )
         return result

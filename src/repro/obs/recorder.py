@@ -24,6 +24,11 @@ from .sinks import EventSink
 class TraceRecorder(EventSink):
     """Builds one transaction's trace from its event stream."""
 
+    kinds = frozenset({
+        EventKind.RULE_CONSIDERED, EventKind.RULE_FIRED,
+        EventKind.BLOCK_EXECUTED,
+    })
+
     def __init__(self, result):
         self.result = result
 

@@ -14,30 +14,40 @@ Three concrete sinks cover the practical spectrum:
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter, deque
+from typing import Iterator, Optional, TextIO, TypeVar, Union
+
+from .events import Event, EventKind
+
+_Sink = TypeVar("_Sink", bound="EventSink")
 
 
 class EventSink:
     """Base class. Subclasses implement :meth:`emit`.
 
     ``enabled`` is checked once at attach time: a disabled sink is never
-    dispatched to, so it costs nothing per event.
+    dispatched to, so it costs nothing per event. A sink is handed only
+    the events whose kind is in its ``kinds`` — every kind unless a
+    subclass narrows it; they must not change while it is attached.
+    What the engine builds only for a listener (``lint_diagnostic``
+    findings) it builds only when some attached sink takes that kind.
     """
 
-    enabled = True
+    enabled: bool = True
+    kinds: frozenset[str] = frozenset(EventKind.ALL)
 
-    def emit(self, event):
+    def emit(self, event: Event) -> None:
         raise NotImplementedError
 
-    def close(self):
+    def close(self) -> None:
         """Release resources (file handles); idempotent."""
 
-    def __enter__(self):
+    def __enter__(self: _Sink) -> _Sink:
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
-        return False
 
 
 class NullSink(EventSink):
@@ -45,42 +55,42 @@ class NullSink(EventSink):
 
     enabled = False
 
-    def emit(self, event):
+    def emit(self, event: Event) -> None:
         pass
 
 
 class RingBufferSink(EventSink):
     """Keeps the most recent ``capacity`` events in memory."""
 
-    def __init__(self, capacity=1024):
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ValueError("ring buffer capacity must be positive")
         self.capacity = capacity
-        self._events = deque(maxlen=capacity)
+        self._events: deque[Event] = deque(maxlen=capacity)
 
-    def emit(self, event):
+    def emit(self, event: Event) -> None:
         self._events.append(event)
 
     @property
-    def events(self):
+    def events(self) -> list[Event]:
         """The buffered events, oldest first."""
         return list(self._events)
 
-    def of_kind(self, kind):
+    def of_kind(self, kind: str) -> list[Event]:
         """The buffered events of one kind, oldest first."""
         return [event for event in self._events if event.kind == kind]
 
-    def kind_counts(self):
+    def kind_counts(self) -> Counter[str]:
         """``{kind: count}`` over the buffered events."""
         return Counter(event.kind for event in self._events)
 
-    def clear(self):
+    def clear(self) -> None:
         self._events.clear()
 
-    def __len__(self):
+    def __len__(self) -> int:
         return len(self._events)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Event]:
         return iter(list(self._events))
 
 
@@ -92,26 +102,26 @@ class JsonLinesSink(EventSink):
             writing, or any object with a ``write`` method.
     """
 
-    def __init__(self, target):
-        if hasattr(target, "write"):
-            self._file = target
-            self._owns_file = False
-            self._path = None
-        else:
-            self._file = None
-            self._owns_file = True
+    def __init__(self, target: Union[str, os.PathLike[str], TextIO]) -> None:
+        #: the path this sink opens and owns (None: ``target`` is a file)
+        self._path: Union[str, os.PathLike[str], None] = None
+        self._file: Optional[TextIO] = None
+        if isinstance(target, (str, os.PathLike)):
             self._path = target
+        else:
+            self._file = target
         self.emitted = 0
 
-    def emit(self, event):
+    def emit(self, event: Event) -> None:
         if self._file is None:
+            assert self._path is not None  # only an owned file is dropped
             self._file = open(self._path, "w", encoding="utf-8")
         self._file.write(json.dumps(event.to_json_dict()) + "\n")
         self.emitted += 1
 
-    def close(self):
+    def close(self) -> None:
         if self._file is not None:
             self._file.flush()
-            if self._owns_file:
+            if self._path is not None:
                 self._file.close()
                 self._file = None

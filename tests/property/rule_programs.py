@@ -96,8 +96,8 @@ def workloads(draw):
     return blocks
 
 
-def build(incremental, rules):
-    db = ActiveDatabase(record_seen=False)
+def build(incremental, rules, sink=None):
+    db = ActiveDatabase(record_seen=False, sink=sink)
     if not incremental:
         full_reeval.install(db)
     db.execute("create table t (x integer)")

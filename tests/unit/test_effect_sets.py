@@ -155,7 +155,7 @@ class TestConflictAdvisory:
         db.execute("create table log (name varchar, salary integer)")
         for rule in rules:
             db.execute(rule)
-        return db, db.stats()["analysis"]
+        return db, db.engine.conflict_advisory()
 
     def test_colliding_rules_forecast_contention(self):
         _, advisory = self.advisory(
@@ -186,7 +186,7 @@ class TestConflictAdvisory:
             "then update emp set salary = 2",
         )
         db.deactivate_rule("b")
-        after = db.stats()["analysis"]
+        after = db.stats()["analysis"]  # built by the first read
         assert (before["rules_analyzed"], after["rules_analyzed"]) == (2, 1)
         assert after["contended_tables"] == []
 

@@ -24,18 +24,10 @@ ROOTS = ("repro", "repro.relational", "repro.durability", "repro.server",
          "repro.workloads")
 
 #: ``from repro import ActiveDatabase``, then one ``create rule``: the
-#: engine, the SQL front end and the analyzer — no durability, no
-#: server, no persistence
+#: engine and the SQL front end — no analyzer (nobody asked for a
+#: walk), no durability, no server, no persistence
 EMBEDDED = {
     "repro", "repro.errors", "repro.system",
-    "repro.analysis", "repro.analysis.confluence", "repro.analysis.effects",
-    "repro.analysis.effects.conflicts", "repro.analysis.effects.sets",
-    "repro.analysis.lint", "repro.analysis.lint.base",
-    "repro.analysis.lint.context", "repro.analysis.lint.diagnostics",
-    "repro.analysis.lint.hygiene", "repro.analysis.lint.refine",
-    "repro.analysis.lint.transition", "repro.analysis.lint.triggering",
-    "repro.analysis.program", "repro.analysis.types",
-    "repro.analysis.types.infer",
     "repro.core", "repro.core.effects", "repro.core.engine",
     "repro.core.external", "repro.core.incremental",
     "repro.core.incremental.classify", "repro.core.incremental.manager",
@@ -58,6 +50,18 @@ EMBEDDED = {
     "repro.sql", "repro.sql.ast", "repro.sql.formatter", "repro.sql.lexer",
     "repro.sql.params", "repro.sql.parser", "repro.sql.spans",
     "repro.sql.tokens",
+}
+
+#: what the first request for the static analysis adds
+ANALYZER = {
+    "repro.analysis", "repro.analysis.confluence", "repro.analysis.effects",
+    "repro.analysis.effects.conflicts", "repro.analysis.effects.sets",
+    "repro.analysis.lint", "repro.analysis.lint.base",
+    "repro.analysis.lint.context", "repro.analysis.lint.diagnostics",
+    "repro.analysis.lint.hygiene", "repro.analysis.lint.refine",
+    "repro.analysis.lint.transition", "repro.analysis.lint.triggering",
+    "repro.analysis.program", "repro.analysis.types",
+    "repro.analysis.types.infer",
 }
 
 #: what a durability directory adds to :data:`EMBEDDED`
@@ -145,6 +149,22 @@ def test_the_wal_codec_loads_no_engine():
 def test_an_embedded_rule_program_loads_what_it_runs():
     assert loaded_after(EMBEDDED_PROGRAM) == EMBEDDED
     assert loaded_after(DURABLE_PROGRAM) == EMBEDDED | DURABLE
+
+
+def test_the_serving_process_loads_no_analyzer():
+    """Defining a rule and reading stats walks nothing: the server
+    child never imports the static analysis."""
+    loaded = loaded_after(SERVER_CHILD + "db.stats()\n")
+    assert loaded & ANALYZER == set()
+
+
+@pytest.mark.parametrize("request_", [
+    "db.lint()\n",
+    "from repro import RingBufferSink\ndb.attach_sink(RingBufferSink())\n"
+    "db.execute('create rule s when deleted from t then delete from t')\n",
+], ids=["lint", "lint-sink"])
+def test_asking_for_the_analysis_loads_the_analyzer(request_):
+    assert loaded_after(EMBEDDED_PROGRAM + request_) == EMBEDDED | ANALYZER
 
 
 @pytest.mark.parametrize("program", [

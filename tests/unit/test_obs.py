@@ -27,6 +27,10 @@ def make_event(seq=1, kind=EventKind.TXN_BEGIN, txn=1, **data):
     return Event(seq=seq, kind=kind, txn=txn, data=data)
 
 
+class CommitsOnly(RingBufferSink):
+    kinds = frozenset({EventKind.TXN_COMMIT})
+
+
 class TestEvent:
     def test_to_json_dict_primitives_pass_through(self):
         event = make_event(kind=EventKind.QUIESCENT, rounds=3, time=0.5)
@@ -94,6 +98,43 @@ class TestEventBus:
         bus.detach(sink)  # no error
         bus.emit(EventKind.TXN_BEGIN, 1, {})
         assert len(sink) == 0
+
+    def test_a_sink_takes_its_kinds_and_seq_stays_bus_global(self):
+        bus = EventBus()
+        everything = bus.attach(RingBufferSink())
+        commits = bus.attach(CommitsOnly())
+        for kind in (EventKind.TXN_BEGIN, EventKind.TXN_COMMIT,
+                     EventKind.LINT_DIAGNOSTIC, EventKind.TXN_COMMIT):
+            bus.emit(kind, 1, {})
+        assert [e.seq for e in commits.events] == [2, 4]
+        assert [e.seq for e in everything.events] == [1, 2, 3, 4]
+        assert bus.events_emitted == 4
+
+    def test_wants_follows_attach_and_detach(self):
+        bus = EventBus()
+        assert not any(bus.wants(kind) for kind in EventKind.ALL)
+        commits = bus.attach(CommitsOnly())
+        assert [k for k in EventKind.ALL if bus.wants(k)] == ["txn_commit"]
+        everything = bus.attach(RingBufferSink())
+        assert all(bus.wants(kind) for kind in EventKind.ALL)
+        bus.detach(everything)
+        assert [k for k in EventKind.ALL if bus.wants(k)] == ["txn_commit"]
+        bus.detach(commits)
+        assert not bus.wants(EventKind.TXN_COMMIT)
+        bus.emit(EventKind.TXN_COMMIT, 1, {})  # nobody takes it
+        assert bus.events_emitted == 1
+
+    def test_a_disabled_sink_wants_nothing(self):
+        bus = EventBus()
+        bus.attach(NullSink())
+        assert not bus.wants(EventKind.LINT_DIAGNOSTIC)
+
+    def test_the_engines_own_consumers_do_not_take_lint(self):
+        db = ActiveDatabase()
+        db.execute("create table t (x integer)")
+        db.execute("insert into t values (1)")  # the recorder came and went
+        assert not db.engine._bus.wants(EventKind.LINT_DIAGNOSTIC)
+        assert db.engine._bus.wants(EventKind.TXN_COMMIT)  # metrics
 
 
 class TestRingBufferSink:
@@ -295,8 +336,28 @@ class TestSinkWiring:
         db = ActiveDatabase()
         sink = db.attach_sink(CountingSink())
         db.execute("create table t (x integer)")
+        db.execute("create rule r when deleted from t then insert into u "
+                   "values (1)")  # one RPL001 finding for the sink
         db.execute("insert into t values (1)")
         assert sink.count == db.stats()["engine"]["events"]
+
+    def test_a_narrow_sink_sees_its_kinds_and_the_count_sees_all(self):
+        db = ActiveDatabase()
+        commits = db.attach_sink(CommitsOnly())
+        everything = db.attach_sink(RingBufferSink())
+        db.execute("create table t (x integer)")
+        db.execute("create rule r when deleted from t then insert into u "
+                   "values (1)")
+        db.execute("insert into t values (1)")
+        assert [e.kind for e in commits] == [EventKind.TXN_COMMIT]
+        assert [e.seq for e in commits] == [
+            e.seq for e in everything.of_kind(EventKind.TXN_COMMIT)]
+        assert everything.kind_counts()[EventKind.LINT_DIAGNOSTIC] == 1
+        assert db.stats()["engine"]["events"] == len(everything)
+        db.reset_stats()
+        before = len(everything)
+        db.execute("insert into t values (2)")
+        assert db.stats()["engine"]["events"] == len(everything) - before
 
     def test_json_lines_sink_end_to_end(self, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -1,6 +1,7 @@
-"""The engine-held analysis (repro.analysis.program): derived once per
-catalog version, the one policy for deactivated rules, and analyzer
-failures counted instead of swallowed."""
+"""The engine-held analysis (repro.analysis.program): built on first
+request, derived once per catalog version, the one policy for
+deactivated rules, and analyzer failures counted once instead of
+swallowed or raised."""
 
 import pytest
 
@@ -64,19 +65,63 @@ def conflict(db):
     return coord
 
 
+class CommitsOnly(RingBufferSink):
+    kinds = frozenset({EventKind.TXN_COMMIT})
+
+
+class TestBuiltOnRequest:
+    def test_nobody_asks_nothing_is_walked(self, db, counted):
+        sink = db.attach_sink(CommitsOnly())
+        define_rules(db, 3)
+        db.execute("insert into t values (5)")
+        assert counted == {"walks": [], "graphs": 0}
+        assert db.catalog.analysis is None
+        assert db.stats()["analysis"] == {"errors": 0}
+        assert db.catalog.analysis is None  # reading stats builds nothing
+        assert [event.kind for event in sink] == [EventKind.TXN_COMMIT]
+
+    def test_a_lint_sink_walks_each_rule_as_it_is_defined(self, db, counted):
+        sink = db.attach_sink(RingBufferSink())
+        define_rules(db, 3)
+        assert counted == {"walks": ["r0", "r1", "r2"], "graphs": 0}
+        db.detach_sink(sink)
+        db.execute(
+            "create rule r3 when inserted into t then insert into log "
+            "values (3)"
+        )
+        assert counted["walks"] == ["r0", "r1", "r2"]
+        db.lint()
+        assert counted == {"walks": ["r0", "r1", "r2", "r3"], "graphs": 1}
+
+    def test_analyze_builds_the_engines_analysis(self, db):
+        define_rules(db, 2)
+        report = analyze(db.catalog)
+        assert db.catalog.analysis is db.engine.analysis
+        assert report.graph is db.engine.analysis.graph
+        assert db.stats()["analysis"]["rules_analyzed"] == 2
+
+
 class TestDerivedOncePerCatalogVersion:
     def test_defining_rule_n_plus_one_walks_one_rule(self, db, counted):
         define_rules(db, 5)
-        assert counted["walks"] == ["r0", "r1", "r2", "r3", "r4"]
-        assert counted["graphs"] == 0  # nobody asked for a graph yet
+        assert counted == {"walks": [], "graphs": 0}  # nobody asked yet
+        db.lint()
+        assert counted == {"walks": ["r0", "r1", "r2", "r3", "r4"],
+                           "graphs": 1}
+        db.execute(
+            "create rule r5 when inserted into t then insert into log "
+            "values (5)"
+        )
+        db.lint()
+        assert counted["walks"][5:] == ["r5"]
 
     def test_every_reader_shares_the_walks_and_one_graph(self, db, counted):
         define_rules(db, 5)
         db.execute("insert into t values (1)")
+        db.lint()
         del counted["walks"][:]
         first = db.stats()["analysis"]
         assert db.stats()["analysis"] == first
-        db.lint()
         analyze(db.catalog)
         coord = conflict(db)
         assert coord.stats.conflicts_predicted \
@@ -134,16 +179,16 @@ class TestDeactivatedRules:
             == [("RPL302", "r0")]
 
 
+def broken(self, expr, scopes):
+    raise ZeroDivisionError("injected")
+
+
 class TestAnalyzerFailures:
     def test_a_raising_walk_is_counted_and_reported_not_raised(
         self, db, monkeypatch
     ):
         sink = db.attach_sink(RingBufferSink())
         assert db.stats()["analysis"]["errors"] == 0
-
-        def broken(self, expr, scopes):
-            raise ZeroDivisionError("injected")
-
         monkeypatch.setattr(infer.RuleWalk, "expression", broken)
         define_rules(db, 1)  # the definition succeeds
         monkeypatch.undo()
@@ -165,7 +210,60 @@ class TestAnalyzerFailures:
             "contended_tables": [], "errors": 1,
         }
 
+    def test_a_failing_walk_counts_once_per_catalog_version(
+        self, db, monkeypatch
+    ):
+        """No sink: the walk fails at the first reader, and every later
+        reader meets the same failure without counting it again."""
+        db.execute("insert into t values (1)")
+        monkeypatch.setattr(infer.RuleWalk, "expression", broken)
+        define_rules(db, 2)
+        assert db.stats()["analysis"] == {"errors": 0}
+        for _ in range(2):
+            failure, _ = db.lint()
+            assert failure.to_dict() == {
+                "code": None, "severity": "error",
+                "message": "analysis of rule 'r0' failed: "
+                           "ZeroDivisionError: injected",
+                "line": None, "column": None, "rule": "r0", "hint": None,
+                "pass": "internal", "error": "ZeroDivisionError",
+            }
+            assert analyze(db.catalog).describe() == "no warnings"
+        coord = conflict(db)  # the coordinator's path does not raise
+        assert coord.stats.conflicts_unpredicted == 1
+        assert db.stats()["analysis"] == {
+            "rules_analyzed": 0, "opaque_rules": 0, "conflict_pairs": 0,
+            "contended_tables": [], "errors": 2,
+        }
+        # activation re-walks the failed rules without counting them
+        db.deactivate_rule("r1")
+        assert [d.rule for d in db.lint()] == ["r0", "r1"]
+        assert db.stats()["analysis"]["errors"] == 2
+        # a new catalog version walks again, and counts again
+        db.execute("create rule priority r0 before r1")
+        assert [d.rule for d in db.lint()] == ["r0", "r1"]
+        assert db.stats()["analysis"]["errors"] == 4
+        monkeypatch.undo()
+        db.activate_rule("r1")
+        assert list(db.lint()) == []
+        assert db.stats()["analysis"]["errors"] == 4
+
+    def test_a_failure_at_definition_counts_once_with_its_readers(
+        self, db, monkeypatch
+    ):
+        db.execute("insert into t values (1)")
+        sink = db.attach_sink(RingBufferSink())
+        monkeypatch.setattr(infer.RuleWalk, "expression", broken)
+        define_rules(db, 1)
+        [event] = sink.of_kind(EventKind.LINT_DIAGNOSTIC)
+        [failure] = db.lint()
+        assert failure.to_dict() == event.data
+        conflict(db)
+        assert db.stats()["analysis"]["errors"] == 1
+
     def test_errors_is_present_for_an_empty_catalog(self, db):
+        assert db.stats()["analysis"] == {"errors": 0}
+        db.lint()
         assert db.stats()["analysis"] == {
             "rules_analyzed": 0, "opaque_rules": 0, "conflict_pairs": 0,
             "contended_tables": [], "errors": 0,

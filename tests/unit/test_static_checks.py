@@ -22,6 +22,7 @@ STRICT_PACKAGES = (
     "repro/relational/select.py", "repro/relational/table.py",
     "repro/relational/index.py", "repro/relational/batch.py",
     "repro/relational/handles.py", "repro/core/effects.py",
+    "repro/obs/bus.py", "repro/obs/sinks.py", "repro/obs/events.py",
     "repro/durability/wal.py", "repro/durability/checkpoint.py",
     "repro/durability/recovery.py", "repro/server/client.py",
     "repro/server/protocol.py", "repro/records.py",
