@@ -67,14 +67,6 @@ class MaintenancePlan(Record):
 
     conjuncts: tuple
 
-    @property
-    def counter_conjuncts(self):
-        return tuple(
-            conjunct
-            for conjunct in self.conjuncts
-            if isinstance(conjunct, CounterConjunct)
-        )
-
 
 def _unwrap_negations(node):
     """Strip ``not`` wrappers; returns (inner node, negation parity).

@@ -130,7 +130,7 @@ class DurabilityManager:
         start = perf_counter()
         record = build_commit_record(txn_id, effect, database)
         bytes_before = self.wal.bytes_written
-        record = self.wal.append(
+        lsn = self.wal.append(
             record, sync=None if not self.group_commit else False
         )
         elapsed = perf_counter() - start
@@ -138,9 +138,9 @@ class DurabilityManager:
         self.commits_since_checkpoint += 1
         self.append_time += elapsed
         self.last_txn = txn_id
-        self.last_hwm = record["hwm"]
+        self.last_hwm = database.handles.issued_count
         return {
-            "lsn": record["lsn"],
+            "lsn": lsn,
             "bytes": self.wal.bytes_written - bytes_before,
             "duration": elapsed,
         }
@@ -150,11 +150,11 @@ class DurabilityManager:
         start = perf_counter()
         body = {"kind": "ddl", "op": op}
         body.update(fields)
-        record = self.wal.append(body)
+        lsn = self.wal.append(body)
         elapsed = perf_counter() - start
         self.ddl_logged += 1
         self.append_time += elapsed
-        return {"lsn": record["lsn"], "duration": elapsed}
+        return {"lsn": lsn, "duration": elapsed}
 
     def flush(self):
         """fsync any group-commit batch deferred by :meth:`log_commit`;

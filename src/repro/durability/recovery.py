@@ -14,9 +14,10 @@ durability directory:
    committed history, everything after it never happened (frames behind
    the tear that read back whole are counted, a lower bound, then cut
    with it: recovery is point-in-time, see
-   :func:`~repro.durability.wal.scan_wal`); refuse, before anything is
-   cut, a log or checkpoint of an earlier version and a record of
-   another format version;
+   :func:`~repro.durability.wal.scan_wal`, which numbers the records
+   on from the LSN the first one states); refuse, before anything is
+   cut, a log or checkpoint of an earlier version and a log spliced
+   from two;
 3. replay the WAL suffix (records past the checkpoint's LSN): DDL
    records re-execute catalog changes, commit records re-apply net
    effects as whole column vectors — no rule ever re-fires, because
@@ -47,7 +48,6 @@ from ..persistence import restore_catalog
 from .checkpoint import CheckpointError, read_checkpoint
 from .manager import DurabilityManager
 from .wal import (
-    WAL_VERSION,
     WalError,
     WalWriter,
     replay_commit_record,
@@ -85,13 +85,6 @@ def recover(directory: str | os.PathLike[str], fsync: bool = True,
     )
     document = read_checkpoint(manager.directory)
     scan = scan_wal(manager.wal_path)
-    for record in scan.records:
-        if record.get("v") != WAL_VERSION:
-            raise WalError(
-                f"WAL record lsn {record.get('lsn')} has format version "
-                f"{record.get('v')!r}; this build reads version "
-                f"{WAL_VERSION} only"
-            )
     if scan.torn_bytes:
         WalWriter(manager.wal_path, fsync=fsync).truncate_to(scan.valid_bytes)
 
@@ -120,6 +113,11 @@ def recover(directory: str | os.PathLike[str], fsync: bool = True,
 
     _rebuild_statistics(db.database)
 
+    if scan.records and scan.last_lsn < checkpoint_lsn:
+        # the checkpoint holds every record, and the next append's LSN
+        # would not follow the last: empty the log, as the checkpoint
+        # would have, so that append opens it stating its LSN
+        manager.wal.truncate_to(0)
     manager.wal.next_lsn = max(scan.last_lsn, checkpoint_lsn) + 1
     manager.last_txn = db.engine._txn_id
     manager.last_hwm = db.database.handles.issued_count

@@ -22,13 +22,19 @@ the rest. Versions 1 to 5 wrote text lines that open with a hex
 checksum, version 6 one deflate stream per frame behind the marker
 ``0xA5``; :func:`scan_wal` refuses either before anything is cut.
 
-Every body opens with the format version and the LSN, ``{"v":8,"lsn":L,
-...``; recovery reads version 8 and refuses any other — version 7 wrote
-the same frames, but a packed FLOAT vector as contiguous doubles where
-version 8 writes byte planes (see :func:`pack_floats`). Two records
-exist:
+A body states only what its frame's place in the file cannot. The
+frame at offset 0 opens with the format version and its LSN,
+``{"v":9,"lsn":L,...``; every later frame's LSN is its predecessor's
+plus one, and its body starts with the record's own fields. The scan
+numbers the records as it reads them and hands each back with ``"v"``
+and ``"lsn"`` filled in. It refuses a first frame of any other version
+— versions 7 and 8 wrote the same frames, but restated the version and
+the LSN in every body, and version 7 wrote a packed FLOAT vector as
+contiguous doubles where version 8 writes byte planes (see
+:func:`pack_floats`) — and a later frame that states either field (a
+log spliced from two). Two records exist:
 
-* the commit record ``{"v":8,"lsn":L,"txn":T,"hwm":H,"commit":{...}}`` —
+* the commit record ``{"txn":T,"hwm":H,"commit":{...}}`` —
   the *net effect* of one committed transaction, in the paper's
   ``[I, D, U]`` shape (Section 2.2) but carrying redo values, kept
   set-oriented: grouped per table, handle sets as ascending runs, values
@@ -36,7 +42,9 @@ exist:
   the record is the composed net effect of the whole transaction
   (external block plus every rule-generated transition, Definition
   2.1), replaying it reproduces the committed state without re-running
-  any rules.
+  any rules. ``"hwm"``, the allocator's high-water mark, is left out
+  when the record inserts a handle and the highest it inserts is the
+  mark (see :func:`build_commit_record`).
 * ``"kind":"ddl"`` — a schema/rule-catalog change (tables, indexes,
   rules, priorities), which executes outside transactions and is logged
   so the catalog survives between checkpoints.
@@ -80,7 +88,7 @@ if TYPE_CHECKING:
 #: the name the text log had; kept, so a directory an earlier build
 #: wrote is found and refused, not taken for an empty one
 WAL_FILENAME = "wal.jsonl"
-WAL_VERSION = 8
+WAL_VERSION = 9
 
 
 class WalError(ReproError):
@@ -95,7 +103,7 @@ encode_json = json.JSONEncoder(separators=(",", ":")).encode
 _decode_json = json.JSONDecoder().raw_decode
 
 #: a frame's header: marker, CRC-32 of the body, length of the chunk
-_HEADER = struct.Struct("<BII")
+FRAME_HEADER = struct.Struct("<BII")
 #: the first byte of every frame: not a hex digit (the first byte of
 #: every earlier log line), not ``{`` (of every earlier checkpoint), not
 #: the zero a crash may leave past the end of a file and not the marker
@@ -128,7 +136,7 @@ def encode_frame(data: bytes, deflate: Any = None) -> bytes:
     if deflate is None:
         deflate = new_deflate()
     chunk = deflate.compress(data) + deflate.flush(zlib.Z_SYNC_FLUSH)
-    return _HEADER.pack(FRAME_MARKER, zlib.crc32(data), len(chunk) - 4) \
+    return FRAME_HEADER.pack(FRAME_MARKER, zlib.crc32(data), len(chunk) - 4) \
         + chunk[:-4]
 
 
@@ -146,10 +154,10 @@ def _read(data: bytes | memoryview, at: int, inflate: Any = None,
     is the decompressor of the stream the frame continues (lost after
     None); without one the frame is read as a stream of its own whose
     history is ``zdict``."""
-    if len(data) - at < _HEADER.size:
+    if len(data) - at < FRAME_HEADER.size:
         return None
-    marker, crc, length = _HEADER.unpack_from(data, at)
-    end = at + _HEADER.size + length
+    marker, crc, length = FRAME_HEADER.unpack_from(data, at)
+    end = at + FRAME_HEADER.size + length
     if marker != FRAME_MARKER or end > len(data):
         return None
     if inflate is None:
@@ -221,10 +229,15 @@ def scan_wal(path: str) -> WalScan:
     that open a stream, and for frames whose references all reach no
     further back than the valid prefix.
 
+    The first valid frame states the format version and its LSN; each
+    record comes back with both filled in, the LSNs counting on by one.
+
     Raises:
         WalError: the file opens with a hex digit or with the version-6
-            marker — a log of an earlier version, refused whole rather
-            than cut as torn.
+            marker, or its first record names another format version —
+            a log of an earlier version, refused whole rather than cut
+            as torn; the first record states no integer LSN, or a later
+            one states a version or an LSN — a log spliced from two.
     """
     if not os.path.exists(path):
         return WalScan([], 0, 0)
@@ -246,7 +259,24 @@ def scan_wal(path: str) -> WalScan:
     view, valid, discarded = memoryview(data), 0, 0
     inflate, history = zlib.decompressobj(-15), bytearray()
     while frame := _read(view, valid, inflate):
-        records.append(frame[0])
+        record = frame[0]
+        if records:
+            lsn = records[-1]["lsn"]
+            if "v" in record or "lsn" in record:
+                raise WalError(
+                    f"{path!r}: the record after lsn {lsn} states its "
+                    f"format version or LSN, which only the first frame of "
+                    f"a log does; the log is spliced and left as it is")
+            record = {"v": WAL_VERSION, "lsn": lsn + 1, **record}
+        elif record.get("v") != WAL_VERSION:
+            raise WalError(
+                f"WAL record lsn {record.get('lsn')} has format version "
+                f"{record.get('v')!r}; this build reads version "
+                f"{WAL_VERSION} only and leaves {path!r} as it is")
+        elif type(record.get("lsn")) is not int:
+            raise WalError(f"{path!r}: the first record states no integer "
+                           f"LSN")
+        records.append(record)
         valid = frame[1]
         history += frame[2]
         if len(history) > 2 * _WINDOW:
@@ -265,7 +295,11 @@ class WalWriter:
 
     Each time it opens the file it starts a new deflate stream, which
     the frames it appends until the file is closed continue; a body of
-    half the window or more starts one too.
+    half the window or more starts one too. A frame at offset 0 of the
+    file states the format version and its LSN, any other frame
+    neither: an LSN is consumed only by an append that succeeds, and a
+    failed one is cut back, so the LSNs of a file are consecutive and
+    each frame's is its predecessor's plus one.
 
     Args:
         path: the WAL file path (created on first append).
@@ -304,9 +338,8 @@ class WalWriter:
             self._deflate = new_deflate()
         return self._file
 
-    def append(self, body: dict[str, Any],
-               sync: bool | None = None) -> dict[str, Any]:
-        """Assign the next LSN, append the record durably, return it.
+    def append(self, body: dict[str, Any], sync: bool | None = None) -> int:
+        """Assign the next LSN, append the record durably, return the LSN.
 
         The record only counts as written once the bytes are flushed
         (and fsync'd when enabled) — a crash before that leaves the log
@@ -333,13 +366,14 @@ class WalWriter:
             raise WalError(self.failure)
         if self.injector is not None:
             self.injector.fire("pre_wal_append")
-        body = {"v": WAL_VERSION, "lsn": self.next_lsn, **body}
         handle = self._open()
+        offset = handle.tell()
+        if not offset:
+            body = {"v": WAL_VERSION, "lsn": self.next_lsn, **body}
         data = encode_json(body).encode("utf-8")
         if len(data) >= _OWN_STREAM:
             self._deflate = new_deflate()
         frame = encode_frame(data, self._deflate)
-        offset = handle.tell()
         try:
             if self.injector is not None:
                 keep = self.injector.torn_write(len(frame))
@@ -360,12 +394,13 @@ class WalWriter:
             self._pending_sync = False
         else:
             self._pending_sync = True
+        lsn = self.next_lsn
         self.next_lsn += 1
         self.records_written += 1
         self.bytes_written += len(frame)
         if self.injector is not None:
             self.injector.fire("post_wal_append")
-        return body
+        return lsn
 
     def _discard_partial_append(self, offset: int) -> None:
         """Cut the log back to ``offset`` after a failed write.
@@ -541,9 +576,12 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
     column names ``u`` (names and groups in name order), and the row
     count ``n`` that recovery verifies after replay. The record also
     carries the handle high-water mark ``hwm`` (handles are
-    non-reusable across crashes too).
+    non-reusable across crashes too) — unless the record inserts a
+    handle and the highest it inserts, the end of the last insert run
+    of any table, is the mark: replay reads it there.
     """
     commit = {}
+    inserted = 0
     for name in sorted(effect.tables):
         part = effect.tables[name]
         table = database.table(name)
@@ -551,7 +589,9 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
         if part.deleted:
             entry["d"] = encode_runs(sorted(part.deleted))
         if part.inserted:
-            entry["i"] = table_section(table, part.inserted_handles())
+            handles = part.inserted_handles()
+            inserted = max(inserted, handles[-1])
+            entry["i"] = table_section(table, handles)
         if part.updated:
             groups: dict[frozenset[str], list[int]] = {}
             for handle in part.updated_handles():
@@ -566,11 +606,10 @@ def build_commit_record(txn_id: int, effect: TransitionEffect,
         if entry:
             entry["n"] = len(table)
             commit[name] = entry
-    return {
-        "txn": txn_id,
-        "hwm": database.handles.issued_count,
-        "commit": commit,
-    }
+    hwm = database.handles.issued_count
+    if inserted and inserted == hwm:
+        return {"txn": txn_id, "commit": commit}
+    return {"txn": txn_id, "hwm": hwm, "commit": commit}
 
 
 def decode_runs(runs: Any) -> list[int]:
@@ -695,9 +734,17 @@ def _where(record: dict[str, Any] | None) -> str:
 
 def replay_commit_record(record: dict[str, Any], database: Database) -> None:
     """Apply one commit record's net effect (:func:`replay_sections`)
-    and resume the allocator past its ``hwm``."""
-    if type(record.get("txn")) is not int or type(record.get("hwm")) is not int:
+    and resume the allocator past its ``hwm`` — stated, or the highest
+    handle the record inserts, which restoring the inserts resumed past
+    already."""
+    if type(record.get("txn")) is not int \
+            or type(record.get("hwm", 0)) is not int:
         raise WalError(f"cannot replay {_where(record)}: txn and hwm must be "
                        f"integers")
-    replay_sections(record["commit"], database, record)
-    database.handles.advance_past(record["hwm"])
+    sections = record["commit"]
+    replay_sections(sections, database, record)
+    if "hwm" in record:
+        database.handles.advance_past(record["hwm"])
+    elif not any("i" in entry for entry in sections.values()):
+        raise WalError(f"cannot replay {_where(record)}: it states no hwm "
+                       f"and inserts no handle")

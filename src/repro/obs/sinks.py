@@ -98,14 +98,17 @@ class JsonLinesSink(EventSink):
     """Writes one JSON object per event to a file (JSON-lines format).
 
     Args:
-        target: a path (string / ``os.PathLike``) opened lazily for
-            writing, or any object with a ``write`` method.
+        target: a path (string / ``os.PathLike``) opened lazily — emptied
+            at the first event, appended to after a :meth:`close` — or
+            any object with a ``write`` method.
     """
 
     def __init__(self, target: Union[str, os.PathLike[str], TextIO]) -> None:
         #: the path this sink opens and owns (None: ``target`` is a file)
         self._path: Union[str, os.PathLike[str], None] = None
         self._file: Optional[TextIO] = None
+        #: how the next open of the path opens it
+        self._mode = "w"
         if isinstance(target, (str, os.PathLike)):
             self._path = target
         else:
@@ -115,7 +118,8 @@ class JsonLinesSink(EventSink):
     def emit(self, event: Event) -> None:
         if self._file is None:
             assert self._path is not None  # only an owned file is dropped
-            self._file = open(self._path, "w", encoding="utf-8")
+            self._file = open(self._path, self._mode, encoding="utf-8")
+            self._mode = "a"
         self._file.write(json.dumps(event.to_json_dict()) + "\n")
         self.emitted += 1
 

@@ -148,12 +148,6 @@ class TransactionManager:
                 table.replace_rows(handles, rows)
         self._log = detached.log
 
-    def touched_tables(self):
-        """Names of tables this transaction has written so far."""
-        if self._log is None:
-            return set()
-        return {record[1] for record in self._log}
-
     # ------------------------------------------------------------------
 
     def _undo_to(self, position):

@@ -10,7 +10,6 @@ import pytest
 from repro import ActiveDatabase, RingBufferSink, recover
 from repro.durability.checkpoint import CHECKPOINT_FILENAME, CheckpointError
 from repro.durability.wal import (
-    WAL_VERSION,
     WalError,
     encode_frame,
     encode_record,
@@ -18,6 +17,7 @@ from repro.durability.wal import (
     read_frame,
     scan_wal,
 )
+from tests.crash.envelope import append_to_log, write_log
 from tests.reference import checkpoint_v1
 
 
@@ -207,11 +207,9 @@ class TestTornTailTruncation:
         lsn = scan_wal(wal_path).last_lsn
         with open(wal_path, "ab") as handle:
             handle.write(b"00000000 {torn\n")
-            for late in (1, 2):
+            for _ in range(2):
                 handle.write(encode_record(
-                    {"v": WAL_VERSION, "lsn": lsn + late, "kind": "ddl",
-                     "op": "drop_table", "name": "emp"}
-                ))
+                    {"kind": "ddl", "op": "drop_table", "name": "emp"}))
 
         sink = RingBufferSink()
         recovered = recover(directory, sink=sink)
@@ -239,9 +237,7 @@ class TestReplayVerification:
         last = records[-1]
         for entry in last["commit"].values():
             entry["n"] += 1
-        with open(wal_path, "wb") as handle:
-            for record in records:
-                handle.write(encode_record(record))
+        write_log(wal_path, records)
 
         with pytest.raises(WalError, match="recovery verification failed"):
             recover(directory)
@@ -250,22 +246,17 @@ class TestReplayVerification:
         directory = str(tmp_path / "d")
         original = make_db(directory)
         original.durability.close()
-        with open(original.durability.wal_path, "ab") as handle:
-            handle.write(
-                encode_record({"v": WAL_VERSION, "lsn": 999, "kind": "mystery"})
-            )
-        with pytest.raises(WalError, match="mystery.*lsn 999"):
+        lsn = append_to_log(original.durability.wal_path, {"kind": "mystery"})
+        with pytest.raises(WalError, match=f"mystery.*lsn {lsn}"):
             recover(directory)
 
     def test_unknown_ddl_op_rejected(self, tmp_path):
         directory = str(tmp_path / "d")
         original = make_db(directory)
         original.durability.close()
-        with open(original.durability.wal_path, "ab") as handle:
-            handle.write(encode_record(
-                {"v": WAL_VERSION, "lsn": 999, "kind": "ddl", "op": "defrag"}
-            ))
-        with pytest.raises(WalError, match="defrag.*lsn 999"):
+        lsn = append_to_log(original.durability.wal_path,
+                            {"kind": "ddl", "op": "defrag"})
+        with pytest.raises(WalError, match=f"defrag.*lsn {lsn}"):
             recover(directory)
 
     @pytest.mark.parametrize("body, found", [
@@ -276,23 +267,57 @@ class TestReplayVerification:
         ({"v": 2, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "2"),
         # a version-7 log: packed FLOATs as contiguous doubles
         ({"v": 7, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "7"),
+        # a version-8 log: "v" and "lsn" in every body
+        ({"v": 8, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "8"),
         # a version from the future
-        ({"v": 9, "lsn": 7, "txn": 4, "hwm": 9, "commit": {}}, "9"),
+        ({"v": 10, "lsn": 7, "txn": 4, "commit": {}}, "10"),
     ])
     def test_other_format_version_is_refused_not_truncated(
         self, tmp_path, body, found
     ):
-        directory = str(tmp_path / "d")
-        original = make_db(directory)
-        original.durability.close()
-        wal_path = original.durability.wal_path
-        with open(wal_path, "ab") as handle:
-            handle.write(encode_record(body))
-            handle.write(b"torn")  # refusal comes before any truncation
-        size = os.path.getsize(wal_path)
+        """A log names its version in its first frame."""
+        directory = tmp_path / "d"
+        directory.mkdir()
+        wal_path = directory / "wal.jsonl"
+        # every frame of a log before version 9 states the version; a
+        # refusal comes before any truncation
+        log = encode_record(body) + encode_record(body) + b"torn"
+        wal_path.write_bytes(log)
         with pytest.raises(WalError, match=f"lsn 7 .*version {found}"):
+            recover(str(directory))
+        assert wal_path.read_bytes() == log
+
+    @pytest.mark.parametrize("late", [
+        {"v": 9, "kind": "ddl", "op": "drop_table", "name": "emp"},
+        {"lsn": 6, "kind": "ddl", "op": "drop_table", "name": "emp"},
+    ])
+    def test_a_later_frame_stating_its_envelope_is_refused(
+        self, tmp_path, late
+    ):
+        """A frame past the first that states the version or an LSN is
+        the first frame of another log: the log was spliced."""
+        directory = str(tmp_path / "d")
+        make_db(directory).durability.close()
+        wal_path = os.path.join(directory, "wal.jsonl")
+        assert scan_wal(wal_path).last_lsn == 5
+        with open(wal_path, "ab") as handle:
+            handle.write(encode_record(late) + b"torn")
+        size = os.path.getsize(wal_path)
+        with pytest.raises(WalError, match="the record after lsn 5 states "
+                                           "its format version or LSN"):
             recover(directory)
         assert os.path.getsize(wal_path) == size
+
+    def test_a_first_frame_without_its_lsn_is_refused(self, tmp_path):
+        directory = tmp_path / "d"
+        directory.mkdir()
+        log = encode_record({"v": 9, "kind": "ddl", "op": "drop_table",
+                             "name": "emp"})
+        (directory / "wal.jsonl").write_bytes(log)
+        with pytest.raises(WalError, match="the first record states no "
+                                           "integer LSN"):
+            recover(str(directory))
+        assert (directory / "wal.jsonl").read_bytes() == log
 
 
 def _set(path, value):
@@ -423,10 +448,7 @@ class TestMalformedSections:
 
         def rewrite(tamper):
             tamper(records[-1])
-            with open(wal_path, "wb") as handle:
-                for record in records:
-                    handle.write(encode_record(record))
-            return directory, records[-1]["lsn"]
+            return directory, write_log(wal_path, records)
         return rewrite
 
     @pytest.fixture
@@ -494,6 +516,8 @@ class TestMalformedSections:
         (_set(["commit"], []), "sections must be an object"),
         (_set(["hwm"], "9"), "txn and hwm must be integers"),
         (_set(["txn"], None), "txn and hwm must be integers"),
+        (lambda record: record.update(commit={}) or record.pop("hwm", None),
+         "states no hwm and inserts no handle"),
     ])
     def test_wal_record(self, tampered_wal, tamper, problem):
         directory, lsn = tampered_wal(tamper)
@@ -598,6 +622,27 @@ class TestCheckpointFormat:
 
 
 class TestRecoveredLifecycle:
+    def test_a_log_the_checkpoint_outran_is_emptied(self, tmp_path):
+        """A checkpoint is durable and the log it was to empty lost its
+        un-fsync'd last record: the checkpoint holds every record left,
+        and the next append's LSN would not follow the last. Recovery
+        empties the log, so that append states its LSN and survives the
+        next recovery."""
+        directory = str(tmp_path / "d")
+        original = make_db(directory)
+        wal_path = original.durability.wal_path
+        records = scan_wal(wal_path).records
+        original.checkpoint()
+        original.durability.close()
+        write_log(wal_path, records[:-1])
+
+        recovered = recover(directory)
+        assert os.path.getsize(wal_path) == 0
+        assert recovered.durability.wal.next_lsn == records[-1]["lsn"] + 1
+        recovered.execute("insert into dept values (3)")
+        recovered.durability.close()
+        assert (3,) in recover(directory).rows("select dno from dept")
+
     def test_txn_ids_continue_not_restart(self, tmp_path):
         directory = str(tmp_path / "d")
         original = make_db(directory)

@@ -23,6 +23,7 @@ from repro.durability.checkpoint import (
 from repro.durability.faults import FaultInjector, SimulatedCrash
 from repro.durability.wal import (
     FRAME_MARKER,
+    WAL_VERSION,
     WalError,
     WalWriter,
     encode_frame,
@@ -61,10 +62,35 @@ class TestWriterAndScan:
         first = writer.append({"kind": "ddl", "op": "x"})
         second = writer.append({"kind": "ddl", "op": "y"})
         writer.close()
-        assert (first["lsn"], second["lsn"]) == (1, 2)
+        assert (first, second) == (1, 2)
         scan = scan_wal(str(tmp_path / "wal.jsonl"))
         assert [record["lsn"] for record in scan.records] == [1, 2]
         assert scan.torn_bytes == 0
+
+    def test_only_the_frame_at_offset_0_states_version_and_lsn(
+        self, tmp_path
+    ):
+        """The first frame of a file states the version and its LSN, a
+        later one neither — also when the first append failed and was
+        cut back to nothing, and after the writer reopened the file."""
+        path = str(tmp_path / "wal.jsonl")
+        writer = WalWriter(path, next_lsn=7, injector=FaultInjector(
+            point="enospc_wal_append", occurrence=1))
+        with pytest.raises(OSError):
+            writer.append({"kind": "ddl", "op": "lost"})
+        assert os.path.getsize(path) == 0
+        writer.injector = None
+        assert writer.append({"kind": "ddl", "op": "a"}) == 7
+        writer.close()
+        assert writer.append({"kind": "ddl", "op": "b"}) == 8
+        writer.close()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        first, end = read_frame(data)
+        assert first == {"v": WAL_VERSION, "lsn": 7, "kind": "ddl", "op": "a"}
+        assert read_frame(data, end) == ({"kind": "ddl", "op": "b"}, len(data))
+        assert scan_wal(path).records == [
+            first, {"v": WAL_VERSION, "lsn": 8, "kind": "ddl", "op": "b"}]
 
     def test_scan_of_missing_file_is_empty(self, tmp_path):
         scan = scan_wal(str(tmp_path / "absent.jsonl"))
@@ -127,7 +153,8 @@ class TestWriterAndScan:
         writer = WalWriter(path)
         writer.append({"kind": "commit", "txn": 1, "note": text[:500]})
         start = os.path.getsize(path)
-        long = writer.append({"kind": "commit", "txn": 2, "note": text})
+        long = {"kind": "commit", "txn": 2, "note": text}
+        writer.append(long)
         middle = os.path.getsize(path)
         writer.append({"kind": "commit", "txn": 3, "note": text[:500]})
         writer.close()
@@ -245,7 +272,7 @@ class TestFailedAppend:
 
         third = writer.append({"kind": "ddl", "op": "c"})
         writer.close()
-        assert third["lsn"] == 2
+        assert third == 2
         scan = scan_wal(path)
         assert [record["op"] for record in scan.records] == ["a", "c"]
         assert scan.torn_bytes == 0
@@ -448,16 +475,24 @@ class TestDump:
         db = build_db(directory)
         db.checkpoint()
         db.execute("delete from t where x = 1")
+        db.execute("insert into t values (3, 'c')")
         db.durability.close()
+        size = os.path.getsize(db.durability.wal_path)
         with open(db.durability.wal_path, "ab") as handle:
             handle.write(b"torn")
         main([directory])
-        checkpoint, record, summary = capsys.readouterr().out.splitlines()
+        checkpoint, *records, summary = capsys.readouterr().out.splitlines()
         assert json.loads(checkpoint) == read_checkpoint(directory)
-        assert [json.loads(record)] == scan_wal(db.durability.wal_path).records
-        assert summary.startswith("# 1 records in ")
-        assert summary.endswith("; 4 torn bytes, at least 0 whole records "
-                                "behind the tear")
+        records = [json.loads(record) for record in records]
+        assert records == scan_wal(db.durability.wal_path).records
+        # the second frame held neither: the scan numbered it
+        assert [(r["v"], r["lsn"]) for r in records] == [
+            (WAL_VERSION, 3), (WAL_VERSION, 4)]
+        assert "hwm" in records[0] and "hwm" not in records[1]
+        assert summary == (
+            f"# 2 records in {size} bytes (18 of frame headers, {size - 18} "
+            f"of chunks); 4 torn bytes, at least 0 whole records behind "
+            f"the tear")
 
 
 class TestFaultInjector:

@@ -7,7 +7,14 @@ body byte that moves by accident must fail a test. A deliberate format
 change bumps ``repro.durability.wal.WAL_VERSION`` (or
 ``CHECKPOINT_VERSION``) and regenerates the snapshot.
 
-Version 8 moved only the bytes of packed vectors, into byte planes:
+Version 9 writes only what a frame's place cannot say: the first frame
+of a log states ``"v"`` and ``"lsn"``, each later one neither, and a
+commit record leaves out an ``"hwm"`` that is the highest handle it
+inserts. Each body is its frame in ``tests/golden/wal_golden_v8.json``
+— the version-8 snapshot, unedited — less those fields, and the
+checkpoints are the same frames (:func:`v8_texts` puts the fields back).
+The older comparisons below read the bodies so restored. Version 8
+moved only the bytes of packed vectors, into byte planes:
 each body is, apart from ``"v"`` (``"version"`` in a checkpoint) and
 each packed string laid out again as contiguous doubles, its frame in
 ``tests/golden/wal_golden_v7.json`` — the version-7 snapshot, unedited.
@@ -24,10 +31,11 @@ body the version-2 codec (``tests/reference/wal_v2.py``) writes for the
 same transaction.
 
 ``tests/golden/wal_golden_v5.json`` is the last text snapshot,
-``wal_golden_v6.json`` the last of one stream per frame and
-``wal_golden_v7.json`` the last of contiguous packed doubles, all
-unedited: logs and checkpoints an earlier build wrote, which this build
-refuses and leaves as they are.
+``wal_golden_v6.json`` the last of one stream per frame,
+``wal_golden_v7.json`` the last of contiguous packed doubles and
+``wal_golden_v8.json`` the last that stated the version and the LSN in
+every body, all unedited: logs and checkpoints an earlier build wrote,
+which this build refuses and leaves as they are.
 """
 
 import base64
@@ -51,6 +59,7 @@ from repro.durability.wal import (
     new_deflate,
     unpack_floats,
 )
+from tests.crash.envelope import stated
 from tests.reference import wal_v2
 
 ROOT = Path(__file__).resolve().parent.parent.parent
@@ -71,12 +80,26 @@ GOLDEN_V3 = json.loads(TOOL.GOLDEN_V3.read_text())
 GOLDEN_V5 = json.loads(TOOL.GOLDEN_V5.read_text())
 GOLDEN_V6 = json.loads(TOOL.GOLDEN_V6.read_text())
 GOLDEN_V7 = json.loads(TOOL.GOLDEN_V7.read_text())
+GOLDEN_V8 = json.loads(TOOL.GOLDEN_V8.read_text())
 SCENARIOS = {entry["label"]: entry for entry in TOOL.scenarios()}
 
 
 def body(frame):
     """The body text of a pinned frame."""
     return frame.split(" ", 3)[3]
+
+
+def v8_texts(frames):
+    """The bodies of a log's pinned frames as version 8 wrote them:
+    ``"v":8`` and the LSN, numbered on from the first frame, in each,
+    and each commit record's ``"hwm"`` stated."""
+    texts, lsn = [], 0
+    for frame in frames:
+        document = json.loads(body(frame))
+        lsn = document.pop("lsn", lsn + 1)
+        document.pop("v", None)
+        texts.append(encode_json(stated({"v": 8, "lsn": lsn, **document})))
+    return texts
 
 
 def vectors(text):
@@ -146,13 +169,21 @@ def test_snapshot_is_not_vacuous():
         assert marker == "a6"
         assert int(crc, 16) == zlib.crc32(text.encode("ascii"))
         assert int(length) == len(text)
-    assert all(body(frame).startswith('{"v":8,"lsn":') for frame in frames)
+    for entry in GOLDEN:
+        first, *later = map(body, entry["frames"])
+        assert first.startswith('{"v":9,"lsn":1,')
+        assert not any({"v", "lsn"} & json.loads(text).keys()
+                       for text in later)
+    # the mark is left out where the inserts imply it, and stated where
+    # they do not
+    assert sum('"hwm":' not in text for text in commits) >= 5
+    assert sum('"hwm":' in text for text in commits) >= 4
     for entry in GOLDEN:
         document = json.loads(body(entry["checkpoint"]))
         assert document["version"] == 6
         assert set(document["data"]) <= {
             table["name"] for table in document["catalog"]["tables"]}
-    for older in GOLDEN_V3, GOLDEN_V5, GOLDEN_V6, GOLDEN_V7:
+    for older in GOLDEN_V3, GOLDEN_V5, GOLDEN_V6, GOLDEN_V7, GOLDEN_V8:
         assert [entry["label"] for entry in older] \
             == list(SCENARIOS)[:len(older)]
 
@@ -213,9 +244,10 @@ def test_only_packed_vectors_moved_since_version_2(expected):
             db.execute(statement)
         manager.close()
     assert len(manager.v2_bodies) == len(expected["frames"])
-    for frame, theirs in zip(expected["frames"], manager.v2_bodies):
-        ours = body(frame)
-        assert len(ours) <= len(theirs)
+    for frame, ours, theirs in zip(expected["frames"],
+                                   v8_texts(expected["frames"]),
+                                   manager.v2_bodies):
+        assert len(body(frame)) <= len(ours) <= len(theirs)
         if has_packed_vector(ours):
             assert len(ours) < len(theirs)
         else:
@@ -232,30 +264,41 @@ def test_bodies_are_the_version_3_bodies(pinned):
     ``"version"`` (the snapshot as its build wrote it)."""
     (ours,) = [entry for entry in GOLDEN if entry["label"] == pinned["label"]]
     assert len(ours["frames"]) == len(pinned["lines"])
-    for frame, old in zip(ours["frames"], pinned["lines"]):
-        assert contiguous(body(frame)).replace('{"v":8,', '{"v":3,', 1) \
-            == old[9:]
+    for text, old in zip(v8_texts(ours["frames"]), pinned["lines"]):
+        assert contiguous(text).replace('{"v":8,', '{"v":3,', 1) == old[9:]
     assert contiguous(body(ours["checkpoint"])).replace(
         '"version":6,', '"version":2,', 1) == pinned["checkpoint"]
+
+
+@pytest.mark.parametrize(
+    "pinned", GOLDEN_V8, ids=[entry["label"] for entry in GOLDEN_V8]
+)
+def test_bodies_are_the_version_8_bodies_less_what_the_order_says(pinned):
+    """Each body is its version-8 pin less ``"v"`` and ``"lsn"`` past
+    the first frame and less an implied ``"hwm"``; each checkpoint is
+    its version-8 pin, byte for byte."""
+    (ours,) = [entry for entry in GOLDEN if entry["label"] == pinned["label"]]
+    assert v8_texts(ours["frames"]) == list(map(body, pinned["frames"]))
+    assert ours["checkpoint"] == pinned["checkpoint"]
 
 
 @pytest.mark.parametrize(
     "pinned", GOLDEN_V7, ids=[entry["label"] for entry in GOLDEN_V7]
 )
 def test_only_packed_vectors_moved_since_version_7(pinned):
-    """Apart from ``"v"`` (``"version"``), each frame and checkpoint is
-    its version-7 pin with its packed vectors laid out contiguously:
-    the same header but for the CRC, the same length, the same values."""
+    """Apart from ``"v"`` (``"version"``), each version-8 body (see
+    :func:`v8_texts`) and checkpoint is its version-7 pin with its packed
+    vectors laid out contiguously: the same length, the same values."""
     (ours,) = [entry for entry in GOLDEN if entry["label"] == pinned["label"]]
     assert len(ours["frames"]) == len(pinned["frames"])
-    pairs = [*zip(ours["frames"], pinned["frames"]),
-             (ours["checkpoint"], pinned["checkpoint"])]
-    for frame, old in pairs:
-        text = contiguous(body(frame)).replace('{"v":8,', '{"v":7,', 1)
-        if frame == ours["checkpoint"]:
+    pairs = [*zip(v8_texts(ours["frames"]), pinned["frames"]),
+             (body(ours["checkpoint"]), pinned["checkpoint"])]
+    for text, old in pairs:
+        text = contiguous(text).replace('{"v":8,', '{"v":7,', 1)
+        if old == pinned["checkpoint"]:
             text = text.replace('"version":6,', '"version":5,', 1)
         assert text == body(old)
-        assert frame.split(" ", 3)[:3:2] == old.split(" ", 3)[:3:2]
+        assert str(len(text)) == old.split(" ", 3)[2]
 
 
 @pytest.mark.parametrize(
@@ -353,6 +396,39 @@ def test_version_7_logs_are_refused_and_left_intact(pinned, tmp_path):
         for name, data in files.items():
             (directory / name).write_bytes(data)
         with pytest.raises(error, match=message):
+            recover(str(directory), fsync=False)
+        assert {name: (directory / name).read_bytes() for name in files} \
+            == files
+        assert sorted(os.listdir(directory)) == sorted(files)
+
+
+def v8_files(pinned):
+    """The bytes of a version-8 log — its frames one deflate stream — and
+    checkpoint from their pins: the checkpoint is this version's."""
+    deflate = new_deflate()
+    log = b"".join(encode_frame(body(frame).encode("ascii"), deflate)
+                   for frame in pinned["frames"])
+    return log, encode_frame(body(pinned["checkpoint"]).encode("ascii"))
+
+
+@pytest.mark.parametrize(
+    "pinned", GOLDEN_V8, ids=[entry["label"] for entry in GOLDEN_V8]
+)
+def test_version_8_logs_are_refused_and_left_intact(pinned, tmp_path):
+    """A version-8 log — frames this build reads, whose later bodies
+    state a version and an LSN it would take for a spliced log — is
+    refused by the version its first body names, alone or beside a
+    checkpoint this build reads, and left byte-identical."""
+    log, checkpoint = v8_files(pinned)
+    cases = [(log, None), (log, checkpoint)]
+    for at, (wal_bytes, checkpoint_bytes) in enumerate(cases):
+        directory = tmp_path / str(at)
+        directory.mkdir()
+        files = {WAL_FILENAME: wal_bytes, CHECKPOINT_FILENAME: checkpoint_bytes}
+        files = {name: data for name, data in files.items() if data}
+        for name, data in files.items():
+            (directory / name).write_bytes(data)
+        with pytest.raises(WalError, match="lsn 1 has format version 8;"):
             recover(str(directory), fsync=False)
         assert {name: (directory / name).read_bytes() for name in files} \
             == files

@@ -44,7 +44,6 @@ from repro.durability.wal import (
     WalError,
     decode_runs,
     encode_json,
-    encode_record,
     encode_runs,
     encode_vector,
     pack_floats,
@@ -53,6 +52,7 @@ from repro.durability.wal import (
     unpack_floats,
 )
 from repro.errors import CatalogError, ExecutionError, TypeError_
+from tests.crash.envelope import stated, write_log
 from tests.reference import checkpoint_v1, wal_v2
 
 SCHEMA = [
@@ -283,6 +283,8 @@ class TestCodecDifferential:
     @example(["insert into t values (1, 'p', 0.1, true), (2, 'q', -0.0, null), "
               "(4, 'r', 1e-300, false)",
               "update t set c = c / 3.0 where a < 5"])  # packed vectors
+    # no insert and a mark of 0: the mark is stated all the same
+    @example(["delete from t where a = 0"])
     @settings(max_examples=60, deadline=None)
     def test_v3_replay_equals_v2_replay(self, tmp_path_factory, blocks):
         directory = str(tmp_path_factory.mktemp("wal"))
@@ -544,7 +546,7 @@ class TestTamperedRecords:
         records = scan_wal(wal_path).records
         commits = [record for record in records if "commit" in record]
         for ours, reference in zip(commits, v2_records):
-            assert ours == {"v": wal.WAL_VERSION, **reference}
+            assert stated(ours) == {"v": wal.WAL_VERSION, **reference}
         return directory, wal_path, records, v2_records
 
     def failures(self, logged, tamper):
@@ -552,9 +554,7 @@ class TestTamperedRecords:
         codec's commit records."""
         directory, wal_path, records, v2_records = logged
         tamper([record for record in records if "commit" in record])
-        with open(wal_path, "wb") as handle:
-            for record in records:
-                handle.write(encode_record(record))
+        write_log(wal_path, records)
         tamper(v2_records)
         with pytest.raises(Exception) as v3_failure:
             recover(directory, fsync=False)

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ActiveDatabase, DurabilityManager, recover
 from repro.durability.faults import FaultInjector
-from repro.durability.wal import encode_json, encode_record, scan_wal
+from repro.durability.wal import (
+    WAL_VERSION, encode_json, encode_record, scan_wal,
+)
 
 NAMES = ("ann", "bo", "cy", "dee")
 
@@ -54,9 +56,10 @@ class DurableRun:
         append = writer.append
 
         def tracked(body, sync=None):
-            record = append(body, sync)
-            self.acked.append(encode_json(record))
-            return record
+            lsn = append(body, sync)
+            self.acked.append(
+                encode_json({"v": WAL_VERSION, "lsn": lsn, **body}))
+            return lsn
         writer.append = tracked
 
     @property

@@ -186,6 +186,20 @@ class TestJsonLinesSink:
         sink.close()  # must not close a caller-owned stream
         assert json.loads(buffer.getvalue())["kind"] == "txn_begin"
 
+    def test_a_closed_sink_appends_what_it_is_fed_next(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        sink = JsonLinesSink(path)
+        db = ActiveDatabase(sink=sink)
+        db.execute("create table t (x integer)")
+        db.execute("insert into t values (1)")
+        sink.close()
+        db.execute("insert into t values (2)")
+        sink.close()
+        lines = path.read_text().splitlines()
+        assert sink.emitted > 0 and len(lines) == sink.emitted
+        assert [json.loads(line)["seq"] for line in lines] \
+            == list(range(1, sink.emitted + 1))
+
     def test_lazy_open_writes_nothing_without_events(self, tmp_path):
         path = tmp_path / "never.jsonl"
         JsonLinesSink(path).close()

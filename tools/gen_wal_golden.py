@@ -30,11 +30,15 @@ scenario and the frame that moved and exits 1 if any did.
 unedited as the oracle of the bodies that followed it,
 ``wal_golden_v5.json`` the last text snapshot (version 5),
 ``wal_golden_v6.json`` the last snapshot of one stream per frame
-(version 6, checkpoint version 4) and ``wal_golden_v7.json`` the last
+(version 6, checkpoint version 4), ``wal_golden_v7.json`` the last
 of packed vectors as contiguous doubles (version 7, checkpoint version
-5), kept unedited as the logs and checkpoints this build must refuse;
-the last is also the oracle of this version's bodies, which move only
-packed vectors' bytes into planes.
+5) and ``wal_golden_v8.json`` the last that stated the format version
+and the LSN in every body and the handle mark in every commit record
+(version 8), kept unedited as the logs and checkpoints this build must
+refuse. The last is also the oracle of this version's bodies: version 9
+states ``"v"`` and ``"lsn"`` in the first frame of a log only, leaves
+out a commit record's ``"hwm"`` when it is the highest handle the
+record inserts, and writes the same checkpoints.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ GOLDEN_V3 = ROOT / "tests" / "golden" / "wal_golden_v3.json"
 GOLDEN_V5 = ROOT / "tests" / "golden" / "wal_golden_v5.json"
 GOLDEN_V6 = ROOT / "tests" / "golden" / "wal_golden_v6.json"
 GOLDEN_V7 = ROOT / "tests" / "golden" / "wal_golden_v7.json"
+GOLDEN_V8 = ROOT / "tests" / "golden" / "wal_golden_v8.json"
 
 
 def scenarios() -> list[dict[str, Any]]:
