@@ -7,18 +7,14 @@ transaction's writes. :class:`~repro.concurrency.control
 context-switching transactions (undo/redo detach + attach, see
 :meth:`repro.relational.transactions.TransactionManager.detach`) and
 validates every mount and every commit with backward-looking optimistic
-concurrency control; :mod:`repro.concurrency.locks` supplies the no-wait
-two-phase-locking fallback mode. The PR 3 WAL append remains the commit
-point and becomes the serialization point: commit order *is* the serial
-order every concurrent schedule is equivalent to (docs/semantics.md
-§14).
+concurrency control. The WAL append remains the commit point and becomes
+the serialization point: commit order *is* the serial order every
+concurrent schedule is equivalent to (docs/semantics.md §14).
 """
 
 from .control import Session, SwitchAbort, TransactionCoordinator
-from .locks import LockTable
 
 __all__ = [
-    "LockTable",
     "Session",
     "SwitchAbort",
     "TransactionCoordinator",

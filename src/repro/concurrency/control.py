@@ -13,10 +13,10 @@ One :class:`TransactionCoordinator` wraps one
   transaction stays mounted until another session needs the engine, so
   a single-client workload pays nothing.
 
-* **Optimistic validation (default ``mode="occ"``).** Reads are
-  collected at table granularity through the database's read observers
-  (scan resolvers, DML identification, index lookups, and the
-  incremental layer's semantic answers all funnel through them); fired
+* **Optimistic validation.** Reads are collected at table granularity
+  through the database's read observers (scan resolvers, DML
+  identification, index lookups, and the incremental layer's semantic
+  answers all funnel through them); fired
   rules' reads and writes land in the same sets because rule processing
   runs inside the transaction. At every mount and at every commit —
   the *serialization point*, right before the WAL append — the session
@@ -28,13 +28,6 @@ One :class:`TransactionCoordinator` wraps one
   harness replays. Table granularity makes the check sound against
   phantoms; blind inserts stay out of the read set, so append-only
   workloads never conflict.
-
-* **2PL fallback (``mode="2pl"``).** The same observers instead
-  acquire no-wait shared/exclusive table locks
-  (:mod:`repro.concurrency.locks`); contention raises
-  :class:`~repro.errors.ConflictError` immediately and the statement
-  retries. Validation is then trivial — a lock held across suspension
-  guarantees no conflicting commit happened.
 
 * **Retry contract.** An auto-commit statement (no explicit ``begin``)
   that conflicts is retried wholesale — the user statement *and* the
@@ -84,7 +77,6 @@ class ConcurrencyStats:
     """Coordinator counters; ``snapshot()`` is ``stats()["server"]``."""
 
     __slots__ = (
-        "mode",
         "sessions_open",
         "sessions_total",
         "statements",
@@ -98,8 +90,7 @@ class ConcurrencyStats:
         "conflicts_unpredicted",
     )
 
-    def __init__(self, mode):
-        self.mode = mode
+    def __init__(self):
         self.sessions_open = 0
         self.sessions_total = 0
         self.statements = 0
@@ -116,7 +107,6 @@ class ConcurrencyStats:
 
     def snapshot(self):
         return {
-            "mode": self.mode,
             "sessions_open": self.sessions_open,
             "sessions_total": self.sessions_total,
             "statements": self.statements,
@@ -142,7 +132,6 @@ class Session:
         "valid_from_seq",
         "context",
         "in_txn",
-        "explicit",
         "closed",
         "statements",
         "commits",
@@ -158,7 +147,6 @@ class Session:
         self.valid_from_seq = 0
         self.context = None  # engine context while suspended
         self.in_txn = False
-        self.explicit = False
         self.closed = False
         self.statements = 0
         self.commits = 0
@@ -181,21 +169,16 @@ class TransactionCoordinator:
 
     Args:
         system: the :class:`~repro.system.ActiveDatabase` to serve.
-        mode: ``"occ"`` (backward-validation optimistic control, the
-            default) or ``"2pl"`` (no-wait strict two-phase locking).
         max_retries: automatic wholesale retries for a conflicting
             auto-commit statement before the conflict surfaces.
     """
 
-    def __init__(self, system, mode="occ", max_retries=5):
-        if mode not in ("occ", "2pl"):
-            raise ValueError(f"mode must be 'occ' or '2pl', got {mode!r}")
+    def __init__(self, system, max_retries=5):
         self.system = system
         self.engine = system.engine
         self.database = system.database
-        self.mode = mode
         self.max_retries = max_retries
-        self.stats = ConcurrencyStats(mode)
+        self.stats = ConcurrencyStats()
         self._sessions = {}
         self._next_sid = 0
         #: session whose transaction is physically mounted (lazy unmount)
@@ -204,9 +187,6 @@ class TransactionCoordinator:
         self._current = None
         self._commit_seq = 0
         self._commit_log = []  # (seq, frozenset(write tables))
-        from .locks import LockTable
-
-        self._locks = LockTable() if mode == "2pl" else None
         #: test-driver hook: ``callable(point, session)`` invoked at the
         #: named interleaving points with the op lock released — it may
         #: block while other sessions run; the engine state is remounted
@@ -259,8 +239,9 @@ class TransactionCoordinator:
         """
         bound = None
         if isinstance(statement, str):
-            # outside the operation lock (the server's reader threads
-            # get here concurrently): the statement cache has its own
+            # outside the operation lock, so an embedding application's
+            # threads may parse concurrently: the statement cache has its
+            # own lock
             statement, bound = self.database.statements.parse(statement)
         self._check_session(session)
         if isinstance(statement, ast.OperationBlock):
@@ -304,7 +285,7 @@ class TransactionCoordinator:
             )
 
         def op():
-            self._begin_session_txn(session, explicit=True)
+            self._begin_session_txn(session)
             try:
                 self.system.begin()
             except BaseException:
@@ -351,16 +332,12 @@ class TransactionCoordinator:
         if session is None:
             return
         session.reads.add(table)
-        if self._locks is not None:
-            self._locks.acquire_shared(table, session)
 
     def _note_write(self, table):
         session = self._current
         if session is None:
             return
         session.write_tables.add(table)
-        if self._locks is not None:
-            self._locks.acquire_exclusive(table, session)
 
     # ------------------------------------------------------------------
     # the operation frame
@@ -386,11 +363,9 @@ class TransactionCoordinator:
                 self._current = None
                 if not session.in_txn:
                     # non-transactional reads (plain queries) must not
-                    # accumulate footprint or hold 2PL locks
+                    # accumulate footprint
                     session.reads = set()
                     session.write_tables = set()
-                    if self._locks is not None:
-                        self._locks.release_all(session)
 
     def _autocommit(self, session, block, bound):
         attempt = 0
@@ -413,7 +388,7 @@ class TransactionCoordinator:
                 )
 
     def _autocommit_once(self, session, block, bound):
-        self._begin_session_txn(session, explicit=False)
+        self._begin_session_txn(session)
         try:
             result = self.system.execute(block, bound)
         except ConflictError:
@@ -473,11 +448,6 @@ class TransactionCoordinator:
         this session's anchor wrote a table this session read. A pass
         re-anchors the session at the current commit sequence."""
         self.stats.validations += 1
-        if self.mode == "2pl":
-            # locks held across suspension guarantee no conflicting
-            # commit happened; just move the anchor
-            session.valid_from_seq = self._commit_seq
-            return
         footprint = session.reads
         if footprint:
             overlap = set()
@@ -505,12 +475,11 @@ class TransactionCoordinator:
     # ------------------------------------------------------------------
     # transaction bookkeeping
 
-    def _begin_session_txn(self, session, explicit):
+    def _begin_session_txn(self, session):
         session.reads = set()
         session.write_tables = set()
         session.valid_from_seq = self._commit_seq
         session.in_txn = True
-        session.explicit = explicit
         self._active = session
 
     def _committed(self, session):
@@ -531,13 +500,10 @@ class TransactionCoordinator:
         self._end_session_txn(session)
 
     def _conflict_cleanup(self, session):
-        """A ConflictError (or SwitchAbort) reached the op frame: make
-        sure the session's transaction is fully aborted wherever its
-        state currently lives, then account the conflict."""
-        if self._active is session and self.engine.in_transaction:
-            # 2PL contention mid-statement: the transaction is still
-            # mounted and open — abort it wholesale
-            self.engine.abort_conflict()
+        """A ConflictError (or SwitchAbort) reached the op frame: a
+        failed commit validation has already aborted the mounted
+        transaction; a failed remount leaves it suspended, so discard
+        it here. Then account the conflict."""
         if session.context is not None:
             # failed remount validation: writes already detached
             self.engine.discard_suspended(session.context, reason="conflict")
@@ -579,13 +545,10 @@ class TransactionCoordinator:
 
     def _end_session_txn(self, session):
         session.in_txn = False
-        session.explicit = False
         session.reads = set()
         session.write_tables = set()
         if self._active is session:
             self._active = None
-        if self._locks is not None:
-            self._locks.release_all(session)
 
     def _trim_log(self):
         """Drop commit-log entries no open transaction can still

@@ -381,12 +381,6 @@ class RuleEngine:
             result.committed = False
             result.rolled_back_by = request.rule_name
             return result
-        except ConflictError:
-            # 2PL-mode lock contention inside rule processing: the whole
-            # statement + rule cascade aborts (and the caller retries it
-            # wholesale, per the docs/semantics.md §14 retry contract).
-            self._abort(reason="conflict")
-            raise
         except Exception:
             self._abort(reason="error")
             raise
@@ -460,9 +454,6 @@ class RuleEngine:
             self._abort(reason="rollback_by_rule", rule=request.rule_name)
             result.committed = False
             result.rolled_back_by = request.rule_name
-            raise
-        except ConflictError:
-            self._abort(reason="conflict")
             raise
         except Exception:
             self._abort(reason="error")
@@ -624,16 +615,6 @@ class RuleEngine:
         self._bus.emit(
             EventKind.TXN_ABORT, context.txn_id, {"reason": reason}
         )
-
-    def abort_conflict(self):
-        """Abort the mounted transaction because of a serialization
-        conflict (coordinator entry point; mirrors :meth:`rollback` with
-        conflict attribution)."""
-        self._require_transaction()
-        result = self._result
-        self._abort(reason="conflict")
-        result.committed = False
-        return result
 
     # ------------------------------------------------------------------
     # queries (read-only, outside rule processing)

@@ -35,9 +35,10 @@ programs with it. ``database.schema_version`` moving (schema or index
 DDL) empties every entry's plans and programs; nothing else does —
 table contents never enter a plan. Templates stay: they are syntax.
 
-**Threads.** The server parses before it takes the coordinator's
-operation lock, so :meth:`StatementCache.parse` runs concurrently with
-itself and with an executing statement. The entry maps change only
+**Threads.** ``TransactionCoordinator.execute`` parses before it takes
+its operation lock, so an embedding application's threads may run
+:meth:`StatementCache.parse` concurrently with itself and with an
+executing statement. The entry maps change only
 under ``_lock``; an entry's own ``plans`` and ``programs`` are touched
 only while it executes, which callers serialise (an engine runs one
 statement at a time). An evicted entry stays good for whoever holds it.

@@ -7,9 +7,9 @@ is one line — a SQL statement or a ``\\``-command — and each response is
 one JSON line. Every connection gets its own
 :class:`~repro.concurrency.Session`; the
 :class:`~repro.concurrency.TransactionCoordinator` provides snapshot-
-style optimistic isolation (or 2PL in the fallback mode) with the WAL
-append as both commit point and serialization point, and group commit
-batches fsyncs across commits that land in the same tick of the loop.
+style optimistic isolation with the WAL append as both commit point
+and serialization point, and group commit batches fsyncs across
+commits that land in the same tick of the loop.
 
 Quick start::
 

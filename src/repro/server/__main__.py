@@ -4,7 +4,6 @@
 
     python -m repro.server                      # in-memory, port 7432
     python -m repro.server --port 0 ./data      # durable, random port
-    python -m repro.server --mode 2pl ./data    # locking fallback
 
 A directory that already holds state is recovered; one written by a
 build with an earlier log or checkpoint format is refused, and left as
@@ -30,8 +29,6 @@ def main(argv=None):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7432,
                         help="TCP port (0 picks a free one)")
-    parser.add_argument("--mode", choices=("occ", "2pl"), default="occ",
-                        help="concurrency control mode (default occ)")
     parser.add_argument("--max-retries", type=int, default=5,
                         help="wholesale retries for conflicting "
                              "auto-commit statements")
@@ -43,7 +40,6 @@ def main(argv=None):
         build_system(args.directory),
         host=args.host,
         port=args.port,
-        mode=args.mode,
         max_retries=args.max_retries,
         group_commit=not args.no_group_commit,
     )

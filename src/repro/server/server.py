@@ -50,17 +50,15 @@ class RuleServer:
     """Serve one :class:`~repro.system.ActiveDatabase` over TCP.
 
     Args: ``host``/``port`` the bind address (port 0 picks a free one:
-    see :attr:`address`), ``mode`` ``"occ"`` or ``"2pl"``,
-    ``max_retries`` server-side wholesale retries of conflicting
-    auto-commit statements, ``group_commit`` one fsync for the commits
-    of a tick (with durability attached).
+    see :attr:`address`), ``max_retries`` server-side wholesale
+    retries of conflicting auto-commit statements, ``group_commit``
+    one fsync for the commits of a tick (with durability attached).
     """
 
-    def __init__(self, system, host="127.0.0.1", port=0, mode="occ",
-                 max_retries=5, group_commit=True):
+    def __init__(self, system, host="127.0.0.1", port=0, max_retries=5,
+                 group_commit=True):
         self.system, self.host, self.port = system, host, port
-        self.coordinator = TransactionCoordinator(
-            system, mode=mode, max_retries=max_retries)
+        self.coordinator = TransactionCoordinator(system, max_retries)
         if system.durability is not None and group_commit:
             system.durability.group_commit = True
         self._selector = self._listener = self._wake = self._thread = None

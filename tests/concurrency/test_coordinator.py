@@ -1,4 +1,4 @@
-"""Unit coverage for the coordinator, locks, and the machinery under
+"""Unit coverage for the coordinator and the machinery under
 them (detach/attach, suspend/resume, the maintained-view tripwire)."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ActiveDatabase
-from repro.concurrency import LockTable, TransactionCoordinator
+from repro.concurrency import TransactionCoordinator
 from repro.errors import ConflictError, TransactionError
 
 
@@ -197,44 +197,6 @@ class TestValidation:
         assert len(coord._commit_log) <= 200
 
 
-class TestLockTable:
-    def test_shared_locks_compose(self):
-        locks = LockTable()
-        locks.acquire_shared("t", "a")
-        locks.acquire_shared("t", "b")
-        assert locks.held("a") == {"t": "s"}
-
-    def test_exclusive_blocks_shared_and_exclusive(self):
-        locks = LockTable()
-        locks.acquire_exclusive("t", "a")
-        with pytest.raises(ConflictError):
-            locks.acquire_shared("t", "b")
-        with pytest.raises(ConflictError):
-            locks.acquire_exclusive("t", "b")
-        locks.acquire_shared("t", "a")  # own X covers reads
-
-    def test_sole_holder_upgrades(self):
-        locks = LockTable()
-        locks.acquire_shared("t", "a")
-        locks.acquire_exclusive("t", "a")
-        assert locks.held("a") == {"t": "x"}
-
-    def test_shared_holders_block_upgrade(self):
-        locks = LockTable()
-        locks.acquire_shared("t", "a")
-        locks.acquire_shared("t", "b")
-        with pytest.raises(ConflictError):
-            locks.acquire_exclusive("t", "a")
-
-    def test_release_all_frees_everything(self):
-        locks = LockTable()
-        locks.acquire_exclusive("t", "a")
-        locks.acquire_shared("u", "a")
-        locks.release_all("a")
-        locks.acquire_exclusive("t", "b")
-        locks.acquire_exclusive("u", "b")
-
-
 class TestDetachAttach:
     """The storage-level context switch, in isolation."""
 
@@ -330,7 +292,7 @@ class TestStats:
         session = coord.open_session()
         coord.execute(session, "insert into t values ('b', 2)")
         server = db.stats()["server"]
-        assert server["mode"] == "occ"
+        assert "mode" not in server
         assert server["commits"] == 1
         assert server["sessions_open"] == 1
         for key in ("conflicts", "retries", "aborts", "switches"):

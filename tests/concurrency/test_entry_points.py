@@ -64,11 +64,11 @@ class TestMainEntry:
         monkeypatch.setattr("repro.server.__main__.serve", fake_serve)
         main([
             str(tmp_path / "data"), "--host", "0.0.0.0", "--port", "0",
-            "--mode", "2pl", "--max-retries", "9", "--no-group-commit",
+            "--max-retries", "9", "--no-group-commit",
         ])
         assert captured["host"] == "0.0.0.0"
         assert captured["port"] == 0
-        assert captured["mode"] == "2pl"
+        assert "mode" not in captured
         assert captured["max_retries"] == 9
         assert captured["group_commit"] is False
         assert captured["system"].durability is not None
@@ -82,9 +82,19 @@ class TestMainEntry:
         )
         main([])
         assert captured["system"].durability is None
-        assert captured["mode"] == "occ"
+        assert "mode" not in captured
         assert captured["port"] == 7432
         assert captured["group_commit"] is True
+
+    def test_mode_flag_is_gone(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "repro.server.__main__.serve",
+            lambda system, **kwargs: pytest.fail("served"),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--mode", "occ"])
+        assert excinfo.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestServeWrapper:

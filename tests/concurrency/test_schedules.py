@@ -14,23 +14,19 @@ import pytest
 from repro import ActiveDatabase
 from repro.concurrency import TransactionCoordinator
 from repro.errors import ConflictError
+from repro.obs import RingBufferSink
 
 from .driver import InterleaveDriver
 
 
-def coordinated(mode="occ", **kwargs):
-    db = ActiveDatabase(**kwargs)
-    return db, TransactionCoordinator(db, mode=mode)
-
-
-@pytest.fixture(params=["occ", "2pl"])
-def mode(request):
-    return request.param
+def coordinated():
+    db = ActiveDatabase()
+    return db, TransactionCoordinator(db)
 
 
 class TestLostUpdate:
-    def test_concurrent_increments_never_lose_one(self, mode):
-        db, coord = coordinated(mode)
+    def test_concurrent_increments_never_lose_one(self):
+        db, coord = coordinated()
         db.execute("create table acct (name varchar, bal float)")
         db.execute("insert into acct values ('a', 100)")
         driver = InterleaveDriver(coord)
@@ -70,8 +66,8 @@ class TestLostUpdate:
         assert coord.stats.conflicts == 1
         assert db.stats()["server"]["conflicts"] == 1
 
-    def test_serial_execution_needs_no_aborts(self, mode):
-        db, coord = coordinated(mode)
+    def test_serial_execution_needs_no_aborts(self):
+        db, coord = coordinated()
         db.execute("create table acct (name varchar, bal float)")
         db.execute("insert into acct values ('a', 100)")
         s1 = coord.open_session()
@@ -87,12 +83,12 @@ class TestLostUpdate:
 
 
 class TestWriteSkew:
-    def test_disjoint_writes_after_overlapping_reads_abort(self, mode):
+    def test_disjoint_writes_after_overlapping_reads_abort(self):
         """Classic write skew: each transaction checks the combined
         balance, then debits a *different* row. Snapshot isolation
         would let both commit and break the invariant; table-level
         validation (or table locks) forces one to abort."""
-        db, coord = coordinated(mode)
+        db, coord = coordinated()
         db.execute("create table acct (name varchar, bal float)")
         db.execute("insert into acct values ('a', 60), ('b', 60)")
         driver = InterleaveDriver(coord)
@@ -274,32 +270,81 @@ class TestRuleCascadeConflict:
         assert db.stats()["server"]["retries"] == 1
 
 
-class TestTwoPhaseLocking:
-    def test_contention_surfaces_at_the_statement(self):
-        db, coord = coordinated(mode="2pl")
-        db.execute("create table t (v float)")
-        s1 = coord.open_session()
-        s2 = coord.open_session()
-        coord.begin(s1)
-        coord.execute(s1, "insert into t values (1)")
-        coord.begin(s2)
-        with pytest.raises(ConflictError):
-            coord.execute(s2, "insert into t values (2)")
-        # s2's transaction aborted wholesale; s1 commits untouched
-        coord.commit(s1)
-        assert db.rows("select v from t") == [(1.0,)]
-        assert not s2.in_txn
+class TestConflictExits:
+    """Each of OCC's three conflict exits aborts the transaction once,
+    attributed ``"conflict"``, and leaves neither the engine nor the
+    session holding any of it."""
 
-    def test_shared_readers_do_not_conflict(self):
-        db, coord = coordinated(mode="2pl")
-        db.execute("create table t (v float)")
-        db.execute("insert into t values (1)")
-        s1 = coord.open_session()
-        s2 = coord.open_session()
-        coord.begin(s1)
-        coord.begin(s2)
-        assert coord.query(s1, "select count(*) as n from t").scalar() == 1
-        assert coord.query(s2, "select count(*) as n from t").scalar() == 1
-        coord.commit(s1)
-        coord.commit(s2)
-        assert coord.stats.conflicts == 0
+    def build(self):
+        db, coord = coordinated()
+        db.execute("create table emp (name varchar, sal float)")
+        db.execute("create table audit (name varchar)")
+        db.execute("create table limits (cap float)")
+        db.execute("insert into limits values (1)")
+        db.execute(
+            "create rule gated_log when inserted into emp "
+            "if exists (select * from limits where cap > 0) "
+            "then insert into audit (select name from inserted emp)"
+        )
+        sink = db.attach_sink(RingBufferSink())
+        return db, coord, sink, InterleaveDriver(coord)
+
+    @staticmethod
+    def writer(coord):
+        def script(session):
+            try:
+                coord.begin(session)
+                coord.query(session, "select cap from limits")
+                coord.execute(session, "insert into emp values ('amy', 10)")
+                coord.commit(session)
+                return "committed"
+            except ConflictError:
+                return "conflict"
+
+        return script
+
+    def check_aborted_once(self, db, coord, sink, driver, worker):
+        assert driver.finish("t1") == "conflict"
+        driver.close()
+        aborts = sink.of_kind("txn_abort")
+        assert [event.data["reason"] for event in aborts] == ["conflict"]
+        assert not db.engine.in_transaction
+        session = worker.session
+        assert not session.in_txn
+        assert session.reads == set() and session.write_tables == set()
+        assert coord.stats.conflicts == 1
+        assert db.rows("select name from emp") == []
+        assert db.rows("select name from audit") == []
+
+    def test_commit_validation_at_wal_append(self):
+        """Another session's operation always unmounts t1 first, so
+        only remount validation sees its commits. Record a committed
+        write to ``limits`` while t1 stays mounted at ``wal_append``:
+        the ``pre_commit_hook`` validation must abort it."""
+        db, coord, sink, driver = self.build()
+        worker = driver.spawn("t1", self.writer(coord))
+        point = driver.advance("t1")
+        while point != "wal_append":
+            point = driver.advance("t1")
+        coord._commit_seq += 1
+        coord._commit_log.append((coord._commit_seq, frozenset({"limits"})))
+        self.check_aborted_once(db, coord, sink, driver, worker)
+
+    def test_remount_at_statement_boundary(self):
+        db, coord, sink, driver = self.build()
+        worker = driver.spawn("t1", self.writer(coord))
+        driver.step_statement("t1")  # begin
+        driver.step_statement("t1")  # select: limits joins the read set
+        bystander = coord.open_session("bystander")
+        coord.execute(bystander, "update limits set cap = 2")
+        self.check_aborted_once(db, coord, sink, driver, worker)
+
+    def test_remount_at_rule_consideration(self):
+        db, coord, sink, driver = self.build()
+        worker = driver.spawn("t1", self.writer(coord))
+        point = driver.advance("t1")
+        while point != "rule_consideration":
+            point = driver.advance("t1")
+        bystander = coord.open_session("bystander")
+        coord.execute(bystander, "update limits set cap = 2")
+        self.check_aborted_once(db, coord, sink, driver, worker)

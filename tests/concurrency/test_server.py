@@ -188,7 +188,7 @@ class TestServerBasics:
             client.execute("create table t (v float)")
             client.execute("insert into t values (1)")
             stats = client.stats()
-            assert stats["server"]["mode"] == "occ"
+            assert "mode" not in stats["server"]
             assert stats["server"]["commits"] >= 1
             assert stats["server"]["sessions_open"] >= 1
 
