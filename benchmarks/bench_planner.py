@@ -100,7 +100,7 @@ def _shape_hash_join_beats_product():
     times = {}
     for size in SIZES:
         db = build(size)
-        stats = db.database.planner_stats
+        stats = db.database.counters
 
         def timed():
             stats.reset()

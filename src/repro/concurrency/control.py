@@ -18,16 +18,20 @@ One :class:`TransactionCoordinator` wraps one
   identification, index lookups, and the incremental layer's semantic
   answers all funnel through them); fired
   rules' reads and writes land in the same sets because rule processing
-  runs inside the transaction. At every mount and at every commit —
-  the *serialization point*, right before the WAL append — the session
-  is validated backward against every transaction committed since its
-  last anchor: any overlap between a committed write set and this
-  session's read set aborts this session (first committer wins). A
-  passing validation re-anchors the session at the current commit
-  sequence, which is why commit order is the serial order the property
-  harness replays. Table granularity makes the check sound against
-  phantoms; blind inserts stay out of the read set, so append-only
-  workloads never conflict.
+  runs inside the transaction. Every mount validates the session
+  backward against every transaction committed since its last anchor:
+  any overlap between a committed write set and this session's read
+  set aborts this session (first committer wins). Another session's
+  operation always unmounts the running one first, so a conflict is
+  caught at remount — the next statement boundary, or the return from
+  a pause point where the session was parked — and a cascade aborts
+  with its statement. The engine's ``pre_commit_hook`` validates once
+  more right before the WAL append, a safety check no schedule has
+  reached. A passing validation re-anchors the session at the current
+  commit sequence, which is why commit order is the serial order the
+  property harness replays. Table granularity makes the check sound
+  against phantoms; blind inserts stay out of the read set, so
+  append-only workloads never conflict.
 
 * **Retry contract.** An auto-commit statement (no explicit ``begin``)
   that conflicts is retried wholesale — the user statement *and* the
@@ -49,6 +53,7 @@ import threading
 
 from ..errors import ConflictError, TransactionError
 from ..obs.events import EventKind
+from ..relational.stats import Counters
 from ..sql import ast
 
 #: commit-log entries kept beyond what open transactions can still
@@ -73,52 +78,17 @@ class SwitchAbort(BaseException):
         self.conflict = conflict
 
 
-class ConcurrencyStats:
-    """Coordinator counters; ``snapshot()`` is ``stats()["server"]``."""
+class ConcurrencyStats(Counters):
+    """Coordinator counters; ``snapshot()`` is ``stats()["server"]``.
+    ``conflicts_predicted`` / ``conflicts_unpredicted`` split observed
+    conflicts by whether the static effect analysis forecast one of
+    their tables as contended (see RuleEngine.conflict_advisory)."""
 
     __slots__ = (
-        "sessions_open",
-        "sessions_total",
-        "statements",
-        "commits",
-        "conflicts",
-        "retries",
-        "aborts",
-        "switches",
-        "validations",
-        "conflicts_predicted",
-        "conflicts_unpredicted",
+        "sessions_open", "sessions_total", "statements", "commits",
+        "conflicts", "retries", "aborts", "switches", "validations",
+        "conflicts_predicted", "conflicts_unpredicted",
     )
-
-    def __init__(self):
-        self.sessions_open = 0
-        self.sessions_total = 0
-        self.statements = 0
-        self.commits = 0
-        self.conflicts = 0
-        self.retries = 0
-        self.aborts = 0
-        self.switches = 0
-        self.validations = 0
-        #: observed conflicts whose tables the static effect analysis
-        #: forecast as contended vs. not (see RuleEngine.conflict_advisory)
-        self.conflicts_predicted = 0
-        self.conflicts_unpredicted = 0
-
-    def snapshot(self):
-        return {
-            "sessions_open": self.sessions_open,
-            "sessions_total": self.sessions_total,
-            "statements": self.statements,
-            "commits": self.commits,
-            "conflicts": self.conflicts,
-            "retries": self.retries,
-            "aborts": self.aborts,
-            "switches": self.switches,
-            "validations": self.validations,
-            "conflicts_predicted": self.conflicts_predicted,
-            "conflicts_unpredicted": self.conflicts_unpredicted,
-        }
 
 
 class Session:
@@ -136,7 +106,6 @@ class Session:
         "statements",
         "commits",
         "conflicts",
-        "retries",
     )
 
     def __init__(self, sid, name):
@@ -151,11 +120,6 @@ class Session:
         self.statements = 0
         self.commits = 0
         self.conflicts = 0
-        self.retries = 0
-
-    @property
-    def mounted(self):
-        return self.in_txn and self.context is None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         state = "idle"
@@ -223,9 +187,6 @@ class TransactionCoordinator:
             self._sessions.pop(session.id, None)
             self.stats.sessions_open -= 1
             self._emit(EventKind.SESSION_CLOSE, session=session.name)
-
-    def sessions(self):
-        return list(self._sessions.values())
 
     # ------------------------------------------------------------------
     # the statement surface
@@ -379,7 +340,6 @@ class TransactionCoordinator:
                 if attempt >= self.max_retries:
                     raise
                 attempt += 1
-                session.retries += 1
                 self.stats.retries += 1
                 self._emit(
                     EventKind.TXN_RETRY,
@@ -464,9 +424,10 @@ class TransactionCoordinator:
         session.valid_from_seq = self._commit_seq
 
     def _validate_current(self):
-        """``engine.pre_commit_hook``: the serialization-point check,
-        after quiescence (fired rules' reads/writes are in the sets)
-        and before the WAL append."""
+        """``engine.pre_commit_hook``: a last check after quiescence
+        (fired rules' reads/writes are in the sets) and before the WAL
+        append. Remount validation has already caught every conflict
+        a schedule can produce; this is the backstop."""
         session = self._current
         if session is None:
             return
@@ -621,6 +582,3 @@ class TransactionCoordinator:
         # session events interleave with the transaction stream every
         # other sink sees.
         self.engine._bus.emit(kind, self.engine._txn_id, data)
-
-    def stats_snapshot(self):
-        return self.stats.snapshot()

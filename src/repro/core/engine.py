@@ -148,10 +148,11 @@ class RuleEngine:
         #: evaluation and ``"wal_append"`` after quiescence, just before
         #: the durable commit point; the tests/concurrency driver and
         #: the coordinator's cooperative yield both hang off it.
-        #: pre_commit_hook runs right before the WAL append (the
-        #: serialization point) and may raise ConflictError — backward
-        #: validation happens there. concurrency, when set, is the
-        #: coordinator's stats object; its snapshot becomes
+        #: pre_commit_hook runs right before the WAL append and may
+        #: raise ConflictError: the coordinator revalidates there as a
+        #: safety check, though conflicts are caught earlier, when a
+        #: parked or idle session is remounted. concurrency, when set,
+        #: is the coordinator's stats object; its snapshot becomes
         #: ``stats()["server"]``.
         self.pause_hook = None
         self.pre_commit_hook = None
@@ -180,17 +181,11 @@ class RuleEngine:
         ``{"errors": 0}`` until then: reading stats builds nothing.
         """
         database = self.database
+        sections = database.counters.sections(database.enable_vectorized_eval)
+        sections["planner"]["statement_cache"] = database.statements.snapshot()
         return self._metrics.snapshot(
             strategy=getattr(self.strategy, "name", None),
-            planner=dict(
-                database.planner_stats.snapshot(),
-                statement_cache=database.statements.snapshot(),
-            ),
-            compiler=database.compiler_stats.snapshot(),
-            vectorized=database.vectorized_stats.snapshot(
-                enabled=database.enable_vectorized_eval
-            ),
-            optimizer=database.optimizer_stats.snapshot(),
+            **sections,
             durability=(
                 self.durability.stats_snapshot()
                 if self.durability is not None
@@ -248,10 +243,7 @@ class RuleEngine:
         """Zero all counters (a fresh measurement window)."""
         self._metrics.reset()
         self._events_at_reset = self._bus.events_emitted
-        self.database.planner_stats.reset()
-        self.database.compiler_stats.reset()
-        self.database.vectorized_stats.reset()
-        self.database.optimizer_stats.reset()
+        self.database.counters.reset()
         self.incremental.stats.reset()
 
     def _emit(self, kind, **data):
@@ -641,10 +633,7 @@ class RuleEngine:
         updated per-rule transition information.
         """
         result = self._result
-        planner = self.database.planner_stats
-        compiler = self.database.compiler_stats
-        vectorized = self.database.vectorized_stats
-        optimizer = self.database.optimizer_stats
+        counts = self.database.counters
         rule_transitions = 0
         rounds = 0
         selection_time = 0.0
@@ -669,10 +658,7 @@ class RuleEngine:
                     self.pause_hook("rule_consideration")
                 self._clock += 1
                 self._considered_at[rule.name] = self._clock
-                planner_before = planner.counters()
-                compiler_before = compiler.counters()
-                vectorized_before = vectorized.counters()
-                optimizer_before = optimizer.counters()
+                before = counts.counters()
                 condition_start = perf_counter()
                 condition_value, incremental_delta = (
                     self._evaluate_condition(rule)
@@ -689,10 +675,7 @@ class RuleEngine:
                     after_transition=self._transition_index,
                     duration=condition_elapsed,
                     trans_info_size=self._log.info(rule.name).size(),
-                    planner=planner.delta_since(planner_before),
-                    compiler=compiler.delta_since(compiler_before),
-                    vectorized=vectorized.delta_since(vectorized_before),
-                    optimizer=optimizer.delta_since(optimizer_before),
+                    counters=counts.delta_since(before),
                     incremental=incremental_delta,
                 )
                 if condition_value is True:
@@ -733,10 +716,7 @@ class RuleEngine:
                 raise RuleLoopError(self.max_rule_transitions, trace=result)
 
             seen = self._snapshot_seen(fired) if self.record_seen else {}
-            planner_before = planner.counters()
-            compiler_before = compiler.counters()
-            vectorized_before = vectorized.counters()
-            optimizer_before = optimizer.counters()
+            before = counts.counters()
             self.incremental.before_transition()
             action_start = perf_counter()
             effects = self._execute_rule_action(fired)
@@ -757,10 +737,7 @@ class RuleEngine:
                 condition=True if fired.condition is not None else None,
                 duration=action_elapsed,
                 trans_info_size=effect.size(),
-                planner=planner.delta_since(planner_before),
-                compiler=compiler.delta_since(compiler_before),
-                vectorized=vectorized.delta_since(vectorized_before),
-                optimizer=optimizer.delta_since(optimizer_before),
+                counters=counts.delta_since(before),
             )
             self._emit(
                 EventKind.TRANS_INFO_RESET,

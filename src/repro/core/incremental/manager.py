@@ -28,6 +28,7 @@ docs/semantics.md §12, enforced by the incremental differential suite.
 from __future__ import annotations
 
 from ...relational.expressions import Evaluator, Scope
+from ...relational.stats import Counters
 from ..transition_tables import TransitionTableResolver
 from .classify import CounterConjunct, classify_condition
 from .views import MaintainedView, NetDelta
@@ -37,39 +38,15 @@ from .views import MaintainedView, NetDelta
 MAX_VIEWS = 512
 
 
-class IncrementalStats:
+class IncrementalStats(Counters):
     """Monotone counters for the incremental layer
     (``stats()["incremental"]``)."""
 
     __slots__ = (
-        "classifications",
-        "rules_classified",
-        "rules_unclassifiable",
-        "view_refreshes",
-        "deltas_applied",
-        "delta_rows",
-        "hits",
-        "refreshes",
-        "fallbacks",
-        "invalidations",
-        "errors",
+        "classifications", "rules_classified", "rules_unclassifiable",
+        "view_refreshes", "deltas_applied", "delta_rows", "hits",
+        "refreshes", "fallbacks", "invalidations", "errors",
     )
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.classifications = 0
-        self.rules_classified = 0
-        self.rules_unclassifiable = 0
-        self.view_refreshes = 0
-        self.deltas_applied = 0
-        self.delta_rows = 0
-        self.hits = 0
-        self.refreshes = 0
-        self.fallbacks = 0
-        self.invalidations = 0
-        self.errors = 0
 
 
 class IncrementalManager:
@@ -320,18 +297,4 @@ class IncrementalManager:
                 self.stats.invalidations += 1
 
     def stats_snapshot(self):
-        stats = self.stats
-        return {
-            "views": len(self._views),
-            "classifications": stats.classifications,
-            "rules_classified": stats.rules_classified,
-            "rules_unclassifiable": stats.rules_unclassifiable,
-            "view_refreshes": stats.view_refreshes,
-            "deltas_applied": stats.deltas_applied,
-            "delta_rows": stats.delta_rows,
-            "hits": stats.hits,
-            "refreshes": stats.refreshes,
-            "fallbacks": stats.fallbacks,
-            "invalidations": stats.invalidations,
-            "errors": stats.errors,
-        }
+        return {"views": len(self._views), **self.stats.snapshot()}

@@ -48,10 +48,10 @@ def _batch_counter(database, table, binding, where, bound):
     from ...relational.select import BaseTableResolver
 
     evaluator = Evaluator(database, BaseTableResolver(database), bound)
-    stats = database.vectorized_stats
+    counters = database.counters
 
     def count(batch):
-        ctx = batch_context(batch, layout, None, evaluator, stats)
+        ctx = batch_context(batch, layout, None, evaluator, counters)
         sel = run_batch_filter(
             database, (where,), layout, ctx, batch.sel, table=table
         )

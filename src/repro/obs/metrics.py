@@ -9,8 +9,12 @@ sink would see. ``snapshot()`` renders everything as plain dicts
 
 from __future__ import annotations
 
+from ..relational.stats import RULE_FIELDS
 from .events import EventKind
 from .sinks import EventSink
+
+#: where the incremental outcome counts sit among :data:`RULE_FIELDS`
+_BATCHES = RULE_FIELDS.index("batches_scanned")
 
 
 class RuleMetrics:
@@ -19,14 +23,11 @@ class RuleMetrics:
     __slots__ = (
         "considerations", "fires", "condition_true", "condition_false",
         "condition_unknown", "condition_time", "action_time",
-        "rows_inserted", "rows_deleted", "rows_updated", "rows_scanned",
-        "rows_visited", "rows_returned", "plan_cache_hits",
-        "plan_cache_misses", "compiles", "compile_cache_hits",
-        "compile_cache_misses", "incremental_hits", "incremental_refreshes",
-        "incremental_fallbacks", "batches_scanned", "batch_rows_scanned",
-        "batch_rows_selected", "batch_fallback_rows", "grouped_batches",
-        "group_scope_fallbacks", "zones_pruned", "rows_zone_pruned",
-        "peak_trans_info_size", "resets", "rollbacks",
+        "rows_inserted", "rows_deleted", "rows_updated",
+        *RULE_FIELDS[:_BATCHES], "incremental_hits",
+        "incremental_refreshes", "incremental_fallbacks",
+        *RULE_FIELDS[_BATCHES:], "peak_trans_info_size", "resets",
+        "rollbacks",
     )
 
     def __init__(self):
@@ -135,10 +136,7 @@ class MetricsCollector(EventSink):
             metrics.condition_false += 1
         else:
             metrics.condition_unknown += 1
-        self._fold_planner(metrics, data)
-        self._fold_compiler(metrics, data)
-        self._fold_vectorized(metrics, data)
-        self._fold_optimizer(metrics, data)
+        self._fold_counters(metrics, data)
         self._fold_incremental(metrics, data)
         self._track_info_size(metrics, data)
 
@@ -153,63 +151,15 @@ class MetricsCollector(EventSink):
             metrics.rows_inserted += inserted
             metrics.rows_deleted += deleted
             metrics.rows_updated += updated
-        self._fold_planner(metrics, data)
-        self._fold_compiler(metrics, data)
-        self._fold_vectorized(metrics, data)
-        self._fold_optimizer(metrics, data)
+        self._fold_counters(metrics, data)
         self._track_info_size(metrics, data)
 
-    def _fold_planner(self, metrics, data):
-        """Accumulate the per-evaluation planner delta the engine attaches
-        to consideration/firing events (None when the database has no
-        planner, e.g. a bare test double)."""
-        delta = data.get("planner")
-        if not delta:
-            return
-        for field in (
-            "rows_scanned",
-            "rows_visited",
-            "rows_returned",
-            "plan_cache_hits",
-            "plan_cache_misses",
-        ):
-            increment = delta.get(field, 0)
-            setattr(metrics, field, getattr(metrics, field) + increment)
-
-    def _fold_compiler(self, metrics, data):
-        """Accumulate the per-evaluation compiler delta the engine attaches
-        to consideration/firing events (None when the database has no
-        compiler counters)."""
-        delta = data.get("compiler")
-        if not delta:
-            return
-        metrics.compiles += delta.get("compiles", 0)
-        metrics.compile_cache_hits += delta.get("cache_hits", 0)
-        metrics.compile_cache_misses += delta.get("cache_misses", 0)
-
-    def _fold_vectorized(self, metrics, data):
-        """Accumulate the per-evaluation batch-kernel delta the engine
-        attaches to consideration/firing events (None when the database
-        has no vectorized layer)."""
-        delta = data.get("vectorized")
-        if not delta:
-            return
-        metrics.batches_scanned += delta.get("batches_scanned", 0)
-        metrics.batch_rows_scanned += delta.get("rows_scanned", 0)
-        metrics.batch_rows_selected += delta.get("rows_selected", 0)
-        metrics.batch_fallback_rows += delta.get("fallback_rows", 0)
-        metrics.grouped_batches += delta.get("grouped_batches", 0)
-        metrics.group_scope_fallbacks += delta.get("group_scope_fallbacks", 0)
-
-    def _fold_optimizer(self, metrics, data):
-        """Accumulate the per-evaluation optimizer delta the engine
-        attaches to consideration/firing events: zone-map prunes
-        charged to this rule's evaluations."""
-        delta = data.get("optimizer")
-        if not delta:
-            return
-        metrics.zones_pruned += delta.get("zones_pruned", 0)
-        metrics.rows_zone_pruned += delta.get("rows_zone_pruned", 0)
+    def _fold_counters(self, metrics, data):
+        """Charge the evaluation counters the engine attaches to
+        consideration/firing events (:data:`RULE_FIELDS`, absent when
+        a bare test double emits the event) to the rule."""
+        for name, increment in data.get("counters", {}).items():
+            setattr(metrics, name, getattr(metrics, name) + increment)
 
     def _fold_incremental(self, metrics, data):
         """Count how this consideration's condition was answered by the
@@ -243,22 +193,15 @@ class MetricsCollector(EventSink):
         ``events`` is the number of events the bus emitted in this
         window, of every kind, including those no collector folds.
 
-        ``planner`` is the database-wide
-        :meth:`~repro.relational.plan.cache.PlannerStats.snapshot` dict
-        (plan-cache hit rate, rows scanned/visited/returned); it covers
-        *all* query evaluation on the database, while the per-rule
-        counters cover only condition/action evaluations. ``compiler``
-        is the database-wide
-        :meth:`~repro.relational.compiled.CompilerStats.snapshot` dict
-        (expression compiles, compiled-cache hit rate, interpreter
-        fallbacks) with the same all-evaluation scope. ``vectorized``
-        is the database-wide
-        :meth:`~repro.relational.compiled.VectorizedStats.snapshot` dict
-        (batch-kernel scans, selection-vector hit ratio, per-row
-        fallbacks), again covering all query evaluation. ``optimizer``
-        is the database-wide
-        :meth:`~repro.relational.stats.OptimizerStats.snapshot` dict
-        (zone-map prune counters), covering all query evaluation. ``durability``
+        ``planner`` (plan-cache hit rate, rows scanned/visited/returned),
+        ``compiler`` (expression compiles, compiled-cache hit rate,
+        interpreter fallbacks), ``vectorized`` (batch-kernel scans,
+        selection-vector hit ratio, per-row fallbacks) and ``optimizer``
+        (zone-map prune counters) are the sections
+        :meth:`~repro.relational.stats.EvaluationCounters.sections`
+        renders from the database's one counter set; they cover *all*
+        query evaluation on the database, while the per-rule counters
+        cover only condition/action evaluations. ``durability``
         is the attached manager's
         :meth:`~repro.durability.manager.DurabilityManager.stats_snapshot`
         (WAL bytes/records/latency, checkpoints, recovery), present only

@@ -63,70 +63,6 @@ from .expressions import (
 )
 from .stats import ZONE_SHIFT
 
-#: counters whose deltas the engine attaches to rule events (mirrors
-#: repro.relational.plan.cache.DELTA_FIELDS)
-DELTA_FIELDS = (
-    "cache_hits",
-    "cache_misses",
-    "compiles",
-)
-
-
-class CompilerStats:
-    """Monotone counters for the compiled-expression layer.
-
-    ``compiles`` counts programs built; ``nodes_compiled`` /
-    ``nodes_fallback`` partition the AST nodes of those programs into
-    kernel-compiled and interpreter-delegated; cache counters mirror
-    the plan cache's. Exposed as ``stats()["compiler"]``.
-    """
-
-    __slots__ = (
-        "compiles",
-        "cache_hits",
-        "cache_misses",
-        "invalidations",
-        "nodes_compiled",
-        "nodes_fallback",
-    )
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.compiles = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.invalidations = 0
-        self.nodes_compiled = 0
-        self.nodes_fallback = 0
-
-    def snapshot(self):
-        lookups = self.cache_hits + self.cache_misses
-        nodes = self.nodes_compiled + self.nodes_fallback
-        return {
-            "compiles": self.compiles,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": (self.cache_hits / lookups if lookups else 0.0),
-            "invalidations": self.invalidations,
-            "nodes_compiled": self.nodes_compiled,
-            "nodes_fallback": self.nodes_fallback,
-            "fallback_rate": (self.nodes_fallback / nodes if nodes else 0.0),
-        }
-
-    def counters(self):
-        """The :data:`DELTA_FIELDS` values as a tuple (cheap to snapshot
-        around a single condition/action evaluation)."""
-        return tuple(getattr(self, name) for name in DELTA_FIELDS)
-
-    def delta_since(self, before):
-        """``{field: increment}`` relative to a :meth:`counters` tuple."""
-        return {
-            name: getattr(self, name) - then
-            for name, then in zip(DELTA_FIELDS, before)
-        }
-
 
 def compile_program(database, node, layout, predicate, table):
     """Compile ``node`` against ``layout`` as the statement cache asks
@@ -137,9 +73,9 @@ def compile_program(database, node, layout, predicate, table):
         compile_batch_predicate if predicate else compile_batch_expression
     )
     program = compile_batch(node, layout, kinds, database)
-    vstats = database.vectorized_stats
-    vstats.typed_kernels += program.kernels_typed
-    vstats.generic_kernels += program.kernels_generic
+    counters = database.counters
+    counters.typed_kernels += program.kernels_typed
+    counters.generic_kernels += program.kernels_generic
     return program
 
 
@@ -285,90 +221,6 @@ _DYNAMIC_NODES = frozenset(
 # interpreter evaluating the expression over ``sel`` row by row.
 
 
-#: counters whose deltas the engine attaches to rule events (mirrors
-#: DELTA_FIELDS for the compiler and planner layers)
-VECTORIZED_DELTA_FIELDS = (
-    "batches_scanned",
-    "rows_scanned",
-    "rows_selected",
-    "fallback_rows",
-    "grouped_batches",
-    "group_scope_fallbacks",
-)
-
-
-class VectorizedStats:
-    """Monotone counters for the batch-kernel layer.
-
-    ``batches_scanned`` counts batch-kernel scans (one filter chain,
-    projection, key extraction, or count fold over one selection
-    vector); ``rows_scanned`` / ``rows_selected`` are the selection-
-    vector sizes entering and surviving filter-style scans (their ratio
-    is the selection-vector hit ratio); ``fallback_rows`` counts
-    per-row interpreter escapes inside kernels (subqueries, outer
-    references); ``row_fallbacks`` counts call sites that wanted a
-    batch but had to take the row path; ``grouped_batches`` counts
-    grouped selects reduced over column vectors, and
-    ``group_scope_fallbacks`` those evaluated through the interpreter's
-    ``GroupScope`` (scope inputs, or aggregates over empty input);
-    ``typed_kernels`` / ``generic_kernels`` partition compiled
-    binary-operator kernels into type-specialized (monomorphic,
-    catalog-proven operand kinds) and generic (per-value dispatch)
-    forms. Exposed as ``stats()["vectorized"]``.
-    """
-
-    __slots__ = VECTORIZED_DELTA_FIELDS + (
-        "row_fallbacks", "typed_kernels", "generic_kernels",
-    )
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.batches_scanned = 0
-        self.rows_scanned = 0
-        self.rows_selected = 0
-        self.fallback_rows = 0
-        self.grouped_batches = 0
-        self.group_scope_fallbacks = 0
-        self.row_fallbacks = 0
-        self.typed_kernels = 0
-        self.generic_kernels = 0
-
-    def snapshot(self, enabled=None):
-        result = {
-            "batches_scanned": self.batches_scanned,
-            "rows_scanned": self.rows_scanned,
-            "rows_selected": self.rows_selected,
-            "selection_hit_rate": (
-                self.rows_selected / self.rows_scanned
-                if self.rows_scanned else 0.0
-            ),
-            "fallback_rows": self.fallback_rows,
-            "row_fallbacks": self.row_fallbacks,
-            "grouped_batches": self.grouped_batches,
-            "group_scope_fallbacks": self.group_scope_fallbacks,
-            "typed_kernels": self.typed_kernels,
-            "generic_kernels": self.generic_kernels,
-        }
-        if enabled is not None:
-            result["enabled"] = enabled
-        return result
-
-    def counters(self):
-        """The :data:`VECTORIZED_DELTA_FIELDS` values as a tuple."""
-        return tuple(
-            getattr(self, name) for name in VECTORIZED_DELTA_FIELDS
-        )
-
-    def delta_since(self, before):
-        """``{field: increment}`` relative to a :meth:`counters` tuple."""
-        return {
-            name: getattr(self, name) - then
-            for name, then in zip(VECTORIZED_DELTA_FIELDS, before)
-        }
-
-
 class BatchContext:
     """Everything a kernel tree needs besides the selection vector.
 
@@ -381,27 +233,27 @@ class BatchContext:
     program reports no :attr:`BatchProgram.needs_scope`); ``evaluator``
     serves fallback subtrees and its ``params`` — the running
     statement's parameter vector — are what :class:`~repro.sql.ast
-    .Param` kernels read; ``stats`` (a :class:`VectorizedStats` or
+    .Param` kernels read; ``counters`` (``database.counters`` or
     ``None``) receives fallback-row counts. Over a group batch,
     ``aggregates`` maps ``id()`` of each aggregate node to its reduced
     column (selected entry → value, or :class:`Raised`).
     """
 
     __slots__ = ("cols", "slots", "scope_for", "evaluator", "params",
-                 "stats", "aggregates")
+                 "counters", "aggregates")
 
-    def __init__(self, cols, scope_for=None, evaluator=None, stats=None,
+    def __init__(self, cols, scope_for=None, evaluator=None, counters=None,
                  slots=None, aggregates=None):
         self.cols = cols
         self.slots = slots
         self.scope_for = scope_for
         self.evaluator = evaluator
         self.params = () if evaluator is None else evaluator.params
-        self.stats = stats
+        self.counters = counters
         self.aggregates = aggregates
 
 
-def batch_context(batch, bindings, outer, evaluator, stats):
+def batch_context(batch, bindings, outer, evaluator, counters):
     """The kernel context over a :class:`~repro.relational.batch.Batch`
     or :class:`~repro.relational.batch.JoinedBatch` whose fallback scopes
     mirror the row path's combination scopes (same bindings, same outer
@@ -423,7 +275,7 @@ def batch_context(batch, bindings, outer, evaluator, stats):
                 scope.bind(name, columns, row)
             return scope
 
-    return BatchContext(batch.cols, scope_for, evaluator, stats,
+    return BatchContext(batch.cols, scope_for, evaluator, counters,
                         slots=batch.slots)
 
 
@@ -527,7 +379,7 @@ def run_batch_expressions(database, expressions, layout, ctx, sel):
         batch_program_for(database, expression, layout, statement=statement)
         for expression in expressions
     ]
-    database.vectorized_stats.batches_scanned += 1
+    database.counters.batches_scanned += 1
     value_lists, err = run_batch_programs(programs, ctx, sel)
     if err is not None:
         raise err
@@ -545,9 +397,9 @@ def run_batch_filter(database, predicates, layout, ctx, sel, table=None):
     every selected row would eventually have been visited. ``table``
     optionally names the base table behind the layout (typed kernels).
     """
-    stats = database.vectorized_stats
-    stats.batches_scanned += 1
-    stats.rows_scanned += len(sel)
+    counters = database.counters
+    counters.batches_scanned += 1
+    counters.batch_rows_scanned += len(sel)
     statement = getattr(ctx.evaluator, "statement", None)
     err = None
     for predicate in predicates:
@@ -563,11 +415,11 @@ def run_batch_filter(database, predicates, layout, ctx, sel, table=None):
             err = kernel_err
     if err is not None:
         raise err
-    stats.rows_selected += len(sel)
+    counters.batch_rows_selected += len(sel)
     return sel
 
 
-def prune_selection(batch, specs, optimizer_stats, params=()):
+def prune_selection(batch, specs, counters, params=()):
     """Zone-map pruning: drop selected slots whose whole storage zone
     cannot satisfy one of the ``(column_position, op, operand)`` specs,
     each operand a literal or a parameter bound by ``params``.
@@ -653,9 +505,9 @@ def prune_selection(batch, specs, optimizer_stats, params=()):
         result = [slot for slot in sel if not prunable(slot >> ZONE_SHIFT)]
         if len(result) == len(sel):
             result = sel
-    optimizer_stats.zones_considered += len(verdicts)
-    optimizer_stats.zones_pruned += sum(verdicts.values())
-    optimizer_stats.rows_zone_pruned += len(sel) - len(result)
+    counters.zones_considered += len(verdicts)
+    counters.zones_pruned += sum(verdicts.values())
+    counters.rows_zone_pruned += len(sel) - len(result)
     return result
 
 
@@ -1476,9 +1328,9 @@ def _arith(op, left_value, right_value):
 def _fallback_loop(ctx, sel, node, predicate):
     """Per-row interpreter escape for subtrees the batch compiler cannot
     lower (subqueries, aggregates, outer references)."""
-    stats = ctx.stats
-    if stats is not None:
-        stats.fallback_rows += len(sel)
+    counters = ctx.counters
+    if counters is not None:
+        counters.batch_fallback_rows += len(sel)
     evaluator = ctx.evaluator
     scope_for = ctx.scope_for
     out = []

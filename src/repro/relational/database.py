@@ -37,7 +37,8 @@ class Database:
         #: sorted indexes by name (see repro.relational.index)
         self.indexes = IndexRegistry()
 
-        from .plan.cache import PlannerStats, StatementCache
+        from .plan.cache import StatementCache
+        from .stats import EvaluationCounters
 
         #: catalog-shape version, bumped only by schema/index DDL; plans
         #: and compiled programs are dropped when it moves (they depend
@@ -47,19 +48,9 @@ class Database:
         #: by normalised text or by root node (see
         #: repro.relational.plan.cache)
         self.statements = StatementCache()
-        #: planner/evaluator counters (rows scanned, cache hits, ...)
-        self.planner_stats = PlannerStats()
-
-        from .stats import OptimizerStats
-
-        #: zone-pruning counters (zones considered and pruned, rows
-        #: pruned)
-        self.optimizer_stats = OptimizerStats()
-
-        from .compiled import CompilerStats, VectorizedStats
-
-        #: compiler counters (compiles, cache hits, fallback nodes, ...)
-        self.compiler_stats = CompilerStats()
+        #: planner, compiler, batch-kernel and zone-pruning counters
+        #: (see repro.relational.stats.EvaluationCounters)
+        self.counters = EvaluationCounters()
         #: evaluate scans, filters, projections, join keys, DML
         #: targeting, and transition-table conditions through batch
         #: kernels over columnar storage (see
@@ -70,9 +61,6 @@ class Database:
         self.enable_vectorized_eval = os.environ.get(
             "REPRO_VECTORIZED_EVAL", "1"
         ).lower() not in ("0", "off", "false")
-        #: batch-kernel counters (batches scanned, selection-vector
-        #: sizes, per-row fallbacks)
-        self.vectorized_stats = VectorizedStats()
 
         #: concurrency-control observers (see repro.concurrency). When
         #: set, ``on_table_read(name)`` is called from every read funnel

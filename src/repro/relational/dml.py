@@ -275,7 +275,7 @@ class DmlExecutor:
         table_name = schema.name
         layout = ((table_name, schema.column_names),)
         ctx = batch_context(batch, layout, None, self._evaluator,
-                            database.vectorized_stats)
+                            database.counters)
         programs = [
             batch_program_for(database, expression, layout, table=table_name,
                               statement=self._evaluator.statement)
@@ -341,7 +341,7 @@ class DmlExecutor:
         if self.database.enable_vectorized_eval:
             layout = ((table_name, columns),)
             ctx = batch_context(batch, layout, None, self._evaluator,
-                                self.database.vectorized_stats)
+                                self.database.counters)
             return run_batch_filter(
                 self.database, (where,), layout, ctx, batch.sel,
                 table=table_name,

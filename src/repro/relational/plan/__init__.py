@@ -35,7 +35,7 @@ builds (docs/semantics.md §15).
 from typing import Any, Optional
 
 from .builder import build_plan
-from .cache import Bound, PlannerStats, StatementCache
+from .cache import Bound, StatementCache
 from .executor import execute_source
 from .nodes import (
     Aggregate,
@@ -66,8 +66,7 @@ def explain_select(database: Any, select: Any,
     """
     if bound is None:
         bound = database.statements.bound_node(select)
-    stats = database.planner_stats
-    plan = database.statements.plan_for(select, database, stats, bound)
+    plan = database.statements.plan_for(select, database, bound)
     if select.union is None:
         return explain(plan, params=bound.params)
     label = "Union all" if select.union_all else "Union"
@@ -86,7 +85,6 @@ __all__ = [
     "IndexLookup",
     "Limit",
     "Plan",
-    "PlannerStats",
     "Product",
     "Project",
     "Scan",

@@ -1,4 +1,4 @@
-"""The per-database statement cache and the planner's counters.
+"""The per-database statement cache.
 
 Everything derived from a statement — its AST, the plan of each of its
 selects, the compiled batch programs of its expressions — is
@@ -54,76 +54,6 @@ from typing import Any, NamedTuple, Optional, Sequence
 from ...sql import ast
 from ...sql.lexer import Normalised, literal_rows_matrix, normalise
 from ...sql.parser import parse_select, parse_statement
-
-#: counters whose deltas the engine attaches to rule events
-DELTA_FIELDS = (
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "rows_scanned",
-    "rows_visited",
-    "rows_returned",
-)
-
-
-class PlannerStats:
-    """Monotone counters for plan-cache and data-flow behaviour.
-
-    Maintained by the plan cache and the plan executor (the naive
-    reference under ``tests/reference/`` counts ``rows_scanned`` /
-    ``rows_visited`` into the same gauges, so planned-versus-naive
-    comparisons read like for like). The engine snapshots deltas around
-    condition/action evaluation and emits them on the observability bus.
-    """
-
-    __slots__ = (
-        "plans_built",
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "plan_cache_invalidations",
-        "rows_scanned",
-        "rows_visited",
-        "rows_returned",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.plans_built = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_invalidations = 0
-        self.rows_scanned = 0
-        self.rows_visited = 0
-        self.rows_returned = 0
-
-    def snapshot(self) -> dict[str, Any]:
-        lookups = self.plan_cache_hits + self.plan_cache_misses
-        return {
-            "plans_built": self.plans_built,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_invalidations": self.plan_cache_invalidations,
-            "plan_cache_hit_rate": (
-                self.plan_cache_hits / lookups if lookups else 0.0
-            ),
-            "rows_scanned": self.rows_scanned,
-            "rows_visited": self.rows_visited,
-            "rows_returned": self.rows_returned,
-        }
-
-    def counters(self) -> tuple[int, ...]:
-        """The :data:`DELTA_FIELDS` values as a tuple (cheap to snapshot
-        around a single condition/action evaluation)."""
-        return tuple(getattr(self, name) for name in DELTA_FIELDS)
-
-    def delta_since(self, before: tuple[int, ...]) -> dict[str, int]:
-        """``{field: increment}`` relative to a :meth:`counters` tuple."""
-        return {
-            name: getattr(self, name) - then
-            for name, then in zip(DELTA_FIELDS, before)
-        }
-
 
 class Statement:
     """One cache entry: a statement and everything derived from it.
@@ -313,7 +243,7 @@ class StatementCache:
 
     # -- derived state ----------------------------------------------------
 
-    def _invalidate(self, database: Any, stats: Any) -> None:
+    def _invalidate(self, database: Any) -> None:
         """The catalog moved since the derived state was built: drop
         every entry's plans and programs."""
         had_plans = had_programs = False
@@ -326,27 +256,27 @@ class StatementCache:
                     statement.programs.clear()
                     statement.star_items.clear()
         if had_plans:
-            stats.plan_cache_invalidations += 1
+            database.counters.plan_cache_invalidations += 1
         if had_programs:
-            database.compiler_stats.invalidations += 1
+            database.counters.compile_invalidations += 1
         self._schema_version = database.schema_version
 
-    def plan_for(self, select: Any, database: Any, stats: Any,
+    def plan_for(self, select: Any, database: Any,
                  bound: Optional[Bound] = None) -> Any:
         """The plan of one select arm of ``bound``'s statement (of
-        ``select`` itself, unbound), built and kept on a miss; ``stats``
-        is the :class:`PlannerStats` to count into."""
+        ``select`` itself, unbound), built and kept on a miss."""
         if self._schema_version != database.schema_version:
-            self._invalidate(database, stats)
+            self._invalidate(database)
         if bound is None:
             bound = self.bound_node(select)
         plans = bound.statement.plans
         plan = plans.get(id(select))
+        counters = database.counters
         if plan is not None:
-            stats.plan_cache_hits += 1
+            counters.plan_cache_hits += 1
             return plan
-        stats.plan_cache_misses += 1
-        stats.plans_built += 1
+        counters.plan_cache_misses += 1
+        counters.plans_built += 1
         from .builder import build_plan  # looked up per miss: the
         # syntactic reference planner swaps it in there
 
@@ -364,25 +294,25 @@ class StatementCache:
         the layout's columns come from, whose catalog kinds the kernels
         specialize on."""
         if self._schema_version != database.schema_version:
-            self._invalidate(database, database.planner_stats)
+            self._invalidate(database)
         if statement is None:
             statement = self.for_node(node)
-        stats = database.compiler_stats
+        counters = database.counters
         programs = statement.programs
         key = (id(node), layout, predicate)
         entry = programs.get(key)
         if entry is not None:
-            stats.cache_hits += 1
+            counters.compile_cache_hits += 1
             return entry[0]
-        stats.cache_misses += 1
-        stats.compiles += 1
+        counters.compile_cache_misses += 1
+        counters.compiles += 1
         from .. import compiled  # imports this package: not at the top
 
         program = compiled.compile_program(
             database, node, layout, predicate, table
         )
-        stats.nodes_compiled += program.nodes_compiled
-        stats.nodes_fallback += program.nodes_fallback
+        counters.nodes_compiled += program.nodes_compiled
+        counters.nodes_fallback += program.nodes_fallback
 
         def forget(_: Any) -> None:
             programs.pop(key, None)

@@ -70,9 +70,9 @@ def execute_source(plan: Any, database: Any, resolver: Any,
     ``bindings`` is a list of ``(name, columns)`` pairs in FROM order
     (columns as resolved at run time); ``scopes`` is the list of
     surviving combination Scopes, each carrying ``touched_pairs`` when
-    ``collect_handles`` is on. ``stats`` (a
-    :class:`~repro.relational.plan.cache.PlannerStats`) receives the
-    rows-scanned / rows-visited counters.
+    ``collect_handles`` is on. ``stats`` (``database.counters``, or
+    None to count nothing) receives the rows-scanned / rows-visited
+    counters.
     """
     bindings, scopes, batch = execute_source_batched(
         plan, database, resolver, evaluator, outer,
@@ -219,7 +219,7 @@ class _SourceRunner:
             # zone maps: skip whole storage zones that cannot satisfy a
             # total col-op-literal conjunct, before any kernel runs
             sel = prune_selection(
-                batch, node.prune_specs, self.database.optimizer_stats,
+                batch, node.prune_specs, self.database.counters,
                 self.evaluator.params,
             )
             if sel is not batch.sel:
@@ -249,7 +249,7 @@ class _SourceRunner:
             else None
         )
         if resolved is None:
-            self.database.vectorized_stats.row_fallbacks += 1
+            self.database.counters.batch_row_fallbacks += 1
             return None
         columns, batch = resolved
         if self.stats is not None:
@@ -293,7 +293,7 @@ class _SourceRunner:
         per-combination scopes (same bindings, same outer parent)."""
         return batch_context(
             batch, bindings, self.outer, self.evaluator,
-            self.database.vectorized_stats,
+            self.database.counters,
         )
 
     def _batch_keys(self, side: Any, key_exprs: Any) -> Any:

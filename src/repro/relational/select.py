@@ -209,9 +209,9 @@ class _SelectExecutor:
     # ------------------------------------------------------------------
 
     def _run_single(self, select: ast.Select, outer: Any) -> SelectResult:
-        stats = self.database.planner_stats
+        counters = self.database.counters
         self.plan = None
-        bindings, scopes, batch = self._planned_scopes(select, outer, stats)
+        bindings, scopes, batch = self._planned_scopes(select, outer, counters)
 
         if self.collect_handles:
             seen = set(self.touched)
@@ -255,14 +255,14 @@ class _SelectExecutor:
         rows = [row for row, _ in projected]
         if select.limit is not None:
             rows = rows[: select.limit]
-        stats.rows_returned += len(rows)
+        counters.rows_returned += len(rows)
         return SelectResult(columns, rows)
 
     # ------------------------------------------------------------------
     # FROM/WHERE handling
 
     def _planned_scopes(self, select: ast.Select, outer: Any,
-                        stats: Any) -> tuple[Any, Any, Any]:
+                        counters: Any) -> tuple[Any, Any, Any]:
         """Compile (or fetch) the arm's plan and run its source pipeline;
         returns ``(bindings, scopes, batch)``. The surviving scopes are
         exactly the post-WHERE combinations of the FROM product
@@ -274,12 +274,12 @@ class _SelectExecutor:
         from .plan.executor import execute_source_batched
 
         plan = self.database.statements.plan_for(
-            select, self.database, stats, self.evaluator.bound
+            select, self.database, self.evaluator.bound
         )
         self.plan = plan
         return execute_source_batched(
             plan, self.database, self.resolver, self.evaluator, outer,
-            collect_handles=self.collect_handles, stats=stats,
+            collect_handles=self.collect_handles, stats=counters,
         )
 
     # ------------------------------------------------------------------
@@ -379,7 +379,7 @@ class _SelectExecutor:
         batch; fallback scopes mirror the row path's combination scopes."""
         return batch_context(
             batch, bindings, outer, self.evaluator,
-            self.database.vectorized_stats,
+            self.database.counters,
         )
 
     def _project_plain_batch(self, select: ast.Select, batch: Any,
@@ -435,7 +435,7 @@ class _SelectExecutor:
         items = self._expand_items(select, bindings)
         self._validate_grouped_items(select, items, bindings)
         columns = self._output_names(items)
-        vstats = self.database.vectorized_stats
+        counters = self.database.counters
         sel = batch.sel
         if not sel and not select.group_by:
             # no member, no representative: the interpreter's empty
@@ -444,7 +444,7 @@ class _SelectExecutor:
             return columns, self._project_groups(
                 select, items, [EmptyGroupScope(names, parent=outer)]
             )
-        vstats.grouped_batches += 1
+        counters.grouped_batches += 1
         self._mark_grouping("columnar")
         layout = layout_of(bindings)
         ctx = self._batch_context(bindings, batch, outer)
@@ -471,7 +471,7 @@ class _SelectExecutor:
             )
 
         group_ctx = BatchContext(
-            ctx.cols, group_scope_for, self.evaluator, vstats,
+            ctx.cols, group_scope_for, self.evaluator, counters,
             slots=ctx.slots, aggregates=aggregates,
         )
         kept: Sequence[int] = reps
@@ -527,7 +527,7 @@ class _SelectExecutor:
             self.database, call.args[0], layout,
             statement=self.evaluator.statement,
         )
-        self.database.vectorized_stats.batches_scanned += 1
+        self.database.counters.batches_scanned += 1
         buckets: list[list[Any]] = [[] for _ in reps]
         failed: dict[int, ReproError] = {}
         # the argument runs over every position once; after an error it
@@ -600,7 +600,7 @@ class _SelectExecutor:
                         group_scopes: list[Scope]) -> Projected:
         """HAVING over every group, then items and order keys per
         surviving group, by the interpreter."""
-        self.database.vectorized_stats.group_scope_fallbacks += 1
+        self.database.counters.group_scope_fallbacks += 1
         self._mark_grouping("GroupScope")
         if select.having is not None:
             group_scopes = [

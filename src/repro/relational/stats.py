@@ -1,4 +1,4 @@
-"""Zone maps, and the counters of zone pruning.
+"""Zone maps, and the counters of query evaluation.
 
 Every table carries a :class:`TableStats`: per column, per zone of
 :data:`ZONE_SIZE` consecutive storage slots, the (min, max) of the
@@ -26,7 +26,7 @@ literal`` still sees its NaN rows.
 from __future__ import annotations
 
 from math import inf
-from operator import ne
+from operator import attrgetter, ne, sub
 
 #: zone size in storage slots (a power of two; zone = slot >> ZONE_SHIFT)
 ZONE_SHIFT = 8
@@ -169,44 +169,115 @@ class TableStats:
                              list(map(column.__getitem__, live_slots)))
 
 
-#: optimizer counters whose deltas the engine attaches to rule events
-OPTIMIZER_DELTA_FIELDS = ("zones_pruned", "rows_zone_pruned")
+class Counters:
+    """Monotone counters declared by their slots alone: :meth:`reset`
+    zeroes every slot and :meth:`snapshot` lists them in slot order."""
 
-
-class OptimizerStats:
-    """Monotone counters of zone-map pruning in the vectorized filter
-    path: zones considered, zones pruned, and the rows they held."""
-
-    __slots__ = ("zones_considered", "zones_pruned", "rows_zone_pruned")
+    __slots__ = ()
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.zones_considered = 0
-        self.zones_pruned = 0
-        self.rows_zone_pruned = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self):
-        considered = self.zones_considered
-        return {
-            "zones_considered": considered,
-            "zones_pruned": self.zones_pruned,
-            "zone_prune_rate": (
-                self.zones_pruned / considered if considered else 0.0
-            ),
-            "rows_zone_pruned": self.rows_zone_pruned,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+#: the evaluation counters charged to the rule whose condition or
+#: action ran (docs/semantics.md §7), by their ``stats()["rules"]`` names
+RULE_FIELDS = (
+    "rows_scanned", "rows_visited", "rows_returned", "plan_cache_hits",
+    "plan_cache_misses", "compiles", "compile_cache_hits",
+    "compile_cache_misses", "batches_scanned", "batch_rows_scanned",
+    "batch_rows_selected", "batch_fallback_rows", "grouped_batches",
+    "group_scope_fallbacks", "zones_pruned", "rows_zone_pruned",
+)
+
+_rule_counts = attrgetter(*RULE_FIELDS)
+
+#: the ``stats()`` sections :meth:`EvaluationCounters.sections` renders:
+#: ``(section, prefix its keys drop, entries in key order)``; an entry
+#: is a counter, or ``(key, numerator, *denominator terms)`` for a rate
+_SECTIONS = (
+    ("planner", "", (
+        "plans_built", "plan_cache_hits", "plan_cache_misses",
+        "plan_cache_invalidations",
+        ("plan_cache_hit_rate", "plan_cache_hits", "plan_cache_hits",
+         "plan_cache_misses"),
+        "rows_scanned", "rows_visited", "rows_returned",
+    )),
+    ("compiler", "compile_", (
+        "compiles", "compile_cache_hits", "compile_cache_misses",
+        ("cache_hit_rate", "compile_cache_hits", "compile_cache_hits",
+         "compile_cache_misses"),
+        "compile_invalidations", "nodes_compiled", "nodes_fallback",
+        ("fallback_rate", "nodes_fallback", "nodes_compiled",
+         "nodes_fallback"),
+    )),
+    ("vectorized", "batch_", (
+        "batches_scanned", "batch_rows_scanned", "batch_rows_selected",
+        ("selection_hit_rate", "batch_rows_selected", "batch_rows_scanned"),
+        "batch_fallback_rows", "batch_row_fallbacks", "grouped_batches",
+        "group_scope_fallbacks", "typed_kernels", "generic_kernels",
+    )),
+    ("optimizer", "", (
+        "zones_considered", "zones_pruned",
+        ("zone_prune_rate", "zones_pruned", "zones_considered"),
+        "rows_zone_pruned",
+    )),
+)
+
+
+class EvaluationCounters(Counters):
+    """The database's counters of query evaluation, ``database.counters``.
+
+    The plan cache and executor count plans and the rows a select
+    scans, visits and returns (the naive reference under
+    ``tests/reference/`` counts ``rows_scanned`` / ``rows_visited``
+    into the same slots, so planned-versus-naive comparisons read like
+    for like); the statement cache counts compiled programs and their
+    AST nodes, kernel-compiled or delegated to the interpreter; the
+    batch kernels count scans (one filter chain, projection, key
+    extraction or count fold over one selection vector), the vector
+    sizes entering and surviving filters, per-row interpreter escapes
+    (``batch_fallback_rows``), call sites that took the row path
+    (``batch_row_fallbacks``), grouped selects reduced over column
+    vectors or through ``GroupScope``, and typed versus generic operator
+    kernels; zone pruning counts the zones it considered and pruned and
+    the rows those held. The engine takes :meth:`counters` before a
+    condition or action runs and charges :meth:`delta_since` to the rule.
+    """
+
+    __slots__ = RULE_FIELDS + (
+        "plans_built", "plan_cache_invalidations", "compile_invalidations",
+        "nodes_compiled", "nodes_fallback", "batch_row_fallbacks",
+        "typed_kernels", "generic_kernels", "zones_considered",
+    )
 
     def counters(self):
-        """The :data:`OPTIMIZER_DELTA_FIELDS` values as a tuple."""
-        return tuple(
-            getattr(self, name) for name in OPTIMIZER_DELTA_FIELDS
-        )
+        """The :data:`RULE_FIELDS` values as a tuple."""
+        return _rule_counts(self)
 
     def delta_since(self, before):
-        """``{field: increment}`` relative to a :meth:`counters` tuple."""
-        return {
-            name: getattr(self, name) - then
-            for name, then in zip(OPTIMIZER_DELTA_FIELDS, before)
-        }
+        """``{field: increment}`` of :data:`RULE_FIELDS` relative to a
+        :meth:`counters` tuple."""
+        return dict(zip(RULE_FIELDS, map(sub, _rule_counts(self), before)))
+
+    def sections(self, vectorized):
+        """``stats()``'s planner, compiler, vectorized and optimizer
+        sections; ``vectorized`` is the ``enabled`` flag of the third."""
+        rendered = {}
+        for section, prefix, entries in _SECTIONS:
+            values = rendered[section] = {}
+            for entry in entries:
+                if type(entry) is str:
+                    values[entry.removeprefix(prefix)] = getattr(self, entry)
+                else:
+                    key, part, *whole = entry
+                    total = sum(getattr(self, name) for name in whole)
+                    values[key] = getattr(self, part) / total if total else 0.0
+        rendered["vectorized"]["enabled"] = vectorized
+        return rendered

@@ -81,11 +81,11 @@ class TestExecution:
         from repro.sql.parser import parse_select
 
         select = parse_select("select name from emp where dept_no = 2")
-        db.database.planner_stats.reset()
+        db.database.counters.reset()
         db.explain(select)
-        hits_after_explain = db.database.planner_stats.plan_cache_hits
+        hits_after_explain = db.database.counters.plan_cache_hits
         db.query(select)
-        assert db.database.planner_stats.plan_cache_hits == hits_after_explain + 1
+        assert db.database.counters.plan_cache_hits == hits_after_explain + 1
 
     def test_actual_rows_annotation_format(self, db):
         """Format-pinning for the act annotations: two spaces, then

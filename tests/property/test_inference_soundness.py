@@ -388,4 +388,4 @@ class TestConfigurationDifferential:
             adb.execute(statement)
         for statement in WORKLOAD:
             adb.execute(statement)
-        assert adb.database.vectorized_stats.typed_kernels > 0
+        assert adb.database.counters.typed_kernels > 0

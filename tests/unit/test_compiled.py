@@ -13,7 +13,6 @@ from repro.errors import ExecutionError
 from repro.relational.batch import Batch, JoinedBatch
 from repro.relational.compiled import (
     BatchContext,
-    CompilerStats,
     batch_context,
     batch_program_for,
     compile_batch_expression,
@@ -22,6 +21,7 @@ from repro.relational.compiled import (
 from repro.relational.database import Database
 from repro.relational.expressions import Evaluator, Scope, _like_to_regex
 from repro.relational.select import BaseTableResolver
+from repro.relational.stats import RULE_FIELDS, EvaluationCounters
 from repro.sql.parser import parse_expression
 from tests.reference import full_reeval
 
@@ -178,10 +178,10 @@ class TestCompiledCache:
         first = batch_program_for(database, node, LAYOUT, predicate=True)
         second = batch_program_for(database, node, LAYOUT, predicate=True)
         assert first is second
-        stats = database.compiler_stats
-        assert stats.compiles == 1
-        assert stats.cache_hits == 1
-        assert stats.cache_misses == 1
+        counters = database.counters
+        assert counters.compiles == 1
+        assert counters.compile_cache_hits == 1
+        assert counters.compile_cache_misses == 1
 
     def test_distinct_layouts_compile_separately(self):
         database = Database()
@@ -190,7 +190,7 @@ class TestCompiledCache:
         other_layout = (("e2", ("salary",)),)
         second = batch_program_for(database, node, other_layout)
         assert first is not second
-        assert database.compiler_stats.compiles == 2
+        assert database.counters.compiles == 2
 
     def test_schema_change_invalidates(self):
         database = Database()
@@ -199,7 +199,7 @@ class TestCompiledCache:
         database.create_table("t", [("x", "integer")])  # bumps schema_version
         second = batch_program_for(database, node, LAYOUT)
         assert first is not second
-        assert database.compiler_stats.invalidations == 1
+        assert database.counters.compile_invalidations == 1
 
     def test_data_change_does_not_invalidate(self):
         database = Database()
@@ -221,25 +221,27 @@ class TestCompiledCache:
         assert batch_program_for(database, nodes[2], LAYOUT) is programs[2]
         assert batch_program_for(database, nodes[0], LAYOUT) \
             is not programs[0]
-        assert database.compiler_stats.compiles == 4
+        assert database.counters.compiles == 4
 
     def test_snapshot_rates(self):
-        stats = CompilerStats()
-        stats.cache_hits = 3
-        stats.cache_misses = 1
-        stats.nodes_compiled = 8
-        stats.nodes_fallback = 2
-        snapshot = stats.snapshot()
+        counters = EvaluationCounters()
+        counters.compile_cache_hits = 3
+        counters.compile_cache_misses = 1
+        counters.nodes_compiled = 8
+        counters.nodes_fallback = 2
+        snapshot = counters.sections(True)["compiler"]
         assert snapshot["cache_hit_rate"] == 0.75
         assert snapshot["fallback_rate"] == 0.2
 
     def test_delta_since_counts_one_evaluation(self):
         database = Database()
         node = parse_expression("salary > 500")
-        before = database.compiler_stats.counters()
+        before = database.counters.counters()
         batch_program_for(database, node, LAYOUT)
-        delta = database.compiler_stats.delta_since(before)
-        assert delta == {"cache_hits": 0, "cache_misses": 1, "compiles": 1}
+        delta = database.counters.delta_since(before)
+        assert {name: n for name, n in delta.items() if n} == {
+            "compile_cache_misses": 1, "compiles": 1}
+        assert list(delta) == list(RULE_FIELDS)
 
 
 def compiles_of_filtered_select():
@@ -251,7 +253,7 @@ def compiles_of_filtered_select():
     db.execute("create table t (x integer)")
     db.execute("insert into t values (1), (2), (3)")
     assert db.rows("select x from t where x > 1") == [(2,), (3,)]
-    return db.database.compiler_stats
+    return db.database.counters
 
 
 class TestEnvironmentGate:
@@ -289,9 +291,9 @@ class TestEnvironmentGate:
         assert db.rows(
             "select t.x, u.y from t, u where t.x + u.y > 6"
         ) == [(3, 4)]
-        stats = db.database.compiler_stats
-        assert stats.compiles == 0
-        assert stats.cache_hits == stats.cache_misses == 0
+        counters = db.database.counters
+        assert counters.compiles == 0
+        assert counters.compile_cache_hits == counters.compile_cache_misses == 0
 
 
 class TestLikeMemoization:

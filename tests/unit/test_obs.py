@@ -296,6 +296,35 @@ class TestEngineStats:
         assert stats["engine"]["rollbacks_by_rule"] == 1
         assert stats["rules"]["veto"]["rollbacks"] == 1
 
+    def test_rule_events_carry_what_stats_charges_each_rule(self):
+        """The ``counters`` payloads of a rule's considerations and
+        firings, summed, are that rule's evaluation counters."""
+        from repro.relational.stats import RULE_FIELDS
+        from repro.workloads.orgchart import define_rules, populate
+
+        sink = RingBufferSink(capacity=100_000)
+        db = ActiveDatabase(sink=sink)
+        populate(db, depth=2, branching=2)
+        define_rules(db)
+        db.execute("insert into emp values ('new', 100, -5.0, 1)")
+        db.execute("update emp set salary = salary - 50000 where dept_no = 1")
+        db.execute("delete from dept where dept_no = 2")
+        summed = {}
+        for event in sink.events:
+            if event.kind in (EventKind.RULE_CONSIDERED,
+                              EventKind.RULE_FIRED):
+                assert tuple(event.data["counters"]) == RULE_FIELDS
+                totals = summed.setdefault(
+                    event.data["rule"], dict.fromkeys(RULE_FIELDS, 0))
+                for name, increment in event.data["counters"].items():
+                    totals[name] += increment
+        rules = db.stats()["rules"]
+        assert summed.keys() == rules.keys()
+        for name, totals in summed.items():
+            assert totals == {field: rules[name][field]
+                              for field in RULE_FIELDS}
+        assert sum(totals["rows_scanned"] for totals in summed.values()) > 0
+
     def test_loop_budget_trip_counted(self):
         from repro.errors import RuleLoopError
 

@@ -17,7 +17,6 @@ from repro.relational.plan import (
     Filter,
     HashJoin,
     IndexLookup,
-    PlannerStats,
     Product,
     Scan,
     SingleRow,
@@ -28,6 +27,7 @@ from repro.relational.plan import (
 )
 from repro.relational.plan.pushdown import classify_where, referenced_bindings
 from repro.relational.select import evaluate_select
+from repro.relational.stats import EvaluationCounters
 from repro.sql import ast
 from repro.sql.formatter import format_node
 from repro.sql.parser import parse_expression, parse_select
@@ -222,7 +222,7 @@ class TestExplain:
 
     def test_union_arms_render_separately(self, database):
         database.statements = StatementCache()
-        database.planner_stats = PlannerStats()
+        database.counters = EvaluationCounters()
         database.schema_version = 0
         text = explain_select(database, parse_select(
             "select name from emp union select name from emp where salary > 1"
@@ -235,10 +235,10 @@ class TestPlanCache:
     def test_repeat_lookup_hits(self, database):
         database.schema_version = 0
         cache = StatementCache()
-        stats = PlannerStats()
+        stats = database.counters
         select = parse_select("select name from emp")
-        first = cache.plan_for(select, database, stats)
-        second = cache.plan_for(select, database, stats)
+        first = cache.plan_for(select, database)
+        second = cache.plan_for(select, database)
         assert first is second
         assert stats.plan_cache_hits == 1
         assert stats.plan_cache_misses == 1
@@ -249,23 +249,23 @@ class TestPlanCache:
         template and one plan."""
         database.schema_version = 0
         cache = StatementCache()
-        stats = PlannerStats()
+        stats = database.counters
         plans = []
         for text in ("select name from emp where salary > 10",
                      "SELECT name  FROM emp -- again\n WHERE salary > 99.5"):
             select, bound = cache.parse_select(text)
-            plans.append(cache.plan_for(select, database, stats, bound))
+            plans.append(cache.plan_for(select, database, bound))
         assert plans[0] is plans[1]
         assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 1)
 
     def test_schema_version_change_invalidates(self, database):
         database.schema_version = 0
         cache = StatementCache()
-        stats = PlannerStats()
+        stats = database.counters
         select = parse_select("select name from emp where dept_no = 1")
-        before = cache.plan_for(select, database, stats)
+        before = cache.plan_for(select, database)
         database.create_index("emp_dept", "emp", "dept_no")
-        after = cache.plan_for(select, database, stats)
+        after = cache.plan_for(select, database)
         assert before is not after
         assert stats.plan_cache_invalidations == 1
         assert isinstance(after.source.child, IndexLookup)
@@ -273,17 +273,17 @@ class TestPlanCache:
     def test_index_ddl_invalidates_cached_plans(self, database):
         """Regression: CREATE/DROP INDEX must invalidate cached plans
         through the schema version, re-planning access paths."""
-        stats = database.planner_stats
+        stats = database.counters
         select = parse_select("select name from emp where dept_no = 1")
-        before = database.statements.plan_for(select, database, stats)
+        before = database.statements.plan_for(select, database)
         invalidations = stats.plan_cache_invalidations
         database.create_index("emp_dept", "emp", "dept_no")
-        created = database.statements.plan_for(select, database, stats)
+        created = database.statements.plan_for(select, database)
         assert created is not before
         assert isinstance(created.source.child, IndexLookup)
         assert stats.plan_cache_invalidations == invalidations + 1
         database.drop_index("emp_dept")
-        dropped = database.statements.plan_for(select, database, stats)
+        dropped = database.statements.plan_for(select, database)
         assert dropped is not created
         assert isinstance(dropped.source.child, Scan)
         assert stats.plan_cache_invalidations == invalidations + 2
@@ -291,29 +291,30 @@ class TestPlanCache:
     def test_overflow_evicts_least_recently_used(self, database):
         database.schema_version = 0
         cache = StatementCache(max_entries=2)
-        stats = PlannerStats()
+        stats = database.counters
         selects = [parse_select(f"select {column} from emp")
                    for column in ("name", "salary", "dept_no")]
-        first = cache.plan_for(selects[0], database, stats)
-        second = cache.plan_for(selects[1], database, stats)
-        assert cache.plan_for(selects[0], database, stats) is first
-        cache.plan_for(selects[2], database, stats)  # evicts selects[1]
+        first = cache.plan_for(selects[0], database)
+        second = cache.plan_for(selects[1], database)
+        assert cache.plan_for(selects[0], database) is first
+        cache.plan_for(selects[2], database)  # evicts selects[1]
         assert len(cache) == 2 and cache.evictions == 1
-        assert cache.plan_for(selects[0], database, stats) is first
-        assert cache.plan_for(selects[1], database, stats) is not second
+        assert cache.plan_for(selects[0], database) is first
+        assert cache.plan_for(selects[1], database) is not second
 
     def test_hit_rate_in_snapshot(self):
-        stats = PlannerStats()
-        stats.plan_cache_hits = 3
-        stats.plan_cache_misses = 1
-        assert stats.snapshot()["plan_cache_hit_rate"] == 0.75
+        counters = EvaluationCounters()
+        counters.plan_cache_hits = 3
+        counters.plan_cache_misses = 1
+        planner = counters.sections(True)["planner"]
+        assert planner["plan_cache_hit_rate"] == 0.75
 
     def test_delta_since_counts_increments(self):
-        stats = PlannerStats()
-        before = stats.counters()
-        stats.rows_scanned += 7
-        stats.plan_cache_hits += 1
-        delta = stats.delta_since(before)
+        counters = EvaluationCounters()
+        before = counters.counters()
+        counters.rows_scanned += 7
+        counters.plan_cache_hits += 1
+        delta = counters.delta_since(before)
         assert delta["rows_scanned"] == 7
         assert delta["plan_cache_hits"] == 1
         assert delta["rows_visited"] == 0
@@ -437,7 +438,7 @@ class TestPlannedExecutionAgreesWithNaive:
 
     def test_rows_visited_reduced_by_hash_join(self):
         db = self.make_db()
-        stats = db.database.planner_stats
+        stats = db.database.counters
         select = parse_select(
             "select e.name from emp e, dept d where e.dept_no = d.dept_no"
         )
@@ -455,9 +456,7 @@ class TestPlannedExecutionAgreesWithNaive:
         db = self.make_db()
         db.execute("create index emp_dept on emp (dept_no)")
         select = parse_select("select name from emp where dept_no = 1")
-        plan = db.database.statements.plan_for(
-            select, db.database, db.database.planner_stats
-        )
+        plan = db.database.statements.plan_for(select, db.database)
         assert isinstance(plan.source.child, IndexLookup)
         # drop the index but execute the *stale* plan object directly
         from repro.relational.plan.executor import execute_source

@@ -70,7 +70,7 @@ def test_peak_per_input_row_stays_within_budget(database, shape):
 
 
 def test_the_measured_shapes_ran_columnar(database):
-    stats = database.vectorized_stats
+    stats = database.counters
     stats.reset()
     for sql in SHAPES.values():
         evaluate_select(database, parse_select(sql))

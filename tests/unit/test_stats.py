@@ -1,9 +1,9 @@
 """Unit tests for zone maps (repro.relational.stats): mutator folding,
 widen-only bounds, exact rebuilds at compaction, zone padding past
-rebuild truncation, and the zone-pruning counters."""
+rebuild truncation, and the evaluation counters."""
 
 from repro.relational.database import Database
-from repro.relational.stats import ZONE_SIZE, OptimizerStats, TableStats
+from repro.relational.stats import ZONE_SIZE, EvaluationCounters, TableStats
 
 
 def make_db():
@@ -99,17 +99,37 @@ class TestZoneMaps:
         assert stats2.zones[0][0][3] == 4
 
 
-class TestOptimizerStats:
-    def test_snapshot_and_delta(self):
-        stats = OptimizerStats()
-        stats.zones_considered = 4
-        stats.zones_pruned = 2
-        stats.rows_zone_pruned = 17
-        snap = stats.snapshot()
-        assert snap == {"zones_considered": 4, "zones_pruned": 2,
-                        "zone_prune_rate": 0.5, "rows_zone_pruned": 17}
-        before = stats.counters()
-        stats.rows_zone_pruned += 3
-        assert stats.delta_since(before) == {
-            "zones_pruned": 0, "rows_zone_pruned": 3,
+class TestEvaluationCounters:
+    def test_rates_are_zero_without_lookups(self):
+        sections = EvaluationCounters().sections(True)
+        rates = {(section, key): value
+                 for section, values in sections.items()
+                 for key, value in values.items() if key.endswith("_rate")}
+        assert set(rates) == {
+            ("planner", "plan_cache_hit_rate"), ("compiler", "cache_hit_rate"),
+            ("compiler", "fallback_rate"), ("vectorized", "selection_hit_rate"),
+            ("optimizer", "zone_prune_rate"),
         }
+        assert set(rates.values()) == {0.0}
+
+    def test_optimizer_section_and_delta(self):
+        counters = EvaluationCounters()
+        counters.zones_considered = 4
+        counters.zones_pruned = 2
+        counters.rows_zone_pruned = 17
+        assert counters.sections(True)["optimizer"] == {
+            "zones_considered": 4, "zones_pruned": 2,
+            "zone_prune_rate": 0.5, "rows_zone_pruned": 17}
+        before = counters.counters()
+        counters.rows_zone_pruned += 3
+        delta = counters.delta_since(before)
+        assert delta["rows_zone_pruned"] == 3
+        assert set(delta.values()) == {0, 3}
+
+    def test_reset_zeroes_every_counter(self):
+        counters = EvaluationCounters()
+        for name in counters.__slots__:
+            setattr(counters, name, 5)
+        counters.reset()
+        assert set(counters.snapshot().values()) == {0}
+        assert counters.snapshot().keys() == set(counters.__slots__)

@@ -97,14 +97,14 @@ class TestFallbacks:
                 return None
 
         database = db.database
-        database.vectorized_stats.reset()
+        database.counters.reset()
         select = parse_select("select a from t where b = 1")
         result = evaluate_select(
             database, select, RowOnlyResolver(database)
         )
         assert len(result.rows) > 0
-        assert database.vectorized_stats.row_fallbacks >= 1
-        assert database.vectorized_stats.batches_scanned == 0
+        assert database.counters.batch_row_fallbacks >= 1
+        assert database.counters.batches_scanned == 0
 
     @pytest.mark.parametrize("where", ["", " where x.a = y.a"])
     def test_a_join_runs_each_input_once(self, where):
@@ -126,20 +126,20 @@ class TestFallbacks:
 
 class TestCallSites:
     def test_dml_where_uses_batch_path(self, db):
-        db.database.vectorized_stats.reset()
+        db.database.counters.reset()
         db.execute("delete from t where b = 1 and a < 5")
-        assert db.database.vectorized_stats.batches_scanned >= 1
+        assert db.database.counters.batches_scanned >= 1
         remaining = db.rows("select a, b from t")
         assert all(not (b == 1 and a < 5) for a, b in remaining)
 
     def test_dml_where_with_index_narrows_batch(self, db):
         db.execute("create index idx_b on t (b)")
-        db.database.vectorized_stats.reset()
+        db.database.counters.reset()
         db.execute("update t set s = 'hit' where b = 2")
-        stats = db.database.vectorized_stats
+        stats = db.database.counters
         assert stats.batches_scanned >= 1
         # the index narrowed the scanned selection below the full table
-        assert stats.rows_scanned < 10
+        assert stats.batch_rows_scanned < 10
         rows = db.rows("select s from t where b = 2")
         assert rows and all(s == "hit" for (s,) in rows)
 
@@ -278,9 +278,7 @@ class TestColumnarJoinsAndGrouping:
         database = joined.database
         select = parse_select("select * from t, u where t.b = u.b")
         bound = database.statements.bound_node(select)
-        plan = database.statements.plan_for(
-            select, database, database.planner_stats, bound,
-        )
+        plan = database.statements.plan_for(select, database, bound)
         resolver = BaseTableResolver(database)
         bindings, scopes, batch = execute_source_batched(
             plan, database, resolver, Evaluator(database, resolver, bound),
